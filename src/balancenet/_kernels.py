@@ -1,147 +1,140 @@
-"""Hot inner loops: network Euler-Maruyama chunks and the finite-volume
-Fokker-Planck update.
+"""Hot inner loops: Euler-Maruyama chunks of the FitzHugh-Nagumo network and
+the finite-volume Fokker-Planck update.
 
-Each kernel has two interchangeable implementations with identical
-signatures and in-place semantics: a vectorized numpy one and a scalar
-loop compiled with numba when available. Selection happens per call via
-``active(name)``; set ``BALANCENET_NO_NUMBA=1`` to force the numpy path
-(see benchmarks/kernel_bench.py for a timing comparison).
+Each kernel is one vectorized numpy function that updates its arrays in
+place and is bit-reproducible for identical inputs, however a run is cut
+into chunks. The scalar ``_*_loop`` twins transcribe the same updates agent
+by agent; they are test oracles for tiny sizes only. Timings are measured
+by the benchmark in perfbench/ (see perfbench/README.md).
 
-The two paths agree to floating-point reduction-order differences
-(~1e-13 relative); within one path results are bit-reproducible.
+``active(name)`` hands a kernel out by name. Both network families step
+through the one network kernel; they keep their own keys so that traced
+runs attribute its time to the family that called it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    _HAVE_NUMBA = False
-
-
-def numba_available() -> bool:
-    return _HAVE_NUMBA
-
-
-def numba_enabled() -> bool:
-    if not _HAVE_NUMBA:
-        return False
-    return os.environ.get("BALANCENET_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-
-
 # ---------------------------------------------------------------------------
-# electrically coupled network, state (x, y) per agent, one population
+# FitzHugh-Nagumo network in affine form, state (x, y) or (x, y, s) per agent
 # ---------------------------------------------------------------------------
 
 
-def electrical_chunk_numpy(states, noise, dt, gamma_g, f3, f2, f1, f0, a, b, sig):
+def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
+                  fhn, sig):
     """Advance ``noise.shape[0]`` Euler-Maruyama steps in place.
 
-    states: (N, 2), noise: (steps, N) standard normals for the voltage.
+    states: (N, 2) voltage x and recovery y per agent, or (N, 3) with a
+    synaptic gate s; population p holds rows offsets[p]:offsets[p + 1].
+    noise: (steps, N) standard normals for the voltage.
+
+    The network input on an agent of population p at voltage x is
+    A_p x + B_p with A_p = sum_q coef[p, q] alpha_q, where
+    alpha_q = alpha0[q] + alpha1[q] . ybar_q is read off the current mean
+    state ybar_q of population q (B and beta likewise).
+
+    fhn = (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope) gives
+    the intrinsic drift x' = f(x) - y with the cubic
+    f(x) = ((f3 x + f2) x + f1) x + f0, y' = a (b x - y + c) and
+    s' = gain (1 - s) / (1 + exp((theta - x) inv_slope)) - s inv_tau.
     Returns True when all entries stayed finite.
     """
-    x = states[:, 0]
-    y = states[:, 1]
-    sq = math.sqrt(dt)
-    for s in range(noise.shape[0]):
-        xm = x.mean()
-        fx = ((f3 * x + f2) * x + f1) * x + f0
-        dx = (fx - y + gamma_g * (xm - x)) * dt + (sig * sq) * noise[s]
-        dy = (a * dt) * (b * x - y)
-        x += dx
-        y += dy
+    f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = fhn
+    n_steps = noise.shape[0]
+    d = states.shape[1]
+    offsets = offsets.tolist()
+    segs = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    coef = coef.tolist()
+    alpha0 = alpha0.tolist()
+    beta0 = beta0.tolist()
+    alpha1 = alpha1.tolist()
+    beta1 = beta1.tolist()
+    # the population means the source maps read, with their weights
+    reads = [[(k, alpha1[q][k], beta1[q][k]) for k in range(d)
+              if alpha1[q][k] or beta1[q][k]] for q in range(len(segs))]
+    # struct of arrays: each step writes fresh contiguous coordinates, the
+    # last one straight back into the columns of states
+    cols = [states[:, k] for k in range(d)]
+    sq = sig * math.sqrt(dt)
+    ady = a * dt
+    vx = np.empty(states.shape[0])
+    for step in range(n_steps):
+        x, y = cols[0], cols[1]
+        al = list(alpha0)
+        be = list(beta0)
+        for q, seg in enumerate(segs):
+            for k, wa, wb in reads[q]:
+                # the value of ndarray.mean, without its Python-level overhead
+                m = float(cols[k][seg].sum()) / (seg.stop - seg.start)
+                al[q] += wa * m
+                be[q] += wb * m
+        for p, seg in enumerate(segs):
+            A = 0.0
+            B = 0.0
+            for q, c_pq in enumerate(coef[p]):
+                A += c_pq * al[q]
+                B += c_pq * be[q]
+            # f(x) + A x + B: the network input shifts the lower coefficients
+            xs = x[seg]
+            vs = vx[seg]
+            np.multiply(xs, f3, out=vs)
+            vs += f2
+            vs *= xs
+            vs += f1 + A
+            vs *= xs
+            vs += f0 + B
+        vx -= y
+        vx *= dt
+        vx += sq * noise[step]
+        incs = [vx, ady * (b * x - y + c)]
+        if d > 2:
+            s = cols[2]
+            gate = gain / (1.0 + np.exp((theta - x) * inv_slope))
+            incs.append((gate * (1.0 - s) - s * inv_tau) * dt)
+        last = step == n_steps - 1
+        for k in range(d):
+            cols[k] = np.add(cols[k], incs[k], out=states[:, k] if last else None)
     return bool(np.isfinite(states).all())
 
 
-def _electrical_chunk_loop(states, noise, dt, gamma_g, f3, f2, f1, f0, a, b, sig):
-    n = states.shape[0]
-    sq = math.sqrt(dt)
-    for s in range(noise.shape[0]):
-        xm = 0.0
-        for i in range(n):
-            xm += states[i, 0]
-        xm /= n
-        for i in range(n):
-            x = states[i, 0]
-            y = states[i, 1]
-            fx = ((f3 * x + f2) * x + f1) * x + f0
-            states[i, 0] = x + (fx - y + gamma_g * (xm - x)) * dt + sig * sq * noise[s, i]
-            states[i, 1] = y + a * (b * x - y) * dt
-    return bool(np.all(np.isfinite(states)))
-
-
-# ---------------------------------------------------------------------------
-# chemically coupled network, state (x, y, s) per agent, P populations
-# ---------------------------------------------------------------------------
-
-
-def chemical_chunk_numpy(states, noise, dt, coef, erev, offsets, f3, f2, f1, f0,
-                         a, b, c, inv_tau, al_gain, al_theta, al_inv_slope, sig):
-    """Advance the conductance-coupled network in place.
-
-    coef[p, q] is the already gamma-scaled signed coupling from source
-    population q onto targets in p; the interaction on agent i in p is
-    sum_q coef[p, q] * (x_i - erev[q]) * mean_s_q.
-    """
+def _network_chunk_loop(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
+                        fhn, sig):
+    f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = fhn
     npop = offsets.shape[0] - 1
-    x = states[:, 0]
-    y = states[:, 1]
-    sv = states[:, 2]
+    d = states.shape[1]
     sq = math.sqrt(dt)
-    inter = np.empty_like(x)
-    for s in range(noise.shape[0]):
-        sbar = np.empty(npop)
+    A = np.empty(npop)
+    B = np.empty(npop)
+    for step in range(noise.shape[0]):
+        A[:] = 0.0
+        B[:] = 0.0
         for q in range(npop):
-            sbar[q] = sv[offsets[q]:offsets[q + 1]].mean()
-        for p in range(npop):
-            seg = slice(offsets[p], offsets[p + 1])
-            acc = np.zeros(offsets[p + 1] - offsets[p])
-            for q in range(npop):
-                acc += (coef[p, q] * sbar[q]) * (x[seg] - erev[q])
-            inter[seg] = acc
-        fx = ((f3 * x + f2) * x + f1) * x + f0
-        al = al_gain / (1.0 + np.exp(-(x - al_theta) * al_inv_slope))
-        nx = x + (fx - y + inter) * dt + (sig * sq) * noise[s]
-        ny = y + (a * dt) * (b * x - y + c)
-        ns = sv + (-sv * inv_tau + al * (1.0 - sv)) * dt
-        x[:] = nx
-        y[:] = ny
-        sv[:] = ns
-    return bool(np.isfinite(states).all())
-
-
-def _chemical_chunk_loop(states, noise, dt, coef, erev, offsets, f3, f2, f1, f0,
-                         a, b, c, inv_tau, al_gain, al_theta, al_inv_slope, sig):
-    npop = offsets.shape[0] - 1
-    sq = math.sqrt(dt)
-    sbar = np.empty(npop)
-    for s in range(noise.shape[0]):
-        for q in range(npop):
-            acc = 0.0
-            for i in range(offsets[q], offsets[q + 1]):
-                acc += states[i, 2]
-            sbar[q] = acc / (offsets[q + 1] - offsets[q])
+            al = alpha0[q]
+            be = beta0[q]
+            for k in range(d):
+                m = 0.0
+                for i in range(offsets[q], offsets[q + 1]):
+                    m += states[i, k]
+                m /= offsets[q + 1] - offsets[q]
+                al += alpha1[q, k] * m
+                be += beta1[q, k] * m
+            for p in range(npop):
+                A[p] += coef[p, q] * al
+                B[p] += coef[p, q] * be
         for p in range(npop):
             for i in range(offsets[p], offsets[p + 1]):
                 x = states[i, 0]
                 y = states[i, 1]
-                sv = states[i, 2]
-                inter = 0.0
-                for q in range(npop):
-                    inter += (coef[p, q] * sbar[q]) * (x - erev[q])
                 fx = ((f3 * x + f2) * x + f1) * x + f0
-                al = al_gain / (1.0 + math.exp(-(x - al_theta) * al_inv_slope))
-                states[i, 0] = x + (fx - y + inter) * dt + sig * sq * noise[s, i]
+                states[i, 0] = x + (fx - y + A[p] * x + B[p]) * dt + sig * sq * noise[step, i]
                 states[i, 1] = y + a * (b * x - y + c) * dt
-                states[i, 2] = sv + (-sv * inv_tau + al * (1.0 - sv)) * dt
+                if d > 2:
+                    sv = states[i, 2]
+                    gate = gain / (1.0 + math.exp((theta - x) * inv_slope))
+                    states[i, 2] = sv + (gate * (1.0 - sv) - sv * inv_tau) * dt
     return bool(np.all(np.isfinite(states)))
 
 
@@ -150,8 +143,8 @@ def _chemical_chunk_loop(states, noise, dt, coef, erev, offsets, f3, f2, f1, f0,
 # ---------------------------------------------------------------------------
 
 
-def fp_chunk_numpy(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
-                   dx, dt, nsteps, i_out):
+def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
+             dx, dt, nsteps, i_out):
     """Advance the density ``nsteps`` explicit steps in place.
 
     Velocity on interior faces is f(x) - I(t)/eps * alpha(x) with I(t)
@@ -199,24 +192,13 @@ def _fp_chunk_loop(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
 # registry
 # ---------------------------------------------------------------------------
 
-IMPLEMENTATIONS: dict[str, dict[str, object]] = {}
-
-
-def _register(name, numpy_impl, loop_impl):
-    entry = {"numpy": numpy_impl, "numba": None}
-    if _HAVE_NUMBA:
-        entry["numba"] = njit(cache=True, nogil=True)(loop_impl)
-    IMPLEMENTATIONS[name] = entry
-
-
-_register("electrical_chunk", electrical_chunk_numpy, _electrical_chunk_loop)
-_register("chemical_chunk", chemical_chunk_numpy, _chemical_chunk_loop)
-_register("fp_chunk", fp_chunk_numpy, _fp_chunk_loop)
+IMPLEMENTATIONS = {
+    "electrical_chunk": network_chunk,
+    "chemical_chunk": network_chunk,
+    "fp_chunk": fp_chunk,
+}
 
 
 def active(name: str):
-    """Return the currently selected implementation of a kernel."""
-    entry = IMPLEMENTATIONS[name]
-    if numba_enabled() and entry["numba"] is not None:
-        return entry["numba"]
-    return entry["numpy"]
+    """Return the kernel registered under ``name``."""
+    return IMPLEMENTATIONS[name]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CHEMICAL, ELECTRICAL, NetworkModel
+from .models import NetworkModel, affine_coefficients, conductance_source_maps
 from .network import NetworkState
 
 DEGENERACY_RTOL = 1e-10
@@ -43,6 +43,10 @@ class EmpiricalMeasure:
     def mean_coord(self, p: int, k: int) -> float:
         return float(self.samples[p][:, k].mean())
 
+    def means(self) -> np.ndarray:
+        """Per-population mean states, (P, d)."""
+        return np.stack([arr.mean(axis=0) for arr in self.samples])
+
 
 @dataclass(frozen=True)
 class PopulationStability:
@@ -67,17 +71,11 @@ def net_input(model: NetworkModel, p: int, x: np.ndarray,
     """sum_q g_pq * mean_y b_pq(x, y) against the empirical measure
     (the un-gamma-scaled drift contribution of the network)."""
     x = np.asarray(x, dtype=float)
-    if model.family == ELECTRICAL:
-        xm = measure.mean_coord(0, 0)
-        out = np.zeros(2)
-        out[0] = model.coupling[0, 0] * (xm - x[0])
-        return out
-    if model.family == CHEMICAL:
-        out = np.zeros(3)
-        for q in range(model.n_populations):
-            out[0] += model.coupling[p, q] * (x[0] - model.erev[q]) * measure.mean_coord(q, 2)
-        return out
     out = np.zeros(x.shape[0])
+    if model.affine:
+        A, B = model.affine_coefficients(measure.means())
+        out[0] = A[p] * x[0] + B[p]
+        return out
     for q in range(model.n_populations):
         ys = measure.samples[q]
         acc = np.zeros_like(out)
@@ -87,9 +85,19 @@ def net_input(model: NetworkModel, p: int, x: np.ndarray,
     return out
 
 
+def _chemical_coefficients(ghat, E_E, E_I, sbar_E, sbar_I):
+    """(A, B) of the two-population conductance model at mean synaptic
+    values (sbar_E, sbar_I)."""
+    ybar = np.zeros((2, 3))
+    ybar[:, 2] = sbar_E, sbar_I
+    return affine_coefficients(np.asarray(ghat, dtype=float).T,
+                               conductance_source_maps((E_E, E_I)), ybar)
+
+
 def chemical_balance_voltages(ghat: np.ndarray, E_E: float, E_I: float,
                               sbar_E: float, sbar_I: float) -> tuple[float, float]:
-    """Unique balance voltages of the two-population conductance model,
+    """Unique balance voltages x*_beta = -B_beta / A_beta of the
+    two-population conductance model,
 
         x*_beta = (ghat[E,b] E_E sbar_E + ghat[I,b] E_I sbar_I)
                   / (ghat[E,b] sbar_E + ghat[I,b] sbar_I),
@@ -97,42 +105,38 @@ def chemical_balance_voltages(ghat: np.ndarray, E_E: float, E_I: float,
     raising DegenerateDenominatorError when a denominator vanishes
     (relative to the |ghat|*sbar scale).
     """
-    ghat = np.asarray(ghat, dtype=float)
+    A, B = _chemical_coefficients(ghat, E_E, E_I, sbar_E, sbar_I)
+    scale = np.abs(np.asarray(ghat, dtype=float)).T @ np.abs([sbar_E, sbar_I])
     out = []
     for b in range(2):
-        num = ghat[0, b] * E_E * sbar_E + ghat[1, b] * E_I * sbar_I
-        den = ghat[0, b] * sbar_E + ghat[1, b] * sbar_I
-        scale = abs(ghat[0, b]) * abs(sbar_E) + abs(ghat[1, b]) * abs(sbar_I)
-        if abs(den) <= DEGENERACY_RTOL * scale or scale == 0.0:
+        if abs(A[b]) <= DEGENERACY_RTOL * scale[b] or scale[b] == 0.0:
             raise DegenerateDenominatorError(
-                f"population {'EI'[b]}: denominator {den:.3e} below tolerance")
-        out.append(num / den)
+                f"population {'EI'[b]}: denominator {A[b]:.3e} below tolerance")
+        out.append(float(-B[b] / A[b]))
     return out[0], out[1]
 
 
 def chemical_stability(ghat: np.ndarray, sbar_E: float, sbar_I: float
                        ) -> tuple[PopulationStability, PopulationStability]:
-    """Linear rates of the early-time voltage ODE and their sign verdicts;
-    a population is stable when its rate is negative, marginal at zero."""
+    """Linear rates A_beta of the early-time voltage ODE and their sign
+    verdicts; a population is stable when its rate is negative, marginal at
+    zero."""
     if sbar_E < 0 or sbar_I < 0:
         raise ValueError("mean synaptic values must be nonnegative")
-    ghat = np.asarray(ghat, dtype=float)
-    out = []
-    for b in range(2):
-        rate = float(ghat[0, b] * sbar_E + ghat[1, b] * sbar_I)
-        out.append(PopulationStability(stable=rate < 0.0, rate=rate,
-                                       marginal=rate == 0.0))
+    # A does not depend on the reversal potentials
+    A, _ = _chemical_coefficients(ghat, 0.0, 0.0, sbar_E, sbar_I)
+    out = [PopulationStability(stable=rate < 0.0, rate=rate, marginal=rate == 0.0)
+           for rate in map(float, A)]
     return out[0], out[1]
 
 
 def chemical_balance_report(ghat: np.ndarray, E_E: float, E_I: float,
                             sbar_E: float, sbar_I: float) -> BalanceReport:
-    ghat = np.asarray(ghat, dtype=float)
     voltages = chemical_balance_voltages(ghat, E_E, E_I, sbar_E, sbar_I)
     stability = chemical_stability(ghat, sbar_E, sbar_I)
-    dens = tuple(float(ghat[0, b] * sbar_E + ghat[1, b] * sbar_I) for b in range(2))
     return BalanceReport(voltages=voltages, stability=stability,
-                         denominators=dens, sbar=(sbar_E, sbar_I))
+                         denominators=tuple(s.rate for s in stability),
+                         sbar=(sbar_E, sbar_I))
 
 
 def electrical_balance_projection(measure: EmpiricalMeasure) -> tuple[float, float]:
@@ -151,15 +155,12 @@ class EarlyOdeResult:
 
 
 def _measure_rates(model: NetworkModel, measure: EmpiricalMeasure) -> float | None:
-    """Largest linear contraction/expansion rate of the frozen-measure ODE,
-    used to pick the default step."""
-    if model.family == ELECTRICAL:
-        return float(abs(model.coupling[0, 0]))
-    if model.family == CHEMICAL:
-        sb = [measure.mean_coord(q, 2) for q in range(2)]
-        rates = [abs(model.ghat[0, b] * sb[0] + model.ghat[1, b] * sb[1]) for b in range(2)]
-        return max(rates)
-    return None
+    """Largest linear contraction/expansion rate max_p |A_p| of the
+    frozen-measure ODE, used to pick the default step."""
+    if not model.affine:
+        return None
+    A, _ = model.affine_coefficients(measure.means())
+    return float(np.max(np.abs(A)))
 
 
 def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
@@ -177,8 +178,17 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
         dt = 1e-3 * min(1.0, 1.0 / r) if r else 1e-3
     n_steps = max(1, int(round(T / dt)))
 
-    def rhs(xs: np.ndarray) -> np.ndarray:
-        return np.stack([net_input(model, p, xs[p], frozen_measure) for p in range(P)])
+    if model.affine:
+        # the measure is frozen, and with it the affine coefficients
+        A, B = model.affine_coefficients(frozen_measure.means())
+
+        def rhs(xs: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(xs)
+            out[:, 0] = A * xs[:, 0] + B
+            return out
+    else:
+        def rhs(xs: np.ndarray) -> np.ndarray:
+            return np.stack([net_input(model, p, xs[p], frozen_measure) for p in range(P)])
 
     times = np.empty(n_steps + 1)
     traj = np.empty((n_steps + 1, P, x0.shape[1]))
@@ -210,20 +220,10 @@ def distance_to_balance(state: NetworkState, model: NetworkModel) -> float:
     input; exactly zero on the balance manifold."""
     measure = EmpiricalMeasure.from_state(state)
     P = model.n_populations
+    if model.affine:
+        A, B = model.affine_coefficients(measure.means())
+        return max(float(np.abs(A[p] * state.block(p)[:, 0] + B[p]).max()) for p in range(P))
     worst = 0.0
-    if model.family == ELECTRICAL:
-        xm = measure.mean_coord(0, 0)
-        dev = np.abs(model.coupling[0, 0] * (xm - state.block(0)[:, 0]))
-        return float(dev.max())
-    if model.family == CHEMICAL:
-        sb = [measure.mean_coord(q, 2) for q in range(P)]
-        for p in range(P):
-            x0 = state.block(p)[:, 0]
-            tot = np.zeros_like(x0)
-            for q in range(P):
-                tot += model.coupling[p, q] * sb[q] * (x0 - model.erev[q])
-            worst = max(worst, float(np.abs(tot).max()))
-        return worst
     for p in range(P):
         for x in state.block(p):
             worst = max(worst, float(np.linalg.norm(net_input(model, p, x, measure))))

@@ -10,7 +10,7 @@ wall-clock seeding anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -176,194 +176,167 @@ def _parse_ic(node: _Node | None, default: IcConfig) -> IcConfig:
     return ic
 
 
-# electrical collapse benchmark defaults (fig1 outputs)
-ELECTRICAL_DEFAULTS = dict(
-    f_coeffs=(-1.0, 5.0, -4.0, 4.0), a=0.005, b=6.0, g=1.0, sigma=1.0, n=300)
-ELECTRICAL_INIT = (IcConfig("normal", 1.0, 5.0), IcConfig("normal", 1.5, 5.0))
+class _Section:
+    """Parse and echo of a config section from its dataclass fields and their
+    defaults: numbers and integers are optional keys, a tuple default is a
+    list of numbers (of that length unless empty), a ScalingConfig default a
+    nested scaling section, and IcConfig defaults are coordinate laws under
+    "init"."""
 
-# two-population conductance benchmark defaults (fig2 outputs); reversal
-# potentials, tau and the activation sigmoid are free parameters chosen so
-# the balanced state is self-sustaining and the clamping offset
-# O(|f(x*)|/gamma) stays small (see README).
-CHEMICAL_DEFAULTS = dict(
-    f_coeffs=(-1.0, 1.3, -0.3, 0.0), a=0.4, b=1.5, c=1.0, tau=2.0,
-    alpha_gain=1.0, alpha_threshold=-2.0, alpha_slope=1.0,
-    E_E=1.0, E_I=-1.0, g_EE=0.3, g_EI=2.0, g_IE=1.0, g_II=10.0,
-    sigma=1.0, n=300)
-CHEMICAL_INIT = (IcConfig("normal", 3.0, 1.0), IcConfig("normal", 2.0, 1.0),
-                 IcConfig("uniform", 0.0, 2.0), IcConfig("uniform", 0.0, 3.0))
+    family = None  # network family name, echoed first
 
-SEPARABLE_DEFAULTS = dict(E=0.0, beta0=1.0, beta1=1.0, theta_s=3.0, k_s=1.0, sigma=3.0)
+    def to_config(self) -> dict:
+        out = {"family": self.family} if self.family else {}
+        init = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, IcConfig):
+                init[f.name] = value.to_config()
+            elif isinstance(value, ScalingConfig):
+                out[f.name] = value.to_config()
+            else:
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        if init:
+            out["init"] = init
+        return out
+
+    @classmethod
+    def parse(cls, node: _Node, **given):
+        kwargs = {}
+        init = None
+        for f in fields(cls):
+            if f.name in given:
+                continue
+            if isinstance(f.default, IcConfig):
+                if init is None:
+                    init = node.child("init", required=False) or _Node({}, node._at("init"))
+                kwargs[f.name] = _parse_ic(init.child(f.name, required=False), f.default)
+            elif isinstance(f.default, ScalingConfig):
+                kwargs[f.name] = _parse_scaling(node.child(f.name, required=False), f.default)
+            elif isinstance(f.default, tuple):
+                kwargs[f.name] = _float_list(node, f.name, required=False, default=f.default)
+                if f.default and len(kwargs[f.name]) != len(f.default):
+                    raise ConfigError(BAD_VALUE, node._at(f.name),
+                                      f"need {len(f.default)} coefficients")
+            else:
+                kwargs[f.name] = node.opt(f.name, type(f.default), f.default)
+        if init is not None:
+            init.close()
+        node.close()
+        return cls(**kwargs, **given)
 
 
 @dataclass(frozen=True)
-class ElectricalConfig:
-    f_coeffs: tuple = ELECTRICAL_DEFAULTS["f_coeffs"]
-    a: float = ELECTRICAL_DEFAULTS["a"]
-    b: float = ELECTRICAL_DEFAULTS["b"]
-    g: float = ELECTRICAL_DEFAULTS["g"]
-    sigma: float = ELECTRICAL_DEFAULTS["sigma"]
-    n: int = ELECTRICAL_DEFAULTS["n"]
+class ElectricalConfig(_Section):
+    """Electrical collapse benchmark (fig1 outputs)."""
+
+    f_coeffs: tuple = (-1.0, 5.0, -4.0, 4.0)
+    a: float = 0.005
+    b: float = 6.0
+    g: float = 1.0
+    sigma: float = 1.0
+    n: int = 300
     scaling: ScalingConfig = ScalingConfig("linear")
-    x: IcConfig = ELECTRICAL_INIT[0]
-    y: IcConfig = ELECTRICAL_INIT[1]
+    x: IcConfig = IcConfig("normal", 1.0, 5.0)
+    y: IcConfig = IcConfig("normal", 1.5, 5.0)
 
     family = "fhn-electrical"
 
-    def to_config(self):
-        return {"family": self.family, "f_coeffs": list(self.f_coeffs), "a": self.a,
-                "b": self.b, "g": self.g, "sigma": self.sigma, "n": self.n,
-                "scaling": self.scaling.to_config(),
-                "init": {"x": self.x.to_config(), "y": self.y.to_config()}}
+    def coordinate_laws(self):
+        """Initial law of each coordinate, per population."""
+        return ((self.x, self.y),)
 
 
 @dataclass(frozen=True)
-class ChemicalConfig:
-    f_coeffs: tuple = CHEMICAL_DEFAULTS["f_coeffs"]
-    a: float = CHEMICAL_DEFAULTS["a"]
-    b: float = CHEMICAL_DEFAULTS["b"]
-    c: float = CHEMICAL_DEFAULTS["c"]
-    tau: float = CHEMICAL_DEFAULTS["tau"]
-    alpha_gain: float = CHEMICAL_DEFAULTS["alpha_gain"]
-    alpha_threshold: float = CHEMICAL_DEFAULTS["alpha_threshold"]
-    alpha_slope: float = CHEMICAL_DEFAULTS["alpha_slope"]
-    E_E: float = CHEMICAL_DEFAULTS["E_E"]
-    E_I: float = CHEMICAL_DEFAULTS["E_I"]
-    g_EE: float = CHEMICAL_DEFAULTS["g_EE"]
-    g_EI: float = CHEMICAL_DEFAULTS["g_EI"]
-    g_IE: float = CHEMICAL_DEFAULTS["g_IE"]
-    g_II: float = CHEMICAL_DEFAULTS["g_II"]
-    sigma: float = CHEMICAL_DEFAULTS["sigma"]
-    n: int = CHEMICAL_DEFAULTS["n"]
+class ChemicalConfig(_Section):
+    """Two-population conductance benchmark (fig2 outputs); reversal
+    potentials, tau and the activation sigmoid are free parameters chosen so
+    the balanced state is self-sustaining and the clamping offset
+    O(|f(x*)|/gamma) stays small (see README)."""
+
+    f_coeffs: tuple = (-1.0, 1.3, -0.3, 0.0)
+    a: float = 0.4
+    b: float = 1.5
+    c: float = 1.0
+    tau: float = 2.0
+    alpha_gain: float = 1.0
+    alpha_threshold: float = -2.0
+    alpha_slope: float = 1.0
+    E_E: float = 1.0
+    E_I: float = -1.0
+    g_EE: float = 0.3
+    g_EI: float = 2.0
+    g_IE: float = 1.0
+    g_II: float = 10.0
+    sigma: float = 1.0
+    n: int = 300
     scaling: ScalingConfig = ScalingConfig("scaled_linear", 0.2)
-    x: IcConfig = CHEMICAL_INIT[0]
-    y: IcConfig = CHEMICAL_INIT[1]
-    s_E: IcConfig = CHEMICAL_INIT[2]
-    s_I: IcConfig = CHEMICAL_INIT[3]
+    x: IcConfig = IcConfig("normal", 3.0, 1.0)
+    y: IcConfig = IcConfig("normal", 2.0, 1.0)
+    s_E: IcConfig = IcConfig("uniform", 0.0, 2.0)
+    s_I: IcConfig = IcConfig("uniform", 0.0, 3.0)
 
     family = "fhn-chemical"
 
-    def to_config(self):
-        out = {"family": self.family, "f_coeffs": list(self.f_coeffs)}
-        for k in ("a", "b", "c", "tau", "alpha_gain", "alpha_threshold", "alpha_slope",
-                  "E_E", "E_I", "g_EE", "g_EI", "g_IE", "g_II", "sigma", "n"):
-            out[k] = getattr(self, k)
-        out["scaling"] = self.scaling.to_config()
-        out["init"] = {"x": self.x.to_config(), "y": self.y.to_config(),
-                       "s_E": self.s_E.to_config(), "s_I": self.s_I.to_config()}
-        return out
+    def coordinate_laws(self):
+        """Initial law of each coordinate, per population."""
+        return ((self.x, self.y, self.s_E), (self.x, self.y, self.s_I))
 
 
 @dataclass(frozen=True)
-class SeparableConfig:
-    E: float = SEPARABLE_DEFAULTS["E"]
-    beta0: float = SEPARABLE_DEFAULTS["beta0"]
-    beta1: float = SEPARABLE_DEFAULTS["beta1"]
-    theta_s: float = SEPARABLE_DEFAULTS["theta_s"]
-    k_s: float = SEPARABLE_DEFAULTS["k_s"]
-    sigma: float = SEPARABLE_DEFAULTS["sigma"]
+class SeparableConfig(_Section):
+    E: float = 0.0
+    beta0: float = 1.0
+    beta1: float = 1.0
+    theta_s: float = 3.0
+    k_s: float = 1.0
+    sigma: float = 3.0
     epsilon: float = 0.1
 
     def to_config(self, with_epsilon: bool = True):
-        out = {k: getattr(self, k) for k in
-               ("E", "beta0", "beta1", "theta_s", "k_s", "sigma")}
-        if with_epsilon:
-            out["epsilon"] = self.epsilon
+        out = super().to_config()
+        if not with_epsilon:
+            del out["epsilon"]
         return out
+
+
+NETWORK_FAMILIES = {cfg.family: cfg for cfg in (ElectricalConfig, ChemicalConfig)}
 
 
 def _parse_network_model(node: _Node):
     family = node.req("family", str)
-    if family == "fhn-electrical":
-        coeffs = _float_list(node, "f_coeffs", required=False,
-                             default=ELECTRICAL_DEFAULTS["f_coeffs"])
-        if len(coeffs) != 4:
-            raise ConfigError(BAD_VALUE, f"{node.path}.f_coeffs", "need 4 coefficients")
-        init = node.child("init", required=False)
-        x = y = None
-        if init is not None:
-            x = _parse_ic(init.child("x", required=False), ELECTRICAL_INIT[0])
-            y = _parse_ic(init.child("y", required=False), ELECTRICAL_INIT[1])
-            init.close()
-        cfg = ElectricalConfig(
-            f_coeffs=coeffs,
-            a=node.opt("a", float, ELECTRICAL_DEFAULTS["a"]),
-            b=node.opt("b", float, ELECTRICAL_DEFAULTS["b"]),
-            g=node.opt("g", float, ELECTRICAL_DEFAULTS["g"]),
-            sigma=node.opt("sigma", float, ELECTRICAL_DEFAULTS["sigma"]),
-            n=node.opt("n", int, ELECTRICAL_DEFAULTS["n"]),
-            scaling=_parse_scaling(node.child("scaling", required=False),
-                                   ScalingConfig("linear")),
-            x=x or ELECTRICAL_INIT[0], y=y or ELECTRICAL_INIT[1])
-        node.close()
-        return cfg
-    if family == "fhn-chemical":
-        coeffs = _float_list(node, "f_coeffs", required=False,
-                             default=CHEMICAL_DEFAULTS["f_coeffs"])
-        if len(coeffs) != 4:
-            raise ConfigError(BAD_VALUE, f"{node.path}.f_coeffs", "need 4 coefficients")
-        init = node.child("init", required=False)
-        ics = list(CHEMICAL_INIT)
-        if init is not None:
-            for i, key in enumerate(("x", "y", "s_E", "s_I")):
-                ics[i] = _parse_ic(init.child(key, required=False), CHEMICAL_INIT[i])
-            init.close()
-        kwargs = {k: node.opt(k, float, CHEMICAL_DEFAULTS[k]) for k in
-                  ("a", "b", "c", "tau", "alpha_gain", "alpha_threshold", "alpha_slope",
-                   "E_E", "E_I", "g_EE", "g_EI", "g_IE", "g_II", "sigma")}
-        cfg = ChemicalConfig(
-            f_coeffs=coeffs, n=node.opt("n", int, CHEMICAL_DEFAULTS["n"]),
-            scaling=_parse_scaling(node.child("scaling", required=False),
-                                   ScalingConfig("scaled_linear", 0.2)),
-            x=ics[0], y=ics[1], s_E=ics[2], s_I=ics[3], **kwargs)
-        node.close()
-        return cfg
-    raise ConfigError(BAD_VALUE, f"{node.path}.family", f"unknown family {family!r}")
+    if family not in NETWORK_FAMILIES:
+        raise ConfigError(BAD_VALUE, f"{node.path}.family", f"unknown family {family!r}")
+    return NETWORK_FAMILIES[family].parse(node)
 
 
 def _parse_separable(node: _Node, need_epsilon: bool) -> SeparableConfig:
-    kwargs = {k: node.opt(k, float, SEPARABLE_DEFAULTS[k]) for k in SEPARABLE_DEFAULTS}
-    eps = node.req("epsilon", float) if need_epsilon else node.opt("epsilon", float, 0.1)
-    node.close()
-    return SeparableConfig(epsilon=eps, **kwargs)
+    if need_epsilon:
+        return SeparableConfig.parse(node, epsilon=node.req("epsilon", float))
+    return SeparableConfig.parse(node)
 
 
 @dataclass(frozen=True)
-class GridConfig:
+class GridConfig(_Section):
     L: float = 8.0
     cells: int = 1024
 
-    def to_config(self):
-        return {"L": self.L, "cells": self.cells}
-
 
 def _parse_grid(node: _Node | None) -> GridConfig:
-    if node is None:
-        return GridConfig()
-    g = GridConfig(L=node.opt("L", float, 8.0), cells=node.opt("cells", int, 1024))
-    node.close()
-    return g
+    return GridConfig() if node is None else GridConfig.parse(node)
 
 
 @dataclass(frozen=True)
-class RecordConfig:
+class RecordConfig(_Section):
     stride: int = 1
     traces: int = 20
     snapshot_times: tuple = ()
-
-    def to_config(self):
-        return {"stride": self.stride, "traces": self.traces,
-                "snapshot_times": list(self.snapshot_times)}
 
 
 def _parse_record(node: _Node | None) -> RecordConfig:
     if node is None:
         return RecordConfig()
-    rc = RecordConfig(
-        stride=node.opt("stride", int, 1),
-        traces=node.opt("traces", int, 20),
-        snapshot_times=_float_list(node, "snapshot_times", required=False))
-    node.close()
+    rc = RecordConfig.parse(node)
     if rc.stride < 1:
         raise ConfigError(BAD_VALUE, f"{node.path}.stride", "stride must be >= 1")
     return rc

@@ -14,21 +14,22 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .balance import (DegenerateDenominatorError, chemical_balance_report,
-                      chemical_balance_voltages, distance_to_balance,
-                      integrate_early_ode)
+from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
+                      chemical_balance_report, chemical_balance_voltages,
+                      distance_to_balance, integrate_early_ode)
 from .config import (ChemicalConfig, ElectricalConfig, EventConfig, ExperimentSpec,
                      IcConfig, RecordConfig, SeparableConfig)
 from .hopfcole import epsilon_sweep, hamiltonian_residual, hopf_cole, support_width
-from .models import (FhnChemicalParams, FhnElectricalParams, ScalingRule,
-                     build_fhn_chemical, build_fhn_electrical, build_separable_1d)
-from .network import (CoordinateIC, InitialConditionSpec, PerturbationEvent,
-                      RecordSpec, RunRecord, simulate, simulate_rescaled_early)
+from .models import FAMILIES, ScalingRule, build_fhn_network, build_separable_1d
+from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
+                      PerturbationEvent, RecordSpec, RunRecord, apply_perturbation,
+                      simulate, simulate_rescaled_early)
 from .pde import Grid1D, gaussian_initial, solve_fp_1d
 
 NO_DATA = "NO_DATA"
@@ -110,31 +111,20 @@ def _ic(cfg: IcConfig) -> CoordinateIC:
 
 
 def build_model(cfg, n: int | None = None, scaling: ScalingRule | None = None):
-    if isinstance(cfg, ElectricalConfig):
-        params = FhnElectricalParams(tuple(cfg.f_coeffs), cfg.a, cfg.b, cfg.g, cfg.sigma)
-        return build_fhn_electrical(params, n=n or cfg.n,
-                                    scaling=scaling or _scaling_rule(cfg.scaling))
-    params = FhnChemicalParams(
-        tuple(cfg.f_coeffs), cfg.a, cfg.b, cfg.c, cfg.tau, cfg.alpha_gain,
-        cfg.alpha_threshold, cfg.alpha_slope, cfg.E_E, cfg.E_I,
-        cfg.g_EE, cfg.g_EI, cfg.g_IE, cfg.g_II, cfg.sigma)
-    return build_fhn_chemical(params, n=n or cfg.n,
-                              scaling=scaling or _scaling_rule(cfg.scaling))
+    family = FAMILIES[cfg.family]
+    params = family(**{f.name: getattr(cfg, f.name) for f in fields(family)})
+    return build_fhn_network(params, n=n or cfg.n,
+                             scaling=scaling or _scaling_rule(cfg.scaling))
 
 
 def build_init(cfg) -> InitialConditionSpec:
-    if isinstance(cfg, ElectricalConfig):
-        return InitialConditionSpec(((_ic(cfg.x), _ic(cfg.y)),))
-    return InitialConditionSpec((
-        (_ic(cfg.x), _ic(cfg.y), _ic(cfg.s_E)),
-        (_ic(cfg.x), _ic(cfg.y), _ic(cfg.s_I)),
-    ))
+    return InitialConditionSpec(tuple(tuple(_ic(c) for c in laws)
+                                      for laws in cfg.coordinate_laws()))
 
 
 def build_separable(cfg: SeparableConfig, epsilon: float | None = None):
     return build_separable_1d(epsilon if epsilon is not None else cfg.epsilon,
-                              E=cfg.E, beta0=cfg.beta0, beta1=cfg.beta1,
-                              theta_s=cfg.theta_s, k_s=cfg.k_s, sigma=cfg.sigma)
+                              **cfg.to_config(with_epsilon=False))
 
 
 def _record_spec(cfg: RecordConfig) -> RecordSpec:
@@ -224,20 +214,11 @@ def _run_rescaled_early(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
 def _early_gap(model, run: RunRecord) -> tuple[float, float, float]:
     """Sup-norm gap of population-mean voltages to the frozen-measure ODE
     started at the initial means, plus max movement of the frozen (y, s)
-    coordinate means over the rescaled window."""
-    from .balance import EmpiricalMeasure as EM
+    coordinate means over the rescaled window. The frozen measure is the
+    t = 0 snapshot, which _run_rescaled_early always records."""
     P = len(run.means)
     x0 = np.stack([run.means[q][0] for q in range(P)])
-    samples = []
-    n = model.populations[0].n
-    # reconstruct the initial empirical measure from the first snapshot when
-    # recorded; population means are enough for the affine families otherwise
-    if run.snapshots and run.snapshots[0][0] == 0.0:
-        st = run.snapshots[0][1]
-        samples = [st[q * n:(q + 1) * n] for q in range(P)]
-    else:
-        samples = [run.means[q][0][None, :] for q in range(P)]
-    measure = EM(tuple(np.asarray(s) for s in samples))
+    measure = EmpiricalMeasure.from_state(NetworkState(0.0, run.snapshots[0][1], model.offsets))
     horizon = float(run.times[-1])
     ode = integrate_early_ode(model, measure, x0, horizon)
     gap = 0.0
@@ -424,7 +405,6 @@ def _run_figures(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
     event = PerturbationEvent(T / 2, {"g_EE": 1.5, "g_EI": 1.5})
     run = simulate(model, build_init(cfg), T, dt, spec.seed, rec, [event])
     # predictions after the perturbation use the scaled conductances
-    from .network import apply_perturbation
     pert = apply_perturbation(model, event)
     run.meta["ghat_series"] = {
         i: (model.ghat if run.times[i] < event.t else pert.ghat)
@@ -465,10 +445,8 @@ def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
     metrics = _write_run_artifacts(out, run, [p.label for p in model.populations])
     d0 = dT = math.nan
     if len(run.snapshots) >= 2:
-        from .network import NetworkState
-        offs = np.concatenate([[0], np.cumsum([p.n for p in model.populations])]).astype(np.int64)
-        d0 = distance_to_balance(NetworkState(0.0, run.snapshots[0][1], offs), model)
-        dT = distance_to_balance(NetworkState(0.0, run.snapshots[1][1], offs), model)
+        d0 = distance_to_balance(NetworkState(0.0, run.snapshots[0][1], model.offsets), model)
+        dT = distance_to_balance(NetworkState(0.0, run.snapshots[1][1], model.offsets), model)
     return {"kind": "network", "n": n, "scaling": rule.kind, "gamma": gamma,
             "mode": mode,
             "status": run.status, "collapse_time": _collapse_time(run, threshold),
@@ -507,7 +485,8 @@ def sweep_double_limit(spec: ExperimentSpec, out: Path, threads: int = 1) -> tup
                                  payload=p.pde, out=None)
             status, metrics = _run_epsilon_sweep(sub, cell_out)
             return {"kind": "pde", "status": status, **metrics}
-        except Exception as err:
+        except (ValueError, ArithmeticError) as err:
+            # numerical and configuration failures; anything else is a bug
             return {"kind": kind, "status": "FAILED",
                     "error": f"{type(err).__name__}: {err}",
                     "n": n, "scaling": getattr(rule_cfg, "kind", None)}

@@ -429,7 +429,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
             d.theta = check_w_gradient_bound(run, t0).theta
             d.moment = check_moment_bound(run, moment_k)
             d.run = run
-        except Exception as err:  # sweep-level isolation per member
+        except (ValueError, ArithmeticError) as err:  # a member's numerical failure
             d.status = "FAILED"
             d.error = f"{type(err).__name__}: {err}"
         diags.append(d)

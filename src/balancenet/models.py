@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -97,24 +98,87 @@ CHEMICAL = "fhn-chemical"
 CUSTOM = "custom"
 
 
-def _poly(coeffs: np.ndarray, x):
-    """Horner evaluation, highest degree first."""
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for c in coeffs:
-        out = out * x + c
-    return out
+@dataclass(frozen=True, eq=False)
+class SourceMaps:
+    """How source agents act in an affine family: a source agent at y in
+    population q acts on a target at x through b(x, y) = (alpha_q(y) x_0 +
+    beta_q(y)) e_0, with alpha_q(y) = alpha0[q] + alpha1[q] . y and beta_q
+    likewise linear in y. Averaged over the populations, the network input
+    on a target of population p is A_p x_0 + B_p, with A_p = sum_q c_pq
+    alpha_q(ybar_q) and B_p = sum_q c_pq beta_q(ybar_q) read off the mean
+    states ybar_q: its zero -B_p / A_p is the balance voltage, A_p the
+    rate of approach to it.
+    """
+
+    alpha0: np.ndarray  # (P,)
+    alpha1: np.ndarray  # (P, d)
+    beta0: np.ndarray   # (P,)
+    beta1: np.ndarray   # (P, d)
+
+    def __call__(self, ybar):
+        """(alpha_q, beta_q) for all q at the states ybar, (P, d) or (d,)."""
+        ybar = np.asarray(ybar, dtype=float)
+        return (self.alpha0 + (self.alpha1 * ybar).sum(axis=-1),
+                self.beta0 + (self.beta1 * ybar).sum(axis=-1))
+
+
+def affine_coefficients(coupling: np.ndarray, maps: SourceMaps, ybar) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of the un-gamma-scaled network input for target-major
+    couplings and population mean states ybar (P, d)."""
+    alpha, beta = maps(ybar)
+    return coupling @ alpha, coupling @ beta
+
+
+def conductance_source_maps(erev) -> SourceMaps:
+    """Conductance coupling through the synaptic gate y_2 of the source:
+    b(x, y) = (x_0 - E_q) y_2 e_0, so alpha_q(y) = y_2, beta_q(y) = -E_q y_2."""
+    gate = np.zeros((len(erev), 3))
+    gate[:, 2] = 1.0
+    return SourceMaps(np.zeros(len(erev)), gate, np.zeros(len(erev)),
+                      -np.asarray(erev, dtype=float)[:, None] * gate)
+
+
+class _FhnFamily:
+    """A built-in family, described once by its parameters: the constants of
+    its FitzHugh-Nagumo drift, its coupling matrix and source maps, and the
+    conductances a perturbation may scale. Subclasses also name their
+    populations, state dimension, default scaling and the _kernels key
+    their runs are traced under."""
+
+    def drift(self, X: np.ndarray) -> np.ndarray:
+        """Drift of an (n, 2) block of states (x, y), or (n, 3) with the
+        synaptic gate s: x' = f(x) - y for the cubic f, y' = a (b x - y + c)
+        and s' = gain (1 - s) / (1 + exp((theta - x) inv_slope)) - s inv_tau."""
+        f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = self.fhn_constants()
+        x = X[:, 0]
+        y = X[:, 1]
+        cols = [((f3 * x + f2) * x + f1) * x + f0 - y, a * (b * x - y + c)]
+        if X.shape[1] > 2:
+            s = X[:, 2]
+            gate = gain / (1.0 + np.exp((theta - x) * inv_slope))
+            cols.append(gate * (1.0 - s) - s * inv_tau)
+        return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
-class FhnElectricalParams:
-    """Cubic drift coefficients (highest degree first), recovery parameters
-    and diffusive coupling strength of the gap-junction model."""
+class FhnElectricalParams(_FhnFamily):
+    """Gap-junction family: one population of FitzHugh-Nagumo agents coupled
+    through voltage differences, b(x, y) = (y_0 - x_0) e_0, so alpha = -1 and
+    beta(y) = y_0. Cubic drift coefficients (highest degree first), recovery
+    parameters and the coupling strength g."""
 
     f_coeffs: tuple[float, float, float, float]
     a: float
     b: float
     g: float
     sigma: float
+
+    family = ELECTRICAL
+    labels = ("neurons",)
+    dim = 2
+    conductances = ("g",)
+    default_scaling = ScalingRule("linear")
+    kernel = "electrical_chunk"
 
     def __post_init__(self):
         if not self.f_coeffs[0] < 0:
@@ -126,14 +190,26 @@ class FhnElectricalParams:
         if not np.isfinite(self.f_coeffs).all() or not np.isfinite([self.a, self.b, self.g, self.sigma]).all():
             raise ModelDefinitionError("parameters must be finite")
 
+    def coupling(self) -> np.ndarray:
+        return np.array([[self.g]])
+
+    def source_maps(self) -> SourceMaps:
+        return SourceMaps(alpha0=np.array([-1.0]), alpha1=np.zeros((1, 2)),
+                          beta0=np.zeros(1), beta1=np.array([[1.0, 0.0]]))
+
+    def fhn_constants(self) -> tuple:
+        return (*self.f_coeffs, self.a, self.b, 0.0, 0.0, 0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True, eq=False)
-class FhnChemicalParams:
-    """Two-population conductance-coupled model parameters.
+class FhnChemicalParams(_FhnFamily):
+    """Conductance family: populations E and I of FitzHugh-Nagumo agents with
+    a synaptic gate s (see conductance_source_maps).
 
     g_* are nonnegative conductance magnitudes; signs are applied at build
-    time (excitatory source columns positive, inhibitory negative).
-    alpha(x) = alpha_gain / (1 + exp(-(x - alpha_threshold) / alpha_slope)).
+    time (excitatory source columns positive, inhibitory negative). The gate
+    opens at rate alpha(x) = alpha_gain / (1 + exp(-(x - alpha_threshold) / alpha_slope))
+    and closes at rate 1/tau.
     """
 
     f_coeffs: tuple[float, float, float, float]
@@ -152,6 +228,13 @@ class FhnChemicalParams:
     g_II: float
     sigma: float
 
+    family = CHEMICAL
+    labels = ("E", "I")
+    dim = 3
+    conductances = ("g_EE", "g_EI", "g_IE", "g_II")
+    default_scaling = ScalingRule("scaled_linear", 0.2)  # gamma = N/10 at N = 2n
+    kernel = "chemical_chunk"
+
     def __post_init__(self):
         if not self.tau > 0:
             raise ModelDefinitionError("synaptic decay time tau must be positive")
@@ -159,11 +242,29 @@ class FhnChemicalParams:
             raise ModelDefinitionError("sigmoid slope must be positive")
         if self.E_E == self.E_I:
             raise ModelDefinitionError("reversal potentials must differ")
-        for name in ("g_EE", "g_EI", "g_IE", "g_II"):
+        for name in self.conductances:
             if getattr(self, name) < 0:
                 raise ModelDefinitionError(f"conductance magnitude {name} must be nonnegative")
         if not self.a > 0:
             raise ModelDefinitionError("recovery timescale ratio a must be positive")
+
+    @property
+    def erev(self) -> np.ndarray:
+        return np.array([self.E_E, self.E_I])
+
+    def coupling(self) -> np.ndarray:
+        # source-major signed conductances, transposed to target-major
+        return np.array([[self.g_EE, -self.g_IE], [self.g_EI, -self.g_II]])
+
+    def source_maps(self) -> SourceMaps:
+        return conductance_source_maps(self.erev)
+
+    def fhn_constants(self) -> tuple:
+        return (*self.f_coeffs, self.a, self.b, self.c, 1.0 / self.tau,
+                self.alpha_gain, self.alpha_threshold, 1.0 / self.alpha_slope)
+
+
+FAMILIES = {fam.family: fam for fam in (FhnElectricalParams, FhnChemicalParams)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +273,10 @@ class NetworkModel:
     signed coupling matrix and the divergence rule of the coupling.
 
     coupling[p, q] multiplies the population-q average of b_pq(x_i, .) in
-    the drift of agents in population p (target-major orientation). For the
-    chemical family, ghat holds the same couplings source-major, the
-    orientation used by the balance formulas.
+    the drift of agents in population p (target-major orientation); ghat
+    holds the same couplings source-major, the orientation used by the
+    balance formulas. A built-in family is described by its params (see
+    _FhnFamily); a custom model gives drift_fns and interaction_fn instead.
     """
 
     populations: tuple[PopulationSpec, ...]
@@ -182,8 +284,6 @@ class NetworkModel:
     coupling: np.ndarray
     scaling: ScalingRule
     params: object | None = None
-    erev: np.ndarray | None = None
-    ghat: np.ndarray | None = None
     drift_fns: tuple[Callable, ...] | None = None
     interaction_fn: Callable | None = None
 
@@ -205,32 +305,41 @@ class NetworkModel:
         return len(self.populations)
 
     @property
-    def n_agents(self) -> int:
-        return sum(p.n for p in self.populations)
+    def offsets(self) -> np.ndarray:
+        """Row offsets of the populations in the stacked state, (P + 1,)."""
+        return np.concatenate([[0], np.cumsum([p.n for p in self.populations])]).astype(np.int64)
+
+    @property
+    def affine(self) -> bool:
+        """A built-in family, whose network input is affine in the target
+        voltage (see SourceMaps); custom interactions are summed pairwise."""
+        return self.family in FAMILIES
+
+    @property
+    def ghat(self) -> np.ndarray:
+        return self.coupling.T
+
+    @property
+    def erev(self) -> np.ndarray:
+        return self.params.erev
+
+    @cached_property
+    def source_maps(self) -> SourceMaps:
+        return self.params.source_maps()
+
+    def affine_coefficients(self, ybar) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) of the network input at population mean states ybar (P, d)."""
+        return affine_coefficients(self.coupling, self.source_maps, ybar)
 
     def gamma(self) -> float:
         """gamma(n) evaluated at the per-population size."""
         return scaling_gamma(self.scaling, self.populations[0].n)
 
-    def alpha_sigmoid(self, x):
-        p = self.params
-        return p.alpha_gain / (1.0 + np.exp(-(np.asarray(x, dtype=float) - p.alpha_threshold) / p.alpha_slope))
-
     def eval_drift(self, p: int, x: np.ndarray) -> np.ndarray:
         """Intrinsic drift f_p(x) for a single state vector."""
         x = np.asarray(x, dtype=float)
-        if self.family == ELECTRICAL:
-            fx = _poly(np.asarray(self.params.f_coeffs), x[0])
-            out = np.array([fx - x[1], self.params.a * (self.params.b * x[0] - x[1])])
-        elif self.family == CHEMICAL:
-            pr = self.params
-            fx = _poly(np.asarray(pr.f_coeffs), x[0])
-            al = float(self.alpha_sigmoid(x[0]))
-            out = np.array([
-                fx - x[1],
-                pr.a * (pr.b * x[0] - x[1] + pr.c),
-                -x[2] / pr.tau + al * (1.0 - x[2]),
-            ])
+        if self.affine:
+            out = self.params.drift(x[None, :])[0]
         else:
             out = np.asarray(self.drift_fns[p](x), dtype=float)
         if not np.isfinite(out).all():
@@ -242,12 +351,10 @@ class NetworkModel:
         population q acting on a target at x in population p."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self.family == ELECTRICAL:
-            out = np.zeros(2)
-            out[0] = y[0] - x[0]
-        elif self.family == CHEMICAL:
-            out = np.zeros(3)
-            out[0] = (x[0] - self.erev[q]) * y[2]
+        if self.affine:
+            alpha, beta = self.source_maps(y)
+            out = np.zeros_like(x)
+            out[0] = alpha[q] * x[0] + beta[q]
         else:
             out = np.asarray(self.interaction_fn(p, q, x, y), dtype=float)
         if not np.isfinite(out).all():
@@ -264,44 +371,24 @@ def eval_interaction(model: NetworkModel, p: int, q: int, x, y) -> np.ndarray:
     return model.eval_interaction(p, q, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def build_fhn_electrical(params: FhnElectricalParams, n: int = 300,
-                         scaling: ScalingRule = ScalingRule("linear")) -> NetworkModel:
-    """One population of diffusively voltage-coupled FitzHugh-Nagumo agents,
-    b(x, y) = (y0 - x0, 0)."""
-    sigma = np.array([[params.sigma], [0.0]])
-    pop = PopulationSpec("neurons", n, 2, sigma)
+def build_fhn_network(params: _FhnFamily, n: int = 300,
+                      scaling: ScalingRule | None = None) -> NetworkModel:
+    """n agents in each population of the family params describes, with
+    noise on the voltage; scaling defaults to the family's."""
+    sigma = np.zeros((params.dim, 1))
+    sigma[0, 0] = params.sigma
     return NetworkModel(
-        populations=(pop,),
-        family=ELECTRICAL,
-        coupling=np.array([[params.g]]),
-        scaling=scaling,
+        populations=tuple(PopulationSpec(label, n, params.dim, sigma) for label in params.labels),
+        family=params.family,
+        coupling=params.coupling(),
+        scaling=scaling or params.default_scaling,
         params=params,
     )
 
 
-def build_fhn_chemical(params: FhnChemicalParams, n: int = 300,
-                       scaling: ScalingRule | None = None) -> NetworkModel:
-    """Two populations (E, I) with conductance coupling on the voltage:
-    the drift term from source population q is ghat[q, beta] * (x - E_q) * s,
-    with signed effective conductances (E row positive, I row negated)."""
-    if scaling is None:
-        scaling = ScalingRule("scaled_linear", 0.2)  # gamma = N/10 at N = 2n
-    sigma = np.array([[params.sigma], [0.0], [0.0]])
-    pops = (PopulationSpec("E", n, 3, sigma), PopulationSpec("I", n, 3, sigma))
-    ghat = np.array([
-        [params.g_EE, params.g_EI],
-        [-params.g_IE, -params.g_II],
-    ])
-    ghat.setflags(write=False)
-    return NetworkModel(
-        populations=pops,
-        family=CHEMICAL,
-        coupling=ghat.T.copy(),
-        scaling=scaling,
-        params=params,
-        erev=np.array([params.E_E, params.E_I]),
-        ghat=ghat,
-    )
+# one population of gap-junction coupled agents; two conductance-coupled
+# populations (E, I)
+build_fhn_electrical = build_fhn_chemical = build_fhn_network
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +421,6 @@ class SeparableModel1D:
     def with_epsilon(self, epsilon: float) -> "SeparableModel1D":
         return SeparableModel1D(self.f, self.alpha, self.beta, self.sigma, epsilon,
                                 self.beta_floor, self.beta_ceil, dict(self.params))
-
-
-DEFAULT_SEPARABLE = dict(E=0.0, beta0=1.0, beta1=1.0, theta_s=3.0, k_s=1.0, sigma=3.0)
 
 
 def build_separable_1d(epsilon: float, E: float = 0.0, beta0: float = 1.0,

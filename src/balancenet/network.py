@@ -4,10 +4,11 @@ perturbations.
 
 Noise is assigned per (seed, absolute step, agent) through fixed-size
 counter-keyed blocks (see rng), so a run is a pure function of
-(model, init, T, dt, seed, recorder) regardless of chunking, backend or
-thread count. Interaction sums use per-population aggregates for the two
-built-in families (the coupling is affine in the source state), reducing a
-step to O(N); custom interactions fall back to an O(N^2) path.
+(model, init, T, dt, seed, recorder) regardless of chunking or thread
+count. The network input of the two built-in families is affine in the
+target voltage with coefficients read off population means (see
+models.SourceMaps), reducing a step to O(N); custom interactions fall back
+to an O(N^2) path.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 
 from . import rng
 from ._kernels import active
-from .models import (CHEMICAL, ELECTRICAL, FhnChemicalParams,
-                     ModelDefinitionError, NetworkModel, _poly)
+from .models import ModelDefinitionError, NetworkModel, build_fhn_network
 
 NOISE_CHUNK = 256
 
@@ -33,7 +33,7 @@ class ConfigurationError(ValueError):
     """Invalid run configuration, rejected before stepping."""
 
 
-class BlowupError(RuntimeError):
+class BlowupError(ArithmeticError):
     def __init__(self, t: float):
         super().__init__(f"non-finite state at t={t}")
         self.t = t
@@ -123,31 +123,17 @@ class RunRecord:
     blowup_time: float | None = None
     meta: dict = field(default_factory=dict)
 
-    def sbar_series(self, p: int) -> np.ndarray:
-        """Mean synaptic coordinate of population p over time."""
-        return self.means[p][:, 2]
-
 
 def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> NetworkModel:
     """Return a model with scaled conductance magnitudes."""
-    if model.family == ELECTRICAL:
-        allowed = {"g"}
-        unknown = set(event.multipliers) - allowed
-        if unknown:
-            raise ConfigurationError(f"unknown conductance entries {sorted(unknown)}")
-        params = replace(model.params, g=model.params.g * event.multipliers.get("g", 1.0))
-        from .models import build_fhn_electrical
-        return build_fhn_electrical(params, n=model.populations[0].n, scaling=model.scaling)
-    if model.family == CHEMICAL:
-        allowed = {"g_EE", "g_EI", "g_IE", "g_II"}
-        unknown = set(event.multipliers) - allowed
-        if unknown:
-            raise ConfigurationError(f"unknown conductance entries {sorted(unknown)}")
-        changes = {k: getattr(model.params, k) * m for k, m in event.multipliers.items()}
-        params = replace(model.params, **changes)
-        from .models import build_fhn_chemical
-        return build_fhn_chemical(params, n=model.populations[0].n, scaling=model.scaling)
-    raise ConfigurationError("perturbations are defined for the built-in families only")
+    if not model.affine:
+        raise ConfigurationError("perturbations are defined for the built-in families only")
+    unknown = set(event.multipliers) - set(model.params.conductances)
+    if unknown:
+        raise ConfigurationError(f"unknown conductance entries {sorted(unknown)}")
+    pr = model.params
+    pr = replace(pr, **{k: getattr(pr, k) * m for k, m in event.multipliers.items()})
+    return build_fhn_network(pr, n=model.populations[0].n, scaling=model.scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +142,8 @@ def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> Network
 
 
 def _drift_block(model: NetworkModel, p: int, X: np.ndarray) -> np.ndarray:
-    if model.family == ELECTRICAL:
-        pr = model.params
-        fx = _poly(np.asarray(pr.f_coeffs), X[:, 0])
-        return np.stack([fx - X[:, 1], pr.a * (pr.b * X[:, 0] - X[:, 1])], axis=1)
-    if model.family == CHEMICAL:
-        pr = model.params
-        fx = _poly(np.asarray(pr.f_coeffs), X[:, 0])
-        al = model.alpha_sigmoid(X[:, 0])
-        return np.stack([
-            fx - X[:, 1],
-            pr.a * (pr.b * X[:, 0] - X[:, 1] + pr.c),
-            -X[:, 2] / pr.tau + al * (1.0 - X[:, 2]),
-        ], axis=1)
+    if model.affine:
+        return model.params.drift(X)
     return np.stack([model.eval_drift(p, x) for x in X], axis=0)
 
 
@@ -181,16 +156,11 @@ def _interaction_block(model: NetworkModel, p: int, X: np.ndarray,
     agents within a population permutes the step output exactly.
     """
     out = np.zeros_like(X)
-    if model.family == ELECTRICAL:
-        blk = state.block(0)
-        xm = math.fsum(blk[:, 0]) / blk.shape[0]
-        out[:, 0] = model.coupling[0, 0] * (xm - X[:, 0])
-        return out
-    if model.family == CHEMICAL:
-        for q in range(model.n_populations):
-            blk = state.block(q)
-            sbar = math.fsum(blk[:, 2]) / blk.shape[0]
-            out[:, 0] += model.coupling[p, q] * sbar * (X[:, 0] - model.erev[q])
+    if model.affine:
+        ybar = np.array([[math.fsum(col) / col.shape[0] for col in state.block(q).T]
+                         for q in range(model.n_populations)])
+        A, B = model.affine_coefficients(ybar)
+        out[:, 0] = A[p] * X[:, 0] + B[p]
         return out
     for q in range(model.n_populations):
         Y = state.block(q)
@@ -239,7 +209,7 @@ def step_euler_maruyama(state: NetworkState, model: NetworkModel, dt: float,
 def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: int) -> NetworkState:
     if len(init.coords) != model.n_populations:
         raise ConfigurationError("initial condition spec does not match population count")
-    offsets = np.concatenate([[0], np.cumsum([p.n for p in model.populations])]).astype(np.int64)
+    offsets = model.offsets
     N = offsets[-1]
     d = model.populations[0].dim
     states = np.empty((N, d))
@@ -270,19 +240,11 @@ def _check_step_guard(model: NetworkModel, dt: float):
 
 def _kernel_call(model: NetworkModel, states: np.ndarray, noise: np.ndarray,
                  dt: float, offsets: np.ndarray) -> bool:
-    gamma = model.gamma()
-    if model.family == ELECTRICAL:
-        pr = model.params
-        f3, f2, f1, f0 = pr.f_coeffs
-        return active("electrical_chunk")(
-            states, noise, dt, gamma * model.coupling[0, 0],
-            f3, f2, f1, f0, pr.a, pr.b, pr.sigma)
-    pr: FhnChemicalParams = model.params
-    f3, f2, f1, f0 = pr.f_coeffs
-    return active("chemical_chunk")(
-        states, noise, dt, gamma * model.coupling, model.erev, offsets,
-        f3, f2, f1, f0, pr.a, pr.b, pr.c, 1.0 / pr.tau,
-        pr.alpha_gain, pr.alpha_threshold, 1.0 / pr.alpha_slope, pr.sigma)
+    pr = model.params
+    maps = model.source_maps
+    return active(pr.kernel)(
+        states, noise, dt, offsets, model.gamma() * model.coupling,
+        maps.alpha0, maps.alpha1, maps.beta0, maps.beta1, pr.fhn_constants(), pr.sigma)
 
 
 def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: float,
@@ -292,7 +254,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
 
     Bit-identical output for identical inputs; BLOWUP is recorded as a
     terminal status with the first failing time (chunk resolution for the
-    compiled families, step resolution for custom models).
+    built-in families, step resolution for custom models).
     """
     if not T > 0:
         raise ConfigurationError("T must be positive")
@@ -351,7 +313,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         if step in snap_set:
             snapshots.append((t, state.states.copy()))
 
-    generic = model.family not in (ELECTRICAL, CHEMICAL)
+    generic = not model.affine
     capture(0)
     for ev in event_steps.get(0, []):
         cur_model = apply_perturbation(cur_model, ev)

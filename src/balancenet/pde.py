@@ -28,7 +28,7 @@ class CflError(ValueError):
     """The requested configuration cannot satisfy the CFL policy."""
 
 
-class NegativityError(RuntimeError):
+class NegativityError(ArithmeticError):
     """The density dipped below the tolerated negativity floor."""
 
 

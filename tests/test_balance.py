@@ -9,9 +9,9 @@ from balancenet.balance import (DegenerateDenominatorError, EmpiricalMeasure,
                                 distance_to_balance,
                                 electrical_balance_projection,
                                 integrate_early_ode, net_input)
-from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               ScalingRule, build_fhn_chemical,
-                               build_fhn_electrical)
+from balancenet.models import (CUSTOM, FhnChemicalParams, FhnElectricalParams,
+                               NetworkModel, PopulationSpec, ScalingRule,
+                               build_fhn_chemical, build_fhn_electrical)
 from balancenet.network import NetworkState
 
 GHAT_2A = np.array([[0.3, 2.0], [-1.0, -10.0]])
@@ -68,15 +68,23 @@ class TestNetInput:
             assert abs(out[0]) <= 1e-12
 
     def test_custom_family_matches_pairwise_oracle(self):
-        model = elec_model(n=4)
+        # a non-affine interaction goes through the pairwise path
+        def interaction(p, q, x, y):
+            return np.array([np.sin(y[0]) - x[0] * y[1], x[1] * y[0] ** 2])
+
+        model = NetworkModel(
+            populations=(PopulationSpec("a", 4, 2, np.zeros((2, 1))),),
+            family=CUSTOM, coupling=np.array([[0.7]]),
+            scaling=ScalingRule("constant", 1.0),
+            drift_fns=(lambda x: np.zeros(2),), interaction_fn=interaction)
         rng = np.random.default_rng(8)
         samples = rng.normal(size=(7, 2))
         measure = EmpiricalMeasure((samples,))
         x = np.array([0.4, -1.0])
         expect = np.zeros(2)
         for y in samples:
-            expect += np.array([y[0] - x[0], 0.0])
-        expect = model.coupling[0, 0] * expect / len(samples)
+            expect += np.array([np.sin(y[0]) - x[0] * y[1], x[1] * y[0] ** 2])
+        expect = 0.7 * expect / len(samples)
         np.testing.assert_allclose(net_input(model, 0, x, measure), expect,
                                    rtol=1e-12)
 

@@ -196,6 +196,31 @@ class TestDoubleLimitSweep:
                             out_dir=tmp_path / "t4", threads=4)
         assert m1["files"] == m4["files"]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_only_numerical_and_config_errors_fail_a_cell(self, tmp_path, monkeypatch,
+                                                          threads):
+        from balancenet import harness
+        from balancenet.network import ConfigurationError
+        cfg = dict(self.CFG, network=dict(self.CFG["network"], n_values=[50, 60]))
+        del cfg["pde"]
+        spec = parse_config_dict(cfg)
+
+        def bad_config(*args, **kwargs):
+            raise ConfigurationError("step guard violated")
+
+        monkeypatch.setattr(harness, "_network_cell", bad_config)
+        status, metrics = harness.sweep_double_limit(spec, tmp_path, threads)
+        assert status == "PARTIAL"
+        assert [c["status"] for c in metrics["cells"]] == ["FAILED", "FAILED"]
+        assert metrics["cells"][0]["error"] == "ConfigurationError: step guard violated"
+
+        def bug(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(harness, "_network_cell", bug)
+        with pytest.raises(TypeError):
+            harness.sweep_double_limit(spec, tmp_path, threads)
+
     def test_single_cell_matches_headline(self, tmp_path):
         cfg = {k: v for k, v in self.CFG.items() if k != "pde"}
         manifest = run_experiment(parse_config_dict(cfg), out_dir=tmp_path)

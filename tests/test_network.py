@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from balancenet.models import (CUSTOM, FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, PopulationSpec, ScalingRule,
                                build_fhn_chemical, build_fhn_electrical)
-from balancenet.network import (BlowupError, ConfigurationError, CoordinateIC,
-                                InitialConditionSpec, NetworkState,
+from balancenet.network import (NOISE_CHUNK, BlowupError, ConfigurationError,
+                                CoordinateIC, InitialConditionSpec, NetworkState,
                                 PerturbationEvent, RecordSpec,
                                 apply_perturbation, draw_initial_state,
                                 simulate, simulate_rescaled_early,
@@ -278,3 +280,45 @@ class TestInitialState:
         bad = InitialConditionSpec(((CoordinateIC("constant", 0.0),),))
         with pytest.raises(ConfigurationError):
             draw_initial_state(model, bad, 1)
+
+
+CONTRACT_DT = 1e-4
+CONTRACT_STEPS = 2 * NOISE_CHUNK + 88
+
+
+def _contract_case(family):
+    """Small model, initial law and an identity perturbation per family."""
+    if family == "electrical":
+        return build_fhn_electrical(FIG1, n=5), FIG1_INIT, {"g": 1.0}
+    return build_fhn_chemical(_fig2a_params(), n=4), _chem_init(), {"g_EE": 1.0}
+
+
+class TestReproducibilityContract:
+    """A run is a pure function of its inputs: the recording cadence, the
+    snapshot times and the chunk splits an event introduces change no bit
+    of the trajectory."""
+
+    @given(family=st.sampled_from(("electrical", "chemical")),
+           seed=st.integers(0, 2 ** 32),
+           stride=st.sampled_from((1, 7, 37)),
+           snap_steps=st.lists(st.integers(1, CONTRACT_STEPS - 1), max_size=3),
+           event_step=st.sampled_from((None, NOISE_CHUNK, NOISE_CHUNK + 45)))
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_final_state_and_means_bit_identical(self, family, seed, stride,
+                                                 snap_steps, event_step):
+        model, init, identity = _contract_case(family)
+        T = CONTRACT_STEPS * CONTRACT_DT
+        # every run stops at T anyway, so a snapshot there reads the final
+        # state without splitting a chunk; the reference has no other
+        ref = simulate(model, init, T, CONTRACT_DT, seed,
+                       RecordSpec(stride=1, snapshot_times=(T,)))
+        events = ([] if event_step is None
+                  else [PerturbationEvent(event_step * CONTRACT_DT, identity)])
+        snaps = tuple(k * CONTRACT_DT for k in snap_steps) + (T,)
+        run = simulate(model, init, T, CONTRACT_DT, seed,
+                       RecordSpec(stride=stride, snapshot_times=snaps), events)
+        assert ref.status == run.status == "COMPLETED"
+        np.testing.assert_array_equal(run.snapshots[-1][1], ref.snapshots[-1][1])
+        steps = sorted(set(range(0, CONTRACT_STEPS + 1, stride)) | {CONTRACT_STEPS})
+        for p in range(model.n_populations):
+            np.testing.assert_array_equal(run.means[p], ref.means[p][steps])
