@@ -1,10 +1,9 @@
 """Command-line entry point.
 
-Subcommands map onto experiment kinds: simulate (network-run), early
-(rescaled-early), pde (pde-run or epsilon-sweep), sweep
-(double-limit-sweep), balance (balance-analysis) and figures. All take
---config <path> plus optional --out, --seed (overrides the config) and
---threads (sweep concurrency only; results are thread-count independent).
+Each experiment kind runs under the subcommand its spec class names (see
+config.KINDS). All take --config <path> plus optional --out, --seed
+(overrides the config) and --threads (sweep concurrency only; results are
+thread-count independent).
 
 Exit codes: 0 all cells completed, 2 partial failures, 1 configuration
 error.
@@ -17,24 +16,19 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import KINDS, ConfigError, parse_config
 from .harness import run_experiment
 
-_SUBCOMMAND_KINDS = {
-    "simulate": ("network-run",),
-    "early": ("rescaled-early",),
-    "pde": ("pde-run", "epsilon-sweep"),
-    "sweep": ("double-limit-sweep",),
-    "balance": ("balance-analysis",),
-    "figures": ("figures",),
-}
+
+def _kinds(command: str) -> tuple[str, ...]:
+    return tuple(kind for kind, spec in KINDS.items() if spec.command == command)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="balancenet")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kinds in _SUBCOMMAND_KINDS.items():
-        p = sub.add_parser(name, help=f"run a {' or '.join(kinds)} experiment")
+    for name in dict.fromkeys(spec.command for spec in KINDS.values()):
+        p = sub.add_parser(name, help=f"run a {' or '.join(_kinds(name))} experiment")
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override (u64)")
@@ -47,10 +41,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = parse_config(Path(args.config).read_text())
-        if spec.kind not in _SUBCOMMAND_KINDS[args.command]:
+        if KINDS[spec.kind].command != args.command:
             raise ConfigError("BAD_VALUE", "kind",
                               f"{args.command!r} expects kind in "
-                              f"{_SUBCOMMAND_KINDS[args.command]}, got {spec.kind!r}")
+                              f"{_kinds(args.command)}, got {spec.kind!r}")
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
         if args.threads < 1:

@@ -5,20 +5,24 @@ required keys and wrong types are reported with their full key path, and
 defaults are applied explicitly so that the echoed spec round-trips:
 parse(to_config(spec)) == spec. Seeds are mandatory; there is no
 wall-clock seeding anywhere.
+
+Every section, the experiment specs included, is a dataclass whose fields
+drive both its parse and its echo (see _Section). KINDS maps each
+experiment kind to its spec class; it is the one place kinds are named.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
 UNKNOWN_KEY = "UNKNOWN_KEY"
 BAD_VALUE = "BAD_VALUE"
-
-KINDS = ("network-run", "rescaled-early", "pde-run", "epsilon-sweep",
-         "double-limit-sweep", "balance-analysis", "figures")
 
 
 class ConfigError(ValueError):
@@ -31,6 +35,39 @@ class ConfigError(ValueError):
 def _type_name(t):
     return {int: "integer", float: "number", str: "string", bool: "boolean",
             list: "array", dict: "object"}[t]
+
+
+def _coerce(value, typ, path):
+    if typ is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(TYPE_MISMATCH, path, "expected a number")
+        return float(value)
+    if typ is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(TYPE_MISMATCH, path, "expected an integer")
+        return value
+    if not isinstance(value, typ):
+        raise ConfigError(TYPE_MISMATCH, path, f"expected {_type_name(typ)}")
+    return value
+
+
+def _read(value, typ, path: str):
+    """Convert a JSON value to typ: a number, integer, string or object as
+    it is, tuple[T, ...] from a list of T, a class with parse() from a
+    nested object."""
+    if get_origin(typ) is tuple:
+        item = get_args(typ)[0]
+        return tuple(_read(v, item, f"{path}[{i}]")
+                     for i, v in enumerate(_coerce(value, list, path)))
+    if hasattr(typ, "parse"):
+        return typ.parse(_Node(value, path))
+    return _coerce(value, typ, path)
+
+
+def _echo(value):
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    return value.to_config() if hasattr(value, "to_config") else value
 
 
 class _Node:
@@ -47,47 +84,20 @@ class _Node:
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def req(self, key: str, typ):
+    def get(self, key: str, typ, default=MISSING):
+        """The value at key read as typ (see _read); an absent key gives
+        the default, or MISSING_KEY when there is none."""
         if key not in self.data:
-            raise ConfigError(MISSING_KEY, self._at(key))
-        self.seen.add(key)
-        return self._coerce(self.data[key], typ, self._at(key))
-
-    def opt(self, key: str, typ, default):
-        if key not in self.data:
+            if default is MISSING:
+                raise ConfigError(MISSING_KEY, self._at(key))
             return default
         self.seen.add(key)
-        return self._coerce(self.data[key], typ, self._at(key))
+        return _read(self.data[key], typ, self._at(key))
 
-    def child(self, key: str, required: bool = True) -> "_Node | None":
-        if key not in self.data:
-            if required:
-                raise ConfigError(MISSING_KEY, self._at(key))
-            return None
-        self.seen.add(key)
-        return _Node(self._coerce(self.data[key], dict, self._at(key)), self._at(key))
-
-    def children(self, key: str) -> "list[_Node]":
-        items = self.req(key, list)
-        out = []
-        for i, item in enumerate(items):
-            out.append(_Node(self._coerce(item, dict, f"{self._at(key)}[{i}]"),
-                             f"{self._at(key)}[{i}]"))
-        return out
-
-    @staticmethod
-    def _coerce(value, typ, path):
-        if typ is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(TYPE_MISMATCH, path, "expected a number")
-            return float(value)
-        if typ is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(TYPE_MISMATCH, path, "expected an integer")
-            return value
-        if not isinstance(value, typ):
-            raise ConfigError(TYPE_MISMATCH, path, f"expected {_type_name(typ)}")
-        return value
+    def child(self, key: str) -> "_Node | None":
+        """The optional object at key, or None when it is absent."""
+        data = self.get(key, dict, None)
+        return None if data is None else _Node(data, self._at(key))
 
     def close(self):
         unknown = set(self.data) - self.seen
@@ -96,92 +106,27 @@ class _Node:
             raise ConfigError(UNKNOWN_KEY, self._at(key))
 
 
-def _float_list(node: _Node, key: str, required: bool = True, default=()):
-    if key not in node.data and not required:
-        return tuple(default)
-    raw = node.req(key, list)
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(TYPE_MISMATCH, f"{node._at(key)}[{i}]", "expected a number")
-        out.append(float(v))
-    return tuple(out)
-
-
-def _int_list(node: _Node, key: str):
-    raw = node.req(key, list)
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(TYPE_MISMATCH, f"{node._at(key)}[{i}]", "expected an integer")
-        out.append(v)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# typed config fragments
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalingConfig:
-    kind: str = "linear"
-    coefficient: float | None = None
-
-    def to_config(self):
-        out = {"kind": self.kind}
-        if self.coefficient is not None:
-            out["coefficient"] = self.coefficient
-        return out
-
-
-def _parse_scaling(node: _Node | None, default: ScalingConfig) -> ScalingConfig:
-    if node is None:
-        return default
-    kind = node.opt("kind", str, default.kind)
-    coeff = node.opt("coefficient", float, None)
-    node.close()
-    if kind not in ("linear", "sqrt", "scaled_linear", "constant"):
-        raise ConfigError(BAD_VALUE, f"{node.path}.kind", f"unknown scaling {kind!r}")
-    return ScalingConfig(kind=kind, coefficient=coeff)
-
-
-@dataclass(frozen=True)
-class IcConfig:
-    dist: str = "normal"
-    p1: float = 0.0
-    p2: float = 0.0
-
-    def to_config(self):
-        if self.dist == "normal":
-            return {"dist": "normal", "mean": self.p1, "sd": self.p2}
-        if self.dist == "uniform":
-            return {"dist": "uniform", "low": self.p1, "high": self.p2}
-        return {"dist": "constant", "value": self.p1}
-
-
-def _parse_ic(node: _Node | None, default: IcConfig) -> IcConfig:
-    if node is None:
-        return default
-    dist = node.opt("dist", str, "normal")
-    if dist == "normal":
-        ic = IcConfig("normal", node.req("mean", float), node.req("sd", float))
-    elif dist == "uniform":
-        ic = IcConfig("uniform", node.req("low", float), node.req("high", float))
-    elif dist == "constant":
-        ic = IcConfig("constant", node.req("value", float))
-    else:
-        raise ConfigError(BAD_VALUE, f"{node.path}.dist", f"unknown distribution {dist!r}")
-    node.close()
-    return ic
+@functools.cache
+def _field_types(cls) -> dict:
+    """Resolved field types of a section; an optional X | None reads as X."""
+    out = {}
+    for name, typ in get_type_hints(cls).items():
+        if isinstance(typ, UnionType):
+            typ = next(t for t in get_args(typ) if t is not type(None))
+        out[name] = typ
+    return out
 
 
 class _Section:
-    """Parse and echo of a config section from its dataclass fields and their
-    defaults: numbers and integers are optional keys, a tuple default is a
-    list of numbers (of that length unless empty), a ScalingConfig default a
-    nested scaling section, and IcConfig defaults are coordinate laws under
-    "init"."""
+    """Parse and echo of a config section from its dataclass fields.
+
+    A field without a default is a required key; one defaulting to None is
+    optional and left out of the echo while unset. The field's type says how
+    its value is read (see _read). A non-empty tuple default fixes the list
+    length, IcConfig defaults are coordinate laws under "init", and a
+    ScalingConfig default is a scaling section whose kind defaults to the
+    default's. Keyword arguments to parse override field defaults.
+    """
 
     family = None  # network family name, echoed first
 
@@ -192,45 +137,101 @@ class _Section:
             value = getattr(self, f.name)
             if isinstance(value, IcConfig):
                 init[f.name] = value.to_config()
-            elif isinstance(value, ScalingConfig):
-                out[f.name] = value.to_config()
-            else:
-                out[f.name] = list(value) if isinstance(value, tuple) else value
+            elif value is not None:
+                out[f.name] = _echo(value)
         if init:
             out["init"] = init
         return out
 
     @classmethod
-    def parse(cls, node: _Node, **given):
+    def parse(cls, node: _Node, **defaults):
+        typ_of = _field_types(cls)
         kwargs = {}
         init = None
         for f in fields(cls):
-            if f.name in given:
-                continue
-            if isinstance(f.default, IcConfig):
+            default = defaults.get(f.name, f.default)
+            if isinstance(default, IcConfig):
                 if init is None:
-                    init = node.child("init", required=False) or _Node({}, node._at("init"))
-                kwargs[f.name] = _parse_ic(init.child(f.name, required=False), f.default)
-            elif isinstance(f.default, ScalingConfig):
-                kwargs[f.name] = _parse_scaling(node.child(f.name, required=False), f.default)
-            elif isinstance(f.default, tuple):
-                kwargs[f.name] = _float_list(node, f.name, required=False, default=f.default)
-                if f.default and len(kwargs[f.name]) != len(f.default):
-                    raise ConfigError(BAD_VALUE, node._at(f.name),
-                                      f"need {len(f.default)} coefficients")
+                    init = node.child("init") or _Node({}, node._at("init"))
+                law = init.child(f.name)
+                kwargs[f.name] = default if law is None else IcConfig.parse(law)
+            elif isinstance(default, ScalingConfig):
+                scaling = node.child(f.name)
+                kwargs[f.name] = (default if scaling is None
+                                  else ScalingConfig.parse(scaling, kind=default.kind))
             else:
-                kwargs[f.name] = node.opt(f.name, type(f.default), f.default)
+                value = kwargs[f.name] = node.get(f.name, typ_of[f.name], default)
+                if isinstance(default, tuple) and default and len(value) != len(default):
+                    raise ConfigError(BAD_VALUE, node._at(f.name),
+                                      f"need {len(default)} coefficients")
         if init is not None:
             init.close()
         node.close()
-        return cls(**kwargs, **given)
+        section = cls(**kwargs)
+        section.check(node)
+        return section
+
+    def check(self, node: _Node) -> None:
+        """Validation beyond the key types; raises ConfigError."""
+
+
+# ---------------------------------------------------------------------------
+# typed config fragments
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ElectricalConfig(_Section):
+class ScalingConfig(_Section):
+    kind: str = "linear"
+    coefficient: float | None = None
+
+    def check(self, node):
+        if self.kind not in ("linear", "sqrt", "scaled_linear", "constant"):
+            raise ConfigError(BAD_VALUE, node._at("kind"), f"unknown scaling {self.kind!r}")
+
+
+_IC_PARAMS = {"normal": ("mean", "sd"), "uniform": ("low", "high"), "constant": ("value",)}
+
+
+@dataclass(frozen=True)
+class IcConfig:
+    dist: str = "normal"
+    p1: float = 0.0
+    p2: float = 0.0
+
+    def to_config(self):
+        return {"dist": self.dist, **dict(zip(_IC_PARAMS[self.dist], (self.p1, self.p2)))}
+
+    @classmethod
+    def parse(cls, node: _Node) -> IcConfig:
+        dist = node.get("dist", str, "normal")
+        if dist not in _IC_PARAMS:
+            raise ConfigError(BAD_VALUE, node._at("dist"), f"unknown distribution {dist!r}")
+        ic = cls(dist, *(node.get(name, float) for name in _IC_PARAMS[dist]))
+        node.close()
+        return ic
+
+
+class FhnConfig(_Section):
+    """A built-in network family section, chosen by its "family" key; a
+    field typed with one family accepts that family only."""
+
+    @classmethod
+    def parse(cls, node: _Node, **defaults):
+        family = node.get("family", str)
+        target = NETWORK_FAMILIES.get(family)
+        if target is None:
+            raise ConfigError(BAD_VALUE, node._at("family"), f"unknown family {family!r}")
+        if not issubclass(target, cls):
+            raise ConfigError(BAD_VALUE, node._at("family"), f"needs the {cls.family} family")
+        return super(FhnConfig, target).parse(node, **defaults)
+
+
+@dataclass(frozen=True)
+class ElectricalConfig(FhnConfig):
     """Electrical collapse benchmark (fig1 outputs)."""
 
-    f_coeffs: tuple = (-1.0, 5.0, -4.0, 4.0)
+    f_coeffs: tuple[float, ...] = (-1.0, 5.0, -4.0, 4.0)
     a: float = 0.005
     b: float = 6.0
     g: float = 1.0
@@ -248,13 +249,13 @@ class ElectricalConfig(_Section):
 
 
 @dataclass(frozen=True)
-class ChemicalConfig(_Section):
+class ChemicalConfig(FhnConfig):
     """Two-population conductance benchmark (fig2 outputs); reversal
     potentials, tau and the activation sigmoid are free parameters chosen so
     the balanced state is self-sustaining and the clamping offset
     O(|f(x*)|/gamma) stays small (see README)."""
 
-    f_coeffs: tuple = (-1.0, 1.3, -0.3, 0.0)
+    f_coeffs: tuple[float, ...] = (-1.0, 1.3, -0.3, 0.0)
     a: float = 0.4
     b: float = 1.5
     c: float = 1.0
@@ -283,37 +284,26 @@ class ChemicalConfig(_Section):
         return ((self.x, self.y, self.s_E), (self.x, self.y, self.s_I))
 
 
+NETWORK_FAMILIES = {cfg.family: cfg for cfg in (ElectricalConfig, ChemicalConfig)}
+
+
 @dataclass(frozen=True)
 class SeparableConfig(_Section):
+    """The separable 1D model of an epsilon sweep, which sets epsilon itself."""
+
     E: float = 0.0
     beta0: float = 1.0
     beta1: float = 1.0
     theta_s: float = 3.0
     k_s: float = 1.0
     sigma: float = 3.0
-    epsilon: float = 0.1
-
-    def to_config(self, with_epsilon: bool = True):
-        out = super().to_config()
-        if not with_epsilon:
-            del out["epsilon"]
-        return out
 
 
-NETWORK_FAMILIES = {cfg.family: cfg for cfg in (ElectricalConfig, ChemicalConfig)}
+@dataclass(frozen=True, kw_only=True)
+class SeparableRunConfig(SeparableConfig):
+    """The separable 1D model of a single run, at a given epsilon."""
 
-
-def _parse_network_model(node: _Node):
-    family = node.req("family", str)
-    if family not in NETWORK_FAMILIES:
-        raise ConfigError(BAD_VALUE, f"{node.path}.family", f"unknown family {family!r}")
-    return NETWORK_FAMILIES[family].parse(node)
-
-
-def _parse_separable(node: _Node, need_epsilon: bool) -> SeparableConfig:
-    if need_epsilon:
-        return SeparableConfig.parse(node, epsilon=node.req("epsilon", float))
-    return SeparableConfig.parse(node)
+    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -322,24 +312,23 @@ class GridConfig(_Section):
     cells: int = 1024
 
 
-def _parse_grid(node: _Node | None) -> GridConfig:
-    return GridConfig() if node is None else GridConfig.parse(node)
+@dataclass(frozen=True)
+class PdeInitConfig(_Section):
+    """Initial Gaussian of a Fokker-Planck run."""
+
+    center: float = 1.0
+    concentration: float = 1.0
 
 
 @dataclass(frozen=True)
 class RecordConfig(_Section):
     stride: int = 1
     traces: int = 20
-    snapshot_times: tuple = ()
+    snapshot_times: tuple[float, ...] = ()
 
-
-def _parse_record(node: _Node | None) -> RecordConfig:
-    if node is None:
-        return RecordConfig()
-    rc = RecordConfig.parse(node)
-    if rc.stride < 1:
-        raise ConfigError(BAD_VALUE, f"{node.path}.stride", "stride must be >= 1")
-    return rc
+    def check(self, node):
+        if self.stride < 1:
+            raise ConfigError(BAD_VALUE, node._at("stride"), "stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -350,273 +339,172 @@ class EventConfig:
     def to_config(self):
         return {"t": self.t, "multipliers": dict(self.multipliers)}
 
+    @classmethod
+    def parse(cls, node: _Node) -> EventConfig:
+        t = node.get("t", float)
+        mults = _Node(node.get("multipliers", dict), node._at("multipliers"))
+        pairs = tuple((name, mults.get(name, float)) for name in sorted(mults.data))
+        node.close()
+        return cls(t=t, multipliers=pairs)
 
-def _parse_events(node: _Node, key: str) -> tuple[EventConfig, ...]:
-    if key not in node.data:
-        return ()
-    out = []
-    for child in node.children(key):
-        t = child.req("t", float)
-        mults = child.child("multipliers")
-        pairs = []
-        for name in sorted(mults.data):
-            pairs.append((name, mults._coerce(mults.data[name], float,
-                                              f"{mults.path}.{name}")))
-            mults.seen.add(name)
-        mults.close()
-        child.close()
-        out.append(EventConfig(t=t, multipliers=tuple(pairs)))
-    return tuple(out)
+
+@dataclass(frozen=True)
+class SbarConfig(_Section):
+    """Mean synaptic gates of the two populations."""
+
+    E: float
+    I: float
 
 
 # ---------------------------------------------------------------------------
-# experiment specs
+# experiment specs; each names the CLI subcommand that runs it
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class NetworkRunSpec:
-    model: object
+class NetworkRunSpec(_Section):
+    model: FhnConfig
     T: float
     dt: float
     record: RecordConfig = RecordConfig()
-    events: tuple = ()
+    events: tuple[EventConfig, ...] = ()
+
+    command = "simulate"
 
 
 @dataclass(frozen=True)
-class RescaledEarlySpec:
-    model: object
-    gammas: tuple
+class RescaledEarlySpec(_Section):
+    model: FhnConfig
+    gammas: tuple[float, ...]
     T_tilde: float
     dt_tilde: float
     record: RecordConfig = RecordConfig()
 
+    command = "early"
+
 
 @dataclass(frozen=True)
-class PdeRunSpec:
-    model: SeparableConfig
-    grid: GridConfig
+class PdeRunSpec(_Section):
+    model: SeparableRunConfig
     T: float
-    center: float = 1.0
-    concentration: float = 1.0
+    grid: GridConfig = GridConfig()
+    init: PdeInitConfig = PdeInitConfig()
     snapshot_every: float | None = None
 
+    command = "pde"
+
 
 @dataclass(frozen=True)
-class EpsilonSweepSpec:
+class DoubleLimitPdeSpec(_Section):
+    """Mean-field column of the double-limit grid: an epsilon sweep whose
+    bound checks start at the default t0."""
+
     model: SeparableConfig
-    epsilons: tuple
-    grid: GridConfig
+    epsilons: tuple[float, ...]
     T: float
-    center: float = 1.0
-    concentration: float = 1.0
+    grid: GridConfig = GridConfig()
+    init: PdeInitConfig = PdeInitConfig()
+
+    t0 = None  # not a key here; EpsilonSweepSpec makes it one
+
+
+@dataclass(frozen=True)
+class EpsilonSweepSpec(DoubleLimitPdeSpec):
     t0: float | None = None
 
+    command = "pde"
+
 
 @dataclass(frozen=True)
-class DoubleLimitNetworkSpec:
+class DoubleLimitNetworkSpec(_Section):
     """Network rows of the double-limit grid. mode "direct" integrates the
     original clock over [0, T] (collapse shows up at times ~1/gamma);
     "rescaled-early" integrates the early-time rescaled system over a fixed
     rescaled horizon T, so rows at fixed n swept in gamma compare the
     approach to the limiting ODE."""
 
-    model: object
-    n_values: tuple
-    scalings: tuple
+    model: FhnConfig
+    n_values: tuple[int, ...]
+    scalings: tuple[ScalingConfig, ...]
     T: float
     collapse_threshold: float = 0.3
     mode: str = "direct"
 
-
-@dataclass(frozen=True)
-class DoubleLimitSpec:
-    network: DoubleLimitNetworkSpec | None
-    pde: EpsilonSweepSpec | None
+    def check(self, node):
+        if self.mode not in ("direct", "rescaled-early"):
+            raise ConfigError(BAD_VALUE, node._at("mode"), f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
-class BalanceAnalysisSpec:
+class DoubleLimitSpec(_Section):
+    network: DoubleLimitNetworkSpec | None = None
+    pde: DoubleLimitPdeSpec | None = None
+
+    command = "sweep"
+
+    def check(self, node):
+        if self.network is None and self.pde is None:
+            raise ConfigError(MISSING_KEY, node._at("network"),
+                              "need a network and/or pde section")
+
+
+@dataclass(frozen=True)
+class BalanceAnalysisSpec(_Section):
     model: ChemicalConfig
-    sbar_E: float
-    sbar_I: float
+    sbar: SbarConfig
+
+    command = "balance"
 
 
 @dataclass(frozen=True)
-class FiguresSpec:
+class FiguresSpec(_Section):
     figure: str
-    model: object | None = None
+    model: FhnConfig | None = None
     T: float | None = None
     dt: float | None = None
+
+    command = "figures"
+
+    def check(self, node):
+        if self.figure not in ("fig1", "fig2"):
+            raise ConfigError(BAD_VALUE, node._at("figure"), f"unknown figure {self.figure!r}")
+
+
+KINDS = {
+    "network-run": NetworkRunSpec,
+    "rescaled-early": RescaledEarlySpec,
+    "pde-run": PdeRunSpec,
+    "epsilon-sweep": EpsilonSweepSpec,
+    "double-limit-sweep": DoubleLimitSpec,
+    "balance-analysis": BalanceAnalysisSpec,
+    "figures": FiguresSpec,
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     kind: str
     seed: int
-    payload: object
+    payload: _Section
     out: str | None = None
 
     def to_config(self) -> dict:
-        out: dict = {"kind": self.kind, "seed": self.seed}
+        head = {"kind": self.kind, "seed": self.seed}
         if self.out is not None:
-            out["out"] = self.out
-        p = self.payload
-        if self.kind == "network-run":
-            out.update({"model": p.model.to_config(), "T": p.T, "dt": p.dt,
-                        "record": p.record.to_config(),
-                        "events": [e.to_config() for e in p.events]})
-        elif self.kind == "rescaled-early":
-            out.update({"model": p.model.to_config(), "gammas": list(p.gammas),
-                        "T_tilde": p.T_tilde, "dt_tilde": p.dt_tilde,
-                        "record": p.record.to_config()})
-        elif self.kind == "pde-run":
-            out.update({"model": p.model.to_config(), "grid": p.grid.to_config(),
-                        "T": p.T, "init": {"center": p.center,
-                                           "concentration": p.concentration}})
-            if p.snapshot_every is not None:
-                out["snapshot_every"] = p.snapshot_every
-        elif self.kind == "epsilon-sweep":
-            out.update({"model": p.model.to_config(with_epsilon=False),
-                        "epsilons": list(p.epsilons), "grid": p.grid.to_config(),
-                        "T": p.T, "init": {"center": p.center,
-                                           "concentration": p.concentration}})
-            if p.t0 is not None:
-                out["t0"] = p.t0
-        elif self.kind == "double-limit-sweep":
-            body = {}
-            if p.network is not None:
-                body["network"] = {
-                    "model": p.network.model.to_config(),
-                    "n_values": list(p.network.n_values),
-                    "scalings": [s.to_config() for s in p.network.scalings],
-                    "T": p.network.T,
-                    "collapse_threshold": p.network.collapse_threshold,
-                    "mode": p.network.mode}
-            if p.pde is not None:
-                body["pde"] = {
-                    "model": p.pde.model.to_config(with_epsilon=False),
-                    "epsilons": list(p.pde.epsilons), "grid": p.pde.grid.to_config(),
-                    "T": p.pde.T, "init": {"center": p.pde.center,
-                                           "concentration": p.pde.concentration}}
-            out.update(body)
-        elif self.kind == "balance-analysis":
-            out.update({"model": p.model.to_config(),
-                        "sbar": {"E": p.sbar_E, "I": p.sbar_I}})
-        elif self.kind == "figures":
-            out.update({"figure": p.figure})
-            if p.model is not None:
-                out["model"] = p.model.to_config()
-            if p.T is not None:
-                out["T"] = p.T
-            if p.dt is not None:
-                out["dt"] = p.dt
-        return out
-
-
-def _parse_init_pde(node: _Node | None) -> tuple[float, float]:
-    if node is None:
-        return 1.0, 1.0
-    center = node.opt("center", float, 1.0)
-    conc = node.opt("concentration", float, 1.0)
-    node.close()
-    return center, conc
+            head["out"] = self.out
+        return {**head, **self.payload.to_config()}
 
 
 def parse_config_dict(data: dict) -> ExperimentSpec:
     root = _Node(data, "")
-    kind = root.req("kind", str)
+    kind = root.get("kind", str)
     if kind not in KINDS:
         raise ConfigError(BAD_VALUE, "kind", f"unknown kind {kind!r}")
-    seed = root.req("seed", int)
+    seed = root.get("seed", int)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(BAD_VALUE, "seed", "seed must be a u64")
-    out_dir = root.opt("out", str, None)
-
-    if kind == "network-run":
-        payload = NetworkRunSpec(
-            model=_parse_network_model(root.child("model")),
-            T=root.req("T", float),
-            dt=root.req("dt", float),
-            record=_parse_record(root.child("record", required=False)),
-            events=_parse_events(root, "events"))
-    elif kind == "rescaled-early":
-        payload = RescaledEarlySpec(
-            model=_parse_network_model(root.child("model")),
-            gammas=_float_list(root, "gammas"),
-            T_tilde=root.req("T_tilde", float),
-            dt_tilde=root.req("dt_tilde", float),
-            record=_parse_record(root.child("record", required=False)))
-    elif kind == "pde-run":
-        center, conc = _parse_init_pde(root.child("init", required=False))
-        payload = PdeRunSpec(
-            model=_parse_separable(root.child("model"), need_epsilon=True),
-            grid=_parse_grid(root.child("grid", required=False)),
-            T=root.req("T", float),
-            center=center, concentration=conc,
-            snapshot_every=root.opt("snapshot_every", float, None))
-    elif kind == "epsilon-sweep":
-        center, conc = _parse_init_pde(root.child("init", required=False))
-        payload = EpsilonSweepSpec(
-            model=_parse_separable(root.child("model"), need_epsilon=False),
-            epsilons=_float_list(root, "epsilons"),
-            grid=_parse_grid(root.child("grid", required=False)),
-            T=root.req("T", float),
-            center=center, concentration=conc,
-            t0=root.opt("t0", float, None))
-    elif kind == "double-limit-sweep":
-        net_node = root.child("network", required=False)
-        pde_node = root.child("pde", required=False)
-        if net_node is None and pde_node is None:
-            raise ConfigError(MISSING_KEY, "network",
-                              "need a network and/or pde section")
-        network = None
-        if net_node is not None:
-            scalings = tuple(
-                _parse_scaling(c, ScalingConfig("linear"))
-                for c in net_node.children("scalings"))
-            network = DoubleLimitNetworkSpec(
-                model=_parse_network_model(net_node.child("model")),
-                n_values=_int_list(net_node, "n_values"),
-                scalings=scalings,
-                T=net_node.req("T", float),
-                collapse_threshold=net_node.opt("collapse_threshold", float, 0.3),
-                mode=net_node.opt("mode", str, "direct"))
-            if network.mode not in ("direct", "rescaled-early"):
-                raise ConfigError(BAD_VALUE, f"{net_node.path}.mode",
-                                  f"unknown mode {network.mode!r}")
-            net_node.close()
-        pde = None
-        if pde_node is not None:
-            center, conc = _parse_init_pde(pde_node.child("init", required=False))
-            pde = EpsilonSweepSpec(
-                model=_parse_separable(pde_node.child("model"), need_epsilon=False),
-                epsilons=_float_list(pde_node, "epsilons"),
-                grid=_parse_grid(pde_node.child("grid", required=False)),
-                T=pde_node.req("T", float),
-                center=center, concentration=conc)
-            pde_node.close()
-        payload = DoubleLimitSpec(network=network, pde=pde)
-    elif kind == "balance-analysis":
-        model = _parse_network_model(root.child("model"))
-        if not isinstance(model, ChemicalConfig):
-            raise ConfigError(BAD_VALUE, "model.family",
-                              "balance analysis needs the chemical family")
-        sbar = root.child("sbar")
-        payload = BalanceAnalysisSpec(
-            model=model, sbar_E=sbar.req("E", float), sbar_I=sbar.req("I", float))
-        sbar.close()
-    else:  # figures
-        figure = root.req("figure", str)
-        if figure not in ("fig1", "fig2"):
-            raise ConfigError(BAD_VALUE, "figure", f"unknown figure {figure!r}")
-        model_node = root.child("model", required=False)
-        model = _parse_network_model(model_node) if model_node is not None else None
-        payload = FiguresSpec(figure=figure, model=model,
-                              T=root.opt("T", float, None),
-                              dt=root.opt("dt", float, None))
-    root.close()
-    return ExperimentSpec(kind=kind, seed=seed, payload=payload, out=out_dir)
+    out = root.get("out", str, None)
+    return ExperimentSpec(kind=kind, seed=seed, payload=KINDS[kind].parse(root), out=out)
 
 
 def parse_config(text: str) -> ExperimentSpec:

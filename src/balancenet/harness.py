@@ -15,6 +15,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,11 @@ from . import __version__
 from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
-from .config import (ChemicalConfig, ElectricalConfig, EventConfig, ExperimentSpec,
-                     IcConfig, RecordConfig, SeparableConfig)
-from .hopfcole import epsilon_sweep, hamiltonian_residual, hopf_cole, support_width
+from .config import (BalanceAnalysisSpec, ChemicalConfig, DoubleLimitPdeSpec,
+                     DoubleLimitSpec, ElectricalConfig, EpsilonSweepSpec, EventConfig,
+                     ExperimentSpec, FiguresSpec, IcConfig, NetworkRunSpec, PdeRunSpec,
+                     RecordConfig, RescaledEarlySpec, SeparableConfig)
+from .hopfcole import epsilon_sweep, hamiltonian_residual, snapshot_fields, support_width
 from .models import FAMILIES, ScalingRule, build_fhn_network, build_separable_1d
 from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
                       PerturbationEvent, RecordSpec, RunRecord, apply_perturbation,
@@ -122,9 +125,9 @@ def build_init(cfg) -> InitialConditionSpec:
                                       for laws in cfg.coordinate_laws()))
 
 
-def build_separable(cfg: SeparableConfig, epsilon: float | None = None):
-    return build_separable_1d(epsilon if epsilon is not None else cfg.epsilon,
-                              **cfg.to_config(with_epsilon=False))
+def build_separable(cfg: SeparableConfig, epsilon: float):
+    return build_separable_1d(epsilon, **{f.name: getattr(cfg, f.name)
+                                          for f in fields(SeparableConfig)})
 
 
 def _record_spec(cfg: RecordConfig) -> RecordSpec:
@@ -137,7 +140,8 @@ def _events(evts: tuple[EventConfig, ...]) -> list[PerturbationEvent]:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers per experiment kind
+# runners, one per experiment spec: each takes (payload, seed, output
+# directory) and returns (status, metrics)
 # ---------------------------------------------------------------------------
 
 _COORDS = ("x", "y", "s")
@@ -174,19 +178,15 @@ def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
     return metrics
 
 
-def _run_network(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
-    p = spec.payload
+def _run_network(p: NetworkRunSpec, seed: int, out: Path) -> tuple[str, dict]:
     model = build_model(p.model)
-    run = simulate(model, build_init(p.model), p.T, p.dt, spec.seed,
+    run = simulate(model, build_init(p.model), p.T, p.dt, seed,
                    _record_spec(p.record), _events(p.events))
     labels = [pop.label for pop in model.populations]
-    metrics = _write_run_artifacts(out, run, labels)
-    status = run.status
-    return status, metrics
+    return run.status, _write_run_artifacts(out, run, labels)
 
 
-def _run_rescaled_early(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
-    p = spec.payload
+def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str, dict]:
     rows = []
     status = "COMPLETED"
     for gi, gamma in enumerate(p.gammas):
@@ -195,7 +195,7 @@ def _run_rescaled_early(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
         rec = RecordSpec(stride=base.stride, traces=base.traces,
                          snapshot_times=(0.0,) + tuple(base.snapshot_times))
         run = simulate_rescaled_early(model, build_init(p.model), p.T_tilde,
-                                      p.dt_tilde, spec.seed, rec)
+                                      p.dt_tilde, seed, rec)
         if run.status != "COMPLETED":
             status = run.status
             rows.append([gamma, math.nan, math.nan, math.nan])
@@ -235,28 +235,25 @@ def _early_gap(model, run: RunRecord) -> tuple[float, float, float]:
     return gap, move_y, move_s
 
 
-def _pde_series(run, n_snap_files: int = 8):
+def _pde_series(run):
     """Diagnostics series at snapshot times: mass, I, sup phi, width,
     residual sup-norm."""
     sup_phi = []
     widths = []
     resid = []
-    for i in range(len(run.times)):
-        dens = run.density_at(i)
-        f = hopf_cole(dens)
+    for i, f in enumerate(snapshot_fields(run)):
         sup_phi.append(f.sup_phi)
-        widths.append(support_width(dens))
+        widths.append(support_width(run.density_at(i)))
         _, r = hamiltonian_residual(f, run.i_at(run.times[i]), run.model)
         resid.append(r)
     i_at = [run.i_at(t) for t in run.times]
     return sup_phi, widths, resid, i_at
 
 
-def _run_pde(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
-    p = spec.payload
-    model = build_separable(p.model)
+def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
+    model = build_separable(p.model, p.model.epsilon)
     grid = Grid1D(p.grid.L, p.grid.cells)
-    mu0 = gaussian_initial(grid, model.epsilon, p.concentration, p.center)
+    mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
     snap = p.snapshot_every if p.snapshot_every is not None else p.T / 60
     run = solve_fp_1d(model, mu0, p.T, snapshot_every=snap)
     sup_phi, widths, resid, i_at = _pde_series(run)
@@ -266,10 +263,8 @@ def _run_pde(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
                  np.array(widths), np.array(resid)])
     idxs = np.unique(np.round(np.linspace(0, len(run.times) - 1, 8)).astype(int))
     for j, idx in enumerate(idxs):
-        dens = run.density_at(int(idx))
-        f = hopf_cole(dens)
         columns_csv(out / f"pde_snapshot_{j:02d}.csv", ["x", "mu", "phi"],
-                    [grid.centers, dens.values, f.phi])
+                    [grid.centers, run.densities[idx], snapshot_fields(run)[idx].phi])
     metrics = {"mass_drift": float(np.max(np.abs(run.mass - 1.0))),
                "sup_phi_final": sup_phi[-1], "support_width_final": widths[-1],
                "residual_sup_final": resid[-1], "interaction_final": i_at[-1],
@@ -277,13 +272,14 @@ def _run_pde(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
     return "COMPLETED", metrics
 
 
-def _run_epsilon_sweep(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
-    p = spec.payload
-    base = build_separable(p.model, epsilon=max(p.epsilons))
+def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str, dict]:
+    """An epsilon-sweep experiment, or the mean-field column of a
+    double-limit sweep (whose section has no t0 key)."""
+    base = build_separable(p.model, max(p.epsilons))
     grid = Grid1D(p.grid.L, p.grid.cells)
     report = epsilon_sweep(base, p.epsilons, grid, p.T,
-                           init_concentration=p.concentration,
-                           init_center=p.center, t0=p.t0)
+                           init_concentration=p.init.concentration,
+                           init_center=p.init.center, t0=p.t0)
     rows = [[d.epsilon, d.sup_phi_final, d.support_width_final, d.i_final,
              d.residual_sup_final, d.theta,
              d.bv.tv if d.bv else math.nan, d.status]
@@ -299,12 +295,11 @@ def _run_epsilon_sweep(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
     return status, report.headline()
 
 
-def _run_balance(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
-    p = spec.payload
+def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dict]:
     model = build_model(p.model)
     try:
         report = chemical_balance_report(model.ghat, p.model.E_E, p.model.E_I,
-                                         p.sbar_E, p.sbar_I)
+                                         p.sbar.E, p.sbar.I)
     except DegenerateDenominatorError as err:
         write_csv(out / "balance.csv",
                   ["population", "x_star", "rate", "stable", "marginal", "denominator"],
@@ -381,8 +376,7 @@ def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
     raise ValueError(f"unknown figure {figure!r}")
 
 
-def _run_figures(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
-    p = spec.payload
+def _run_figures(p: FiguresSpec, seed: int, out: Path) -> tuple[str, dict]:
     if p.figure == "fig1":
         cfg = p.model if p.model is not None else ElectricalConfig()
         T = p.T if p.T is not None else 0.5
@@ -392,7 +386,7 @@ def _run_figures(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
             model = build_model(cfg, scaling=rule)
             rec = RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20,
                              snapshot_times=(0.0, 0.05, T))
-            runs.append(simulate(model, build_init(cfg), T, dt, spec.seed, rec))
+            runs.append(simulate(model, build_init(cfg), T, dt, seed, rec))
         files, status = emit_figure_data(runs, "fig1", out)
         return status, {"files": files,
                         "final_std_x": [float(r.stds[0][-1, 0]) for r in runs]}
@@ -403,7 +397,7 @@ def _run_figures(spec: ExperimentSpec, out: Path) -> tuple[str, dict]:
     dt = p.dt if p.dt is not None else 0.08 / (gamma * max(cfg.g_EE, cfg.g_EI, cfg.g_IE, cfg.g_II, 1e-12))
     rec = RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20)
     event = PerturbationEvent(T / 2, {"g_EE": 1.5, "g_EI": 1.5})
-    run = simulate(model, build_init(cfg), T, dt, spec.seed, rec, [event])
+    run = simulate(model, build_init(cfg), T, dt, seed, rec, [event])
     # predictions after the perturbation use the scaled conductances
     pert = apply_perturbation(model, event)
     run.meta["ghat_series"] = {
@@ -455,11 +449,11 @@ def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
             **{k: v for k, v in metrics.items() if k == "blowup_time"}}
 
 
-def sweep_double_limit(spec: ExperimentSpec, out: Path, threads: int = 1) -> tuple[str, dict]:
+def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
+                       threads: int = 1) -> tuple[str, dict]:
     """Run the two approaches to the double limit on a grid: network cells
     (rows in n, per scaling rule) and a mean-field column swept in epsilon.
     Per-cell failures are recorded and the sweep continues."""
-    p = spec.payload
     jobs = []
     if p.network is not None:
         for rule_cfg in p.network.scalings:
@@ -472,7 +466,7 @@ def sweep_double_limit(spec: ExperimentSpec, out: Path, threads: int = 1) -> tup
 
     def run_cell(idx: int):
         kind, rule_cfg, n = jobs[idx]
-        cell_seed = (spec.seed + 1000003 * idx) % (2 ** 64)
+        cell_seed = (seed + 1000003 * idx) % (2 ** 64)
         cell_out = out / f"cell_{idx:02d}"
         try:
             if kind == "network":
@@ -481,9 +475,7 @@ def sweep_double_limit(spec: ExperimentSpec, out: Path, threads: int = 1) -> tup
                                      p.network.collapse_threshold, cell_seed,
                                      cell_out, p.network.mode)
             cell_out.mkdir(parents=True, exist_ok=True)
-            sub = ExperimentSpec(kind="epsilon-sweep", seed=cell_seed,
-                                 payload=p.pde, out=None)
-            status, metrics = _run_epsilon_sweep(sub, cell_out)
+            status, metrics = _run_epsilon_sweep(p.pde, cell_seed, cell_out)
             return {"kind": "pde", "status": status, **metrics}
         except (ValueError, ArithmeticError) as err:
             # numerical and configuration failures; anything else is a bug
@@ -538,21 +530,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None,
     if target is None:
         raise ValueError("an output directory is required (config 'out' or --out)")
     target.mkdir(parents=True, exist_ok=True)
-
-    if spec.kind == "network-run":
-        status, metrics = _run_network(spec, target)
-    elif spec.kind == "rescaled-early":
-        status, metrics = _run_rescaled_early(spec, target)
-    elif spec.kind == "pde-run":
-        status, metrics = _run_pde(spec, target)
-    elif spec.kind == "epsilon-sweep":
-        status, metrics = _run_epsilon_sweep(spec, target)
-    elif spec.kind == "double-limit-sweep":
-        status, metrics = sweep_double_limit(spec, target, threads)
-    elif spec.kind == "balance-analysis":
-        status, metrics = _run_balance(spec, target)
-    elif spec.kind == "figures":
-        status, metrics = _run_figures(spec, target)
-    else:
-        raise ValueError(f"unknown experiment kind {spec.kind!r}")
+    # built per call, so a runner rebound at module level (as perfbench's
+    # tracing does) is the one that runs
+    runners = {NetworkRunSpec: _run_network, RescaledEarlySpec: _run_rescaled_early,
+               PdeRunSpec: _run_pde, EpsilonSweepSpec: _run_epsilon_sweep,
+               DoubleLimitSpec: partial(sweep_double_limit, threads=threads),
+               BalanceAnalysisSpec: _run_balance, FiguresSpec: _run_figures}
+    status, metrics = runners[type(spec.payload)](spec.payload, spec.seed, target)
     return write_manifest(target, spec, status, metrics)

@@ -73,6 +73,15 @@ def hopf_cole(density: DensityField, floor_ratio: float = FLOOR_RATIO) -> HopfCo
                          phi=phi, mask=mask, F=F)
 
 
+def snapshot_fields(run: FpRun, floor_ratio: float = FLOOR_RATIO) -> list[HopfColeField]:
+    """The transform of every snapshot of a run, computed once per floor
+    ratio and kept on the run for the checks that follow."""
+    if floor_ratio not in run.transforms:
+        run.transforms[floor_ratio] = [hopf_cole(run.density_at(i), floor_ratio)
+                                       for i in range(len(run.times))]
+    return run.transforms[floor_ratio]
+
+
 def support_width(density: DensityField, threshold_ratio: float = WIDTH_RATIO) -> float:
     """Length of the smallest interval of cells carrying at least
     threshold_ratio of the peak density."""
@@ -90,19 +99,18 @@ def _masked_gradient(phi: np.ndarray, mask: np.ndarray, dx: float):
     Returns (gradient, interior) where interior marks cells whose stencil
     stayed inside the mask; sup-norms should restrict to interior.
     """
+    left = np.zeros_like(mask)
+    left[1:] = mask[:-1]
+    right = np.zeros_like(mask)
+    right[:-1] = mask[1:]
+    interior = mask & left & right
     grad = np.full_like(phi, np.nan)
-    interior = np.zeros_like(mask)
-    idx = np.nonzero(mask)[0]
-    for j in idx:
-        left = j - 1 >= 0 and mask[j - 1]
-        right = j + 1 < len(phi) and mask[j + 1]
-        if left and right:
-            grad[j] = (phi[j + 1] - phi[j - 1]) / (2 * dx)
-            interior[j] = True
-        elif right:
-            grad[j] = (phi[j + 1] - phi[j]) / dx
-        elif left:
-            grad[j] = (phi[j] - phi[j - 1]) / dx
+    j = np.nonzero(interior)[0]
+    grad[j] = (phi[j + 1] - phi[j - 1]) / (2 * dx)
+    j = np.nonzero(mask & right & ~left)[0]
+    grad[j] = (phi[j + 1] - phi[j]) / dx
+    j = np.nonzero(mask & left & ~right)[0]
+    grad[j] = (phi[j] - phi[j - 1]) / dx
     return grad, interior
 
 
@@ -231,8 +239,7 @@ def _envelope_excess(run: FpRun, a_const: float, lam: np.ndarray,
     """Per-snapshot max over the mask of phi + A' I(t) Lambda(x); the
     envelope holds iff this is dominated by D' t + E'."""
     out = np.empty(len(run.times))
-    for i in range(len(run.times)):
-        f = hopf_cole(run.density_at(i), floor_ratio)
+    for i, f in enumerate(snapshot_fields(run, floor_ratio)):
         big_i = run.i_at(run.times[i])
         vals = f.phi[f.mask] + a_const * big_i * lam[f.mask]
         out[i] = float(np.max(vals))
@@ -279,8 +286,7 @@ def envelope_covers(run: FpRun, fit: EnvelopeFit,
                     floor_ratio: float = FLOOR_RATIO) -> bool:
     lam = _alpha_antiderivative(run.model, run.grid)
     x2 = run.grid.centers ** 2
-    for i in range(len(run.times)):
-        f = hopf_cole(run.density_at(i), floor_ratio)
+    for i, f in enumerate(snapshot_fields(run, floor_ratio)):
         big_i = run.i_at(run.times[i])
         bound = (-fit.a * big_i * lam - 0.5 * run.epsilon * fit.b * x2
                  + fit.d * run.times[i] + fit.e)
@@ -315,12 +321,8 @@ def check_w_gradient_bound(run: FpRun, t0: float,
                            floor_ratio: float = FLOOR_RATIO) -> WGradientReport:
     """theta = sup over t >= t0 and mask-interior x of
     |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory."""
-    sup_phi = -np.inf
-    fields = []
-    for i in range(len(run.times)):
-        f = hopf_cole(run.density_at(i), floor_ratio)
-        fields.append(f)
-        sup_phi = max(sup_phi, f.sup_phi)
+    fields = snapshot_fields(run, floor_ratio)
+    sup_phi = max(f.sup_phi for f in fields)
     F2 = 2.0 * (1.0 + max(0.0, sup_phi))
     sig2 = run.model.sigma ** 2
     per = []

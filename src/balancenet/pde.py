@@ -122,6 +122,8 @@ class FpRun:
     i_values: np.ndarray        # (n_steps,)
     status: str = "COMPLETED"
     meta: dict = field(default_factory=dict)
+    # floor ratio -> Hopf-Cole field of each snapshot (hopfcole.snapshot_fields)
+    transforms: dict = field(default_factory=dict, repr=False)
 
     def density_at(self, idx: int) -> DensityField:
         return DensityField(grid=self.grid, values=self.densities[idx].copy(),

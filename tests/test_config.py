@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from balancenet.config import (ConfigError, ChemicalConfig, ElectricalConfig,
+from balancenet.config import (KINDS, ConfigError, ChemicalConfig, ElectricalConfig,
                                parse_config, parse_config_dict)
 
 
@@ -60,6 +61,26 @@ class TestParseErrors:
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError):
             parse_config("{nope")
+
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "balance-analysis", "seed": 1, "model": {"family": "fhn-electrical"},
+          "sbar": {"E": 0.5, "I": 0.5}}, "model.family"),
+        ({"kind": "figures", "seed": 1, "figure": "fig3"}, "figure"),
+        (minimal_network(record={"stride": 0}), "record.stride"),
+        (minimal_network(model={"family": "fhn-electrical", "scaling": {"kind": "cubic"}}),
+         "model.scaling.kind"),
+        (minimal_network(model={"family": "fhn-tonic"}), "model.family"),
+        (minimal_network(seed=2 ** 64), "seed"),
+        ({"kind": "double-limit-sweep", "seed": 1,
+          "network": {"model": {"family": "fhn-electrical"}, "n_values": [10],
+                      "scalings": [{"kind": "linear"}], "T": 0.1, "mode": "sideways"}},
+         "network.mode"),
+    ])
+    def test_value_checks(self, cfg, path):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(cfg)
+        assert err.value.code == "BAD_VALUE"
+        assert err.value.path == path
 
     def test_bad_ic_distribution(self):
         cfg = minimal_network()
@@ -148,3 +169,46 @@ class TestDefaultsAndEcho:
         spec = parse_config_dict(cfg)
         assert spec.payload.events[0].t == 0.05
         assert dict(spec.payload.events[0].multipliers)["g_EI"] == 1.5
+
+
+class TestGoldenEcho:
+    """The echo of every kind, with each optional key set and unset, equals
+    the dict recorded for it in tests/golden_echo.json and parses back to
+    the same spec."""
+
+    CASES = json.loads((Path(__file__).parent / "golden_echo.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c["config"]["kind"])
+    def test_echo_matches_golden(self, case):
+        spec = parse_config_dict(case["config"])
+        assert spec.to_config() == case["echo"]
+        assert parse_config_dict(json.loads(json.dumps(case["echo"]))) == spec
+
+    def test_every_kind_covered(self):
+        assert {c["config"]["kind"] for c in self.CASES} == set(KINDS)
+
+
+class TestSweepModelsRejectEpsilon:
+    """An epsilon sweep sets epsilon itself, so its model has no such key."""
+
+    def test_epsilon_sweep_model(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict({"kind": "epsilon-sweep", "seed": 5,
+                               "model": {"epsilon": 0.3}, "epsilons": [0.4, 0.2],
+                               "T": 1.0})
+        assert err.value.code == "UNKNOWN_KEY"
+        assert err.value.path == "model.epsilon"
+
+    def test_double_limit_pde_model(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict({"kind": "double-limit-sweep", "seed": 5,
+                               "pde": {"model": {"epsilon": 0.3},
+                                       "epsilons": [0.4, 0.2], "T": 1.0}})
+        assert err.value.code == "UNKNOWN_KEY"
+        assert err.value.path == "pde.model.epsilon"
+
+    def test_pde_run_still_requires_epsilon(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict({"kind": "pde-run", "seed": 5, "model": {}, "T": 1.0})
+        assert err.value.code == "MISSING_KEY"
+        assert err.value.path == "model.epsilon"

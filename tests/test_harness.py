@@ -209,7 +209,7 @@ class TestDoubleLimitSweep:
             raise ConfigurationError("step guard violated")
 
         monkeypatch.setattr(harness, "_network_cell", bad_config)
-        status, metrics = harness.sweep_double_limit(spec, tmp_path, threads)
+        status, metrics = harness.sweep_double_limit(spec.payload, spec.seed, tmp_path, threads)
         assert status == "PARTIAL"
         assert [c["status"] for c in metrics["cells"]] == ["FAILED", "FAILED"]
         assert metrics["cells"][0]["error"] == "ConfigurationError: step guard violated"
@@ -219,7 +219,7 @@ class TestDoubleLimitSweep:
 
         monkeypatch.setattr(harness, "_network_cell", bug)
         with pytest.raises(TypeError):
-            harness.sweep_double_limit(spec, tmp_path, threads)
+            harness.sweep_double_limit(spec.payload, spec.seed, tmp_path, threads)
 
     def test_single_cell_matches_headline(self, tmp_path):
         cfg = {k: v for k, v in self.CFG.items() if k != "pde"}

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from balancenet.hopfcole import (check_bv_interaction, check_moment_bound,
+from balancenet.hopfcole import (_masked_gradient, check_bv_interaction,
+                                 check_moment_bound,
                                  check_supersolution_envelope,
                                  check_w_gradient_bound,
                                  constructive_moment_constant, envelope_covers,
@@ -64,6 +65,49 @@ class TestHopfCole:
         grid = Grid1D(4.0, 128)
         with pytest.raises(ValueError):
             hopf_cole(make_density(grid, np.zeros(128), 0.1))
+
+
+def masked_gradient_loop(phi, mask, dx):
+    """Cell-by-cell reference for _masked_gradient."""
+    grad = np.full_like(phi, np.nan)
+    interior = np.zeros_like(mask)
+    for j in np.nonzero(mask)[0]:
+        left = j - 1 >= 0 and mask[j - 1]
+        right = j + 1 < len(phi) and mask[j + 1]
+        if left and right:
+            grad[j] = (phi[j + 1] - phi[j - 1]) / (2 * dx)
+            interior[j] = True
+        elif right:
+            grad[j] = (phi[j + 1] - phi[j]) / dx
+        elif left:
+            grad[j] = (phi[j] - phi[j - 1]) / dx
+    return grad, interior
+
+
+class TestMaskedGradient:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_loop(self, seed):
+        gen = np.random.default_rng(seed)
+        mask = gen.random(200) < 0.7
+        phi = np.where(mask, gen.normal(size=200), np.nan)
+        grad, interior = _masked_gradient(phi, mask, 0.03)
+        ref_grad, ref_interior = masked_gradient_loop(phi, mask, 0.03)
+        np.testing.assert_array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(interior, ref_interior)
+
+    def test_gaps_isolated_cells_and_run_edges(self):
+        # runs [0, 2] and [6, 9] touch the array ends; cell 4 is isolated
+        phi = np.array([0.0, 1.0, 4.0, np.nan, 2.0, np.nan, 5.0, 3.0, 1.0, 7.0])
+        mask = ~np.isnan(phi)
+        grad, interior = _masked_gradient(phi, mask, 0.5)
+        np.testing.assert_array_equal(
+            interior, [False, True, False, False, False, False, False, True, True, False])
+        np.testing.assert_array_equal(
+            grad, [2.0, 4.0, 6.0, np.nan, np.nan, np.nan, -4.0, -4.0, 4.0, 12.0])
+
+    def test_no_cell_in_mask(self):
+        grad, interior = _masked_gradient(np.full(4, np.nan), np.zeros(4, bool), 0.1)
+        assert np.isnan(grad).all() and not interior.any()
 
 
 class TestSupportWidth:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,18 @@ def _contract_case(family):
     return build_fhn_chemical(_fig2a_params(), n=4), _chem_init(), {"g_EE": 1.0}
 
 
+def _runaway_case(family):
+    """A voltage of 60 everywhere: the cubic drift overflows within a few
+    steps at dt = 1e-3."""
+    x = CoordinateIC("constant", 60.0)
+    if family == "electrical":
+        return build_fhn_electrical(FIG1, n=50), InitialConditionSpec(
+            ((x, CoordinateIC("normal", 1.5, 5.0)),))
+    laws = _chem_init().coords
+    return build_fhn_chemical(_fig2a_params(), n=50), InitialConditionSpec(
+        tuple((x,) + pop[1:] for pop in laws))
+
+
 class TestReproducibilityContract:
     """A run is a pure function of its inputs: the recording cadence, the
     snapshot times and the chunk splits an event introduces change no bit
@@ -322,3 +336,21 @@ class TestReproducibilityContract:
         steps = sorted(set(range(0, CONTRACT_STEPS + 1, stride)) | {CONTRACT_STEPS})
         for p in range(model.n_populations):
             np.testing.assert_array_equal(run.means[p], ref.means[p][steps])
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    def test_runaway_blowup_time_independent_of_stride(self, family):
+        model, init = _runaway_case(family)
+        runs = [simulate(model, init, 1.0, 1e-3, 3, RecordSpec(stride=stride))
+                for stride in (1, 7, 300)]
+        assert [r.status for r in runs] == ["BLOWUP"] * 3
+        assert runs[0].blowup_time < 0.05
+        assert len({r.blowup_time for r in runs}) == 1
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    def test_runaway_run_emits_no_warnings(self, family):
+        model, init = _runaway_case(family)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = simulate(model, init, 1.0, 1e-3, 3, RecordSpec(stride=300))
+        assert run.status == "BLOWUP"
+        assert [str(w.message) for w in caught] == []
