@@ -9,12 +9,17 @@ by the benchmark in perfbench/ (see perfbench/README.md).
 
 ``active(name)`` hands a kernel out by name. Both network families step
 through the one network kernel; they keep their own keys so that traced
-runs attribute its time to the family that called it.
+runs attribute its time to the family that called it. ``fp_chunk`` has a C
+twin (``_fp_chunk.c``, bit-identical to the numpy kernel) that ``_fp_c``
+compiles on the first request into a per-user cache; without a working C
+compiler the numpy kernel runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 
@@ -143,19 +148,29 @@ def _network_chunk_loop(states, noise, dt, offsets, coef, alpha0, alpha1, beta0,
 # ---------------------------------------------------------------------------
 
 
+NEGATIVITY_FLOOR = -1e-12
+
+
 def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
              dx, dt, nsteps, i_out):
-    """Advance the density ``nsteps`` explicit steps in place.
+    """Advance the density up to ``nsteps`` explicit steps in place.
 
     Velocity on interior faces is f(x) - I(t)/eps * alpha(x) with I(t)
     recomputed from the start-of-step density (beta_w = beta(centers)*dx);
     first-order upwind advection, centered diffusion, no-flux boundaries.
-    i_out receives the start-of-step interaction values.
+    i_out receives the start-of-step interaction values. Stops after the
+    first step that leaves a value below NEGATIVITY_FLOOR or a non-finite
+    value; returns the number of steps done.
+
+    I(t) is summed by ``ndarray.sum`` (pairwise, in an order fixed by the
+    length alone), not by ``@``, whose BLAS order depends on the CPU; the C
+    twin copies that order.
     """
     m = mu.shape[0]
     inv_dx = 1.0 / dx
+    prod = np.empty(m)
     for s in range(nsteps):
-        big_i = float(beta_w @ mu)
+        big_i = float(np.multiply(beta_w, mu, out=prod).sum())
         i_out[s] = big_i
         v = f_face[1:m] - (inv_eps * big_i) * alpha_face[1:m]
         up = np.where(v > 0.0, mu[:-1], mu[1:])
@@ -163,6 +178,9 @@ def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
         flux[0] = 0.0
         flux[m] = 0.0
         mu += (dt * inv_dx) * (flux[:m] - flux[1:])
+        if not (mu.min() >= NEGATIVITY_FLOOR and mu.max() <= sys.float_info.max):
+            return s + 1
+    return nsteps
 
 
 def _fp_chunk_loop(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
@@ -198,7 +216,28 @@ IMPLEMENTATIONS = {
     "fp_chunk": fp_chunk,
 }
 
+_load_lock = threading.Lock()
+_fp_impl = None  # the fp_chunk handed out, once requested
+
+
+def _fp_kernel():
+    global _fp_impl
+    with _load_lock:
+        if _fp_impl is None:
+            # imported on the first request, so runs that never solve a
+            # Fokker-Planck equation import, build and load nothing for it
+            from ._fp_c import load_fp_chunk
+            _fp_impl = load_fp_chunk() or fp_chunk
+        return _fp_impl
+
 
 def active(name: str):
-    """Return the kernel registered under ``name``."""
-    return IMPLEMENTATIONS[name]
+    """Return the kernel registered under ``name``. For ``fp_chunk`` this is
+    the C twin, built or loaded on the first request, or the numpy kernel
+    when no C compiler can build it."""
+    return _fp_kernel() if name == "fp_chunk" else IMPLEMENTATIONS[name]
+
+
+def fp_backend() -> str:
+    """Which ``fp_chunk`` ``active`` hands out: "c" or "numpy"."""
+    return "numpy" if _fp_kernel() is fp_chunk else "c"

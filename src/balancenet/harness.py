@@ -1,9 +1,10 @@
 """Experiment orchestration and deterministic artifact emission.
 
 Every experiment writes CSV files plus a manifest.json carrying the echoed
-configuration, seed, termination status, a sha256 inventory of the emitted
-files and headline metrics. CSV bodies are byte-reproducible: shortest
-round-trip float formatting, comma delimiter, LF endings, no timestamps.
+configuration, seed, termination status, the kernel backends it ran on, a
+sha256 inventory of the emitted files and headline metrics. CSV bodies are
+byte-reproducible: shortest round-trip float formatting, comma delimiter,
+LF endings, no timestamps.
 Sweep cells run concurrently (one output subdirectory per cell); the summary
 is assembled in cell order, so thread counts cannot change any byte.
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._kernels import fp_backend
 from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
@@ -87,8 +89,14 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) 
     files = {}
     for p in sorted(out.rglob("*.csv")) + sorted(out.rglob("*_report.json")):
         files[str(p.relative_to(out))] = file_digest(p)
+    backend = {"numpy": np.__version__}
+    payload = spec.payload
+    if isinstance(payload, (PdeRunSpec, EpsilonSweepSpec)) or (
+            isinstance(payload, DoubleLimitSpec) and payload.pde is not None):
+        backend["fp_chunk"] = fp_backend()
     manifest = {
         "version": __version__,
+        "backend": backend,
         "seed": spec.seed,
         "status": status,
         "spec": spec.to_config(),

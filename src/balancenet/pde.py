@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import active
+from ._kernels import NEGATIVITY_FLOOR, active
 from .models import SeparableModel1D
 
 CFL_NUMBER = 0.9
@@ -156,9 +156,9 @@ def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
 
     dt defaults to the CFL-limited step; an explicit dt violating the CFL
     policy, or a configuration needing more than MAX_STEPS steps, is
-    rejected with CflError. A density value below -1e-12 aborts with
-    NegativityError (it cannot happen under the CFL bound; it indicates a
-    broken model definition).
+    rejected with CflError. A density value below -1e-12, or a non-finite
+    one, aborts with NegativityError at the step that produced it (it cannot
+    happen under the CFL bound; it indicates a broken model definition).
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -200,7 +200,7 @@ def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
     def check_and_record(si: int, step: int):
         t = step * dt
         mn = float(mu.min())
-        if mn < -1e-12:
+        if mn < NEGATIVITY_FLOOR:
             j = int(np.argmin(mu))
             raise NegativityError(
                 f"density reached {mn:.3e} at x={grid.centers[j]:.4g}, t={t:.6g}")
@@ -213,9 +213,11 @@ def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
     check_and_record(0, 0)
     for si in range(1, S):
         s0, s1 = snap_steps[si - 1], snap_steps[si]
-        kernel(mu, flux, f_face, a_face, beta_w, inv_eps, half_sig2,
-               grid.dx, dt, s1 - s0, i_values[s0:s1])
-        check_and_record(si, s1)
+        # the kernel stops after the first step that leaves a fault, so the
+        # check raises at that step, also when it is the chunk's last
+        done = kernel(mu, flux, f_face, a_face, beta_w, inv_eps, half_sig2,
+                      grid.dx, dt, s1 - s0, i_values[s0:s1])
+        check_and_record(si, s0 + done)
 
     return FpRun(
         model=model, grid=grid, epsilon=model.epsilon, dt=dt,

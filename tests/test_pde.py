@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from balancenet._kernels import fp_chunk
 from balancenet.models import SeparableModel1D, build_separable_1d
 from balancenet.pde import (CflError, Grid1D, NegativityError, cfl_timestep,
                             density_from_values, gaussian_initial, solve_fp_1d)
@@ -67,6 +69,31 @@ class TestSolverContracts:
         mu0 = gaussian_initial(grid, 2.0)
         with pytest.raises(NegativityError):
             solve_fp_1d(model, mu0, 1.0, cfl=40.0)
+
+    def test_negativity_reported_at_its_step(self):
+        # an unstable step (cfl=40) first leaves a negative density a few
+        # steps in: the error names that step whatever the snapshot cadence,
+        # also when the step ends a chunk or the whole run
+        grid = Grid1D(8.0, 256)
+        model = build_separable_1d(0.2)
+        mu0 = gaussian_initial(grid, 2.0, 5.0)
+        dt = 1.0 / math.ceil(1.0 / cfl_timestep(model, grid, 40.0) - 1e-12)
+        # replay one step per call
+        mu = mu0.values.copy()
+        flux = np.zeros(grid.M + 1)
+        args = (model.f(grid.faces), model.alpha(grid.faces),
+                model.beta(grid.centers) * grid.dx, 1.0 / model.epsilon,
+                0.5 * model.sigma ** 2, grid.dx, dt, 1)
+        step = 0
+        while mu.min() >= -1e-12 and np.isfinite(mu).all():
+            fp_chunk(mu, flux, *args, np.zeros(1))
+            step += 1
+        assert step > 1 and step % 4 != 0
+        for T, every in ((1.0, None), (1.0, 4 * dt), (step * dt, None),
+                         (3 * step * dt, step * dt)):
+            with pytest.raises(NegativityError) as err:
+                solve_fp_1d(model, mu0, T, dt=dt, snapshot_every=every, cfl=40.0)
+            assert re.search(r"t=(\S+)$", str(err.value)).group(1) == f"{step * dt:.6g}"
 
     def test_unit_mass_required(self):
         grid = Grid1D(8.0, 256)
