@@ -9,6 +9,7 @@ beta, with excitatory rows positive and inhibitory rows negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,56 +164,87 @@ def _measure_rates(model: NetworkModel, measure: EmpiricalMeasure) -> float | No
     return float(np.max(np.abs(A)))
 
 
+def _rk4_affine(a: float, b: float, x: float, dt: float, col: np.ndarray, last: int) -> int:
+    """Classical RK4 for the scalar ODE x' = a x + b, written to col[1:last + 1].
+    It does the operations of the numpy RK4 loop in integrate_early_ode in
+    the same order, so it is bit-identical to it, but on Python floats: a
+    fraction of a microsecond per step against ~20 numpy dispatches. Returns
+    the first step whose value is non-finite, or last."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+    for s in range(1, last + 1):
+        k1 = a * x + b
+        k2 = a * (x + half * k1) + b
+        k3 = a * (x + half * k2) + b
+        k4 = a * (x + dt * k3) + b
+        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        col[s] = x
+        if not isfinite(x):
+            return s
+    return last
+
+
 def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
                         x0: np.ndarray, T: float, dt: float | None = None) -> EarlyOdeResult:
     """Classical fixed-step RK4 for dx_p/dt = sum_q g_pq int b_pq(x_p, y) dmu_q
     with the measure frozen. x0 has shape (P, d); divergence is reported via
     a BLOWUP status, not raised.
+
+    For the affine families the right-hand side moves only the voltage, as
+    x_p' = A_p x_p + B_p with constants (A, B) read off the frozen measure,
+    so each population is stepped as one scalar ODE on Python floats;
+    custom interactions step all (P, d) states through net_input.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P = model.n_populations
     if x0.shape[0] != P:
         raise ValueError(f"x0 must supply one point per population, got {x0.shape}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be positive and finite, got {T}")
     if dt is None:
         r = _measure_rates(model, frozen_measure)
         dt = 1e-3 * min(1.0, 1.0 / r) if r else 1e-3
+    elif not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    dt = float(dt)
     n_steps = max(1, int(round(T / dt)))
 
+    traj = np.empty((n_steps + 1, P, x0.shape[1]))
+    traj[0] = x0
     if model.affine:
-        # the measure is frozen, and with it the affine coefficients
+        # the measure is frozen, and with it the affine coefficients; the
+        # other coordinates have zero slope, so each step adds 0.0 to them,
+        # and one that is not finite makes the first step the last
         A, B = model.affine_coefficients(frozen_measure.means())
-
-        def rhs(xs: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(xs)
-            out[:, 0] = A * xs[:, 0] + B
-            return out
+        traj[1:, :, 1:] = x0[:, 1:] + 0.0
+        last = n_steps if np.isfinite(x0[:, 1:]).all() else 1
+        for p in range(P):
+            last = _rk4_affine(float(A[p]), float(B[p]), float(x0[p, 0]), dt,
+                               traj[:, p, 0], last)
     else:
         def rhs(xs: np.ndarray) -> np.ndarray:
             return np.stack([net_input(model, p, xs[p], frozen_measure) for p in range(P)])
 
-    times = np.empty(n_steps + 1)
-    traj = np.empty((n_steps + 1, P, x0.shape[1]))
-    times[0] = 0.0
-    traj[0] = x0
-    xs = x0.copy()
-    status = "COMPLETED"
-    blow = None
-    for s in range(1, n_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(xs)
-            k2 = rhs(xs + 0.5 * dt * k1)
-            k3 = rhs(xs + 0.5 * dt * k2)
-            k4 = rhs(xs + dt * k3)
-            xs = xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times[s] = s * dt
-        traj[s] = xs
-        if not np.isfinite(xs).all():
-            status = "BLOWUP"
-            blow = float(times[s])
-            times = times[:s + 1]
-            traj = traj[:s + 1]
-            break
-    return EarlyOdeResult(times=times, traj=traj, status=status, blowup_time=blow)
+        xs = x0.copy()
+        last = n_steps
+        for s in range(1, n_steps + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = rhs(xs)
+                k2 = rhs(xs + 0.5 * dt * k1)
+                k3 = rhs(xs + 0.5 * dt * k2)
+                k4 = rhs(xs + dt * k3)
+                xs = xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            traj[s] = xs
+            if not np.isfinite(xs).all():
+                last = s
+                break
+
+    times = np.arange(last + 1) * dt
+    traj = traj[:last + 1]
+    if np.isfinite(traj[last]).all():
+        return EarlyOdeResult(times=times, traj=traj, status="COMPLETED")
+    return EarlyOdeResult(times=times, traj=traj, status="BLOWUP", blowup_time=float(times[last]))
 
 
 def distance_to_balance(state: NetworkState, model: NetworkModel) -> float:

@@ -247,6 +247,26 @@ def _kernel_call(model: NetworkModel, states: np.ndarray, noise: np.ndarray,
         maps.alpha0, maps.alpha1, maps.beta0, maps.beta1, pr.fhn_constants(), pr.sigma)
 
 
+def _column_moments(blk: np.ndarray, mean_out: np.ndarray, std_out: np.ndarray,
+                    work: np.ndarray) -> None:
+    """Write blk.mean(axis=0) and blk.std(axis=0) of an (n, d) block into
+    mean_out and std_out, bit for bit. numpy reduces over axis 0 row by row,
+    in sequence from +0.0, with an inner loop of length d; add.accumulate
+    sums each column in that same order without the per-row dispatch (a 1-D
+    sum would be pairwise, a dot product in BLAS order). The 0.0 + turns
+    the sum of an all -0.0 column into +0.0, as numpy's start does. work
+    holds n floats."""
+    n = blk.shape[0]
+    acc = np.add.accumulate
+    for k in range(blk.shape[1]):
+        col = blk[:, k]
+        m = (0.0 + acc(col, out=work)[-1]) / n
+        np.subtract(col, m, out=work)
+        np.multiply(work, work, out=work)
+        mean_out[k] = m
+        std_out[k] = math.sqrt(acc(work, out=work)[-1] / n)
+
+
 def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: float,
              seed: int, recorder: RecordSpec = RecordSpec(),
              events: Sequence[PerturbationEvent] = ()) -> RunRecord:
@@ -289,6 +309,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     stds = [np.empty((S, d)) for _ in range(P)]
     k_tr = recorder.traces
     traces = [np.empty((S, min(k_tr, model.populations[p].n))) for p in range(P)]
+    work = [np.empty(offsets[p + 1] - offsets[p]) for p in range(P)]
     snapshots: list[tuple[float, np.ndarray]] = []
     record_set = set(record_steps)
     snap_set = set(snapshot_steps)
@@ -304,8 +325,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
             times[rec_idx] = t
             for p in range(P):
                 blk = state.states[offsets[p]:offsets[p + 1]]
-                means[p][rec_idx] = blk.mean(axis=0)
-                stds[p][rec_idx] = blk.std(axis=0)
+                _column_moments(blk, means[p][rec_idx], stds[p][rec_idx], work[p])
                 if traces[p].shape[1]:
                     traces[p][rec_idx] = blk[:traces[p].shape[1], 0]
             rec_idx += 1

@@ -185,6 +185,66 @@ class TestElectricalProjection:
         assert disp == 1.0
 
 
+def early_ode_reference(model, measure, x0, T, dt=None):
+    """The numpy RK4 loop integrate_early_ode ran for the affine families
+    before it stepped each population on Python floats, kept as the
+    reference: (times, traj, status, blowup_time)."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    A, B = model.affine_coefficients(measure.means())
+    if dt is None:
+        r = float(np.max(np.abs(A)))
+        dt = 1e-3 * min(1.0, 1.0 / r) if r else 1e-3
+    n_steps = max(1, int(round(T / dt)))
+
+    def rhs(xs):
+        out = np.zeros_like(xs)
+        out[:, 0] = A * xs[:, 0] + B
+        return out
+
+    times = np.empty(n_steps + 1)
+    traj = np.empty((n_steps + 1,) + x0.shape)
+    times[0] = 0.0
+    traj[0] = x0
+    xs = x0.copy()
+    for s in range(1, n_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rhs(xs)
+            k2 = rhs(xs + 0.5 * dt * k1)
+            k3 = rhs(xs + 0.5 * dt * k2)
+            k4 = rhs(xs + dt * k3)
+            xs = xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        times[s] = s * dt
+        traj[s] = xs
+        if not np.isfinite(xs).all():
+            return times[:s + 1], traj[:s + 1], "BLOWUP", float(times[s])
+    return times, traj, "COMPLETED", None
+
+
+def assert_matches_reference(res, ref):
+    times, traj, status, blowup_time = ref
+    assert (res.status, res.blowup_time) == (status, blowup_time)
+    assert res.times.tobytes() == times.tobytes()
+    # the same values, NaN at the same places and the same sign on zeros
+    np.testing.assert_array_equal(res.traj, traj)
+    np.testing.assert_array_equal(np.signbit(res.traj), np.signbit(traj))
+
+
+def _ode_case(family, couplings, centre):
+    """An affine model, a frozen measure and x0 for one family; couplings
+    are nonnegative conductances, centre shifts the measure, so a chemical
+    A_p = sum_q ghat[q, p] sbar_q takes either sign."""
+    if family == "electrical":
+        model = elec_model(g=couplings[0])
+        samples = np.random.default_rng(1).normal(size=(5, 2)) + centre
+        return model, EmpiricalMeasure((samples,)), 2
+    g_EE, g_EI, g_IE, g_II = couplings
+    model = chem_model(g_EE=g_EE, g_EI=g_EI, g_IE=g_IE, g_II=g_II)
+    return model, chem_measure(centre, 1.0 - centre), 3
+
+
+finite_or_signed_zero = st.one_of(st.floats(-50.0, 50.0), st.just(-0.0))
+
+
 class TestEarlyOde:
     def test_electrical_fixed_point(self):
         model = elec_model()
@@ -222,6 +282,80 @@ class TestEarlyOde:
                                   400.0, dt=1e-2)
         assert res.status == "BLOWUP"
         assert res.blowup_time is not None
+
+    @given(family=st.sampled_from(("electrical", "chemical")),
+           couplings=st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4),
+           centre=st.floats(-2.0, 2.0),
+           x0=st.lists(finite_or_signed_zero, min_size=6, max_size=6),
+           n=st.integers(1, 300), frac=st.floats(0.9, 1.1),
+           dt=st.one_of(st.none(), st.floats(1e-4, 0.5)))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_bit_identical_to_numpy_loop(self, family, couplings, centre, x0, n, frac, dt):
+        model, measure, d = _ode_case(family, couplings, centre)
+        x0 = np.reshape(x0[:model.n_populations * d], (model.n_populations, d))
+        if dt is None:
+            A, _ = model.affine_coefficients(measure.means())
+            r = float(np.max(np.abs(A)))
+            T = n * frac * 1e-3 * (min(1.0, 1.0 / r) if r else 1.0)
+        else:
+            T = n * frac * dt
+        res = integrate_early_ode(model, measure, x0, T, dt)
+        assert_matches_reference(res, early_ode_reference(model, measure, x0, T, dt))
+
+    def test_one_population_overflows_first(self):
+        # A_E = 5 sbar_E - 0.1 sbar_I > 0 runs away; A_I = 2 sbar_E - 10 sbar_I < 0
+        model = chem_model(g_EE=5.0, g_EI=2.0, g_IE=0.1, g_II=10.0)
+        measure = chem_measure(1.0, 1.0)
+        A, _ = model.affine_coefficients(measure.means())
+        assert A[0] > 0 > A[1]
+        x0 = np.array([[10.0, 0.2, 0.3], [-4.0, 0.1, 0.6]])
+        res = integrate_early_ode(model, measure, x0, 400.0, dt=1e-2)
+        assert res.status == "BLOWUP"
+        assert not np.isfinite(res.traj[-1, 0, 0])
+        assert np.isfinite(res.traj[-1, 1]).all()
+        assert res.blowup_time == res.times[-1] < 400.0
+        assert_matches_reference(res, early_ode_reference(model, measure, x0, 400.0, 1e-2))
+
+    @pytest.mark.parametrize("p, k, value", [(0, 0, np.nan), (1, 0, np.inf),
+                                             (0, 1, np.inf), (1, 2, -np.inf),
+                                             (1, 1, np.nan)])
+    def test_non_finite_x0_blows_up_at_first_step(self, p, k, value):
+        model = chem_model()
+        measure = chem_measure(0.5, 0.5)
+        x0 = np.array([[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
+        x0[p, k] = value
+        res = integrate_early_ode(model, measure, x0, 1.0, dt=1e-2)
+        assert res.status == "BLOWUP"
+        assert res.blowup_time == 1e-2 and len(res.times) == 2
+        assert_matches_reference(res, early_ode_reference(model, measure, x0, 1.0, 1e-2))
+
+    def test_custom_family_steps_through_net_input(self):
+        # net input g (mean y_0 - x_0) e_0 relaxes x_0 exponentially to the
+        # measure's mean; x_1 has zero slope
+        def interaction(p, q, x, y):
+            return np.array([y[0] - x[0], 0.0])
+
+        model = NetworkModel(
+            populations=(PopulationSpec("a", 3, 2, np.zeros((2, 1))),),
+            family=CUSTOM, coupling=np.array([[0.8]]),
+            scaling=ScalingRule("constant", 1.0),
+            drift_fns=(lambda x: np.zeros(2),), interaction_fn=interaction)
+        measure = EmpiricalMeasure((np.array([[1.0, 0.0], [2.0, 5.0]]),))
+        res = integrate_early_ode(model, measure, np.array([[3.0, -0.5]]), 2.0, dt=1e-2)
+        assert res.status == "COMPLETED" and res.blowup_time is None
+        assert len(res.times) == 201 and res.times[-1] == 200 * 1e-2
+        np.testing.assert_allclose(res.traj[:, 0, 0], 1.5 + 1.5 * np.exp(-0.8 * res.times),
+                                   rtol=1e-9)
+        np.testing.assert_array_equal(res.traj[:, 0, 1], -0.5)
+
+    @pytest.mark.parametrize("T, dt", [(0.0, None), (-1.0, None), (np.nan, None),
+                                       (np.inf, None), (1.0, 0.0), (1.0, -1e-3),
+                                       (1.0, np.nan), (1.0, np.inf)])
+    def test_rejects_bad_horizon(self, T, dt):
+        model = elec_model()
+        measure = EmpiricalMeasure((np.array([[1.0, 0.0]]),))
+        with pytest.raises(ValueError, match="T must|dt must"):
+            integrate_early_ode(model, measure, np.array([[2.0, 0.0]]), T, dt)
 
 
 class TestDistanceToBalance:

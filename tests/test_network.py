@@ -12,7 +12,7 @@ from balancenet.models import (CUSTOM, FhnChemicalParams, FhnElectricalParams,
                                build_fhn_chemical, build_fhn_electrical)
 from balancenet.network import (NOISE_CHUNK, BlowupError, ConfigurationError,
                                 CoordinateIC, InitialConditionSpec, NetworkState,
-                                PerturbationEvent, RecordSpec,
+                                PerturbationEvent, RecordSpec, _column_moments,
                                 apply_perturbation, draw_initial_state,
                                 simulate, simulate_rescaled_early,
                                 step_euler_maruyama)
@@ -354,3 +354,53 @@ class TestReproducibilityContract:
             run = simulate(model, init, 1.0, 1e-3, 3, RecordSpec(stride=300))
         assert run.status == "BLOWUP"
         assert [str(w.message) for w in caught] == []
+
+
+def _assert_same_floats(got, ref):
+    """Equal values, NaN at the same places, and the same sign on zeros."""
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestCaptureMoments:
+    """Recorded means and stds are numpy's mean(axis=0) and std(axis=0),
+    bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 3200, 4500])
+    def test_bit_identical_to_numpy_reductions(self, n, d):
+        gen = np.random.default_rng(10 * n + d)
+        constant = gen.normal(size=(n, d))
+        constant[:, 1] = 0.37                      # std exactly 0
+        signed_zero = gen.normal(size=(n, d))
+        signed_zero[:, 0] = -0.0                   # numpy's sum starts at +0.0
+        blocks = [gen.normal(size=(n, d)),
+                  gen.normal(size=(n, d)) * 1e-3 + 1e8,   # large offset
+                  gen.standard_cauchy(size=(n, d)) * 1e4,
+                  constant, signed_zero]
+        for blk in blocks:
+            mean, std = np.empty(d), np.empty(d)
+            _column_moments(blk, mean, std, np.empty(n))
+            _assert_same_floats(mean, blk.mean(axis=0))
+            _assert_same_floats(std, blk.std(axis=0))
+
+    def test_non_finite_columns(self):
+        blk = np.random.default_rng(4).normal(size=(9, 3))
+        blk[2, 0], blk[5, 1], blk[7, 2] = np.inf, -np.inf, np.nan
+        mean, std = np.empty(3), np.empty(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _column_moments(blk, mean, std, np.empty(9))
+            _assert_same_floats(mean, blk.mean(axis=0))
+            _assert_same_floats(std, blk.std(axis=0))
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    def test_recorded_moments_match_snapshots(self, family):
+        model, init, _ = _contract_case(family)
+        steps = (0, 1, 17, 40)
+        run = simulate(model, init, 40 * CONTRACT_DT, CONTRACT_DT, 5,
+                       RecordSpec(stride=1, snapshot_times=tuple(k * CONTRACT_DT for k in steps)))
+        for k, (_, states) in zip(steps, run.snapshots):
+            for p in range(model.n_populations):
+                blk = states[model.offsets[p]:model.offsets[p + 1]]
+                _assert_same_floats(run.means[p][k], blk.mean(axis=0))
+                _assert_same_floats(run.stds[p][k], blk.std(axis=0))
