@@ -9,10 +9,10 @@ by the benchmark in perfbench/ (see perfbench/README.md).
 
 ``active(name)`` hands a kernel out by name. Both network families step
 through the one network kernel; they keep their own keys so that traced
-runs attribute its time to the family that called it. ``fp_chunk`` has a C
-twin (``_fp_chunk.c``, bit-identical to the numpy kernel) that ``_fp_c``
-compiles on the first request into a per-user cache; without a working C
-compiler the numpy kernel runs.
+runs attribute its time to the family that called it. Both kernels have C
+twins (``_network_chunk.c``, ``_fp_chunk.c``, bit-identical to the numpy
+kernels) that ``_clib`` compiles into one library on the first request,
+cached per user; without a working C compiler the numpy kernels run.
 """
 
 from __future__ import annotations
@@ -28,8 +28,24 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
+def column_moments(col, work):
+    """(col.mean(), col.std()) of a 1-D array, bit for bit as numpy's
+    mean(axis=0) and std(axis=0) compute them for the column of a 2-D
+    block: numpy reduces over axis 0 row by row, in sequence from +0.0, and
+    add.accumulate sums in that same order without the per-row dispatch (a
+    1-D sum would be pairwise, a dot product in BLAS order). The 0.0 +
+    turns the sum of an all -0.0 column into +0.0, as numpy's start does.
+    work holds len(col) floats."""
+    n = col.shape[0]
+    acc = np.add.accumulate
+    m = (0.0 + acc(col, out=work)[-1]) / n
+    np.subtract(col, m, out=work)
+    np.multiply(work, work, out=work)
+    return m, math.sqrt(acc(work, out=work)[-1] / n)
+
+
 def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
-                  fhn, sig):
+                  fhn, sig, step0=0, stride=0, means=None, stds=None, traces=None):
     """Advance ``noise.shape[0]`` Euler-Maruyama steps in place.
 
     states: (N, 2) voltage x and recovery y per agent, or (N, 3) with a
@@ -45,7 +61,16 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
     the intrinsic drift x' = f(x) - y with the cubic
     f(x) = ((f3 x + f2) x + f1) x + f0, y' = a (b x - y + c) and
     s' = gain (1 - s) / (1 + exp((theta - x) inv_slope)) - s inv_tau.
-    Returns True when all entries stayed finite.
+
+    With stride > 0 the kernel records: after each step whose absolute
+    number step0 + j + 1 is a multiple of stride, slot (step0 + j + 1) //
+    stride of means and stds (P, slots, d) receives each population's
+    column means and stds (see column_moments), and the same slot of traces
+    (P, slots, k) its first k voltages (fewer in a smaller population).
+
+    Stops at the first step that leaves a non-finite entry, with the states
+    of that step; returns the number of steps before it (noise.shape[0]
+    when all stayed finite).
     """
     f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = fhn
     n_steps = noise.shape[0]
@@ -60,12 +85,14 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
     # the population means the source maps read, with their weights
     reads = [[(k, alpha1[q][k], beta1[q][k]) for k in range(d)
               if alpha1[q][k] or beta1[q][k]] for q in range(len(segs))]
-    # struct of arrays: each step writes fresh contiguous coordinates, the
-    # last one straight back into the columns of states
+    # struct of arrays: each step writes fresh contiguous coordinates, and
+    # the last step's go back into the columns of states
     cols = [states[:, k] for k in range(d)]
     sq = sig * math.sqrt(dt)
     ady = a * dt
     vx = np.empty(states.shape[0])
+    work = np.empty(states.shape[0]) if stride > 0 else None
+    done = n_steps
     for step in range(n_steps):
         x, y = cols[0], cols[1]
         al = list(alpha0)
@@ -99,10 +126,20 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
             s = cols[2]
             gate = gain / (1.0 + np.exp((theta - x) * inv_slope))
             incs.append((gate * (1.0 - s) - s * inv_tau) * dt)
-        last = step == n_steps - 1
-        for k in range(d):
-            cols[k] = np.add(cols[k], incs[k], out=states[:, k] if last else None)
-    return bool(np.isfinite(states).all())
+        cols = [np.add(col, inc) for col, inc in zip(cols, incs)]
+        if not all(np.isfinite(col).all() for col in cols):
+            done = step
+            break
+        if stride > 0 and (step0 + step + 1) % stride == 0:
+            slot = (step0 + step + 1) // stride
+            for p, seg in enumerate(segs):
+                for k in range(d):
+                    means[p, slot, k], stds[p, slot, k] = column_moments(cols[k][seg], work[seg])
+                k_tr = min(traces.shape[2], seg.stop - seg.start)
+                traces[p, slot, :k_tr] = cols[0][seg][:k_tr]
+    for k, col in enumerate(cols):
+        states[:, k] = col
+    return done
 
 
 def _network_chunk_loop(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
@@ -217,27 +254,29 @@ IMPLEMENTATIONS = {
 }
 
 _load_lock = threading.Lock()
-_fp_impl = None  # the fp_chunk handed out, once requested
+_c_twins = None  # the C twins by numpy kernel name, once a kernel is requested
 
 
-def _fp_kernel():
-    global _fp_impl
+def _c_kernels() -> dict:
+    global _c_twins
     with _load_lock:
-        if _fp_impl is None:
-            # imported on the first request, so runs that never solve a
-            # Fokker-Planck equation import, build and load nothing for it
-            from ._fp_c import load_fp_chunk
-            _fp_impl = load_fp_chunk() or fp_chunk
-        return _fp_impl
+        if _c_twins is None:
+            # imported on the first request, so a process that steps no
+            # kernel imports, builds and loads nothing for them
+            from ._clib import load_c_kernels
+            _c_twins = load_c_kernels()
+        return _c_twins
 
 
 def active(name: str):
-    """Return the kernel registered under ``name``. For ``fp_chunk`` this is
-    the C twin, built or loaded on the first request, or the numpy kernel
-    when no C compiler can build it."""
-    return _fp_kernel() if name == "fp_chunk" else IMPLEMENTATIONS[name]
+    """Return the kernel registered under ``name``: its C twin, built or
+    loaded on the first request, or the numpy kernel when no C compiler can
+    build it."""
+    impl = IMPLEMENTATIONS[name]
+    return _c_kernels().get(impl.__name__, impl)
 
 
-def fp_backend() -> str:
-    """Which ``fp_chunk`` ``active`` hands out: "c" or "numpy"."""
-    return "numpy" if _fp_kernel() is fp_chunk else "c"
+def backend(kernel: str) -> str:
+    """What runs for the numpy kernel named ``kernel`` ("network_chunk" or
+    "fp_chunk"): "c" for its C twin, else "numpy"."""
+    return "c" if kernel in _c_kernels() else "numpy"

@@ -1,0 +1,267 @@
+/*
+ * C twin of balancenet._kernels.network_chunk, built on first use by
+ * balancenet._clib (cc -O3 -ffp-contract=off -shared -fPIC) and called
+ * through ctypes.
+ *
+ * Every floating-point operation follows the numpy kernel in the same
+ * order, so both give identical bits:
+ *  - the population means the source maps read copy numpy's pairwise
+ *    summation (pairwise_sum below), started from 0.0 as ndarray.sum is;
+ *  - the cubic is evaluated as ((x f3 + f2) x + (f1 + A)) x + (f0 + B),
+ *    the order of the numpy kernel's in-place updates;
+ *  - recorded means and stds are sums taken in sequence over the agents,
+ *    as numpy's mean(axis=0) and std(axis=0) take them;
+ *  - -ffp-contract=off keeps a * b + c from being fused into one rounding,
+ *    and without -ffast-math the vectorizer of -O3 reorders no sum.
+ * The synaptic gate's exp is not computed here: numpy's exp and libm's
+ * differ in the last bit on some CPUs, so the caller evaluates it with
+ * numpy between one-step calls (see network_chunk's gate argument).
+ */
+
+#include <float.h>
+#include <math.h>
+
+#define PW_BLOCKSIZE 128
+
+/*
+ * numpy's pairwise_sum over n doubles spaced stride apart: a plain sum
+ * below 8 terms, 8 accumulators up to PW_BLOCKSIZE terms, otherwise split
+ * at n / 2 rounded down to a multiple of 8.
+ */
+static double pairwise_sum(const double *a, long n, long stride)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (long i = 0; i < n; i++) {
+            res += a[i * stride];
+        }
+        return res;
+    }
+    if (n <= PW_BLOCKSIZE) {
+        double r[8];
+        long i;
+        for (int k = 0; k < 8; k++) {
+            r[k] = a[k * stride];
+        }
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int k = 0; k < 8; k++) {
+                r[k] += a[(i + k) * stride];
+            }
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            res += a[i * stride];
+        }
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2, stride) + pairwise_sum(a + n2 * stride, n - n2, stride);
+}
+
+/*
+ * Mean and std (divisor n) of each of the d columns of the n rows at x,
+ * written to mean[k] and std[k]: each column is summed in sequence from
+ * its first row, and the d sums run in lockstep.
+ */
+static void column_moments(const double *restrict x, long n, long d, double *restrict mean,
+                           double *restrict std)
+{
+    double s0 = x[0], s1 = x[1], s2 = d > 2 ? x[2] : 0.0;
+    if (d > 2) {
+        for (long i = 1; i < n; i++) {
+            s0 += x[3 * i];
+            s1 += x[3 * i + 1];
+            s2 += x[3 * i + 2];
+        }
+    } else {
+        for (long i = 1; i < n; i++) {
+            s0 += x[2 * i];
+            s1 += x[2 * i + 1];
+        }
+    }
+    /* numpy's sum starts from +0.0, which turns a -0.0 sum into +0.0 */
+    double m0 = (0.0 + s0) / (double)n, m1 = (0.0 + s1) / (double)n;
+    double m2 = (0.0 + s2) / (double)n;
+    double e0 = x[0] - m0, e1 = x[1] - m1, e2 = d > 2 ? x[2] - m2 : 0.0;
+    s0 = e0 * e0;
+    s1 = e1 * e1;
+    s2 = e2 * e2;
+    if (d > 2) {
+        for (long i = 1; i < n; i++) {
+            e0 = x[3 * i] - m0;
+            e1 = x[3 * i + 1] - m1;
+            e2 = x[3 * i + 2] - m2;
+            s0 += e0 * e0;
+            s1 += e1 * e1;
+            s2 += e2 * e2;
+        }
+    } else {
+        for (long i = 1; i < n; i++) {
+            e0 = x[2 * i] - m0;
+            e1 = x[2 * i + 1] - m1;
+            s0 += e0 * e0;
+            s1 += e1 * e1;
+        }
+    }
+    mean[0] = m0;
+    mean[1] = m1;
+    std[0] = sqrt(s0 / (double)n);
+    std[1] = sqrt(s1 / (double)n);
+    if (d > 2) {
+        mean[2] = m2;
+        std[2] = sqrt(s2 / (double)n);
+    }
+}
+
+/* the constants of a step, formed as the numpy kernel forms them */
+struct step_constants {
+    double f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope, dt, sq, ady;
+};
+
+/*
+ * The voltage increment (f(x) - y + A x + B) dt + sq xi of an agent at
+ * (x, y), with f1a = f1 + A and f0b = f0 + B, in the numpy kernel's order.
+ */
+static inline double voltage_increment(double x, double y, double xi, double f3, double f2,
+                                       double f1a, double f0b, double dt, double sq)
+{
+    double v = x * f3;
+    v += f2;
+    v *= x;
+    v += f1a;
+    v *= x;
+    v += f0b;
+    v -= y;
+    v *= dt;
+    v += sq * xi;
+    return v;
+}
+
+/*
+ * One step of the n agents whose (x, y) rows start at st, under the
+ * network input A x + B; returns whether every new entry is finite.
+ */
+static int step_xy(double *restrict st, long n, const double *restrict xi,
+                   const struct step_constants *k, double A, double B)
+{
+    const double f3 = k->f3, f2 = k->f2, f1a = k->f1 + A, f0b = k->f0 + B;
+    const double b = k->b, c = k->c, dt = k->dt, sq = k->sq, ady = k->ady;
+    int ok = 1;
+    for (long i = 0; i < n; i++) {
+        double x = st[2 * i], y = st[2 * i + 1];
+        double nx = x + voltage_increment(x, y, xi[i], f3, f2, f1a, f0b, dt, sq);
+        double ny = y + ady * (b * x - y + c);
+        st[2 * i] = nx;
+        st[2 * i + 1] = ny;
+        ok &= (fabs(nx) <= DBL_MAX) & (fabs(ny) <= DBL_MAX);
+    }
+    return ok;
+}
+
+/*
+ * step_xy for (x, y, s) rows with the synaptic gate: gate[i] holds the
+ * exp of agent i's gate argument on entry and its next argument on return.
+ */
+static int step_xys(double *restrict st, long n, const double *restrict xi,
+                    double *restrict gate, const struct step_constants *k, double A, double B)
+{
+    const double f3 = k->f3, f2 = k->f2, f1a = k->f1 + A, f0b = k->f0 + B;
+    const double b = k->b, c = k->c, dt = k->dt, sq = k->sq, ady = k->ady;
+    const double inv_tau = k->inv_tau, gain = k->gain, theta = k->theta;
+    const double inv_slope = k->inv_slope;
+    int ok = 1;
+    for (long i = 0; i < n; i++) {
+        double x = st[3 * i], y = st[3 * i + 1], s = st[3 * i + 2];
+        double nx = x + voltage_increment(x, y, xi[i], f3, f2, f1a, f0b, dt, sq);
+        double ny = y + ady * (b * x - y + c);
+        double g = gain / (1.0 + gate[i]);
+        double ns = s + (g * (1.0 - s) - s * inv_tau) * dt;
+        st[3 * i] = nx;
+        st[3 * i + 1] = ny;
+        st[3 * i + 2] = ns;
+        gate[i] = (theta - nx) * inv_slope;
+        ok &= (fabs(nx) <= DBL_MAX) & (fabs(ny) <= DBL_MAX) & (fabs(ns) <= DBL_MAX);
+    }
+    return ok;
+}
+
+/*
+ * Advance up to `steps` Euler-Maruyama steps of the n_agents x d states
+ * (d = 2: voltage x, recovery y; d = 3: and the synaptic gate s) in place;
+ * population p holds rows offsets[p] to offsets[p + 1]. noise holds steps
+ * rows of n_agents standard normals. coef is P x P, alpha1 and beta1 are
+ * P x d, fhn holds (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta,
+ * inv_slope) as in the numpy kernel.
+ *
+ * With d = 3 a call takes one step: gate[i] holds exp((theta - x_i)
+ * inv_slope) at the current state on entry, and (theta - x_i) inv_slope
+ * at the new state on return, ready for the caller's next exp.
+ *
+ * With stride > 0, after each step whose absolute number step0 + j + 1 is
+ * a multiple of stride, slot (step0 + j + 1) / stride of means and stds
+ * (P x n_slots x d) receives each population's column means and stds, and
+ * the same slot of traces (P x n_slots x n_traces) its first n_traces
+ * voltages (fewer when the population is smaller).
+ *
+ * Stops at the first step that leaves a non-finite entry, with the states
+ * of that step; returns the number of steps before it (steps when all
+ * stayed finite).
+ */
+long network_chunk(double *states, long n_agents, long d, const double *noise, long steps,
+                   double dt, const long *offsets, long npop, const double *coef,
+                   const double *alpha0, const double *alpha1, const double *beta0,
+                   const double *beta1, const double *fhn, double sig, double *gate,
+                   long step0, long stride, long n_slots, long n_traces,
+                   double *means, double *stds, double *traces)
+{
+    struct step_constants k = {
+        fhn[0], fhn[1], fhn[2], fhn[3], fhn[4], fhn[5], fhn[6], fhn[7], fhn[8], fhn[9],
+        fhn[10], dt, sig * sqrt(dt), fhn[4] * dt};
+    double al[npop], be[npop];
+    for (long j = 0; j < steps; j++) {
+        const double *xi = noise + j * n_agents;
+        for (long q = 0; q < npop; q++) {
+            long lo = offsets[q], n = offsets[q + 1] - lo;
+            al[q] = alpha0[q];
+            be[q] = beta0[q];
+            for (long c = 0; c < d; c++) {
+                double wa = alpha1[q * d + c], wb = beta1[q * d + c];
+                /* the numpy kernel reads only the means that carry a weight */
+                if (wa != 0.0 || wb != 0.0) {
+                    double m = (0.0 + pairwise_sum(states + lo * d + c, n, d)) / (double)n;
+                    al[q] += wa * m;
+                    be[q] += wb * m;
+                }
+            }
+        }
+        int ok = 1;
+        for (long p = 0; p < npop; p++) {
+            double A = 0.0, B = 0.0;
+            for (long q = 0; q < npop; q++) {
+                A += coef[p * npop + q] * al[q];
+                B += coef[p * npop + q] * be[q];
+            }
+            long lo = offsets[p], n = offsets[p + 1] - lo;
+            ok &= d > 2 ? step_xys(states + lo * 3, n, xi + lo, gate + lo, &k, A, B)
+                        : step_xy(states + lo * 2, n, xi + lo, &k, A, B);
+        }
+        if (!ok) {
+            return j;
+        }
+        long done = step0 + j + 1;
+        if (stride > 0 && done % stride == 0) {
+            long slot = done / stride;
+            for (long p = 0; p < npop; p++) {
+                long lo = offsets[p], n = offsets[p + 1] - lo;
+                column_moments(states + lo * d, n, d, means + (p * n_slots + slot) * d,
+                               stds + (p * n_slots + slot) * d);
+                double *tr = traces + (p * n_slots + slot) * n_traces;
+                for (long i = 0; i < n_traces && i < n; i++) {
+                    tr[i] = states[(lo + i) * d];
+                }
+            }
+        }
+    }
+    return steps;
+}

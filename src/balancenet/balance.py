@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NetworkModel, affine_coefficients, conductance_source_maps
+from .models import (ModelDefinitionError, NetworkModel, affine_coefficients,
+                     conductance_source_maps)
 from .network import NetworkState
 
 DEGENERACY_RTOL = 1e-10
@@ -230,11 +231,16 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
         last = n_steps
         for s in range(1, n_steps + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                k1 = rhs(xs)
-                k2 = rhs(xs + 0.5 * dt * k1)
-                k3 = rhs(xs + 0.5 * dt * k2)
-                k4 = rhs(xs + dt * k3)
-                xs = xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                try:
+                    k1 = rhs(xs)
+                    k2 = rhs(xs + 0.5 * dt * k1)
+                    k3 = rhs(xs + 0.5 * dt * k2)
+                    k4 = rhs(xs + dt * k3)
+                    xs = xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                except ModelDefinitionError:
+                    # an interaction that overflows on the way is a blowup
+                    # of the step, as in network.step_euler_maruyama
+                    xs = np.full_like(xs, np.nan)
             traj[s] = xs
             if not np.isfinite(xs).all():
                 last = s

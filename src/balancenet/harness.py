@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import fp_backend
+from ._kernels import backend as kernel_backend
 from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
@@ -93,7 +93,10 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) 
     payload = spec.payload
     if isinstance(payload, (PdeRunSpec, EpsilonSweepSpec)) or (
             isinstance(payload, DoubleLimitSpec) and payload.pde is not None):
-        backend["fp_chunk"] = fp_backend()
+        backend["fp_chunk"] = kernel_backend("fp_chunk")
+    if isinstance(payload, (NetworkRunSpec, RescaledEarlySpec, FiguresSpec)) or (
+            isinstance(payload, DoubleLimitSpec) and payload.network is not None):
+        backend["network_chunk"] = kernel_backend("network_chunk")
     manifest = {
         "version": __version__,
         "backend": backend,

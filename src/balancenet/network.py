@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from ._kernels import active
+from ._kernels import active, column_moments
 from .models import ModelDefinitionError, NetworkModel, build_fhn_network
 
 NOISE_CHUNK = 256
@@ -238,33 +238,22 @@ def _check_step_guard(model: NetworkModel, dt: float):
             f"use dt <= {0.1 / (gamma * gmax):.3g}")
 
 
-def _kernel_call(model: NetworkModel, states: np.ndarray, noise: np.ndarray,
-                 dt: float, offsets: np.ndarray) -> bool:
+def _kernel_args(model: NetworkModel) -> tuple:
+    """The network kernel's arguments that a model fixes: its gamma-scaled
+    couplings, source maps, drift constants and noise level."""
     pr = model.params
     maps = model.source_maps
-    return active(pr.kernel)(
-        states, noise, dt, offsets, model.gamma() * model.coupling,
-        maps.alpha0, maps.alpha1, maps.beta0, maps.beta1, pr.fhn_constants(), pr.sigma)
+    return (model.gamma() * model.coupling, maps.alpha0, maps.alpha1, maps.beta0,
+            maps.beta1, pr.fhn_constants(), pr.sigma)
 
 
 def _column_moments(blk: np.ndarray, mean_out: np.ndarray, std_out: np.ndarray,
                     work: np.ndarray) -> None:
     """Write blk.mean(axis=0) and blk.std(axis=0) of an (n, d) block into
-    mean_out and std_out, bit for bit. numpy reduces over axis 0 row by row,
-    in sequence from +0.0, with an inner loop of length d; add.accumulate
-    sums each column in that same order without the per-row dispatch (a 1-D
-    sum would be pairwise, a dot product in BLAS order). The 0.0 + turns
-    the sum of an all -0.0 column into +0.0, as numpy's start does. work
+    mean_out and std_out, bit for bit (see _kernels.column_moments). work
     holds n floats."""
-    n = blk.shape[0]
-    acc = np.add.accumulate
     for k in range(blk.shape[1]):
-        col = blk[:, k]
-        m = (0.0 + acc(col, out=work)[-1]) / n
-        np.subtract(col, m, out=work)
-        np.multiply(work, work, out=work)
-        mean_out[k] = m
-        std_out[k] = math.sqrt(acc(work, out=work)[-1] / n)
+        mean_out[k], std_out[k] = column_moments(blk[:, k], work)
 
 
 def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: float,
@@ -274,6 +263,11 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
 
     Bit-identical output for identical inputs; BLOWUP is recorded as a
     terminal status with the time of the first failing step.
+
+    The kernel records every stride-th step itself, so a kernel call ends
+    only at a snapshot, an event, the edge of a noise block or the last
+    step; that step, when it is no multiple of the stride, is recorded
+    here.
     """
     if not T > 0:
         raise ConfigurationError("T must be positive")
@@ -293,122 +287,110 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     d = model.populations[0].dim
     P = model.n_populations
     gamma = model.gamma()
+    stride = recorder.stride
 
-    record_steps = list(range(0, n_steps + 1, recorder.stride))
+    record_steps = list(range(0, n_steps + 1, stride))
     if record_steps[-1] != n_steps:
         record_steps.append(n_steps)
-    snapshot_steps = sorted({min(n_steps, int(round(t / dt))) for t in recorder.snapshot_times})
+    snapshot_steps = {min(n_steps, int(round(t / dt))) for t in recorder.snapshot_times}
     event_steps = {}
     for ev in events:
         event_steps.setdefault(min(n_steps, int(round(ev.t / dt))), []).append(ev)
-    special = sorted(set(record_steps) | set(snapshot_steps) | set(event_steps) | {0, n_steps})
+    special = sorted(snapshot_steps | set(event_steps) | {0, n_steps})
 
+    # slot i holds record step record_steps[i]: a multiple of the stride,
+    # or the last step
     S = len(record_steps)
-    times = np.empty(S)
-    means = [np.empty((S, d)) for _ in range(P)]
-    stds = [np.empty((S, d)) for _ in range(P)]
-    k_tr = recorder.traces
-    traces = [np.empty((S, min(k_tr, model.populations[p].n))) for p in range(P)]
-    work = [np.empty(offsets[p + 1] - offsets[p]) for p in range(P)]
+    times = np.array(record_steps, dtype=float) * dt
+    means = np.empty((P, S, d))
+    stds = np.empty((P, S, d))
+    sizes = [pop.n for pop in model.populations]
+    traces = np.empty((P, S, min(recorder.traces, max(sizes))))
+    n_traces = [min(traces.shape[2], n) for n in sizes]
+    work = np.empty(max(sizes))
     snapshots: list[tuple[float, np.ndarray]] = []
-    record_set = set(record_steps)
-    snap_set = set(snapshot_steps)
-    rec_idx = 0
     status = COMPLETED
     blowup_time = None
     cur_model = model
 
-    def capture(step: int):
-        nonlocal rec_idx
-        t = step * dt
-        if step in record_set:
-            times[rec_idx] = t
-            for p in range(P):
-                blk = state.states[offsets[p]:offsets[p + 1]]
-                _column_moments(blk, means[p][rec_idx], stds[p][rec_idx], work[p])
-                if traces[p].shape[1]:
-                    traces[p][rec_idx] = blk[:traces[p].shape[1], 0]
-            rec_idx += 1
-        if step in snap_set:
-            snapshots.append((t, state.states.copy()))
+    def record(step: int):
+        slot = step // stride if step % stride == 0 else S - 1
+        for p in range(P):
+            blk = state.states[offsets[p]:offsets[p + 1]]
+            _column_moments(blk, means[p, slot], stds[p, slot], work[:blk.shape[0]])
+            traces[p, slot, :n_traces[p]] = blk[:n_traces[p], 0]
 
     generic = not model.affine
+    if not generic:
+        kernel = active(model.params.kernel)
+        args = _kernel_args(model)
 
     # noise blocks are keyed by absolute step // NOISE_CHUNK; cache the
-    # current one so dense recording does not regenerate it per step
+    # current one so a block split by snapshots or events is drawn once.
+    # A block is drawn only as far as the run reaches: the first k rows of
+    # a block are the k-row draw of the same stream
     cached_chunk = -1
     cached_block = None
 
     def noise_block(chunk: int) -> np.ndarray:
         nonlocal cached_chunk, cached_block
         if chunk != cached_chunk:
-            shape = ((NOISE_CHUNK, N, model.populations[0].sigma.shape[1])
-                     if generic else (NOISE_CHUNK, N))
+            rows = min(NOISE_CHUNK, n_steps - chunk * NOISE_CHUNK)
+            shape = ((rows, N, model.populations[0].sigma.shape[1])
+                     if generic else (rows, N))
             cached_block = rng.normal_block(seed, rng.NOISE_STREAM, chunk, shape)
             cached_chunk = chunk
         return cached_block
 
-    # start of a multi-step kernel call, replayed step by step if it fails;
-    # one buffer per run: a fresh copy per call raised the peak memory of a
-    # 9000-agent run by 17 MB
-    start = np.empty_like(state.states)
-
     # a runaway state overflows on its way to BLOWUP, a recorded outcome
     with np.errstate(over="ignore", invalid="ignore"):
-        capture(0)
-        for ev in event_steps.get(0, []):
-            cur_model = apply_perturbation(cur_model, ev)
-        for si in range(len(special) - 1):
-            s0, s1 = special[si], special[si + 1]
+        record(0)
+        for s0, s1 in zip(special, special[1:]):
+            if s0 in snapshot_steps:
+                snapshots.append((s0 * dt, state.states.copy()))
+            for ev in event_steps.get(s0, []):
+                cur_model = apply_perturbation(cur_model, ev)
+                args = _kernel_args(cur_model)
             step = s0
-            while step < s1 and status == COMPLETED:
+            while step < s1:
                 chunk = step // NOISE_CHUNK
                 hi = min(s1, (chunk + 1) * NOISE_CHUNK)
-                k = hi - step
                 block = noise_block(chunk)
                 off = step - chunk * NOISE_CHUNK
                 if generic:
                     try:
-                        for j in range(k):
-                            state = step_euler_maruyama(state, cur_model, dt, block[off + j])
+                        for j in range(off, off + hi - step):
+                            state = step_euler_maruyama(state, cur_model, dt, block[j])
+                            if (step + 1) % stride == 0:
+                                record(step + 1)
+                            step += 1
                     except BlowupError as err:
                         status = BLOWUP
                         blowup_time = err.t
                 else:
-                    if k > 1:
-                        start[:] = state.states
-                    ok = _kernel_call(cur_model, state.states, block[off:off + k], dt, offsets)
-                    if not ok and k > 1:
-                        # find the first failing step
-                        state.states[:] = start
-                        for j in range(k):
-                            if not _kernel_call(cur_model, state.states,
-                                                block[off + j:off + j + 1], dt, offsets):
-                                hi = step + j + 1
-                                break
-                    state.t = hi * dt
-                    if not ok:
+                    step += kernel(state.states, block[off:off + hi - step], dt, offsets,
+                                   *args, step, stride, means, stds, traces)
+                    if step < hi:
                         status = BLOWUP
-                        blowup_time = hi * dt
-                step = hi
+                        blowup_time = (step + 1) * dt
+                if status != COMPLETED:
+                    break
             if status != COMPLETED:
                 break
-            capture(s1)
-            for ev in event_steps.get(s1, []):
+        else:
+            if n_steps % stride:
+                record(n_steps)
+            if n_steps in snapshot_steps:
+                snapshots.append((n_steps * dt, state.states.copy()))
+            for ev in event_steps.get(n_steps, []):
                 cur_model = apply_perturbation(cur_model, ev)
 
-    if status == BLOWUP:
-        valid = rec_idx
-        times_out = times[:valid]
-        means = [m[:valid] for m in means]
-        stds = [s[:valid] for s in stds]
-        traces = [tr[:valid] for tr in traces]
-    else:
-        times_out = times
-
+    valid = step // stride + 1 if status == BLOWUP else S
     return RunRecord(
-        seed=seed, dt=dt, gamma=gamma, times=times_out, means=means, stds=stds,
-        traces=traces, snapshots=snapshots, status=status, blowup_time=blowup_time,
+        seed=seed, dt=dt, gamma=gamma, times=times[:valid],
+        means=[m[:valid] for m in means], stds=[s[:valid] for s in stds],
+        traces=[tr[:valid, :k] for tr, k in zip(traces, n_traces)],
+        snapshots=snapshots, status=status, blowup_time=blowup_time,
         meta={"family": model.family, "n": model.populations[0].n,
               "scaling": (model.scaling.kind, model.scaling.coefficient),
               "T": T, "stride": recorder.stride},

@@ -348,6 +348,21 @@ class TestEarlyOde:
                                    rtol=1e-9)
         np.testing.assert_array_equal(res.traj[:, 0, 1], -0.5)
 
+    def test_custom_interaction_overflow_is_blowup(self):
+        # x' = x^2 from x = 1 runs away at t = 1; the interaction overflows
+        # at a still-finite state, which ends the run as BLOWUP there
+        model = NetworkModel(
+            populations=(PopulationSpec("a", 1, 1, np.zeros((1, 1))),),
+            family=CUSTOM, coupling=np.array([[1.0]]),
+            scaling=ScalingRule("constant", 1.0),
+            drift_fns=(lambda x: np.zeros(1),),
+            interaction_fn=lambda p, q, x, y: x ** 2)
+        measure = EmpiricalMeasure((np.array([[0.0]]),))
+        res = integrate_early_ode(model, measure, np.array([[1.0]]), 2.0, dt=1e-3)
+        assert res.status == "BLOWUP"
+        assert res.blowup_time == res.times[-1] and 0.99 < res.blowup_time < 1.01
+        assert np.isfinite(res.traj[:-1]).all() and not np.isfinite(res.traj[-1]).all()
+
     @pytest.mark.parametrize("T, dt", [(0.0, None), (-1.0, None), (np.nan, None),
                                        (np.inf, None), (1.0, 0.0), (1.0, -1e-3),
                                        (1.0, np.nan), (1.0, np.inf)])

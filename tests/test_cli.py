@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import balancenet
 from balancenet.cli import main
 
 
@@ -64,3 +69,27 @@ class TestOverrides:
         path = write_cfg(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 0
         assert (tmp_path / "from_config" / "manifest.json").exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m balancenet`` in a fresh interpreter that finds the
+    package through PYTHONPATH alone, as an uninstalled checkout does."""
+
+    def run_module(self, tmp_path, *args):
+        src = str(Path(balancenet.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-m", "balancenet", *args], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_help(self, tmp_path):
+        done = self.run_module(tmp_path, "sweep", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "--threads" in done.stdout and done.stdout.startswith("usage: balancenet sweep")
+
+    def test_network_run(self, tmp_path):
+        cfg = write_cfg(tmp_path, NETWORK_CFG)
+        done = self.run_module(tmp_path, "simulate", "--config", cfg, "--out", "o")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "network-run: COMPLETED; 2 files\n"
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["status"] == "COMPLETED" and len(manifest["files"]) == 2

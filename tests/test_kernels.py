@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancenet import _fp_c, _kernels, rng
-from balancenet._fp_c import _C_FLAGS, _C_SOURCE
+from balancenet import _clib, _kernels, rng
+from balancenet._clib import _C_FLAGS, _C_SOURCES
 from balancenet._kernels import (IMPLEMENTATIONS, _fp_chunk_loop,
-                                 _network_chunk_loop, active, fp_backend, fp_chunk,
+                                 _network_chunk_loop, active, backend, fp_chunk,
                                  network_chunk)
 from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
@@ -86,14 +86,17 @@ def test_fp_kernel_matches_loop_oracle():
 def test_registry_keys():
     # traced runs label kernel time by these keys
     assert set(IMPLEMENTATIONS) == {"electrical_chunk", "chemical_chunk", "fp_chunk"}
-    assert active("electrical_chunk") is active("chemical_chunk") is network_chunk
+    assert IMPLEMENTATIONS["electrical_chunk"] is IMPLEMENTATIONS["chemical_chunk"] is network_chunk
     assert IMPLEMENTATIONS["fp_chunk"] is fp_chunk
-    # the C twin once built; the numpy kernel only without a compiler
+    assert active("electrical_chunk") is active("chemical_chunk")
+    # the C twins once built; the numpy kernels only without a compiler
     if shutil.which("cc") is None:
         assert active("fp_chunk") is fp_chunk
+        assert active("electrical_chunk") is network_chunk
     else:
         assert active("fp_chunk") is not fp_chunk
-        assert fp_backend() == "c"
+        assert active("electrical_chunk") is not network_chunk
+        assert backend("fp_chunk") == backend("network_chunk") == "c"
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +183,25 @@ def test_c_fp_kernel_rejects_mismatched_sizes(c_fp_chunk):
 
 @needs_cc
 def test_c_source_compiles_without_warnings(tmp_path):
-    subprocess.run([shutil.which("cc"), *_C_FLAGS, "-Wall", "-Wextra", "-Werror",
-                    "-o", str(tmp_path / "fp_chunk.so"), str(_C_SOURCE)],
-                   check=True, capture_output=True, timeout=120)
+    for source in _C_SOURCES:
+        subprocess.run([shutil.which("cc"), *_C_FLAGS, "-Wall", "-Wextra", "-Werror",
+                        "-o", str(tmp_path / f"{source.stem}.so"), str(source)],
+                       check=True, capture_output=True, timeout=120)
 
 
 @needs_cc
 def test_concurrent_first_requests_build_once(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    monkeypatch.setattr(_fp_c, "_cache_dir", lambda: cache)
-    monkeypatch.setattr(_kernels, "_fp_impl", None)
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: cache)
+    monkeypatch.setattr(_kernels, "_c_twins", None)
     builds = []
-    compile_ = _fp_c._compile
+    compile_ = _clib._compile
 
     def counted(*args):
         builds.append(args)
         compile_(*args)
 
-    monkeypatch.setattr(_fp_c, "_compile", counted)
+    monkeypatch.setattr(_clib, "_compile", counted)
     n = 4
     barrier = threading.Barrier(n)
     got = [None] * n
@@ -228,11 +232,11 @@ def test_unwritable_cache_builds_in_temp_dir(tmp_path, monkeypatch):
     blocker.write_text("")
     tmp = tmp_path / "tmp"
     tmp.mkdir()
-    monkeypatch.setattr(_fp_c, "_cache_dir", lambda: blocker / "balancenet")
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: blocker / "balancenet")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-    monkeypatch.setattr(_kernels, "_fp_impl", None)
+    monkeypatch.setattr(_kernels, "_c_twins", None)
     assert active("fp_chunk") is not fp_chunk
-    assert fp_backend() == "c"
+    assert backend("fp_chunk") == "c"
     assert list(tmp.iterdir()) == []  # the private copy is gone once loaded
 
 
@@ -244,8 +248,8 @@ def test_missing_compiler_falls_back_to_numpy_with_same_bytes(tmp_path, monkeypa
     spec = parse_config_dict(PDE_RUN)
     compiled = run_experiment(spec, out_dir=tmp_path / "compiled")
     assert compiled["backend"]["fp_chunk"] == ("numpy" if shutil.which("cc") is None else "c")
-    monkeypatch.setattr(_kernels, "_fp_impl", None)
-    monkeypatch.setattr(_fp_c.shutil, "which", lambda name: None)
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    monkeypatch.setattr(_clib.shutil, "which", lambda name: None)
     assert active("fp_chunk") is fp_chunk
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"]["fp_chunk"] == "numpy"
@@ -263,18 +267,217 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
     # Fokker-Planck equation, so its manifest names no fp_chunk backend
     run_experiment(parse_config_dict(PDE_RUN), out_dir=tmp_path / "pde")
     manifest = run_experiment(parse_config_dict(NETWORK_RUN), out_dir=tmp_path / "net")
-    assert manifest["backend"] == {"numpy": np.__version__}
+    assert manifest["backend"] == {"numpy": np.__version__,
+                                   "network_chunk": backend("network_chunk")}
 
 
-def test_network_run_imports_no_c_build(tmp_path):
-    code = ("import sys\n"
+EARLY_RUN = {"kind": "rescaled-early", "seed": 2, "model": {"family": "fhn-chemical", "n": 6},
+             "gammas": [10], "T_tilde": 0.01, "dt_tilde": 1e-3}
+FIG1_RUN = {"kind": "figures", "seed": 2, "figure": "fig1",
+            "model": {"family": "fhn-electrical", "n": 6}, "T": 0.002}
+BALANCE_RUN = {"kind": "balance-analysis", "seed": 2, "model": {"family": "fhn-chemical"},
+               "sbar": {"E": 0.5, "I": 0.4}}
+MIXED_SWEEP = {"kind": "double-limit-sweep", "seed": 2,
+               "network": {"model": {"family": "fhn-electrical"}, "n_values": [6],
+                           "scalings": [{"kind": "linear"}], "T": 0.002},
+               "pde": {"model": {}, "epsilons": [0.4], "grid": {"L": 8.0, "cells": 64},
+                       "T": 0.01}}
+
+
+@pytest.mark.parametrize("config, kernels", [
+    (NETWORK_RUN, ("network_chunk",)), (EARLY_RUN, ("network_chunk",)),
+    (FIG1_RUN, ("network_chunk",)), (MIXED_SWEEP, ("network_chunk", "fp_chunk")),
+    (PDE_RUN, ("fp_chunk",)), (BALANCE_RUN, ())])
+def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
+    manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
+    assert manifest["backend"] == {"numpy": np.__version__, **{k: backend(k) for k in kernels}}
+    expected = "numpy" if shutil.which("cc") is None else "c"
+    assert all(manifest["backend"][k] == expected for k in kernels)
+
+
+def test_process_loads_one_library_for_both_kernels(tmp_path):
+    # a network run and a pde run in a fresh interpreter: one compiler
+    # query and one load serve both kernels
+    code = ("from balancenet import _clib\n"
             "from balancenet.config import parse_config_dict\n"
             "from balancenet.harness import run_experiment\n"
-            f"run_experiment(parse_config_dict({NETWORK_RUN!r}), out_dir={str(tmp_path)!r})\n"
-            "assert 'balancenet._fp_c' not in sys.modules\n")
+            "calls = []\n"
+            "load = _clib._load_c_library\n"
+            "_clib._load_c_library = lambda: calls.append(1) or load()\n"
+            f"net = run_experiment(parse_config_dict({NETWORK_RUN!r}), out_dir={str(tmp_path / 'net')!r})\n"
+            f"pde = run_experiment(parse_config_dict({PDE_RUN!r}), out_dir={str(tmp_path / 'pde')!r})\n"
+            "assert calls == [1], calls\n"
+            "assert net['backend']['network_chunk'] == pde['backend']['fp_chunk']\n")
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+# ---------------------------------------------------------------------------
+# the C twin of network_chunk
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def c_network_chunk():
+    impl = active("electrical_chunk")
+    if impl is network_chunk:
+        pytest.skip("no C compiler: network_chunk runs on numpy")
+    return impl
+
+
+def _random_network_args(family, n, steps, seed, stride=0, step0=0, k_traces=0):
+    """Kernel arguments for n agents per population, with record buffers
+    (filled with NaN) for steps step0 + 1 ... step0 + steps."""
+    g = np.random.default_rng(seed)
+    if family == "electrical":
+        states = g.normal(scale=2.0, size=(n, 2))
+        offsets = np.array([0, n], dtype=np.int64)
+        coef = np.array([[g.uniform(0.0, 50.0)]])
+        maps = ELECTRICAL_MAPS
+        fhn = (-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        dt = 1e-4
+    else:
+        states = g.normal(loc=1.0, size=(2 * n, 3))
+        states[:, 2] = g.uniform(0, 1, size=2 * n)
+        offsets = np.array([0, n, 2 * n], dtype=np.int64)
+        coef = g.uniform(10.0, 60.0) * np.array([[0.3, -1.0], [2.0, -10.0]])
+        m = conductance_source_maps([3.0, -1.0])
+        maps = (m.alpha0, m.alpha1, m.beta0, m.beta1)
+        fhn = (-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 0.5, 1.0, -2.0, 1.0)
+        dt = 1e-5
+    P, d = offsets.shape[0] - 1, states.shape[1]
+    noise = g.normal(size=(steps, states.shape[0]))
+    slots = (step0 + steps) // stride + 1 if stride else 1
+    rec = [np.full((P, slots, d), np.nan), np.full((P, slots, d), np.nan),
+           np.full((P, slots, k_traces), np.nan)]
+    return [states, noise, dt, offsets, coef, *maps, fhn, 1.0, step0, stride, *rec]
+
+
+def _assert_same_run(a, b):
+    for i in (0, -3, -2, -1):  # states, means, stds, traces
+        np.testing.assert_array_equal(a[i], b[i])
+
+
+@given(family=st.sampled_from(("electrical", "chemical")),
+       n=st.sampled_from((1, 7, 8, 9, 127, 128, 129, 4500)),
+       steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       stride=st.sampled_from((1, 7, 300)), step0=st.integers(0, 700),
+       k_traces=st.sampled_from((0, 1, 5, 200)))
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_c_network_kernel_bit_identical_to_numpy(c_network_chunk, family, n, steps, seed,
+                                                 stride, step0, k_traces):
+    a_np = _random_network_args(family, n, steps, seed, stride, step0, k_traces)
+    a_c = _random_network_args(family, n, steps, seed, stride, step0, k_traces)
+    assert network_chunk(*a_np) == c_network_chunk(*a_c) == steps
+    _assert_same_run(a_c, a_np)
+
+
+def test_c_network_kernel_records_signed_zero_sums_as_numpy(c_network_chunk):
+    # with a = 0 and b x + c < 0 every recovery value stays -0.0, whose
+    # column mean numpy's sum (started from +0.0) makes +0.0
+    a_np = _random_network_args("electrical", 9, 5, 3, stride=1, k_traces=2)
+    a_np[0][:, 0] = -np.abs(a_np[0][:, 0]) - 1.0
+    a_np[0][:, 1] = -0.0
+    a_np[9] = (-1.0, 5.0, -4.0, 4.0, 0.0, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    a_c = [v.copy() if isinstance(v, np.ndarray) else v for v in a_np]
+    assert network_chunk(*a_np) == c_network_chunk(*a_c) == 5
+    assert np.signbit(a_np[0][:, 1]).all()
+    _assert_same_run(a_c, a_np)
+    for a in (a_np, a_c):
+        assert not np.signbit(a[-3][0, 1:, 1]).any()
+
+
+def test_c_network_kernel_gate_uses_numpy_exp(c_network_chunk):
+    # with the drift, coupling and noise off, dt = 1 and s = 0, one step
+    # sets s to the sigmoid gain / (1 + exp(-x)) itself, so the last bit of
+    # each exp shows (libm's exp differs from numpy's on AVX-512 CPUs)
+    a_np = _random_network_args("chemical", 4500, 1, 4)
+    a_np[0][:, 0] = np.random.default_rng(4).normal(scale=3.0, size=9000)
+    a_np[0][:, 1:] = 0.0
+    a_np[2], a_np[4] = 1.0, np.zeros((2, 2))
+    a_np[9], a_np[10] = (0.0,) * 8 + (1.0, 0.0, 1.0), 0.0
+    a_c = [v.copy() if isinstance(v, np.ndarray) else v for v in a_np]
+    assert network_chunk(*a_np) == c_network_chunk(*a_c) == 1
+    x = a_np[0][:, 0]
+    np.testing.assert_array_equal(a_np[0][:, 2], 1.0 / (1.0 + np.exp(0.0 - x)))
+    np.testing.assert_array_equal(a_c[0], a_np[0])
+
+
+@pytest.mark.parametrize("family", ["electrical", "chemical"])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_c_network_kernel_stops_where_numpy_does(c_network_chunk, family, stride):
+    # one agent far out overflows part-way through the block
+    a_np = _random_network_args(family, 9, 60, 2, stride, 5, 3)
+    a_c = _random_network_args(family, 9, 60, 2, stride, 5, 3)
+    for a in (a_np, a_c):
+        a[0][4, 0] = 1e5
+        a[2] = 1e-3
+    with np.errstate(over="ignore", invalid="ignore"):
+        done = network_chunk(*a_np)
+        assert c_network_chunk(*a_c) == done
+    assert 1 < done < 60
+    assert not np.isfinite(a_c[0]).all()
+    _assert_same_run(a_c, a_np)
+
+
+def test_network_kernel_stops_at_a_non_finite_gate(c_network_chunk):
+    # uncoupled, a gate at -1.5e308 overflows in the first step while every
+    # voltage stays finite; the voltages follow one step later
+    a_np = _random_network_args("chemical", 9, 10, 2, 1, 0, 3)
+    a_np[0][4, 2] = -1.5e308
+    a_np[4] = np.zeros((2, 2))
+    a_c = [v.copy() if isinstance(v, np.ndarray) else v for v in a_np]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert network_chunk(*a_np) == c_network_chunk(*a_c) == 0
+    assert np.isfinite(a_np[0][:, :2]).all() and not np.isfinite(a_np[0][4, 2])
+    _assert_same_run(a_c, a_np)
+
+
+@pytest.mark.parametrize("family", ["electrical", "chemical"])
+def test_network_kernel_records_its_own_steps(family):
+    # stride-1 records of one call equal the moments of step-by-step states
+    a = _random_network_args(family, 6, 12, 9, stride=1, step0=3, k_traces=4)
+    ref = _random_network_args(family, 6, 12, 9)
+    network_chunk(*a)
+    for j in range(12):
+        network_chunk(*ref[:1], ref[1][j:j + 1], *ref[2:11])
+        for p in range(a[3].shape[0] - 1):
+            blk = ref[0][a[3][p]:a[3][p + 1]]
+            np.testing.assert_array_equal(a[-3][p, 4 + j], blk.mean(axis=0))
+            np.testing.assert_array_equal(a[-2][p, 4 + j], blk.std(axis=0))
+            np.testing.assert_array_equal(a[-1][p, 4 + j], blk[:4, 0])
+    np.testing.assert_array_equal(a[0], ref[0])
+    assert np.isnan(a[-3][:, :4]).all()
+
+
+def test_c_network_kernel_rejects_bad_arguments(c_network_chunk):
+    a = _random_network_args("electrical", 8, 5, 1, stride=1)
+    a[-3] = a[-3][:, :-1]  # one record slot too few
+    with pytest.raises(ValueError):
+        c_network_chunk(*a)
+    a = _random_network_args("electrical", 8, 5, 1)
+    a[1] = np.asfortranarray(np.zeros((5, 8)))[:, :7]
+    with pytest.raises(ValueError):
+        c_network_chunk(*a)
+
+
+SWEEP = {"kind": "double-limit-sweep", "seed": 4,
+         "network": {"model": {"family": "fhn-electrical"}, "n_values": [20, 60],
+                     "scalings": [{"kind": "linear"}, {"kind": "sqrt"}], "T": 0.02}}
+
+
+def test_missing_compiler_runs_network_on_numpy_with_same_bytes(tmp_path, monkeypatch):
+    spec = parse_config_dict(SWEEP)
+    compiled = run_experiment(spec, out_dir=tmp_path / "compiled", threads=2)
+    assert compiled["backend"]["network_chunk"] == backend("network_chunk")
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    monkeypatch.setattr(_clib.shutil, "which", lambda name: None)
+    assert active("electrical_chunk") is active("chemical_chunk") is network_chunk
+    fallback = run_experiment(spec, out_dir=tmp_path / "numpy", threads=2)
+    assert fallback["backend"] == {"network_chunk": "numpy", "numpy": np.__version__}
+    assert len(fallback["files"]) > 4
+    assert fallback["files"] == compiled["files"]
 
 
 def test_kernel_rerun_bit_identical():
@@ -336,6 +539,16 @@ class TestNoiseStream:
         a = rng.normal_block(42, rng.NOISE_STREAM, 0, (16,))
         b = rng.normal_block(42, rng.INIT_STREAM, 0, (16,))
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [1, 7, 100, 160, 255])
+    def test_first_rows_are_the_shorter_draw(self, k):
+        # a run's last noise block is drawn only as far as the run reaches
+        full = rng.normal_block(42, rng.NOISE_STREAM, 3, (NOISE_CHUNK, 37))
+        np.testing.assert_array_equal(rng.normal_block(42, rng.NOISE_STREAM, 3, (k, 37)),
+                                      full[:k])
+        full = rng.normal_block(42, rng.NOISE_STREAM, 3, (NOISE_CHUNK, 37, 2))
+        np.testing.assert_array_equal(rng.normal_block(42, rng.NOISE_STREAM, 3, (k, 37, 2)),
+                                      full[:k])
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

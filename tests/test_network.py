@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from balancenet import rng
+from balancenet._kernels import network_chunk
 from balancenet.models import (CUSTOM, FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, PopulationSpec, ScalingRule,
                                build_fhn_chemical, build_fhn_electrical)
 from balancenet.network import (NOISE_CHUNK, BlowupError, ConfigurationError,
                                 CoordinateIC, InitialConditionSpec, NetworkState,
                                 PerturbationEvent, RecordSpec, _column_moments,
+                                _kernel_args,
                                 apply_perturbation, draw_initial_state,
                                 simulate, simulate_rescaled_early,
                                 step_euler_maruyama)
@@ -354,6 +357,59 @@ class TestReproducibilityContract:
             run = simulate(model, init, 1.0, 1e-3, 3, RecordSpec(stride=300))
         assert run.status == "BLOWUP"
         assert [str(w.message) for w in caught] == []
+
+
+class TestNoiseBlocks:
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    def test_partial_last_block_keeps_bytes(self, family, monkeypatch):
+        # the last block is drawn short; the run equals one stepped on
+        # full blocks
+        model, init, _ = _contract_case(family)
+        steps = 2 * NOISE_CHUNK + 37
+        T = steps * CONTRACT_DT
+        shapes = []
+        normal_block = rng.normal_block
+
+        def drawn(seed, purpose, block, shape):
+            shapes.append((purpose, block, shape))
+            return normal_block(seed, purpose, block, shape)
+
+        monkeypatch.setattr(rng, "normal_block", drawn)
+        run = simulate(model, init, T, CONTRACT_DT, 8, RecordSpec(stride=1, snapshot_times=(T,)))
+        N = int(model.offsets[-1])
+        noise = [s for s in shapes if s[0] == rng.NOISE_STREAM]
+        assert noise == [(rng.NOISE_STREAM, 0, (NOISE_CHUNK, N)),
+                         (rng.NOISE_STREAM, 1, (NOISE_CHUNK, N)),
+                         (rng.NOISE_STREAM, 2, (37, N))]
+
+        state = draw_initial_state(model, init, 8).states
+        kernel_args = _kernel_args(model)
+        for chunk in range(3):
+            block = normal_block(8, rng.NOISE_STREAM, chunk, (NOISE_CHUNK, N))
+            k = min(NOISE_CHUNK, steps - chunk * NOISE_CHUNK)
+            assert network_chunk(state, block[:k], CONTRACT_DT, model.offsets,
+                                 *kernel_args) == k
+        np.testing.assert_array_equal(run.snapshots[-1][1], state)
+        assert len(run.times) == steps + 1
+
+
+class TestBlowupStep:
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    def test_stamped_at_first_non_finite_step(self, family):
+        # the kernel stepped one step a call on the run's noise finds the
+        # same step, and the records stop just before it
+        model, init = _runaway_case(family)
+        dt = 1e-3
+        run = simulate(model, init, 1.0, dt, 3, RecordSpec(stride=1))
+        state = draw_initial_state(model, init, 3).states
+        noise = rng.normal_block(3, rng.NOISE_STREAM, 0, (NOISE_CHUNK, state.shape[0]))
+        kernel_args = _kernel_args(model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = next(j for j in range(NOISE_CHUNK)
+                        if network_chunk(state, noise[j:j + 1], dt, model.offsets,
+                                         *kernel_args) == 0)
+        assert run.status == "BLOWUP" and run.blowup_time == (step + 1) * dt
+        np.testing.assert_array_equal(run.times, np.arange(step + 1) * dt)
 
 
 def _assert_same_floats(got, ref):
