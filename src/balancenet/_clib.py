@@ -1,14 +1,16 @@
-"""The C twins of ``_kernels.fp_chunk`` and ``_kernels.network_chunk``:
-build, cache, load and wrap.
+"""The C twins of ``_kernels.fp_chunk``, ``_kernels.network_chunk`` and
+``rng.normal_block``: build, cache, load and wrap.
 
-``_fp_chunk.c`` and ``_network_chunk.c`` are compiled together with
-``cc -O3 -ffp-contract=off -shared -fPIC`` into one library in
-``$XDG_CACHE_HOME/balancenet`` (default ``~/.cache/balancenet``), under a
-name keyed by the sha256 of both sources, the flags, the compiler version
-and the platform, so later processes load it without compiling. An
-unwritable cache gets a private build under the temporary directory. The
-library is called through ``ctypes``, which releases the GIL during each
-call. ``_kernels`` imports this module on the first kernel request.
+``_fp_chunk.c``, ``_network_chunk.c`` and ``_normal_block.c`` are compiled
+together with ``cc -O3 -ffp-contract=off -shared -fPIC`` into one library
+in ``$XDG_CACHE_HOME/balancenet`` (default ``~/.cache/balancenet``), under
+a name keyed by the sha256 of the sources, the flags, the resolved path,
+size and mtime of the compiler binary, and the platform, so later processes
+find it with a few ``stat`` calls and load it without compiling or running
+the compiler. An unwritable cache gets a private build under the temporary
+directory. The library is called through ``ctypes``, which releases the
+GIL during each call. ``_kernels`` imports this module on the first kernel
+request.
 """
 
 from __future__ import annotations
@@ -16,18 +18,21 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
-import subprocess
-import sysconfig
-import tempfile
+import sys
 from pathlib import Path
 
 import numpy as np
 
 _C_SOURCES = tuple(Path(__file__).with_name(name)
-                   for name in ("_fp_chunk.c", "_network_chunk.c"))
+                   for name in ("_fp_chunk.c", "_network_chunk.c", "_normal_block.c"))
 _C_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _C_LIBS = ("-lm",)
+
+
+class _CompileError(Exception):
+    """The compiler failed or timed out."""
 
 
 def _cache_dir() -> Path:
@@ -35,16 +40,36 @@ def _cache_dir() -> Path:
     return Path(base) / "balancenet"
 
 
+def _library_name(cc: str) -> str:
+    """The cached library's file name, keyed by everything that decides its
+    bits. The compiler is identified by its binary, not by asking it, so a
+    cache hit starts no process; an upgrade replaces the binary and with it
+    the key."""
+    real = os.path.realpath(cc)
+    st = os.stat(real)
+    key = hashlib.sha256("\0".join([
+        *(src.read_text() for src in _C_SOURCES), " ".join(_C_FLAGS + _C_LIBS),
+        real, str(st.st_size), str(st.st_mtime_ns),
+        f"{sys.platform}-{platform.machine()}"]).encode()).hexdigest()[:16]
+    return f"kernels-{key}.so"
+
+
 def _compile(cc: str, target: Path) -> None:
     """Compile the C sources to a fresh file next to ``target``, then
     publish it there atomically (os.replace), so that a concurrent reader
-    sees either no library or a whole one."""
+    sees either no library or a whole one. Raises _CompileError when the
+    compiler fails."""
+    import subprocess
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
         subprocess.run([cc, *_C_FLAGS, "-o", tmp, *map(str, _C_SOURCES), *_C_LIBS],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, target)
+    except subprocess.SubprocessError as err:
+        raise _CompileError(str(err)) from err
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -58,12 +83,7 @@ def _load_c_library():
     if cc is None:
         return None
     try:
-        version = subprocess.run([cc, "--version"], check=True, capture_output=True,
-                                 text=True, timeout=60).stdout
-        key = hashlib.sha256("\0".join([
-            *(src.read_text() for src in _C_SOURCES), " ".join(_C_FLAGS + _C_LIBS),
-            version, sysconfig.get_platform()]).encode()).hexdigest()[:16]
-        name = f"kernels-{key}.so"
+        name = _library_name(cc)
         try:
             cache = _cache_dir()
             cache.mkdir(parents=True, exist_ok=True)
@@ -72,12 +92,14 @@ def _load_c_library():
                 _compile(cc, target)
             return ctypes.CDLL(str(target))
         except OSError:
+            import tempfile
+
             # an unwritable cache: build a private copy, unlinked once loaded
             with tempfile.TemporaryDirectory(prefix="balancenet-") as tmp:
                 target = Path(tmp) / name
                 _compile(cc, target)
                 return ctypes.CDLL(str(target))
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, _CompileError):
         return None
 
 
@@ -170,10 +192,47 @@ def _c_network_chunk(lib):
     return network_chunk
 
 
+# the self-check's stream: its 65,536 draws take both slow paths of the
+# ziggurat, 18 tails and 952 wedge tests
+_CHECK_KEY = (0x243F6A8885A308D3, 0x13198A2E03707344)
+_CHECK_DRAWS = 1 << 16
+
+
+def _c_normal_block(lib):
+    """Wrap the C ``normal_block`` of ``lib`` as fill(key0, key1, out), which
+    writes numpy's Generator(Philox(key=[key0, key1])).standard_normal into
+    out and returns it. Its ``self_check()`` tells whether its draws for a
+    fixed key equal numpy's in every bit, so that tables or a libm that do
+    not match the running numpy leave the noise to numpy."""
+    c_fn = lib.normal_block
+    c_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_long]
+    c_fn.restype = None
+
+    def normal_block(key0, key1, out):
+        """numpy's Philox standard normals for the key, in C: same bits."""
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError("normal_block: expected a writeable C-contiguous float64 array")
+        c_fn(key0, key1, out.ctypes.data, out.size)
+        return out
+
+    def self_check() -> bool:
+        from .rng import _generator
+
+        drawn = normal_block(*_CHECK_KEY, np.empty(_CHECK_DRAWS))
+        expected = _generator(_CHECK_KEY).standard_normal(_CHECK_DRAWS)
+        # compared as bits: -0.0 and 0.0, or two NaNs, would pass as floats
+        return np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    normal_block.self_check = self_check
+    return normal_block
+
+
 def load_c_kernels() -> dict:
-    """The C twins by the name of the numpy kernel they follow; empty when
-    no C compiler can build them."""
+    """The C twins by the name of the numpy function they follow; empty
+    when no C compiler can build them."""
     lib = _load_c_library()
     if lib is None:
         return {}
-    return {"fp_chunk": _c_fp_chunk(lib), "network_chunk": _c_network_chunk(lib)}
+    return {"fp_chunk": _c_fp_chunk(lib), "network_chunk": _c_network_chunk(lib),
+            "normal_block": _c_normal_block(lib)}

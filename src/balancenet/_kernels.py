@@ -12,11 +12,14 @@ through the one network kernel; they keep their own keys so that traced
 runs attribute its time to the family that called it. Both kernels have C
 twins (``_network_chunk.c``, ``_fp_chunk.c``, bit-identical to the numpy
 kernels) that ``_clib`` compiles into one library on the first request,
-cached per user; without a working C compiler the numpy kernels run.
+cached per user, together with the C twin of ``rng.normal_block``
+(``_normal_block.c``, handed out by ``c_twin`` once it has matched
+numpy's draws); without a working C compiler the numpy kernels run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -273,10 +276,28 @@ def active(name: str):
     loaded on the first request, or the numpy kernel when no C compiler can
     build it."""
     impl = IMPLEMENTATIONS[name]
-    return _c_kernels().get(impl.__name__, impl)
+    return c_twin(impl.__name__) or impl
+
+
+@functools.cache
+def _passes_self_check(twin) -> bool:
+    """Whether a C twin passes its self-check, if it has one. A twin that
+    must equal a numpy function it does not call (normal_block) is checked
+    against it once, on its first request rather than when the library
+    loads, so a process that never asks for it pays nothing for it."""
+    check = getattr(twin, "self_check", None)
+    return check is None or check()
+
+
+def c_twin(name: str):
+    """The C twin of the numpy function named ``name`` ("network_chunk",
+    "fp_chunk" or "normal_block"), built or loaded on the first request;
+    None when there is none or it fails its self-check."""
+    twin = _c_kernels().get(name)
+    return twin if twin is not None and _passes_self_check(twin) else None
 
 
 def backend(kernel: str) -> str:
-    """What runs for the numpy kernel named ``kernel`` ("network_chunk" or
-    "fp_chunk"): "c" for its C twin, else "numpy"."""
-    return "c" if kernel in _c_kernels() else "numpy"
+    """What runs for the numpy function named ``kernel`` (see c_twin): "c"
+    for its C twin, else "numpy"."""
+    return "c" if c_twin(kernel) is not None else "numpy"

@@ -97,6 +97,7 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) 
     if isinstance(payload, (NetworkRunSpec, RescaledEarlySpec, FiguresSpec)) or (
             isinstance(payload, DoubleLimitSpec) and payload.network is not None):
         backend["network_chunk"] = kernel_backend("network_chunk")
+        backend["normal_block"] = kernel_backend("normal_block")
     manifest = {
         "version": __version__,
         "backend": backend,

@@ -325,10 +325,13 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         kernel = active(model.params.kernel)
         args = _kernel_args(model)
 
-    # noise blocks are keyed by absolute step // NOISE_CHUNK; cache the
-    # current one so a block split by snapshots or events is drawn once.
-    # A block is drawn only as far as the run reaches: the first k rows of
-    # a block are the k-row draw of the same stream
+    # noise blocks are keyed by absolute step // NOISE_CHUNK and drawn into
+    # one buffer per run; the current one is kept so a block split by
+    # snapshots or events is drawn once. A block is drawn only as far as
+    # the run reaches: the first k rows of a block are the k-row draw of
+    # the same stream
+    noise = np.empty((min(NOISE_CHUNK, n_steps), N)
+                     + ((model.populations[0].sigma.shape[1],) if generic else ()))
     cached_chunk = -1
     cached_block = None
 
@@ -336,9 +339,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         nonlocal cached_chunk, cached_block
         if chunk != cached_chunk:
             rows = min(NOISE_CHUNK, n_steps - chunk * NOISE_CHUNK)
-            shape = ((rows, N, model.populations[0].sigma.shape[1])
-                     if generic else (rows, N))
-            cached_block = rng.normal_block(seed, rng.NOISE_STREAM, chunk, shape)
+            cached_block = rng.normal_block(seed, rng.NOISE_STREAM, chunk,
+                                            (rows,) + noise.shape[1:], out=noise[:rows])
             cached_chunk = chunk
         return cached_block
 

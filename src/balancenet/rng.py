@@ -4,29 +4,58 @@ Every random draw in a run is a pure function of (seed, purpose, block
 index, position in block). Blocks are generated from independent Philox
 streams keyed by that tuple, so results never depend on thread count,
 chunking of the integration loop, or generation order across runs.
+
+Normal blocks are drawn by a C twin of numpy's Philox4x64 ziggurat
+(``_normal_block.c``, see ``_kernels.c_twin``) once it is built and has
+matched numpy's draws, else by numpy; both give the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import c_twin
+
 # purpose ids; keep stable, they are part of the reproducibility contract
 NOISE_STREAM = 0
 INIT_STREAM = 1
 SWEEP_STREAM = 2
 
+PURPOSE_BITS = 16
+BLOCK_BITS = 48
 
-def _generator(seed: int, purpose: int, block: int) -> np.random.Generator:
+
+def _key(seed: int, purpose: int, block: int) -> tuple[int, int]:
+    """The Philox key of a stream: the seed, then the purpose above the
+    block index. The bounds keep two streams from sharing a key."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a u64, got {seed}")
-    key = np.array([np.uint64(seed), np.uint64((purpose << 48) + block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if not 0 <= purpose < 2**PURPOSE_BITS:
+        raise ValueError(f"purpose must be in [0, 2^{PURPOSE_BITS}), got {purpose}")
+    if not 0 <= block < 2**BLOCK_BITS:
+        raise ValueError(f"block must be in [0, 2^{BLOCK_BITS}), got {block}")
+    return int(seed), (int(purpose) << BLOCK_BITS) + int(block)
 
 
-def normal_block(seed: int, purpose: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard-normal draws for one block of the stream (seed, purpose, block)."""
-    return _generator(seed, purpose, block).standard_normal(shape)
+def _generator(key: tuple[int, int]) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def normal_block(seed: int, purpose: int, block: int, shape: tuple[int, ...],
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Standard-normal draws for one block of the stream (seed, purpose,
+    block), in C order; written into ``out``, a C-contiguous float64 array
+    of that shape, when given."""
+    key = _key(seed, purpose, block)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != tuple(shape):
+        raise ValueError(f"out has shape {out.shape}, not {tuple(shape)}")
+    fill = c_twin("normal_block")
+    if fill is None:
+        return _generator(key).standard_normal(out=out)
+    return fill(*key, out)
 
 
 def uniform_block(seed: int, purpose: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
-    return _generator(seed, purpose, block).random(shape)
+    return _generator(_key(seed, purpose, block)).random(shape)

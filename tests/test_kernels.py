@@ -96,7 +96,7 @@ def test_registry_keys():
     else:
         assert active("fp_chunk") is not fp_chunk
         assert active("electrical_chunk") is not network_chunk
-        assert backend("fp_chunk") == backend("network_chunk") == "c"
+        assert backend("fp_chunk") == backend("network_chunk") == backend("normal_block") == "c"
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,7 @@ def test_c_fp_kernel_rejects_mismatched_sizes(c_fp_chunk):
 
 @needs_cc
 def test_c_source_compiles_without_warnings(tmp_path):
+    assert {s.name for s in _C_SOURCES} == {"_fp_chunk.c", "_network_chunk.c", "_normal_block.c"}
     for source in _C_SOURCES:
         subprocess.run([shutil.which("cc"), *_C_FLAGS, "-Wall", "-Wextra", "-Werror",
                         "-o", str(tmp_path / f"{source.stem}.so"), str(source)],
@@ -240,6 +241,24 @@ def test_unwritable_cache_builds_in_temp_dir(tmp_path, monkeypatch):
     assert list(tmp.iterdir()) == []  # the private copy is gone once loaded
 
 
+@needs_cc
+def test_cache_hit_starts_no_process(tmp_path, monkeypatch):
+    # a warm cache is found from the compiler binary's stat alone
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    assert backend("fp_chunk") == "c"
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a cache hit ran a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert active("fp_chunk") is not fp_chunk
+    assert backend("network_chunk") == backend("normal_block") == "c"
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 PDE_RUN = {"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2},
            "grid": {"L": 8.0, "cells": 129}, "T": 0.05}
 
@@ -268,7 +287,8 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
     run_experiment(parse_config_dict(PDE_RUN), out_dir=tmp_path / "pde")
     manifest = run_experiment(parse_config_dict(NETWORK_RUN), out_dir=tmp_path / "net")
     assert manifest["backend"] == {"numpy": np.__version__,
-                                   "network_chunk": backend("network_chunk")}
+                                   "network_chunk": backend("network_chunk"),
+                                   "normal_block": backend("normal_block")}
 
 
 EARLY_RUN = {"kind": "rescaled-early", "seed": 2, "model": {"family": "fhn-chemical", "n": 6},
@@ -284,9 +304,13 @@ MIXED_SWEEP = {"kind": "double-limit-sweep", "seed": 2,
                        "T": 0.01}}
 
 
+PDE_SWEEP = {"kind": "double-limit-sweep", "seed": 2, "pde": MIXED_SWEEP["pde"]}
+NOISE = ("network_chunk", "normal_block")
+
+
 @pytest.mark.parametrize("config, kernels", [
-    (NETWORK_RUN, ("network_chunk",)), (EARLY_RUN, ("network_chunk",)),
-    (FIG1_RUN, ("network_chunk",)), (MIXED_SWEEP, ("network_chunk", "fp_chunk")),
+    (NETWORK_RUN, NOISE), (EARLY_RUN, NOISE), (FIG1_RUN, NOISE),
+    (MIXED_SWEEP, (*NOISE, "fp_chunk")), (PDE_SWEEP, ("fp_chunk",)),
     (PDE_RUN, ("fp_chunk",)), (BALANCE_RUN, ())])
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
@@ -296,8 +320,8 @@ def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
 
 
 def test_process_loads_one_library_for_both_kernels(tmp_path):
-    # a network run and a pde run in a fresh interpreter: one compiler
-    # query and one load serve both kernels
+    # a network run and a pde run in a fresh interpreter: one load serves
+    # both kernels and the noise
     code = ("from balancenet import _clib\n"
             "from balancenet.config import parse_config_dict\n"
             "from balancenet.harness import run_experiment\n"
@@ -307,7 +331,26 @@ def test_process_loads_one_library_for_both_kernels(tmp_path):
             f"net = run_experiment(parse_config_dict({NETWORK_RUN!r}), out_dir={str(tmp_path / 'net')!r})\n"
             f"pde = run_experiment(parse_config_dict({PDE_RUN!r}), out_dir={str(tmp_path / 'pde')!r})\n"
             "assert calls == [1], calls\n"
-            "assert net['backend']['network_chunk'] == pde['backend']['fp_chunk']\n")
+            "assert net['backend']['network_chunk'] == pde['backend']['fp_chunk']\n"
+            "assert net['backend']['normal_block'] == pde['backend']['fp_chunk']\n")
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+@needs_cc
+def test_fokker_planck_process_starts_no_process_and_no_noise(tmp_path):
+    # on a warm cache a pde run loads the library without running the
+    # compiler, and never asks for the noise fill, whose self-check would
+    # import numpy.random
+    assert backend("fp_chunk") == "c"
+    code = ("import sys\n"
+            "from balancenet.config import parse_config_dict\n"
+            "from balancenet.harness import run_experiment\n"
+            f"pde = run_experiment(parse_config_dict({PDE_RUN!r}), out_dir={str(tmp_path)!r})\n"
+            "assert pde['backend']['fp_chunk'] == 'c'\n"
+            "assert 'subprocess' not in sys.modules\n"
+            "assert 'numpy.random' not in sys.modules\n")
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
@@ -475,7 +518,8 @@ def test_missing_compiler_runs_network_on_numpy_with_same_bytes(tmp_path, monkey
     monkeypatch.setattr(_clib.shutil, "which", lambda name: None)
     assert active("electrical_chunk") is active("chemical_chunk") is network_chunk
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy", threads=2)
-    assert fallback["backend"] == {"network_chunk": "numpy", "numpy": np.__version__}
+    assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
+                                   "numpy": np.__version__}
     assert len(fallback["files"]) > 4
     assert fallback["files"] == compiled["files"]
 
@@ -524,6 +568,116 @@ def test_simulate_matches_generic_step(family):
     np.testing.assert_allclose(run.snapshots[-1][1], state.states, rtol=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# the C twin of rng.normal_block
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def c_normal_block():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: normal_block runs on numpy")
+    fill = _kernels.c_twin("normal_block")
+    # the library builds, so only a failed self-check can leave it out
+    assert fill is not None, "the C normal fill does not match numpy's draws"
+    return fill
+
+
+def _numpy_normals(seed, purpose, block, shape):
+    return rng._generator(rng._key(seed, purpose, block)).standard_normal(shape)
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@given(seed=st.one_of(st.sampled_from((0, 1, 2 ** 64 - 1)), st.integers(0, 2 ** 64 - 1)),
+       purpose=st.integers(0, 2),
+       block=st.one_of(st.sampled_from((0, 1, 2 ** 48 - 1)), st.integers(0, 2 ** 48 - 1)),
+       shape=st.one_of(st.sampled_from(((0,), (1,), (0, 7), (3, 0))),
+                       st.integers(1, 2000).map(lambda n: (2 * n + 1,)),
+                       st.tuples(st.integers(1, 40), st.integers(1, 300))))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_c_normal_block_bit_identical_to_numpy(c_normal_block, seed, purpose, block, shape):
+    expected = _numpy_normals(seed, purpose, block, shape)
+    _assert_same_bytes(c_normal_block(*rng._key(seed, purpose, block), np.empty(shape)),
+                       expected)
+    _assert_same_bytes(rng.normal_block(seed, purpose, block, shape), expected)
+
+
+def test_c_normal_block_tail_draws_match_numpy(c_normal_block):
+    # about one draw in 4,000 lies beyond the ziggurat's last layer and is
+    # drawn by the tail path (two log1p calls per try)
+    n = 1 << 22
+    drawn = c_normal_block(*rng._key(7, rng.NOISE_STREAM, 11), np.empty(n))
+    expected = _numpy_normals(7, rng.NOISE_STREAM, 11, (n,))
+    tail = np.abs(expected) > 3.6541528853610088
+    assert tail.sum() > 500
+    _assert_same_bytes(drawn[tail], expected[tail])
+    _assert_same_bytes(drawn, expected)
+
+
+def test_c_normal_block_rejects_bad_buffers(c_normal_block):
+    for out in (np.empty((4, 6))[:, ::2], np.empty(4, dtype=np.float32), np.empty(4).tolist()):
+        with pytest.raises(ValueError):
+            c_normal_block(1, 2, out)
+    frozen = np.empty(4)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        c_normal_block(1, 2, frozen)
+
+
+def _patch_first_table_entry(source: str, table: str) -> str:
+    """source with the first entry of the double table nudged by one ulp."""
+    head, rest = source.split(f"{table}[256] = {{", 1)
+    first, tail = rest.split(",", 1)
+    nudged = float.hex(float(np.nextafter(float.fromhex(first.strip()), np.inf)))
+    return f"{head}{table}[256] = {{\n    {nudged},{tail}"
+
+
+@needs_cc
+def test_self_check_falls_back_to_numpy_on_a_wrong_table(tmp_path, monkeypatch):
+    sources = []
+    for src in _C_SOURCES:
+        text = src.read_text()
+        if src.name == "_normal_block.c":
+            text = _patch_first_table_entry(text, "wi_double")
+            assert text != src.read_text()
+        sources.append(tmp_path / src.name)
+        sources[-1].write_text(text)
+    monkeypatch.setattr(_clib, "_C_SOURCES", tuple(sources))
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path / "cache")
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    assert _kernels.c_twin("normal_block") is None
+    assert backend("normal_block") == "numpy"
+    assert backend("network_chunk") == backend("fp_chunk") == "c"
+    _assert_same_bytes(rng.normal_block(9, rng.NOISE_STREAM, 4, (256, 33)),
+                       _numpy_normals(9, rng.NOISE_STREAM, 4, (256, 33)))
+
+
+CHEMICAL_RUN = {"kind": "network-run", "seed": 9, "model": {"family": "fhn-chemical", "n": 40},
+                "T": 0.06, "dt": 1e-4, "record": {"stride": 1, "traces": 3,
+                                                   "snapshot_times": [0.03]}}
+
+
+def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):
+    # three noise blocks, the last one short, recorded every step
+    spec = parse_config_dict(CHEMICAL_RUN)
+    compiled = run_experiment(spec, out_dir=tmp_path / "compiled")
+    assert compiled["backend"]["normal_block"] == backend("normal_block")
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
+    assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
+                                   "numpy": np.__version__}
+    assert fallback["status"] == "COMPLETED"
+    assert len(fallback["files"]) >= 2
+    assert fallback["files"] == compiled["files"]
+
+
 class TestNoiseStream:
     def test_pure_function_of_key(self):
         a = rng.normal_block(42, rng.NOISE_STREAM, 3, (8, 4))
@@ -553,3 +707,29 @@ class TestNoiseStream:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             rng.normal_block(-1, 0, 0, (4,))
+
+    @pytest.mark.parametrize("path", ["c", "numpy"])
+    def test_keys_cannot_alias(self, path, monkeypatch):
+        # purpose 0 with block 2^48 would be the key of purpose 1, block 0
+        if path == "numpy":
+            monkeypatch.setattr(_kernels, "_c_twins", {})
+        elif shutil.which("cc") is None:
+            pytest.skip("no C compiler: normal_block runs on numpy")
+        else:
+            assert backend("normal_block") == "c"
+        for purpose, block in ((0, 2 ** 48), (0, -1), (2 ** 16, 0), (-1, 0)):
+            for draw in (rng.normal_block, rng.uniform_block):
+                with pytest.raises(ValueError):
+                    draw(42, purpose, block, (4,))
+        top = rng.normal_block(42, 2 ** 16 - 1, 2 ** 48 - 1, (4,))
+        _assert_same_bytes(top, _numpy_normals(42, 2 ** 16 - 1, 2 ** 48 - 1, (4,)))
+        assert rng.uniform_block(42, 2 ** 16 - 1, 2 ** 48 - 1, (4,)).shape == (4,)
+
+    def test_out_is_filled_in_place(self):
+        out = np.full((300, 5), np.nan)
+        got = rng.normal_block(42, rng.NOISE_STREAM, 3, (100, 5), out=out[:100])
+        assert np.shares_memory(got, out)
+        _assert_same_bytes(out[:100], rng.normal_block(42, rng.NOISE_STREAM, 3, (100, 5)))
+        assert np.isnan(out[100:]).all()
+        with pytest.raises(ValueError):
+            rng.normal_block(42, rng.NOISE_STREAM, 3, (100, 4), out=out[:100])

@@ -370,9 +370,9 @@ class TestNoiseBlocks:
         shapes = []
         normal_block = rng.normal_block
 
-        def drawn(seed, purpose, block, shape):
+        def drawn(seed, purpose, block, shape, **kwargs):
             shapes.append((purpose, block, shape))
-            return normal_block(seed, purpose, block, shape)
+            return normal_block(seed, purpose, block, shape, **kwargs)
 
         monkeypatch.setattr(rng, "normal_block", drawn)
         run = simulate(model, init, T, CONTRACT_DT, 8, RecordSpec(stride=1, snapshot_times=(T,)))
