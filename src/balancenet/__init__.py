@@ -8,21 +8,16 @@ __version__ = "0.1.0"
 from .models import (FhnChemicalParams, FhnElectricalParams, NetworkModel,
                      PopulationSpec, ScalingRule, SeparableModel1D,
                      build_fhn_chemical, build_fhn_electrical,
-                     build_separable_1d, eval_drift, eval_interaction,
-                     scaling_gamma, validate_hypotheses)
+                     build_separable_1d, scaling_gamma, validate_hypotheses)
 from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
                       PerturbationEvent, RecordSpec, RunRecord,
-                      apply_perturbation, simulate, simulate_rescaled_early,
-                      step_euler_maruyama)
+                      apply_perturbation, simulate, simulate_rescaled_early)
 from .balance import (BalanceReport, EmpiricalMeasure, chemical_balance_voltages,
                       chemical_stability, distance_to_balance,
-                      electrical_balance_projection, integrate_early_ode,
-                      net_input)
+                      integrate_early_ode, net_input)
 from .pde import DensityField, Grid1D, gaussian_initial, solve_fp_1d
 from .hopfcole import (HopfColeField, check_bv_interaction, check_moment_bound,
                        check_supersolution_envelope, check_w_gradient_bound,
                        epsilon_sweep, hamiltonian_residual, hopf_cole,
                        support_width)
-from .stats import (Histogram1D, SeriesReport, cluster_split, dispersion_series,
-                    empirical_moment, histogram, interaction_functional,
-                    weighted_l2_norm)
+from .stats import Histogram1D, cluster_split, histogram

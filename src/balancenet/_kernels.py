@@ -3,9 +3,8 @@ the finite-volume Fokker-Planck update.
 
 Each kernel is one vectorized numpy function that updates its arrays in
 place and is bit-reproducible for identical inputs, however a run is cut
-into chunks. The scalar ``_*_loop`` twins transcribe the same updates agent
-by agent; they are test oracles for tiny sizes only. Timings are measured
-by the benchmark in perfbench/ (see perfbench/README.md).
+into chunks. Timings are measured by the benchmark in perfbench/ (see
+perfbench/README.md).
 
 ``active(name)`` hands a kernel out by name. Both network families step
 through the one network kernel; they keep their own keys so that traced
@@ -145,44 +144,6 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
     return done
 
 
-def _network_chunk_loop(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
-                        fhn, sig):
-    f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = fhn
-    npop = offsets.shape[0] - 1
-    d = states.shape[1]
-    sq = math.sqrt(dt)
-    A = np.empty(npop)
-    B = np.empty(npop)
-    for step in range(noise.shape[0]):
-        A[:] = 0.0
-        B[:] = 0.0
-        for q in range(npop):
-            al = alpha0[q]
-            be = beta0[q]
-            for k in range(d):
-                m = 0.0
-                for i in range(offsets[q], offsets[q + 1]):
-                    m += states[i, k]
-                m /= offsets[q + 1] - offsets[q]
-                al += alpha1[q, k] * m
-                be += beta1[q, k] * m
-            for p in range(npop):
-                A[p] += coef[p, q] * al
-                B[p] += coef[p, q] * be
-        for p in range(npop):
-            for i in range(offsets[p], offsets[p + 1]):
-                x = states[i, 0]
-                y = states[i, 1]
-                fx = ((f3 * x + f2) * x + f1) * x + f0
-                states[i, 0] = x + (fx - y + A[p] * x + B[p]) * dt + sig * sq * noise[step, i]
-                states[i, 1] = y + a * (b * x - y + c) * dt
-                if d > 2:
-                    sv = states[i, 2]
-                    gate = gain / (1.0 + math.exp((theta - x) * inv_slope))
-                    states[i, 2] = sv + (gate * (1.0 - sv) - sv * inv_tau) * dt
-    return bool(np.all(np.isfinite(states)))
-
-
 # ---------------------------------------------------------------------------
 # 1D conservative finite-volume drift-diffusion update
 # ---------------------------------------------------------------------------
@@ -221,29 +182,6 @@ def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
         if not (mu.min() >= NEGATIVITY_FLOOR and mu.max() <= sys.float_info.max):
             return s + 1
     return nsteps
-
-
-def _fp_chunk_loop(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
-                   dx, dt, nsteps, i_out):
-    m = mu.shape[0]
-    inv_dx = 1.0 / dx
-    for s in range(nsteps):
-        big_i = 0.0
-        for j in range(m):
-            big_i += beta_w[j] * mu[j]
-        i_out[s] = big_i
-        ie = inv_eps * big_i
-        flux[0] = 0.0
-        flux[m] = 0.0
-        for f in range(1, m):
-            v = f_face[f] - ie * alpha_face[f]
-            if v > 0.0:
-                adv = v * mu[f - 1]
-            else:
-                adv = v * mu[f]
-            flux[f] = adv - half_sig2 * (mu[f] - mu[f - 1]) * inv_dx
-        for j in range(m):
-            mu[j] += dt * inv_dx * (flux[j] - flux[j + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (ModelDefinitionError, NetworkModel, affine_coefficients,
-                     conductance_source_maps)
+from .models import NetworkModel, affine_coefficients, conductance_source_maps
 from .network import NetworkState
 
 DEGENERACY_RTOL = 1e-10
@@ -41,9 +40,6 @@ class EmpiricalMeasure:
         blocks = tuple(state.block(p).copy()
                        for p in range(len(state.offsets) - 1))
         return cls(blocks)
-
-    def mean_coord(self, p: int, k: int) -> float:
-        return float(self.samples[p][:, k].mean())
 
     def means(self) -> np.ndarray:
         """Per-population mean states, (P, d)."""
@@ -74,16 +70,8 @@ def net_input(model: NetworkModel, p: int, x: np.ndarray,
     (the un-gamma-scaled drift contribution of the network)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[0])
-    if model.affine:
-        A, B = model.affine_coefficients(measure.means())
-        out[0] = A[p] * x[0] + B[p]
-        return out
-    for q in range(model.n_populations):
-        ys = measure.samples[q]
-        acc = np.zeros_like(out)
-        for y in ys:
-            acc += model.eval_interaction(p, q, x, y)
-        out += model.coupling[p, q] * acc / ys.shape[0]
+    A, B = model.affine_coefficients(measure.means())
+    out[0] = A[p] * x[0] + B[p]
     return out
 
 
@@ -141,13 +129,6 @@ def chemical_balance_report(ghat: np.ndarray, E_E: float, E_I: float,
                          sbar=(sbar_E, sbar_I))
 
 
-def electrical_balance_projection(measure: EmpiricalMeasure) -> tuple[float, float]:
-    """Mean voltage of the measure and its dispersion (population-divisor
-    standard deviation), the distance from the Dirac voltage structure."""
-    v = measure.samples[0][:, 0]
-    return float(v.mean()), float(v.std())
-
-
 @dataclass
 class EarlyOdeResult:
     times: np.ndarray
@@ -156,18 +137,9 @@ class EarlyOdeResult:
     blowup_time: float | None = None
 
 
-def _measure_rates(model: NetworkModel, measure: EmpiricalMeasure) -> float | None:
-    """Largest linear contraction/expansion rate max_p |A_p| of the
-    frozen-measure ODE, used to pick the default step."""
-    if not model.affine:
-        return None
-    A, _ = model.affine_coefficients(measure.means())
-    return float(np.max(np.abs(A)))
-
-
 def _rk4_affine(a: float, b: float, x: float, dt: float, col: np.ndarray, last: int) -> int:
     """Classical RK4 for the scalar ODE x' = a x + b, written to col[1:last + 1].
-    It does the operations of the numpy RK4 loop in integrate_early_ode in
+    It does the operations of a numpy RK4 loop over the (P, d) states in
     the same order, so it is bit-identical to it, but on Python floats: a
     fraction of a microsecond per step against ~20 numpy dispatches. Returns
     the first step whose value is non-finite, or last."""
@@ -192,10 +164,10 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
     with the measure frozen. x0 has shape (P, d); divergence is reported via
     a BLOWUP status, not raised.
 
-    For the affine families the right-hand side moves only the voltage, as
-    x_p' = A_p x_p + B_p with constants (A, B) read off the frozen measure,
-    so each population is stepped as one scalar ODE on Python floats;
-    custom interactions step all (P, d) states through net_input.
+    The right-hand side moves only the voltage, as x_p' = A_p x_p + B_p
+    with constants (A, B) read off the frozen measure, so each population
+    is stepped as one scalar ODE on Python floats; the default step is
+    1e-3 / max(1, max_p |A_p|).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P = model.n_populations
@@ -203,8 +175,10 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
         raise ValueError(f"x0 must supply one point per population, got {x0.shape}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be positive and finite, got {T}")
+    # the measure is frozen, and with it the affine coefficients
+    A, B = model.affine_coefficients(frozen_measure.means())
     if dt is None:
-        r = _measure_rates(model, frozen_measure)
+        r = float(np.max(np.abs(A)))
         dt = 1e-3 * min(1.0, 1.0 / r) if r else 1e-3
     elif not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -213,38 +187,13 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
 
     traj = np.empty((n_steps + 1, P, x0.shape[1]))
     traj[0] = x0
-    if model.affine:
-        # the measure is frozen, and with it the affine coefficients; the
-        # other coordinates have zero slope, so each step adds 0.0 to them,
-        # and one that is not finite makes the first step the last
-        A, B = model.affine_coefficients(frozen_measure.means())
-        traj[1:, :, 1:] = x0[:, 1:] + 0.0
-        last = n_steps if np.isfinite(x0[:, 1:]).all() else 1
-        for p in range(P):
-            last = _rk4_affine(float(A[p]), float(B[p]), float(x0[p, 0]), dt,
-                               traj[:, p, 0], last)
-    else:
-        def rhs(xs: np.ndarray) -> np.ndarray:
-            return np.stack([net_input(model, p, xs[p], frozen_measure) for p in range(P)])
-
-        xs = x0.copy()
-        last = n_steps
-        for s in range(1, n_steps + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    k1 = rhs(xs)
-                    k2 = rhs(xs + 0.5 * dt * k1)
-                    k3 = rhs(xs + 0.5 * dt * k2)
-                    k4 = rhs(xs + dt * k3)
-                    xs = xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                except ModelDefinitionError:
-                    # an interaction that overflows on the way is a blowup
-                    # of the step, as in network.step_euler_maruyama
-                    xs = np.full_like(xs, np.nan)
-            traj[s] = xs
-            if not np.isfinite(xs).all():
-                last = s
-                break
+    # the other coordinates have zero slope, so each step adds 0.0 to
+    # them, and one that is not finite makes the first step the last
+    traj[1:, :, 1:] = x0[:, 1:] + 0.0
+    last = n_steps if np.isfinite(x0[:, 1:]).all() else 1
+    for p in range(P):
+        last = _rk4_affine(float(A[p]), float(B[p]), float(x0[p, 0]), dt,
+                           traj[:, p, 0], last)
 
     times = np.arange(last + 1) * dt
     traj = traj[:last + 1]
@@ -256,13 +205,6 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
 def distance_to_balance(state: NetworkState, model: NetworkModel) -> float:
     """Max over agents of the Euclidean norm of the un-gamma-scaled net
     input; exactly zero on the balance manifold."""
-    measure = EmpiricalMeasure.from_state(state)
-    P = model.n_populations
-    if model.affine:
-        A, B = model.affine_coefficients(measure.means())
-        return max(float(np.abs(A[p] * state.block(p)[:, 0] + B[p]).max()) for p in range(P))
-    worst = 0.0
-    for p in range(P):
-        for x in state.block(p):
-            worst = max(worst, float(np.linalg.norm(net_input(model, p, x, measure))))
-    return worst
+    A, B = model.affine_coefficients(EmpiricalMeasure.from_state(state).means())
+    return max(float(np.abs(A[p] * state.block(p)[:, 0] + B[p]).max())
+               for p in range(model.n_populations))

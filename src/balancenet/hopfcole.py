@@ -190,10 +190,6 @@ class BvReport:
     prefix_tv: tuple[float, ...]
 
 
-def total_variation(values: np.ndarray) -> float:
-    return float(np.abs(np.diff(values)).sum())
-
-
 def check_bv_interaction(i_times: np.ndarray, i_values: np.ndarray,
                          points: int = 2001) -> BvReport:
     """Prefix total variation of the interaction series on a uniform
@@ -372,12 +368,6 @@ class ConvergenceReport:
     bv_constants: tuple[float, float] | None = None
     verdicts: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-
-    def diag(self, epsilon: float) -> EpsilonDiagnostics:
-        for d in self.diagnostics:
-            if d.epsilon == epsilon:
-                return d
-        raise KeyError(epsilon)
 
     def headline(self) -> dict:
         return {

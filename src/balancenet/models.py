@@ -17,7 +17,7 @@ import numpy as np
 
 
 class ModelDefinitionError(ValueError):
-    """A model evaluated to a non-finite value or violated an invariant."""
+    """A model definition violated an invariant."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,6 @@ def scaling_gamma(rule: ScalingRule, n: int) -> float:
 
 ELECTRICAL = "fhn-electrical"
 CHEMICAL = "fhn-chemical"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,21 +142,13 @@ class _FhnFamily:
     its FitzHugh-Nagumo drift, its coupling matrix and source maps, and the
     conductances a perturbation may scale. Subclasses also name their
     populations, state dimension, default scaling and the _kernels key
-    their runs are traced under."""
+    their runs are traced under.
 
-    def drift(self, X: np.ndarray) -> np.ndarray:
-        """Drift of an (n, 2) block of states (x, y), or (n, 3) with the
-        synaptic gate s: x' = f(x) - y for the cubic f, y' = a (b x - y + c)
-        and s' = gain (1 - s) / (1 + exp((theta - x) inv_slope)) - s inv_tau."""
-        f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = self.fhn_constants()
-        x = X[:, 0]
-        y = X[:, 1]
-        cols = [((f3 * x + f2) * x + f1) * x + f0 - y, a * (b * x - y + c)]
-        if X.shape[1] > 2:
-            s = X[:, 2]
-            gate = gain / (1.0 + np.exp((theta - x) * inv_slope))
-            cols.append(gate * (1.0 - s) - s * inv_tau)
-        return np.stack(cols, axis=1)
+    fhn_constants() gives (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta,
+    inv_slope) of the drift x' = f(x) - y for the cubic
+    f(x) = ((f3 x + f2) x + f1) x + f0, y' = a (b x - y + c) and, with the
+    synaptic gate s, s' = gain (1 - s) / (1 + exp((theta - x) inv_slope))
+    - s inv_tau."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,17 +266,15 @@ class NetworkModel:
     coupling[p, q] multiplies the population-q average of b_pq(x_i, .) in
     the drift of agents in population p (target-major orientation); ghat
     holds the same couplings source-major, the orientation used by the
-    balance formulas. A built-in family is described by its params (see
-    _FhnFamily); a custom model gives drift_fns and interaction_fn instead.
+    balance formulas. The family is described by its params (see
+    _FhnFamily).
     """
 
     populations: tuple[PopulationSpec, ...]
     family: str
     coupling: np.ndarray
     scaling: ScalingRule
-    params: object | None = None
-    drift_fns: tuple[Callable, ...] | None = None
-    interaction_fn: Callable | None = None
+    params: _FhnFamily
 
     def __post_init__(self):
         npop = len(self.populations)
@@ -297,8 +286,6 @@ class NetworkModel:
             raise ModelDefinitionError("coupling entries must be finite")
         coupling.setflags(write=False)
         object.__setattr__(self, "coupling", coupling)
-        if self.family == CUSTOM and (self.drift_fns is None or self.interaction_fn is None):
-            raise ModelDefinitionError("custom models need drift_fns and interaction_fn")
 
     @property
     def n_populations(self) -> int:
@@ -308,12 +295,6 @@ class NetworkModel:
     def offsets(self) -> np.ndarray:
         """Row offsets of the populations in the stacked state, (P + 1,)."""
         return np.concatenate([[0], np.cumsum([p.n for p in self.populations])]).astype(np.int64)
-
-    @property
-    def affine(self) -> bool:
-        """A built-in family, whose network input is affine in the target
-        voltage (see SourceMaps); custom interactions are summed pairwise."""
-        return self.family in FAMILIES
 
     @property
     def ghat(self) -> np.ndarray:
@@ -334,41 +315,6 @@ class NetworkModel:
     def gamma(self) -> float:
         """gamma(n) evaluated at the per-population size."""
         return scaling_gamma(self.scaling, self.populations[0].n)
-
-    def eval_drift(self, p: int, x: np.ndarray) -> np.ndarray:
-        """Intrinsic drift f_p(x) for a single state vector."""
-        x = np.asarray(x, dtype=float)
-        if self.affine:
-            out = self.params.drift(x[None, :])[0]
-        else:
-            out = np.asarray(self.drift_fns[p](x), dtype=float)
-        if not np.isfinite(out).all():
-            raise ModelDefinitionError(f"drift of population {p} is non-finite at x={x!r}")
-        return out
-
-    def eval_interaction(self, p: int, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Pairwise interaction b_pq(x, y) of a source agent at y in
-        population q acting on a target at x in population p."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.affine:
-            alpha, beta = self.source_maps(y)
-            out = np.zeros_like(x)
-            out[0] = alpha[q] * x[0] + beta[q]
-        else:
-            out = np.asarray(self.interaction_fn(p, q, x, y), dtype=float)
-        if not np.isfinite(out).all():
-            raise ModelDefinitionError(
-                f"interaction ({p}, {q}) is non-finite at x={x!r}, y={y!r}")
-        return out
-
-
-def eval_drift(model: NetworkModel, p: int, x) -> np.ndarray:
-    return model.eval_drift(p, np.asarray(x, dtype=float))
-
-
-def eval_interaction(model: NetworkModel, p: int, q: int, x, y) -> np.ndarray:
-    return model.eval_interaction(p, q, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def build_fhn_network(params: _FhnFamily, n: int = 300,

@@ -7,13 +7,11 @@ counter-keyed blocks (see rng), so a run is a pure function of
 (model, init, T, dt, seed, recorder) regardless of chunking or thread
 count. The network input of the two built-in families is affine in the
 target voltage with coefficients read off population means (see
-models.SourceMaps), reducing a step to O(N); custom interactions fall back
-to an O(N^2) path.
+models.SourceMaps), reducing a step to O(N).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -21,7 +19,7 @@ import numpy as np
 
 from . import rng
 from ._kernels import active, column_moments
-from .models import ModelDefinitionError, NetworkModel, build_fhn_network
+from .models import NetworkModel, build_fhn_network
 
 NOISE_CHUNK = 256
 
@@ -31,12 +29,6 @@ BLOWUP = "BLOWUP"
 
 class ConfigurationError(ValueError):
     """Invalid run configuration, rejected before stepping."""
-
-
-class BlowupError(ArithmeticError):
-    def __init__(self, t: float):
-        super().__init__(f"non-finite state at t={t}")
-        self.t = t
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +44,6 @@ class NetworkState:
     t: float
     states: np.ndarray  # (N, d)
     offsets: np.ndarray  # (P + 1,)
-
-    def population_of(self, i: int) -> int:
-        return int(np.searchsorted(self.offsets, i, side="right") - 1)
 
     def block(self, p: int) -> np.ndarray:
         return self.states[self.offsets[p]:self.offsets[p + 1]]
@@ -124,81 +113,18 @@ class RunRecord:
     meta: dict = field(default_factory=dict)
 
 
-def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> NetworkModel:
-    """Return a model with scaled conductance magnitudes."""
-    if not model.affine:
-        raise ConfigurationError("perturbations are defined for the built-in families only")
+def _check_event(model: NetworkModel, event: PerturbationEvent) -> None:
     unknown = set(event.multipliers) - set(model.params.conductances)
     if unknown:
         raise ConfigurationError(f"unknown conductance entries {sorted(unknown)}")
+
+
+def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> NetworkModel:
+    """Return a model with scaled conductance magnitudes."""
+    _check_event(model, event)
     pr = model.params
     pr = replace(pr, **{k: getattr(pr, k) * m for k, m in event.multipliers.items()})
     return build_fhn_network(pr, n=model.populations[0].n, scaling=model.scaling)
-
-
-# ---------------------------------------------------------------------------
-# generic single step (any family, explicit noise)
-# ---------------------------------------------------------------------------
-
-
-def _drift_block(model: NetworkModel, p: int, X: np.ndarray) -> np.ndarray:
-    if model.affine:
-        return model.params.drift(X)
-    return np.stack([model.eval_drift(p, x) for x in X], axis=0)
-
-
-def _interaction_block(model: NetworkModel, p: int, X: np.ndarray,
-                       state: NetworkState) -> np.ndarray:
-    """Population-q averaged interaction sum_q g_pq mean_j b_pq(x_i, x_j),
-    before the gamma factor.
-
-    Aggregates use exactly rounded summation (math.fsum), so permuting
-    agents within a population permutes the step output exactly.
-    """
-    out = np.zeros_like(X)
-    if model.affine:
-        ybar = np.array([[math.fsum(col) / col.shape[0] for col in state.block(q).T]
-                         for q in range(model.n_populations)])
-        A, B = model.affine_coefficients(ybar)
-        out[:, 0] = A[p] * X[:, 0] + B[p]
-        return out
-    for q in range(model.n_populations):
-        Y = state.block(q)
-        for i in range(X.shape[0]):
-            contrib = np.stack([model.eval_interaction(p, q, X[i], y) for y in Y])
-            acc = np.array([math.fsum(contrib[:, k]) for k in range(X.shape[1])])
-            out[i] += model.coupling[p, q] * acc / Y.shape[0]
-    return out
-
-
-def step_euler_maruyama(state: NetworkState, model: NetworkModel, dt: float,
-                        noise: np.ndarray) -> NetworkState:
-    """One explicit step; noise holds (N, K) standard-normal draws.
-
-    Raises BlowupError when any updated coordinate is non-finite.
-    """
-    if not dt > 0:
-        raise ConfigurationError("dt must be positive")
-    gamma = model.gamma()
-    new = np.empty_like(state.states)
-    sq = math.sqrt(dt)
-    t = state.t + dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, pop in enumerate(model.populations):
-            lo, hi = state.offsets[p], state.offsets[p + 1]
-            X = state.states[lo:hi]
-            try:
-                drift = (_drift_block(model, p, X)
-                         + gamma * _interaction_block(model, p, X, state))
-            except ModelDefinitionError as err:
-                # a runaway state overflowing the drift is a blowup of the
-                # run, not a bad model definition
-                raise BlowupError(t) from err
-            xi = np.atleast_2d(noise[lo:hi])
-            new[lo:hi] = X + drift * dt + sq * (xi @ pop.sigma.T)
-    if not np.isfinite(new).all():
-        raise BlowupError(t)
-    return NetworkState(t=t, states=new, offsets=state.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +188,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     """Integrate the network SDE over [0, T] and record statistics.
 
     Bit-identical output for identical inputs; BLOWUP is recorded as a
-    terminal status with the time of the first failing step.
+    terminal status with the time of the first failing step. The events'
+    times and conductance names are checked before the first step.
 
     The kernel records every stride-th step itself, so a kernel call ends
     only at a snapshot, an event, the edge of a noise block or the last
@@ -277,6 +204,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     for ev in events:
         if not 0 <= ev.t <= T:
             raise ConfigurationError(f"event time {ev.t} outside run horizon")
+        _check_event(model, ev)
 
     n_steps = int(round(T / dt))
     if n_steps < 1:
@@ -320,18 +248,15 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
             _column_moments(blk, means[p, slot], stds[p, slot], work[:blk.shape[0]])
             traces[p, slot, :n_traces[p]] = blk[:n_traces[p], 0]
 
-    generic = not model.affine
-    if not generic:
-        kernel = active(model.params.kernel)
-        args = _kernel_args(model)
+    kernel = active(model.params.kernel)
+    args = _kernel_args(model)
 
     # noise blocks are keyed by absolute step // NOISE_CHUNK and drawn into
     # one buffer per run; the current one is kept so a block split by
     # snapshots or events is drawn once. A block is drawn only as far as
     # the run reaches: the first k rows of a block are the k-row draw of
     # the same stream
-    noise = np.empty((min(NOISE_CHUNK, n_steps), N)
-                     + ((model.populations[0].sigma.shape[1],) if generic else ()))
+    noise = np.empty((min(NOISE_CHUNK, n_steps), N))
     cached_chunk = -1
     cached_block = None
 
@@ -339,8 +264,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         nonlocal cached_chunk, cached_block
         if chunk != cached_chunk:
             rows = min(NOISE_CHUNK, n_steps - chunk * NOISE_CHUNK)
-            cached_block = rng.normal_block(seed, rng.NOISE_STREAM, chunk,
-                                            (rows,) + noise.shape[1:], out=noise[:rows])
+            cached_block = rng.normal_block(seed, rng.NOISE_STREAM, chunk, (rows, N),
+                                            out=noise[:rows])
             cached_chunk = chunk
         return cached_block
 
@@ -359,23 +284,11 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
                 hi = min(s1, (chunk + 1) * NOISE_CHUNK)
                 block = noise_block(chunk)
                 off = step - chunk * NOISE_CHUNK
-                if generic:
-                    try:
-                        for j in range(off, off + hi - step):
-                            state = step_euler_maruyama(state, cur_model, dt, block[j])
-                            if (step + 1) % stride == 0:
-                                record(step + 1)
-                            step += 1
-                    except BlowupError as err:
-                        status = BLOWUP
-                        blowup_time = err.t
-                else:
-                    step += kernel(state.states, block[off:off + hi - step], dt, offsets,
-                                   *args, step, stride, means, stds, traces)
-                    if step < hi:
-                        status = BLOWUP
-                        blowup_time = (step + 1) * dt
-                if status != COMPLETED:
+                step += kernel(state.states, block[off:off + hi - step], dt, offsets,
+                               *args, step, stride, means, stds, traces)
+                if step < hi:
+                    status = BLOWUP
+                    blowup_time = (step + 1) * dt
                     break
             if status != COMPLETED:
                 break
@@ -384,8 +297,6 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
                 record(n_steps)
             if n_steps in snapshot_steps:
                 snapshots.append((n_steps * dt, state.states.copy()))
-            for ev in event_steps.get(n_steps, []):
-                cur_model = apply_perturbation(cur_model, ev)
 
     valid = step // stride + 1 if status == BLOWUP else S
     return RunRecord(

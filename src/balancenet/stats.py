@@ -1,10 +1,7 @@
-"""Empirical statistics over runs and densities: moments, interaction
-functionals, histograms, dispersion series, weighted norms and the
-two-group cluster diagnostic.
-
-Standard deviations use the population convention (divisor n). Reductions
-are single-threaded numpy with a fixed order, so results do not depend on
-thread counts.
+"""Empirical statistics of agent samples: uniform-bin histograms (the
+figure panels) and the two-group cluster diagnostic (the stable chemical
+regime). Reductions are single-threaded numpy with a fixed order, so
+results do not depend on thread counts.
 """
 
 from __future__ import annotations
@@ -12,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import ConfigurationError, RunRecord
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,41 +38,6 @@ class Histogram1D:
         return self.counts / (self.counts.sum() * width)
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesReport:
-    times: np.ndarray
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-
-def empirical_moment(samples, order: int) -> float:
-    """Mean of sample**order."""
-    s = np.asarray(samples, dtype=float)
-    if s.size == 0:
-        raise ValueError("samples must be nonempty")
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    return float(np.mean(s ** order))
-
-
-def interaction_functional(measure, beta) -> float:
-    """integral of beta against a measure: the sample mean of beta for
-    empirical samples, midpoint quadrature for grid densities."""
-    if hasattr(measure, "values") and hasattr(measure, "grid"):
-        vals = np.asarray(beta(measure.grid.centers), dtype=float)
-        return float((vals * measure.values).sum() * measure.grid.dx)
-    s = np.asarray(measure, dtype=float)
-    if s.size == 0:
-        raise ValueError("samples must be nonempty")
-    return float(np.mean(np.asarray(beta(s), dtype=float)))
-
-
 def histogram(samples, lo: float, hi: float, bins: int) -> Histogram1D:
     """Uniform-bin histogram; out-of-range samples are clamped into the edge
     bins and counted in the report."""
@@ -97,37 +57,6 @@ def histogram(samples, lo: float, hi: float, bins: int) -> Histogram1D:
     counts = np.bincount(idx, minlength=bins).astype(np.int64)
     return Histogram1D(lo=lo, hi=hi, counts=counts,
                        clamped_low=clamped_low, clamped_high=clamped_high)
-
-
-def dispersion_series(run: RunRecord, coordinate: int, population: int) -> SeriesReport:
-    """Per-sample-time standard deviation across agents (divisor n)."""
-    if population >= len(run.stds):
-        raise ConfigurationError(f"run has no population {population}")
-    stds = run.stds[population]
-    if stds.size == 0 or coordinate >= stds.shape[1]:
-        raise ConfigurationError(
-            f"run did not record dispersion for coordinate {coordinate}")
-    return SeriesReport(times=run.times.copy(), values=stds[:, coordinate].copy(),
-                        label=f"std[pop={population}, coord={coordinate}]")
-
-
-def weighted_l2_norm(density, kappa: float) -> float:
-    """sqrt(sum mu_j^2 exp(kappa (1 + x_j^2)) dx) on the truncated grid.
-
-    The weight grows like exp(kappa x^2); a non-finite result (too large a
-    domain for the requested kappa) is reported as an OverflowError.
-    """
-    if not 0 < kappa < 1:
-        raise ValueError("kappa must lie in (0, 1)")
-    x = density.grid.centers
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(kappa * (1.0 + x ** 2))
-        terms = np.where(density.values == 0.0, 0.0, density.values ** 2 * w)
-    total = float(terms.sum() * density.grid.dx)
-    if not np.isfinite(total):
-        raise OverflowError(
-            f"weight exp({kappa}*(1+x^2)) overflows on [-{density.grid.L}, {density.grid.L}]")
-    return float(np.sqrt(total))
 
 
 def cluster_split(samples, pivot: float) -> tuple[float, float, float]:

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from balancenet.balance import (DegenerateDenominatorError, EmpiricalMeasure,
                                 chemical_balance_report,
                                 chemical_balance_voltages, chemical_stability,
-                                distance_to_balance,
-                                electrical_balance_projection,
-                                integrate_early_ode, net_input)
-from balancenet.models import (CUSTOM, FhnChemicalParams, FhnElectricalParams,
-                               NetworkModel, PopulationSpec, ScalingRule,
-                               build_fhn_chemical, build_fhn_electrical)
+                                distance_to_balance, integrate_early_ode,
+                                net_input)
+from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
+                               ScalingRule, build_fhn_chemical,
+                               build_fhn_electrical)
 from balancenet.network import NetworkState
+
+from .oracles import pairwise_input, pairwise_model
 
 GHAT_2A = np.array([[0.3, 2.0], [-1.0, -10.0]])
 
@@ -60,33 +61,40 @@ class TestNetInput:
         # at the computed balance voltage the voltage component vanishes
         model = chem_model()
         measure = chem_measure(0.73, 1.21)
-        sbar_E = measure.mean_coord(0, 2)
-        sbar_I = measure.mean_coord(1, 2)
+        sbar_E = float(measure.samples[0][:, 2].mean())
+        sbar_I = float(measure.samples[1][:, 2].mean())
         xE, xI = chemical_balance_voltages(model.ghat, 3.0, -1.0, sbar_E, sbar_I)
         for p, xs in enumerate((xE, xI)):
             out = net_input(model, p, [xs, 0.0, 0.0], measure)
             assert abs(out[0]) <= 1e-12
 
-    def test_custom_family_matches_pairwise_oracle(self):
-        # a non-affine interaction goes through the pairwise path
-        def interaction(p, q, x, y):
-            return np.array([np.sin(y[0]) - x[0] * y[1], x[1] * y[0] ** 2])
-
-        model = NetworkModel(
-            populations=(PopulationSpec("a", 4, 2, np.zeros((2, 1))),),
-            family=CUSTOM, coupling=np.array([[0.7]]),
-            scaling=ScalingRule("constant", 1.0),
-            drift_fns=(lambda x: np.zeros(2),), interaction_fn=interaction)
-        rng = np.random.default_rng(8)
-        samples = rng.normal(size=(7, 2))
-        measure = EmpiricalMeasure((samples,))
-        x = np.array([0.4, -1.0])
-        expect = np.zeros(2)
-        for y in samples:
-            expect += np.array([np.sin(y[0]) - x[0] * y[1], x[1] * y[0] ** 2])
-        expect = 0.7 * expect / len(samples)
-        np.testing.assert_allclose(net_input(model, 0, x, measure), expect,
-                                   rtol=1e-12)
+    @given(family=st.sampled_from(("electrical", "chemical")),
+           sizes=st.lists(st.integers(1, 9), min_size=2, max_size=2),
+           couplings=st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1), p=st.integers(0, 1))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_built_in_families_match_pairwise_oracle(self, family, sizes, couplings,
+                                                     seed, p):
+        # the affine shortcut A_p x_0 + B_p equals the interaction summed
+        # over every source agent
+        if family == "electrical":
+            model, p = elec_model(g=couplings[0]), 0
+        else:
+            g_EE, g_EI, g_IE, g_II = couplings
+            model = chem_model(g_EE=g_EE, g_EI=g_EI, g_IE=g_IE, g_II=g_II)
+        gen = np.random.default_rng(seed)
+        d = model.populations[0].dim
+        samples = tuple(gen.normal(scale=2.0, size=(n, d))
+                        for n in sizes[:model.n_populations])
+        x = gen.normal(scale=2.0, size=d)
+        expect = pairwise_input(pairwise_model(model), p, x, samples)
+        # the sums may cancel: compare on the scale of their terms
+        maps = model.source_maps
+        scale = sum(abs(c) * max(abs(maps(y)[0][q] * x[0]) + abs(maps(y)[1][q])
+                                 for y in samples[q])
+                    for q, c in enumerate(model.coupling[p]))
+        np.testing.assert_allclose(net_input(model, p, x, EmpiricalMeasure(samples)),
+                                   expect, rtol=0, atol=1e-13 * scale)
 
 
 class TestBalanceVoltages:
@@ -172,17 +180,17 @@ class TestStability:
 
 
 class TestElectricalProjection:
+    # the mean voltage of the measure and its dispersion (divisor n), the
+    # distance from the Dirac voltage structure
     def test_point_mass(self):
         m = EmpiricalMeasure((np.array([[2.0, 0.1], [2.0, -0.4]]),))
-        xs, disp = electrical_balance_projection(m)
-        assert xs == 2.0
-        assert disp == 0.0
+        assert m.means()[0, 0] == 2.0
+        assert m.samples[0][:, 0].std() == 0.0
 
     def test_two_values(self):
         m = EmpiricalMeasure((np.array([[0.0, 0.0], [2.0, 0.0]]),))
-        xs, disp = electrical_balance_projection(m)
-        assert xs == 1.0
-        assert disp == 1.0
+        assert m.means()[0, 0] == 1.0
+        assert m.samples[0][:, 0].std() == 1.0
 
 
 def early_ode_reference(model, measure, x0, T, dt=None):
@@ -261,7 +269,7 @@ class TestEarlyOde:
     def test_chemical_converges_to_balance_voltage(self):
         model = chem_model()
         measure = chem_measure(0.5, 0.5)
-        sE, sI = (measure.mean_coord(q, 2) for q in range(2))
+        sE, sI = (float(measure.samples[q][:, 2].mean()) for q in range(2))
         xE, xI = chemical_balance_voltages(model.ghat, 3.0, -1.0, sE, sI)
         rate = chemical_stability(model.ghat, sE, sI)[0].rate
         T = 20.0 / abs(rate)
@@ -329,17 +337,10 @@ class TestEarlyOde:
         assert res.blowup_time == 1e-2 and len(res.times) == 2
         assert_matches_reference(res, early_ode_reference(model, measure, x0, 1.0, 1e-2))
 
-    def test_custom_family_steps_through_net_input(self):
-        # net input g (mean y_0 - x_0) e_0 relaxes x_0 exponentially to the
-        # measure's mean; x_1 has zero slope
-        def interaction(p, q, x, y):
-            return np.array([y[0] - x[0], 0.0])
-
-        model = NetworkModel(
-            populations=(PopulationSpec("a", 3, 2, np.zeros((2, 1))),),
-            family=CUSTOM, coupling=np.array([[0.8]]),
-            scaling=ScalingRule("constant", 1.0),
-            drift_fns=(lambda x: np.zeros(2),), interaction_fn=interaction)
+    def test_electrical_relaxes_to_measure_mean(self):
+        # the electrical net input g (mean y_0 - x_0) e_0 relaxes x_0
+        # exponentially to the measure's mean; x_1 has zero slope
+        model = elec_model(g=0.8)
         measure = EmpiricalMeasure((np.array([[1.0, 0.0], [2.0, 5.0]]),))
         res = integrate_early_ode(model, measure, np.array([[3.0, -0.5]]), 2.0, dt=1e-2)
         assert res.status == "COMPLETED" and res.blowup_time is None
@@ -347,21 +348,6 @@ class TestEarlyOde:
         np.testing.assert_allclose(res.traj[:, 0, 0], 1.5 + 1.5 * np.exp(-0.8 * res.times),
                                    rtol=1e-9)
         np.testing.assert_array_equal(res.traj[:, 0, 1], -0.5)
-
-    def test_custom_interaction_overflow_is_blowup(self):
-        # x' = x^2 from x = 1 runs away at t = 1; the interaction overflows
-        # at a still-finite state, which ends the run as BLOWUP there
-        model = NetworkModel(
-            populations=(PopulationSpec("a", 1, 1, np.zeros((1, 1))),),
-            family=CUSTOM, coupling=np.array([[1.0]]),
-            scaling=ScalingRule("constant", 1.0),
-            drift_fns=(lambda x: np.zeros(1),),
-            interaction_fn=lambda p, q, x, y: x ** 2)
-        measure = EmpiricalMeasure((np.array([[0.0]]),))
-        res = integrate_early_ode(model, measure, np.array([[1.0]]), 2.0, dt=1e-3)
-        assert res.status == "BLOWUP"
-        assert res.blowup_time == res.times[-1] and 0.99 < res.blowup_time < 1.01
-        assert np.isfinite(res.traj[:-1]).all() and not np.isfinite(res.traj[-1]).all()
 
     @pytest.mark.parametrize("T, dt", [(0.0, None), (-1.0, None), (np.nan, None),
                                        (np.inf, None), (1.0, 0.0), (1.0, -1e-3),
@@ -432,5 +418,5 @@ class TestLateSnapshotDispersion:
                        RecordSpec(stride=100, snapshot_times=(0.15,)))
         _, states = run.snapshots[-1]
         measure = EmpiricalMeasure((states,))
-        _, dispersion = electrical_balance_projection(measure)
+        dispersion = measure.samples[0][:, 0].std()
         assert dispersion <= 2.0 / np.sqrt(2.0 * 300.0 * 1.0)

@@ -93,3 +93,17 @@ class TestModuleEntryPoint:
         assert done.stdout == "network-run: COMPLETED; 2 files\n"
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["status"] == "COMPLETED" and len(manifest["files"]) == 2
+
+
+class TestBenchmarkTraceTargets:
+    def test_every_trace_target_exists(self, tmp_path):
+        # perfbench/spans.py raises on a trace target it cannot find, so a
+        # function renamed or deleted in src/ shows here rather than as a
+        # failed traced benchmark run
+        root = Path(balancenet.__file__).resolve().parents[2]
+        path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+        done = subprocess.run([sys.executable, "-c",
+                               "import spans; spans.install(spans.Tracer())"],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

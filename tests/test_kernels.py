@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 
 from balancenet import _clib, _kernels, rng
 from balancenet._clib import _C_FLAGS, _C_SOURCES
-from balancenet._kernels import (IMPLEMENTATIONS, _fp_chunk_loop,
-                                 _network_chunk_loop, active, backend, fp_chunk,
+from balancenet._kernels import (IMPLEMENTATIONS, active, backend, fp_chunk,
                                  network_chunk)
 from balancenet.config import parse_config_dict
-from balancenet.harness import run_experiment
+from balancenet.harness import numpy_exp_target, run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                ScalingRule, build_fhn_chemical,
                                build_fhn_electrical, conductance_source_maps)
 from balancenet.network import (NOISE_CHUNK, CoordinateIC, InitialConditionSpec,
-                                RecordSpec, draw_initial_state, simulate,
-                                step_euler_maruyama)
+                                RecordSpec, draw_initial_state, simulate)
+
+from .oracles import fp_chunk_loop, network_chunk_loop, pairwise_model, pairwise_step
 
 ELECTRICAL_MAPS = (np.array([-1.0]), np.zeros((1, 2)), np.zeros(1), np.array([[1.0, 0.0]]))
 
@@ -70,7 +70,7 @@ def test_network_kernel_matches_loop_oracle(maker):
     args_np = maker()
     args_loop = maker()
     assert network_chunk(*args_np)
-    assert _network_chunk_loop(*args_loop)
+    assert network_chunk_loop(*args_loop)
     np.testing.assert_allclose(args_np[0], args_loop[0], rtol=1e-11, atol=1e-13)
 
 
@@ -78,7 +78,7 @@ def test_fp_kernel_matches_loop_oracle():
     args_np = _fp_args()
     args_loop = _fp_args()
     fp_chunk(*args_np)
-    _fp_chunk_loop(*args_loop)
+    fp_chunk_loop(*args_loop)
     np.testing.assert_allclose(args_np[0], args_loop[0], rtol=1e-11, atol=1e-16)
     np.testing.assert_allclose(args_np[-1], args_loop[-1], rtol=1e-12)
 
@@ -288,7 +288,8 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
     manifest = run_experiment(parse_config_dict(NETWORK_RUN), out_dir=tmp_path / "net")
     assert manifest["backend"] == {"numpy": np.__version__,
                                    "network_chunk": backend("network_chunk"),
-                                   "normal_block": backend("normal_block")}
+                                   "normal_block": backend("normal_block"),
+                                   "numpy_exp": numpy_exp_target()}
 
 
 EARLY_RUN = {"kind": "rescaled-early", "seed": 2, "model": {"family": "fhn-chemical", "n": 6},
@@ -314,7 +315,9 @@ NOISE = ("network_chunk", "normal_block")
     (PDE_RUN, ("fp_chunk",)), (BALANCE_RUN, ())])
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
-    assert manifest["backend"] == {"numpy": np.__version__, **{k: backend(k) for k in kernels}}
+    exp = {"numpy_exp": numpy_exp_target()} if "network_chunk" in kernels else {}
+    assert manifest["backend"] == {"numpy": np.__version__, **exp,
+                                   **{k: backend(k) for k in kernels}}
     expected = "numpy" if shutil.which("cc") is None else "c"
     assert all(manifest["backend"][k] == expected for k in kernels)
 
@@ -336,6 +339,24 @@ def test_process_loads_one_library_for_both_kernels(tmp_path):
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+@pytest.mark.skipif(numpy_exp_target() != "X86_V4",
+                    reason="numpy's float64 exp does not dispatch to X86_V4 here")
+def test_manifest_records_the_exp_dispatch_target(tmp_path):
+    # the chemical gate's exp, and with it the chemical bytes, depends on
+    # the loop numpy dispatches to; a run without AVX-512 says which
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "network-run", "seed": 3,
+                               "model": {"family": "fhn-chemical", "n": 8},
+                               "T": 0.002, "dt": 1e-4}))
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
+    subprocess.run([sys.executable, "-m", "balancenet", "simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")], check=True, env=env, timeout=120)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["backend"]["numpy_exp"] == "X86_V3"
 
 
 @needs_cc
@@ -519,7 +540,7 @@ def test_missing_compiler_runs_network_on_numpy_with_same_bytes(tmp_path, monkey
     assert active("electrical_chunk") is active("chemical_chunk") is network_chunk
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy", threads=2)
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
-                                   "numpy": np.__version__}
+                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target()}
     assert len(fallback["files"]) > 4
     assert fallback["files"] == compiled["files"]
 
@@ -546,8 +567,9 @@ FIG2A = FhnChemicalParams((-1.0, 1.3, -0.3, 0.0), 0.4, 1.5, 1.0, 1.0, 1.0, 1.0,
 
 @pytest.mark.parametrize("family", ["electrical", "chemical"])
 def test_simulate_matches_generic_step(family):
-    # the kernel path of simulate against repeated step_euler_maruyama (the
-    # exactly summed generic path), both fed the same noise blocks
+    # the kernel path of simulate against repeated pairwise steps (the
+    # interaction summed exactly over every pair), both fed the same noise
+    # blocks
     if family == "electrical":
         model = build_fhn_electrical(FIG1, n=6, scaling=ScalingRule("constant", 20.0))
         init = InitialConditionSpec(((CoordinateIC("normal", 1.0, 2.0),
@@ -562,9 +584,10 @@ def test_simulate_matches_generic_step(family):
     run = simulate(model, init, T, dt, seed, RecordSpec(stride=steps, snapshot_times=(T,)))
     state = draw_initial_state(model, init, seed)
     N = state.states.shape[0]
+    oracle = pairwise_model(model)
     for step in range(steps):
         block = rng.normal_block(seed, rng.NOISE_STREAM, step // NOISE_CHUNK, (NOISE_CHUNK, N))
-        state = step_euler_maruyama(state, model, dt, block[step % NOISE_CHUNK][:, None])
+        state = pairwise_step(state, oracle, dt, block[step % NOISE_CHUNK][:, None])
     np.testing.assert_allclose(run.snapshots[-1][1], state.states, rtol=1e-10)
 
 
@@ -672,7 +695,7 @@ def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernels, "_c_twins", None)
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
-                                   "numpy": np.__version__}
+                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target()}
     assert fallback["status"] == "COMPLETED"
     assert len(fallback["files"]) >= 2
     assert fallback["files"] == compiled["files"]

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                ModelDefinitionError, ScalingRule,
                                build_fhn_chemical, build_fhn_electrical,
-                               build_separable_1d, eval_drift,
-                               eval_interaction, scaling_gamma,
+                               build_separable_1d, scaling_gamma,
                                validate_hypotheses)
+
+from .oracles import family_callables
 
 FIG1 = FhnElectricalParams(f_coeffs=(-1.0, 5.0, -4.0, 4.0), a=0.005, b=6.0,
                            g=1.0, sigma=1.0)
@@ -16,6 +17,11 @@ FIG2A = FhnChemicalParams(f_coeffs=(-1.0, 1.3, -0.3, 0.0), a=0.4, b=1.5, c=1.0,
                           tau=1.0, alpha_gain=1.0, alpha_threshold=1.0,
                           alpha_slope=0.2, E_E=3.0, E_I=-1.0,
                           g_EE=0.3, g_EI=2.0, g_IE=1.0, g_II=10.0, sigma=1.0)
+
+# the drift and pairwise interaction each family's fhn_constants() and
+# source_maps() describe
+FIG1_DRIFT, FIG1_INTERACTION = family_callables(FIG1)
+FIG2A_DRIFT, FIG2A_INTERACTION = family_callables(FIG2A)
 
 
 def horner_oracle(coeffs, x):
@@ -60,18 +66,15 @@ class TestScaling:
 
 class TestElectricalModel:
     def test_drift_at_origin(self):
-        model = build_fhn_electrical(FIG1)
-        np.testing.assert_allclose(eval_drift(model, 0, [0.0, 0.0]), [4.0, 0.0])
+        np.testing.assert_allclose(FIG1_DRIFT(0, [0.0, 0.0]), [4.0, 0.0])
 
     def test_drift_recovery_slope(self):
-        model = build_fhn_electrical(FIG1)
-        np.testing.assert_allclose(eval_drift(model, 0, [1.0, 0.0]), [4.0, 0.03])
+        np.testing.assert_allclose(FIG1_DRIFT(0, [1.0, 0.0]), [4.0, 0.03])
 
     def test_drift_matches_horner_oracle(self):
-        model = build_fhn_electrical(FIG1)
         for x, y in [(2.0, 1.0), (-1.5, 0.3), (3.7, -2.0)]:
             expect = horner_oracle(FIG1.f_coeffs, x) - y
-            got = eval_drift(model, 0, [x, y])
+            got = FIG1_DRIFT(0, [x, y])
             assert got[0] == pytest.approx(expect, rel=1e-12)
             assert got[1] == pytest.approx(FIG1.a * (FIG1.b * x - y), rel=1e-12)
 
@@ -83,16 +86,14 @@ class TestElectricalModel:
         assert model.populations[0].sigma[0, 0] == 1.0
 
     def test_interaction_voltage_difference(self):
-        model = build_fhn_electrical(FIG1)
         np.testing.assert_allclose(
-            eval_interaction(model, 0, 0, [1.0, 9.0], [3.0, -4.0]), [2.0, 0.0])
+            FIG1_INTERACTION(0, 0, [1.0, 9.0], [3.0, -4.0]), [2.0, 0.0])
 
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=50, derandomize=True)
     def test_interaction_vanishes_on_diagonal(self, x, y):
-        model = build_fhn_electrical(FIG1)
         np.testing.assert_array_equal(
-            eval_interaction(model, 0, 0, [x, y], [x, y]), [0.0, 0.0])
+            FIG1_INTERACTION(0, 0, [x, y], [x, y]), [0.0, 0.0])
 
     def test_zero_coupling_allowed(self):
         params = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 0.0, 1.0)
@@ -130,14 +131,13 @@ class TestChemicalModel:
         assert np.all(model.coupling[:, 1] <= 0)
 
     def test_interaction_term(self):
-        model = build_fhn_chemical(FIG2A)
         x = np.array([0.5, 1.0, 0.2])
         y = np.array([-2.0, 0.0, 0.8])
         # source population E: (x0 - E_E) * s_source
-        np.testing.assert_allclose(eval_interaction(model, 1, 0, x, y),
+        np.testing.assert_allclose(FIG2A_INTERACTION(1, 0, x, y),
                                    [(0.5 - 3.0) * 0.8, 0.0, 0.0])
         # source population I
-        np.testing.assert_allclose(eval_interaction(model, 0, 1, x, y),
+        np.testing.assert_allclose(FIG2A_INTERACTION(0, 1, x, y),
                                    [(0.5 - (-1.0)) * 0.8, 0.0, 0.0])
 
     def test_uncoupled_when_zero(self):
@@ -148,8 +148,7 @@ class TestChemicalModel:
 
     def test_s_equation_decay(self):
         # at s = 1 with alpha(x) ~= 0 the synapse decays at rate 1/tau
-        model = build_fhn_chemical(FIG2A)
-        d = eval_drift(model, 0, [-50.0, 0.0, 1.0])
+        d = FIG2A_DRIFT(0, [-50.0, 0.0, 1.0])
         assert d[2] == pytest.approx(-1.0 / FIG2A.tau, abs=1e-9)
 
     def test_invariants_rejected(self):

@@ -7,54 +7,53 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from balancenet import rng
+from balancenet import network, rng
 from balancenet._kernels import network_chunk
-from balancenet.models import (CUSTOM, FhnChemicalParams, FhnElectricalParams,
-                               NetworkModel, PopulationSpec, ScalingRule,
-                               build_fhn_chemical, build_fhn_electrical)
-from balancenet.network import (NOISE_CHUNK, BlowupError, ConfigurationError,
-                                CoordinateIC, InitialConditionSpec, NetworkState,
+from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
+                               ScalingRule, build_fhn_chemical,
+                               build_fhn_electrical)
+from balancenet.network import (NOISE_CHUNK, ConfigurationError, CoordinateIC,
+                                InitialConditionSpec, NetworkState,
                                 PerturbationEvent, RecordSpec, _column_moments,
-                                _kernel_args,
-                                apply_perturbation, draw_initial_state,
-                                simulate, simulate_rescaled_early,
-                                step_euler_maruyama)
+                                _kernel_args, apply_perturbation,
+                                draw_initial_state, simulate,
+                                simulate_rescaled_early)
+
+from .oracles import BlowupError, PairwiseModel, pairwise_model, pairwise_step
 
 FIG1 = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 1.0, 1.0)
 FIG1_INIT = InitialConditionSpec(((CoordinateIC("normal", 1.0, 5.0),
                                    CoordinateIC("normal", 1.5, 5.0)),))
 
 
-def scalar_custom_model(drift, n=1, g=0.0, sigma=0.0, gamma=1.0,
-                        interaction=None):
-    pop = PopulationSpec("a", n, 1, np.array([[sigma]]))
-    return NetworkModel(
-        populations=(pop,), family=CUSTOM, coupling=np.array([[g]]),
-        scaling=ScalingRule("constant", gamma),
-        drift_fns=(drift,),
-        interaction_fn=interaction or (lambda p, q, x, y: np.zeros(1)))
+def scalar_model(drift, n=1, g=0.0, sigma=0.0, gamma=1.0, interaction=None):
+    """n scalar agents in one population for the pairwise step."""
+    return PairwiseModel(
+        offsets=np.array([0, n]), coupling=np.array([[g]]), gamma=gamma,
+        sigmas=(np.array([[sigma]]),), drift=lambda p, x: drift(x),
+        interaction=interaction or (lambda p, q, x, y: np.zeros(1)))
 
 
 class TestStep:
     def test_identity_when_everything_off(self):
-        model = scalar_custom_model(lambda x: np.zeros(1), n=4)
+        model = scalar_model(lambda x: np.zeros(1), n=4)
         st = NetworkState(0.0, np.array([[1.0], [2.0], [-3.0], [0.5]]),
                           np.array([0, 4]))
-        out = step_euler_maruyama(st, model, 0.1, np.zeros((4, 1)))
+        out = pairwise_step(st, model, 0.1, np.zeros((4, 1)))
         np.testing.assert_array_equal(out.states, st.states)
         assert out.t == pytest.approx(0.1)
 
     def test_explicit_euler_arithmetic(self):
-        model = scalar_custom_model(lambda x: -x)
+        model = scalar_model(lambda x: -x)
         st = NetworkState(0.0, np.array([[1.0]]), np.array([0, 1]))
-        out = step_euler_maruyama(st, model, 0.1, np.zeros((1, 1)))
+        out = pairwise_step(st, model, 0.1, np.zeros((1, 1)))
         assert out.states[0, 0] == pytest.approx(0.9)
 
     def test_two_agent_coupling_matches_matrix_exponential(self):
         # pure diffusive coupling of two scalar agents is linear; the
         # Euler-Maruyama path must converge to expm at first order
         g, gamma = 1.0, 3.0
-        model = scalar_custom_model(
+        model = scalar_model(
             lambda x: np.zeros(1), n=2, g=g, gamma=gamma,
             interaction=lambda p, q, x, y: y - x)
         A = gamma * g / 2.0 * np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -66,7 +65,7 @@ class TestStep:
             steps = int(round(T / dt))
             worst = 0.0
             for k in range(1, steps + 1):
-                st = step_euler_maruyama(st, model, dt, np.zeros((2, 1)))
+                st = pairwise_step(st, model, dt, np.zeros((2, 1)))
                 exact = expm(A * (k * dt)) @ x0
                 worst = max(worst, np.max(np.abs(st.states[:, 0] - exact)))
             errs.append(worst)
@@ -74,27 +73,29 @@ class TestStep:
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
 
     def test_blowup_raised(self):
-        model = scalar_custom_model(lambda x: x ** 3)
+        model = scalar_model(lambda x: x ** 3)
         st = NetworkState(0.0, np.array([[1e160]]), np.array([0, 1]))
         with pytest.raises(BlowupError):
-            step_euler_maruyama(st, model, 1.0, np.zeros((1, 1)))
+            pairwise_step(st, model, 1.0, np.zeros((1, 1)))
 
     def test_permutation_equivariance_exact(self):
-        model = build_fhn_electrical(FIG1, n=6, scaling=ScalingRule("constant", 5.0))
+        model = pairwise_model(
+            build_fhn_electrical(FIG1, n=6, scaling=ScalingRule("constant", 5.0)))
         rng = np.random.default_rng(3)
         states = rng.normal(size=(6, 2))
         noise = rng.normal(size=(6, 1))
         perm = np.array([4, 2, 0, 5, 1, 3])
         st = NetworkState(0.0, states.copy(), np.array([0, 6]))
         st_p = NetworkState(0.0, states[perm].copy(), np.array([0, 6]))
-        out = step_euler_maruyama(st, model, 0.01, noise)
-        out_p = step_euler_maruyama(st_p, model, 0.01, noise[perm])
+        out = pairwise_step(st, model, 0.01, noise)
+        out_p = pairwise_step(st_p, model, 0.01, noise[perm])
         np.testing.assert_array_equal(out_p.states, out.states[perm])
 
     def test_permutation_equivariance_multistep_chemical(self):
         params = FhnChemicalParams((-1.0, 1.3, -0.3, 0.0), 0.4, 1.5, 1.0, 1.0,
                                    1.0, 1.0, 0.2, 3.0, -1.0, 0.3, 2.0, 1.0, 10.0, 1.0)
-        model = build_fhn_chemical(params, n=4, scaling=ScalingRule("constant", 2.0))
+        model = pairwise_model(
+            build_fhn_chemical(params, n=4, scaling=ScalingRule("constant", 2.0)))
         rng = np.random.default_rng(11)
         states = rng.normal(size=(8, 3))
         # permute within each population independently
@@ -103,8 +104,8 @@ class TestStep:
         st_p = NetworkState(0.0, states[perm].copy(), np.array([0, 4, 8]))
         for _ in range(5):
             noise = rng.normal(size=(8, 1))
-            st = step_euler_maruyama(st, model, 0.01, noise)
-            st_p = step_euler_maruyama(st_p, model, 0.01, noise[perm])
+            st = pairwise_step(st, model, 0.01, noise)
+            st_p = pairwise_step(st_p, model, 0.01, noise[perm])
         np.testing.assert_array_equal(st_p.states, st.states[perm])
 
 
@@ -175,9 +176,8 @@ class TestSimulate:
             simulate(model, FIG1_INIT, 0.1, 1e-3, 1)
 
     def test_blowup_recorded_not_raised(self):
-        model = scalar_custom_model(lambda x: x ** 3, n=2, sigma=0.0)
-        init = InitialConditionSpec(((CoordinateIC("constant", 4.0),),))
-        run = simulate(model, init, 10.0, 0.5, 1, RecordSpec(stride=1))
+        model, init = _runaway_case("electrical")
+        run = simulate(model, init, 1.0, 1e-3, 1, RecordSpec(stride=1))
         assert run.status == "BLOWUP"
         assert run.blowup_time is not None
         assert np.isfinite(run.means[0][:len(run.times)]).all()
@@ -223,6 +223,39 @@ class TestPerturbation:
         np.testing.assert_array_equal(base.means[0][:split + 1],
                                       pert.means[0][:split + 1])
         assert not np.array_equal(base.means[0][-1], pert.means[0][-1])
+
+
+class TestEventCheck:
+    """Every event's conductance names are checked before the first step,
+    so a bad event wastes no stepping and cannot hide behind a blowup or sit
+    unread at the last step."""
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    @pytest.mark.parametrize("when", ["after-blowup", "at-T"])
+    def test_unknown_conductance_rejected_before_any_kernel_call(self, family, when,
+                                                                 monkeypatch):
+        if when == "after-blowup":
+            model, init = _runaway_case(family)   # blows up before t = 0.05
+            t = 0.5
+        else:
+            model, init, _ = _contract_case(family)
+            t = 1.0
+        calls = []
+        active = network.active
+
+        def counted(name):
+            kernel = active(name)
+
+            def call(*args):
+                calls.append(name)
+                return kernel(*args)
+            return call
+
+        monkeypatch.setattr(network, "active", counted)
+        bad = PerturbationEvent(t, {"g_EE" if family == "electrical" else "g": 2.0})
+        with pytest.raises(ConfigurationError, match="unknown conductance"):
+            simulate(model, init, 1.0, 1e-3, 3, RecordSpec(stride=300), [bad])
+        assert calls == []
 
 
 class TestRescaledEarly:
@@ -274,8 +307,8 @@ class TestInitialState:
         model = build_fhn_chemical(_fig2a_params(), n=5)
         st = draw_initial_state(model, _chem_init(), 13)
         assert st.states.shape == (10, 3)
-        assert st.population_of(0) == 0
-        assert st.population_of(7) == 1
+        assert np.searchsorted(st.offsets, 0, side="right") - 1 == 0
+        assert np.searchsorted(st.offsets, 7, side="right") - 1 == 1
         # uniform synaptic ranges differ per population
         assert st.block(0)[:, 2].max() <= 2.0
         assert st.block(1)[:, 2].max() <= 3.0

@@ -1,73 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, norm
 
-from balancenet.network import ConfigurationError, RunRecord
-from balancenet.pde import DensityField, Grid1D, density_from_values
-from balancenet.stats import (cluster_split, dispersion_series, empirical_moment,
-                              histogram, interaction_functional, weighted_l2_norm)
-
-
-def grid_gaussian(L=8.0, M=4096, sd=1.0):
-    grid = Grid1D(L, M)
-    vals = np.exp(-grid.centers ** 2 / (2 * sd ** 2))
-    return density_from_values(grid, vals, epsilon=0.1)
-
-
-class TestMoments:
-    def test_constant(self):
-        assert empirical_moment([1.0, 1.0, 1.0], 2) == 1.0
-
-    def test_symmetry(self):
-        assert empirical_moment([-1.0, 1.0], 1) == 0.0
-
-    def test_monte_carlo_variance(self):
-        draws = np.random.default_rng(123).standard_normal(10 ** 6)
-        assert empirical_moment(draws, 2) == pytest.approx(1.0, abs=0.01)
-
-    @given(st.integers(-8, 8), st.integers(1, 4), st.integers(0, 2 ** 31))
-    @settings(max_examples=40, derandomize=True)
-    def test_power_of_two_scaling_exact(self, j, k, seed):
-        lam = 2.0 ** j
-        s = np.random.default_rng(seed).normal(size=37)
-        assert empirical_moment(lam * s, k) == lam ** k * empirical_moment(s, k)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_moment([], 2)
-
-
-class TestInteractionFunctional:
-    def test_mass_for_constant_beta(self):
-        dens = grid_gaussian()
-        assert interaction_functional(dens, lambda y: np.ones_like(y)) == \
-            pytest.approx(1.0, abs=1e-12)
-
-    def test_point_mass_samples(self):
-        assert interaction_functional(np.array([2.0, 2.0]), lambda y: y ** 2) == 4.0
-
-    def test_grid_gaussian_second_moment_vs_quadrature_oracle(self):
-        dens = grid_gaussian(sd=1.0)
-        got = interaction_functional(dens, lambda y: y ** 2)
-        # Richardson-style refinement oracle: the doubled grid agrees, and
-        # both match the analytic truncated-Gaussian moment
-        fine = grid_gaussian(M=8192, sd=1.0)
-        ref = interaction_functional(fine, lambda y: y ** 2)
-        assert got == pytest.approx(ref, abs=1e-6)
-        assert got == pytest.approx(1.0, abs=1e-6)
-
-    @given(st.floats(-3, 3), st.floats(0.1, 2.0))
-    @settings(max_examples=30, derandomize=True)
-    def test_linear_in_beta(self, a, b):
-        s = np.linspace(-1, 2, 23)
-        lhs = interaction_functional(s, lambda y: a * y + b * y ** 2)
-        rhs = (a * interaction_functional(s, lambda y: y)
-               + b * interaction_functional(s, lambda y: y ** 2))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+from balancenet.stats import cluster_split, histogram
 
 
 class TestHistogram:
@@ -107,72 +44,6 @@ class TestHistogram:
         assert stat < chi2.ppf(0.99, bins - 1)
 
 
-class TestDispersionSeries:
-    def _record(self, stds):
-        S = stds.shape[0]
-        return RunRecord(seed=0, dt=0.1, gamma=1.0,
-                         times=np.arange(S) * 0.1,
-                         means=[np.zeros_like(stds)], stds=[stds],
-                         traces=[np.empty((S, 0))], snapshots=[])
-
-    def test_identical_agents_zero(self):
-        run = self._record(np.zeros((5, 2)))
-        rep = dispersion_series(run, 0, 0)
-        assert np.all(rep.values == 0.0)
-
-    def test_population_divisor_convention(self):
-        # two agents at +-1 have standard deviation exactly 1 with divisor n
-        assert np.std([1.0, -1.0]) == 1.0
-        run = self._record(np.full((4, 2), np.std([1.0, -1.0])))
-        rep = dispersion_series(run, 0, 0)
-        assert np.all(rep.values == 1.0)
-
-    def test_missing_statistic_rejected(self):
-        run = self._record(np.zeros((5, 2)))
-        with pytest.raises(ConfigurationError):
-            dispersion_series(run, 5, 0)
-        with pytest.raises(ConfigurationError):
-            dispersion_series(run, 0, 3)
-
-
-class TestWeightedNorm:
-    def test_zero_density(self):
-        grid = Grid1D(4.0, 128)
-        dens = DensityField(grid, np.zeros(128), 0.1)
-        assert weighted_l2_norm(dens, 0.5) == 0.0
-
-    def test_single_cell_arithmetic(self):
-        grid = Grid1D(4.0, 128)
-        vals = np.zeros(128)
-        j = int(np.argmin(np.abs(grid.centers)))
-        h = 1.0 / grid.dx  # unit mass in one cell
-        vals[j] = h
-        dens = DensityField(grid, vals, 0.1)
-        x = grid.centers[j]
-        expect = h * math.sqrt(math.exp(0.5 * (1 + x ** 2)) * grid.dx)
-        assert weighted_l2_norm(dens, 0.5) == pytest.approx(expect, rel=1e-12)
-
-    def test_gaussian_closed_form_oracle(self):
-        sd, kappa = 1.0, 0.3
-        dens = grid_gaussian(L=8.0, M=4096, sd=sd)
-        a = 1.0 / sd ** 2 - kappa
-        expect = math.sqrt(math.exp(kappa) / (2 * math.pi * sd ** 2)
-                           * math.sqrt(math.pi / a))
-        assert weighted_l2_norm(dens, kappa) == pytest.approx(expect, rel=1e-4)
-
-    def test_monotone_in_kappa(self):
-        dens = grid_gaussian()
-        vals = [weighted_l2_norm(dens, k) for k in (0.1, 0.3, 0.5, 0.7)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_overflow_reported(self):
-        grid = Grid1D(40.0, 256)
-        vals = np.exp(-grid.centers ** 2) + 1e-300
-        dens = density_from_values(grid, vals, 0.1)
-        with pytest.raises(OverflowError):
-            weighted_l2_norm(dens, 0.99)
-
-
 class TestClusterSplit:
     def test_all_above(self):
         above, below, gap = cluster_split(np.array([2.0, 3.0, 4.0]), 1.0)
@@ -201,6 +72,5 @@ class TestDispersionFig1Integration:
         init = InitialConditionSpec(((CoordinateIC("normal", 1.0, 5.0),
                                       CoordinateIC("normal", 1.5, 5.0)),))
         run = simulate(model, init, 0.1, 1e-4, 31, RecordSpec(stride=5))
-        rep = dispersion_series(run, 0, 0)
-        crossed = rep.times[rep.values < 0.1]
+        crossed = run.times[run.stds[0][:, 0] < 0.1]
         assert crossed.size and crossed[0] < 0.1
