@@ -6,9 +6,8 @@ concentration behavior of the associated mean-field Fokker-Planck equation.
 __version__ = "0.1.0"
 
 from .models import (FhnChemicalParams, FhnElectricalParams, NetworkModel,
-                     PopulationSpec, ScalingRule, SeparableModel1D,
-                     build_fhn_chemical, build_fhn_electrical,
-                     build_separable_1d, scaling_gamma, validate_hypotheses)
+                     ScalingRule, SeparableModel1D, build_separable_1d,
+                     scaling_gamma)
 from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
                       PerturbationEvent, RecordSpec, RunRecord,
                       apply_perturbation, simulate, simulate_rescaled_early)

@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         return 1
     status = manifest["status"]
     print(f"{spec.kind}: {status}; {len(manifest['files'])} files")
-    if status in ("COMPLETED", "NO_DATA", "BLOWUP", "DEGENERATE_DENOMINATOR"):
+    if status in ("COMPLETED", "BLOWUP", "DEGENERATE_DENOMINATOR"):
         # BLOWUP and degenerate denominators are recorded outcomes, not failures
         return 0
     return 2

@@ -7,17 +7,26 @@ parse(to_config(spec)) == spec. Seeds are mandatory; there is no
 wall-clock seeding anywhere.
 
 Every section, the experiment specs included, is a dataclass whose fields
-drive both its parse and its echo (see _Section). KINDS maps each
-experiment kind to its spec class; it is the one place kinds are named.
+drive both its parse and its echo (see _Section). Where a runtime type
+already holds a section's values (a family's parameters, a scaling rule, an
+initial law, a record spec, a perturbation event) the section is or extends
+that type, so its defaults and checks are declared once and a value a run
+would reject is a BAD_VALUE at parse time. KINDS maps each experiment kind
+to its spec class; it is the one place kinds are named.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
+
+from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionError,
+                     NetworkModel, ScalingRule, SeparableModel1D, build_separable_1d)
+from .network import CoordinateIC, InitialConditionSpec, PerturbationEvent, RecordSpec
+from .pde import Grid1D
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -117,26 +126,38 @@ def _field_types(cls) -> dict:
     return out
 
 
+def _construct(node: _Node, cls, *args, **kwargs):
+    """cls(*args, **kwargs) for the section at node. A value the runtime
+    type rejects is a BAD_VALUE at the key its error names, or at the
+    section when it names none; only the constructor call is guarded, since
+    a ConfigError is itself a ValueError."""
+    try:
+        return cls(*args, **kwargs)
+    except ModelDefinitionError as err:  # network.ConfigurationError included
+        path = node._at(err.key) if err.key else node.path or "<root>"
+        raise ConfigError(BAD_VALUE, path, str(err)) from err
+
+
 class _Section:
     """Parse and echo of a config section from its dataclass fields.
 
     A field without a default is a required key; one defaulting to None is
     optional and left out of the echo while unset. The field's type says how
     its value is read (see _read). A non-empty tuple default fixes the list
-    length, IcConfig defaults are coordinate laws under "init", and a
+    length, CoordinateIC defaults are coordinate laws under "init", and a
     ScalingConfig default is a scaling section whose kind defaults to the
-    default's. Keyword arguments to parse override field defaults.
+    default's. Keyword arguments to parse override field defaults. The
+    section is constructed through _construct, so the checks of the runtime
+    type a section extends run at parse time.
     """
 
-    family = None  # network family name, echoed first
-
     def to_config(self) -> dict:
-        out = {"family": self.family} if self.family else {}
+        out = {}
         init = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, IcConfig):
-                init[f.name] = value.to_config()
+            if isinstance(value, CoordinateIC):
+                init[f.name] = _echo_ic(value)
             elif value is not None:
                 out[f.name] = _echo(value)
         if init:
@@ -150,11 +171,11 @@ class _Section:
         init = None
         for f in fields(cls):
             default = defaults.get(f.name, f.default)
-            if isinstance(default, IcConfig):
+            if isinstance(default, CoordinateIC):
                 if init is None:
                     init = node.child("init") or _Node({}, node._at("init"))
                 law = init.child(f.name)
-                kwargs[f.name] = default if law is None else IcConfig.parse(law)
+                kwargs[f.name] = default if law is None else _parse_ic(law)
             elif isinstance(default, ScalingConfig):
                 scaling = node.child(f.name)
                 kwargs[f.name] = (default if scaling is None
@@ -167,54 +188,41 @@ class _Section:
         if init is not None:
             init.close()
         node.close()
-        section = cls(**kwargs)
+        section = _construct(node, cls, **kwargs)
         section.check(node)
         return section
 
     def check(self, node: _Node) -> None:
-        """Validation beyond the key types; raises ConfigError."""
+        """Validation beyond the key types and the runtime type's own
+        checks; raises ConfigError."""
 
 
 # ---------------------------------------------------------------------------
-# typed config fragments
+# typed config fragments: runtime types with a parse and an echo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalingConfig(_Section):
-    kind: str = "linear"
-    coefficient: float | None = None
-
-    def check(self, node):
-        if self.kind not in ("linear", "sqrt", "scaled_linear", "constant"):
-            raise ConfigError(BAD_VALUE, node._at("kind"), f"unknown scaling {self.kind!r}")
+class ScalingConfig(ScalingRule, _Section):
+    """A scaling section."""
 
 
-_IC_PARAMS = {"normal": ("mean", "sd"), "uniform": ("low", "high"), "constant": ("value",)}
+def _parse_ic(node: _Node) -> CoordinateIC:
+    dist = node.get("dist", str, "normal")
+    ic = _construct(node, CoordinateIC, dist,
+                    *(node.get(name, float) for name in CoordinateIC.LAWS.get(dist, ())))
+    node.close()
+    return ic
 
 
-@dataclass(frozen=True)
-class IcConfig:
-    dist: str = "normal"
-    p1: float = 0.0
-    p2: float = 0.0
-
-    def to_config(self):
-        return {"dist": self.dist, **dict(zip(_IC_PARAMS[self.dist], (self.p1, self.p2)))}
-
-    @classmethod
-    def parse(cls, node: _Node) -> IcConfig:
-        dist = node.get("dist", str, "normal")
-        if dist not in _IC_PARAMS:
-            raise ConfigError(BAD_VALUE, node._at("dist"), f"unknown distribution {dist!r}")
-        ic = cls(dist, *(node.get(name, float) for name in _IC_PARAMS[dist]))
-        node.close()
-        return ic
+def _echo_ic(ic: CoordinateIC) -> dict:
+    return {"dist": ic.dist, **dict(zip(CoordinateIC.LAWS[ic.dist], (ic.p1, ic.p2)))}
 
 
 class FhnConfig(_Section):
     """A built-in network family section, chosen by its "family" key; a
-    field typed with one family accepts that family only."""
+    field typed with one family accepts that family only. A section is the
+    family's parameters (it extends their class) plus a population size, a
+    scaling and the initial law of each coordinate."""
 
     @classmethod
     def parse(cls, node: _Node, **defaults):
@@ -226,22 +234,30 @@ class FhnConfig(_Section):
             raise ConfigError(BAD_VALUE, node._at("family"), f"needs the {cls.family} family")
         return super(FhnConfig, target).parse(node, **defaults)
 
+    def to_config(self) -> dict:
+        return {"family": self.family, **super().to_config()}
+
+    def __post_init__(self):
+        super().__post_init__()  # the family's checks
+        self.build()             # and the population size's
+
+    def build(self, n: int | None = None, scaling: ScalingRule | None = None) -> NetworkModel:
+        """The network model of this section, at another population size or
+        scaling when one is given; the section serves as its params."""
+        return NetworkModel(self, self.n if n is None else n, scaling or self.scaling)
+
+    def initial_conditions(self) -> InitialConditionSpec:
+        return InitialConditionSpec(self.coordinate_laws())
+
 
 @dataclass(frozen=True)
-class ElectricalConfig(FhnConfig):
+class ElectricalConfig(FhnConfig, FhnElectricalParams):
     """Electrical collapse benchmark (fig1 outputs)."""
 
-    f_coeffs: tuple[float, ...] = (-1.0, 5.0, -4.0, 4.0)
-    a: float = 0.005
-    b: float = 6.0
-    g: float = 1.0
-    sigma: float = 1.0
     n: int = 300
-    scaling: ScalingConfig = ScalingConfig("linear")
-    x: IcConfig = IcConfig("normal", 1.0, 5.0)
-    y: IcConfig = IcConfig("normal", 1.5, 5.0)
-
-    family = "fhn-electrical"
+    scaling: ScalingConfig = ScalingConfig(**asdict(FhnElectricalParams.default_scaling))
+    x: CoordinateIC = CoordinateIC("normal", 1.0, 5.0)
+    y: CoordinateIC = CoordinateIC("normal", 1.5, 5.0)
 
     def coordinate_laws(self):
         """Initial law of each coordinate, per population."""
@@ -249,35 +265,15 @@ class ElectricalConfig(FhnConfig):
 
 
 @dataclass(frozen=True)
-class ChemicalConfig(FhnConfig):
-    """Two-population conductance benchmark (fig2 outputs); reversal
-    potentials, tau and the activation sigmoid are free parameters chosen so
-    the balanced state is self-sustaining and the clamping offset
-    O(|f(x*)|/gamma) stays small (see README)."""
+class ChemicalConfig(FhnConfig, FhnChemicalParams):
+    """Two-population conductance benchmark (fig2 outputs)."""
 
-    f_coeffs: tuple[float, ...] = (-1.0, 1.3, -0.3, 0.0)
-    a: float = 0.4
-    b: float = 1.5
-    c: float = 1.0
-    tau: float = 2.0
-    alpha_gain: float = 1.0
-    alpha_threshold: float = -2.0
-    alpha_slope: float = 1.0
-    E_E: float = 1.0
-    E_I: float = -1.0
-    g_EE: float = 0.3
-    g_EI: float = 2.0
-    g_IE: float = 1.0
-    g_II: float = 10.0
-    sigma: float = 1.0
     n: int = 300
-    scaling: ScalingConfig = ScalingConfig("scaled_linear", 0.2)
-    x: IcConfig = IcConfig("normal", 3.0, 1.0)
-    y: IcConfig = IcConfig("normal", 2.0, 1.0)
-    s_E: IcConfig = IcConfig("uniform", 0.0, 2.0)
-    s_I: IcConfig = IcConfig("uniform", 0.0, 3.0)
-
-    family = "fhn-chemical"
+    scaling: ScalingConfig = ScalingConfig(**asdict(FhnChemicalParams.default_scaling))
+    x: CoordinateIC = CoordinateIC("normal", 3.0, 1.0)
+    y: CoordinateIC = CoordinateIC("normal", 2.0, 1.0)
+    s_E: CoordinateIC = CoordinateIC("uniform", 0.0, 2.0)
+    s_I: CoordinateIC = CoordinateIC("uniform", 0.0, 3.0)
 
     def coordinate_laws(self):
         """Initial law of each coordinate, per population."""
@@ -289,7 +285,8 @@ NETWORK_FAMILIES = {cfg.family: cfg for cfg in (ElectricalConfig, ChemicalConfig
 
 @dataclass(frozen=True)
 class SeparableConfig(_Section):
-    """The separable 1D model of an epsilon sweep, which sets epsilon itself."""
+    """The separable 1D model of an epsilon sweep, which sets epsilon itself
+    (see build_separable_1d)."""
 
     E: float = 0.0
     beta0: float = 1.0
@@ -298,6 +295,14 @@ class SeparableConfig(_Section):
     k_s: float = 1.0
     sigma: float = 3.0
 
+    def __post_init__(self):
+        # the model's checks, at an epsilon that passes its own
+        self.build(1.0)
+
+    def build(self, epsilon: float) -> SeparableModel1D:
+        return build_separable_1d(epsilon, self.E, self.beta0, self.beta1, self.theta_s,
+                                  self.k_s, self.sigma)
+
 
 @dataclass(frozen=True, kw_only=True)
 class SeparableRunConfig(SeparableConfig):
@@ -305,11 +310,20 @@ class SeparableRunConfig(SeparableConfig):
 
     epsilon: float
 
+    def __post_init__(self):
+        self.build(self.epsilon)
+
 
 @dataclass(frozen=True)
 class GridConfig(_Section):
     L: float = 8.0
     cells: int = 1024
+
+    def __post_init__(self):
+        self.build()
+
+    def build(self) -> Grid1D:
+        return Grid1D(self.L, self.cells)
 
 
 @dataclass(frozen=True)
@@ -321,20 +335,15 @@ class PdeInitConfig(_Section):
 
 
 @dataclass(frozen=True)
-class RecordConfig(_Section):
-    stride: int = 1
+class RecordConfig(RecordSpec, _Section):
+    """A record section; it keeps 20 voltage traces unless told otherwise."""
+
     traces: int = 20
-    snapshot_times: tuple[float, ...] = ()
-
-    def check(self, node):
-        if self.stride < 1:
-            raise ConfigError(BAD_VALUE, node._at("stride"), "stride must be >= 1")
 
 
-@dataclass(frozen=True)
-class EventConfig:
-    t: float
-    multipliers: tuple  # ((name, factor), ...)
+class EventConfig(PerturbationEvent):
+    """A perturbation event section: its time and the factor of each
+    conductance it scales."""
 
     def to_config(self):
         return {"t": self.t, "multipliers": dict(self.multipliers)}
@@ -343,9 +352,9 @@ class EventConfig:
     def parse(cls, node: _Node) -> EventConfig:
         t = node.get("t", float)
         mults = _Node(node.get("multipliers", dict), node._at("multipliers"))
-        pairs = tuple((name, mults.get(name, float)) for name in sorted(mults.data))
+        factors = {name: mults.get(name, float) for name in sorted(mults.data)}
         node.close()
-        return cls(t=t, multipliers=pairs)
+        return _construct(node, cls, t, factors)
 
 
 @dataclass(frozen=True)
@@ -381,6 +390,10 @@ class RescaledEarlySpec(_Section):
     record: RecordConfig = RecordConfig()
 
     command = "early"
+
+    def check(self, node):
+        if not all(g > 0 for g in self.gammas):
+            raise ConfigError(BAD_VALUE, node._at("gammas"), "gammas must be positive")
 
 
 @dataclass(frozen=True)
@@ -433,6 +446,8 @@ class DoubleLimitNetworkSpec(_Section):
     def check(self, node):
         if self.mode not in ("direct", "rescaled-early"):
             raise ConfigError(BAD_VALUE, node._at("mode"), f"unknown mode {self.mode!r}")
+        if min(self.n_values, default=1) < 1:
+            raise ConfigError(BAD_VALUE, node._at("n_values"), "population sizes must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -27,17 +27,13 @@ from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
 from .config import (BalanceAnalysisSpec, ChemicalConfig, DoubleLimitPdeSpec,
-                     DoubleLimitSpec, ElectricalConfig, EpsilonSweepSpec, EventConfig,
-                     ExperimentSpec, FiguresSpec, IcConfig, NetworkRunSpec, PdeRunSpec,
-                     RecordConfig, RescaledEarlySpec, SeparableConfig)
+                     DoubleLimitSpec, ElectricalConfig, EpsilonSweepSpec, ExperimentSpec,
+                     FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec)
 from .hopfcole import epsilon_sweep, hamiltonian_residual, snapshot_fields, support_width
-from .models import FAMILIES, ScalingRule, build_fhn_network, build_separable_1d
-from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
-                      PerturbationEvent, RecordSpec, RunRecord, apply_perturbation,
-                      simulate, simulate_rescaled_early)
-from .pde import Grid1D, gaussian_initial, solve_fp_1d
-
-NO_DATA = "NO_DATA"
+from .models import ScalingRule
+from .network import (NetworkState, PerturbationEvent, RecordSpec, RunRecord,
+                      apply_perturbation, simulate, simulate_rescaled_early)
+from .pde import gaussian_initial, solve_fp_1d
 
 
 # ---------------------------------------------------------------------------
@@ -127,45 +123,6 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) 
 
 
 # ---------------------------------------------------------------------------
-# config -> runtime objects
-# ---------------------------------------------------------------------------
-
-
-def _scaling_rule(cfg) -> ScalingRule:
-    return ScalingRule(cfg.kind, cfg.coefficient)
-
-
-def _ic(cfg: IcConfig) -> CoordinateIC:
-    return CoordinateIC(cfg.dist, cfg.p1, cfg.p2)
-
-
-def build_model(cfg, n: int | None = None, scaling: ScalingRule | None = None):
-    family = FAMILIES[cfg.family]
-    params = family(**{f.name: getattr(cfg, f.name) for f in fields(family)})
-    return build_fhn_network(params, n=n or cfg.n,
-                             scaling=scaling or _scaling_rule(cfg.scaling))
-
-
-def build_init(cfg) -> InitialConditionSpec:
-    return InitialConditionSpec(tuple(tuple(_ic(c) for c in laws)
-                                      for laws in cfg.coordinate_laws()))
-
-
-def build_separable(cfg: SeparableConfig, epsilon: float):
-    return build_separable_1d(epsilon, **{f.name: getattr(cfg, f.name)
-                                          for f in fields(SeparableConfig)})
-
-
-def _record_spec(cfg: RecordConfig) -> RecordSpec:
-    return RecordSpec(stride=cfg.stride, traces=cfg.traces,
-                      snapshot_times=tuple(cfg.snapshot_times))
-
-
-def _events(evts: tuple[EventConfig, ...]) -> list[PerturbationEvent]:
-    return [PerturbationEvent(e.t, dict(e.multipliers)) for e in evts]
-
-
-# ---------------------------------------------------------------------------
 # runners, one per experiment spec: each takes (payload, seed, output
 # directory) and returns (status, metrics)
 # ---------------------------------------------------------------------------
@@ -205,22 +162,18 @@ def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
 
 
 def _run_network(p: NetworkRunSpec, seed: int, out: Path) -> tuple[str, dict]:
-    model = build_model(p.model)
-    run = simulate(model, build_init(p.model), p.T, p.dt, seed,
-                   _record_spec(p.record), _events(p.events))
-    labels = [pop.label for pop in model.populations]
-    return run.status, _write_run_artifacts(out, run, labels)
+    run = simulate(p.model.build(), p.model.initial_conditions(), p.T, p.dt, seed,
+                   p.record, p.events)
+    return run.status, _write_run_artifacts(out, run, p.model.labels)
 
 
 def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str, dict]:
     rows = []
     status = "COMPLETED"
     for gi, gamma in enumerate(p.gammas):
-        model = build_model(p.model, scaling=ScalingRule("constant", gamma))
-        base = _record_spec(p.record)
-        rec = RecordSpec(stride=base.stride, traces=base.traces,
-                         snapshot_times=(0.0,) + tuple(base.snapshot_times))
-        run = simulate_rescaled_early(model, build_init(p.model), p.T_tilde,
+        model = p.model.build(scaling=ScalingRule("constant", gamma))
+        rec = replace(p.record, snapshot_times=(0.0,) + p.record.snapshot_times)
+        run = simulate_rescaled_early(model, p.model.initial_conditions(), p.T_tilde,
                                       p.dt_tilde, seed, rec)
         if run.status != "COMPLETED":
             status = run.status
@@ -230,7 +183,7 @@ def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str
         rows.append([gamma, gap, move_y, move_s])
         sub = out / f"gamma_{gi}"
         sub.mkdir(exist_ok=True)
-        _write_run_artifacts(sub, run, [pop.label for pop in model.populations])
+        _write_run_artifacts(sub, run, model.labels)
     write_csv(out / "early_gaps.csv", ["gamma", "sup_gap", "move_y", "move_s"], rows)
     metrics = {"gammas": list(p.gammas), "gaps": [r[1] for r in rows],
                "moves_y": [r[2] for r in rows], "moves_s": [r[3] for r in rows]}
@@ -277,8 +230,8 @@ def _pde_series(run):
 
 
 def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
-    model = build_separable(p.model, p.model.epsilon)
-    grid = Grid1D(p.grid.L, p.grid.cells)
+    model = p.model.build(p.model.epsilon)
+    grid = p.grid.build()
     mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
     snap = p.snapshot_every if p.snapshot_every is not None else p.T / 60
     run = solve_fp_1d(model, mu0, p.T, snapshot_every=snap)
@@ -301,9 +254,7 @@ def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
 def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str, dict]:
     """An epsilon-sweep experiment, or the mean-field column of a
     double-limit sweep (whose section has no t0 key)."""
-    base = build_separable(p.model, max(p.epsilons))
-    grid = Grid1D(p.grid.L, p.grid.cells)
-    report = epsilon_sweep(base, p.epsilons, grid, p.T,
+    report = epsilon_sweep(p.model.build(max(p.epsilons)), p.epsilons, p.grid.build(), p.T,
                            init_concentration=p.init.concentration,
                            init_center=p.init.center, t0=p.t0)
     rows = [[d.epsilon, d.sup_phi_final, d.support_width_final, d.i_final,
@@ -322,9 +273,8 @@ def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str
 
 
 def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dict]:
-    model = build_model(p.model)
     try:
-        report = chemical_balance_report(model.ghat, p.model.E_E, p.model.E_I,
+        report = chemical_balance_report(p.model.build().ghat, p.model.E_E, p.model.E_I,
                                          p.sbar.E, p.sbar.I)
     except DegenerateDenominatorError as err:
         write_csv(out / "balance.csv",
@@ -351,11 +301,9 @@ def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dic
 
 
 def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
-                     models: list | None = None) -> tuple[list[str], str]:
+                     models: list | None = None) -> list[str]:
     """Write per-panel CSV files for a reproduced figure; returns the file
-    list and a status (NO_DATA when no runs are supplied)."""
-    if not runs:
-        return [], NO_DATA
+    list."""
     out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     if figure == "fig1":
@@ -377,7 +325,7 @@ def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
                 columns_csv(out / name, ["bin_center", "count"],
                             [h.centers, h.counts])
                 files.append(name)
-        return files, "COMPLETED"
+        return files
     if figure == "fig2":
         run = runs[0]
         model = models[0]
@@ -398,7 +346,7 @@ def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
                 + [run.traces[1][:, j] for j in range(k)]
                 + [preds[:, 0], preds[:, 1]])
         columns_csv(out / "fig2_traces.csv", header, cols)
-        return ["fig2_traces.csv"], "COMPLETED"
+        return ["fig2_traces.csv"]
     raise ValueError(f"unknown figure {figure!r}")
 
 
@@ -409,30 +357,29 @@ def _run_figures(p: FiguresSpec, seed: int, out: Path) -> tuple[str, dict]:
         dt = p.dt if p.dt is not None else 1e-4
         runs = []
         for rule in (ScalingRule("linear"), ScalingRule("sqrt")):
-            model = build_model(cfg, scaling=rule)
             rec = RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20,
                              snapshot_times=(0.0, 0.05, T))
-            runs.append(simulate(model, build_init(cfg), T, dt, seed, rec))
-        files, status = emit_figure_data(runs, "fig1", out)
-        return status, {"files": files,
-                        "final_std_x": [float(r.stds[0][-1, 0]) for r in runs]}
+            runs.append(simulate(cfg.build(scaling=rule), cfg.initial_conditions(),
+                                 T, dt, seed, rec))
+        files = emit_figure_data(runs, "fig1", out)
+        return "COMPLETED", {"files": files,
+                             "final_std_x": [float(r.stds[0][-1, 0]) for r in runs]}
     cfg = p.model if p.model is not None else ChemicalConfig()
-    model = build_model(cfg)
+    model = cfg.build()
     gamma = model.gamma()
     T = p.T if p.T is not None else 3.0
-    dt = p.dt if p.dt is not None else 0.08 / (gamma * max(cfg.g_EE, cfg.g_EI, cfg.g_IE, cfg.g_II, 1e-12))
+    gmax = max(float(np.max(np.abs(model.coupling))), 1e-12)
+    dt = p.dt if p.dt is not None else 0.08 / (gamma * gmax)
     rec = RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20)
     event = PerturbationEvent(T / 2, {"g_EE": 1.5, "g_EI": 1.5})
-    run = simulate(model, build_init(cfg), T, dt, seed, rec, [event])
+    run = simulate(model, cfg.initial_conditions(), T, dt, seed, rec, [event])
     # predictions after the perturbation use the scaled conductances
     pert = apply_perturbation(model, event)
     run.meta["ghat_series"] = {
         i: (model.ghat if run.times[i] < event.t else pert.ghat)
         for i in range(len(run.times))}
-    files, status = emit_figure_data([run], "fig2", out, models=[model])
-    if run.status != "COMPLETED":
-        status = run.status
-    return status, {"files": files}
+    files = emit_figure_data([run], "fig2", out, models=[model])
+    return run.status, {"files": files}
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +397,19 @@ def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
     """One grid cell: a direct run over [0, T] (collapse at times ~1/gamma,
     snapshot at 10/gamma for the contraction ratio) or the rescaled
     early-time system over a fixed rescaled horizon T."""
-    model = build_model(cfg, n=n, scaling=rule)
+    model = cfg.build(n, rule)
     gamma = model.gamma()
     gmax = float(np.max(np.abs(model.coupling)))
     if mode == "rescaled-early":
         dt_tilde = min(0.08 / gmax, 1e-3) if gmax > 0 else 1e-3
         rec = RecordSpec(stride=1, traces=0, snapshot_times=(0.0, T))
-        run = simulate_rescaled_early(model, build_init(cfg), T, dt_tilde, seed, rec)
+        run = simulate_rescaled_early(model, cfg.initial_conditions(), T, dt_tilde, seed, rec)
     else:
         dt = min(0.08 / (gamma * gmax), 1e-3) if gmax > 0 else 1e-3
         rec = RecordSpec(stride=1, traces=0, snapshot_times=(0.0, 10.0 / gamma))
-        run = simulate(model, build_init(cfg), T, dt, seed, rec)
+        run = simulate(model, cfg.initial_conditions(), T, dt, seed, rec)
     out.mkdir(parents=True, exist_ok=True)
-    metrics = _write_run_artifacts(out, run, [p.label for p in model.populations])
+    metrics = _write_run_artifacts(out, run, model.labels)
     d0 = dT = math.nan
     if len(run.snapshots) >= 2:
         d0 = distance_to_balance(NetworkState(0.0, run.snapshots[0][1], model.offsets), model)
@@ -482,21 +429,20 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
     Per-cell failures are recorded and the sweep continues."""
     jobs = []
     if p.network is not None:
-        for rule_cfg in p.network.scalings:
+        for rule in p.network.scalings:
             for n in p.network.n_values:
-                jobs.append(("network", rule_cfg, n))
+                jobs.append(("network", rule, n))
     if p.pde is not None:
         jobs.append(("pde", None, None))
 
     results: list[dict | None] = [None] * len(jobs)
 
     def run_cell(idx: int):
-        kind, rule_cfg, n = jobs[idx]
+        kind, rule, n = jobs[idx]
         cell_seed = (seed + 1000003 * idx) % (2 ** 64)
         cell_out = out / f"cell_{idx:02d}"
         try:
             if kind == "network":
-                rule = ScalingRule(rule_cfg.kind, rule_cfg.coefficient)
                 return _network_cell(p.network.model, n, rule, p.network.T,
                                      p.network.collapse_threshold, cell_seed,
                                      cell_out, p.network.mode)
@@ -507,7 +453,7 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
             # numerical and configuration failures; anything else is a bug
             return {"kind": kind, "status": "FAILED",
                     "error": f"{type(err).__name__}: {err}",
-                    "n": n, "scaling": getattr(rule_cfg, "kind", None)}
+                    "n": n, "scaling": getattr(rule, "kind", None)}
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -388,13 +388,15 @@ def _strictly_decreasing(xs) -> bool:
 
 def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float,
                   init_concentration: float = 1.0, init_center: float = 1.0,
-                  snapshot_every: float | None = None, t0: float | None = None,
-                  moment_k: int = 2, keep_runs: bool = False) -> ConvergenceReport:
+                  snapshot_every: float | None = None, t0: float | None = None
+                  ) -> ConvergenceReport:
     """Run the solver per epsilon and assemble the concentration trend suite
     and the uniform-in-epsilon bound certificates.
 
     epsilons must be strictly decreasing inside (0, 1]. Failures of a single
-    epsilon are recorded and the sweep continues.
+    epsilon are recorded and the sweep continues. The moment bound is
+    checked for the fourth moment (k = 2); each member's run is dropped from
+    the report once the certificates are fitted.
     """
     eps = [float(e) for e in epsilons]
     if not eps or not _strictly_decreasing(eps) or not all(0 < e <= 1 for e in eps):
@@ -419,7 +421,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
             _, d.residual_sup_final = hamiltonian_residual(f, run.i_at(T), model)
             d.bv = check_bv_interaction(run.i_times, run.i_values)
             d.theta = check_w_gradient_bound(run, t0).theta
-            d.moment = check_moment_bound(run, moment_k)
+            d.moment = check_moment_bound(run, 2)
             d.run = run
         except (ValueError, ArithmeticError) as err:  # a member's numerical failure
             d.status = "FAILED"
@@ -465,7 +467,6 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
         report.verdicts["moment_uniform"] = all(
             d.moment.sup_moment <= max(d.moment.k0, ok[0].moment.c_star) * (1 + 1e-9)
             for d in ok)
-    if not keep_runs:
-        for d in diags:
-            d.run = None
+    for d in diags:
+        d.run = None
     return report

@@ -1,6 +1,6 @@
-"""Model definitions: population structure, coupling scalings, the two
-concrete FitzHugh-Nagumo network families, the one-dimensional separable
-interaction model, and grid-scan validation of its structural hypotheses.
+"""Model definitions: coupling scalings, the two concrete FitzHugh-Nagumo
+network families, the network model they define with a population size and
+a scaling, and the one-dimensional separable interaction model.
 
 Model objects are immutable after construction and safe to share across
 threads.
@@ -17,40 +17,17 @@ import numpy as np
 
 
 class ModelDefinitionError(ValueError):
-    """A model definition violated an invariant."""
+    """A model definition violated an invariant; key names the field at
+    fault when there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 # ---------------------------------------------------------------------------
-# population structure and coupling scaling
+# coupling scaling
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class PopulationSpec:
-    """One population: its size, state dimension and noise amplitudes.
-
-    sigma has shape (dim, channels); row i gives the loading of each
-    independent Brownian channel onto state coordinate i.
-    """
-
-    label: str
-    n: int
-    dim: int
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        object.__setattr__(self, "sigma", sig)
-        if self.n < 1:
-            raise ModelDefinitionError(f"population {self.label}: n must be >= 1")
-        if self.dim < 1:
-            raise ModelDefinitionError(f"population {self.label}: dim must be >= 1")
-        if sig.shape[0] != self.dim:
-            raise ModelDefinitionError(
-                f"population {self.label}: sigma has {sig.shape[0]} rows, expected {self.dim}")
-        if not np.isfinite(sig).all():
-            raise ModelDefinitionError(f"population {self.label}: sigma must be finite")
-        sig.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -61,25 +38,26 @@ class ScalingRule:
     "scaled_linear" (gamma = c * n) or "constant" (gamma = c).
     """
 
-    kind: str
+    kind: str = "linear"
     coefficient: float | None = None
 
     _KINDS = ("linear", "sqrt", "scaled_linear", "constant")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise ModelDefinitionError(f"unknown scaling kind {self.kind!r}")
+            raise ModelDefinitionError(f"unknown scaling kind {self.kind!r}", "kind")
         if self.kind in ("scaled_linear", "constant"):
             if self.coefficient is None or not self.coefficient > 0:
-                raise ModelDefinitionError(f"scaling {self.kind!r} needs a positive coefficient")
+                raise ModelDefinitionError(f"scaling {self.kind!r} needs a positive coefficient",
+                                           "coefficient")
         elif self.coefficient is not None:
-            raise ModelDefinitionError(f"scaling {self.kind!r} takes no coefficient")
+            raise ModelDefinitionError(f"scaling {self.kind!r} takes no coefficient", "coefficient")
 
 
 def scaling_gamma(rule: ScalingRule, n: int) -> float:
     """Evaluate gamma(n) for a scaling rule; positive for all n >= 1."""
     if n < 1:
-        raise ModelDefinitionError("n must be >= 1")
+        raise ModelDefinitionError("n must be >= 1", "n")
     if rule.kind == "linear":
         return float(n)
     if rule.kind == "sqrt":
@@ -142,13 +120,22 @@ class _FhnFamily:
     its FitzHugh-Nagumo drift, its coupling matrix and source maps, and the
     conductances a perturbation may scale. Subclasses also name their
     populations, state dimension, default scaling and the _kernels key
-    their runs are traced under.
+    their runs are traced under. The parameters' defaults are those of the
+    family's figure benchmark (fig1 electrical, fig2 chemical).
 
     fhn_constants() gives (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta,
     inv_slope) of the drift x' = f(x) - y for the cubic
     f(x) = ((f3 x + f2) x + f1) x + f0, y' = a (b x - y + c) and, with the
     synaptic gate s, s' = gain (1 - s) / (1 + exp((theta - x) inv_slope))
     - s inv_tau."""
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise ModelDefinitionError("recovery timescale ratio a must be positive", "a")
+        for name in self.conductances:
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ModelDefinitionError(
+                    f"conductance magnitude {name} must be finite and nonnegative", name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +145,11 @@ class FhnElectricalParams(_FhnFamily):
     beta(y) = y_0. Cubic drift coefficients (highest degree first), recovery
     parameters and the coupling strength g."""
 
-    f_coeffs: tuple[float, float, float, float]
-    a: float
-    b: float
-    g: float
-    sigma: float
+    f_coeffs: tuple[float, float, float, float] = (-1.0, 5.0, -4.0, 4.0)
+    a: float = 0.005
+    b: float = 6.0
+    g: float = 1.0
+    sigma: float = 1.0
 
     family = ELECTRICAL
     labels = ("neurons",)
@@ -173,12 +160,9 @@ class FhnElectricalParams(_FhnFamily):
 
     def __post_init__(self):
         if not self.f_coeffs[0] < 0:
-            raise ModelDefinitionError("leading cubic coefficient must be negative")
-        if not self.a > 0:
-            raise ModelDefinitionError("recovery timescale ratio a must be positive")
-        if self.g < 0:
-            raise ModelDefinitionError("coupling strength g must be nonnegative")
-        if not np.isfinite(self.f_coeffs).all() or not np.isfinite([self.a, self.b, self.g, self.sigma]).all():
+            raise ModelDefinitionError("leading cubic coefficient must be negative", "f_coeffs")
+        super().__post_init__()
+        if not np.isfinite(self.f_coeffs).all() or not np.isfinite([self.a, self.b, self.sigma]).all():
             raise ModelDefinitionError("parameters must be finite")
 
     def coupling(self) -> np.ndarray:
@@ -197,27 +181,30 @@ class FhnChemicalParams(_FhnFamily):
     """Conductance family: populations E and I of FitzHugh-Nagumo agents with
     a synaptic gate s (see conductance_source_maps).
 
-    g_* are nonnegative conductance magnitudes; signs are applied at build
-    time (excitatory source columns positive, inhibitory negative). The gate
-    opens at rate alpha(x) = alpha_gain / (1 + exp(-(x - alpha_threshold) / alpha_slope))
-    and closes at rate 1/tau.
+    g_* are nonnegative conductance magnitudes; signs are applied by
+    coupling() (excitatory source columns positive, inhibitory negative).
+    The gate opens at rate alpha(x) = alpha_gain / (1 + exp(-(x -
+    alpha_threshold) / alpha_slope)) and closes at rate 1/tau. The default
+    reversal potentials, tau and activation sigmoid make the balanced state
+    self-sustaining with a small clamping offset O(|f(x*)|/gamma) (see
+    README).
     """
 
-    f_coeffs: tuple[float, float, float, float]
-    a: float
-    b: float
-    c: float
-    tau: float
-    alpha_gain: float
-    alpha_threshold: float
-    alpha_slope: float
-    E_E: float
-    E_I: float
-    g_EE: float
-    g_EI: float
-    g_IE: float
-    g_II: float
-    sigma: float
+    f_coeffs: tuple[float, float, float, float] = (-1.0, 1.3, -0.3, 0.0)
+    a: float = 0.4
+    b: float = 1.5
+    c: float = 1.0
+    tau: float = 2.0
+    alpha_gain: float = 1.0
+    alpha_threshold: float = -2.0
+    alpha_slope: float = 1.0
+    E_E: float = 1.0
+    E_I: float = -1.0
+    g_EE: float = 0.3
+    g_EI: float = 2.0
+    g_IE: float = 1.0
+    g_II: float = 10.0
+    sigma: float = 1.0
 
     family = CHEMICAL
     labels = ("E", "I")
@@ -228,16 +215,12 @@ class FhnChemicalParams(_FhnFamily):
 
     def __post_init__(self):
         if not self.tau > 0:
-            raise ModelDefinitionError("synaptic decay time tau must be positive")
+            raise ModelDefinitionError("synaptic decay time tau must be positive", "tau")
         if not self.alpha_slope > 0:
-            raise ModelDefinitionError("sigmoid slope must be positive")
+            raise ModelDefinitionError("sigmoid slope must be positive", "alpha_slope")
         if self.E_E == self.E_I:
             raise ModelDefinitionError("reversal potentials must differ")
-        for name in self.conductances:
-            if getattr(self, name) < 0:
-                raise ModelDefinitionError(f"conductance magnitude {name} must be nonnegative")
-        if not self.a > 0:
-            raise ModelDefinitionError("recovery timescale ratio a must be positive")
+        super().__post_init__()
 
     @property
     def erev(self) -> np.ndarray:
@@ -255,46 +238,51 @@ class FhnChemicalParams(_FhnFamily):
                 self.alpha_gain, self.alpha_threshold, 1.0 / self.alpha_slope)
 
 
-FAMILIES = {fam.family: fam for fam in (FhnElectricalParams, FhnChemicalParams)}
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Interacting-agent network: per-population drift, pairwise interaction,
-    signed coupling matrix and the divergence rule of the coupling.
+    """Interacting-agent network: n agents in each population of the family
+    params describes, coupled with the divergence gamma(n) of the scaling
+    rule (the family's default scaling when none is given).
 
     coupling[p, q] multiplies the population-q average of b_pq(x_i, .) in
     the drift of agents in population p (target-major orientation); ghat
     holds the same couplings source-major, the orientation used by the
-    balance formulas. The family is described by its params (see
-    _FhnFamily).
+    balance formulas. Population p holds rows offsets[p]:offsets[p + 1] of
+    the stacked state, and every agent carries noise on its voltage only.
     """
 
-    populations: tuple[PopulationSpec, ...]
-    family: str
-    coupling: np.ndarray
-    scaling: ScalingRule
     params: _FhnFamily
+    n: int
+    scaling: ScalingRule | None = None
 
     def __post_init__(self):
-        npop = len(self.populations)
-        coupling = np.asarray(self.coupling, dtype=float)
-        if coupling.shape != (npop, npop):
-            raise ModelDefinitionError(
-                f"coupling must be {npop}x{npop}, got {coupling.shape}")
-        if not np.isfinite(coupling).all():
-            raise ModelDefinitionError("coupling entries must be finite")
-        coupling.setflags(write=False)
-        object.__setattr__(self, "coupling", coupling)
+        if self.n < 1:
+            raise ModelDefinitionError("n must be >= 1", "n")
+        if self.scaling is None:
+            object.__setattr__(self, "scaling", self.params.default_scaling)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.params.labels
+
+    @property
+    def dim(self) -> int:
+        return self.params.dim
 
     @property
     def n_populations(self) -> int:
-        return len(self.populations)
+        return len(self.params.labels)
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
         """Row offsets of the populations in the stacked state, (P + 1,)."""
-        return np.concatenate([[0], np.cumsum([p.n for p in self.populations])]).astype(np.int64)
+        return np.arange(self.n_populations + 1, dtype=np.int64) * self.n
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        coupling = self.params.coupling()
+        coupling.setflags(write=False)
+        return coupling
 
     @property
     def ghat(self) -> np.ndarray:
@@ -314,27 +302,7 @@ class NetworkModel:
 
     def gamma(self) -> float:
         """gamma(n) evaluated at the per-population size."""
-        return scaling_gamma(self.scaling, self.populations[0].n)
-
-
-def build_fhn_network(params: _FhnFamily, n: int = 300,
-                      scaling: ScalingRule | None = None) -> NetworkModel:
-    """n agents in each population of the family params describes, with
-    noise on the voltage; scaling defaults to the family's."""
-    sigma = np.zeros((params.dim, 1))
-    sigma[0, 0] = params.sigma
-    return NetworkModel(
-        populations=tuple(PopulationSpec(label, n, params.dim, sigma) for label in params.labels),
-        family=params.family,
-        coupling=params.coupling(),
-        scaling=scaling or params.default_scaling,
-        params=params,
-    )
-
-
-# one population of gap-junction coupled agents; two conductance-coupled
-# populations (E, I)
-build_fhn_electrical = build_fhn_chemical = build_fhn_network
+        return scaling_gamma(self.scaling, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +326,9 @@ class SeparableModel1D:
 
     def __post_init__(self):
         if not self.sigma > 0:
-            raise ModelDefinitionError("sigma must be positive")
+            raise ModelDefinitionError("sigma must be positive", "sigma")
         if not 0 < self.epsilon <= 1:
-            raise ModelDefinitionError("epsilon must lie in (0, 1]")
+            raise ModelDefinitionError("epsilon must lie in (0, 1]", "epsilon")
         if not self.beta_floor > 0:
             raise ModelDefinitionError("beta must be bounded below by a positive constant")
 
@@ -376,11 +344,11 @@ def build_separable_1d(epsilon: float, E: float = 0.0, beta0: float = 1.0,
     alpha(x) = x - E (unit slopes at both infinities), and a bounded
     sigmoid beta(y) = beta0 + beta1 / (1 + exp(-(y - theta_s)/k_s))."""
     if not beta0 > 0:
-        raise ModelDefinitionError("beta0 must be positive")
+        raise ModelDefinitionError("beta0 must be positive", "beta0")
     if beta1 < 0:
-        raise ModelDefinitionError("beta1 must be nonnegative")
+        raise ModelDefinitionError("beta1 must be nonnegative", "beta1")
     if not k_s > 0:
-        raise ModelDefinitionError("k_s must be positive")
+        raise ModelDefinitionError("k_s must be positive", "k_s")
 
     def f(x):
         return x - x ** 3
@@ -396,125 +364,3 @@ def build_separable_1d(epsilon: float, E: float = 0.0, beta0: float = 1.0,
         beta_floor=beta0, beta_ceil=beta0 + beta1,
         params=dict(E=E, beta0=beta0, beta1=beta1, theta_s=theta_s, k_s=k_s, sigma=sigma),
     )
-
-
-# ---------------------------------------------------------------------------
-# hypothesis validation by grid scan
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    satisfied: bool
-    constants: tuple[tuple[str, float], ...]
-    witness: float | None = None
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    domain: tuple[float, float]
-    grid_points: int
-    checks: tuple[HypothesisCheck, ...]
-
-    def check(self, name: str) -> HypothesisCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def _d1(fn, xs, h):
-    return (fn(xs + h) - fn(xs - h)) / (2 * h)
-
-
-def _d2(fn, xs, h):
-    return (fn(xs + h) - 2 * fn(xs) + fn(xs - h)) / h ** 2
-
-
-def _d4(fn, xs, h):
-    return (fn(xs - 2 * h) - 4 * fn(xs - h) + 6 * fn(xs) - 4 * fn(xs + h) + fn(xs + 2 * h)) / h ** 4
-
-
-def validate_hypotheses(model: SeparableModel1D, L: float, grid: int = 512) -> HypothesisReport:
-    """Scan the structural hypotheses of the separable model on [-L, L].
-
-    Violations are reported, not raised; the report is a deterministic
-    function of (model, L, grid).
-    """
-    if not L > 0:
-        raise ModelDefinitionError("L must be positive")
-    if grid < 64:
-        raise ModelDefinitionError("grid must have at least 64 points")
-    xs = np.linspace(-L, L, grid)
-    h = min(1e-4, (xs[1] - xs[0]) / 4)
-    checks = []
-
-    # f'(x) <= C0 (1 - x^2): fit the smallest feasible C0 on the grid
-    fp = _d1(model.f, xs, h)
-    w = 1.0 - xs ** 2
-    band = 1e-3
-    inner = w > band
-    outer = w < -band
-    lo = np.max(fp[inner] / w[inner]) if inner.any() else 0.0
-    hi = np.min(fp[outer] / w[outer]) if outer.any() else np.inf
-    edge_ok = bool(np.all(fp[np.abs(w) <= band] <= 1e-6))
-    c0 = max(lo, 1e-12)
-    excess = fp - c0 * w
-    drift_ok = bool(lo <= hi) and edge_ok and bool(np.all(excess <= 1e-8 * max(1.0, abs(c0))))
-    witness = None if drift_ok else float(xs[int(np.argmax(excess))])
-    checks.append(HypothesisCheck(
-        "drift-confinement", drift_ok,
-        (("C0", float(c0)), ("upper_feasible", float(hi))), witness))
-
-    # alpha' tends to positive constants at both ends: report endpoint slopes
-    c1 = float(_d1(model.alpha, np.array([xs[0]]), h)[0])
-    c2 = float(_d1(model.alpha, np.array([xs[-1]]), h)[0])
-    checks.append(HypothesisCheck(
-        "interaction-slope-limits", c1 > 0 and c2 > 0,
-        (("C1", c1), ("C2", c2)),
-        None if (c1 > 0 and c2 > 0) else float(xs[0] if c1 <= 0 else xs[-1])))
-
-    # beta positive and bounded on the scan: K^-1 = min beta
-    bv = model.beta(xs)
-    bmin = float(np.min(bv))
-    bmax = float(np.max(bv))
-    checks.append(HypothesisCheck(
-        "interaction-kernel-bounds", bmin > 0,
-        (("K_inv", bmin), ("beta_max", bmax)),
-        None if bmin > 0 else float(xs[int(np.argmin(bv))])))
-
-    # uniform positivity of beta'(y) alpha(y), needed for the BV bound
-    # on the interaction series
-    bp = _d1(model.beta, xs, h)
-    av = model.alpha(xs)
-    g2 = bp * av
-    g2min = float(np.min(g2))
-    checks.append(HypothesisCheck(
-        "bv-coupling-positivity", g2min > 0,
-        (("C_inv", g2min),),
-        None if g2min > 0 else float(xs[int(np.argmin(g2))])))
-
-    # sign condition on beta'' alpha^2 + beta' alpha' alpha (same bound)
-    bpp = _d2(model.beta, xs, h)
-    ap = _d1(model.alpha, xs, h)
-    g2p = bpp * av ** 2 + bp * ap * av
-    g2pmin = float(np.min(g2p))
-    checks.append(HypothesisCheck(
-        "bv-coupling-convexity", g2pmin >= -1e-9,
-        (("min_value", g2pmin),),
-        None if g2pmin >= -1e-9 else float(xs[int(np.argmin(g2p))])))
-
-    # growth bounds: fitted ratios (always finite on a truncated scan)
-    h4 = max(2e-2, h)
-    fpp = _d2(model.f, xs, h)
-    app = _d2(model.alpha, xs, h)
-    b4 = _d4(model.beta, xs, h4)
-    checks.append(HypothesisCheck(
-        "growth-bounds", True,
-        (("C_f2", float(np.max(np.abs(fpp) / (1 + np.abs(xs))))),
-         ("C_a2", float(np.max(np.abs(app) / (1 + xs ** 2)))),
-         ("C_b4", float(np.max(np.abs(b4) / (1 + xs ** 4))))),
-        None))
-
-    return HypothesisReport(domain=(-L, L), grid_points=grid, checks=tuple(checks))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from ._kernels import active, column_moments
-from .models import NetworkModel, build_fhn_network
+from .models import ModelDefinitionError, NetworkModel
 
 NOISE_CHUNK = 256
 
@@ -27,7 +27,7 @@ COMPLETED = "COMPLETED"
 BLOWUP = "BLOWUP"
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(ModelDefinitionError):
     """Invalid run configuration, rejected before stepping."""
 
 
@@ -52,15 +52,18 @@ class NetworkState:
 @dataclass(frozen=True)
 class CoordinateIC:
     """Initial law of one coordinate: "normal" (mean, sd), "uniform"
-    (low, high) or "constant" (value)."""
+    (low, high) or "constant" (value); LAWS names the parameters p1, p2 of
+    each."""
 
     dist: str
-    p1: float
+    p1: float = 0.0
     p2: float = 0.0
 
+    LAWS = {"normal": ("mean", "sd"), "uniform": ("low", "high"), "constant": ("value",)}
+
     def __post_init__(self):
-        if self.dist not in ("normal", "uniform", "constant"):
-            raise ConfigurationError(f"unknown initial distribution {self.dist!r}")
+        if self.dist not in self.LAWS:
+            raise ConfigurationError(f"unknown initial distribution {self.dist!r}", "dist")
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,9 @@ class RecordSpec:
 
     def __post_init__(self):
         if self.stride < 1:
-            raise ConfigurationError("record stride must be >= 1")
+            raise ConfigurationError("record stride must be >= 1", "stride")
         if self.traces < 0:
-            raise ConfigurationError("trace count must be >= 0")
+            raise ConfigurationError("trace count must be >= 0", "traces")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,8 @@ class PerturbationEvent:
     def __post_init__(self):
         for k, v in self.multipliers.items():
             if not v > 0:
-                raise ConfigurationError(f"perturbation multiplier {k} must be positive")
+                raise ConfigurationError(f"perturbation multiplier {k} must be positive",
+                                         f"multipliers.{k}")
 
 
 @dataclass
@@ -124,7 +128,7 @@ def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> Network
     _check_event(model, event)
     pr = model.params
     pr = replace(pr, **{k: getattr(pr, k) * m for k, m in event.multipliers.items()})
-    return build_fhn_network(pr, n=model.populations[0].n, scaling=model.scaling)
+    return NetworkModel(pr, model.n, model.scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +140,19 @@ def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: in
     if len(init.coords) != model.n_populations:
         raise ConfigurationError("initial condition spec does not match population count")
     offsets = model.offsets
-    N = offsets[-1]
-    d = model.populations[0].dim
-    states = np.empty((N, d))
+    n, d = model.n, model.dim
+    states = np.empty((offsets[-1], d))
     block = 0
-    for p, pop in enumerate(model.populations):
-        if len(init.coords[p]) != pop.dim:
-            raise ConfigurationError(f"population {p}: expected {pop.dim} coordinate laws")
+    for p in range(model.n_populations):
+        if len(init.coords[p]) != d:
+            raise ConfigurationError(f"population {p}: expected {d} coordinate laws")
         for k, ic in enumerate(init.coords[p]):
             if ic.dist == "normal":
-                draws = ic.p1 + ic.p2 * rng.normal_block(seed, rng.INIT_STREAM, block, (pop.n,))
+                draws = ic.p1 + ic.p2 * rng.normal_block(seed, rng.INIT_STREAM, block, (n,))
             elif ic.dist == "uniform":
-                draws = ic.p1 + (ic.p2 - ic.p1) * rng.uniform_block(seed, rng.INIT_STREAM, block, (pop.n,))
+                draws = ic.p1 + (ic.p2 - ic.p1) * rng.uniform_block(seed, rng.INIT_STREAM, block, (n,))
             else:
-                draws = np.full(pop.n, ic.p1)
+                draws = np.full(n, ic.p1)
             states[offsets[p]:offsets[p + 1], k] = draws
             block += 1
     return NetworkState(t=0.0, states=states, offsets=offsets)
@@ -212,7 +215,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     state = draw_initial_state(model, init, seed)
     offsets = state.offsets
     N = int(offsets[-1])
-    d = model.populations[0].dim
+    n, d = model.n, model.dim
     P = model.n_populations
     gamma = model.gamma()
     stride = recorder.stride
@@ -232,10 +235,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     times = np.array(record_steps, dtype=float) * dt
     means = np.empty((P, S, d))
     stds = np.empty((P, S, d))
-    sizes = [pop.n for pop in model.populations]
-    traces = np.empty((P, S, min(recorder.traces, max(sizes))))
-    n_traces = [min(traces.shape[2], n) for n in sizes]
-    work = np.empty(max(sizes))
+    traces = np.empty((P, S, min(recorder.traces, n)))
+    work = np.empty(n)
     snapshots: list[tuple[float, np.ndarray]] = []
     status = COMPLETED
     blowup_time = None
@@ -245,8 +246,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         slot = step // stride if step % stride == 0 else S - 1
         for p in range(P):
             blk = state.states[offsets[p]:offsets[p + 1]]
-            _column_moments(blk, means[p, slot], stds[p, slot], work[:blk.shape[0]])
-            traces[p, slot, :n_traces[p]] = blk[:n_traces[p], 0]
+            _column_moments(blk, means[p, slot], stds[p, slot], work)
+            traces[p, slot] = blk[:traces.shape[2], 0]
 
     kernel = active(model.params.kernel)
     args = _kernel_args(model)
@@ -302,9 +303,9 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     return RunRecord(
         seed=seed, dt=dt, gamma=gamma, times=times[:valid],
         means=[m[:valid] for m in means], stds=[s[:valid] for s in stds],
-        traces=[tr[:valid, :k] for tr, k in zip(traces, n_traces)],
+        traces=[tr[:valid] for tr in traces],
         snapshots=snapshots, status=status, blowup_time=blowup_time,
-        meta={"family": model.family, "n": model.populations[0].n,
+        meta={"family": model.params.family, "n": model.n,
               "scaling": (model.scaling.kind, model.scaling.coefficient),
               "T": T, "stride": recorder.stride},
     )
@@ -321,8 +322,7 @@ def simulate_rescaled_early(model: NetworkModel, init: InitialConditionSpec,
     is how it is computed (at gamma = 1 the two modes coincide).
     """
     gamma = model.gamma()
-    rec = RecordSpec(stride=recorder.stride, traces=recorder.traces,
-                     snapshot_times=tuple(t / gamma for t in recorder.snapshot_times))
+    rec = replace(recorder, snapshot_times=tuple(t / gamma for t in recorder.snapshot_times))
     run = simulate(model, init, T_tilde / gamma, dt_tilde / gamma, seed, rec)
     run.times = run.times * gamma
     run.snapshots = [(t * gamma, s) for t, s in run.snapshots]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import NEGATIVITY_FLOOR, active
-from .models import SeparableModel1D
+from .models import ModelDefinitionError, SeparableModel1D
 
 CFL_NUMBER = 0.9
 MAX_STEPS = 20_000_000
@@ -41,9 +41,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.L > 0:
-            raise ValueError("L must be positive")
+            raise ModelDefinitionError("L must be positive")
         if self.M < 64:
-            raise ValueError("at least 64 cells required")
+            raise ModelDefinitionError("at least 64 cells required")
 
     @property
     def dx(self) -> float:

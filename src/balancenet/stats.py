@@ -18,7 +18,6 @@ class Histogram1D:
     counts: np.ndarray
     clamped_low: int
     clamped_high: int
-    normalized: bool = False
 
     @property
     def bins(self) -> int:
@@ -32,10 +31,6 @@ class Histogram1D:
     def centers(self) -> np.ndarray:
         e = self.edges
         return 0.5 * (e[:-1] + e[1:])
-
-    def density(self) -> np.ndarray:
-        width = (self.hi - self.lo) / self.bins
-        return self.counts / (self.counts.sum() * width)
 
 
 def histogram(samples, lo: float, hi: float, bins: int) -> Histogram1D:

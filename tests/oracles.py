@@ -66,10 +66,13 @@ def family_callables(params) -> tuple[Callable, Callable]:
 
 
 def pairwise_model(model) -> PairwiseModel:
-    """The PairwiseModel of a built-in NetworkModel."""
+    """The PairwiseModel of a built-in NetworkModel: one noise channel per
+    agent, loaded onto the voltage with the family's sigma."""
     drift, interaction = family_callables(model.params)
+    sigma = np.zeros((model.dim, 1))
+    sigma[0, 0] = model.params.sigma
     return PairwiseModel(model.offsets, model.coupling, model.gamma(),
-                         tuple(pop.sigma for pop in model.populations), drift, interaction)
+                         (sigma,) * model.n_populations, drift, interaction)
 
 
 def pairwise_input(model: PairwiseModel, p: int, x, blocks) -> np.ndarray:

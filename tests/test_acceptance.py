@@ -17,8 +17,7 @@ from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
 from balancenet.hopfcole import epsilon_sweep
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               ScalingRule, SeparableModel1D,
-                               build_fhn_chemical, build_fhn_electrical,
+                               NetworkModel, ScalingRule, SeparableModel1D,
                                build_separable_1d)
 from balancenet.network import (CoordinateIC, InitialConditionSpec,
                                 PerturbationEvent, RecordSpec, apply_perturbation,
@@ -35,7 +34,7 @@ def announce(num: int, text: str):
 
 def fig1_model(scaling: ScalingRule, sigma=1.0, n=300):
     params = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 1.0, sigma)
-    return build_fhn_electrical(params, n=n, scaling=scaling)
+    return NetworkModel(params, n=n, scaling=scaling)
 
 
 FIG1_INIT = InitialConditionSpec(((CoordinateIC("normal", 1.0, 5.0),
@@ -56,7 +55,7 @@ CHEM_INIT = InitialConditionSpec((
 def chem_model(g_EE, g_EI, g_IE, g_II, n, scaling):
     params = FhnChemicalParams(g_EE=g_EE, g_EI=g_EI, g_IE=g_IE, g_II=g_II,
                                **CHEM_BASE)
-    return build_fhn_chemical(params, n=n, scaling=scaling)
+    return NetworkModel(params, n=n, scaling=scaling)
 
 
 # ---------------------------------------------------------------------------

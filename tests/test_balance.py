@@ -9,8 +9,7 @@ from balancenet.balance import (DegenerateDenominatorError, EmpiricalMeasure,
                                 distance_to_balance, integrate_early_ode,
                                 net_input)
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               ScalingRule, build_fhn_chemical,
-                               build_fhn_electrical)
+                               NetworkModel, ScalingRule)
 from balancenet.network import NetworkState
 
 from .oracles import pairwise_input, pairwise_model
@@ -24,13 +23,13 @@ def chem_model(n=10, **over):
                 E_E=3.0, E_I=-1.0, g_EE=0.3, g_EI=2.0, g_IE=1.0, g_II=10.0,
                 sigma=1.0)
     base.update(over)
-    return build_fhn_chemical(FhnChemicalParams(**base), n=n,
-                              scaling=ScalingRule("constant", 60.0))
+    return NetworkModel(FhnChemicalParams(**base), n=n,
+                        scaling=ScalingRule("constant", 60.0))
 
 
 def elec_model(n=10, g=1.0):
     params = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, g, 1.0)
-    return build_fhn_electrical(params, n=n, scaling=ScalingRule("linear"))
+    return NetworkModel(params, n=n, scaling=ScalingRule("linear"))
 
 
 def chem_measure(sbar_E, sbar_I, m=6):
@@ -83,7 +82,7 @@ class TestNetInput:
             g_EE, g_EI, g_IE, g_II = couplings
             model = chem_model(g_EE=g_EE, g_EI=g_EI, g_IE=g_IE, g_II=g_II)
         gen = np.random.default_rng(seed)
-        d = model.populations[0].dim
+        d = model.dim
         samples = tuple(gen.normal(scale=2.0, size=(n, d))
                         for n in sizes[:model.n_populations])
         x = gen.normal(scale=2.0, size=d)

@@ -42,6 +42,16 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, NETWORK_CFG)
         assert main(["simulate", "--config", cfg]) == 1
 
+    def test_value_a_run_rejects_is_one_before_output(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "kind": "double-limit-sweep", "seed": 1,
+            "network": {"model": {"family": "fhn-electrical", "g": -1.0}, "n_values": [10],
+                        "scalings": [{"kind": "linear"}], "T": 0.1}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "BAD_VALUE(network.model.g)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_sweep_failure_is_two(self, tmp_path):
         # second epsilon exceeds the step budget -> cell fails, sweep continues
         cfg = write_cfg(tmp_path, {

@@ -5,6 +5,7 @@ import pytest
 
 from balancenet.config import (KINDS, ConfigError, ChemicalConfig, ElectricalConfig,
                                parse_config, parse_config_dict)
+from balancenet.models import FhnElectricalParams, ScalingRule
 
 
 def minimal_network(**over):
@@ -75,6 +76,30 @@ class TestParseErrors:
           "network": {"model": {"family": "fhn-electrical"}, "n_values": [10],
                       "scalings": [{"kind": "linear"}], "T": 0.1, "mode": "sideways"}},
          "network.mode"),
+        # values the model, grid and event types reject
+        ({"kind": "double-limit-sweep", "seed": 1,
+          "network": {"model": {"family": "fhn-electrical", "g": -1.0}, "n_values": [10],
+                      "scalings": [{"kind": "linear"}], "T": 0.1}}, "network.model.g"),
+        ({"kind": "double-limit-sweep", "seed": 1,
+          "network": {"model": {"family": "fhn-electrical"}, "n_values": [10],
+                      "scalings": [{"kind": "scaled_linear"}], "T": 0.1}},
+         "network.scalings[0].coefficient"),
+        ({"kind": "double-limit-sweep", "seed": 1,
+          "pde": {"model": {"beta0": -1.0}, "epsilons": [0.4], "T": 0.5}}, "pde.model.beta0"),
+        ({"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2}, "T": 0.5,
+          "grid": {"cells": 10}}, "grid"),
+        (minimal_network(model={"family": "fhn-electrical", "n": 0}), "model.n"),
+        (minimal_network(model={"family": "fhn-chemical"},
+                         events=[{"t": 0.05, "multipliers": {"g_EE": -2.0}}]),
+         "events[0].multipliers.g_EE"),
+        (minimal_network(model={"family": "fhn-chemical", "E_I": 1.0}), "model"),
+        (minimal_network(record={"traces": -1}), "record.traces"),
+        ({"kind": "pde-run", "seed": 1, "model": {"epsilon": 1.5}, "T": 0.5}, "model.epsilon"),
+        ({"kind": "rescaled-early", "seed": 1, "model": {"family": "fhn-chemical"},
+          "gammas": [10.0, 0.0], "T_tilde": 1.0, "dt_tilde": 1e-3}, "gammas"),
+        ({"kind": "double-limit-sweep", "seed": 1,
+          "network": {"model": {"family": "fhn-electrical"}, "n_values": [10, 0],
+                      "scalings": [{"kind": "linear"}], "T": 0.1}}, "network.n_values"),
     ])
     def test_value_checks(self, cfg, path):
         with pytest.raises(ConfigError) as err:
@@ -141,6 +166,16 @@ class TestDefaultsAndEcho:
             spec = parse_config_dict(cfg)
             again = parse_config_dict(json.loads(json.dumps(spec.to_config())))
             assert again == spec, cfg["kind"]
+
+    def test_family_section_is_the_family_params(self):
+        # the section extends the runtime params, so the model is built from
+        # it without a copy, with its n and scaling
+        spec = parse_config_dict(minimal_network(model={"family": "fhn-electrical", "n": 40,
+                                                        "scaling": {"kind": "sqrt"}}))
+        m = spec.payload.model
+        assert isinstance(m, FhnElectricalParams) and isinstance(m.scaling, ScalingRule)
+        model = m.build()
+        assert model.params is m and model.n == 40 and model.scaling is m.scaling
 
     def test_chemical_model_defaults(self):
         spec = parse_config_dict({"kind": "balance-analysis", "seed": 1,

@@ -6,8 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from balancenet.config import parse_config_dict
-from balancenet.harness import (emit_figure_data, file_digest, format_value,
-                                run_experiment, write_csv)
+from balancenet.harness import file_digest, format_value, run_experiment, write_csv
 
 
 def read_csv(path):
@@ -165,11 +164,6 @@ class TestFigures:
         assert header[-2:] == ["xstar_E_pred", "xstar_I_pred"]
         assert len(header) == 1 + 40 + 2
         assert np.isfinite(rows[-1, -2:]).all()
-
-    def test_empty_run_list_no_data(self, tmp_path):
-        files, status = emit_figure_data([], "fig1", tmp_path)
-        assert files == []
-        assert status == "NO_DATA"
 
 
 class TestDoubleLimitSweep:

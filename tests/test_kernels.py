@@ -19,8 +19,7 @@ from balancenet._kernels import (IMPLEMENTATIONS, active, backend, fp_chunk,
 from balancenet.config import parse_config_dict
 from balancenet.harness import numpy_exp_target, run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               ScalingRule, build_fhn_chemical,
-                               build_fhn_electrical, conductance_source_maps)
+                               NetworkModel, ScalingRule, conductance_source_maps)
 from balancenet.network import (NOISE_CHUNK, CoordinateIC, InitialConditionSpec,
                                 RecordSpec, draw_initial_state, simulate)
 
@@ -571,11 +570,11 @@ def test_simulate_matches_generic_step(family):
     # interaction summed exactly over every pair), both fed the same noise
     # blocks
     if family == "electrical":
-        model = build_fhn_electrical(FIG1, n=6, scaling=ScalingRule("constant", 20.0))
+        model = NetworkModel(FIG1, n=6, scaling=ScalingRule("constant", 20.0))
         init = InitialConditionSpec(((CoordinateIC("normal", 1.0, 2.0),
                                       CoordinateIC("normal", 1.5, 2.0)),))
     else:
-        model = build_fhn_chemical(FIG2A, n=4, scaling=ScalingRule("constant", 5.0))
+        model = NetworkModel(FIG2A, n=4, scaling=ScalingRule("constant", 5.0))
         laws = (CoordinateIC("normal", 1.0, 1.0), CoordinateIC("normal", 2.0, 1.0),
                 CoordinateIC("uniform", 0.2, 1.0))
         init = InitialConditionSpec((laws, laws))

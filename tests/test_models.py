@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               ModelDefinitionError, ScalingRule,
-                               build_fhn_chemical, build_fhn_electrical,
-                               build_separable_1d, scaling_gamma,
-                               validate_hypotheses)
+                               ModelDefinitionError, NetworkModel, ScalingRule,
+                               build_separable_1d, scaling_gamma)
 
 from .oracles import family_callables
 
@@ -79,11 +77,12 @@ class TestElectricalModel:
             assert got[1] == pytest.approx(FIG1.a * (FIG1.b * x - y), rel=1e-12)
 
     def test_structure(self):
-        model = build_fhn_electrical(FIG1, n=300)
+        model = NetworkModel(FIG1, n=300)
         assert model.n_populations == 1
-        assert model.populations[0].dim == 2
+        assert model.dim == 2
         assert model.coupling[0, 0] == 1.0
-        assert model.populations[0].sigma[0, 0] == 1.0
+        assert model.params.sigma == 1.0
+        assert model.offsets.tolist() == [0, 300]
 
     def test_interaction_voltage_difference(self):
         np.testing.assert_allclose(
@@ -97,7 +96,7 @@ class TestElectricalModel:
 
     def test_zero_coupling_allowed(self):
         params = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 0.0, 1.0)
-        model = build_fhn_electrical(params)
+        model = NetworkModel(params, n=300)
         assert model.coupling[0, 0] == 0.0
 
     def test_invariants_rejected(self):
@@ -111,11 +110,11 @@ class TestElectricalModel:
 
 class TestChemicalModel:
     def test_signed_matrix_figure_values(self):
-        model = build_fhn_chemical(FIG2A)
+        model = NetworkModel(FIG2A, n=300)
         np.testing.assert_allclose(model.ghat, [[0.3, 2.0], [-1.0, -10.0]])
 
     def test_coupling_is_target_major_transpose(self):
-        model = build_fhn_chemical(FIG2A)
+        model = NetworkModel(FIG2A, n=300)
         np.testing.assert_allclose(model.coupling, model.ghat.T)
 
     @given(st.tuples(*[st.floats(0, 50) for _ in range(4)]))
@@ -124,7 +123,7 @@ class TestChemicalModel:
         gee, gei, gie, gii = mags
         params = FhnChemicalParams((-1.0, 1.3, -0.3, 0.0), 0.4, 1.5, 1.0, 1.0,
                                    1.0, 1.0, 0.2, 3.0, -1.0, gee, gei, gie, gii, 1.0)
-        model = build_fhn_chemical(params)
+        model = NetworkModel(params, n=300)
         # source-E column of the target-major matrix is nonnegative,
         # source-I column nonpositive
         assert np.all(model.coupling[:, 0] >= 0)
@@ -143,7 +142,7 @@ class TestChemicalModel:
     def test_uncoupled_when_zero(self):
         params = FhnChemicalParams((-1.0, 1.3, -0.3, 0.0), 0.4, 1.5, 1.0, 1.0,
                                    1.0, 1.0, 0.2, 3.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-        model = build_fhn_chemical(params)
+        model = NetworkModel(params, n=300)
         assert np.all(model.coupling == 0.0)
 
     def test_s_equation_decay(self):
@@ -191,50 +190,45 @@ class TestSeparableModel:
 
 
 class TestValidateHypotheses:
+    """The structural hypotheses of the separable model, scanned on a grid
+    for the default model."""
+
+    XS = np.linspace(-10.0, 10.0, 2001)
+
+    @staticmethod
+    def slope(fn, xs, h=1e-4):
+        return (fn(xs + h) - fn(xs - h)) / (2 * h)
+
     def test_default_drift_bound_fitted_at_one(self):
+        # f'(x) <= C0 (1 - x^2) holds with C0 = 1 and no smaller C0 (equality
+        # at x = 0)
         m = build_separable_1d(0.1)
-        report = validate_hypotheses(m, L=10.0, grid=2001)
-        chk = report.check("drift-confinement")
-        assert chk.satisfied
-        assert dict(chk.constants)["C0"] == pytest.approx(1.0, abs=2e-3)
+        fp = self.slope(m.f, self.XS)
+        w = 1.0 - self.XS ** 2
+        assert np.all(fp <= w + 1e-6)
+        inner = w > 1e-3
+        assert np.max(fp[inner] / w[inner]) == pytest.approx(1.0, abs=2e-3)
 
     def test_default_beta_floor(self):
         m = build_separable_1d(0.1, beta0=0.5, beta1=1.0)
-        report = validate_hypotheses(m, L=10.0)
-        chk = report.check("interaction-kernel-bounds")
-        assert chk.satisfied
+        assert (m.beta_floor, m.beta_ceil) == (0.5, 1.5)
+        bv = m.beta(self.XS)
         # the scan minimum sits at the domain edge, just above the infimum beta0
-        assert 0.5 <= dict(chk.constants)["K_inv"] <= 0.5 + 1e-3
-        assert dict(chk.constants)["beta_max"] <= 1.5
+        assert 0.5 <= bv.min() <= 0.5 + 1e-3
+        assert bv.max() <= 1.5
 
     def test_default_slopes(self):
         m = build_separable_1d(0.1)
-        chk = validate_hypotheses(m, L=10.0).check("interaction-slope-limits")
-        assert chk.satisfied
-        consts = dict(chk.constants)
-        assert consts["C1"] == pytest.approx(1.0, abs=1e-6)
-        assert consts["C2"] == pytest.approx(1.0, abs=1e-6)
+        ends = np.array([self.XS[0], self.XS[-1]])
+        np.testing.assert_allclose(self.slope(m.alpha, ends), [1.0, 1.0], atol=1e-6)
 
     def test_bv_positivity_violated_with_witness(self):
         # bounded beta with sign-changing alpha cannot satisfy the uniform
         # positivity of beta' * alpha; the scan must find a witness
         m = build_separable_1d(0.1)
-        chk = validate_hypotheses(m, L=10.0).check("bv-coupling-positivity")
-        assert not chk.satisfied
-        assert chk.witness is not None
+        g2 = self.slope(m.beta, self.XS) * m.alpha(self.XS)
+        assert g2.min() <= 0.0
+        witness = self.XS[np.argmin(g2)]
         h = 1e-5
-        beta_prime = (m.beta(chk.witness + h) - m.beta(chk.witness - h)) / (2 * h)
-        assert beta_prime * m.alpha(chk.witness) <= 0.0
-
-    def test_deterministic(self):
-        m = build_separable_1d(0.1)
-        r1 = validate_hypotheses(m, L=8.0, grid=512)
-        r2 = validate_hypotheses(m, L=8.0, grid=512)
-        assert r1 == r2
-
-    def test_rejects_bad_domain(self):
-        m = build_separable_1d(0.1)
-        with pytest.raises(ModelDefinitionError):
-            validate_hypotheses(m, L=-1.0)
-        with pytest.raises(ModelDefinitionError):
-            validate_hypotheses(m, L=1.0, grid=32)
+        beta_prime = (m.beta(witness + h) - m.beta(witness - h)) / (2 * h)
+        assert beta_prime * m.alpha(witness) <= 0.0

@@ -10,8 +10,7 @@ from scipy.linalg import expm
 from balancenet import network, rng
 from balancenet._kernels import network_chunk
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               ScalingRule, build_fhn_chemical,
-                               build_fhn_electrical)
+                               NetworkModel, ScalingRule)
 from balancenet.network import (NOISE_CHUNK, ConfigurationError, CoordinateIC,
                                 InitialConditionSpec, NetworkState,
                                 PerturbationEvent, RecordSpec, _column_moments,
@@ -80,7 +79,7 @@ class TestStep:
 
     def test_permutation_equivariance_exact(self):
         model = pairwise_model(
-            build_fhn_electrical(FIG1, n=6, scaling=ScalingRule("constant", 5.0)))
+            NetworkModel(FIG1, n=6, scaling=ScalingRule("constant", 5.0)))
         rng = np.random.default_rng(3)
         states = rng.normal(size=(6, 2))
         noise = rng.normal(size=(6, 1))
@@ -95,7 +94,7 @@ class TestStep:
         params = FhnChemicalParams((-1.0, 1.3, -0.3, 0.0), 0.4, 1.5, 1.0, 1.0,
                                    1.0, 1.0, 0.2, 3.0, -1.0, 0.3, 2.0, 1.0, 10.0, 1.0)
         model = pairwise_model(
-            build_fhn_chemical(params, n=4, scaling=ScalingRule("constant", 2.0)))
+            NetworkModel(params, n=4, scaling=ScalingRule("constant", 2.0)))
         rng = np.random.default_rng(11)
         states = rng.normal(size=(8, 3))
         # permute within each population independently
@@ -111,7 +110,7 @@ class TestStep:
 
 class TestSimulate:
     def test_same_seed_identical(self):
-        model = build_fhn_electrical(FIG1, n=40)
+        model = NetworkModel(FIG1, n=40)
         rec = RecordSpec(stride=5, traces=3, snapshot_times=(0.05,))
         r1 = simulate(model, FIG1_INIT, 0.1, 1e-4, 42, rec)
         r2 = simulate(model, FIG1_INIT, 0.1, 1e-4, 42, rec)
@@ -123,7 +122,7 @@ class TestSimulate:
         np.testing.assert_array_equal(r1.snapshots[0][1], r2.snapshots[0][1])
 
     def test_different_seed_differs(self):
-        model = build_fhn_electrical(FIG1, n=40)
+        model = NetworkModel(FIG1, n=40)
         r1 = simulate(model, FIG1_INIT, 0.05, 1e-4, 1)
         r2 = simulate(model, FIG1_INIT, 0.05, 1e-4, 2)
         assert not np.array_equal(r1.means[0], r2.means[0])
@@ -132,7 +131,7 @@ class TestSimulate:
         # sigma = 0, g = 0: every agent follows the scalar FitzHugh-Nagumo
         # ODE; compare against an adaptive Runge-Kutta reference
         params = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 0.0, 0.0)
-        model = build_fhn_electrical(params, n=3)
+        model = NetworkModel(params, n=3)
         rec = RecordSpec(stride=1000, snapshot_times=(0.0, 1.0))
         run = simulate(model, FIG1_INIT, 1.0, 1e-4, 7, rec)
         init = run.snapshots[0][1]
@@ -151,7 +150,7 @@ class TestSimulate:
     def test_fig1_dispersion_near_ou_prediction(self):
         # late-time voltage dispersion of the coupled run approaches the
         # Ornstein-Uhlenbeck linearization value sigma/sqrt(2 gamma g)
-        model = build_fhn_electrical(FIG1, n=300)
+        model = NetworkModel(FIG1, n=300)
         run = simulate(model, FIG1_INIT, 0.25, 1e-4, 2024,
                        RecordSpec(stride=50))
         target = 1.0 / np.sqrt(2.0 * 300.0 * 1.0)
@@ -163,7 +162,7 @@ class TestSimulate:
         # voltage spread then tracks the slowly moving recovery spread, so
         # allow a quasi-static creep of order 1e-4 relative per sample
         params = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 1.0, 0.0)
-        model = build_fhn_electrical(params, n=300)
+        model = NetworkModel(params, n=300)
         run = simulate(model, FIG1_INIT, 0.1, 1e-4, 5, RecordSpec(stride=10))
         sel = run.times > 5.0 / 300.0
         stds = run.stds[0][sel, 0]
@@ -171,7 +170,7 @@ class TestSimulate:
         assert stds[-1] <= stds[0]
 
     def test_step_guard_rejects_large_dt(self):
-        model = build_fhn_electrical(FIG1, n=300)  # gamma = 300, g = 1
+        model = NetworkModel(FIG1, n=300)  # gamma = 300, g = 1
         with pytest.raises(ConfigurationError):
             simulate(model, FIG1_INIT, 0.1, 1e-3, 1)
 
@@ -183,7 +182,7 @@ class TestSimulate:
         assert np.isfinite(run.means[0][:len(run.times)]).all()
 
     def test_snapshot_times_and_stride(self):
-        model = build_fhn_electrical(FIG1, n=10)
+        model = NetworkModel(FIG1, n=10)
         rec = RecordSpec(stride=7, traces=2, snapshot_times=(0.0, 0.013, 0.05))
         run = simulate(model, FIG1_INIT, 0.05, 1e-4, 9, rec)
         assert run.times[0] == 0.0
@@ -194,12 +193,12 @@ class TestSimulate:
 
 class TestPerturbation:
     def test_identity_multiplier(self):
-        model = build_fhn_chemical(_fig2a_params())
+        model = NetworkModel(_fig2a_params(), n=300)
         out = apply_perturbation(model, PerturbationEvent(1.0, {"g_EE": 1.0}))
         np.testing.assert_array_equal(out.ghat, model.ghat)
 
     def test_fig2_excitatory_increase(self):
-        model = build_fhn_chemical(_fig2a_params())
+        model = NetworkModel(_fig2a_params(), n=300)
         out = apply_perturbation(
             model, PerturbationEvent(1.0, {"g_EE": 1.5, "g_EI": 1.5}))
         np.testing.assert_allclose(out.ghat, [[0.45, 3.0], [-1.0, -10.0]])
@@ -209,12 +208,12 @@ class TestPerturbation:
             PerturbationEvent(1.0, {"g_EE": 0.0})
 
     def test_unknown_entry_rejected(self):
-        model = build_fhn_chemical(_fig2a_params())
+        model = NetworkModel(_fig2a_params(), n=300)
         with pytest.raises(ConfigurationError):
             apply_perturbation(model, PerturbationEvent(1.0, {"g_XX": 2.0}))
 
     def test_midrun_event_changes_dynamics(self):
-        model = build_fhn_chemical(_fig2a_params(), n=20)
+        model = NetworkModel(_fig2a_params(), n=20)
         init = _chem_init()
         ev = [PerturbationEvent(0.005, {"g_EE": 1.5, "g_EI": 1.5})]
         base = simulate(model, init, 0.01, 1e-5, 3, RecordSpec(stride=100))
@@ -260,8 +259,8 @@ class TestEventCheck:
 
 class TestRescaledEarly:
     def test_gamma_one_identical_to_simulate(self):
-        model = build_fhn_chemical(_fig2a_params(), n=15,
-                                   scaling=ScalingRule("constant", 1.0))
+        model = NetworkModel(_fig2a_params(), n=15,
+                             scaling=ScalingRule("constant", 1.0))
         init = _chem_init()
         direct = simulate(model, init, 0.5, 1e-3, 11, RecordSpec(stride=10))
         rescaled = simulate_rescaled_early(model, init, 0.5, 1e-3, 11,
@@ -274,8 +273,8 @@ class TestRescaledEarly:
         init = _chem_init()
         moves = []
         for gamma in (10.0, 100.0):
-            model = build_fhn_chemical(_fig2a_params(), n=50,
-                                       scaling=ScalingRule("constant", gamma))
+            model = NetworkModel(_fig2a_params(), n=50,
+                                 scaling=ScalingRule("constant", gamma))
             run = simulate_rescaled_early(model, init, 1.0, 1e-3, 21,
                                           RecordSpec(stride=10))
             move = max(np.max(np.abs(run.means[p][:, 1] - run.means[p][0, 1]))
@@ -304,7 +303,7 @@ def _chem_init():
 
 class TestInitialState:
     def test_population_layout(self):
-        model = build_fhn_chemical(_fig2a_params(), n=5)
+        model = NetworkModel(_fig2a_params(), n=5)
         st = draw_initial_state(model, _chem_init(), 13)
         assert st.states.shape == (10, 3)
         assert np.searchsorted(st.offsets, 0, side="right") - 1 == 0
@@ -314,7 +313,7 @@ class TestInitialState:
         assert st.block(1)[:, 2].max() <= 3.0
 
     def test_mismatched_spec_rejected(self):
-        model = build_fhn_chemical(_fig2a_params(), n=5)
+        model = NetworkModel(_fig2a_params(), n=5)
         bad = InitialConditionSpec(((CoordinateIC("constant", 0.0),),))
         with pytest.raises(ConfigurationError):
             draw_initial_state(model, bad, 1)
@@ -327,8 +326,8 @@ CONTRACT_STEPS = 2 * NOISE_CHUNK + 88
 def _contract_case(family):
     """Small model, initial law and an identity perturbation per family."""
     if family == "electrical":
-        return build_fhn_electrical(FIG1, n=5), FIG1_INIT, {"g": 1.0}
-    return build_fhn_chemical(_fig2a_params(), n=4), _chem_init(), {"g_EE": 1.0}
+        return NetworkModel(FIG1, n=5), FIG1_INIT, {"g": 1.0}
+    return NetworkModel(_fig2a_params(), n=4), _chem_init(), {"g_EE": 1.0}
 
 
 def _runaway_case(family):
@@ -336,10 +335,10 @@ def _runaway_case(family):
     steps at dt = 1e-3."""
     x = CoordinateIC("constant", 60.0)
     if family == "electrical":
-        return build_fhn_electrical(FIG1, n=50), InitialConditionSpec(
+        return NetworkModel(FIG1, n=50), InitialConditionSpec(
             ((x, CoordinateIC("normal", 1.5, 5.0)),))
     laws = _chem_init().coords
-    return build_fhn_chemical(_fig2a_params(), n=50), InitialConditionSpec(
+    return NetworkModel(_fig2a_params(), n=50), InitialConditionSpec(
         tuple((x,) + pop[1:] for pop in laws))
 
 

@@ -64,11 +64,11 @@ class TestDispersionFig1Integration:
     def test_fig1_series_collapses_before_t01(self):
         # contraction at rate ~gamma*g drives the voltage spread from 5
         # below 0.1 well before t = 0.1
-        from balancenet.models import FhnElectricalParams, build_fhn_electrical
+        from balancenet.models import FhnElectricalParams, NetworkModel
         from balancenet.network import (CoordinateIC, InitialConditionSpec,
                                         RecordSpec, simulate)
         params = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 1.0, 1.0)
-        model = build_fhn_electrical(params, n=300)
+        model = NetworkModel(params, n=300)
         init = InitialConditionSpec(((CoordinateIC("normal", 1.0, 5.0),
                                       CoordinateIC("normal", 1.5, 5.0)),))
         run = simulate(model, init, 0.1, 1e-4, 31, RecordSpec(stride=5))
