@@ -6,8 +6,8 @@ concentration behavior of the associated mean-field Fokker-Planck equation.
 __version__ = "0.1.0"
 
 from .models import (FhnChemicalParams, FhnElectricalParams, NetworkModel,
-                     ScalingRule, SeparableModel1D, build_separable_1d,
-                     scaling_gamma)
+                     ScalingRule, SeparableModel1D, SeparableParams,
+                     build_separable_1d, scaling_gamma)
 from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
                       PerturbationEvent, RecordSpec, RunRecord,
                       apply_perturbation, simulate, simulate_rescaled_early)

@@ -1,33 +1,49 @@
 """The C twins of ``_kernels.fp_chunk``, ``_kernels.network_chunk`` and
-``rng.normal_block``: build, cache, load and wrap.
+``rng.normal_block``: build, cache, load, wrap and check.
 
 ``_fp_chunk.c``, ``_network_chunk.c`` and ``_normal_block.c`` are compiled
-together with ``cc -O3 -ffp-contract=off -shared -fPIC`` into one library
-in ``$XDG_CACHE_HOME/balancenet`` (default ``~/.cache/balancenet``), under
-a name keyed by the sha256 of the sources, the flags, the resolved path,
-size and mtime of the compiler binary, and the platform, so later processes
-find it with a few ``stat`` calls and load it without compiling or running
-the compiler. An unwritable cache gets a private build under the temporary
-directory. The library is called through ``ctypes``, which releases the
-GIL during each call. ``_kernels`` imports this module on the first kernel
-request.
+together with ``cc -O3 -march=native -ffp-contract=off -shared -fPIC`` into
+one library in ``$XDG_CACHE_HOME/balancenet`` (default
+``~/.cache/balancenet``), built for the host CPU's vector unit. Its name is
+keyed by the sha256 of the sources, the flags, the resolved path, size and
+mtime of the compiler binary, the platform and the host CPU (its model and
+feature flags), so later processes find it with a few ``stat`` calls and
+load it without compiling or running the compiler, and a cache shared
+between machines never loads a library built for another CPU. An
+unwritable cache gets a private build under the temporary directory. The
+library is called through ``ctypes``, which releases the GIL during each
+call. ``_kernels`` imports this module on the first kernel request.
+
+Wider vectors change no result: without -ffast-math the compiler may not
+reassociate a sum, and -ffp-contract=off forbids fused multiply-adds. Each
+twin still proves it once: its ``self_check()`` runs it and the numpy
+function it follows on a fixed input and compares the bits (see
+``_selfcheck``), and its verdict is kept in a small file next to the
+library, keyed on the library, the numpy version and numpy's exp target,
+so a warm process runs no check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import hashlib
 import os
 import platform
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from ._kernels import numpy_exp_target
+
 _C_SOURCES = tuple(Path(__file__).with_name(name)
                    for name in ("_fp_chunk.c", "_network_chunk.c", "_normal_block.c"))
-_C_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+C_TARGET = "native"  # the instruction set the library is built for: the host CPU's
+_C_FLAGS = ("-O3", f"-march={C_TARGET}", "-ffp-contract=off", "-shared", "-fPIC")
 _C_LIBS = ("-lm",)
 
 
@@ -40,6 +56,25 @@ def _cache_dir() -> Path:
     return Path(base) / "balancenet"
 
 
+@functools.cache
+def cpu_identity() -> dict:
+    """The host CPU as -march=native sees it: the model name and feature
+    flags of the first processor in /proc/cpuinfo ("Features" on ARM), or
+    platform.processor() where that file is missing or names neither."""
+    fields = {}
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                key, sep, value = line.partition(":")
+                if not sep:
+                    break  # the blank line after the first processor
+                if key.strip() in ("model name", "flags", "Features"):
+                    fields[key.strip()] = value.strip()
+    except OSError:
+        pass
+    return fields or {"processor": platform.processor()}
+
+
 def _library_name(cc: str) -> str:
     """The cached library's file name, keyed by everything that decides its
     bits. The compiler is identified by its binary, not by asking it, so a
@@ -50,7 +85,8 @@ def _library_name(cc: str) -> str:
     key = hashlib.sha256("\0".join([
         *(src.read_text() for src in _C_SOURCES), " ".join(_C_FLAGS + _C_LIBS),
         real, str(st.st_size), str(st.st_mtime_ns),
-        f"{sys.platform}-{platform.machine()}"]).encode()).hexdigest()[:16]
+        f"{sys.platform}-{platform.machine()}",
+        *(f"{k}: {v}" for k, v in sorted(cpu_identity().items()))]).encode()).hexdigest()[:16]
     return f"kernels-{key}.so"
 
 
@@ -77,8 +113,8 @@ def _compile(cc: str, target: Path) -> None:
 
 def _load_c_library():
     """Load the compiled C twins, building them first if the cache lacks
-    them. Returns None when there is no compiler or the build or load
-    fails."""
+    them. Returns (library, its path in the cache, or None for a private
+    build), or None when there is no compiler or the build or load fails."""
     cc = shutil.which("cc")
     if cc is None:
         return None
@@ -90,7 +126,7 @@ def _load_c_library():
             target = cache / name
             if not target.exists():
                 _compile(cc, target)
-            return ctypes.CDLL(str(target))
+            return ctypes.CDLL(str(target)), target
         except OSError:
             import tempfile
 
@@ -98,7 +134,7 @@ def _load_c_library():
             with tempfile.TemporaryDirectory(prefix="balancenet-") as tmp:
                 target = Path(tmp) / name
                 _compile(cc, target)
-                return ctypes.CDLL(str(target))
+                return ctypes.CDLL(str(target)), None
     except (OSError, _CompileError):
         return None
 
@@ -192,18 +228,10 @@ def _c_network_chunk(lib):
     return network_chunk
 
 
-# the self-check's stream: its 65,536 draws take both slow paths of the
-# ziggurat, 18 tails and 952 wedge tests
-_CHECK_KEY = (0x243F6A8885A308D3, 0x13198A2E03707344)
-_CHECK_DRAWS = 1 << 16
-
-
 def _c_normal_block(lib):
     """Wrap the C ``normal_block`` of ``lib`` as fill(key0, key1, out), which
     writes numpy's Generator(Philox(key=[key0, key1])).standard_normal into
-    out and returns it. Its ``self_check()`` tells whether its draws for a
-    fixed key equal numpy's in every bit, so that tables or a libm that do
-    not match the running numpy leave the noise to numpy."""
+    out and returns it."""
     c_fn = lib.normal_block
     c_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_long]
     c_fn.restype = None
@@ -216,23 +244,62 @@ def _c_normal_block(lib):
         c_fn(key0, key1, out.ctypes.data, out.size)
         return out
 
-    def self_check() -> bool:
-        from .rng import _generator
-
-        drawn = normal_block(*_CHECK_KEY, np.empty(_CHECK_DRAWS))
-        expected = _generator(_CHECK_KEY).standard_normal(_CHECK_DRAWS)
-        # compared as bits: -0.0 and 0.0, or two NaNs, would pass as floats
-        return np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
-
-    normal_block.self_check = self_check
     return normal_block
 
 
+_VERDICTS = {"pass\n": True, "fail\n": False}
+
+
+def _verdict(name: str, twin, library: Path | None) -> bool:
+    """Whether the twin of the numpy function ``name`` passes its check in
+    _selfcheck.CHECKS. The verdict is read from its file next to ``library``,
+    keyed on the library, the numpy version and numpy's exp target; when
+    that file is missing or unreadable the check runs and its verdict is
+    stored there. A private build (library None) is checked in every
+    process."""
+    path = None
+    if library is not None:
+        key = hashlib.sha256("\0".join([library.name, name, np.__version__,
+                                         str(numpy_exp_target())]).encode()).hexdigest()[:16]
+        path = library.with_name(f"{library.stem}.{name}.{key}.verdict")
+        try:
+            stored = _VERDICTS.get(path.read_text())
+        except (OSError, ValueError):
+            stored = None
+        if stored is not None:
+            return stored
+    from ._selfcheck import CHECKS
+
+    passed = CHECKS[name](twin)
+    if path is not None:
+        # published whole (os.replace), so a concurrent reader sees no part
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text("pass\n" if passed else "fail\n")
+            os.replace(tmp, path)
+        except OSError:  # an unwritable cache: the next process checks again
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+    return passed
+
+
 def load_c_kernels() -> dict:
-    """The C twins by the name of the numpy function they follow; empty
-    when no C compiler can build them."""
-    lib = _load_c_library()
-    if lib is None:
+    """The C twins by the name of the numpy function they follow, each with
+    a ``self_check()`` (see _verdict); empty when no C compiler can build
+    them."""
+    loaded = _load_c_library()
+    if loaded is None:
         return {}
-    return {"fp_chunk": _c_fp_chunk(lib), "network_chunk": _c_network_chunk(lib),
-            "normal_block": _c_normal_block(lib)}
+    lib, path = loaded
+    twins = {"fp_chunk": _c_fp_chunk(lib), "network_chunk": _c_network_chunk(lib),
+             "normal_block": _c_normal_block(lib)}
+    for name, twin in twins.items():
+        twin.self_check = functools.partial(_verdict, name, twin, path)
+    return twins
+
+
+def build_target() -> dict:
+    """What the library was built for, as the manifest records it: the
+    instruction set (C_TARGET) and the host CPU's model."""
+    cpu = cpu_identity()
+    return {"c_target": C_TARGET, "cpu": cpu.get("model name", cpu.get("processor"))}

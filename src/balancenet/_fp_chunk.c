@@ -1,14 +1,15 @@
 /*
  * C twin of balancenet._kernels.fp_chunk, built on first use by
- * balancenet._clib (cc -O3 -ffp-contract=off -shared -fPIC) and called
- * through ctypes.
+ * balancenet._clib (cc -O3 -march=native -ffp-contract=off -shared -fPIC)
+ * and called through ctypes.
  *
  * Every floating-point operation follows the numpy kernel in the same
  * order, so both give identical bits:
  *  - the interaction I = sum(beta_w * mu) copies numpy's pairwise
  *    summation of a contiguous float64 array (pairwise_dot below);
  *  - -ffp-contract=off keeps a * b + c from being fused into one rounding,
- *    and without -ffast-math the vectorizer of -O3 reorders no sum;
+ *    and without -ffast-math the vectorizer reorders no sum, however wide
+ *    the host's vectors (-march=native);
  *  - the flux of every face is computed from the start-of-step density
  *    before any cell is updated.
  */

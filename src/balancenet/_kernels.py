@@ -10,10 +10,11 @@ perfbench/README.md).
 through the one network kernel; they keep their own keys so that traced
 runs attribute its time to the family that called it. Both kernels have C
 twins (``_network_chunk.c``, ``_fp_chunk.c``, bit-identical to the numpy
-kernels) that ``_clib`` compiles into one library on the first request,
-cached per user, together with the C twin of ``rng.normal_block``
-(``_normal_block.c``, handed out by ``c_twin`` once it has matched
-numpy's draws); without a working C compiler the numpy kernels run.
+kernels) that ``_clib`` compiles for the host CPU into one library on the
+first request, cached per user, together with the C twin of
+``rng.normal_block`` (``_normal_block.c``). ``c_twin`` hands a twin out
+once it has matched its numpy function on a fixed input; without a
+working C compiler, or for a twin that fails its check, numpy runs.
 """
 
 from __future__ import annotations
@@ -219,12 +220,11 @@ def active(name: str):
 
 @functools.cache
 def _passes_self_check(twin) -> bool:
-    """Whether a C twin passes its self-check, if it has one. A twin that
-    must equal a numpy function it does not call (normal_block) is checked
-    against it once, on its first request rather than when the library
-    loads, so a process that never asks for it pays nothing for it."""
-    check = getattr(twin, "self_check", None)
-    return check is None or check()
+    """Whether a C twin passes its self-check. A twin is checked once, on
+    its first request rather than when the library loads, so a process
+    that never asks for it pays nothing for it; the verdict is cached next
+    to the library (see _clib._verdict)."""
+    return twin.self_check()
 
 
 def c_twin(name: str):
@@ -233,6 +233,19 @@ def c_twin(name: str):
     None when there is none or it fails its self-check."""
     twin = _c_kernels().get(name)
     return twin if twin is not None and _passes_self_check(twin) else None
+
+
+def numpy_exp_target() -> str | None:
+    """The SIMD target numpy dispatches its float64 exp to ("X86_V4",
+    "X86_V3", ...): the chemical gate's exp, and so the chemical bytes, can
+    differ between targets. None for numpy before 2.0, which has no
+    numpy.lib.introspect to ask."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^exp$", signature="float64")
+    return info.get("exp", {}).get("dd", {}).get("current")
 
 
 def backend(kernel: str) -> str:

@@ -1,7 +1,7 @@
 /*
  * C twin of balancenet._kernels.network_chunk, built on first use by
- * balancenet._clib (cc -O3 -ffp-contract=off -shared -fPIC) and called
- * through ctypes.
+ * balancenet._clib (cc -O3 -march=native -ffp-contract=off -shared -fPIC)
+ * and called through ctypes.
  *
  * Every floating-point operation follows the numpy kernel in the same
  * order, so both give identical bits:
@@ -12,7 +12,8 @@
  *  - recorded means and stds are sums taken in sequence over the agents,
  *    as numpy's mean(axis=0) and std(axis=0) take them;
  *  - -ffp-contract=off keeps a * b + c from being fused into one rounding,
- *    and without -ffast-math the vectorizer of -O3 reorders no sum.
+ *    and without -ffast-math the vectorizer reorders no sum, however wide
+ *    the host's vectors (-march=native).
  * The synaptic gate's exp is not computed here: numpy's exp and libm's
  * differ in the last bit on some CPUs, so the caller evaluates it with
  * numpy between one-step calls (see network_chunk's gate argument).

@@ -1,7 +1,7 @@
 /*
  * C twin of balancenet.rng.normal_block, built on first use by
- * balancenet._clib (cc -O3 -ffp-contract=off -shared -fPIC) and called
- * through ctypes.
+ * balancenet._clib (cc -O3 -march=native -ffp-contract=off -shared -fPIC)
+ * and called through ctypes.
  *
  * normal_block(key0, key1, out, n) writes the n doubles that numpy's
  * Generator(Philox(key=[key0, key1])).standard_normal(n) returns, bit for

@@ -1,0 +1,107 @@
+"""The self-checks of the C twins that ``_clib`` builds: each runs a twin
+and the numpy function it follows on a fixed input and compares the
+results bit for bit. ``_clib._verdict`` imports this module only when a
+verdict is not cached yet, so a warm process neither runs nor compiles
+these checks.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ._kernels import fp_chunk, network_chunk
+from .models import conductance_source_maps
+
+# the self-check's stream: its 65,536 draws take both slow paths of the
+# ziggurat, 18 tails and 952 wedge tests
+_CHECK_KEY = (0x243F6A8885A308D3, 0x13198A2E03707344)
+_CHECK_DRAWS = 1 << 16
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # compared as bits: -0.0 and 0.0, or two NaNs, would pass as floats
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _wave(shape, phase: float) -> np.ndarray:
+    """A fixed input that needs no random stream: sin(0.7 i + phase)."""
+    return np.sin(np.arange(math.prod(shape)) * 0.7 + phase).reshape(shape)
+
+
+def _check_normal_block(fill) -> bool:
+    """Whether the C fill draws numpy's normals for a fixed key, so that
+    tables or a libm that do not match the running numpy leave the noise to
+    numpy."""
+    from .rng import _generator
+
+    drawn = fill(*_CHECK_KEY, np.empty(_CHECK_DRAWS))
+    return _same_bits(drawn, _generator(_CHECK_KEY).standard_normal(_CHECK_DRAWS))
+
+
+def _network_cases():
+    """Fixed network_chunk arguments for both families: 130 electrical
+    agents recorded every step, and chemical populations of 7 and 129
+    agents recorded every third step, once in mid-call. The sizes lie on
+    both sides of the 8- and 128-term edges of numpy's pairwise sum."""
+    n = 130
+    yield [2.0 * _wave((n, 2), 0.1), _wave((4, n), 0.2), 1e-3, np.array([0, n]),
+           np.array([[30.0]]), np.array([-1.0]), np.zeros((1, 2)), np.zeros(1),
+           np.array([[1.0, 0.0]]), (-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+           1.0, 0, 1, np.full((1, 5, 2), np.nan), np.full((1, 5, 2), np.nan),
+           np.full((1, 5, 3), np.nan)]
+    n = 136
+    states = 1.0 + _wave((n, 3), 0.3)
+    states[:, 2] = 0.5 + 0.4 * _wave((n,), 0.4)
+    maps = conductance_source_maps([1.0, -1.0])
+    yield [states, _wave((4, n), 0.5), 1e-4, np.array([0, 7, n]),
+           20.0 * np.array([[0.3, -1.0], [2.0, -10.0]]),
+           maps.alpha0, maps.alpha1, maps.beta0, maps.beta1,
+           (-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 0.5, 1.0, -2.0, 1.0), 1.0, 1, 3,
+           np.full((2, 2, 3), np.nan), np.full((2, 2, 3), np.nan), np.full((2, 2, 2), np.nan)]
+
+
+def _check_network_chunk(twin) -> bool:
+    """Whether the C network_chunk steps and records the fixed cases as the
+    numpy kernel does, in every bit."""
+    for args in _network_cases():
+        copy = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        if twin(*args) != network_chunk(*copy):
+            return False
+        if not all(_same_bits(a, b) for a, b in zip(args, copy) if isinstance(a, np.ndarray)):
+            return False
+    return True
+
+
+def _fp_case(m: int) -> list:
+    """Fixed fp_chunk arguments on m cells, three steps at half the CFL
+    step, with velocities of both signs."""
+    dx = 8.0 / m
+    mu = 1.2 + _wave((m,), 0.6)
+    mu /= mu.sum() * dx
+    f_face = 3.0 * _wave((m + 1,), 0.7)
+    alpha_face = _wave((m + 1,), 2.3)
+    beta_w = (1.0 + 0.5 * _wave((m,), 0.8)) * dx
+    inv_eps, half_sig2 = 2.5, 0.5
+    vmax = 3.0 + inv_eps * 1.5
+    dt = 0.5 / (vmax / dx + 2.0 * half_sig2 / dx ** 2)
+    return [mu, np.zeros(m + 1), f_face, alpha_face, beta_w, inv_eps, half_sig2, dx, dt, 3,
+            np.zeros(3)]
+
+
+def _check_fp_chunk(twin) -> bool:
+    """Whether the C fp_chunk updates the fixed grids of 7, 100 and 1000
+    cells (both sides of numpy's 8- and 128-term pairwise-sum edges) as the
+    numpy kernel does, in every bit."""
+    for m in (7, 100, 1000):
+        args, copy = _fp_case(m), _fp_case(m)
+        if twin(*args) != fp_chunk(*copy):
+            return False
+        if not all(_same_bits(args[i], copy[i]) for i in (0, 1, 10)):
+            return False
+    return True
+
+
+CHECKS = {"fp_chunk": _check_fp_chunk, "network_chunk": _check_network_chunk,
+          "normal_block": _check_normal_block}

@@ -23,10 +23,13 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+from .hopfcole import check_epsilons
 from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionError,
-                     NetworkModel, ScalingRule, SeparableModel1D, build_separable_1d)
-from .network import CoordinateIC, InitialConditionSpec, PerturbationEvent, RecordSpec
-from .pde import Grid1D
+                     NetworkModel, ScalingRule, SeparableModel1D, SeparableParams,
+                     build_separable_1d)
+from .network import (CoordinateIC, InitialConditionSpec, PerturbationEvent, RecordSpec,
+                      check_run)
+from .pde import Grid1D, check_concentration
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -284,24 +287,12 @@ NETWORK_FAMILIES = {cfg.family: cfg for cfg in (ElectricalConfig, ChemicalConfig
 
 
 @dataclass(frozen=True)
-class SeparableConfig(_Section):
-    """The separable 1D model of an epsilon sweep, which sets epsilon itself
-    (see build_separable_1d)."""
-
-    E: float = 0.0
-    beta0: float = 1.0
-    beta1: float = 1.0
-    theta_s: float = 3.0
-    k_s: float = 1.0
-    sigma: float = 3.0
-
-    def __post_init__(self):
-        # the model's checks, at an epsilon that passes its own
-        self.build(1.0)
+class SeparableConfig(SeparableParams, _Section):
+    """The separable 1D model of an epsilon sweep, which sets epsilon itself;
+    the section is the model's parameters."""
 
     def build(self, epsilon: float) -> SeparableModel1D:
-        return build_separable_1d(epsilon, self.E, self.beta0, self.beta1, self.theta_s,
-                                  self.k_s, self.sigma)
+        return build_separable_1d(epsilon, self)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -311,6 +302,7 @@ class SeparableRunConfig(SeparableConfig):
     epsilon: float
 
     def __post_init__(self):
+        super().__post_init__()
         self.build(self.epsilon)
 
 
@@ -332,6 +324,9 @@ class PdeInitConfig(_Section):
 
     center: float = 1.0
     concentration: float = 1.0
+
+    def __post_init__(self):
+        check_concentration(self.concentration)
 
 
 @dataclass(frozen=True)
@@ -380,6 +375,9 @@ class NetworkRunSpec(_Section):
 
     command = "simulate"
 
+    def __post_init__(self):
+        check_run(self.model.build(), self.T, self.dt, self.events)
+
 
 @dataclass(frozen=True)
 class RescaledEarlySpec(_Section):
@@ -391,9 +389,16 @@ class RescaledEarlySpec(_Section):
 
     command = "early"
 
-    def check(self, node):
+    def __post_init__(self):
         if not all(g > 0 for g in self.gammas):
-            raise ConfigError(BAD_VALUE, node._at("gammas"), "gammas must be positive")
+            raise ModelDefinitionError("gammas must be positive", "gammas")
+        # each gamma's run, as simulate_rescaled_early makes it
+        for gamma in self.gammas:
+            try:
+                check_run(self.model.build(scaling=ScalingRule("constant", gamma)),
+                          self.T_tilde / gamma, self.dt_tilde / gamma)
+            except ModelDefinitionError as err:
+                raise ModelDefinitionError(str(err), f"{err.key}_tilde") from err
 
 
 @dataclass(frozen=True)
@@ -419,6 +424,9 @@ class DoubleLimitPdeSpec(_Section):
     init: PdeInitConfig = PdeInitConfig()
 
     t0 = None  # not a key here; EpsilonSweepSpec makes it one
+
+    def __post_init__(self):
+        check_epsilons(self.epsilons)
 
 
 @dataclass(frozen=True)

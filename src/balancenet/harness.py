@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import backend as kernel_backend
+from ._kernels import backend as kernel_backend, numpy_exp_target
 from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
@@ -81,19 +81,6 @@ def _jsonable(obj):
     return obj
 
 
-def numpy_exp_target() -> str | None:
-    """The SIMD target numpy dispatches its float64 exp to ("X86_V4",
-    "X86_V3", ...): the chemical gate's exp, and so the chemical bytes, can
-    differ between targets. None for numpy before 2.0, which has no
-    numpy.lib.introspect to ask."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:
-        return None
-    info = opt_func_info(func_name="^exp$", signature="float64")
-    return info.get("exp", {}).get("dd", {}).get("current")
-
-
 def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) -> dict:
     files = {}
     for p in sorted(out.rglob("*.csv")) + sorted(out.rglob("*_report.json")):
@@ -108,6 +95,9 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) 
         backend["network_chunk"] = kernel_backend("network_chunk")
         backend["normal_block"] = kernel_backend("normal_block")
         backend["numpy_exp"] = numpy_exp_target()
+    if "c" in backend.values():
+        from ._clib import build_target
+        backend.update(build_target())
     manifest = {
         "version": __version__,
         "backend": backend,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import SeparableModel1D
+from .models import ModelDefinitionError, SeparableModel1D
 from .pde import DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
 FLOOR_RATIO = 1e-15
@@ -386,6 +386,14 @@ def _strictly_decreasing(xs) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
+def check_epsilons(epsilons) -> None:
+    """The condition epsilon_sweep puts on its epsilons: a non-empty list,
+    strictly decreasing within (0, 1]."""
+    if not epsilons or not _strictly_decreasing(epsilons) or not all(0 < e <= 1 for e in epsilons):
+        raise ModelDefinitionError("epsilons must be strictly decreasing within (0, 1]",
+                                   "epsilons")
+
+
 def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float,
                   init_concentration: float = 1.0, init_center: float = 1.0,
                   snapshot_every: float | None = None, t0: float | None = None
@@ -399,8 +407,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
     the report once the certificates are fitted.
     """
     eps = [float(e) for e in epsilons]
-    if not eps or not _strictly_decreasing(eps) or not all(0 < e <= 1 for e in eps):
-        raise ValueError("epsilons must be strictly decreasing within (0, 1]")
+    check_epsilons(eps)
     if snapshot_every is None:
         snapshot_every = T / 60
     if t0 is None:

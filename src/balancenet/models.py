@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -310,6 +310,30 @@ class NetworkModel:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SeparableParams:
+    """Parameters of the default separable model (see build_separable_1d):
+    the zero E of alpha, the floor beta0 and height beta1 of the sigmoid
+    beta, its centre theta_s and width k_s, and the noise sigma."""
+
+    E: float = 0.0
+    beta0: float = 1.0
+    beta1: float = 1.0
+    theta_s: float = 3.0
+    k_s: float = 1.0
+    sigma: float = 3.0
+
+    def __post_init__(self):
+        if not self.beta0 > 0:
+            raise ModelDefinitionError("beta0 must be positive", "beta0")
+        if self.beta1 < 0:
+            raise ModelDefinitionError("beta1 must be nonnegative", "beta1")
+        if not self.k_s > 0:
+            raise ModelDefinitionError("k_s must be positive", "k_s")
+        if not self.sigma > 0:
+            raise ModelDefinitionError("sigma must be positive", "sigma")
+
+
 @dataclass(frozen=True, eq=False)
 class SeparableModel1D:
     """Single population, d = 1, interaction b(x, y) = alpha(x) beta(y) with
@@ -322,7 +346,6 @@ class SeparableModel1D:
     epsilon: float
     beta_floor: float
     beta_ceil: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -334,21 +357,16 @@ class SeparableModel1D:
 
     def with_epsilon(self, epsilon: float) -> "SeparableModel1D":
         return SeparableModel1D(self.f, self.alpha, self.beta, self.sigma, epsilon,
-                                self.beta_floor, self.beta_ceil, dict(self.params))
+                                self.beta_floor, self.beta_ceil)
 
 
-def build_separable_1d(epsilon: float, E: float = 0.0, beta0: float = 1.0,
-                       beta1: float = 1.0, theta_s: float = 3.0, k_s: float = 1.0,
-                       sigma: float = 3.0) -> SeparableModel1D:
+def build_separable_1d(epsilon: float, params: SeparableParams = SeparableParams()
+                       ) -> SeparableModel1D:
     """Default experimental model: f(x) = x - x^3 (so f' <= 1 - x^2),
     alpha(x) = x - E (unit slopes at both infinities), and a bounded
     sigmoid beta(y) = beta0 + beta1 / (1 + exp(-(y - theta_s)/k_s))."""
-    if not beta0 > 0:
-        raise ModelDefinitionError("beta0 must be positive", "beta0")
-    if beta1 < 0:
-        raise ModelDefinitionError("beta1 must be nonnegative", "beta1")
-    if not k_s > 0:
-        raise ModelDefinitionError("k_s must be positive", "k_s")
+    E, beta0, beta1 = params.E, params.beta0, params.beta1
+    theta_s, k_s = params.theta_s, params.k_s
 
     def f(x):
         return x - x ** 3
@@ -360,7 +378,5 @@ def build_separable_1d(epsilon: float, E: float = 0.0, beta0: float = 1.0,
         return beta0 + beta1 / (1.0 + np.exp(-(np.asarray(y, dtype=float) - theta_s) / k_s))
 
     return SeparableModel1D(
-        f=f, alpha=alpha, beta=beta, sigma=sigma, epsilon=epsilon,
-        beta_floor=beta0, beta_ceil=beta0 + beta1,
-        params=dict(E=E, beta0=beta0, beta1=beta1, theta_s=theta_s, k_s=k_s, sigma=sigma),
-    )
+        f=f, alpha=alpha, beta=beta, sigma=params.sigma, epsilon=epsilon,
+        beta_floor=beta0, beta_ceil=beta0 + beta1)

@@ -117,10 +117,11 @@ class RunRecord:
     meta: dict = field(default_factory=dict)
 
 
-def _check_event(model: NetworkModel, event: PerturbationEvent) -> None:
-    unknown = set(event.multipliers) - set(model.params.conductances)
+def _check_event(model: NetworkModel, event: PerturbationEvent, at: str = "") -> None:
+    unknown = sorted(set(event.multipliers) - set(model.params.conductances))
     if unknown:
-        raise ConfigurationError(f"unknown conductance entries {sorted(unknown)}")
+        raise ConfigurationError(f"unknown conductance entries {unknown}",
+                                 f"{at}multipliers.{unknown[0]}")
 
 
 def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> NetworkModel:
@@ -158,13 +159,30 @@ def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: in
     return NetworkState(t=0.0, states=states, offsets=offsets)
 
 
-def _check_step_guard(model: NetworkModel, dt: float):
+def check_run(model: NetworkModel, T: float, dt: float,
+              events: Sequence[PerturbationEvent] = ()) -> None:
+    """Reject a run that simulate cannot take: T and dt must be positive,
+    dt must keep the step guard gamma * max|g| * dt <= 0.1, every event
+    must fall inside [0, T] and scale conductances the model has, and the
+    horizon must hold at least one step. The ConfigurationError names the
+    key at fault ("T", "dt", "events[i].t", "events[i].multipliers.<name>"),
+    so a config is rejected at parse time by the same checks."""
+    if not T > 0:
+        raise ConfigurationError("T must be positive", "T")
+    if not dt > 0:
+        raise ConfigurationError("dt must be positive", "dt")
     gamma = model.gamma()
     gmax = float(np.max(np.abs(model.coupling)))
     if gmax > 0 and gamma * gmax * dt > 0.1 * (1 + 1e-12):
         raise ConfigurationError(
             f"step guard violated: gamma*max|g|*dt = {gamma * gmax * dt:.3g} > 0.1; "
-            f"use dt <= {0.1 / (gamma * gmax):.3g}")
+            f"use dt <= {0.1 / (gamma * gmax):.3g}", "dt")
+    for i, ev in enumerate(events):
+        if not 0 <= ev.t <= T:
+            raise ConfigurationError(f"event time {ev.t} outside run horizon", f"events[{i}].t")
+        _check_event(model, ev, f"events[{i}].")
+    if int(round(T / dt)) < 1:
+        raise ConfigurationError("horizon shorter than one step", "T")
 
 
 def _kernel_args(model: NetworkModel) -> tuple:
@@ -191,27 +209,16 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     """Integrate the network SDE over [0, T] and record statistics.
 
     Bit-identical output for identical inputs; BLOWUP is recorded as a
-    terminal status with the time of the first failing step. The events'
-    times and conductance names are checked before the first step.
+    terminal status with the time of the first failing step. The run is
+    checked (check_run) before the first step.
 
     The kernel records every stride-th step itself, so a kernel call ends
     only at a snapshot, an event, the edge of a noise block or the last
     step; that step, when it is no multiple of the stride, is recorded
     here.
     """
-    if not T > 0:
-        raise ConfigurationError("T must be positive")
-    if not dt > 0:
-        raise ConfigurationError("dt must be positive")
-    _check_step_guard(model, dt)
-    for ev in events:
-        if not 0 <= ev.t <= T:
-            raise ConfigurationError(f"event time {ev.t} outside run horizon")
-        _check_event(model, ev)
-
+    check_run(model, T, dt, events)
     n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ConfigurationError("horizon shorter than one step")
     state = draw_initial_state(model, init, seed)
     offsets = state.offsets
     N = int(offsets[-1])

@@ -77,6 +77,12 @@ class DensityField:
         return float(self.values.sum() * self.grid.dx)
 
 
+def check_concentration(concentration: float) -> None:
+    """The condition gaussian_initial puts on its concentration A."""
+    if not concentration > 0:
+        raise ModelDefinitionError("concentration must be positive", "concentration")
+
+
 def gaussian_initial(grid: Grid1D, epsilon: float, concentration: float = 1.0,
                      center: float = 0.0) -> DensityField:
     """mu0 proportional to exp(-A (x - x0)^2 / eps), normalized on the grid.
@@ -84,8 +90,7 @@ def gaussian_initial(grid: Grid1D, epsilon: float, concentration: float = 1.0,
     This family satisfies the concentration hypothesis on initial data
     (eps log mu0 <= -A x^2 + B uniformly in eps) by construction.
     """
-    if not concentration > 0:
-        raise ValueError("concentration must be positive")
+    check_concentration(concentration)
     x = grid.centers
     v = np.exp(-concentration * (x - center) ** 2 / epsilon)
     total = v.sum() * grid.dx

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import balancenet
 from balancenet.cli import main
 
@@ -50,6 +52,19 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
         assert "BAD_VALUE(network.model.g)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("simulate", {"kind": "network-run", "seed": 1, "model": {"family": "fhn-electrical"},
+                      "T": 0.1, "dt": 0.01}, "dt"),
+        ("sweep", {"kind": "double-limit-sweep", "seed": 1,
+                   "pde": {"model": {}, "epsilons": [0.2, 0.4], "T": 0.1}}, "pde.epsilons")])
+    def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
+                                                            cfg, path):
+        # the step guard and the epsilon order are checked at parse time
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert f"BAD_VALUE({path})" in capsys.readouterr().err
         assert not out.exists()
 
     def test_partial_sweep_failure_is_two(self, tmp_path):

@@ -100,6 +100,28 @@ class TestParseErrors:
         ({"kind": "double-limit-sweep", "seed": 1,
           "network": {"model": {"family": "fhn-electrical"}, "n_values": [10, 0],
                       "scalings": [{"kind": "linear"}], "T": 0.1}}, "network.n_values"),
+        # values only a whole run rejects: the step guard, the horizon, the
+        # events, the epsilon list and the initial concentration
+        (minimal_network(dt=0.01), "dt"),
+        (minimal_network(T=0.0), "T"),
+        (minimal_network(dt=-1e-4), "dt"),
+        (minimal_network(T=1e-5), "T"),
+        (minimal_network(model={"family": "fhn-chemical"},
+                         events=[{"t": 0.2, "multipliers": {"g_EE": 2.0}}]), "events[0].t"),
+        (minimal_network(model={"family": "fhn-chemical"},
+                         events=[{"t": 0.05, "multipliers": {"g_EE": 2.0}},
+                                 {"t": 0.05, "multipliers": {"g": 2.0}}]),
+         "events[1].multipliers.g"),
+        ({"kind": "rescaled-early", "seed": 1, "model": {"family": "fhn-chemical"},
+          "gammas": [10.0], "T_tilde": 1.0, "dt_tilde": 0.02}, "dt_tilde"),
+        ({"kind": "rescaled-early", "seed": 1, "model": {"family": "fhn-chemical"},
+          "gammas": [10.0], "T_tilde": 0.0, "dt_tilde": 1e-3}, "T_tilde"),
+        ({"kind": "double-limit-sweep", "seed": 1,
+          "pde": {"model": {}, "epsilons": [0.2, 0.4], "T": 0.5}}, "pde.epsilons"),
+        ({"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [], "T": 0.5},
+         "epsilons"),
+        ({"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2}, "T": 0.5,
+          "init": {"concentration": 0.0}}, "init.concentration"),
     ])
     def test_value_checks(self, cfg, path):
         with pytest.raises(ConfigError) as err:

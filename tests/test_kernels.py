@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancenet import _clib, _kernels, rng
+from balancenet import _clib, _kernels, _selfcheck, rng
 from balancenet._clib import _C_FLAGS, _C_SOURCES
 from balancenet._kernels import (IMPLEMENTATIONS, active, backend, fp_chunk,
                                  network_chunk)
@@ -183,6 +183,7 @@ def test_c_fp_kernel_rejects_mismatched_sizes(c_fp_chunk):
 @needs_cc
 def test_c_source_compiles_without_warnings(tmp_path):
     assert {s.name for s in _C_SOURCES} == {"_fp_chunk.c", "_network_chunk.c", "_normal_block.c"}
+    assert f"-march={_clib.C_TARGET}" in _C_FLAGS
     for source in _C_SOURCES:
         subprocess.run([shutil.which("cc"), *_C_FLAGS, "-Wall", "-Wextra", "-Werror",
                         "-o", str(tmp_path / f"{source.stem}.so"), str(source)],
@@ -223,7 +224,8 @@ def test_concurrent_first_requests_build_once(tmp_path, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(builds) == 1
     assert got[0] is not fp_chunk and all(k is got[0] for k in got)
-    assert [p.suffix for p in cache.iterdir()] == [".so"]
+    # one library and the verdict of the one twin requested, nothing half-written
+    assert sorted(p.suffix for p in cache.iterdir()) == [".so", ".verdict"]
 
 
 @needs_cc
@@ -242,24 +244,69 @@ def test_unwritable_cache_builds_in_temp_dir(tmp_path, monkeypatch):
 
 @needs_cc
 def test_cache_hit_starts_no_process(tmp_path, monkeypatch):
-    # a warm cache is found from the compiler binary's stat alone
+    # a warm cache is found from the compiler binary's stat alone, and the
+    # twins' verdicts are read from their files
     monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path)
     monkeypatch.setattr(_kernels, "_c_twins", None)
-    assert backend("fp_chunk") == "c"
+    assert backend("fp_chunk") == backend("network_chunk") == backend("normal_block") == "c"
     monkeypatch.setattr(_kernels, "_c_twins", None)
 
     def no_process(*args, **kwargs):
         raise AssertionError("a cache hit ran a subprocess")
 
+    def no_check(twin):
+        raise AssertionError("a cache hit ran a self-check")
+
     monkeypatch.setattr(subprocess, "run", no_process)
     monkeypatch.setattr(subprocess, "Popen", no_process)
+    for name in _selfcheck.CHECKS:
+        monkeypatch.setitem(_selfcheck.CHECKS, name, no_check)
     assert active("fp_chunk") is not fp_chunk
     assert backend("network_chunk") == backend("normal_block") == "c"
-    assert len(list(tmp_path.iterdir())) == 1
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".so"] + 3 * [".verdict"]
+
+
+def test_library_name_keys_on_the_cpu(monkeypatch):
+    cc = shutil.which("cc") or sys.executable  # any binary serves as the compiler key
+    if os.path.exists("/proc/cpuinfo"):
+        assert {"model name", "flags", "Features"} & set(_clib.cpu_identity())
+    name = _clib._library_name(cc)
+    assert _clib._library_name(cc) == name
+    monkeypatch.setattr(_clib, "cpu_identity", lambda: {"model name": "another CPU", "flags": "sse2"})
+    assert _clib._library_name(cc) != name
+
+
+@needs_cc
+def test_missing_or_unreadable_verdict_runs_the_check_again(tmp_path, monkeypatch):
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path)
+    checks = []
+    check = _selfcheck.CHECKS["fp_chunk"]
+    monkeypatch.setitem(_selfcheck.CHECKS, "fp_chunk", lambda twin: checks.append(1) or check(twin))
+
+    def first_request():
+        monkeypatch.setattr(_kernels, "_c_twins", None)
+        assert backend("fp_chunk") == "c"
+        return len(checks)
+
+    assert first_request() == 1
+    assert first_request() == 1  # warm: the verdict file answers
+    (verdict,) = tmp_path.glob("*.fp_chunk.*.verdict")
+    assert verdict.read_text() == "pass\n"
+    for damage in (lambda: verdict.write_bytes(b"\xff\xfe"), lambda: verdict.write_text(""),
+                   verdict.unlink):
+        damage()
+        runs = len(checks)
+        assert first_request() == runs + 1
+        assert verdict.read_text() == "pass\n"
 
 
 PDE_RUN = {"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2},
            "grid": {"L": 8.0, "cells": 129}, "T": 0.05}
+
+
+def _c_build():
+    """The manifest's record of the C build, when a kernel runs in C."""
+    return {} if shutil.which("cc") is None else _clib.build_target()
 
 
 def test_missing_compiler_falls_back_to_numpy_with_same_bytes(tmp_path, monkeypatch):
@@ -288,7 +335,7 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
     assert manifest["backend"] == {"numpy": np.__version__,
                                    "network_chunk": backend("network_chunk"),
                                    "normal_block": backend("normal_block"),
-                                   "numpy_exp": numpy_exp_target()}
+                                   "numpy_exp": numpy_exp_target(), **_c_build()}
 
 
 EARLY_RUN = {"kind": "rescaled-early", "seed": 2, "model": {"family": "fhn-chemical", "n": 6},
@@ -315,7 +362,8 @@ NOISE = ("network_chunk", "normal_block")
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
     exp = {"numpy_exp": numpy_exp_target()} if "network_chunk" in kernels else {}
-    assert manifest["backend"] == {"numpy": np.__version__, **exp,
+    build = _c_build() if kernels else {}
+    assert manifest["backend"] == {"numpy": np.__version__, **exp, **build,
                                    **{k: backend(k) for k in kernels}}
     expected = "numpy" if shutil.which("cc") is None else "c"
     assert all(manifest["backend"][k] == expected for k in kernels)
@@ -681,6 +729,71 @@ def test_self_check_falls_back_to_numpy_on_a_wrong_table(tmp_path, monkeypatch):
 CHEMICAL_RUN = {"kind": "network-run", "seed": 9, "model": {"family": "fhn-chemical", "n": 40},
                 "T": 0.06, "dt": 1e-4, "record": {"stride": 1, "traces": 3,
                                                    "snapshot_times": [0.03]}}
+CHEMICAL_EVENT_RUN = {**CHEMICAL_RUN, "events": [{"t": 0.02, "multipliers": {"g_EE": 1.5}}]}
+
+
+@needs_cc
+@pytest.mark.parametrize("twin, kernel, config", [
+    ("network_chunk", "chemical_chunk", CHEMICAL_EVENT_RUN),
+    ("network_chunk", "electrical_chunk", NETWORK_RUN),
+    ("fp_chunk", "fp_chunk", PDE_RUN)])
+def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch, twin,
+                                                          kernel, config):
+    spec = parse_config_dict(config)
+    compiled = run_experiment(spec, out_dir=tmp_path / "compiled")
+    assert compiled["backend"][twin] == "c"
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path / "cache")
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    monkeypatch.setitem(_selfcheck.CHECKS, twin, lambda fn: False)
+    assert _kernels.c_twin(twin) is None
+    assert active(kernel) is IMPLEMENTATIONS[kernel]
+    fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
+    assert fallback["backend"][twin] == "numpy"
+    assert len(fallback["files"]) >= 2
+    assert fallback["files"] == compiled["files"]
+    # the failed verdict is kept: the next process hands out numpy unchecked
+    (verdict,) = (tmp_path / "cache").glob(f"*.{twin}.*.verdict")
+    assert verdict.read_text() == "fail\n"
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    monkeypatch.setitem(_selfcheck.CHECKS, twin, None)
+    assert backend(twin) == "numpy"
+    assert backend({"fp_chunk": "network_chunk"}.get(twin, "fp_chunk")) == "c"
+
+
+@needs_cc
+@pytest.mark.parametrize("name", ["fp_chunk", "network_chunk"])
+def test_self_check_catches_a_one_bit_difference(name):
+    # a twin that is the numpy kernel with one bit of its output moved
+    numpy_kernel = {"fp_chunk": fp_chunk, "network_chunk": network_chunk}[name]
+
+    def off_by_one_bit(*args):
+        done = numpy_kernel(*args)
+        target = args[-1] if name == "fp_chunk" else args[-2]  # i_out, or the recorded stds
+        flat = target.reshape(-1)
+        flat[-1] = np.nextafter(flat[-1], np.inf)
+        return done
+
+    check = _selfcheck.CHECKS[name]
+    assert check(_kernels.c_twin(name))
+    assert check(numpy_kernel)
+    assert not check(off_by_one_bit)
+
+
+@needs_cc
+def test_warm_network_process_runs_no_self_check(tmp_path):
+    # with the verdicts cached, a network run checks no twin and never
+    # imports numpy.random, which only the noise fill's check would need
+    assert backend("fp_chunk") == backend("network_chunk") == backend("normal_block") == "c"
+    code = ("import sys\n"
+            "from balancenet.config import parse_config_dict\n"
+            "from balancenet.harness import run_experiment\n"
+            f"net = run_experiment(parse_config_dict({NETWORK_RUN!r}), out_dir={str(tmp_path)!r})\n"
+            "assert net['backend']['network_chunk'] == net['backend']['normal_block'] == 'c'\n"
+            "assert 'balancenet._selfcheck' not in sys.modules\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                ModelDefinitionError, NetworkModel, ScalingRule,
-                               build_separable_1d, scaling_gamma)
+                               SeparableParams, build_separable_1d, scaling_gamma)
 
 from .oracles import family_callables
 
@@ -164,7 +164,7 @@ class TestChemicalModel:
 
 class TestSeparableModel:
     def test_alpha_zero_at_reference(self):
-        m = build_separable_1d(0.1, E=0.0)
+        m = build_separable_1d(0.1, SeparableParams(E=0.0))
         assert m.alpha(0.0) == 0.0
 
     def test_f_zero_at_one(self):
@@ -172,7 +172,7 @@ class TestSeparableModel:
         assert m.f(1.0) == 0.0
 
     def test_beta_bounds_grid_scan(self):
-        m = build_separable_1d(0.1, beta0=0.5, beta1=1.0)
+        m = build_separable_1d(0.1, SeparableParams(beta0=0.5, beta1=1.0))
         ys = np.linspace(-50, 50, 4001)
         vals = m.beta(ys)
         assert vals.min() >= 0.5
@@ -180,7 +180,7 @@ class TestSeparableModel:
 
     def test_beta0_nonpositive_rejected(self):
         with pytest.raises(ModelDefinitionError):
-            build_separable_1d(0.1, beta0=0.0)
+            SeparableParams(beta0=0.0)
 
     def test_epsilon_range(self):
         with pytest.raises(ModelDefinitionError):
@@ -210,7 +210,7 @@ class TestValidateHypotheses:
         assert np.max(fp[inner] / w[inner]) == pytest.approx(1.0, abs=2e-3)
 
     def test_default_beta_floor(self):
-        m = build_separable_1d(0.1, beta0=0.5, beta1=1.0)
+        m = build_separable_1d(0.1, SeparableParams(beta0=0.5, beta1=1.0))
         assert (m.beta_floor, m.beta_ceil) == (0.5, 1.5)
         bv = m.beta(self.XS)
         # the scan minimum sits at the domain edge, just above the infimum beta0
