@@ -13,10 +13,9 @@ from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
                       apply_perturbation, simulate, simulate_rescaled_early)
 from .balance import (BalanceReport, EmpiricalMeasure, chemical_balance_voltages,
                       chemical_stability, distance_to_balance,
-                      integrate_early_ode, net_input)
+                      integrate_early_ode)
 from .pde import DensityField, Grid1D, gaussian_initial, solve_fp_1d
 from .hopfcole import (HopfColeField, check_bv_interaction, check_moment_bound,
-                       check_supersolution_envelope, check_w_gradient_bound,
-                       epsilon_sweep, hamiltonian_residual, hopf_cole,
-                       support_width)
-from .stats import Histogram1D, cluster_split, histogram
+                       check_w_gradient_bound, epsilon_sweep, hamiltonian_residual,
+                       hopf_cole, support_width)
+from .stats import Histogram1D, histogram

@@ -14,6 +14,12 @@ unwritable cache gets a private build under the temporary directory. The
 library is called through ``ctypes``, which releases the GIL during each
 call. ``_kernels`` imports this module on the first kernel request.
 
+The chemical family's gate needs numpy's exp, whose last bit differs from
+libm's on some CPUs. ``network_chunk`` therefore calls the float64 inner
+loop of the ``np.exp`` ufunc itself, read off the ufunc object (see
+_exp_loop), so a whole noise block of either family is one C call. Where
+that loop cannot be read safely, the numpy kernel runs.
+
 Wider vectors change no result: without -ffast-math the compiler may not
 reassociate a sum, and -ffp-contract=off forbids fused multiply-adds. Each
 twin still proves it once: its ``self_check()`` runs it and the numpy
@@ -169,15 +175,54 @@ def _address(a: np.ndarray, shape: tuple, writeable: bool = False) -> int:
     return a.ctypes.data
 
 
-def _c_network_chunk(lib):
+NPY_DOUBLE = 12  # numpy's type number of float64 (NPY_TYPES in ndarraytypes.h)
+
+
+class _UFuncHead(ctypes.Structure):
+    """The leading fields of numpy's PyUFuncObject, as the installed
+    numpy/_core/include/numpy/ufuncobject.h declares them, after the
+    object header (object.__basicsize__ bytes)."""
+
+    _fields_ = [("ob_base", ctypes.c_char * object.__basicsize__),
+                ("nin", ctypes.c_int), ("nout", ctypes.c_int), ("nargs", ctypes.c_int),
+                ("identity", ctypes.c_int),
+                ("functions", ctypes.POINTER(ctypes.c_void_p)),
+                ("data", ctypes.POINTER(ctypes.c_void_p)),
+                ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+                ("name", ctypes.c_char_p), ("types", ctypes.POINTER(ctypes.c_byte))]
+
+
+def _exp_loop(ufunc) -> tuple[int, int | None] | None:
+    """(address, data) of the float64 -> float64 inner loop of numpy's exp
+    ufunc ``ufunc``: the loop numpy's dispatcher chose for this CPU at
+    import, and so np.exp's bits. None on a free-threaded build ("t" in its
+    ABI flags), and unless ``ufunc`` is a CPython ufunc object named "exp"
+    with one input, one output and such a loop; each field is checked
+    before the pointer after it is read."""
+    if (sys.implementation.name != "cpython" or "t" in getattr(sys, "abiflags", "")
+            or type(ufunc) is not np.ufunc
+            or np.ufunc.__basicsize__ < ctypes.sizeof(_UFuncHead)):
+        return None
+    head = _UFuncHead.from_address(id(ufunc))
+    if (head.nin, head.nout, head.nargs) != (1, 1, 2) or head.name != b"exp" \
+            or not 0 < head.ntypes <= 256 or not (head.functions and head.data and head.types):
+        return None
+    for i in range(head.ntypes):
+        if head.types[2 * i] == head.types[2 * i + 1] == NPY_DOUBLE:
+            loop = head.functions[i]
+            return None if loop is None else (loop, head.data[i])
+    return None
+
+
+def _c_network_chunk(lib, exp_loop: int, exp_data: int | None):
     """Wrap the C ``network_chunk`` of ``lib`` in the numpy kernel's
-    signature. The electrical family (no gate) runs a whole call in C; the
-    chemical family alternates numpy's exp of the gate argument with one C
-    step, so the gate gets numpy's exp bits."""
+    signature. A whole call runs in C for either family; the chemical gate
+    is exponentiated by numpy's own exp loop ``exp_loop`` (see _exp_loop),
+    so it gets np.exp's bits."""
     c_fn = lib.network_chunk
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     c_fn.argtypes = [ptr, long_, long_, ptr, long_, double, ptr, long_, ptr, ptr, ptr, ptr, ptr,
-                     ptr, double, ptr, long_, long_, long_, long_, ptr, ptr, ptr]
+                     ptr, double, ptr, ptr, ptr, long_, long_, long_, long_, ptr, ptr, ptr]
     c_fn.restype = long_
 
     def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
@@ -194,36 +239,21 @@ def _c_network_chunk(lib):
         # the constant arguments: copies of the caller's arrays when needed
         const = [np.ascontiguousarray(v, dtype=np.float64) for v in (coef, alpha0, alpha1, beta0, beta1)]
         shapes = [(npop, npop), (npop,), (npop, d), (npop,), (npop, d)]
+        gate = np.empty(n) if d == 3 else None  # the C step's scratch for the gate
         args = [_address(states, (n, d), writeable=True), n, d,
                 _address(noise, (steps, n)) if steps else None, steps, dt,
                 offsets.ctypes.data, npop,
                 *(_address(v, s) for v, s in zip(const, shapes)),
-                _address(fhn, (11,)), sig, None, step0, stride, 0, 0, None, None, None]
+                _address(fhn, (11,)), sig, None if gate is None else gate.ctypes.data,
+                exp_loop, exp_data, step0, stride, 0, 0, None, None, None]
         if stride > 0:
             slots, k = means.shape[1], traces.shape[2]
             if (step0 + steps) // stride >= slots:
                 raise ValueError("network_chunk: too few record slots")
-            args[18:] = [slots, k, _address(means, (npop, slots, d), True),
+            args[20:] = [slots, k, _address(means, (npop, slots, d), True),
                          _address(stds, (npop, slots, d), True),
                          _address(traces, (npop, slots, k), True) if k else None]
-        if d == 2:
-            return c_fn(*args)
-        # the gate's exp from numpy, one step per C call; the C step leaves
-        # the next exp argument in gate
-        theta, inv_slope = float(fhn[9]), float(fhn[10])
-        gate = np.subtract(theta, states[:, 0])
-        gate *= inv_slope
-        args[15] = gate.ctypes.data
-        args[4] = 1
-        row = n * noise.itemsize
-        base = args[3]
-        for j in range(steps):
-            np.exp(gate, out=gate)
-            args[3] = base + j * row
-            args[16] = step0 + j
-            if c_fn(*args) == 0:
-                return j
-        return steps
+        return c_fn(*args)
 
     return network_chunk
 
@@ -286,13 +316,15 @@ def _verdict(name: str, twin, library: Path | None) -> bool:
 def load_c_kernels() -> dict:
     """The C twins by the name of the numpy function they follow, each with
     a ``self_check()`` (see _verdict); empty when no C compiler can build
-    them."""
+    them, and without network_chunk when numpy's exp loop cannot be read."""
     loaded = _load_c_library()
     if loaded is None:
         return {}
     lib, path = loaded
-    twins = {"fp_chunk": _c_fp_chunk(lib), "network_chunk": _c_network_chunk(lib),
-             "normal_block": _c_normal_block(lib)}
+    twins = {"fp_chunk": _c_fp_chunk(lib), "normal_block": _c_normal_block(lib)}
+    exp = _exp_loop(np.exp)
+    if exp is not None:
+        twins["network_chunk"] = _c_network_chunk(lib, *exp)
     for name, twin in twins.items():
         twin.self_check = functools.partial(_verdict, name, twin, path)
     return twins

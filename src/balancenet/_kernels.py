@@ -14,7 +14,9 @@ kernels) that ``_clib`` compiles for the host CPU into one library on the
 first request, cached per user, together with the C twin of
 ``rng.normal_block`` (``_normal_block.c``). ``c_twin`` hands a twin out
 once it has matched its numpy function on a fixed input; without a
-working C compiler, or for a twin that fails its check, numpy runs.
+working C compiler, for a twin that fails its check, or for the network
+twin where numpy's own exp loop cannot be read (see ``_clib._exp_loop``),
+numpy runs.
 """
 
 from __future__ import annotations

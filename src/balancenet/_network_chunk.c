@@ -14,13 +14,15 @@
  *  - -ffp-contract=off keeps a * b + c from being fused into one rounding,
  *    and without -ffast-math the vectorizer reorders no sum, however wide
  *    the host's vectors (-march=native).
- * The synaptic gate's exp is not computed here: numpy's exp and libm's
- * differ in the last bit on some CPUs, so the caller evaluates it with
- * numpy between one-step calls (see network_chunk's gate argument).
+ * The synaptic gate's exp is not libm's, which differs from numpy's in the
+ * last bit on some CPUs: the caller passes the float64 inner loop of
+ * numpy's exp ufunc, the one numpy's dispatcher chose for this CPU, and it
+ * runs on the gate buffer exactly as np.exp(gate, out=gate) runs it.
  */
 
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
 
 #define PW_BLOCKSIZE 128
 
@@ -161,6 +163,13 @@ static int step_xy(double *restrict st, long n, const double *restrict xi,
 }
 
 /*
+ * numpy's inner-loop signature (PyUFuncGenericFunction), npy_intp being
+ * intptr_t: args[0] is the input, args[1] the output.
+ */
+typedef void (*ufunc_loop)(char **args, const intptr_t *dimensions, const intptr_t *steps,
+                           void *data);
+
+/*
  * step_xy for (x, y, s) rows with the synaptic gate: gate[i] holds the
  * exp of agent i's gate argument on entry and its next argument on return.
  */
@@ -195,9 +204,12 @@ static int step_xys(double *restrict st, long n, const double *restrict xi,
  * P x d, fhn holds (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta,
  * inv_slope) as in the numpy kernel.
  *
- * With d = 3 a call takes one step: gate[i] holds exp((theta - x_i)
- * inv_slope) at the current state on entry, and (theta - x_i) inv_slope
- * at the new state on return, ready for the caller's next exp.
+ * With d = 3, gate is scratch space for n_agents doubles, and exp_loop
+ * with exp_data is numpy's float64 exp inner loop and its data pointer:
+ * before each step gate holds each agent's argument (theta - x_i)
+ * inv_slope, and exp_loop exponentiates it in place, called with the
+ * arguments np.exp(gate, out=gate) gives it (one run of n_agents doubles,
+ * 8-byte steps).
  *
  * With stride > 0, after each step whose absolute number step0 + j + 1 is
  * a multiple of stride, slot (step0 + j + 1) / stride of means and stds
@@ -213,15 +225,25 @@ long network_chunk(double *states, long n_agents, long d, const double *noise, l
                    double dt, const long *offsets, long npop, const double *coef,
                    const double *alpha0, const double *alpha1, const double *beta0,
                    const double *beta1, const double *fhn, double sig, double *gate,
-                   long step0, long stride, long n_slots, long n_traces,
-                   double *means, double *stds, double *traces)
+                   ufunc_loop exp_loop, void *exp_data, long step0, long stride,
+                   long n_slots, long n_traces, double *means, double *stds, double *traces)
 {
     struct step_constants k = {
         fhn[0], fhn[1], fhn[2], fhn[3], fhn[4], fhn[5], fhn[6], fhn[7], fhn[8], fhn[9],
         fhn[10], dt, sig * sqrt(dt), fhn[4] * dt};
     double al[npop], be[npop];
+    char *exp_args[2] = {(char *)gate, (char *)gate};
+    const intptr_t exp_len[1] = {n_agents}, exp_steps[2] = {sizeof(double), sizeof(double)};
+    if (d > 2) {
+        for (long i = 0; i < n_agents; i++) {
+            gate[i] = (k.theta - states[3 * i]) * k.inv_slope;
+        }
+    }
     for (long j = 0; j < steps; j++) {
         const double *xi = noise + j * n_agents;
+        if (d > 2) {
+            exp_loop(exp_args, exp_len, exp_steps, exp_data);
+        }
         for (long q = 0; q < npop; q++) {
             long lo = offsets[q], n = offsets[q + 1] - lo;
             al[q] = alpha0[q];

@@ -64,17 +64,6 @@ class BalanceReport:
     sbar: tuple[float, ...] = ()
 
 
-def net_input(model: NetworkModel, p: int, x: np.ndarray,
-              measure: EmpiricalMeasure) -> np.ndarray:
-    """sum_q g_pq * mean_y b_pq(x, y) against the empirical measure
-    (the un-gamma-scaled drift contribution of the network)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[0])
-    A, B = model.affine_coefficients(measure.means())
-    out[0] = A[p] * x[0] + B[p]
-    return out
-
-
 def _chemical_coefficients(ghat, E_E, E_I, sbar_E, sbar_I):
     """(A, B) of the two-population conductance model at mean synaptic
     values (sbar_E, sbar_I)."""

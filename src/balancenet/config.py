@@ -23,13 +23,15 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .hopfcole import check_epsilons
 from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionError,
                      NetworkModel, ScalingRule, SeparableModel1D, SeparableParams,
                      build_separable_1d)
 from .network import (CoordinateIC, InitialConditionSpec, PerturbationEvent, RecordSpec,
                       check_run)
-from .pde import Grid1D, check_concentration
+from .pde import Grid1D, check_concentration, check_horizon, fp_steps
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -411,6 +413,9 @@ class PdeRunSpec(_Section):
 
     command = "pde"
 
+    def __post_init__(self):
+        fp_steps(self.model.build(self.model.epsilon), self.grid.build(), self.T)
+
 
 @dataclass(frozen=True)
 class DoubleLimitPdeSpec(_Section):
@@ -427,6 +432,7 @@ class DoubleLimitPdeSpec(_Section):
 
     def __post_init__(self):
         check_epsilons(self.epsilons)
+        check_horizon(self.T)
 
 
 @dataclass(frozen=True)
@@ -488,9 +494,36 @@ class FiguresSpec(_Section):
 
     command = "figures"
 
-    def check(self, node):
+    def __post_init__(self):
         if self.figure not in ("fig1", "fig2"):
-            raise ConfigError(BAD_VALUE, node._at("figure"), f"unknown figure {self.figure!r}")
+            raise ModelDefinitionError(f"unknown figure {self.figure!r}", "figure")
+        if self.figure == "fig2" and not isinstance(self.model, (ChemicalConfig, type(None))):
+            raise ModelDefinitionError("fig2 needs the fhn-chemical family", "model.family")
+        for run in self.runs():
+            check_run(run["model"], run["T"], run["dt"], run["events"])
+
+    def runs(self) -> list[dict]:
+        """network.simulate's arguments but the seed, by keyword, for each
+        run of the figure: fig1 steps one electrical network under a linear
+        and a sqrt scaling, fig2 one chemical network whose excitatory
+        conductances are scaled by 1.5 at T / 2."""
+        if self.figure == "fig1":
+            cfg = self.model if self.model is not None else ElectricalConfig()
+            T = self.T if self.T is not None else 0.5
+            dt = self.dt if self.dt is not None else 1e-4
+            rec = RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20,
+                             snapshot_times=(0.0, 0.05, T))
+            return [dict(model=cfg.build(scaling=rule), init=cfg.initial_conditions(), T=T,
+                         dt=dt, recorder=rec, events=())
+                    for rule in (ScalingRule("linear"), ScalingRule("sqrt"))]
+        cfg = self.model if self.model is not None else ChemicalConfig()
+        model = cfg.build()
+        T = self.T if self.T is not None else 3.0
+        gmax = max(float(np.max(np.abs(model.coupling))), 1e-12)
+        dt = self.dt if self.dt is not None else 0.08 / (model.gamma() * gmax)
+        return [dict(model=model, init=cfg.initial_conditions(), T=T, dt=dt,
+                     recorder=RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20),
+                     events=(PerturbationEvent(T / 2, {"g_EE": 1.5, "g_EI": 1.5}),))]
 
 
 KINDS = {

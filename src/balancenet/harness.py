@@ -26,12 +26,12 @@ from ._kernels import backend as kernel_backend, numpy_exp_target
 from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
-from .config import (BalanceAnalysisSpec, ChemicalConfig, DoubleLimitPdeSpec,
-                     DoubleLimitSpec, ElectricalConfig, EpsilonSweepSpec, ExperimentSpec,
+from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
+                     DoubleLimitSpec, EpsilonSweepSpec, ExperimentSpec,
                      FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec)
 from .hopfcole import epsilon_sweep, hamiltonian_residual, snapshot_fields, support_width
 from .models import ScalingRule
-from .network import (NetworkState, PerturbationEvent, RecordSpec, RunRecord,
+from .network import (NetworkState, RecordSpec, RunRecord,
                       apply_perturbation, simulate, simulate_rescaled_early)
 from .pde import gaussian_initial, solve_fp_1d
 
@@ -49,15 +49,23 @@ def format_value(v) -> str:
     return repr(float(v))
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def _format_column(col) -> list[str]:
+    """format_value of each entry of a column, in one pass per column: a
+    float array's entries are Python floats once listed, an integer
+    array's Python ints."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return list(map(repr, col.astype(np.float64, copy=False).tolist()))
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    return list(map(format_value, col))
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a CSV of the given columns (arrays or sequences of values,
+    cut to the shortest), each value formatted as format_value does."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines += map(",".join, zip(*map(_format_column, columns)))
     path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    write_csv(path, header, zip(*columns))
 
 
 def file_digest(path: Path) -> str:
@@ -128,7 +136,7 @@ def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
         for k in range(d):
             header += [f"mean_{lab}_{_COORDS[k]}", f"std_{lab}_{_COORDS[k]}"]
             cols += [run.means[p][:, k], run.stds[p][:, k]]
-    columns_csv(out / "series.csv", header, cols)
+    write_csv(out / "series.csv", header, cols)
 
     if any(tr.shape[1] for tr in run.traces):
         header = ["t"]
@@ -137,12 +145,11 @@ def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
             for j in range(run.traces[p].shape[1]):
                 header.append(f"{lab}_{j:02d}")
                 cols.append(run.traces[p][:, j])
-        columns_csv(out / "traces.csv", header, cols)
+        write_csv(out / "traces.csv", header, cols)
 
     for idx, (t, states) in enumerate(run.snapshots):
-        header = ["agent"] + list(_COORDS[:d])
-        rows = [[i] + list(states[i]) for i in range(states.shape[0])]
-        write_csv(out / f"snapshot_{idx:02d}.csv", header, rows)
+        write_csv(out / f"snapshot_{idx:02d}.csv", ["agent", *_COORDS[:d]],
+                  [np.arange(states.shape[0]), *(states[:, k] for k in range(d))])
 
     metrics = {"status": run.status, "gamma": run.gamma,
                "final_std": [float(run.stds[p][-1, 0]) for p in range(len(labels))]}
@@ -158,7 +165,7 @@ def _run_network(p: NetworkRunSpec, seed: int, out: Path) -> tuple[str, dict]:
 
 
 def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str, dict]:
-    rows = []
+    gaps, moves_y, moves_s = [], [], []
     status = "COMPLETED"
     for gi, gamma in enumerate(p.gammas):
         model = p.model.build(scaling=ScalingRule("constant", gamma))
@@ -167,16 +174,18 @@ def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str
                                       p.dt_tilde, seed, rec)
         if run.status != "COMPLETED":
             status = run.status
-            rows.append([gamma, math.nan, math.nan, math.nan])
-            continue
-        gap, move_y, move_s = _early_gap(model, run)
-        rows.append([gamma, gap, move_y, move_s])
-        sub = out / f"gamma_{gi}"
-        sub.mkdir(exist_ok=True)
-        _write_run_artifacts(sub, run, model.labels)
-    write_csv(out / "early_gaps.csv", ["gamma", "sup_gap", "move_y", "move_s"], rows)
-    metrics = {"gammas": list(p.gammas), "gaps": [r[1] for r in rows],
-               "moves_y": [r[2] for r in rows], "moves_s": [r[3] for r in rows]}
+            gap = move_y = move_s = math.nan
+        else:
+            gap, move_y, move_s = _early_gap(model, run)
+            sub = out / f"gamma_{gi}"
+            sub.mkdir(exist_ok=True)
+            _write_run_artifacts(sub, run, model.labels)
+        gaps.append(gap)
+        moves_y.append(move_y)
+        moves_s.append(move_s)
+    write_csv(out / "early_gaps.csv", ["gamma", "sup_gap", "move_y", "move_s"],
+              [p.gammas, gaps, moves_y, moves_s])
+    metrics = {"gammas": list(p.gammas), "gaps": gaps, "moves_y": moves_y, "moves_s": moves_s}
     return status, metrics
 
 
@@ -226,14 +235,14 @@ def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
     snap = p.snapshot_every if p.snapshot_every is not None else p.T / 60
     run = solve_fp_1d(model, mu0, p.T, snapshot_every=snap)
     sup_phi, widths, resid, i_at = _pde_series(run)
-    columns_csv(out / "pde_series.csv",
-                ["t", "mass", "interaction", "sup_phi", "support_width", "residual_sup"],
-                [run.times, run.mass, np.array(i_at), np.array(sup_phi),
-                 np.array(widths), np.array(resid)])
+    write_csv(out / "pde_series.csv",
+              ["t", "mass", "interaction", "sup_phi", "support_width", "residual_sup"],
+              [run.times, run.mass, np.array(i_at), np.array(sup_phi),
+               np.array(widths), np.array(resid)])
     idxs = np.unique(np.round(np.linspace(0, len(run.times) - 1, 8)).astype(int))
     for j, idx in enumerate(idxs):
-        columns_csv(out / f"pde_snapshot_{j:02d}.csv", ["x", "mu", "phi"],
-                    [grid.centers, run.densities[idx], snapshot_fields(run)[idx].phi])
+        write_csv(out / f"pde_snapshot_{j:02d}.csv", ["x", "mu", "phi"],
+                  [grid.centers, run.densities[idx], snapshot_fields(run)[idx].phi])
     metrics = {"mass_drift": float(np.max(np.abs(run.mass - 1.0))),
                "sup_phi_final": sup_phi[-1], "support_width_final": widths[-1],
                "residual_sup_final": resid[-1], "interaction_final": i_at[-1],
@@ -247,13 +256,14 @@ def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str
     report = epsilon_sweep(p.model.build(max(p.epsilons)), p.epsilons, p.grid.build(), p.T,
                            init_concentration=p.init.concentration,
                            init_center=p.init.center, t0=p.t0)
-    rows = [[d.epsilon, d.sup_phi_final, d.support_width_final, d.i_final,
-             d.residual_sup_final, d.theta,
-             d.bv.tv if d.bv else math.nan, d.status]
-            for d in report.diagnostics]
+    diags = report.diagnostics
     write_csv(out / "sweep_summary.csv",
               ["epsilon", "sup_phi", "support_width", "interaction_final",
-               "residual_sup", "theta", "tv_interaction", "status"], rows)
+               "residual_sup", "theta", "tv_interaction", "status"],
+              [*([getattr(d, name) for d in diags]
+                 for name in ("epsilon", "sup_phi_final", "support_width_final", "i_final",
+                              "residual_sup_final", "theta")),
+               [d.bv.tv if d.bv else math.nan for d in diags], [d.status for d in diags]])
     (out / "convergence_report.json").write_text(
         json.dumps(_jsonable(report.headline()), indent=2, sort_keys=True) + "\n",
         newline="\n")
@@ -271,14 +281,12 @@ def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dic
                   ["population", "x_star", "rate", "stable", "marginal", "denominator"],
                   [])
         return "DEGENERATE_DENOMINATOR", {"error": str(err)}
-    rows = []
-    for b, lab in enumerate("EI"):
-        st = report.stability[b]
-        rows.append([f"{b}", report.voltages[b], st.rate, int(st.stable),
-                     int(st.marginal), report.denominators[b]])
+    stability = report.stability
     write_csv(out / "balance.csv",
               ["population", "x_star", "rate", "stable", "marginal", "denominator"],
-              rows)
+              [["0", "1"], report.voltages, [st.rate for st in stability],
+               [int(st.stable) for st in stability], [int(st.marginal) for st in stability],
+               report.denominators])
     metrics = {"x_star": list(report.voltages),
                "rates": [s.rate for s in report.stability],
                "stable": [s.stable for s in report.stability]}
@@ -300,20 +308,19 @@ def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
         for run, suffix in zip(runs, ("", "_sqrt")):
             name = f"fig1_traces{suffix}.csv"
             header = ["t"] + [f"v_{j:02d}" for j in range(run.traces[0].shape[1])]
-            columns_csv(out / name, header,
-                        [run.times] + [run.traces[0][:, j]
-                                       for j in range(run.traces[0].shape[1])])
+            write_csv(out / name, header,
+                      [run.times] + [run.traces[0][:, j]
+                                     for j in range(run.traces[0].shape[1])])
             files.append(name)
             name = f"fig1_dispersion{suffix}.csv"
-            columns_csv(out / name, ["t", "std_x", "std_y"],
-                        [run.times, run.stds[0][:, 0], run.stds[0][:, 1]])
+            write_csv(out / name, ["t", "std_x", "std_y"],
+                      [run.times, run.stds[0][:, 0], run.stds[0][:, 1]])
             files.append(name)
             from .stats import histogram
             for k, (t, states) in enumerate(run.snapshots):
                 h = histogram(states[:, 0], -20.0, 20.0, 81)
                 name = f"fig1_hist{suffix}_t{k}.csv"
-                columns_csv(out / name, ["bin_center", "count"],
-                            [h.centers, h.counts])
+                write_csv(out / name, ["bin_center", "count"], [h.centers, h.counts])
                 files.append(name)
         return files
     if figure == "fig2":
@@ -335,41 +342,27 @@ def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
         cols = ([run.times] + [run.traces[0][:, j] for j in range(k)]
                 + [run.traces[1][:, j] for j in range(k)]
                 + [preds[:, 0], preds[:, 1]])
-        columns_csv(out / "fig2_traces.csv", header, cols)
+        write_csv(out / "fig2_traces.csv", header, cols)
         return ["fig2_traces.csv"]
     raise ValueError(f"unknown figure {figure!r}")
 
 
 def _run_figures(p: FiguresSpec, seed: int, out: Path) -> tuple[str, dict]:
+    runs = p.runs()
+    records = [simulate(seed=seed, **run) for run in runs]
     if p.figure == "fig1":
-        cfg = p.model if p.model is not None else ElectricalConfig()
-        T = p.T if p.T is not None else 0.5
-        dt = p.dt if p.dt is not None else 1e-4
-        runs = []
-        for rule in (ScalingRule("linear"), ScalingRule("sqrt")):
-            rec = RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20,
-                             snapshot_times=(0.0, 0.05, T))
-            runs.append(simulate(cfg.build(scaling=rule), cfg.initial_conditions(),
-                                 T, dt, seed, rec))
-        files = emit_figure_data(runs, "fig1", out)
+        files = emit_figure_data(records, "fig1", out)
         return "COMPLETED", {"files": files,
-                             "final_std_x": [float(r.stds[0][-1, 0]) for r in runs]}
-    cfg = p.model if p.model is not None else ChemicalConfig()
-    model = cfg.build()
-    gamma = model.gamma()
-    T = p.T if p.T is not None else 3.0
-    gmax = max(float(np.max(np.abs(model.coupling))), 1e-12)
-    dt = p.dt if p.dt is not None else 0.08 / (gamma * gmax)
-    rec = RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20)
-    event = PerturbationEvent(T / 2, {"g_EE": 1.5, "g_EI": 1.5})
-    run = simulate(model, cfg.initial_conditions(), T, dt, seed, rec, [event])
+                             "final_std_x": [float(r.stds[0][-1, 0]) for r in records]}
+    (run,), (record,) = runs, records
+    model, (event,) = run["model"], run["events"]
     # predictions after the perturbation use the scaled conductances
     pert = apply_perturbation(model, event)
-    run.meta["ghat_series"] = {
-        i: (model.ghat if run.times[i] < event.t else pert.ghat)
-        for i in range(len(run.times))}
-    files = emit_figure_data([run], "fig2", out, models=[model])
-    return run.status, {"files": files}
+    record.meta["ghat_series"] = {
+        i: (model.ghat if record.times[i] < event.t else pert.ghat)
+        for i in range(len(record.times))}
+    files = emit_figure_data([record], "fig2", out, models=[model])
+    return record.status, {"files": files}
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +464,7 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
                              math.nan, s, w, res["status"]])
     write_csv(out / "summary.csv",
               ["cell", "kind", "n_or_eps", "scaling", "gamma", "collapse_time",
-               "steady_std", "metric_a", "metric_b", "status"], rows)
+               "steady_std", "metric_a", "metric_b", "status"], zip(*rows))
     failures = sum(1 for r in results if r["status"] not in ("COMPLETED", "BLOWUP"))
     status = "COMPLETED" if failures == 0 else "PARTIAL"
     return status, {"cells": results, "failures": failures}

@@ -292,21 +292,6 @@ def envelope_covers(run: FpRun, fit: EnvelopeFit,
 
 
 @dataclass(frozen=True)
-class EnvelopeReport:
-    fit: EnvelopeFit
-    satisfied: bool
-
-
-def check_supersolution_envelope(run: FpRun, floor_ratio: float = FLOOR_RATIO,
-                                 fit: EnvelopeFit | None = None) -> EnvelopeReport:
-    """Fit (or reuse) envelope constants and verify them against a run; pass
-    the constants fitted on a coarser epsilon to test uniformity."""
-    if fit is None:
-        fit = fit_supersolution_envelope(run, floor_ratio)
-    return EnvelopeReport(fit=fit, satisfied=envelope_covers(run, fit, floor_ratio))
-
-
-@dataclass(frozen=True)
 class WGradientReport:
     theta: float
     t0: float

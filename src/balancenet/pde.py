@@ -24,8 +24,9 @@ CFL_NUMBER = 0.9
 MAX_STEPS = 20_000_000
 
 
-class CflError(ValueError):
-    """The requested configuration cannot satisfy the CFL policy."""
+class CflError(ModelDefinitionError):
+    """The requested configuration cannot satisfy the CFL policy; key names
+    the value at fault ("dt", or "T" for the step budget)."""
 
 
 class NegativityError(ArithmeticError):
@@ -99,19 +100,6 @@ def gaussian_initial(grid: Grid1D, epsilon: float, concentration: float = 1.0,
     return DensityField(grid=grid, values=v / total, epsilon=epsilon)
 
 
-def density_from_values(grid: Grid1D, values, epsilon: float, t: float = 0.0,
-                        normalize: bool = True) -> DensityField:
-    v = np.asarray(values, dtype=float).copy()
-    if (v < 0).any():
-        raise ValueError("density values must be nonnegative")
-    if normalize:
-        v /= v.sum() * grid.dx
-    d = DensityField(grid=grid, values=v, epsilon=epsilon, t=t)
-    if abs(d.mass - 1.0) > 1e-8:
-        raise ValueError(f"density mass {d.mass} is not 1 within 1e-8")
-    return d
-
-
 @dataclass(eq=False)
 class FpRun:
     """Snapshots and the dense interaction series of one solver run."""
@@ -154,6 +142,31 @@ def cfl_timestep(model: SeparableModel1D, grid: Grid1D, cfl: float = CFL_NUMBER)
     return cfl / denom
 
 
+def check_horizon(T: float) -> None:
+    """The condition solve_fp_1d puts on its horizon T."""
+    if not T > 0:
+        raise ModelDefinitionError("T must be positive", "T")
+
+
+def fp_steps(model: SeparableModel1D, grid: Grid1D, T: float, dt: float | None = None,
+             cfl: float = CFL_NUMBER) -> tuple[float, int]:
+    """(step, number of steps) of solve_fp_1d's march to T on grid: dt
+    defaults to the CFL-limited step and is shortened to divide T. Raises
+    ModelDefinitionError for a T that is not positive and CflError for a dt
+    beyond the CFL step or more than MAX_STEPS steps, so a config is
+    rejected at parse time by the same checks."""
+    check_horizon(T)
+    dt_max = cfl_timestep(model, grid, cfl)
+    if dt is None:
+        dt = dt_max
+    elif dt > dt_max * (1 + 1e-12):
+        raise CflError(f"dt={dt:.3g} exceeds the CFL-stable step {dt_max:.3g}", "dt")
+    n_steps = int(math.ceil(T / dt - 1e-12))
+    if n_steps > MAX_STEPS:
+        raise CflError(f"{n_steps} steps exceed the step budget {MAX_STEPS}", "T")
+    return T / n_steps, n_steps
+
+
 def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
                 dt: float | None = None, snapshot_every: float | None = None,
                 cfl: float = CFL_NUMBER) -> FpRun:
@@ -165,20 +178,10 @@ def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
     one, aborts with NegativityError at the step that produced it (it cannot
     happen under the CFL bound; it indicates a broken model definition).
     """
-    if not T > 0:
-        raise ValueError("T must be positive")
     grid = mu0.grid
+    dt, n_steps = fp_steps(model, grid, T, dt, cfl)
     if abs(mu0.mass - 1.0) > 1e-8:
         raise ValueError("initial density must have unit mass")
-    dt_max = cfl_timestep(model, grid, cfl)
-    if dt is None:
-        dt = dt_max
-    elif dt > dt_max * (1 + 1e-12):
-        raise CflError(f"dt={dt:.3g} exceeds the CFL-stable step {dt_max:.3g}")
-    n_steps = int(math.ceil(T / dt - 1e-12))
-    if n_steps > MAX_STEPS:
-        raise CflError(f"{n_steps} steps exceed the step budget {MAX_STEPS}")
-    dt = T / n_steps
 
     if snapshot_every is None:
         k_snap = n_steps

@@ -1,6 +1,5 @@
 """Empirical statistics of agent samples: uniform-bin histograms (the
-figure panels) and the two-group cluster diagnostic (the stable chemical
-regime). Reductions are single-threaded numpy with a fixed order, so
+figure panels). Reductions are single-threaded numpy with a fixed order, so
 results do not depend on thread counts.
 """
 
@@ -53,13 +52,3 @@ def histogram(samples, lo: float, hi: float, bins: int) -> Histogram1D:
     return Histogram1D(lo=lo, hi=hi, counts=counts,
                        clamped_low=clamped_low, clamped_high=clamped_high)
 
-
-def cluster_split(samples, pivot: float) -> tuple[float, float, float]:
-    """(fraction at or above pivot, fraction below, minimal distance of any
-    sample to the pivot)."""
-    s = np.asarray(samples, dtype=float)
-    if s.size == 0:
-        raise ValueError("samples must be nonempty")
-    above = float(np.count_nonzero(s >= pivot)) / s.size
-    gap = float(np.min(np.abs(s - pivot)))
-    return above, 1.0 - above, gap

@@ -3,6 +3,8 @@ Euler-Maruyama step that sums the interaction over every pair of agents,
 for plain drift and interaction callables, and scalar loop transcriptions
 of the network and Fokker-Planck kernels. They are slow (O(N^2) per step,
 or one Python operation per agent and cell) and meant for tiny sizes.
+Below them, small helpers that only tests need: a network's input at a
+point, a density from grid values, and a two-group split of samples.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from typing import Callable
 
 import numpy as np
 
+from balancenet.balance import EmpiricalMeasure
 from balancenet.network import NetworkState
+from balancenet.pde import DensityField, Grid1D
 
 # ---------------------------------------------------------------------------
 # pairwise Euler-Maruyama step
@@ -177,3 +181,43 @@ def fp_chunk_loop(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
             flux[f] = adv - half_sig2 * (mu[f] - mu[f - 1]) * inv_dx
         for j in range(m):
             mu[j] += dt * inv_dx * (flux[j] - flux[j + 1])
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests need
+# ---------------------------------------------------------------------------
+
+
+def net_input(model, p: int, x, measure: EmpiricalMeasure) -> np.ndarray:
+    """sum_q g_pq * mean_y b_pq(x, y) against the empirical measure
+    (the un-gamma-scaled drift contribution of the network)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[0])
+    A, B = model.affine_coefficients(measure.means())
+    out[0] = A[p] * x[0] + B[p]
+    return out
+
+
+def density_from_values(grid: Grid1D, values, epsilon: float, t: float = 0.0,
+                        normalize: bool = True) -> DensityField:
+    """A density on grid from nonnegative values, normalized to unit mass."""
+    v = np.asarray(values, dtype=float).copy()
+    if (v < 0).any():
+        raise ValueError("density values must be nonnegative")
+    if normalize:
+        v /= v.sum() * grid.dx
+    d = DensityField(grid=grid, values=v, epsilon=epsilon, t=t)
+    if abs(d.mass - 1.0) > 1e-8:
+        raise ValueError(f"density mass {d.mass} is not 1 within 1e-8")
+    return d
+
+
+def cluster_split(samples, pivot: float) -> tuple[float, float, float]:
+    """(fraction at or above pivot, fraction below, minimal distance of any
+    sample to the pivot)."""
+    s = np.asarray(samples, dtype=float)
+    if s.size == 0:
+        raise ValueError("samples must be nonempty")
+    above = float(np.count_nonzero(s >= pivot)) / s.size
+    gap = float(np.min(np.abs(s - pivot)))
+    return above, 1.0 - above, gap

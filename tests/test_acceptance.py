@@ -23,7 +23,8 @@ from balancenet.network import (CoordinateIC, InitialConditionSpec,
                                 PerturbationEvent, RecordSpec, apply_perturbation,
                                 simulate, simulate_rescaled_early)
 from balancenet.pde import Grid1D, gaussian_initial, solve_fp_1d
-from balancenet.stats import cluster_split
+
+from .oracles import cluster_split
 
 OU_SD = 1.0 / math.sqrt(2.0 * 300.0 * 1.0)  # sigma / sqrt(2 gamma g) at the fig1 scale
 

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from balancenet.balance import (DegenerateDenominatorError, EmpiricalMeasure,
                                 chemical_balance_report,
                                 chemical_balance_voltages, chemical_stability,
-                                distance_to_balance, integrate_early_ode,
-                                net_input)
+                                distance_to_balance, integrate_early_ode)
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule)
 from balancenet.network import NetworkState
 
-from .oracles import pairwise_input, pairwise_model
+from .oracles import net_input, pairwise_input, pairwise_model
 
 GHAT_2A = np.array([[0.3, 2.0], [-1.0, -10.0]])
 

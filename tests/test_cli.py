@@ -58,10 +58,21 @@ class TestExitCodes:
         ("simulate", {"kind": "network-run", "seed": 1, "model": {"family": "fhn-electrical"},
                       "T": 0.1, "dt": 0.01}, "dt"),
         ("sweep", {"kind": "double-limit-sweep", "seed": 1,
-                   "pde": {"model": {}, "epsilons": [0.2, 0.4], "T": 0.1}}, "pde.epsilons")])
+                   "pde": {"model": {}, "epsilons": [0.2, 0.4], "T": 0.1}}, "pde.epsilons"),
+        ("figures", {"kind": "figures", "seed": 1, "figure": "fig1", "dt": 0.01}, "dt"),
+        ("figures", {"kind": "figures", "seed": 1, "figure": "fig2",
+                     "model": {"family": "fhn-electrical"}}, "model.family"),
+        ("pde", {"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.1}, "T": 0.0}, "T"),
+        ("pde", {"kind": "pde-run", "seed": 1, "model": {"epsilon": 1e-6},
+                 "grid": {"L": 8, "cells": 256}, "T": 2.0}, "T"),
+        ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [0.4, 0.2],
+                 "T": 0.0}, "T"),
+        ("sweep", {"kind": "double-limit-sweep", "seed": 1,
+                   "pde": {"model": {}, "epsilons": [0.4, 0.2], "T": -1.0}}, "pde.T")])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
-        # the step guard and the epsilon order are checked at parse time
+        # the step guard, the epsilon order, a figure run's step and the
+        # Fokker-Planck horizon and step budget are checked at parse time
         out = tmp_path / "o"
         assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"BAD_VALUE({path})" in capsys.readouterr().err

@@ -25,7 +25,7 @@ class TestCsvFormat:
 
     def test_lf_endings_and_header(self, tmp_path):
         p = tmp_path / "x.csv"
-        write_csv(p, ["a", "b"], [[1, 2.5], [3, 0.1]])
+        write_csv(p, ["a", "b"], [np.array([1, 3]), np.array([2.5, 0.1])])
         raw = p.read_bytes()
         assert raw == b"a,b\n1,2.5\n3,0.1\n"
 

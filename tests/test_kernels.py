@@ -813,6 +813,73 @@ def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):
     assert fallback["files"] == compiled["files"]
 
 
+def test_exp_loop_is_read_only_off_numpys_exp():
+    # the layout is trusted only for a ufunc named "exp" with one input and
+    # one output; np.exp's float64 loop is found by its type signature
+    if sys.implementation.name == "cpython" and "t" not in sys.abiflags:
+        loop, _ = _clib._exp_loop(np.exp)
+        assert loop
+    for other in (np.exp2, np.sin, np.add, np.frexp, len, "exp"):
+        assert _clib._exp_loop(other) is None
+
+
+@needs_cc
+@pytest.mark.parametrize("break_lookup", [
+    lambda mp: mp.setattr(_clib, "NPY_DOUBLE", -1),  # no (DOUBLE, DOUBLE) loop
+    lambda mp: mp.setattr(sys, "abiflags", "t"),  # a free-threaded build
+    lambda mp: mp.setattr(_clib._UFuncHead, "name", property(lambda head: b"exp2"))])
+def test_failed_exp_lookup_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch,
+                                                           break_lookup):
+    spec = parse_config_dict(CHEMICAL_EVENT_RUN)
+    compiled = run_experiment(spec, out_dir=tmp_path / "compiled")
+    assert compiled["backend"]["network_chunk"] == "c"
+    break_lookup(monkeypatch)
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    assert _clib._exp_loop(np.exp) is None
+    assert _kernels.c_twin("network_chunk") is None
+    assert active("chemical_chunk") is active("electrical_chunk") is network_chunk
+    fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
+    assert fallback["backend"]["network_chunk"] == "numpy"
+    assert fallback["backend"]["normal_block"] == "c"
+    assert len(fallback["files"]) >= 2
+    assert fallback["files"] == compiled["files"]
+
+
+@needs_cc
+@pytest.mark.skipif(numpy_exp_target() != "X86_V4",
+                    reason="numpy's float64 exp does not dispatch to X86_V4 here")
+def test_chemical_twin_follows_numpys_exp_target(tmp_path):
+    # with numpy's exp dispatched to X86_V3, the loop the C step calls is
+    # that one, so the C twin still gives the numpy kernel's bytes
+    code = ("from balancenet import _kernels\n"
+            "from balancenet.config import parse_config_dict\n"
+            "from balancenet.harness import run_experiment\n"
+            f"spec = parse_config_dict({CHEMICAL_EVENT_RUN!r})\n"
+            f"c = run_experiment(spec, out_dir={str(tmp_path / 'c')!r})\n"
+            "assert c['backend']['network_chunk'] == 'c', c['backend']\n"
+            "assert c['backend']['numpy_exp'] == 'X86_V3', c['backend']\n"
+            "_kernels._c_twins = {k: v for k, v in _kernels._c_kernels().items()\n"
+            "                     if k != 'network_chunk'}\n"
+            f"n = run_experiment(spec, out_dir={str(tmp_path / 'n')!r})\n"
+            "assert n['backend']['network_chunk'] == 'numpy', n['backend']\n"
+            "assert len(c['files']) >= 2 and c['files'] == n['files']\n")
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def test_self_check_takes_gates_past_exps_range():
+    # exp's overflow (inf, so g = 0) and underflow (0) paths are compared
+    # bit for bit too
+    _, (states, *_, fhn, _sig, _step0, _stride, _means, _stds, _traces) = \
+        _selfcheck._network_cases()
+    arg = (fhn[9] - states[:, 0]) * fhn[10]
+    assert arg.max() > 710 and arg.min() < -746
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(arg)).any() and (np.exp(arg) == 0.0).any()
+
+
 class TestNoiseStream:
     def test_pure_function_of_key(self):
         a = rng.normal_block(42, rng.NOISE_STREAM, 3, (8, 4))

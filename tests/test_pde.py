@@ -7,7 +7,9 @@ import pytest
 from balancenet._kernels import fp_chunk
 from balancenet.models import SeparableModel1D, build_separable_1d
 from balancenet.pde import (CflError, Grid1D, NegativityError, cfl_timestep,
-                            density_from_values, gaussian_initial, solve_fp_1d)
+                            gaussian_initial, solve_fp_1d)
+
+from .oracles import density_from_values
 
 
 def ou_model(sigma=1.0, epsilon=0.5):
