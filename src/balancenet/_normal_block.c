@@ -13,7 +13,10 @@
  *    tables below, its tail and wedge slow paths, and libm's exp and log1p
  *    in numpy's operation order; -ffp-contract=off keeps a * b + c from
  *    being fused into one rounding.
- * The one departure is in the code, not the values: numpy negates x with a
+ * Two departures are in the code, not the values. numpy makes each block
+ * of four words when the ziggurat asks for it; here the words are made in
+ * batches ahead of the ziggurat (see BATCH_REFILLS), so the Philox rounds
+ * and the draws do not stall each other. And numpy negates x with a
  * conditional jump that is mispredicted on half of all draws; here the
  * sign bit is flipped, which gives the same value as -x (-0.0 included)
  * without a branch.
@@ -312,12 +315,23 @@ static const double fi_double[256] = {
     0x1.4a605b6b9f70fp-10,
 };
 
+/*
+ * The words come in batches: up to BATCH_REFILLS Philox blocks of four
+ * words (16 KB, held in L1) are generated first, and the ziggurat then
+ * reads them through one cursor. Each pass of the generator steps two
+ * counters through the ten rounds in lockstep, as separate scalar locals,
+ * so the two chains of dependent 64x64 multiplies overlap; arrays of
+ * counters get vectorized into emulated 64-bit multiplies, which is slower.
+ */
+#define BATCH_REFILLS 512
+#define CHAINS 2
+
 typedef struct {
-    uint64_t ctr[4];
-    uint64_t key[2];
-    uint64_t buf[4];
-    int pos;
-} philox;
+    uint64_t key0, key1;
+    uint64_t ctr;  /* the low word of the last counter used; numpy starts at 0 */
+    const uint64_t *pos, *end;  /* the unread words of buf */
+    uint64_t buf[4 * BATCH_REFILLS];
+} stream;
 
 static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 {
@@ -326,43 +340,69 @@ static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
     return (uint64_t)p;
 }
 
-/* the next block of four words: bump the counter, then ten rounds */
-static void philox_refill(philox *s)
+/*
+ * The Philox4x64-10 blocks of counters ctr + 1 and ctr + 2 into w[0..7],
+ * as numpy's philox_next makes them: it bumps the counter before each
+ * block, so the block of counter c holds words 4(c - 1) .. 4c - 1 of the
+ * stream. A block of draws takes fewer than 2^62 refills (its out holds
+ * fewer than 2^61 doubles, and a draw takes about 1.02 words), so the
+ * counter never carries out of its low word and the other three counter
+ * words stay 0.
+ */
+static void philox_pair(uint64_t k0, uint64_t k1, uint64_t ctr, uint64_t *w)
 {
-    if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0) {
-        ++s->ctr[3];
-    }
-    uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
-    uint64_t k0 = s->key[0], k1 = s->key[1];
+    uint64_t a0 = ctr + 1, a1 = 0, a2 = 0, a3 = 0;
+    uint64_t b0 = ctr + 2, b1 = 0, b2 = 0, b3 = 0;
     for (int round = 0; round < 10; round++) {
-        uint64_t hi0, hi1;
-        uint64_t lo0 = mulhilo(0xD2E7470EE14C6C93ULL, c0, &hi0);
-        uint64_t lo1 = mulhilo(0xCA5A826395121157ULL, c2, &hi1);
-        c0 = hi1 ^ c1 ^ k0;
-        c1 = lo1;
-        c2 = hi0 ^ c3 ^ k1;
-        c3 = lo0;
+        uint64_t ahi0, ahi2, bhi0, bhi2;
+        uint64_t alo0 = mulhilo(0xD2E7470EE14C6C93ULL, a0, &ahi0);
+        uint64_t alo2 = mulhilo(0xCA5A826395121157ULL, a2, &ahi2);
+        uint64_t blo0 = mulhilo(0xD2E7470EE14C6C93ULL, b0, &bhi0);
+        uint64_t blo2 = mulhilo(0xCA5A826395121157ULL, b2, &bhi2);
+        a0 = ahi2 ^ a1 ^ k0;
+        a1 = alo2;
+        a2 = ahi0 ^ a3 ^ k1;
+        a3 = alo0;
+        b0 = bhi2 ^ b1 ^ k0;
+        b1 = blo2;
+        b2 = bhi0 ^ b3 ^ k1;
+        b3 = blo0;
         k0 += 0x9E3779B97F4A7C15ULL;
         k1 += 0xBB67AE8584CAA73BULL;
     }
-    s->buf[0] = c0;
-    s->buf[1] = c1;
-    s->buf[2] = c2;
-    s->buf[3] = c3;
-    s->pos = 0;
+    w[0] = a0, w[1] = a1, w[2] = a2, w[3] = a3;
+    w[4] = b0, w[5] = b1, w[6] = b2, w[7] = b3;
 }
 
-static inline uint64_t next_uint64(philox *s)
+/*
+ * A fresh batch for the next `left` draws: as many refills as they take
+ * on the fast path (one word each), rounded up to the chain count, and at
+ * most BATCH_REFILLS, so a short block pays for no unused batch.
+ */
+static void refill_batch(stream *s, long left)
 {
-    if (s->pos == 4) {
-        philox_refill(s);
+    long refills = (left - 1) / 4 + 1;
+    refills = refills >= BATCH_REFILLS ? BATCH_REFILLS : (refills + CHAINS - 1) / CHAINS * CHAINS;
+    for (long j = 0; j < refills; j += CHAINS) {
+        philox_pair(s->key0, s->key1, s->ctr, s->buf + 4 * j);
+        s->ctr += CHAINS;
     }
-    return s->buf[s->pos++];
+    s->pos = s->buf;
+    s->end = s->buf + 4 * refills;
 }
 
-static inline double next_double(philox *s)
+/* the next word of the stream for a slow path; left counts the draws still to make */
+static inline uint64_t next_word(stream *s, long left)
 {
-    return (double)(next_uint64(s) >> 11) * (1.0 / 9007199254740992.0);
+    if (s->pos == s->end) {
+        refill_batch(s, left);
+    }
+    return *s->pos++;
+}
+
+static inline double next_double(stream *s, long left)
+{
+    return (double)(next_word(s, left) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /*
@@ -387,26 +427,28 @@ static inline double candidate(uint64_t r, int *idx, uint64_t *rabs)
 /*
  * The rest of numpy's random_standard_normal for a candidate outside its
  * layer's rectangle: the tail beyond ZIGGURAT_NOR_R for layer 0, else the
- * wedge test, drawing fresh candidates until one is accepted.
+ * wedge test, drawing fresh candidates until one is accepted. Its words
+ * come from the same batch, which it refills when they run out; left
+ * counts the draws still to make, this one included.
  */
-static double normal_slow(philox *s, int idx, uint64_t rabs, double x)
+static double normal_slow(stream *s, long left, int idx, uint64_t rabs, double x)
 {
     for (;;) {
         if (idx == 0) {
             for (;;) {
                 /* 1 - U, as numpy draws it, so that log never sees 0 */
-                double xx = -ZIGGURAT_NOR_INV_R * log1p(-next_double(s));
-                double yy = -log1p(-next_double(s));
+                double xx = -ZIGGURAT_NOR_INV_R * log1p(-next_double(s, left));
+                double yy = -log1p(-next_double(s, left));
                 if (yy + yy > xx * xx) {
                     return ((rabs >> 8) & 0x1) ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
                 }
             }
         }
-        if ((fi_double[idx - 1] - fi_double[idx]) * next_double(s) + fi_double[idx]
+        if ((fi_double[idx - 1] - fi_double[idx]) * next_double(s, left) + fi_double[idx]
                 < exp(-0.5 * x * x)) {
             return x;
         }
-        x = candidate(next_uint64(s), &idx, &rabs);
+        x = candidate(next_word(s, left), &idx, &rabs);
         if (rabs < ki_double[idx]) {
             return x;
         }
@@ -415,12 +457,34 @@ static double normal_slow(philox *s, int idx, uint64_t rabs, double x)
 
 void normal_block(uint64_t key0, uint64_t key1, double *out, long n)
 {
-    philox s = {{0, 0, 0, 0}, {key0, key1}, {0, 0, 0, 0}, 4};
-    for (long i = 0; i < n; i++) {
-        int idx;
-        uint64_t rabs;
-        double x = candidate(next_uint64(&s), &idx, &rabs);
-        /* about 99% of candidates fall inside their layer's rectangle */
-        out[i] = rabs < ki_double[idx] ? x : normal_slow(&s, idx, rabs, x);
+    stream s;
+    s.key0 = key0;
+    s.key1 = key1;
+    s.ctr = 0;
+    s.pos = s.end = s.buf;
+    long i = 0;
+    while (i < n) {
+        if (s.pos == s.end) {
+            refill_batch(&s, n - i);
+        }
+        /* the fast path takes one word a draw, so this pass cannot run out */
+        const uint64_t *p = s.pos;
+        long stop = i + (n - i < s.end - p ? n - i : s.end - p);
+        int idx = 0;
+        uint64_t rabs = 0;
+        double x = 0.0;
+        for (; i < stop; i++) {
+            x = candidate(*p++, &idx, &rabs);
+            /* about 99% of candidates fall inside their layer's rectangle */
+            if (rabs >= ki_double[idx]) {
+                break;
+            }
+            out[i] = x;
+        }
+        s.pos = p;
+        if (i < stop) {
+            out[i] = normal_slow(&s, n - i, idx, rabs, x);
+            i++;
+        }
     }
 }

@@ -18,6 +18,10 @@ from .models import conductance_source_maps
 # ziggurat, 18 tails and 952 wedge tests
 _CHECK_KEY = (0x243F6A8885A308D3, 0x13198A2E03707344)
 _CHECK_DRAWS = 1 << 16
+# a stream whose word 2047, the last of the C fill's first batch, is a
+# rejected candidate, so its wedge test reads the next batch's first word
+_EDGE_KEY = (33, 0)
+_EDGE_DRAWS = 4096
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -31,13 +35,13 @@ def _wave(shape, phase: float) -> np.ndarray:
 
 
 def _check_normal_block(fill) -> bool:
-    """Whether the C fill draws numpy's normals for a fixed key, so that
-    tables or a libm that do not match the running numpy leave the noise to
-    numpy."""
+    """Whether the C fill draws numpy's normals for two fixed keys, so that
+    tables, a libm or a batch edge that do not match the running numpy
+    leave the noise to numpy."""
     from .rng import _generator
 
-    drawn = fill(*_CHECK_KEY, np.empty(_CHECK_DRAWS))
-    return _same_bits(drawn, _generator(_CHECK_KEY).standard_normal(_CHECK_DRAWS))
+    return all(_same_bits(fill(*key, np.empty(n)), _generator(key).standard_normal(n))
+               for key, n in ((_CHECK_KEY, _CHECK_DRAWS), (_EDGE_KEY, _EDGE_DRAWS)))
 
 
 def _network_cases():

@@ -1,10 +1,10 @@
 """Experiment orchestration and deterministic artifact emission.
 
 Every experiment writes CSV files plus a manifest.json carrying the echoed
-configuration, seed, termination status, the kernel backends it ran on, a
-sha256 inventory of the emitted files and headline metrics. CSV bodies are
-byte-reproducible: shortest round-trip float formatting, comma delimiter,
-LF endings, no timestamps.
+configuration, seed, termination status, the kernel backends and thread
+count it ran on, a sha256 inventory of the emitted files and headline
+metrics. CSV bodies are byte-reproducible: shortest round-trip float
+formatting, comma delimiter, LF endings, no timestamps.
 Sweep cells run concurrently (one output subdirectory per cell); the summary
 is assembled in cell order, so thread counts cannot change any byte.
 """
@@ -60,12 +60,15 @@ def _format_column(col) -> list[str]:
     return list(map(format_value, col))
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
+def write_csv(path: Path, header: list[str], columns) -> str:
     """Write a CSV of the given columns (arrays or sequences of values,
-    cut to the shortest), each value formatted as format_value does."""
+    cut to the shortest), each value formatted as format_value does, and
+    return its text."""
     lines = [",".join(header)]
     lines += map(",".join, zip(*map(_format_column, columns)))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, newline="\n")
+    return text
 
 
 def file_digest(path: Path) -> str:
@@ -89,11 +92,12 @@ def _jsonable(obj):
     return obj
 
 
-def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) -> dict:
+def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
+                   threads: int) -> dict:
     files = {}
     for p in sorted(out.rglob("*.csv")) + sorted(out.rglob("*_report.json")):
         files[str(p.relative_to(out))] = file_digest(p)
-    backend = {"numpy": np.__version__}
+    backend = {"numpy": np.__version__, "threads": threads}
     payload = spec.payload
     if isinstance(payload, (PdeRunSpec, EpsilonSweepSpec)) or (
             isinstance(payload, DoubleLimitSpec) and payload.pde is not None):
@@ -128,7 +132,11 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict) 
 _COORDS = ("x", "y", "s")
 
 
-def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
+def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str],
+                         written: dict | None = None) -> dict:
+    """Write a run's series, traces and snapshots. ``written`` maps each
+    snapshot state already written (shape and bytes) to its CSV text; a
+    bit-equal state is written from it without being formatted again."""
     d = run.means[0].shape[1]
     header = ["t"]
     cols = [run.times]
@@ -148,8 +156,17 @@ def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
         write_csv(out / "traces.csv", header, cols)
 
     for idx, (t, states) in enumerate(run.snapshots):
-        write_csv(out / f"snapshot_{idx:02d}.csv", ["agent", *_COORDS[:d]],
-                  [np.arange(states.shape[0]), *(states[:, k] for k in range(d))])
+        path = out / f"snapshot_{idx:02d}.csv"
+        header = ["agent", *_COORDS[:d]]
+        columns = [np.arange(states.shape[0]), *(states[:, k] for k in range(d))]
+        if written is None:
+            write_csv(path, header, columns)
+            continue
+        key = (states.shape, states.tobytes())
+        if key in written:
+            path.write_text(written[key], newline="\n")
+        else:
+            written[key] = write_csv(path, header, columns)
 
     metrics = {"status": run.status, "gamma": run.gamma,
                "final_std": [float(run.stds[p][-1, 0]) for p in range(len(labels))]}
@@ -167,6 +184,9 @@ def _run_network(p: NetworkRunSpec, seed: int, out: Path) -> tuple[str, dict]:
 def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str, dict]:
     gaps, moves_y, moves_s = [], [], []
     status = "COMPLETED"
+    # every gamma draws the same initial state, so its t = 0 snapshot is
+    # formatted once
+    written = {}
     for gi, gamma in enumerate(p.gammas):
         model = p.model.build(scaling=ScalingRule("constant", gamma))
         rec = replace(p.record, snapshot_times=(0.0,) + p.record.snapshot_times)
@@ -179,7 +199,7 @@ def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str
             gap, move_y, move_s = _early_gap(model, run)
             sub = out / f"gamma_{gi}"
             sub.mkdir(exist_ok=True)
-            _write_run_artifacts(sub, run, model.labels)
+            _write_run_artifacts(sub, run, model.labels, written)
         gaps.append(gap)
         moves_y.append(move_y)
         moves_s.append(move_s)
@@ -492,4 +512,4 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None,
                DoubleLimitSpec: partial(sweep_double_limit, threads=threads),
                BalanceAnalysisSpec: _run_balance, FiguresSpec: _run_figures}
     status, metrics = runners[type(spec.payload)](spec.payload, spec.seed, target)
-    return write_manifest(target, spec, status, metrics)
+    return write_manifest(target, spec, status, metrics, threads)

@@ -141,6 +141,32 @@ class TestRescaledEarly:
         header, rows = read_csv(tmp_path / "early_gaps.csv")
         assert header == ["gamma", "sup_gap", "move_y", "move_s"]
 
+    def test_t0_snapshot_is_formatted_once(self, tmp_path, monkeypatch):
+        # every gamma draws the same initial state, so its t = 0 snapshot
+        # is formatted for the first gamma and the same bytes are written
+        # for the others
+        from balancenet import harness
+        formatted = []
+        format_column = harness._format_column
+
+        def counted(col):
+            if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+                formatted.append(col.size)  # a snapshot's agent column
+            return format_column(col)
+
+        monkeypatch.setattr(harness, "_format_column", counted)
+        spec = parse_config_dict({
+            "kind": "rescaled-early", "seed": 3,
+            "model": {"family": "fhn-chemical", "n": 20},
+            "gammas": [10, 100, 1000], "T_tilde": 0.05, "dt_tilde": 1e-3,
+            "record": {"stride": 10, "traces": 0}})
+        manifest = run_experiment(spec, out_dir=tmp_path)
+        assert manifest["status"] == "COMPLETED"
+        names = [f"gamma_{g}/snapshot_00.csv" for g in range(3)]
+        assert len({(tmp_path / name).read_bytes() for name in names}) == 1
+        assert len({manifest["files"][name] for name in names}) == 1
+        assert formatted == [(tmp_path / names[0]).read_text().count("\n") - 1]
+
 
 class TestFigures:
     def test_fig1_files(self, tmp_path):
@@ -189,6 +215,9 @@ class TestDoubleLimitSweep:
         m4 = run_experiment(parse_config_dict(self.CFG),
                             out_dir=tmp_path / "t4", threads=4)
         assert m1["files"] == m4["files"]
+        # the manifest records the thread count it ran with
+        assert (m1["backend"]["threads"], m4["backend"]["threads"]) == (1, 4)
+        assert json.loads((tmp_path / "t4" / "manifest.json").read_text())["backend"]["threads"] == 4
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_only_numerical_and_config_errors_fail_a_cell(self, tmp_path, monkeypatch,

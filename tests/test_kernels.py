@@ -320,7 +320,7 @@ def test_missing_compiler_falls_back_to_numpy_with_same_bytes(tmp_path, monkeypa
     assert fallback["backend"]["fp_chunk"] == "numpy"
     assert fallback["files"] == compiled["files"]
     on_disk = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
-    assert on_disk["backend"] == {"fp_chunk": "numpy", "numpy": np.__version__}
+    assert on_disk["backend"] == {"fp_chunk": "numpy", "numpy": np.__version__, "threads": 1}
 
 
 NETWORK_RUN = {"kind": "network-run", "seed": 3,
@@ -332,7 +332,7 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
     # Fokker-Planck equation, so its manifest names no fp_chunk backend
     run_experiment(parse_config_dict(PDE_RUN), out_dir=tmp_path / "pde")
     manifest = run_experiment(parse_config_dict(NETWORK_RUN), out_dir=tmp_path / "net")
-    assert manifest["backend"] == {"numpy": np.__version__,
+    assert manifest["backend"] == {"numpy": np.__version__, "threads": 1,
                                    "network_chunk": backend("network_chunk"),
                                    "normal_block": backend("normal_block"),
                                    "numpy_exp": numpy_exp_target(), **_c_build()}
@@ -363,7 +363,7 @@ def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
     exp = {"numpy_exp": numpy_exp_target()} if "network_chunk" in kernels else {}
     build = _c_build() if kernels else {}
-    assert manifest["backend"] == {"numpy": np.__version__, **exp, **build,
+    assert manifest["backend"] == {"numpy": np.__version__, "threads": 1, **exp, **build,
                                    **{k: backend(k) for k in kernels}}
     expected = "numpy" if shutil.which("cc") is None else "c"
     assert all(manifest["backend"][k] == expected for k in kernels)
@@ -587,7 +587,8 @@ def test_missing_compiler_runs_network_on_numpy_with_same_bytes(tmp_path, monkey
     assert active("electrical_chunk") is active("chemical_chunk") is network_chunk
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy", threads=2)
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
-                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target()}
+                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
+                                   "threads": 2}
     assert len(fallback["files"]) > 4
     assert fallback["files"] == compiled["files"]
 
@@ -686,6 +687,53 @@ def test_c_normal_block_tail_draws_match_numpy(c_normal_block):
     assert tail.sum() > 500
     _assert_same_bytes(drawn[tail], expected[tail])
     _assert_same_bytes(drawn, expected)
+
+
+# The C fill makes the stream's words in batches of 2048 (512 Philox blocks
+# of four), so a draw that reads word 2047 and then more words crosses into
+# the second batch. Both keys were found by scanning numpy's Philox words
+# (np.random.Philox(key).random_raw) over keys (seed, 0).
+BATCH_WORDS = 2048
+REJECT_AT_EDGE_KEY = _selfcheck._EDGE_KEY  # candidate on word 2047 rejected
+TAIL_ACROSS_EDGE_KEY = (5434, 0)  # tail from word 2046, uniforms on 2047 and 2048
+
+
+def _draw_reading_word(key, word):
+    """(first word, end word) of numpy's normal draw that reads the given
+    word of key's Philox stream, from the bit generator's counter and buffer
+    position around each draw."""
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    normals = np.random.Generator(bits)
+
+    def taken():
+        state = bits.state
+        return 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
+
+    while True:
+        first = taken()
+        normals.standard_normal()
+        end = taken()
+        if end > word:
+            return first, end
+
+
+def test_edge_keys_reach_the_batch_edge():
+    source = Path(_clib.__file__).with_name("_normal_block.c").read_text()
+    assert f"#define BATCH_REFILLS {BATCH_WORDS // 4}\n" in source
+    edge = BATCH_WORDS - 1
+    first, end = _draw_reading_word(REJECT_AT_EDGE_KEY, edge)
+    assert first == edge and end > BATCH_WORDS
+    first, end = _draw_reading_word(TAIL_ACROSS_EDGE_KEY, edge)
+    layer = int(np.random.Philox(key=np.array(TAIL_ACROSS_EDGE_KEY, dtype=np.uint64))
+                .random_raw(first + 1)[first]) & 0xFF
+    assert layer == 0 and first < edge and end - 1 >= BATCH_WORDS
+
+
+@pytest.mark.parametrize("key", [REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY])
+@pytest.mark.parametrize("n", [0, 1, BATCH_WORDS - 1, BATCH_WORDS, BATCH_WORDS + 1,
+                               3 * BATCH_WORDS + 5])
+def test_c_normal_block_matches_numpy_across_the_batch_edge(c_normal_block, key, n):
+    _assert_same_bytes(c_normal_block(*key, np.empty(n)), rng._generator(key).standard_normal(n))
 
 
 def test_c_normal_block_rejects_bad_buffers(c_normal_block):
@@ -807,7 +855,8 @@ def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernels, "_c_twins", None)
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
-                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target()}
+                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
+                                   "threads": 1}
     assert fallback["status"] == "COMPLETED"
     assert len(fallback["files"]) >= 2
     assert fallback["files"] == compiled["files"]
