@@ -259,20 +259,23 @@ def _c_network_chunk(lib, exp_loop: int, exp_data: int | None):
 
 
 def _c_normal_block(lib):
-    """Wrap the C ``normal_block`` of ``lib`` as fill(key0, key1, out), which
-    writes numpy's Generator(Philox(key=[key0, key1])).standard_normal into
-    out and returns it."""
+    """Wrap the C ``normal_block`` of ``lib`` as fill(key0, key1, out,
+    start=0), which writes numpy's Generator(Philox(key=[key0,
+    key1])).standard_normal into out, drawn from word ``start`` of the
+    stream on, and returns the word after the last one it read."""
     c_fn = lib.normal_block
-    c_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_long]
-    c_fn.restype = None
+    c_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p,
+                     ctypes.c_long]
+    c_fn.restype = ctypes.c_uint64
 
-    def normal_block(key0, key1, out):
+    def normal_block(key0, key1, out, start=0):
         """numpy's Philox standard normals for the key, in C: same bits."""
         if not (isinstance(out, np.ndarray) and out.dtype == np.float64
                 and out.flags.c_contiguous and out.flags.writeable):
             raise ValueError("normal_block: expected a writeable C-contiguous float64 array")
-        c_fn(key0, key1, out.ctypes.data, out.size)
-        return out
+        if not 0 <= start < 2 ** 63:
+            raise ValueError(f"normal_block: start word {start} outside [0, 2^63)")
+        return c_fn(key0, key1, start, out.ctypes.data, out.size)
 
     return normal_block
 

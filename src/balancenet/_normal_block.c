@@ -3,9 +3,14 @@
  * balancenet._clib (cc -O3 -march=native -ffp-contract=off -shared -fPIC)
  * and called through ctypes.
  *
- * normal_block(key0, key1, out, n) writes the n doubles that numpy's
- * Generator(Philox(key=[key0, key1])).standard_normal(n) returns, bit for
- * bit:
+ * normal_block(key0, key1, start, out, n) writes the n doubles that
+ * numpy's Generator(Philox(key=[key0, key1])).standard_normal(n) returns
+ * after the first `start` words of the stream are read, bit for bit, and
+ * returns the number of words read once they are drawn. Philox is
+ * counter-based, so a place in the stream is one integer: the fill sets
+ * the counter to start / 4 and skips start % 4 words, and a block drawn
+ * in pieces, each from the word the last one returned, is the block drawn
+ * whole. The draws follow numpy's:
  *  - Philox4x64-10 (Salmon et al., SC'11) with a zero counter that is
  *    incremented before each block of four words, the words handed out in
  *    order, as numpy's philox_next does;
@@ -344,10 +349,10 @@ static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
  * The Philox4x64-10 blocks of counters ctr + 1 and ctr + 2 into w[0..7],
  * as numpy's philox_next makes them: it bumps the counter before each
  * block, so the block of counter c holds words 4(c - 1) .. 4c - 1 of the
- * stream. A block of draws takes fewer than 2^62 refills (its out holds
- * fewer than 2^61 doubles, and a draw takes about 1.02 words), so the
- * counter never carries out of its low word and the other three counter
- * words stay 0.
+ * stream. A fill starts below word 2^63, so below counter 2^61, and takes
+ * fewer than 2^62 refills (its out holds fewer than 2^61 doubles, and a
+ * draw takes about 1.02 words), so the counter never carries out of its
+ * low word and the other three counter words stay 0.
  */
 static void philox_pair(uint64_t k0, uint64_t k1, uint64_t ctr, uint64_t *w)
 {
@@ -455,13 +460,21 @@ static double normal_slow(stream *s, long left, int idx, uint64_t rabs, double x
     }
 }
 
-void normal_block(uint64_t key0, uint64_t key1, double *out, long n)
+uint64_t normal_block(uint64_t key0, uint64_t key1, uint64_t start, double *out, long n)
 {
     stream s;
     s.key0 = key0;
     s.key1 = key1;
-    s.ctr = 0;
+    s.ctr = start / 4;
     s.pos = s.end = s.buf;
+    if (n <= 0) {
+        return start;
+    }
+    if (start % 4) {
+        /* the words of the counter's block that the earlier draws read */
+        refill_batch(&s, n + (long)(start % 4));
+        s.pos += start % 4;
+    }
     long i = 0;
     while (i < n) {
         if (s.pos == s.end) {
@@ -487,4 +500,6 @@ void normal_block(uint64_t key0, uint64_t key1, double *out, long n)
             i++;
         }
     }
+    /* the batch's unread words are not part of the stream read so far */
+    return 4 * s.ctr - (uint64_t)(s.end - s.pos);
 }

@@ -22,6 +22,10 @@ _CHECK_DRAWS = 1 << 16
 # rejected candidate, so its wedge test reads the next batch's first word
 _EDGE_KEY = (33, 0)
 _EDGE_DRAWS = 4096
+# its first 2,019 draws read words 0 .. 2048, the last one across that
+# batch edge, so a piece of that many draws stops at word 2049, inside a
+# block of four words, and the next piece resumes there
+_SPLIT_DRAWS = 2019
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -35,13 +39,21 @@ def _wave(shape, phase: float) -> np.ndarray:
 
 
 def _check_normal_block(fill) -> bool:
-    """Whether the C fill draws numpy's normals for two fixed keys, so that
-    tables, a libm or a batch edge that do not match the running numpy
-    leave the noise to numpy."""
+    """Whether the C fill draws numpy's normals for two fixed keys, and for
+    the second one also in two pieces, the second resuming the stream where
+    the first stopped, so that tables, a libm, a batch edge or a resumed
+    stream that do not match the running numpy leave the noise to numpy."""
     from .rng import _generator
 
-    return all(_same_bits(fill(*key, np.empty(n)), _generator(key).standard_normal(n))
-               for key, n in ((_CHECK_KEY, _CHECK_DRAWS), (_EDGE_KEY, _EDGE_DRAWS)))
+    for key, n in ((_CHECK_KEY, _CHECK_DRAWS), (_EDGE_KEY, _EDGE_DRAWS)):
+        out = np.empty(n)
+        fill(*key, out)
+        if not _same_bits(out, _generator(key).standard_normal(n)):
+            return False
+    pieces = np.empty(_EDGE_DRAWS)
+    word = fill(*_EDGE_KEY, pieces[:_SPLIT_DRAWS])
+    fill(*_EDGE_KEY, pieces[_SPLIT_DRAWS:], word)
+    return _same_bits(pieces, out)
 
 
 def _network_cases():

@@ -32,7 +32,8 @@ from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
 from .hopfcole import epsilon_sweep, hamiltonian_residual, snapshot_fields, support_width
 from .models import ScalingRule
 from .network import (NetworkState, RecordSpec, RunRecord,
-                      apply_perturbation, simulate, simulate_rescaled_early)
+                      apply_perturbation, simulate, simulate_rescaled_early,
+                      usable_cpus)
 from .pde import gaussian_initial, solve_fp_1d
 
 
@@ -107,6 +108,8 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
         backend["network_chunk"] = kernel_backend("network_chunk")
         backend["normal_block"] = kernel_backend("normal_block")
         backend["numpy_exp"] = numpy_exp_target()
+        # the CPU set the noise prefetch is gated on (see network._NoiseFeed)
+        backend["cpus"] = usable_cpus()
     if "c" in backend.values():
         from ._clib import build_target
         backend.update(build_target())
@@ -395,6 +398,15 @@ def _collapse_time(run: RunRecord, threshold: float) -> float:
     return float(run.times[below[0]]) if below.size else math.nan
 
 
+def _cell_dt(model, mode: str) -> float:
+    """The step of a network cell: 0.8 of the step guard's bound, at most
+    1e-3. In rescaled-early mode the step is on the rescaled clock, where
+    the interaction acts at order one."""
+    gamma = 1.0 if mode == "rescaled-early" else model.gamma()
+    gmax = float(np.max(np.abs(model.coupling)))
+    return min(0.08 / (gamma * gmax), 1e-3) if gmax > 0 else 1e-3
+
+
 def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
                   mode: str = "direct") -> dict:
     """One grid cell: a direct run over [0, T] (collapse at times ~1/gamma,
@@ -402,13 +414,11 @@ def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
     early-time system over a fixed rescaled horizon T."""
     model = cfg.build(n, rule)
     gamma = model.gamma()
-    gmax = float(np.max(np.abs(model.coupling)))
+    dt = _cell_dt(model, mode)
     if mode == "rescaled-early":
-        dt_tilde = min(0.08 / gmax, 1e-3) if gmax > 0 else 1e-3
         rec = RecordSpec(stride=1, traces=0, snapshot_times=(0.0, T))
-        run = simulate_rescaled_early(model, cfg.initial_conditions(), T, dt_tilde, seed, rec)
+        run = simulate_rescaled_early(model, cfg.initial_conditions(), T, dt, seed, rec)
     else:
-        dt = min(0.08 / (gamma * gmax), 1e-3) if gmax > 0 else 1e-3
         rec = RecordSpec(stride=1, traces=0, snapshot_times=(0.0, 10.0 / gamma))
         run = simulate(model, cfg.initial_conditions(), T, dt, seed, rec)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,6 +450,15 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
 
     results: list[dict | None] = [None] * len(jobs)
 
+    def cost(idx: int) -> float:
+        """A cell's agent-steps, N times its step count; the pde column
+        counts as the longest."""
+        kind, rule, n = jobs[idx]
+        if kind == "pde":
+            return math.inf
+        model = p.network.model.build(n, rule)
+        return int(model.offsets[-1]) * p.network.T / _cell_dt(model, p.network.mode)
+
     def run_cell(idx: int):
         kind, rule, n = jobs[idx]
         cell_seed = (seed + 1000003 * idx) % (2 ** 64)
@@ -459,8 +478,11 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
                     "n": n, "scaling": getattr(rule, "kind", None)}
 
     if threads > 1 and len(jobs) > 1:
+        # longest first, so the longest cell does not start last and leave
+        # the other threads idle; the results keep their cell order
+        order = sorted(range(len(jobs)), key=cost, reverse=True)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, res in zip(range(len(jobs)), pool.map(run_cell, range(len(jobs)))):
+            for idx, res in zip(order, pool.map(run_cell, order)):
                 results[idx] = res
     else:
         for idx in range(len(jobs)):

@@ -12,6 +12,7 @@ models.SourceMaps), reducing a step to O(N).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -22,6 +23,9 @@ from ._kernels import active, column_moments
 from .models import ModelDefinitionError, NetworkModel
 
 NOISE_CHUNK = 256
+# the fewest draws a prefetched half-block holds; smaller halves are drawn
+# faster than a hand-off to the worker thread costs
+PREFETCH_MIN_DRAWS = 1 << 16
 
 COMPLETED = "COMPLETED"
 BLOWUP = "BLOWUP"
@@ -185,6 +189,83 @@ def check_run(model: NetworkModel, T: float, dt: float,
         raise ConfigurationError("horizon shorter than one step", "T")
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set, or
+    os.cpu_count() where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _NoiseFeed:
+    """The noise of one run, handed out piece by piece in step order.
+
+    Block k of the stream (see rng) holds the noise of steps k * NOISE_CHUNK
+    on and is drawn only as far as the run reaches: its first rows are the
+    shorter draw of the same stream. When another CPU is free and a
+    half-block holds at least PREFETCH_MIN_DRAWS draws, each block is drawn
+    in two halves into two half-block slots, the second half resuming the
+    first's stream through a cursor, and a worker thread fills the next half
+    while the kernel steps the current one (the C fill and kernels release
+    the GIL). Otherwise one whole-block slot is filled inline. Either way
+    the buffer holds one block, and a piece split by snapshots or events is
+    drawn once. Leaving the feed's with block stops the worker: it returns
+    only once no fill can write to a slot.
+    """
+
+    def __init__(self, seed: int, n_steps: int, N: int):
+        self.seed, self.n_steps, self.N = seed, n_steps, N
+        half = NOISE_CHUNK // 2
+        prefetch = n_steps > half and half * N >= PREFETCH_MIN_DRAWS and usable_cpus() > 1
+        self.rows = half if prefetch else NOISE_CHUNK
+        self.slots = np.empty((2 if prefetch else 1, min(self.rows, n_steps), N))
+        self.pool = None
+        if prefetch:
+            # imported on first use: imported with this module, ahead of the
+            # rest of the package, it raised a process's peak RSS by ~0.6 MB
+            from concurrent.futures import ThreadPoolExecutor
+            self.pool = ThreadPoolExecutor(1, "balancenet-noise")
+        self.current = -1
+        self.block = None
+        self.pending = None  # the worker's fill of piece current + 1
+        self.cursor = None
+
+    def _fill(self, piece: int) -> np.ndarray:
+        lo = piece * self.rows
+        chunk, row = divmod(lo, NOISE_CHUNK)
+        if row == 0:
+            self.cursor = rng.StreamCursor()
+        rows = min(self.rows, self.n_steps - lo)
+        return rng.normal_block(self.seed, rng.NOISE_STREAM, chunk, (rows, self.N),
+                                out=self.slots[piece % len(self.slots)][:rows],
+                                cursor=self.cursor)
+
+    def piece(self, step: int) -> tuple[int, np.ndarray]:
+        """(first step, noise rows) of the piece that holds ``step``; pieces
+        are asked for in order."""
+        piece = step // self.rows
+        if piece != self.current:
+            self.current = piece
+            self.block = self._fill(piece) if self.pending is None else self.pending.result()
+            self.pending = None
+            if self.pool is not None and (piece + 1) * self.rows < self.n_steps:
+                # the slot of piece - 1, which the kernel is done with
+                self.pending = self.pool.submit(self._fill, piece + 1)
+        return piece * self.rows, self.block
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pool is not None:
+            # returns once the fill in progress is done
+            self.pool.shutdown(wait=True, cancel_futures=True)
+            # a fill the run did not wait for (after a blowup) may have
+            # failed; an error already in flight is the one reported
+            if exc_type is None and self.pending is not None and not self.pending.cancelled():
+                self.pending.result()
+
+
 def _kernel_args(model: NetworkModel) -> tuple:
     """The network kernel's arguments that a model fixes: its gamma-scaled
     couplings, source maps, drift constants and noise level."""
@@ -213,9 +294,10 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     checked (check_run) before the first step.
 
     The kernel records every stride-th step itself, so a kernel call ends
-    only at a snapshot, an event, the edge of a noise block or the last
-    step; that step, when it is no multiple of the stride, is recorded
-    here.
+    only at a snapshot, an event, the edge of a noise piece (a block, or
+    half a block when the next half is prefetched; see _NoiseFeed) or the
+    last step; that step, when it is no multiple of the stride, is
+    recorded here.
     """
     check_run(model, T, dt, events)
     n_steps = int(round(T / dt))
@@ -259,26 +341,9 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     kernel = active(model.params.kernel)
     args = _kernel_args(model)
 
-    # noise blocks are keyed by absolute step // NOISE_CHUNK and drawn into
-    # one buffer per run; the current one is kept so a block split by
-    # snapshots or events is drawn once. A block is drawn only as far as
-    # the run reaches: the first k rows of a block are the k-row draw of
-    # the same stream
-    noise = np.empty((min(NOISE_CHUNK, n_steps), N))
-    cached_chunk = -1
-    cached_block = None
-
-    def noise_block(chunk: int) -> np.ndarray:
-        nonlocal cached_chunk, cached_block
-        if chunk != cached_chunk:
-            rows = min(NOISE_CHUNK, n_steps - chunk * NOISE_CHUNK)
-            cached_block = rng.normal_block(seed, rng.NOISE_STREAM, chunk, (rows, N),
-                                            out=noise[:rows])
-            cached_chunk = chunk
-        return cached_block
-
-    # a runaway state overflows on its way to BLOWUP, a recorded outcome
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a runaway state overflows on its way to BLOWUP, a recorded outcome;
+    # leaving the block stops the noise worker, on any exit
+    with _NoiseFeed(seed, n_steps, N) as noise, np.errstate(over="ignore", invalid="ignore"):
         record(0)
         for s0, s1 in zip(special, special[1:]):
             if s0 in snapshot_steps:
@@ -288,11 +353,9 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
                 args = _kernel_args(cur_model)
             step = s0
             while step < s1:
-                chunk = step // NOISE_CHUNK
-                hi = min(s1, (chunk + 1) * NOISE_CHUNK)
-                block = noise_block(chunk)
-                off = step - chunk * NOISE_CHUNK
-                step += kernel(state.states, block[off:off + hi - step], dt, offsets,
+                lo, block = noise.piece(step)
+                hi = min(s1, lo + block.shape[0])
+                step += kernel(state.states, block[step - lo:hi - lo], dt, offsets,
                                *args, step, stride, means, stds, traces)
                 if step < hi:
                     status = BLOWUP

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -15,3 +16,13 @@ def kernel_cache(tmp_path_factory):
         del os.environ["XDG_CACHE_HOME"]
     else:
         os.environ["XDG_CACHE_HOME"] = saved
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread alive that was not there before it:
+    a noise worker or sweep pool must be stopped on every exit."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"

@@ -1,4 +1,5 @@
 import json
+import threading
 import math
 
 import numpy as np
@@ -243,6 +244,40 @@ class TestDoubleLimitSweep:
         monkeypatch.setattr(harness, "_network_cell", bug)
         with pytest.raises(TypeError):
             harness.sweep_double_limit(spec.payload, spec.seed, tmp_path, threads)
+
+    def test_longest_cell_is_dispatched_first(self, tmp_path, monkeypatch):
+        # agent-steps N x T / dt: 3200 linear 12.8M, 800 linear 0.8M,
+        # 3200 sqrt 0.32M, 800 sqrt 80k, 200 linear 50k, 200 sqrt 20k
+        from balancenet import harness
+        cfg = {"kind": "double-limit-sweep", "seed": 5,
+               "network": {"model": {"family": "fhn-electrical"},
+                           "n_values": [200, 800, 3200],
+                           "scalings": [{"kind": "linear"}, {"kind": "sqrt"}], "T": 0.1}}
+        dispatched, entered = [], []
+        lock = threading.Lock()
+        network_cell = harness._network_cell
+
+        def spy(model, n, rule, *args, **kwargs):
+            with lock:
+                entered.append((n, rule.kind))
+            return network_cell(model, n, rule, *args, **kwargs)
+
+        class Pool(harness.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                dispatched.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_network_cell", spy)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+        manifest = run_experiment(parse_config_dict(cfg), out_dir=tmp_path, threads=2)
+        assert dispatched == [2, 1, 5, 4, 0, 3]
+        # the two threads start on the two longest cells
+        assert set(entered[:2]) == {(3200, "linear"), (800, "linear")}
+        header, rows = read_csv_text(tmp_path / "summary.csv")
+        assert [r[0] for r in rows] == ["0", "1", "2", "3", "4", "5"]
+        assert [(r[2], r[3]) for r in rows] == [(str(n), kind) for kind in ("linear", "sqrt")
+                                                for n in (200, 800, 3200)]
+        assert [c["n"] for c in manifest["metrics"]["cells"]] == [200, 800, 3200] * 2
 
     def test_single_cell_matches_headline(self, tmp_path):
         cfg = {k: v for k, v in self.CFG.items() if k != "pde"}

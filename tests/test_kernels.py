@@ -21,7 +21,7 @@ from balancenet.harness import numpy_exp_target, run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule, conductance_source_maps)
 from balancenet.network import (NOISE_CHUNK, CoordinateIC, InitialConditionSpec,
-                                RecordSpec, draw_initial_state, simulate)
+                                RecordSpec, draw_initial_state, simulate, usable_cpus)
 
 from .oracles import fp_chunk_loop, network_chunk_loop, pairwise_model, pairwise_step
 
@@ -335,7 +335,8 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
     assert manifest["backend"] == {"numpy": np.__version__, "threads": 1,
                                    "network_chunk": backend("network_chunk"),
                                    "normal_block": backend("normal_block"),
-                                   "numpy_exp": numpy_exp_target(), **_c_build()}
+                                   "numpy_exp": numpy_exp_target(), "cpus": usable_cpus(),
+                                   **_c_build()}
 
 
 EARLY_RUN = {"kind": "rescaled-early", "seed": 2, "model": {"family": "fhn-chemical", "n": 6},
@@ -361,7 +362,9 @@ NOISE = ("network_chunk", "normal_block")
     (PDE_RUN, ("fp_chunk",)), (BALANCE_RUN, ())])
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
-    exp = {"numpy_exp": numpy_exp_target()} if "network_chunk" in kernels else {}
+    # a run that draws noise records the CPU set its prefetch is gated on
+    exp = ({"numpy_exp": numpy_exp_target(), "cpus": usable_cpus()}
+           if "network_chunk" in kernels else {})
     build = _c_build() if kernels else {}
     assert manifest["backend"] == {"numpy": np.__version__, "threads": 1, **exp, **build,
                                    **{k: backend(k) for k in kernels}}
@@ -404,6 +407,22 @@ def test_manifest_records_the_exp_dispatch_target(tmp_path):
                     "--out", str(tmp_path / "o")], check=True, env=env, timeout=120)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["backend"]["numpy_exp"] == "X86_V3"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_manifest_records_the_cpu_set_the_prefetch_reads(tmp_path):
+    # a process pinned to one CPU draws its noise inline, and says so
+    code = ("import os\n"
+            "from balancenet.config import parse_config_dict\n"
+            "from balancenet.harness import run_experiment\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"net = run_experiment(parse_config_dict({NETWORK_RUN!r}), out_dir={str(tmp_path)!r})\n"
+            "assert net['backend']['cpus'] == 1, net['backend']\n")
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    manifest = run_experiment(parse_config_dict(NETWORK_RUN), out_dir=tmp_path / "here")
+    assert manifest["backend"]["cpus"] == len(os.sched_getaffinity(0))
 
 
 @needs_cc
@@ -588,7 +607,7 @@ def test_missing_compiler_runs_network_on_numpy_with_same_bytes(tmp_path, monkey
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy", threads=2)
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
                                    "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
-                                   "threads": 2}
+                                   "threads": 2, "cpus": usable_cpus()}
     assert len(fallback["files"]) > 4
     assert fallback["files"] == compiled["files"]
 
@@ -663,6 +682,13 @@ def _assert_same_bytes(a, b):
     np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
+def _c_draws(fill, key, shape):
+    """The C fill's draws of the given shape from the start of key's stream."""
+    out = np.empty(shape)
+    fill(*key, out)
+    return out
+
+
 @given(seed=st.one_of(st.sampled_from((0, 1, 2 ** 64 - 1)), st.integers(0, 2 ** 64 - 1)),
        purpose=st.integers(0, 2),
        block=st.one_of(st.sampled_from((0, 1, 2 ** 48 - 1)), st.integers(0, 2 ** 48 - 1)),
@@ -672,7 +698,7 @@ def _assert_same_bytes(a, b):
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_c_normal_block_bit_identical_to_numpy(c_normal_block, seed, purpose, block, shape):
     expected = _numpy_normals(seed, purpose, block, shape)
-    _assert_same_bytes(c_normal_block(*rng._key(seed, purpose, block), np.empty(shape)),
+    _assert_same_bytes(_c_draws(c_normal_block, rng._key(seed, purpose, block), shape),
                        expected)
     _assert_same_bytes(rng.normal_block(seed, purpose, block, shape), expected)
 
@@ -681,7 +707,7 @@ def test_c_normal_block_tail_draws_match_numpy(c_normal_block):
     # about one draw in 4,000 lies beyond the ziggurat's last layer and is
     # drawn by the tail path (two log1p calls per try)
     n = 1 << 22
-    drawn = c_normal_block(*rng._key(7, rng.NOISE_STREAM, 11), np.empty(n))
+    drawn = _c_draws(c_normal_block, rng._key(7, rng.NOISE_STREAM, 11), (n,))
     expected = _numpy_normals(7, rng.NOISE_STREAM, 11, (n,))
     tail = np.abs(expected) > 3.6541528853610088
     assert tail.sum() > 500
@@ -698,21 +724,23 @@ REJECT_AT_EDGE_KEY = _selfcheck._EDGE_KEY  # candidate on word 2047 rejected
 TAIL_ACROSS_EDGE_KEY = (5434, 0)  # tail from word 2046, uniforms on 2047 and 2048
 
 
+def _words_read(bits) -> int:
+    """How many words of its stream a Philox bit generator has handed
+    out, from its counter and buffer position."""
+    state = bits.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
+
+
 def _draw_reading_word(key, word):
     """(first word, end word) of numpy's normal draw that reads the given
     word of key's Philox stream, from the bit generator's counter and buffer
     position around each draw."""
     bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
     normals = np.random.Generator(bits)
-
-    def taken():
-        state = bits.state
-        return 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
-
     while True:
-        first = taken()
+        first = _words_read(bits)
         normals.standard_normal()
-        end = taken()
+        end = _words_read(bits)
         if end > word:
             return first, end
 
@@ -733,7 +761,58 @@ def test_edge_keys_reach_the_batch_edge():
 @pytest.mark.parametrize("n", [0, 1, BATCH_WORDS - 1, BATCH_WORDS, BATCH_WORDS + 1,
                                3 * BATCH_WORDS + 5])
 def test_c_normal_block_matches_numpy_across_the_batch_edge(c_normal_block, key, n):
-    _assert_same_bytes(c_normal_block(*key, np.empty(n)), rng._generator(key).standard_normal(n))
+    _assert_same_bytes(_c_draws(c_normal_block, key, (n,)), rng._generator(key).standard_normal(n))
+
+
+# A fill may start at any word of its stream and returns the word after
+# the last one it read, so a block can be drawn in pieces (see
+# network._NoiseFeed). The start words lie inside a block of four words
+# and on both sides of the first batch edge.
+RESUME_WORDS = [1, 2, 3, BATCH_WORDS - 1, BATCH_WORDS, BATCH_WORDS + 1]
+
+
+def _fill(path, request):
+    """The C fill or numpy's, as rng.normal_block calls them."""
+    return request.getfixturevalue("c_normal_block") if path == "c" else rng._numpy_fill
+
+
+@pytest.mark.parametrize("path", ["c", "numpy"])
+@pytest.mark.parametrize("key", [REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY])
+@pytest.mark.parametrize("start", RESUME_WORDS)
+def test_fill_resumes_the_stream_at_any_word(request, path, key, start):
+    # numpy's normals once start words are read off the bit generator
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    bits.random_raw(start)
+    expected = np.random.Generator(bits).standard_normal(BATCH_WORDS + 5)
+    out = np.empty(BATCH_WORDS + 5)
+    assert _fill(path, request)(*key, out, start) == _words_read(bits)
+    _assert_same_bytes(out, expected)
+
+
+@pytest.mark.parametrize("path", ["c", "numpy"])
+@pytest.mark.parametrize("key", [REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY])
+def test_pieces_laid_end_to_end_are_the_one_shot_draw(request, path, key):
+    n = 2 * BATCH_WORDS + 7
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    normals = np.random.Generator(bits)
+    ends = []  # the word after each draw
+    for _ in range(n):
+        normals.standard_normal()
+        ends.append(_words_read(bits))
+    # pieces that stop at words 1, 2 and 3 mod 4, and next to the batch edge
+    splits = {next(k for k, end in enumerate(ends, 1) if end % 4 == r) for r in (1, 2, 3)}
+    splits |= {k for k, end in enumerate(ends, 1) if BATCH_WORDS - 2 <= end <= BATCH_WORDS + 1}
+    assert len(splits) >= 5
+    fill = _fill(path, request)
+    pieces = np.full(n, np.nan)
+    word = 0
+    bounds = [0, *sorted(splits), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        word = fill(*key, pieces[lo:hi], word)
+        assert word == ends[hi - 1]
+    _assert_same_bytes(pieces, rng._generator(key).standard_normal(n))
+    # an empty piece reads nothing
+    assert fill(*key, np.empty(0), 4 * 7 + 3) == 4 * 7 + 3
 
 
 def test_c_normal_block_rejects_bad_buffers(c_normal_block):
@@ -744,6 +823,9 @@ def test_c_normal_block_rejects_bad_buffers(c_normal_block):
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
         c_normal_block(1, 2, frozen)
+    for start in (-1, 2 ** 63):
+        with pytest.raises(ValueError):
+            c_normal_block(1, 2, np.empty(4), start)
 
 
 def _patch_first_table_entry(source: str, table: str) -> str:
@@ -856,7 +938,7 @@ def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
                                    "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
-                                   "threads": 1}
+                                   "threads": 1, "cpus": usable_cpus()}
     assert fallback["status"] == "COMPLETED"
     assert len(fallback["files"]) >= 2
     assert fallback["files"] == compiled["files"]
@@ -975,6 +1057,21 @@ class TestNoiseStream:
         top = rng.normal_block(42, 2 ** 16 - 1, 2 ** 48 - 1, (4,))
         _assert_same_bytes(top, _numpy_normals(42, 2 ** 16 - 1, 2 ** 48 - 1, (4,)))
         assert rng.uniform_block(42, 2 ** 16 - 1, 2 ** 48 - 1, (4,)).shape == (4,)
+
+    @pytest.mark.parametrize("path", ["c", "numpy"])
+    def test_pieces_through_a_cursor_are_the_whole_block(self, path, monkeypatch):
+        if path == "numpy":
+            monkeypatch.setattr(_kernels, "_c_twins", {})
+        whole = rng.normal_block(42, rng.NOISE_STREAM, 3, (NOISE_CHUNK, 37))
+        cursor = rng.StreamCursor()
+        out = np.empty((NOISE_CHUNK, 37))
+        for lo, hi in ((0, 1), (1, 128), (128, 165), (165, NOISE_CHUNK)):
+            got = rng.normal_block(42, rng.NOISE_STREAM, 3, (hi - lo, 37), out=out[lo:hi],
+                                   cursor=cursor)
+            assert np.shares_memory(got, out)
+        _assert_same_bytes(out, whole)
+        _assert_same_bytes(out, _numpy_normals(42, rng.NOISE_STREAM, 3, (NOISE_CHUNK, 37)))
+        assert cursor.word > NOISE_CHUNK * 37
 
     def test_out_is_filled_in_place(self):
         out = np.full((300, 5), np.nan)

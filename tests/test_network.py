@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from balancenet import network, rng
+from balancenet import _kernels, network, rng
 from balancenet._kernels import network_chunk
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule)
@@ -391,38 +394,230 @@ class TestReproducibilityContract:
         assert [str(w.message) for w in caught] == []
 
 
+def _force_prefetch(monkeypatch, on: bool):
+    """Draw the noise of the following runs in prefetched half-blocks (on)
+    or in whole blocks inline (off), whatever the host's CPUs and the run's
+    size."""
+    monkeypatch.setattr(network, "usable_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(network, "PREFETCH_MIN_DRAWS", 0)
+
+
+class _NoiseSpy:
+    """Wraps rng.normal_block: records each noise piece as (block, rows),
+    the threads that drew them, and fills started and finished."""
+
+    def __init__(self, monkeypatch, delay=0.0):
+        self.pieces, self.threads = [], set()
+        self.started = self.done = 0
+        self.delay = delay
+        self.normal_block = rng.normal_block
+        monkeypatch.setattr(rng, "normal_block", self)
+
+    def __call__(self, seed, purpose, block, shape, **kwargs):
+        if purpose != rng.NOISE_STREAM:
+            return self.normal_block(seed, purpose, block, shape, **kwargs)
+        self.started += 1
+        self.pieces.append((block, shape[0]))
+        self.threads.add(threading.current_thread())
+        time.sleep(self.delay)
+        out = self.normal_block(seed, purpose, block, shape, **kwargs)
+        self.done += 1
+        return out
+
+
 class TestNoiseBlocks:
     @pytest.mark.parametrize("family", ["electrical", "chemical"])
     def test_partial_last_block_keeps_bytes(self, family, monkeypatch):
-        # the last block is drawn short; the run equals one stepped on
-        # full blocks
+        # the last block is drawn short, in whole blocks inline and in
+        # prefetched half-blocks alike; the run equals one stepped on full
+        # blocks
         model, init, _ = _contract_case(family)
         steps = 2 * NOISE_CHUNK + 37
         T = steps * CONTRACT_DT
-        shapes = []
-        normal_block = rng.normal_block
-
-        def drawn(seed, purpose, block, shape, **kwargs):
-            shapes.append((purpose, block, shape))
-            return normal_block(seed, purpose, block, shape, **kwargs)
-
-        monkeypatch.setattr(rng, "normal_block", drawn)
-        run = simulate(model, init, T, CONTRACT_DT, 8, RecordSpec(stride=1, snapshot_times=(T,)))
         N = int(model.offsets[-1])
-        noise = [s for s in shapes if s[0] == rng.NOISE_STREAM]
-        assert noise == [(rng.NOISE_STREAM, 0, (NOISE_CHUNK, N)),
-                         (rng.NOISE_STREAM, 1, (NOISE_CHUNK, N)),
-                         (rng.NOISE_STREAM, 2, (37, N))]
-
         state = draw_initial_state(model, init, 8).states
         kernel_args = _kernel_args(model)
         for chunk in range(3):
-            block = normal_block(8, rng.NOISE_STREAM, chunk, (NOISE_CHUNK, N))
+            block = rng.normal_block(8, rng.NOISE_STREAM, chunk, (NOISE_CHUNK, N))
             k = min(NOISE_CHUNK, steps - chunk * NOISE_CHUNK)
             assert network_chunk(state, block[:k], CONTRACT_DT, model.offsets,
                                  *kernel_args) == k
-        np.testing.assert_array_equal(run.snapshots[-1][1], state)
-        assert len(run.times) == steps + 1
+
+        half = NOISE_CHUNK // 2
+        for on, pieces in ((False, [(0, NOISE_CHUNK), (1, NOISE_CHUNK), (2, 37)]),
+                           (True, [(0, half), (0, half), (1, half), (1, half), (2, 37)])):
+            _force_prefetch(monkeypatch, on)
+            spy = _NoiseSpy(monkeypatch)
+            run = simulate(model, init, T, CONTRACT_DT, 8,
+                           RecordSpec(stride=1, snapshot_times=(T,)))
+            monkeypatch.setattr(rng, "normal_block", spy.normal_block)
+            assert spy.pieces == pieces
+            # blocks 0 and 1 are drawn whole, block 2 only to row 37
+            rows = {}
+            for block, k in spy.pieces:
+                rows[block] = rows.get(block, 0) + k
+            assert rows == {0: NOISE_CHUNK, 1: NOISE_CHUNK, 2: 37}
+            np.testing.assert_array_equal(run.snapshots[-1][1], state)
+            assert len(run.times) == steps + 1
+
+
+def _same_run(a, b):
+    """Two run records equal in every recorded bit."""
+    assert (a.status, a.blowup_time) == (b.status, b.blowup_time)
+    for x, y in [(a.times, b.times), *zip(a.means, b.means), *zip(a.stds, b.stds),
+                 *zip(a.traces, b.traces)]:
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(a.snapshots, b.snapshots))
+
+
+class TestNoisePrefetch:
+    """Prefetched half-blocks are the noise of whole blocks drawn inline:
+    final states and records are bit-identical with the prefetch on and
+    off, and a run returns only once its noise worker has stopped."""
+
+    HALF = NOISE_CHUNK // 2
+
+    def _both_ways(self, monkeypatch, *args, **kwargs):
+        """The run with the prefetch off, then on: the first draws whole
+        blocks on the stepping thread, the second halves, the later ones on
+        its worker."""
+        runs, spies = [], []
+        for on in (False, True):
+            _force_prefetch(monkeypatch, on)
+            spies.append(_NoiseSpy(monkeypatch))
+            runs.append(simulate(*args, **kwargs))
+            monkeypatch.setattr(rng, "normal_block", spies[-1].normal_block)
+        off, on = spies
+        assert off.pieces[0] == (0, NOISE_CHUNK) and on.pieces[0] == (0, self.HALF)
+        assert off.threads == {threading.current_thread()} < on.threads
+        assert off.started == off.done and on.started == on.done
+        return runs
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    @pytest.mark.parametrize("case", ["chunk-edge", "event-and-snapshot", "short-last-block"])
+    def test_bit_identical_on_and_off(self, family, case, monkeypatch):
+        model, init, identity = _contract_case(family)
+        steps, stride, snaps, events = CONTRACT_STEPS, 1, (), ()
+        if case == "event-and-snapshot":
+            # both inside the halves of block 1, away from their edges
+            stride = 7
+            events = [PerturbationEvent((NOISE_CHUNK + 45) * CONTRACT_DT, identity)]
+            snaps = ((NOISE_CHUNK + self.HALF + 17) * CONTRACT_DT,)
+        elif case == "short-last-block":
+            steps = 2 * NOISE_CHUNK + 37
+        T = steps * CONTRACT_DT
+        off, on = self._both_ways(monkeypatch, model, init, T, CONTRACT_DT, 12,
+                                  RecordSpec(stride=stride, traces=2,
+                                             snapshot_times=snaps + (T,)), events)
+        assert on.status == "COMPLETED" and len(on.snapshots) == len(snaps) + 1
+        _same_run(off, on)
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    def test_numpy_fill_bit_identical_on_and_off(self, family, monkeypatch):
+        # without the C twins, numpy's fill resumes the stream at the half
+        monkeypatch.setattr(_kernels, "_c_twins", {})
+        model, init, _ = _contract_case(family)
+        T = (2 * NOISE_CHUNK + 37) * CONTRACT_DT
+        off, on = self._both_ways(monkeypatch, model, init, T, CONTRACT_DT, 13,
+                                  RecordSpec(stride=5, traces=1, snapshot_times=(T,)))
+        _same_run(off, on)
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    def test_blowup_inside_a_prefetched_half(self, family, monkeypatch):
+        # a conductance raised a millionfold at step 150 overflows within
+        # the second half of block 0, which the worker drew
+        model, init, _ = _contract_case(family)
+        name = "g" if family == "electrical" else "g_EE"
+        event = PerturbationEvent(150 * CONTRACT_DT, {name: 1e6})
+        off, on = self._both_ways(monkeypatch, model, init, CONTRACT_STEPS * CONTRACT_DT,
+                                  CONTRACT_DT, 12, RecordSpec(stride=1), [event])
+        assert on.status == "BLOWUP"
+        assert self.HALF < on.blowup_time / CONTRACT_DT <= NOISE_CHUNK
+        _same_run(off, on)
+
+    def test_fill_failing_after_a_blowup_is_raised(self, monkeypatch):
+        # the run stops in block 0's second half after the worker's draw
+        # of block 1 failed; that error is not dropped
+        _force_prefetch(monkeypatch, True)
+        model, init, _ = _contract_case("electrical")
+        normal_block = rng.normal_block
+        kernel = network.active(model.params.kernel)
+        failed = threading.Event()
+
+        def failing(seed, purpose, block, shape, **kwargs):
+            if purpose == rng.NOISE_STREAM and block == 1:
+                failed.set()
+                raise MemoryError("fill failed")
+            return normal_block(seed, purpose, block, shape, **kwargs)
+
+        def stepping(*args):
+            step0 = args[-5]
+            if step0 >= NOISE_CHUNK // 2:  # the half the blowup is in
+                assert failed.wait(timeout=10)
+            return kernel(*args)
+
+        monkeypatch.setattr(rng, "normal_block", failing)
+        monkeypatch.setattr(network, "active", lambda name: stepping)
+        event = PerturbationEvent(150 * CONTRACT_DT, {"g": 1e6})
+        with pytest.raises(MemoryError, match="fill failed"):
+            simulate(model, init, CONTRACT_STEPS * CONTRACT_DT, CONTRACT_DT, 12,
+                     RecordSpec(), [event])
+
+    def test_concurrent_runs_under_fast_switching(self, monkeypatch):
+        # six runs on six threads, each with its own noise worker, on
+        # fewer cores, switching threads every microsecond: each run equals
+        # its serial run without prefetch
+        cases = [(*_contract_case(family)[:2], seed) for family in ("electrical", "chemical")
+                 for seed in (1, 2, 3)]
+        T = CONTRACT_STEPS * CONTRACT_DT
+        rec = RecordSpec(stride=3, traces=1, snapshot_times=(T / 3,))
+        _force_prefetch(monkeypatch, False)
+        serial = [simulate(model, init, T, CONTRACT_DT, seed, rec) for model, init, seed in cases]
+        _force_prefetch(monkeypatch, True)
+        results = [None] * len(cases)
+
+        def run(i):
+            model, init, seed = cases[i]
+            results[i] = simulate(model, init, T, CONTRACT_DT, seed, rec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for ref, got in zip(serial, results):
+            _same_run(ref, got)
+
+    def test_kernel_error_returns_after_the_worker_stops(self, monkeypatch):
+        # the third kernel call raises while the worker fills the fourth
+        # half-block; simulate raises only once that fill is done
+        _force_prefetch(monkeypatch, True)
+        model, init, _ = _contract_case("electrical")
+        kernel = network.active(model.params.kernel)
+        calls = []
+
+        def failing(*args):
+            calls.append(args[1].shape[0])
+            if len(calls) == 3:
+                deadline = time.monotonic() + 10.0
+                while spy.started < 4 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                raise RuntimeError("kernel failed")
+            return kernel(*args)
+
+        monkeypatch.setattr(network, "active", lambda name: failing)
+        spy = _NoiseSpy(monkeypatch, delay=0.2)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            simulate(model, init, CONTRACT_STEPS * CONTRACT_DT, CONTRACT_DT, 3, RecordSpec())
+        assert calls == [self.HALF] * 3
+        assert spy.started == spy.done == 4
 
 
 class TestBlowupStep:
