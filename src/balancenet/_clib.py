@@ -25,8 +25,9 @@ reassociate a sum, and -ffp-contract=off forbids fused multiply-adds. Each
 twin still proves it once: its ``self_check()`` runs it and the numpy
 function it follows on a fixed input and compares the bits (see
 ``_selfcheck``), and its verdict is kept in a small file next to the
-library, keyed on the library, the numpy version and numpy's exp target,
-so a warm process runs no check.
+library, keyed on the library, the numpy version, numpy's exp target and
+the source text of the numpy kernels and of the check, so a warm process
+runs no check.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ _C_SOURCES = tuple(Path(__file__).with_name(name)
 C_TARGET = "native"  # the instruction set the library is built for: the host CPU's
 _C_FLAGS = ("-O3", f"-march={C_TARGET}", "-ffp-contract=off", "-shared", "-fPIC")
 _C_LIBS = ("-lm",)
+# what a self-check compares a twin against: the numpy kernels and the
+# check's cases, read as text (not imported) to key its cached verdict
+_CHECK_REFERENCES = tuple(Path(__file__).with_name(name)
+                          for name in ("_kernels.py", "_selfcheck.py"))
 
 
 class _CompileError(Exception):
@@ -222,7 +227,7 @@ def _c_network_chunk(lib, exp_loop: int, exp_data: int | None):
     c_fn = lib.network_chunk
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     c_fn.argtypes = [ptr, long_, long_, ptr, long_, double, ptr, long_, ptr, ptr, ptr, ptr, ptr,
-                     ptr, double, ptr, ptr, ptr, long_, long_, long_, long_, ptr, ptr, ptr]
+                     ptr, double, ptr, ptr, ptr, long_, long_, long_, long_, ptr, ptr, ptr, ptr]
     c_fn.restype = long_
 
     def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
@@ -245,14 +250,16 @@ def _c_network_chunk(lib, exp_loop: int, exp_data: int | None):
                 offsets.ctypes.data, npop,
                 *(_address(v, s) for v, s in zip(const, shapes)),
                 _address(fhn, (11,)), sig, None if gate is None else gate.ctypes.data,
-                exp_loop, exp_data, step0, stride, 0, 0, None, None, None]
+                exp_loop, exp_data, step0, stride, 0, 0, None, None, None, None]
         if stride > 0:
             slots, k = means.shape[1], traces.shape[2]
             if (step0 + steps) // stride >= slots:
                 raise ValueError("network_chunk: too few record slots")
+            scratch = np.empty(n)  # the C record's squared deviations of a column
             args[20:] = [slots, k, _address(means, (npop, slots, d), True),
                          _address(stds, (npop, slots, d), True),
-                         _address(traces, (npop, slots, k), True) if k else None]
+                         _address(traces, (npop, slots, k), True) if k else None,
+                         scratch.ctypes.data]
         return c_fn(*args)
 
     return network_chunk
@@ -286,14 +293,15 @@ _VERDICTS = {"pass\n": True, "fail\n": False}
 def _verdict(name: str, twin, library: Path | None) -> bool:
     """Whether the twin of the numpy function ``name`` passes its check in
     _selfcheck.CHECKS. The verdict is read from its file next to ``library``,
-    keyed on the library, the numpy version and numpy's exp target; when
-    that file is missing or unreadable the check runs and its verdict is
-    stored there. A private build (library None) is checked in every
-    process."""
+    keyed on the library, the numpy version, numpy's exp target and the text
+    of the numpy kernels and the check (_CHECK_REFERENCES); when that file
+    is missing or unreadable the check runs and its verdict is stored there.
+    A private build (library None) is checked in every process."""
     path = None
     if library is not None:
-        key = hashlib.sha256("\0".join([library.name, name, np.__version__,
-                                         str(numpy_exp_target())]).encode()).hexdigest()[:16]
+        key = hashlib.sha256("\0".join([
+            library.name, name, np.__version__, str(numpy_exp_target()),
+            *(ref.read_text() for ref in _CHECK_REFERENCES)]).encode()).hexdigest()[:16]
         path = library.with_name(f"{library.stem}.{name}.{key}.verdict")
         try:
             stored = _VERDICTS.get(path.read_text())

@@ -33,22 +33,6 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def column_moments(col, work):
-    """(col.mean(), col.std()) of a 1-D array, bit for bit as numpy's
-    mean(axis=0) and std(axis=0) compute them for the column of a 2-D
-    block: numpy reduces over axis 0 row by row, in sequence from +0.0, and
-    add.accumulate sums in that same order without the per-row dispatch (a
-    1-D sum would be pairwise, a dot product in BLAS order). The 0.0 +
-    turns the sum of an all -0.0 column into +0.0, as numpy's start does.
-    work holds len(col) floats."""
-    n = col.shape[0]
-    acc = np.add.accumulate
-    m = (0.0 + acc(col, out=work)[-1]) / n
-    np.subtract(col, m, out=work)
-    np.multiply(work, work, out=work)
-    return m, math.sqrt(acc(work, out=work)[-1] / n)
-
-
 def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
                   fhn, sig, step0=0, stride=0, means=None, stds=None, traces=None):
     """Advance ``noise.shape[0]`` Euler-Maruyama steps in place.
@@ -70,8 +54,10 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
     With stride > 0 the kernel records: after each step whose absolute
     number step0 + j + 1 is a multiple of stride, slot (step0 + j + 1) //
     stride of means and stds (P, slots, d) receives each population's
-    column means and stds (see column_moments), and the same slot of traces
-    (P, slots, k) its first k voltages (fewer in a smaller population).
+    column means and stds, col.mean() and col.std() of each coordinate's
+    contiguous column (numpy's 1-D pairwise sums, like the population means
+    above), and the same slot of traces (P, slots, k) its first k voltages
+    (fewer in a smaller population).
 
     Stops at the first step that leaves a non-finite entry, with the states
     of that step; returns the number of steps before it (noise.shape[0]
@@ -96,7 +82,6 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
     sq = sig * math.sqrt(dt)
     ady = a * dt
     vx = np.empty(states.shape[0])
-    work = np.empty(states.shape[0]) if stride > 0 else None
     done = n_steps
     for step in range(n_steps):
         x, y = cols[0], cols[1]
@@ -139,7 +124,8 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
             slot = (step0 + step + 1) // stride
             for p, seg in enumerate(segs):
                 for k in range(d):
-                    means[p, slot, k], stds[p, slot, k] = column_moments(cols[k][seg], work[seg])
+                    col = cols[k][seg]
+                    means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
                 k_tr = min(traces.shape[2], seg.stop - seg.start)
                 traces[p, slot, :k_tr] = cols[0][seg][:k_tr]
     for k, col in enumerate(cols):

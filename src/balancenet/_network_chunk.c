@@ -5,12 +5,12 @@
  *
  * Every floating-point operation follows the numpy kernel in the same
  * order, so both give identical bits:
- *  - the population means the source maps read copy numpy's pairwise
- *    summation (pairwise_sum below), started from 0.0 as ndarray.sum is;
+ *  - every sum over the agents is numpy's 1-D pairwise summation
+ *    (pairwise_sum below): the population means the source maps read, and
+ *    the recorded means and stds, which are each column's col.mean() and
+ *    col.std();
  *  - the cubic is evaluated as ((x f3 + f2) x + (f1 + A)) x + (f0 + B),
  *    the order of the numpy kernel's in-place updates;
- *  - recorded means and stds are sums taken in sequence over the agents,
- *    as numpy's mean(axis=0) and std(axis=0) take them;
  *  - -ffp-contract=off keeps a * b + c from being fused into one rounding,
  *    and without -ffast-math the vectorizer reorders no sum, however wide
  *    the host's vectors (-march=native).
@@ -63,58 +63,28 @@ static double pairwise_sum(const double *a, long n, long stride)
 }
 
 /*
- * Mean and std (divisor n) of each of the d columns of the n rows at x,
- * written to mean[k] and std[k]: each column is summed in sequence from
- * its first row, and the d sums run in lockstep.
+ * numpy's mean of the n values spaced stride apart: their pairwise sum,
+ * started from +0.0 as ndarray.sum is (which turns a -0.0 sum into +0.0),
+ * over n.
  */
-static void column_moments(const double *restrict x, long n, long d, double *restrict mean,
-                           double *restrict std)
+static double column_mean(const double *a, long n, long stride)
 {
-    double s0 = x[0], s1 = x[1], s2 = d > 2 ? x[2] : 0.0;
-    if (d > 2) {
-        for (long i = 1; i < n; i++) {
-            s0 += x[3 * i];
-            s1 += x[3 * i + 1];
-            s2 += x[3 * i + 2];
-        }
-    } else {
-        for (long i = 1; i < n; i++) {
-            s0 += x[2 * i];
-            s1 += x[2 * i + 1];
-        }
+    return (0.0 + pairwise_sum(a, n, stride)) / (double)n;
+}
+
+/*
+ * numpy's std (divisor n) of the n values spaced stride apart, whose mean
+ * is m: the squared deviations are formed in scratch, n doubles, and
+ * summed pairwise as a contiguous row, as np.std forms and sums them.
+ */
+static double column_std(const double *a, long n, long stride, double m,
+                         double *restrict scratch)
+{
+    for (long i = 0; i < n; i++) {
+        double e = a[i * stride] - m;
+        scratch[i] = e * e;
     }
-    /* numpy's sum starts from +0.0, which turns a -0.0 sum into +0.0 */
-    double m0 = (0.0 + s0) / (double)n, m1 = (0.0 + s1) / (double)n;
-    double m2 = (0.0 + s2) / (double)n;
-    double e0 = x[0] - m0, e1 = x[1] - m1, e2 = d > 2 ? x[2] - m2 : 0.0;
-    s0 = e0 * e0;
-    s1 = e1 * e1;
-    s2 = e2 * e2;
-    if (d > 2) {
-        for (long i = 1; i < n; i++) {
-            e0 = x[3 * i] - m0;
-            e1 = x[3 * i + 1] - m1;
-            e2 = x[3 * i + 2] - m2;
-            s0 += e0 * e0;
-            s1 += e1 * e1;
-            s2 += e2 * e2;
-        }
-    } else {
-        for (long i = 1; i < n; i++) {
-            e0 = x[2 * i] - m0;
-            e1 = x[2 * i + 1] - m1;
-            s0 += e0 * e0;
-            s1 += e1 * e1;
-        }
-    }
-    mean[0] = m0;
-    mean[1] = m1;
-    std[0] = sqrt(s0 / (double)n);
-    std[1] = sqrt(s1 / (double)n);
-    if (d > 2) {
-        mean[2] = m2;
-        std[2] = sqrt(s2 / (double)n);
-    }
+    return sqrt(pairwise_sum(scratch, n, 1) / (double)n);
 }
 
 /* the constants of a step, formed as the numpy kernel forms them */
@@ -215,7 +185,8 @@ static int step_xys(double *restrict st, long n, const double *restrict xi,
  * a multiple of stride, slot (step0 + j + 1) / stride of means and stds
  * (P x n_slots x d) receives each population's column means and stds, and
  * the same slot of traces (P x n_slots x n_traces) its first n_traces
- * voltages (fewer when the population is smaller).
+ * voltages (fewer when the population is smaller); scratch then holds
+ * n_agents doubles for the squared deviations of a column.
  *
  * Stops at the first step that leaves a non-finite entry, with the states
  * of that step; returns the number of steps before it (steps when all
@@ -226,7 +197,8 @@ long network_chunk(double *states, long n_agents, long d, const double *noise, l
                    const double *alpha0, const double *alpha1, const double *beta0,
                    const double *beta1, const double *fhn, double sig, double *gate,
                    ufunc_loop exp_loop, void *exp_data, long step0, long stride,
-                   long n_slots, long n_traces, double *means, double *stds, double *traces)
+                   long n_slots, long n_traces, double *means, double *stds, double *traces,
+                   double *scratch)
 {
     struct step_constants k = {
         fhn[0], fhn[1], fhn[2], fhn[3], fhn[4], fhn[5], fhn[6], fhn[7], fhn[8], fhn[9],
@@ -252,7 +224,7 @@ long network_chunk(double *states, long n_agents, long d, const double *noise, l
                 double wa = alpha1[q * d + c], wb = beta1[q * d + c];
                 /* the numpy kernel reads only the means that carry a weight */
                 if (wa != 0.0 || wb != 0.0) {
-                    double m = (0.0 + pairwise_sum(states + lo * d + c, n, d)) / (double)n;
+                    double m = column_mean(states + lo * d + c, n, d);
                     al[q] += wa * m;
                     be[q] += wb * m;
                 }
@@ -277,8 +249,12 @@ long network_chunk(double *states, long n_agents, long d, const double *noise, l
             long slot = done / stride;
             for (long p = 0; p < npop; p++) {
                 long lo = offsets[p], n = offsets[p + 1] - lo;
-                column_moments(states + lo * d, n, d, means + (p * n_slots + slot) * d,
-                               stds + (p * n_slots + slot) * d);
+                for (long c = 0; c < d; c++) {
+                    const double *col = states + lo * d + c;
+                    long at = (p * n_slots + slot) * d + c;
+                    means[at] = column_mean(col, n, d);
+                    stds[at] = column_std(col, n, d, means[at], scratch);
+                }
                 double *tr = traces + (p * n_slots + slot) * n_traces;
                 for (long i = 0; i < n_traces && i < n; i++) {
                     tr[i] = states[(lo + i) * d];

@@ -61,7 +61,6 @@ class BalanceReport:
     voltages: tuple[float, ...]
     stability: tuple[PopulationStability, ...]
     denominators: tuple[float, ...]
-    sbar: tuple[float, ...] = ()
 
 
 def _chemical_coefficients(ghat, E_E, E_I, sbar_E, sbar_I):
@@ -114,8 +113,7 @@ def chemical_balance_report(ghat: np.ndarray, E_E: float, E_I: float,
     voltages = chemical_balance_voltages(ghat, E_E, E_I, sbar_E, sbar_I)
     stability = chemical_stability(ghat, sbar_E, sbar_I)
     return BalanceReport(voltages=voltages, stability=stability,
-                         denominators=tuple(s.rate for s in stability),
-                         sbar=(sbar_E, sbar_I))
+                         denominators=tuple(s.rate for s in stability))
 
 
 @dataclass

@@ -322,9 +322,10 @@ def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dic
 
 
 def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
-                     models: list | None = None) -> list[str]:
+                     predicted: np.ndarray | None = None) -> list[str]:
     """Write per-panel CSV files for a reproduced figure; returns the file
-    list."""
+    list. fig2 takes the predicted balance voltages of each record row,
+    (rows, 2)."""
     out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     if figure == "fig1":
@@ -348,23 +349,13 @@ def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
         return files
     if figure == "fig2":
         run = runs[0]
-        model = models[0]
         k = run.traces[0].shape[1]
         header = (["t"] + [f"e_{j:02d}" for j in range(k)]
                   + [f"i_{j:02d}" for j in range(k)]
                   + ["xstar_E_pred", "xstar_I_pred"])
-        preds = np.full((len(run.times), 2), np.nan)
-        for i in range(len(run.times)):
-            try:
-                ghat = run.meta.get("ghat_series", {}).get(i, model.ghat)
-                preds[i] = chemical_balance_voltages(
-                    ghat, model.erev[0], model.erev[1],
-                    run.means[0][i, 2], run.means[1][i, 2])
-            except DegenerateDenominatorError:
-                pass
         cols = ([run.times] + [run.traces[0][:, j] for j in range(k)]
                 + [run.traces[1][:, j] for j in range(k)]
-                + [preds[:, 0], preds[:, 1]])
+                + [predicted[:, 0], predicted[:, 1]])
         write_csv(out / "fig2_traces.csv", header, cols)
         return ["fig2_traces.csv"]
     raise ValueError(f"unknown figure {figure!r}")
@@ -379,13 +370,24 @@ def _run_figures(p: FiguresSpec, seed: int, out: Path) -> tuple[str, dict]:
                              "final_std_x": [float(r.stds[0][-1, 0]) for r in records]}
     (run,), (record,) = runs, records
     model, (event,) = run["model"], run["events"]
-    # predictions after the perturbation use the scaled conductances
-    pert = apply_perturbation(model, event)
-    record.meta["ghat_series"] = {
-        i: (model.ghat if record.times[i] < event.t else pert.ghat)
-        for i in range(len(record.times))}
-    files = emit_figure_data([record], "fig2", out, models=[model])
+    files = emit_figure_data([record], "fig2", out, _fig2_predictions(record, model, event))
     return record.status, {"files": files}
+
+
+def _fig2_predictions(record: RunRecord, model, event) -> np.ndarray:
+    """The balance voltages each row of a fig2 record predicts from its mean
+    gates: under the model's couplings before the event, under the
+    perturbed ones from it on; NaN where the denominator degenerates."""
+    pert = apply_perturbation(model, event)
+    preds = np.full((len(record.times), 2), np.nan)
+    for i, t in enumerate(record.times):
+        ghat = model.ghat if t < event.t else pert.ghat
+        try:
+            preds[i] = chemical_balance_voltages(ghat, model.erev[0], model.erev[1],
+                                                 record.means[0][i, 2], record.means[1][i, 2])
+        except DegenerateDenominatorError:
+            pass
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ BV_SLACK = 1.10
 
 @dataclass(eq=False)
 class HopfColeField:
-    """phi = eps*log(mu) where mu exceeds the support floor; w is
-    sqrt(2F^2 - phi) with 2F^2 = 2(1 + max(0, sup phi)) so that the root
-    argument stays positive on the mask."""
+    """phi = eps*log(mu) where mu exceeds the support floor, and F with
+    F^2 = 1 + max(0, sup phi), so that the argument 2F^2 - phi of
+    w = sqrt(2F^2 - phi) stays positive on the mask."""
 
     grid: Grid1D
     epsilon: float
@@ -50,12 +50,6 @@ class HopfColeField:
     @property
     def sup_phi(self) -> float:
         return float(np.max(self.phi[self.mask]))
-
-    @property
-    def w(self) -> np.ndarray:
-        out = np.full_like(self.phi, np.nan)
-        out[self.mask] = np.sqrt(2.0 * self.F ** 2 - self.phi[self.mask])
-        return out
 
 
 def hopf_cole(density: DensityField, floor_ratio: float = FLOOR_RATIO) -> HopfColeField:
@@ -295,7 +289,6 @@ def envelope_covers(run: FpRun, fit: EnvelopeFit,
 class WGradientReport:
     theta: float
     t0: float
-    per_snapshot: tuple[float, ...]
 
 
 def check_w_gradient_bound(run: FpRun, t0: float,
@@ -306,7 +299,7 @@ def check_w_gradient_bound(run: FpRun, t0: float,
     sup_phi = max(f.sup_phi for f in fields)
     F2 = 2.0 * (1.0 + max(0.0, sup_phi))
     sig2 = run.model.sigma ** 2
-    per = []
+    checked = False
     theta = -math.inf
     for i, f in enumerate(fields):
         t = float(run.times[i])
@@ -318,11 +311,11 @@ def check_w_gradient_bound(run: FpRun, t0: float,
         if not interior.any():
             continue
         excess = float(np.max(np.abs(grad[interior]))) - math.sqrt(1.0 / (t * sig2))
-        per.append(excess)
+        checked = True
         theta = max(theta, excess)
-    if not per:
+    if not checked:
         raise ValueError(f"no snapshots at or after t0={t0}")
-    return WGradientReport(theta=theta, t0=t0, per_snapshot=tuple(per))
+    return WGradientReport(theta=theta, t0=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +345,6 @@ class ConvergenceReport:
     envelope_fit: EnvelopeFit | None = None
     bv_constants: tuple[float, float] | None = None
     verdicts: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
 
     def headline(self) -> dict:
         return {
@@ -421,10 +413,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
         diags.append(d)
 
     ok = [d for d in diags if d.status == "COMPLETED"]
-    report = ConvergenceReport(diagnostics=diags, params={
-        "T": T, "grid_L": grid.L, "grid_M": grid.M, "t0": t0,
-        "init_concentration": init_concentration, "init_center": init_center,
-    })
+    report = ConvergenceReport(diagnostics=diags)
     if len(ok) >= 2:
         sup_abs = [abs(d.sup_phi_final) for d in ok]
         widths = [d.support_width_final for d in ok]

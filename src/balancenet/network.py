@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from ._kernels import active, column_moments
+from ._kernels import active
 from .models import ModelDefinitionError, NetworkModel
 
 NOISE_CHUNK = 256
@@ -275,15 +275,6 @@ def _kernel_args(model: NetworkModel) -> tuple:
             maps.beta1, pr.fhn_constants(), pr.sigma)
 
 
-def _column_moments(blk: np.ndarray, mean_out: np.ndarray, std_out: np.ndarray,
-                    work: np.ndarray) -> None:
-    """Write blk.mean(axis=0) and blk.std(axis=0) of an (n, d) block into
-    mean_out and std_out, bit for bit (see _kernels.column_moments). work
-    holds n floats."""
-    for k in range(blk.shape[1]):
-        mean_out[k], std_out[k] = column_moments(blk[:, k], work)
-
-
 def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: float,
              seed: int, recorder: RecordSpec = RecordSpec(),
              events: Sequence[PerturbationEvent] = ()) -> RunRecord:
@@ -325,7 +316,6 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     means = np.empty((P, S, d))
     stds = np.empty((P, S, d))
     traces = np.empty((P, S, min(recorder.traces, n)))
-    work = np.empty(n)
     snapshots: list[tuple[float, np.ndarray]] = []
     status = COMPLETED
     blowup_time = None
@@ -335,7 +325,9 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         slot = step // stride if step % stride == 0 else S - 1
         for p in range(P):
             blk = state.states[offsets[p]:offsets[p + 1]]
-            _column_moments(blk, means[p, slot], stds[p, slot], work)
+            for k in range(d):
+                col = blk[:, k]
+                means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
             traces[p, slot] = blk[:traces.shape[2], 0]
 
     kernel = active(model.params.kernel)

@@ -1,13 +1,17 @@
 import json
 import threading
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from balancenet.balance import chemical_balance_voltages
 from balancenet.config import parse_config_dict
 from balancenet.harness import file_digest, format_value, run_experiment, write_csv
+from balancenet.models import NetworkModel
+from balancenet.network import simulate
 
 
 def read_csv(path):
@@ -191,6 +195,29 @@ class TestFigures:
         assert header[-2:] == ["xstar_E_pred", "xstar_I_pred"]
         assert len(header) == 1 + 40 + 2
         assert np.isfinite(rows[-1, -2:]).all()
+
+    def test_fig2_predictions_follow_the_conductance_step(self, tmp_path):
+        # rows before T/2 predict under the base couplings, rows from T/2 on
+        # under g_EE and g_EI scaled by 1.5
+        spec = parse_config_dict({
+            "kind": "figures", "seed": 6, "figure": "fig2",
+            "model": {"family": "fhn-chemical", "n": 50}, "T": 0.5})
+        run_experiment(spec, out_dir=tmp_path)
+        _, rows = read_csv(tmp_path / "fig2_traces.csv")
+        (run,) = spec.payload.runs()
+        record = simulate(seed=6, **run)
+        model = run["model"]
+        pr = model.params
+        scaled = NetworkModel(replace(pr, g_EE=1.5 * pr.g_EE, g_EI=1.5 * pr.g_EI), model.n,
+                              model.scaling)
+        before = record.times < 0.25
+        assert before.any() and not before.all()
+        for i, t in enumerate(record.times):
+            ghat = (model if before[i] else scaled).ghat
+            expected = chemical_balance_voltages(ghat, pr.E_E, pr.E_I, record.means[0][i, 2],
+                                                 record.means[1][i, 2])
+            assert rows[i, 0] == t
+            np.testing.assert_array_equal(rows[i, -2:], expected)
 
 
 class TestDoubleLimitSweep:

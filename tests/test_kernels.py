@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancenet import _clib, _kernels, _selfcheck, rng
-from balancenet._clib import _C_FLAGS, _C_SOURCES
+from balancenet._clib import _C_FLAGS, _C_LIBS, _C_SOURCES
 from balancenet._kernels import (IMPLEMENTATIONS, active, backend, fp_chunk,
                                  network_chunk)
 from balancenet.config import parse_config_dict
@@ -182,12 +182,22 @@ def test_c_fp_kernel_rejects_mismatched_sizes(c_fp_chunk):
 
 @needs_cc
 def test_c_source_compiles_without_warnings(tmp_path):
+    # the library as _compile builds it, with every warning an error; a
+    # static helper left unused fails under -Wunused-function
     assert {s.name for s in _C_SOURCES} == {"_fp_chunk.c", "_network_chunk.c", "_normal_block.c"}
     assert f"-march={_clib.C_TARGET}" in _C_FLAGS
-    for source in _C_SOURCES:
-        subprocess.run([shutil.which("cc"), *_C_FLAGS, "-Wall", "-Wextra", "-Werror",
-                        "-o", str(tmp_path / f"{source.stem}.so"), str(source)],
-                       check=True, capture_output=True, timeout=120)
+
+    def build(*sources):
+        return subprocess.run([shutil.which("cc"), *_C_FLAGS, "-Wall", "-Wextra", "-Werror",
+                               "-o", str(tmp_path / "kernels.so"), *map(str, sources), *_C_LIBS],
+                              capture_output=True, timeout=120)
+
+    built = build(*_C_SOURCES)
+    assert built.returncode == 0, built.stderr.decode()
+    unused = tmp_path / "unused.c"
+    unused.write_text("static double unused(double x)\n{\n    return x;\n}\n")
+    rejected = build(*_C_SOURCES, unused)
+    assert rejected.returncode != 0 and b"unused-function" in rejected.stderr
 
 
 @needs_cc
@@ -298,6 +308,33 @@ def test_missing_or_unreadable_verdict_runs_the_check_again(tmp_path, monkeypatc
         runs = len(checks)
         assert first_request() == runs + 1
         assert verdict.read_text() == "pass\n"
+
+
+@needs_cc
+def test_verdict_is_not_read_under_another_reference_text(tmp_path, monkeypatch):
+    # a change to the numpy kernels or to the check's cases checks again
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path / "cache")
+    refs = [tmp_path / ref.name for ref in _clib._CHECK_REFERENCES]
+    for ref, copy in zip(_clib._CHECK_REFERENCES, refs):
+        copy.write_text(ref.read_text())
+    monkeypatch.setattr(_clib, "_CHECK_REFERENCES", tuple(refs))
+    checks = []
+    check = _selfcheck.CHECKS["fp_chunk"]
+    monkeypatch.setitem(_selfcheck.CHECKS, "fp_chunk", lambda twin: checks.append(1) or check(twin))
+
+    def first_request():
+        monkeypatch.setattr(_kernels, "_c_twins", None)
+        assert backend("fp_chunk") == "c"
+        return len(checks)
+
+    assert first_request() == 1
+    assert first_request() == 1  # warm: the verdict file answers
+    for ref in refs:
+        ref.write_text(ref.read_text() + "# another reference\n")
+        runs = len(checks)
+        assert first_request() == runs + 1
+        assert first_request() == runs + 1
+    assert len(list((tmp_path / "cache").glob("*.fp_chunk.*.verdict"))) == 3
 
 
 PDE_RUN = {"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2},
@@ -564,21 +601,29 @@ def test_network_kernel_stops_at_a_non_finite_gate(c_network_chunk):
     _assert_same_run(a_c, a_np)
 
 
-@pytest.mark.parametrize("family", ["electrical", "chemical"])
-def test_network_kernel_records_its_own_steps(family):
-    # stride-1 records of one call equal the moments of step-by-step states
-    a = _random_network_args(family, 6, 12, 9, stride=1, step0=3, k_traces=4)
-    ref = _random_network_args(family, 6, 12, 9)
-    network_chunk(*a)
-    for j in range(12):
-        network_chunk(*ref[:1], ref[1][j:j + 1], *ref[2:11])
-        for p in range(a[3].shape[0] - 1):
-            blk = ref[0][a[3][p]:a[3][p + 1]]
-            np.testing.assert_array_equal(a[-3][p, 4 + j], blk.mean(axis=0))
-            np.testing.assert_array_equal(a[-2][p, 4 + j], blk.std(axis=0))
-            np.testing.assert_array_equal(a[-1][p, 4 + j], blk[:4, 0])
-    np.testing.assert_array_equal(a[0], ref[0])
-    assert np.isnan(a[-3][:, :4]).all()
+@pytest.mark.parametrize("family, n", [
+    ("electrical", 6), ("chemical", 6),
+    *((family, n) for family in ("electrical", "chemical") for n in (9, 129, 300))],
+    ids=["electrical", "chemical",
+         *(f"{family}-{n}" for family in ("electrical", "chemical") for n in (9, 129, 300))])
+def test_network_kernel_records_its_own_steps(family, n):
+    # stride-1 records of one call equal the 1-D moments of each column of
+    # the step-by-step states; from 8 agents on, numpy's pairwise sum and a
+    # sum taken in sequence (mean(axis=0)) can differ
+    twin = _kernels.c_twin("network_chunk")
+    for kernel in [network_chunk] + ([twin] if twin is not None else []):
+        a = _random_network_args(family, n, 12, 9, stride=1, step0=3, k_traces=4)
+        ref = _random_network_args(family, n, 12, 9)
+        kernel(*a)
+        for j in range(12):
+            network_chunk(*ref[:1], ref[1][j:j + 1], *ref[2:11])
+            for p in range(a[3].shape[0] - 1):
+                blk = ref[0][a[3][p]:a[3][p + 1]]
+                np.testing.assert_array_equal(a[-3][p, 4 + j], [c.mean() for c in blk.T])
+                np.testing.assert_array_equal(a[-2][p, 4 + j], [c.std() for c in blk.T])
+                np.testing.assert_array_equal(a[-1][p, 4 + j], blk[:4, 0])
+        np.testing.assert_array_equal(a[0], ref[0])
+        assert np.isnan(a[-3][:, :4]).all()
 
 
 def test_c_network_kernel_rejects_bad_arguments(c_network_chunk):

@@ -16,7 +16,7 @@ from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule)
 from balancenet.network import (NOISE_CHUNK, ConfigurationError, CoordinateIC,
                                 InitialConditionSpec, NetworkState,
-                                PerturbationEvent, RecordSpec, _column_moments,
+                                PerturbationEvent, RecordSpec,
                                 _kernel_args, apply_perturbation,
                                 draw_initial_state, simulate,
                                 simulate_rescaled_early)
@@ -645,9 +645,31 @@ def _assert_same_floats(got, ref):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
+def _twins():
+    """The network kernel's numpy function and, where it builds, its C twin."""
+    twin = _kernels.c_twin("network_chunk")
+    return [network_chunk] + ([twin] if twin is not None else [])
+
+
+def _record_still(kernel, blk):
+    """Step the (n, d) block of one population once with dt = 0, which
+    leaves every state as it was (a -0.0 recovery too: with a = 0 and
+    c = -1 its increment is -0.0), and record it. Returns the kernel's step
+    count, the states after the step and the recorded means and stds."""
+    n, d = blk.shape
+    states = blk.copy()
+    means, stds = np.full((1, 2, d), np.nan), np.full((1, 2, d), np.nan)
+    fhn = (0.0,) * 6 + (-1.0,) + (0.0,) * 4
+    done = kernel(states, np.zeros((1, n)), 0.0, np.array([0, n]), np.zeros((1, 1)),
+                  np.zeros(1), np.zeros((1, d)), np.zeros(1), np.zeros((1, d)), fhn, 1.0,
+                  0, 1, means, stds, np.empty((1, 2, 0)))
+    return done, states, means[0, 1], stds[0, 1]
+
+
 class TestCaptureMoments:
-    """Recorded means and stds are numpy's mean(axis=0) and std(axis=0),
-    bit for bit."""
+    """Recorded means and stds are each population column's 1-D mean() and
+    std(), numpy's pairwise sums, bit for bit, in both twins of the kernel
+    and in simulate's own records."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 200, 3200, 4500])
@@ -656,34 +678,48 @@ class TestCaptureMoments:
         constant = gen.normal(size=(n, d))
         constant[:, 1] = 0.37                      # std exactly 0
         signed_zero = gen.normal(size=(n, d))
-        signed_zero[:, 0] = -0.0                   # numpy's sum starts at +0.0
+        signed_zero[:, 1] = -0.0                   # numpy's sum starts at +0.0
         blocks = [gen.normal(size=(n, d)),
                   gen.normal(size=(n, d)) * 1e-3 + 1e8,   # large offset
                   gen.standard_cauchy(size=(n, d)) * 1e4,
                   constant, signed_zero]
-        for blk in blocks:
-            mean, std = np.empty(d), np.empty(d)
-            _column_moments(blk, mean, std, np.empty(n))
-            _assert_same_floats(mean, blk.mean(axis=0))
-            _assert_same_floats(std, blk.std(axis=0))
+        for kernel in _twins():
+            for blk in blocks:
+                done, states, mean, std = _record_still(kernel, blk)
+                assert done == 1
+                np.testing.assert_array_equal(states.view(np.uint64), blk.view(np.uint64))
+                _assert_same_floats(mean, [blk[:, k].mean() for k in range(d)])
+                _assert_same_floats(std, [blk[:, k].std() for k in range(d)])
 
     def test_non_finite_columns(self):
+        # a non-finite state ends the run before its step is recorded
         blk = np.random.default_rng(4).normal(size=(9, 3))
         blk[2, 0], blk[5, 1], blk[7, 2] = np.inf, -np.inf, np.nan
-        mean, std = np.empty(3), np.empty(3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _column_moments(blk, mean, std, np.empty(9))
-            _assert_same_floats(mean, blk.mean(axis=0))
-            _assert_same_floats(std, blk.std(axis=0))
+        for kernel in _twins():
+            with np.errstate(over="ignore", invalid="ignore"):
+                done, _, mean, std = _record_still(kernel, blk)
+            assert done == 0
+            assert np.isnan(mean).all() and np.isnan(std).all()
 
-    @pytest.mark.parametrize("family", ["electrical", "chemical"])
-    def test_recorded_moments_match_snapshots(self, family):
+    @pytest.mark.parametrize("family, n", [
+        ("electrical", None), ("chemical", None),
+        *((family, n) for family in ("electrical", "chemical") for n in (9, 129, 300))],
+        ids=["electrical", "chemical",
+             *(f"{family}-{n}" for family in ("electrical", "chemical") for n in (9, 129, 300))])
+    def test_recorded_moments_match_snapshots(self, family, n, monkeypatch):
+        # populations of 8 agents and more tell numpy's 1-D pairwise sum
+        # from a sum taken in sequence (mean(axis=0))
         model, init, _ = _contract_case(family)
+        if n is not None:
+            model = NetworkModel(model.params, n, model.scaling)
         steps = (0, 1, 17, 40)
-        run = simulate(model, init, 40 * CONTRACT_DT, CONTRACT_DT, 5,
-                       RecordSpec(stride=1, snapshot_times=tuple(k * CONTRACT_DT for k in steps)))
-        for k, (_, states) in zip(steps, run.snapshots):
-            for p in range(model.n_populations):
-                blk = states[model.offsets[p]:model.offsets[p + 1]]
-                _assert_same_floats(run.means[p][k], blk.mean(axis=0))
-                _assert_same_floats(run.stds[p][k], blk.std(axis=0))
+        record = RecordSpec(stride=1, snapshot_times=tuple(k * CONTRACT_DT for k in steps))
+        for backend in ("active", "numpy"):
+            if backend == "numpy":
+                monkeypatch.setattr(_kernels, "_c_twins", {})
+            run = simulate(model, init, 40 * CONTRACT_DT, CONTRACT_DT, 5, record)
+            for k, (_, states) in zip(steps, run.snapshots):
+                for p in range(model.n_populations):
+                    blk = states[model.offsets[p]:model.offsets[p + 1]]
+                    _assert_same_floats(run.means[p][k], [c.mean() for c in blk.T])
+                    _assert_same_floats(run.stds[p][k], [c.std() for c in blk.T])
