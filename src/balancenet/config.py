@@ -414,7 +414,8 @@ class PdeRunSpec(_Section):
     command = "pde"
 
     def __post_init__(self):
-        fp_steps(self.model.build(self.model.epsilon), self.grid.build(), self.T)
+        fp_steps(self.model.build(self.model.epsilon), self.grid.build(), self.T,
+                 snapshot_every=self.snapshot_every)
 
 
 @dataclass(frozen=True)

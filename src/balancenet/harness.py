@@ -29,7 +29,7 @@ from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
 from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
                      DoubleLimitSpec, EpsilonSweepSpec, ExperimentSpec,
                      FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec)
-from .hopfcole import epsilon_sweep, hamiltonian_residual, snapshot_fields, support_width
+from .hopfcole import epsilon_sweep, snapshot_series
 from .models import ScalingRule
 from .network import (NetworkState, RecordSpec, RunRecord,
                       apply_perturbation, simulate, simulate_rescaled_early,
@@ -236,39 +236,21 @@ def _early_gap(model, run: RunRecord) -> tuple[float, float, float]:
     return gap, move_y, move_s
 
 
-def _pde_series(run):
-    """Diagnostics series at snapshot times: mass, I, sup phi, width,
-    residual sup-norm."""
-    sup_phi = []
-    widths = []
-    resid = []
-    for i, f in enumerate(snapshot_fields(run)):
-        sup_phi.append(f.sup_phi)
-        widths.append(support_width(run.density_at(i)))
-        _, r = hamiltonian_residual(f, run.i_at(run.times[i]), run.model)
-        resid.append(r)
-    i_at = [run.i_at(t) for t in run.times]
-    return sup_phi, widths, resid, i_at
-
-
 def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
     model = p.model.build(p.model.epsilon)
     grid = p.grid.build()
     mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
     snap = p.snapshot_every if p.snapshot_every is not None else p.T / 60
     run = solve_fp_1d(model, mu0, p.T, snapshot_every=snap)
-    sup_phi, widths, resid, i_at = _pde_series(run)
-    write_csv(out / "pde_series.csv",
-              ["t", "mass", "interaction", "sup_phi", "support_width", "residual_sup"],
-              [run.times, run.mass, np.array(i_at), np.array(sup_phi),
-               np.array(widths), np.array(resid)])
+    transform, series = snapshot_series(run)
+    write_csv(out / "pde_series.csv", ["t", "mass", *series],
+              [run.times, run.mass, *series.values()])
     idxs = np.unique(np.round(np.linspace(0, len(run.times) - 1, 8)).astype(int))
     for j, idx in enumerate(idxs):
         write_csv(out / f"pde_snapshot_{j:02d}.csv", ["x", "mu", "phi"],
-                  [grid.centers, run.densities[idx], snapshot_fields(run)[idx].phi])
+                  [grid.centers, run.densities[idx], transform.phi[idx]])
     metrics = {"mass_drift": float(np.max(np.abs(run.mass - 1.0))),
-               "sup_phi_final": sup_phi[-1], "support_width_final": widths[-1],
-               "residual_sup_final": resid[-1], "interaction_final": i_at[-1],
+               **{f"{name}_final": float(col[-1]) for name, col in series.items()},
                "n_steps": run.meta["n_steps"], "dt": run.dt}
     return "COMPLETED", metrics
 

@@ -23,6 +23,7 @@ from .pde import DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 FLOOR_RATIO = 1e-15
 CORE_RATIO = 1e-2
 WIDTH_RATIO = 1e-3
+N_CANDIDATES = 16     # envelope slopes A' scanned by fit_supersolution_envelope
 FIT_SLACK = 1.05
 # TV(I_eps) converges upward as eps shrinks (the equilibrium interaction
 # moves further from its initial value), so the line certificate needs
@@ -39,52 +40,48 @@ BV_SLACK = 1.10
 class HopfColeField:
     """phi = eps*log(mu) where mu exceeds the support floor, and F with
     F^2 = 1 + max(0, sup phi), so that the argument 2F^2 - phi of
-    w = sqrt(2F^2 - phi) stays positive on the mask."""
+    w = sqrt(2F^2 - phi) stays positive on the mask. sup_phi and F are
+    floats for one density and (S,) for a stack of S snapshots."""
 
     grid: Grid1D
     epsilon: float
-    phi: np.ndarray       # (M,), NaN off-mask
-    mask: np.ndarray      # (M,) bool
-    F: float
-
-    @property
-    def sup_phi(self) -> float:
-        return float(np.max(self.phi[self.mask]))
+    phi: np.ndarray       # (M,) or (S, M), NaN off-mask
+    mask: np.ndarray      # like phi, bool
+    sup_phi: float | np.ndarray
+    F: float | np.ndarray
 
 
 def hopf_cole(density: DensityField, floor_ratio: float = FLOOR_RATIO) -> HopfColeField:
-    """Log-transform a density, masking cells below floor_ratio * max."""
-    v = density.values
-    mx = float(v.max())
-    if mx <= 0:
+    """Log-transform a density, or each row of a stack, masking cells below
+    floor_ratio * max."""
+    values = density.values
+    mx = values.max(axis=-1, keepdims=True)
+    if not np.all(mx > 0):
         raise ValueError("cannot transform an all-zero density")
-    mask = v > floor_ratio * mx
-    phi = np.full(v.shape, np.nan)
-    phi[mask] = density.epsilon * np.log(v[mask])
-    sup = float(np.max(phi[mask]))
-    F = math.sqrt(1.0 + max(0.0, sup))
-    return HopfColeField(grid=density.grid, epsilon=density.epsilon,
-                         phi=phi, mask=mask, F=F)
+    mask = values > floor_ratio * mx
+    phi = np.full(values.shape, np.nan)
+    np.log(values, out=phi, where=mask)
+    np.multiply(phi, density.epsilon, out=phi, where=mask)
+    sup = np.fmax.reduce(phi, axis=-1)
+    return HopfColeField(grid=density.grid, epsilon=density.epsilon, phi=phi, mask=mask,
+                         sup_phi=sup, F=np.sqrt(1.0 + np.maximum(0.0, sup)))
 
 
-def snapshot_fields(run: FpRun, floor_ratio: float = FLOOR_RATIO) -> list[HopfColeField]:
-    """The transform of every snapshot of a run, computed once per floor
-    ratio and kept on the run for the checks that follow."""
-    if floor_ratio not in run.transforms:
-        run.transforms[floor_ratio] = [hopf_cole(run.density_at(i), floor_ratio)
-                                       for i in range(len(run.times))]
-    return run.transforms[floor_ratio]
+def snapshot_fields(run: FpRun) -> HopfColeField:
+    """The transform of every snapshot of a run, one row each."""
+    return hopf_cole(run.snapshots())
 
 
-def support_width(density: DensityField, threshold_ratio: float = WIDTH_RATIO) -> float:
+def support_width(density: DensityField) -> float | np.ndarray:
     """Length of the smallest interval of cells carrying at least
-    threshold_ratio of the peak density."""
-    v = density.values
-    mx = float(v.max())
-    if mx <= 0:
+    WIDTH_RATIO of the peak density (of each row of a stack)."""
+    mx = density.values.max(axis=-1, keepdims=True)
+    if not np.all(mx > 0):
         raise ValueError("density is identically zero")
-    idx = np.nonzero(v >= threshold_ratio * mx)[0]
-    return float((idx[-1] - idx[0] + 1) * density.grid.dx)
+    above = density.values >= WIDTH_RATIO * mx
+    first = np.argmax(above, axis=-1)
+    stop = above.shape[-1] - np.argmax(above[..., ::-1], axis=-1)
+    return (stop - first) * density.grid.dx
 
 
 def _masked_gradient(phi: np.ndarray, mask: np.ndarray, dx: float):
@@ -94,35 +91,50 @@ def _masked_gradient(phi: np.ndarray, mask: np.ndarray, dx: float):
     stayed inside the mask; sup-norms should restrict to interior.
     """
     left = np.zeros_like(mask)
-    left[1:] = mask[:-1]
+    left[..., 1:] = mask[..., :-1]
     right = np.zeros_like(mask)
-    right[:-1] = mask[1:]
+    right[..., :-1] = mask[..., 1:]
     interior = mask & left & right
     grad = np.full_like(phi, np.nan)
-    j = np.nonzero(interior)[0]
-    grad[j] = (phi[j + 1] - phi[j - 1]) / (2 * dx)
-    j = np.nonzero(mask & right & ~left)[0]
-    grad[j] = (phi[j + 1] - phi[j]) / dx
-    j = np.nonzero(mask & left & ~right)[0]
-    grad[j] = (phi[j] - phi[j - 1]) / dx
+    # each stencil is written straight into grad where it applies, so a
+    # run's snapshots need no (S, M) float temporary
+    for out, ahead, behind, h, sel in (
+            (grad[..., :-1], phi[..., 1:], phi[..., :-1], dx, (mask & right & ~left)[..., :-1]),
+            (grad[..., 1:], phi[..., 1:], phi[..., :-1], dx, (mask & left & ~right)[..., 1:]),
+            (grad[..., 1:-1], phi[..., 2:], phi[..., :-2], 2 * dx, interior[..., 1:-1])):
+        np.subtract(ahead, behind, out=out, where=sel)
+        np.divide(out, h, out=out, where=sel)
     return grad, interior
 
 
-def hamiltonian_residual(phi_field: HopfColeField, big_i: float,
-                         model: SeparableModel1D) -> tuple[np.ndarray, float]:
+def hamiltonian_residual(phi_field: HopfColeField, big_i: float | np.ndarray,
+                         model: SeparableModel1D) -> tuple[np.ndarray, float | np.ndarray]:
     """Residual of the limiting Hamilton-Jacobi relation,
     R(x) = -alpha(x) I dphi - sigma^2/2 (dphi)^2, and its sup-norm over the
-    support core (cells within a factor 100 of the peak)."""
+    support core (cells within a factor 100 of the peak). For a run's field,
+    big_i holds I at each snapshot and the sup-norm is one per snapshot."""
     grad, interior = _masked_gradient(phi_field.phi, phi_field.mask, phi_field.grid.dx)
-    x = phi_field.grid.centers
-    res = np.full_like(grad, np.nan)
-    sel = interior
-    res[sel] = (-np.asarray(model.alpha(x[sel])) * big_i * grad[sel]
-                - 0.5 * model.sigma ** 2 * grad[sel] ** 2)
-    core = sel & (phi_field.phi >= phi_field.sup_phi - phi_field.epsilon * math.log(1.0 / CORE_RATIO))
-    if not core.any():
+    res = -np.asarray(model.alpha(phi_field.grid.centers)) * np.expand_dims(big_i, -1)
+    res *= grad
+    grad *= grad                          # then grad's buffer holds the quadratic term
+    grad *= 0.5 * model.sigma ** 2
+    res -= grad
+    res[~interior] = np.nan
+    floor = phi_field.sup_phi - phi_field.epsilon * math.log(1.0 / CORE_RATIO)
+    core = interior & (phi_field.phi >= np.expand_dims(floor, -1))
+    if not core.any(axis=-1).all():
         raise ValueError("support core is empty")
-    return res, float(np.max(np.abs(res[core])))
+    return res, np.max(np.abs(res, out=grad), axis=-1, where=core, initial=0.0)
+
+
+def snapshot_series(run: FpRun) -> tuple[HopfColeField, dict[str, np.ndarray]]:
+    """The transform of a run's snapshots and its series at them, each (S,):
+    I, sup phi, the support width and the residual's sup-norm on the core."""
+    f = snapshot_fields(run)
+    big_i = run.i_at(run.times)
+    return f, {"interaction": big_i, "sup_phi": f.sup_phi,
+               "support_width": support_width(run.snapshots()),
+               "residual_sup": hamiltonian_residual(f, big_i, run.model)[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +175,11 @@ def constructive_moment_constant(model: SeparableModel1D, grid: Grid1D, k: int) 
     return max(c_prime, -c2 / c1)
 
 
-def check_moment_bound(run: FpRun, k: int, k0: float | None = None) -> MomentBoundReport:
+def check_moment_bound(run: FpRun, k: int) -> MomentBoundReport:
+    """Every snapshot's 2k-th moment against max(initial moment, C*)."""
     y2k = run.grid.centers ** (2 * k)
-    series = tuple(float((d * y2k).sum() * run.grid.dx) for d in run.densities)
-    if k0 is None:
-        k0 = series[0]
+    series = tuple(((run.densities * y2k).sum(axis=-1) * run.grid.dx).tolist())
+    k0 = series[0]
     c_star = constructive_moment_constant(run.model, run.grid, k)
     bound = max(k0, c_star)
     sup_m = max(series)
@@ -224,21 +236,7 @@ def _alpha_antiderivative(model: SeparableModel1D, grid: Grid1D) -> np.ndarray:
     return prim - np.interp(0.0, x, prim)
 
 
-def _envelope_excess(run: FpRun, a_const: float, lam: np.ndarray,
-                     floor_ratio: float) -> np.ndarray:
-    """Per-snapshot max over the mask of phi + A' I(t) Lambda(x); the
-    envelope holds iff this is dominated by D' t + E'."""
-    out = np.empty(len(run.times))
-    for i, f in enumerate(snapshot_fields(run, floor_ratio)):
-        big_i = run.i_at(run.times[i])
-        vals = f.phi[f.mask] + a_const * big_i * lam[f.mask]
-        out[i] = float(np.max(vals))
-    return out
-
-
-def fit_supersolution_envelope(runs: FpRun | list[FpRun],
-                               floor_ratio: float = FLOOR_RATIO,
-                               n_candidates: int = 16) -> EnvelopeFit:
+def fit_supersolution_envelope(runs: FpRun | list[FpRun]) -> EnvelopeFit:
     """Fit phi <= -A' I(t) Lambda(x) - (eps/2) B' x^2 + D' t + E' with the
     minimal B' = 0, scanning A' on a grid inside (0, 2/sigma^2) and keeping
     the candidate with the smallest late-time intercept.
@@ -250,20 +248,25 @@ def fit_supersolution_envelope(runs: FpRun | list[FpRun],
     """
     if isinstance(runs, FpRun):
         runs = [runs]
-    lam = {id(r): _alpha_antiderivative(r.model, r.grid) for r in runs}
     amax = 2.0 / runs[0].model.sigma ** 2
+    slopes = [amax * j / (N_CANDIDATES + 1) for j in range(1, N_CANDIDATES + 1)]
+    # per run, slope and snapshot, the max over the mask of phi + A' I(t) Lambda(x);
+    # the envelope holds iff it is dominated by D' t + E'
+    excesses = []
+    for r in runs:
+        f = snapshot_fields(r)
+        big_i = r.i_at(r.times)[:, None]
+        lam = _alpha_antiderivative(r.model, r.grid)
+        excesses.append([np.max(f.phi + a_const * big_i * lam, axis=-1, where=f.mask,
+                                initial=-np.inf) for a_const in slopes])
     horizon = max(float(r.times[-1]) for r in runs)
     best = None
-    for j in range(1, n_candidates + 1):
-        a_const = amax * j / (n_candidates + 1)
-        excesses = [_envelope_excess(r, a_const, lam[id(r)], floor_ratio) for r in runs]
-        e = max(0.0, max(float(m[0]) for m in excesses))
+    for j, a_const in enumerate(slopes):
+        e = max(0.0, max(float(m[j][0]) for m in excesses))
         d = 0.0
         for r, m in zip(runs, excesses):
-            later = r.times[1:]
-            if len(later):
-                d = max(d, float(np.max((m[1:] - e) / later)))
-        d = max(0.0, d)
+            if len(r.times) > 1:
+                d = max(d, float(np.max((m[j][1:] - e) / r.times[1:])))
         score = e + d * horizon
         if best is None or score < best[0]:
             best = (score, EnvelopeFit(a=a_const, b=0.0, d=d, e=e))
@@ -272,17 +275,16 @@ def fit_supersolution_envelope(runs: FpRun | list[FpRun],
     return EnvelopeFit(a=fit.a, b=fit.b, d=fit.d * FIT_SLACK, e=fit.e * FIT_SLACK + 1e-9)
 
 
-def envelope_covers(run: FpRun, fit: EnvelopeFit,
-                    floor_ratio: float = FLOOR_RATIO) -> bool:
+def envelope_covers(run: FpRun, fit: EnvelopeFit) -> bool:
+    f = snapshot_fields(run)
     lam = _alpha_antiderivative(run.model, run.grid)
     x2 = run.grid.centers ** 2
-    for i, f in enumerate(snapshot_fields(run, floor_ratio)):
-        big_i = run.i_at(run.times[i])
-        bound = (-fit.a * big_i * lam - 0.5 * run.epsilon * fit.b * x2
-                 + fit.d * run.times[i] + fit.e)
-        if np.any(f.phi[f.mask] > bound[f.mask] + 1e-12):
-            return False
-    return True
+    bound = -fit.a * run.i_at(run.times)[:, None] * lam  # (S, M), built in place
+    bound -= 0.5 * run.epsilon * fit.b * x2
+    bound += fit.d * run.times[:, None]
+    bound += fit.e
+    bound += 1e-12
+    return not np.any(f.phi > bound, where=f.mask)
 
 
 @dataclass(frozen=True)
@@ -291,31 +293,25 @@ class WGradientReport:
     t0: float
 
 
-def check_w_gradient_bound(run: FpRun, t0: float,
-                           floor_ratio: float = FLOOR_RATIO) -> WGradientReport:
+def check_w_gradient_bound(run: FpRun, t0: float) -> WGradientReport:
     """theta = sup over t >= t0 and mask-interior x of
     |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory."""
-    fields = snapshot_fields(run, floor_ratio)
-    sup_phi = max(f.sup_phi for f in fields)
-    F2 = 2.0 * (1.0 + max(0.0, sup_phi))
-    sig2 = run.model.sigma ** 2
-    checked = False
-    theta = -math.inf
-    for i, f in enumerate(fields):
-        t = float(run.times[i])
-        if t < t0:
-            continue
-        w = np.full_like(f.phi, np.nan)
-        w[f.mask] = np.sqrt(F2 - f.phi[f.mask])
-        grad, interior = _masked_gradient(w, f.mask, run.grid.dx)
-        if not interior.any():
-            continue
-        excess = float(np.max(np.abs(grad[interior]))) - math.sqrt(1.0 / (t * sig2))
-        checked = True
-        theta = max(theta, excess)
-    if not checked:
+    f = snapshot_fields(run)
+    F2 = 2.0 * (1.0 + max(0.0, float(np.max(f.sup_phi))))
+    # the snapshots at t >= t0 are a suffix of the run
+    later = int(np.searchsorted(run.times, t0))
+    w = f.phi[later:]                     # turned into w = sqrt(2F^2 - phi) in place
+    np.subtract(F2, w, out=w)
+    np.sqrt(w, out=w)
+    grad, interior = _masked_gradient(w, f.mask[later:], run.grid.dx)
+    checked = interior.any(axis=-1)
+    if not checked.any():
         raise ValueError(f"no snapshots at or after t0={t0}")
-    return WGradientReport(theta=theta, t0=t0)
+    sup_grad = np.max(np.abs(grad, out=grad), axis=-1, where=interior, initial=0.0)
+    t = run.times[later:][checked]
+    with np.errstate(divide="raise"):  # a checked snapshot at t = 0 has no bound
+        theta = np.max(sup_grad[checked] - np.sqrt(1.0 / (t * run.model.sigma ** 2)))
+    return WGradientReport(theta=float(theta), t0=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +393,10 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
             model = base_model.with_epsilon(e)
             mu0 = gaussian_initial(grid, e, init_concentration, init_center)
             run = solve_fp_1d(model, mu0, T, snapshot_every=snapshot_every)
-            final = run.final_density()
-            f = hopf_cole(final)
-            d.sup_phi_final = f.sup_phi
-            d.support_width_final = support_width(final)
-            d.i_final = float(run.i_values[-1])
-            _, d.residual_sup_final = hamiltonian_residual(f, run.i_at(T), model)
+            _, series = snapshot_series(run)
+            d.sup_phi_final, d.support_width_final, d.i_final, d.residual_sup_final = (
+                float(series[name][-1])
+                for name in ("sup_phi", "support_width", "interaction", "residual_sup"))
             d.bv = check_bv_interaction(run.i_times, run.i_values)
             d.theta = check_w_gradient_bound(run, t0).theta
             d.moment = check_moment_bound(run, 2)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from ._kernels import active
+from ._kernels import active, mean_std
 from .models import ModelDefinitionError, NetworkModel
 
 NOISE_CHUNK = 256
@@ -88,6 +88,10 @@ class RecordSpec:
             raise ConfigurationError("record stride must be >= 1", "stride")
         if self.traces < 0:
             raise ConfigurationError("trace count must be >= 0", "traces")
+        for i, t in enumerate(self.snapshot_times):
+            if not 0 <= t < np.inf:
+                raise ConfigurationError("snapshot times must be finite and >= 0",
+                                         f"snapshot_times[{i}]")
 
 
 @dataclass(frozen=True)
@@ -326,8 +330,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         for p in range(P):
             blk = state.states[offsets[p]:offsets[p + 1]]
             for k in range(d):
-                col = blk[:, k]
-                means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
+                means[p, slot, k], stds[p, slot, k] = mean_std(blk[:, k])
             traces[p, slot] = blk[:traces.shape[2], 0]
 
     kernel = active(model.params.kernel)

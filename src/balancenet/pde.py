@@ -61,7 +61,8 @@ class Grid1D:
 
 @dataclass(eq=False)
 class DensityField:
-    """Probability density on a grid with its inverse-coupling epsilon."""
+    """Probability density on a grid with its inverse-coupling epsilon:
+    values (M,) at time t, or a stack (S, M) of densities, one a row."""
 
     grid: Grid1D
     values: np.ndarray
@@ -70,12 +71,12 @@ class DensityField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.M,):
+        if self.values.shape[-1:] != (self.grid.M,) or self.values.ndim > 2:
             raise ValueError("values must match the grid")
 
     @property
-    def mass(self) -> float:
-        return float(self.values.sum() * self.grid.dx)
+    def mass(self) -> float | np.ndarray:
+        return self.values.sum(axis=-1) * self.grid.dx
 
 
 def check_concentration(concentration: float) -> None:
@@ -115,19 +116,23 @@ class FpRun:
     i_values: np.ndarray        # (n_steps,)
     status: str = "COMPLETED"
     meta: dict = field(default_factory=dict)
-    # floor ratio -> Hopf-Cole field of each snapshot (hopfcole.snapshot_fields)
-    transforms: dict = field(default_factory=dict, repr=False)
 
     def density_at(self, idx: int) -> DensityField:
         return DensityField(grid=self.grid, values=self.densities[idx].copy(),
                             epsilon=self.epsilon, t=float(self.times[idx]))
 
+    def snapshots(self) -> DensityField:
+        """Every snapshot, as one stack."""
+        return DensityField(grid=self.grid, values=self.densities, epsilon=self.epsilon)
+
     def final_density(self) -> DensityField:
         return self.density_at(len(self.times) - 1)
 
-    def i_at(self, t: float) -> float:
-        idx = min(len(self.i_values) - 1, max(0, int(round(t / self.dt))))
-        return float(self.i_values[idx])
+    def i_at(self, t):
+        """I at time t, or at each time of an array: the value of the step
+        whose start is nearest to it."""
+        idx = np.clip(np.rint(np.divide(t, self.dt)), 0, len(self.i_values) - 1)
+        return self.i_values[idx.astype(int)]
 
 
 def cfl_timestep(model: SeparableModel1D, grid: Grid1D, cfl: float = CFL_NUMBER) -> float:
@@ -149,13 +154,16 @@ def check_horizon(T: float) -> None:
 
 
 def fp_steps(model: SeparableModel1D, grid: Grid1D, T: float, dt: float | None = None,
-             cfl: float = CFL_NUMBER) -> tuple[float, int]:
+             cfl: float = CFL_NUMBER, snapshot_every: float | None = None) -> tuple[float, int]:
     """(step, number of steps) of solve_fp_1d's march to T on grid: dt
     defaults to the CFL-limited step and is shortened to divide T. Raises
-    ModelDefinitionError for a T that is not positive and CflError for a dt
-    beyond the CFL step or more than MAX_STEPS steps, so a config is
-    rejected at parse time by the same checks."""
+    ModelDefinitionError for a T or a snapshot_every that is not positive
+    (and finite) and CflError for a dt beyond the CFL step or more than
+    MAX_STEPS steps, so a config is rejected at parse time by the same
+    checks."""
     check_horizon(T)
+    if snapshot_every is not None and not 0 < snapshot_every < math.inf:
+        raise ModelDefinitionError("snapshot_every must be positive and finite", "snapshot_every")
     dt_max = cfl_timestep(model, grid, cfl)
     if dt is None:
         dt = dt_max
@@ -174,12 +182,13 @@ def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
 
     dt defaults to the CFL-limited step; an explicit dt violating the CFL
     policy, or a configuration needing more than MAX_STEPS steps, is
-    rejected with CflError. A density value below -1e-12, or a non-finite
+    rejected with CflError, and a snapshot_every that is not positive with
+    ModelDefinitionError. A density value below -1e-12, or a non-finite
     one, aborts with NegativityError at the step that produced it (it cannot
     happen under the CFL bound; it indicates a broken model definition).
     """
     grid = mu0.grid
-    dt, n_steps = fp_steps(model, grid, T, dt, cfl)
+    dt, n_steps = fp_steps(model, grid, T, dt, cfl, snapshot_every)
     if abs(mu0.mass - 1.0) > 1e-8:
         raise ValueError("initial density must have unit mass")
 

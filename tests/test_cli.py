@@ -68,11 +68,16 @@ class TestExitCodes:
         ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [0.4, 0.2],
                  "T": 0.0}, "T"),
         ("sweep", {"kind": "double-limit-sweep", "seed": 1,
-                   "pde": {"model": {}, "epsilons": [0.4, 0.2], "T": -1.0}}, "pde.T")])
+                   "pde": {"model": {}, "epsilons": [0.4, 0.2], "T": -1.0}}, "pde.T"),
+        ("simulate", {**NETWORK_CFG, "record": {"snapshot_times": [-0.5, 0.005]}},
+         "record.snapshot_times[0]"),
+        ("pde", {"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.1}, "T": 0.1,
+                 "snapshot_every": -1.0}, "snapshot_every")])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
-        # the step guard, the epsilon order, a figure run's step and the
-        # Fokker-Planck horizon and step budget are checked at parse time
+        # the step guard, the epsilon order, a figure run's step, the
+        # Fokker-Planck horizon and step budget and the snapshot schedule
+        # are checked at parse time
         out = tmp_path / "o"
         assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"BAD_VALUE({path})" in capsys.readouterr().err
@@ -129,6 +134,53 @@ class TestModuleEntryPoint:
         assert done.stdout == "network-run: COMPLETED; 2 files\n"
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["status"] == "COMPLETED" and len(manifest["files"]) == 2
+
+
+class TestDevModeSmoke:
+    """Every experiment kind under ``python -X dev -W error``: a warning
+    numpy or the stdlib raises anywhere in a run (an invalid value, an
+    unclosed file, a deprecated call) fails it."""
+
+    CASES = [
+        ("simulate", 1, {
+            "kind": "network-run", "seed": 2,
+            # N = 1024 fills its noise half-blocks on the worker thread
+            "model": {"family": "fhn-chemical", "n": 512, "g_EE": 0.3, "g_EI": 2.0,
+                      "g_IE": 1.0, "g_II": 10.0,
+                      "scaling": {"kind": "scaled_linear", "coefficient": 0.2}},
+            "T": 0.003, "dt": 1e-5, "record": {"stride": 20, "traces": 4},
+            "events": [{"t": 0.0015, "multipliers": {"g_EE": 1.5}}]}),
+        ("early", 1, {"kind": "rescaled-early", "seed": 2,
+                      "model": {"family": "fhn-chemical", "n": 20},
+                      "gammas": [10, 100], "T_tilde": 0.05, "dt_tilde": 1e-3,
+                      "record": {"stride": 5, "traces": 0}}),
+        ("pde", 1, {"kind": "pde-run", "seed": 2, "model": {"epsilon": 0.2},
+                    "grid": {"L": 8, "cells": 128}, "T": 0.1}),
+        ("pde", 1, {"kind": "epsilon-sweep", "seed": 2, "model": {}, "epsilons": [0.4, 0.2],
+                    "grid": {"L": 8, "cells": 128}, "T": 0.1}),
+        ("sweep", 2, {"kind": "double-limit-sweep", "seed": 2,
+                      "network": {"model": {"family": "fhn-electrical"}, "n_values": [10, 20],
+                                  "scalings": [{"kind": "linear"}], "T": 0.01},
+                      "pde": {"model": {}, "epsilons": [0.4, 0.2],
+                              "grid": {"L": 8, "cells": 128}, "T": 0.1}}),
+        ("balance", 1, {"kind": "balance-analysis", "seed": 2,
+                        "model": {"family": "fhn-chemical", "E_E": 3.0, "E_I": -1.0},
+                        "sbar": {"E": 0.5, "I": 0.5}}),
+        ("figures", 1, {"kind": "figures", "seed": 2, "figure": "fig1",
+                        "model": {"family": "fhn-electrical", "n": 20}, "T": 0.02}),
+    ]
+
+    def test_every_kind_runs_clean(self, tmp_path):
+        src = str(Path(balancenet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for i, (command, threads, cfg) in enumerate(self.CASES):
+            path = write_cfg(tmp_path, cfg, f"cfg{i}.json")
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "balancenet", command,
+                 "--config", path, "--out", f"o{i}", "--threads", str(threads)],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, ""), cfg["kind"]
+            assert done.stdout.startswith(f"{cfg['kind']}: "), done.stdout
 
 
 class TestBenchmarkTraceTargets:

@@ -122,6 +122,13 @@ class TestParseErrors:
          "epsilons"),
         ({"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2}, "T": 0.5,
           "init": {"concentration": 0.0}}, "init.concentration"),
+        # and the snapshot schedule
+        (minimal_network(record={"snapshot_times": [-0.5, 0.005]}),
+         "record.snapshot_times[0]"),
+        (minimal_network(record={"snapshot_times": [0.0, float("inf")]}),
+         "record.snapshot_times[1]"),
+        ({"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2}, "T": 0.5,
+          "snapshot_every": 0.0}, "snapshot_every"),
     ])
     def test_value_checks(self, cfg, path):
         with pytest.raises(ConfigError) as err:

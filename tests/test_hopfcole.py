@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from balancenet.hopfcole import (_masked_gradient, check_bv_interaction,
-                                 check_moment_bound,
+from balancenet.hopfcole import (FIT_SLACK, N_CANDIDATES, EnvelopeFit,
+                                 _alpha_antiderivative, _masked_gradient,
+                                 check_bv_interaction, check_moment_bound,
                                  check_w_gradient_bound,
                                  constructive_moment_constant, envelope_covers,
                                  fit_supersolution_envelope,
-                                 hamiltonian_residual, hopf_cole, support_width)
+                                 hamiltonian_residual, hopf_cole, snapshot_fields,
+                                 snapshot_series, support_width)
 from balancenet.models import build_separable_1d
 from balancenet.pde import DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
@@ -83,16 +85,29 @@ def masked_gradient_loop(phi, mask, dx):
     return grad, interior
 
 
+def assert_same_bits(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestMaskedGradient:
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_loop(self, seed):
+        # rows of differing mask density, the last one without interior
         gen = np.random.default_rng(seed)
-        mask = gen.random(200) < 0.7
-        phi = np.where(mask, gen.normal(size=200), np.nan)
+        mask = gen.random((6, 200)) < gen.uniform(0.3, 0.95, size=(6, 1))
+        mask[-1] = np.arange(200) % 2 == 0
+        phi = np.where(mask, gen.normal(size=mask.shape), np.nan)
         grad, interior = _masked_gradient(phi, mask, 0.03)
-        ref_grad, ref_interior = masked_gradient_loop(phi, mask, 0.03)
-        np.testing.assert_array_equal(grad, ref_grad)
-        np.testing.assert_array_equal(interior, ref_interior)
+        for row in range(len(phi)):
+            ref_grad, ref_interior = masked_gradient_loop(phi[row], mask[row], 0.03)
+            assert_same_bits(grad[row], ref_grad)
+            np.testing.assert_array_equal(interior[row], ref_interior)
+            one_grad, one_interior = _masked_gradient(phi[row], mask[row], 0.03)
+            assert_same_bits(one_grad, ref_grad)
+            np.testing.assert_array_equal(one_interior, ref_interior)
+        assert not interior[-1].any()
 
     def test_gaps_isolated_cells_and_run_edges(self):
         # runs [0, 2] and [6, 9] touch the array ends; cell 4 is isolated
@@ -252,6 +267,8 @@ class TestWGradient:
 
 
 def _fake_run(model, grid, densities, times, i_values=1.0):
+    """A run with the given snapshots; i_values is one I for every step or
+    one I per step (len(times) - 1 of them)."""
     dens = np.stack([np.asarray(d, dtype=float) for d in densities])
     times = np.asarray(times, dtype=float)
     n_steps = max(1, len(times) - 1)
@@ -259,7 +276,163 @@ def _fake_run(model, grid, densities, times, i_values=1.0):
                  times=times, densities=dens,
                  mass=np.array([d.sum() * grid.dx for d in dens]),
                  i_times=np.linspace(0, max(times[-1], 1.0), n_steps, endpoint=False),
-                 i_values=np.full(n_steps, float(i_values)))
+                 i_values=np.broadcast_to(np.asarray(i_values, dtype=float), (n_steps,)).copy())
+
+
+def _loop_w_gradient_theta(run, t0):
+    """check_w_gradient_bound's theta, one snapshot at a time."""
+    fields = [hopf_cole(run.density_at(i)) for i in range(len(run.times))]
+    F2 = 2.0 * (1.0 + max(0.0, max(f.sup_phi for f in fields)))
+    theta = -math.inf
+    for f, t in zip(fields, run.times.tolist()):
+        if t < t0:
+            continue
+        w = np.full_like(f.phi, np.nan)
+        w[f.mask] = np.sqrt(F2 - f.phi[f.mask])
+        grad, interior = masked_gradient_loop(w, f.mask, run.grid.dx)
+        if interior.any():
+            theta = max(theta, float(np.max(np.abs(grad[interior])))
+                        - math.sqrt(1.0 / (t * run.model.sigma ** 2)))
+    return theta
+
+
+def _loop_envelope(run, a_const):
+    """Per snapshot, the max over the mask of phi + A' I(t) Lambda(x)."""
+    lam = _alpha_antiderivative(run.model, run.grid)
+    out = []
+    for i, t in enumerate(run.times.tolist()):
+        f = hopf_cole(run.density_at(i))
+        out.append(float(np.max(f.phi[f.mask] + a_const * run.i_at(t) * lam[f.mask])))
+    return np.array(out)
+
+
+def _loop_envelope_fit(runs):
+    """fit_supersolution_envelope, one snapshot at a time."""
+    amax = 2.0 / runs[0].model.sigma ** 2
+    horizon = max(float(r.times[-1]) for r in runs)
+    best = None
+    for j in range(1, N_CANDIDATES + 1):
+        a_const = amax * j / (N_CANDIDATES + 1)
+        excesses = [_loop_envelope(r, a_const) for r in runs]
+        e = max(0.0, max(float(m[0]) for m in excesses))
+        d = max([0.0] + [float(np.max((m[1:] - e) / r.times[1:]))
+                         for r, m in zip(runs, excesses) if len(r.times) > 1])
+        if best is None or e + d * horizon < best[0]:
+            best = (e + d * horizon, a_const, d, e)
+    _, a_const, d, e = best
+    return EnvelopeFit(a=a_const, b=0.0, d=d * FIT_SLACK, e=e * FIT_SLACK + 1e-9)
+
+
+def _loop_envelope_covers(run, fit):
+    lam = _alpha_antiderivative(run.model, run.grid)
+    x2 = run.grid.centers ** 2
+    for i, t in enumerate(run.times.tolist()):
+        f = hopf_cole(run.density_at(i))
+        bound = (-fit.a * run.i_at(t) * lam - 0.5 * run.epsilon * fit.b * x2
+                 + fit.d * t + fit.e)
+        if np.any(f.phi[f.mask] > bound[f.mask] + 1e-12):
+            return False
+    return True
+
+
+def _ragged_run():
+    """Snapshots whose masks end at different cells (a Gaussian, one cut
+    to compact support, a one-sided ramp), at times before and after
+    t = 0.3, with I changing between steps."""
+    model = build_separable_1d(0.3)
+    grid = Grid1D(4.0, 256)
+    x = grid.centers
+    wide = np.exp(-(x - 0.5) ** 2 / 0.3)
+    cut = np.where(np.abs(x + 1.0) < 0.8, np.exp(-(x + 1.0) ** 2 / 0.1), 0.0)
+    ramp = np.where(x > 1.5, x - 1.5, 0.0) + 1e-3 * (x > 0.2)
+    vals = [v / (v.sum() * grid.dx) for v in (wide, cut, ramp, wide ** 3)]
+    return _fake_run(model, grid, vals, [0.0, 0.1, 0.5, 1.0], i_values=[0.9, 0.4, 0.7])
+
+
+def _solver_run():
+    model = build_separable_1d(0.2)
+    grid = Grid1D(8.0, 256)
+    return solve_fp_1d(model, gaussian_initial(grid, 0.2, 1.0, 1.0), 0.5,
+                       snapshot_every=0.05)
+
+
+class TestRunArrays:
+    """The run-level diagnostics equal the single-density path row by row,
+    bit for bit."""
+
+    @pytest.fixture(params=["solver", "ragged"])
+    def run(self, request):
+        return _solver_run() if request.param == "solver" else _ragged_run()
+
+    def test_interaction_at_snapshots_is_i_at_rule(self, run):
+        n = len(run.i_values)
+        for t, big_i in zip(run.times.tolist(), run.i_at(run.times)):
+            assert big_i == run.i_values[min(n - 1, max(0, int(round(t / run.dt))))]
+            assert big_i == run.i_at(t)
+
+    def test_rows_equal_single_density_path(self, run):
+        f = snapshot_fields(run)
+        transform, series = snapshot_series(run)
+        assert f.phi.shape == f.mask.shape == run.densities.shape
+        assert_same_bits(run.snapshots().mass,
+                         [run.density_at(i).mass for i in range(len(run.times))])
+        masks = set()
+        for i, t in enumerate(run.times.tolist()):
+            ref = hopf_cole(run.density_at(i))
+            assert_same_bits(f.phi[i], ref.phi)
+            np.testing.assert_array_equal(f.mask[i], ref.mask)
+            assert f.sup_phi[i] == ref.sup_phi and f.F[i] == ref.F
+            _, ref_resid = hamiltonian_residual(ref, run.i_at(t), run.model)
+            assert series["residual_sup"][i] == ref_resid
+            assert series["sup_phi"][i] == ref.sup_phi
+            assert_same_bits(transform.phi[i], ref.phi)
+            assert series["support_width"][i] == support_width(run.density_at(i))
+            assert series["interaction"][i] == run.i_at(t)
+            masks.add((int(np.argmax(ref.mask)), int(ref.mask.sum())))
+        assert len(masks) > 1
+
+    def test_residual_rows_equal_single_density_path(self, run):
+        f = snapshot_fields(run)
+        res, sup = hamiltonian_residual(f, run.i_at(run.times), run.model)
+        for i, t in enumerate(run.times.tolist()):
+            ref_res, ref_sup = hamiltonian_residual(hopf_cole(run.density_at(i)),
+                                                    run.i_at(t), run.model)
+            assert_same_bits(res[i], ref_res)
+            assert sup[i] == ref_sup
+
+    def test_certificates_equal_snapshot_loops(self, run):
+        for t0 in (0.05, 0.3, float(run.times[-1])):
+            assert check_w_gradient_bound(run, t0).theta == _loop_w_gradient_theta(run, t0)
+        with pytest.raises(ArithmeticError):  # the bound at t = 0 is infinite
+            check_w_gradient_bound(run, 0.0)
+        fit = fit_supersolution_envelope(run)
+        assert fit == _loop_envelope_fit([run])
+        assert _loop_envelope_covers(run, fit)
+        tight = EnvelopeFit(a=fit.a, b=fit.b, d=0.0, e=fit.e / FIT_SLACK - 0.5)
+        assert envelope_covers(run, fit) and not envelope_covers(run, tight)
+        assert not _loop_envelope_covers(run, tight)
+        y2 = run.grid.centers ** 2
+        moments = [float((d * y2).sum() * run.grid.dx) for d in run.densities]
+        assert list(check_moment_bound(run, 1).moment_series) == moments
+
+    def test_fit_over_runs_equals_snapshot_loops(self):
+        runs = [_solver_run(), _ragged_run()]
+        assert fit_supersolution_envelope(runs) == _loop_envelope_fit(runs)
+
+    def test_row_without_interior_is_skipped(self):
+        # isolated cells: the w-gradient check skips the row, and the
+        # residual has no core on it
+        model = build_separable_1d(0.3)
+        grid = Grid1D(4.0, 128)
+        comb = np.where(np.arange(128) % 2 == 0, 1.0, 0.0)
+        smooth = np.exp(-grid.centers ** 2)
+        run = _fake_run(model, grid, [smooth, comb, smooth], [0.0, 0.5, 1.0])
+        assert not snapshot_fields(run).mask[1].reshape(-1, 2)[:, 1].any()
+        assert check_w_gradient_bound(run, 0.2).theta == _loop_w_gradient_theta(run, 0.2)
+        with pytest.raises(ValueError, match="no snapshots"):
+            check_w_gradient_bound(_fake_run(model, grid, [smooth, comb], [0.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="support core is empty"):
+            snapshot_series(run)
 
 
 class TestSweepConsistency:
@@ -276,12 +449,13 @@ class TestSweepConsistency:
                           snapshot_every=0.25)
         final = run.final_density()
         f = hopf_cole(final)
-        assert d.sup_phi_final == pytest.approx(f.sup_phi, rel=1e-12)
+        assert d.sup_phi_final == f.sup_phi
         assert d.support_width_final == support_width(final)
+        assert d.i_final == run.i_values[-1]
         _, resid = hamiltonian_residual(f, run.i_at(1.0), base)
-        assert d.residual_sup_final == pytest.approx(resid, rel=1e-12)
-        assert d.theta == pytest.approx(
-            check_w_gradient_bound(run, 0.25).theta, rel=1e-12)
+        assert d.residual_sup_final == resid
+        assert d.theta == check_w_gradient_bound(run, 0.25).theta
+        assert d.theta == _loop_w_gradient_theta(run, 0.25)
 
     def test_strictly_decreasing_epsilons_required(self):
         from balancenet.hopfcole import epsilon_sweep

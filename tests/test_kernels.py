@@ -626,6 +626,15 @@ def test_network_kernel_records_its_own_steps(family, n):
         assert np.isnan(a[-3][:, :4]).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 300, 1000, 4500, 9000])
+def test_mean_std_is_ndarray_mean_and_std(n):
+    gen = np.random.default_rng(n)
+    for offset in (0.0, 1e8):
+        block = gen.normal(size=(n, 3)) + offset
+        for col in (block[:, 1], block[:, 1].copy()):  # strided and contiguous
+            assert _kernels.mean_std(col) == (col.mean(), col.std())
+
+
 def test_c_network_kernel_rejects_bad_arguments(c_network_chunk):
     a = _random_network_args("electrical", 8, 5, 1, stride=1)
     a[-3] = a[-3][:, :-1]  # one record slot too few
