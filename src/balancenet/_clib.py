@@ -1,18 +1,20 @@
-"""The C twins of ``_kernels.fp_chunk``, ``_kernels.network_chunk`` and
-``rng.normal_block``: build, cache, load, wrap and check.
+"""The C twins of ``_kernels.fp_chunk``, ``_kernels.network_chunk``,
+``_kernels.rk4_affine`` and ``rng.normal_block``: build, cache, load, wrap
+and check.
 
-``_fp_chunk.c``, ``_network_chunk.c`` and ``_normal_block.c`` are compiled
-together with ``cc -O3 -march=native -ffp-contract=off -shared -fPIC`` into
-one library in ``$XDG_CACHE_HOME/balancenet`` (default
-``~/.cache/balancenet``), built for the host CPU's vector unit. Its name is
-keyed by the sha256 of the sources, the flags, the resolved path, size and
-mtime of the compiler binary, the platform and the host CPU (its model and
-feature flags), so later processes find it with a few ``stat`` calls and
-load it without compiling or running the compiler, and a cache shared
-between machines never loads a library built for another CPU. An
-unwritable cache gets a private build under the temporary directory. The
-library is called through ``ctypes``, which releases the GIL during each
-call. ``_kernels`` imports this module on the first kernel request.
+``_fp_chunk.c``, ``_network_chunk.c``, ``_normal_block.c`` and
+``_rk4_affine.c`` are compiled together with ``cc -O3 -march=native
+-ffp-contract=off -shared -fPIC`` into one library in
+``$XDG_CACHE_HOME/balancenet`` (default ``~/.cache/balancenet``), built for
+the host CPU's vector unit. Its name is keyed by the sha256 of the
+sources, the flags, the resolved path, size and mtime of the compiler
+binary, the platform and the host CPU (its model and feature flags), so
+later processes find it with a few ``stat`` calls and load it without
+compiling or running the compiler, and a cache shared between machines
+never loads a library built for another CPU. An unwritable cache gets a
+private build under the temporary directory. The library is called
+through ``ctypes``, which releases the GIL during each call. ``_kernels``
+imports this module on the first kernel request.
 
 The chemical family's gate needs numpy's exp, whose last bit differs from
 libm's on some CPUs. ``network_chunk`` therefore calls the float64 inner
@@ -22,12 +24,12 @@ that loop cannot be read safely, the numpy kernel runs.
 
 Wider vectors change no result: without -ffast-math the compiler may not
 reassociate a sum, and -ffp-contract=off forbids fused multiply-adds. Each
-twin still proves it once: its ``self_check()`` runs it and the numpy
+twin still proves it once: its ``self_check()`` runs it and the Python
 function it follows on a fixed input and compares the bits (see
 ``_selfcheck``), and its verdict is kept in a small file next to the
 library, keyed on the library, the numpy version, numpy's exp target and
-the source text of the numpy kernels and of the check, so a warm process
-runs no check.
+the source text of the Python references and of the check, so a warm
+process runs no check.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ import numpy as np
 from ._kernels import numpy_exp_target
 
 _C_SOURCES = tuple(Path(__file__).with_name(name)
-                   for name in ("_fp_chunk.c", "_network_chunk.c", "_normal_block.c"))
+                   for name in ("_fp_chunk.c", "_network_chunk.c", "_normal_block.c",
+                                "_rk4_affine.c"))
 C_TARGET = "native"  # the instruction set the library is built for: the host CPU's
 _C_FLAGS = ("-O3", f"-march={C_TARGET}", "-ffp-contract=off", "-shared", "-fPIC")
 _C_LIBS = ("-lm",)
-# what a self-check compares a twin against: the numpy kernels and the
+# what a self-check compares a twin against: the Python kernels and the
 # check's cases, read as text (not imported) to key its cached verdict
 _CHECK_REFERENCES = tuple(Path(__file__).with_name(name)
                           for name in ("_kernels.py", "_selfcheck.py"))
@@ -287,14 +290,35 @@ def _c_normal_block(lib):
     return normal_block
 
 
+def _c_rk4_affine(lib):
+    """Wrap the C ``rk4_affine`` of ``lib`` in the Python loop's signature;
+    ``col`` may be a strided view, such as one column of a trajectory."""
+    c_fn = lib.rk4_affine
+    double = ctypes.c_double
+    c_fn.argtypes = [double, double, double, double, ctypes.c_void_p, ctypes.c_long,
+                     ctypes.c_long]
+    c_fn.restype = ctypes.c_long
+
+    def rk4_affine(a, b, x, dt, col, last):
+        """The Python ``rk4_affine`` in C: same arguments, same result bits."""
+        if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
+                and col.flags.writeable and col.flags.aligned
+                and col.strides[0] % col.itemsize == 0 and 0 <= last < col.shape[0]):
+            raise ValueError("rk4_affine: expected a writeable aligned float64 column of "
+                             "more than last entries")
+        return c_fn(a, b, x, dt, col.ctypes.data, col.strides[0] // col.itemsize, last)
+
+    return rk4_affine
+
+
 _VERDICTS = {"pass\n": True, "fail\n": False}
 
 
 def _verdict(name: str, twin, library: Path | None) -> bool:
-    """Whether the twin of the numpy function ``name`` passes its check in
+    """Whether the twin of the Python function ``name`` passes its check in
     _selfcheck.CHECKS. The verdict is read from its file next to ``library``,
     keyed on the library, the numpy version, numpy's exp target and the text
-    of the numpy kernels and the check (_CHECK_REFERENCES); when that file
+    of the Python references and the check (_CHECK_REFERENCES); when that file
     is missing or unreadable the check runs and its verdict is stored there.
     A private build (library None) is checked in every process."""
     path = None
@@ -325,14 +349,15 @@ def _verdict(name: str, twin, library: Path | None) -> bool:
 
 
 def load_c_kernels() -> dict:
-    """The C twins by the name of the numpy function they follow, each with
+    """The C twins by the name of the Python function they follow, each with
     a ``self_check()`` (see _verdict); empty when no C compiler can build
     them, and without network_chunk when numpy's exp loop cannot be read."""
     loaded = _load_c_library()
     if loaded is None:
         return {}
     lib, path = loaded
-    twins = {"fp_chunk": _c_fp_chunk(lib), "normal_block": _c_normal_block(lib)}
+    twins = {"fp_chunk": _c_fp_chunk(lib), "normal_block": _c_normal_block(lib),
+             "rk4_affine": _c_rk4_affine(lib)}
     exp = _exp_loop(np.exp)
     if exp is not None:
         twins["network_chunk"] = _c_network_chunk(lib, *exp)

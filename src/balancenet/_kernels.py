@@ -1,22 +1,25 @@
-"""Hot inner loops: Euler-Maruyama chunks of the FitzHugh-Nagumo network and
-the finite-volume Fokker-Planck update.
+"""Hot inner loops: Euler-Maruyama chunks of the FitzHugh-Nagumo network,
+the finite-volume Fokker-Planck update and the scalar RK4 of the
+frozen-measure early-time ODE.
 
-Each kernel is one vectorized numpy function that updates its arrays in
-place and is bit-reproducible for identical inputs, however a run is cut
-into chunks. Timings are measured by the benchmark in perfbench/ (see
-perfbench/README.md).
+Each network or Fokker-Planck kernel is one vectorized numpy function that
+updates its arrays in place and is bit-reproducible for identical inputs,
+however a run is cut into chunks; ``rk4_affine`` steps one population's
+voltage on Python floats. Timings are measured by the benchmark in
+perfbench/ (see perfbench/README.md).
 
 ``active(name)`` hands a kernel out by name. Both network families step
 through the one network kernel; they keep their own keys so that traced
 runs attribute its time to the family that called it. Both kernels have C
 twins (``_network_chunk.c``, ``_fp_chunk.c``, bit-identical to the numpy
 kernels) that ``_clib`` compiles for the host CPU into one library on the
-first request, cached per user, together with the C twin of
-``rng.normal_block`` (``_normal_block.c``). ``c_twin`` hands a twin out
-once it has matched its numpy function on a fixed input; without a
-working C compiler, for a twin that fails its check, or for the network
-twin where numpy's own exp loop cannot be read (see ``_clib._exp_loop``),
-numpy runs.
+first request, cached per user, together with the C twins of
+``rng.normal_block`` (``_normal_block.c``) and of ``rk4_affine``
+(``_rk4_affine.c``), which are fetched with ``c_twin`` rather than
+``active``. ``c_twin`` hands a twin out once it has matched its Python
+function on a fixed input; without a working C compiler, for a twin that
+fails its check, or for the network twin where numpy's own exp loop cannot
+be read (see ``_clib._exp_loop``), the Python function runs.
 """
 
 from __future__ import annotations
@@ -183,6 +186,37 @@ def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
 
 
 # ---------------------------------------------------------------------------
+# frozen-measure early-time ODE, one population's voltage
+# ---------------------------------------------------------------------------
+
+
+def rk4_affine(a: float, b: float, x: float, dt: float, col: np.ndarray, last: int) -> int:
+    """Classical RK4 for the scalar ODE x' = a x + b from x, written to
+    col[1:last + 1]. It does the operations of a numpy RK4 loop over the
+    (P, d) states in the same order, so it is bit-identical to it, but on
+    Python floats: a fraction of a microsecond per step against ~20 numpy
+    dispatches. Returns the first step whose value is non-finite, or last.
+
+    It is not in IMPLEMENTATIONS, whose kernels perfbench's tracer counts
+    as network steps: ``balance.integrate_early_ode`` fetches its C twin
+    with ``c_twin("rk4_affine")``.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+    for s in range(1, last + 1):
+        k1 = a * x + b
+        k2 = a * (x + half * k1) + b
+        k3 = a * (x + half * k2) + b
+        k4 = a * (x + dt * k3) + b
+        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        col[s] = x
+        if not isfinite(x):
+            return s
+    return last
+
+
+# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -225,9 +259,9 @@ def _passes_self_check(twin) -> bool:
 
 
 def c_twin(name: str):
-    """The C twin of the numpy function named ``name`` ("network_chunk",
-    "fp_chunk" or "normal_block"), built or loaded on the first request;
-    None when there is none or it fails its self-check."""
+    """The C twin of the function named ``name`` ("network_chunk",
+    "fp_chunk", "normal_block" or "rk4_affine"), built or loaded on the
+    first request; None when there is none or it fails its self-check."""
     twin = _c_kernels().get(name)
     return twin if twin is not None and _passes_self_check(twin) else None
 
@@ -246,6 +280,6 @@ def numpy_exp_target() -> str | None:
 
 
 def backend(kernel: str) -> str:
-    """What runs for the numpy function named ``kernel`` (see c_twin): "c"
-    for its C twin, else "numpy"."""
+    """What runs for the function named ``kernel`` (see c_twin): "c" for
+    its C twin, else "numpy" (for rk4_affine, Python floats)."""
     return "c" if c_twin(kernel) is not None else "numpy"

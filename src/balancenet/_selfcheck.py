@@ -1,5 +1,5 @@
 """The self-checks of the C twins that ``_clib`` builds: each runs a twin
-and the numpy function it follows on a fixed input and compares the
+and the Python function it follows on a fixed input and compares the
 results bit for bit. ``_clib._verdict`` imports this module only when a
 verdict is not cached yet, so a warm process neither runs nor compiles
 these checks.
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._kernels import fp_chunk, network_chunk
+from ._kernels import fp_chunk, network_chunk, rk4_affine
 from .models import conductance_source_maps
 
 # the self-check's stream: its 65,536 draws take both slow paths of the
@@ -123,5 +123,26 @@ def _check_fp_chunk(twin) -> bool:
     return True
 
 
+# (a, b, x, dt, last, width): a decaying and a growing solution, one that
+# overflows to inf at step 169 of 400, and one from a NaN; each is written
+# to column width // 2 of a NaN-filled (last + 1, width) array
+_RK4_CASES = ((-3.7, 1.2, 0.4, 1e-2, 500, 1), (250.0, -1.0, 0.3, 1e-3, 400, 3),
+              (50.0, 1.0, 1.0, 0.1, 400, 3), (-2.0, 0.5, math.nan, 1e-2, 5, 2))
+
+
+def _check_rk4_affine(twin) -> bool:
+    """Whether the C rk4_affine writes the fixed cases' columns and stops
+    at the same step as the Python loop, in every bit, leaving the rest of
+    each array (row 0 and the other columns) as it was."""
+    for a, b, x, dt, last, width in _RK4_CASES:
+        out, ref = np.full((last + 1, width), np.nan), np.full((last + 1, width), np.nan)
+        col = width // 2
+        if twin(a, b, x, dt, out[:, col], last) != rk4_affine(a, b, x, dt, ref[:, col], last):
+            return False
+        if not _same_bits(out, ref):
+            return False
+    return True
+
+
 CHECKS = {"fp_chunk": _check_fp_chunk, "network_chunk": _check_network_chunk,
-          "normal_block": _check_normal_block}
+          "normal_block": _check_normal_block, "rk4_affine": _check_rk4_affine}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import c_twin, rk4_affine
 from .models import NetworkModel, affine_coefficients, conductance_source_maps
 from .network import NetworkState
 
@@ -124,27 +125,6 @@ class EarlyOdeResult:
     blowup_time: float | None = None
 
 
-def _rk4_affine(a: float, b: float, x: float, dt: float, col: np.ndarray, last: int) -> int:
-    """Classical RK4 for the scalar ODE x' = a x + b, written to col[1:last + 1].
-    It does the operations of a numpy RK4 loop over the (P, d) states in
-    the same order, so it is bit-identical to it, but on Python floats: a
-    fraction of a microsecond per step against ~20 numpy dispatches. Returns
-    the first step whose value is non-finite, or last."""
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    isfinite = math.isfinite
-    for s in range(1, last + 1):
-        k1 = a * x + b
-        k2 = a * (x + half * k1) + b
-        k3 = a * (x + half * k2) + b
-        k4 = a * (x + dt * k3) + b
-        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        col[s] = x
-        if not isfinite(x):
-            return s
-    return last
-
-
 def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
                         x0: np.ndarray, T: float, dt: float | None = None) -> EarlyOdeResult:
     """Classical fixed-step RK4 for dx_p/dt = sum_q g_pq int b_pq(x_p, y) dmu_q
@@ -153,7 +133,8 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
 
     The right-hand side moves only the voltage, as x_p' = A_p x_p + B_p
     with constants (A, B) read off the frozen measure, so each population
-    is stepped as one scalar ODE on Python floats; the default step is
+    is stepped as one scalar ODE (``_kernels.rk4_affine``, in C when its
+    twin is built, else on Python floats); the default step is
     1e-3 / max(1, max_p |A_p|).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
@@ -178,9 +159,9 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
     # them, and one that is not finite makes the first step the last
     traj[1:, :, 1:] = x0[:, 1:] + 0.0
     last = n_steps if np.isfinite(x0[:, 1:]).all() else 1
+    step = c_twin("rk4_affine") or rk4_affine
     for p in range(P):
-        last = _rk4_affine(float(A[p]), float(B[p]), float(x0[p, 0]), dt,
-                           traj[:, p, 0], last)
+        last = step(float(A[p]), float(B[p]), float(x0[p, 0]), dt, traj[:, p, 0], last)
 
     times = np.arange(last + 1) * dt
     traj = traj[:last + 1]

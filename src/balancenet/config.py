@@ -442,6 +442,12 @@ class EpsilonSweepSpec(DoubleLimitPdeSpec):
 
     command = "pde"
 
+    def __post_init__(self):
+        super().__post_init__()
+        # the bound checks read the snapshots at t >= t0, and t = 0 has no bound
+        if self.t0 is not None and not 0 < self.t0 <= self.T:
+            raise ModelDefinitionError("t0 must lie in (0, T]", "t0")
+
 
 @dataclass(frozen=True)
 class DoubleLimitNetworkSpec(_Section):

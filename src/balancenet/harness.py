@@ -110,6 +110,8 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
         backend["numpy_exp"] = numpy_exp_target()
         # the CPU set the noise prefetch is gated on (see network._NoiseFeed)
         backend["cpus"] = usable_cpus()
+    if isinstance(payload, RescaledEarlySpec):  # the one kind that steps the early ODE
+        backend["rk4_affine"] = kernel_backend("rk4_affine")
     if "c" in backend.values():
         from ._clib import build_target
         backend.update(build_target())

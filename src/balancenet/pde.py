@@ -125,9 +125,6 @@ class FpRun:
         """Every snapshot, as one stack."""
         return DensityField(grid=self.grid, values=self.densities, epsilon=self.epsilon)
 
-    def final_density(self) -> DensityField:
-        return self.density_at(len(self.times) - 1)
-
     def i_at(self, t):
         """I at time t, or at each time of an array: the value of the step
         whose start is nearest to it."""

@@ -72,12 +72,16 @@ class TestExitCodes:
         ("simulate", {**NETWORK_CFG, "record": {"snapshot_times": [-0.5, 0.005]}},
          "record.snapshot_times[0]"),
         ("pde", {"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.1}, "T": 0.1,
-                 "snapshot_every": -1.0}, "snapshot_every")])
+                 "snapshot_every": -1.0}, "snapshot_every"),
+        ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [0.4, 0.2],
+                 "T": 0.1, "t0": 0.0}, "t0"),
+        ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [0.4, 0.2],
+                 "T": 0.1, "t0": 0.5}, "t0")])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
         # the step guard, the epsilon order, a figure run's step, the
-        # Fokker-Planck horizon and step budget and the snapshot schedule
-        # are checked at parse time
+        # Fokker-Planck horizon and step budget, the snapshot schedule and
+        # an epsilon sweep's t0 are checked at parse time
         out = tmp_path / "o"
         assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"BAD_VALUE({path})" in capsys.readouterr().err

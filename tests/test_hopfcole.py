@@ -447,7 +447,7 @@ class TestSweepConsistency:
         assert d.status == "COMPLETED"
         run = solve_fp_1d(base, gaussian_initial(grid, 0.3, 1.0, 1.0), 1.0,
                           snapshot_every=0.25)
-        final = run.final_density()
+        final = run.density_at(-1)
         f = hopf_cole(final)
         assert d.sup_phi_final == f.sup_phi
         assert d.support_width_final == support_width(final)

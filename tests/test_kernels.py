@@ -1,4 +1,6 @@
+import fnmatch
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from balancenet import _clib, _kernels, _selfcheck, rng
 from balancenet._clib import _C_FLAGS, _C_LIBS, _C_SOURCES
 from balancenet._kernels import (IMPLEMENTATIONS, active, backend, fp_chunk,
-                                 network_chunk)
+                                 network_chunk, rk4_affine)
 from balancenet.config import parse_config_dict
 from balancenet.harness import numpy_exp_target, run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
@@ -96,6 +98,8 @@ def test_registry_keys():
         assert active("fp_chunk") is not fp_chunk
         assert active("electrical_chunk") is not network_chunk
         assert backend("fp_chunk") == backend("network_chunk") == backend("normal_block") == "c"
+        # fetched by c_twin only: the ODE has no kernel key to trace it by
+        assert backend("rk4_affine") == "c"
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +188,8 @@ def test_c_fp_kernel_rejects_mismatched_sizes(c_fp_chunk):
 def test_c_source_compiles_without_warnings(tmp_path):
     # the library as _compile builds it, with every warning an error; a
     # static helper left unused fails under -Wunused-function
-    assert {s.name for s in _C_SOURCES} == {"_fp_chunk.c", "_network_chunk.c", "_normal_block.c"}
+    assert {s.name for s in _C_SOURCES} == {"_fp_chunk.c", "_network_chunk.c", "_normal_block.c",
+                                            "_rk4_affine.c"}
     assert f"-march={_clib.C_TARGET}" in _C_FLAGS
 
     def build(*sources):
@@ -198,6 +203,17 @@ def test_c_source_compiles_without_warnings(tmp_path):
     unused.write_text("static double unused(double x)\n{\n    return x;\n}\n")
     rejected = build(*_C_SOURCES, unused)
     assert rejected.returncode != 0 and b"unused-function" in rejected.stderr
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_package_data_ships_every_c_source():
+    # an installed copy compiles the twins from the sources it carries
+    import tomllib
+
+    pyproject = Path(_clib.__file__).resolve().parents[2] / "pyproject.toml"
+    patterns = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+    for src in _C_SOURCES:
+        assert any(fnmatch.fnmatch(src.name, pat) for pat in patterns["balancenet"]), src.name
 
 
 @needs_cc
@@ -394,7 +410,7 @@ NOISE = ("network_chunk", "normal_block")
 
 
 @pytest.mark.parametrize("config, kernels", [
-    (NETWORK_RUN, NOISE), (EARLY_RUN, NOISE), (FIG1_RUN, NOISE),
+    (NETWORK_RUN, NOISE), (EARLY_RUN, (*NOISE, "rk4_affine")), (FIG1_RUN, NOISE),
     (MIXED_SWEEP, (*NOISE, "fp_chunk")), (PDE_SWEEP, ("fp_chunk",)),
     (PDE_RUN, ("fp_chunk",)), (BALANCE_RUN, ())])
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
@@ -478,6 +494,43 @@ def test_fokker_planck_process_starts_no_process_and_no_noise(tmp_path):
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+# ---------------------------------------------------------------------------
+# the C twin of rk4_affine
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def c_rk4_affine():
+    twin = _kernels.c_twin("rk4_affine")
+    if twin is None:
+        pytest.skip("no C compiler: rk4_affine runs on Python floats")
+    return twin
+
+
+@given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3),
+       x=st.one_of(st.floats(-1e3, 1e3), st.just(-0.0), st.just(math.inf)),
+       dt=st.floats(1e-5, 0.5), last=st.integers(1, 3000), width=st.integers(1, 4))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_c_rk4_affine_bit_identical_to_python(c_rk4_affine, a, b, x, dt, last, width):
+    # growing solutions overflow part-way; each writes the last column of
+    # a NaN-filled array and leaves the rest as it was
+    out, ref = np.full((last + 1, width), np.nan), np.full((last + 1, width), np.nan)
+    done = c_rk4_affine(a, b, x, dt, out[:, -1], last)
+    assert done == rk4_affine(a, b, x, dt, ref[:, -1], last)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_c_rk4_affine_rejects_bad_columns(c_rk4_affine):
+    col = np.zeros(5)
+    for bad, last in ((col, 5), (col, -1), (col.astype(np.float32), 4), (np.zeros((5, 1)), 4),
+                      (np.zeros(10).view(np.uint8)[3:43].view(np.float64), 4)):
+        with pytest.raises(ValueError):
+            c_rk4_affine(1.0, 0.0, 1.0, 0.1, bad, last)
+    col.flags.writeable = False
+    with pytest.raises(ValueError):
+        c_rk4_affine(1.0, 0.0, 1.0, 0.1, col, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +973,8 @@ CHEMICAL_EVENT_RUN = {**CHEMICAL_RUN, "events": [{"t": 0.02, "multipliers": {"g_
 @pytest.mark.parametrize("twin, kernel, config", [
     ("network_chunk", "chemical_chunk", CHEMICAL_EVENT_RUN),
     ("network_chunk", "electrical_chunk", NETWORK_RUN),
-    ("fp_chunk", "fp_chunk", PDE_RUN)])
+    ("fp_chunk", "fp_chunk", PDE_RUN),
+    ("rk4_affine", None, {**EARLY_RUN, "gammas": [10, 100], "T_tilde": 0.05})])
 def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch, twin,
                                                           kernel, config):
     spec = parse_config_dict(config)
@@ -930,7 +984,8 @@ def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
     monkeypatch.setattr(_kernels, "_c_twins", None)
     monkeypatch.setitem(_selfcheck.CHECKS, twin, lambda fn: False)
     assert _kernels.c_twin(twin) is None
-    assert active(kernel) is IMPLEMENTATIONS[kernel]
+    if kernel is not None:  # rk4_affine is fetched by c_twin alone
+        assert active(kernel) is IMPLEMENTATIONS[kernel]
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"][twin] == "numpy"
     assert len(fallback["files"]) >= 2
@@ -945,13 +1000,17 @@ def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
 
 
 @needs_cc
-@pytest.mark.parametrize("name", ["fp_chunk", "network_chunk"])
+@pytest.mark.parametrize("name", ["fp_chunk", "network_chunk", "rk4_affine"])
 def test_self_check_catches_a_one_bit_difference(name):
-    # a twin that is the numpy kernel with one bit of its output moved
-    numpy_kernel = {"fp_chunk": fp_chunk, "network_chunk": network_chunk}[name]
+    # a twin that is the Python function with one bit of its output moved
+    numpy_kernel = {"fp_chunk": fp_chunk, "network_chunk": network_chunk,
+                    "rk4_affine": rk4_affine}[name]
 
     def off_by_one_bit(*args):
         done = numpy_kernel(*args)
+        if name == "rk4_affine":  # the first step of the column, finite in some case
+            args[4][1] = np.nextafter(args[4][1], np.inf)
+            return done
         target = args[-1] if name == "fp_chunk" else args[-2]  # i_out, or the recorded stds
         flat = target.reshape(-1)
         flat[-1] = np.nextafter(flat[-1], np.inf)
@@ -978,6 +1037,37 @@ def test_warm_network_process_runs_no_self_check(tmp_path):
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+@needs_cc
+def test_warm_rescaled_early_process_runs_no_self_check(tmp_path):
+    # the early ODE's twin too is handed out on its cached verdict
+    assert backend("network_chunk") == backend("normal_block") == backend("rk4_affine") == "c"
+    code = ("import sys\n"
+            "from balancenet.config import parse_config_dict\n"
+            "from balancenet.harness import run_experiment\n"
+            f"run = run_experiment(parse_config_dict({EARLY_RUN!r}), out_dir={str(tmp_path)!r})\n"
+            "assert run['backend']['rk4_affine'] == 'c', run['backend']\n"
+            "assert 'balancenet._selfcheck' not in sys.modules\n")
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def test_rescaled_early_without_compiler_has_same_bytes(tmp_path, monkeypatch):
+    # three gammas, each run's gap to the early ODE in early_gaps.csv
+    spec = parse_config_dict({**EARLY_RUN, "gammas": [10, 100, 1000], "T_tilde": 0.05})
+    compiled = run_experiment(spec, out_dir=tmp_path / "compiled")
+    assert compiled["backend"]["rk4_affine"] == backend("rk4_affine")
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
+    assert fallback["backend"]["rk4_affine"] == "numpy"
+    assert fallback["status"] == "COMPLETED"
+    assert "early_gaps.csv" in fallback["files"]
+    assert fallback["files"] == compiled["files"]
 
 
 def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):

@@ -144,12 +144,12 @@ class TestDefaultModelAgainstParticles:
     interacting diffusion, compared against the deterministic solver."""
 
     def test_mode_at_alpha_zero(self, pde_run):
-        dens = pde_run.final_density()
+        dens = pde_run.density_at(-1)
         x_mode = dens.grid.centers[int(np.argmax(dens.values))]
         assert abs(x_mode - 0.0) <= dens.grid.dx
 
     def test_mean_and_spread_match(self, pde_run, ensemble):
-        dens = pde_run.final_density()
+        dens = pde_run.density_at(-1)
         x = dens.grid.centers
         m1 = float((x * dens.values).sum() * dens.grid.dx)
         m2 = float((x ** 2 * dens.values).sum() * dens.grid.dx)
@@ -159,7 +159,7 @@ class TestDefaultModelAgainstParticles:
         assert sd == pytest.approx(ensemble.std(), rel=0.03)
 
     def test_l1_distance_to_ensemble_histogram(self, pde_run, ensemble):
-        dens = pde_run.final_density()
+        dens = pde_run.density_at(-1)
         edges = dens.grid.faces
         counts, _ = np.histogram(ensemble, bins=edges)
         hist_density = counts / (len(ensemble) * dens.grid.dx)
