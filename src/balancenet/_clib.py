@@ -1,10 +1,10 @@
 """The C twins of ``_kernels.fp_chunk``, ``_kernels.network_chunk``,
-``_kernels.rk4_affine`` and ``rng.normal_block``: build, cache, load, wrap
-and check.
+``_kernels.rk4_affine``, ``_kernels.csv_body`` and ``rng.normal_block``:
+build, cache, load, wrap and check.
 
-``_fp_chunk.c``, ``_network_chunk.c``, ``_normal_block.c`` and
-``_rk4_affine.c`` are compiled together with ``cc -O3 -march=native
--ffp-contract=off -shared -fPIC`` into one library in
+``_fp_chunk.c``, ``_network_chunk.c``, ``_normal_block.c``,
+``_rk4_affine.c`` and ``_csv_body.c`` are compiled together with ``cc -O3
+-march=native -ffp-contract=off -shared -fPIC`` into one library in
 ``$XDG_CACHE_HOME/balancenet`` (default ``~/.cache/balancenet``), built for
 the host CPU's vector unit. Its name is keyed by the sha256 of the
 sources, the flags, the resolved path, size and mtime of the compiler
@@ -25,11 +25,11 @@ that loop cannot be read safely, the numpy kernel runs.
 Wider vectors change no result: without -ffast-math the compiler may not
 reassociate a sum, and -ffp-contract=off forbids fused multiply-adds. Each
 twin still proves it once: its ``self_check()`` runs it and the Python
-function it follows on a fixed input and compares the bits (see
-``_selfcheck``), and its verdict is kept in a small file next to the
-library, keyed on the library, the numpy version, numpy's exp target and
-the source text of the Python references and of the check, so a warm
-process runs no check.
+function it follows on a fixed input and compares the bits, or for
+``csv_body`` the text (see ``_selfcheck``), and its verdict is kept in a
+small file next to the library, keyed on the library, the Python and numpy
+versions, numpy's exp target and the source text of the Python references
+and of the check, so a warm process runs no check.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import numpy_exp_target
+from ._kernels import CSV_FLOAT64, CSV_INT64, csv_column_kind, numpy_exp_target
 
 _C_SOURCES = tuple(Path(__file__).with_name(name)
                    for name in ("_fp_chunk.c", "_network_chunk.c", "_normal_block.c",
-                                "_rk4_affine.c"))
+                                "_rk4_affine.c", "_csv_body.c"))
 C_TARGET = "native"  # the instruction set the library is built for: the host CPU's
 _C_FLAGS = ("-O3", f"-march={C_TARGET}", "-ffp-contract=off", "-shared", "-fPIC")
 _C_LIBS = ("-lm",)
@@ -311,20 +311,59 @@ def _c_rk4_affine(lib):
     return rk4_affine
 
 
+def _c_csv_body(lib):
+    """Wrap the C ``csv_body`` of ``lib`` in the Python function's
+    signature, for 1-D numeric columns (see _kernels.csv_column_kind). They
+    are copied, cut to the shortest, into one row-major block of 64-bit
+    words, so the C loop reads each row from one place."""
+    c_fn = lib.csv_body
+    ptr, long_ = ctypes.c_void_p, ctypes.c_long
+    c_fn.argtypes = [long_, long_, ptr, ptr, ptr, ptr, long_]
+    c_fn.restype = long_
+    width = {CSV_FLOAT64: 24, CSV_INT64: 20}  # the most bytes a value takes
+
+    def csv_body(columns):
+        """The Python ``csv_body`` in C: same arguments, same text."""
+        ncols = len(columns)
+        kinds = list(map(csv_column_kind, columns))
+        if None in kinds:
+            raise ValueError("csv_body: expected 1-D float or integer (not uint64) arrays")
+        rows = min((col.shape[0] for col in columns), default=0)
+        block = np.empty((rows, ncols))
+        words = {CSV_FLOAT64: block, CSV_INT64: block.view(np.int64)}
+        for c, (kind, col) in enumerate(zip(kinds, columns)):
+            words[kind][:, c] = col[:rows]
+        # each column's kind, address and stride (in elements), in one array
+        meta = np.empty((3, ncols), dtype=np.int64)
+        meta[0] = kinds
+        meta[1] = block.ctypes.data + 8 * np.arange(ncols)
+        meta[2] = ncols
+        out = np.empty(rows * sum(width[kind] + 1 for kind in kinds), dtype=np.uint8)
+        addr = meta.ctypes.data
+        written = c_fn(rows, ncols, addr, addr + 8 * ncols, addr + 16 * ncols,
+                       out.ctypes.data, out.size)
+        if written < 0:
+            raise ValueError("csv_body: the rows did not fit their worst-case size")
+        return str(out[:written].data, "ascii")
+
+    return csv_body
+
+
 _VERDICTS = {"pass\n": True, "fail\n": False}
 
 
 def _verdict(name: str, twin, library: Path | None) -> bool:
     """Whether the twin of the Python function ``name`` passes its check in
     _selfcheck.CHECKS. The verdict is read from its file next to ``library``,
-    keyed on the library, the numpy version, numpy's exp target and the text
-    of the Python references and the check (_CHECK_REFERENCES); when that file
-    is missing or unreadable the check runs and its verdict is stored there.
-    A private build (library None) is checked in every process."""
+    keyed on the library, the Python and numpy versions (repr is Python's),
+    numpy's exp target and the text of the Python references and the check
+    (_CHECK_REFERENCES); when that file is missing or unreadable the check
+    runs and its verdict is stored there. A private build (library None) is
+    checked in every process."""
     path = None
     if library is not None:
         key = hashlib.sha256("\0".join([
-            library.name, name, np.__version__, str(numpy_exp_target()),
+            library.name, name, sys.version, np.__version__, str(numpy_exp_target()),
             *(ref.read_text() for ref in _CHECK_REFERENCES)]).encode()).hexdigest()[:16]
         path = library.with_name(f"{library.stem}.{name}.{key}.verdict")
         try:
@@ -357,7 +396,7 @@ def load_c_kernels() -> dict:
         return {}
     lib, path = loaded
     twins = {"fp_chunk": _c_fp_chunk(lib), "normal_block": _c_normal_block(lib),
-             "rk4_affine": _c_rk4_affine(lib)}
+             "rk4_affine": _c_rk4_affine(lib), "csv_body": _c_csv_body(lib)}
     exp = _exp_loop(np.exp)
     if exp is not None:
         twins["network_chunk"] = _c_network_chunk(lib, *exp)

@@ -1,12 +1,13 @@
 """Hot inner loops: Euler-Maruyama chunks of the FitzHugh-Nagumo network,
-the finite-volume Fokker-Planck update and the scalar RK4 of the
-frozen-measure early-time ODE.
+the finite-volume Fokker-Planck update, the scalar RK4 of the
+frozen-measure early-time ODE, and the text of a CSV body.
 
 Each network or Fokker-Planck kernel is one vectorized numpy function that
 updates its arrays in place and is bit-reproducible for identical inputs,
 however a run is cut into chunks; ``rk4_affine`` steps one population's
-voltage on Python floats. Timings are measured by the benchmark in
-perfbench/ (see perfbench/README.md).
+voltage on Python floats, and ``csv_body`` formats values with ``repr`` and
+``str``. Timings are measured by the benchmark in perfbench/ (see
+perfbench/README.md).
 
 ``active(name)`` hands a kernel out by name. Both network families step
 through the one network kernel; they keep their own keys so that traced
@@ -14,12 +15,13 @@ runs attribute its time to the family that called it. Both kernels have C
 twins (``_network_chunk.c``, ``_fp_chunk.c``, bit-identical to the numpy
 kernels) that ``_clib`` compiles for the host CPU into one library on the
 first request, cached per user, together with the C twins of
-``rng.normal_block`` (``_normal_block.c``) and of ``rk4_affine``
-(``_rk4_affine.c``), which are fetched with ``c_twin`` rather than
-``active``. ``c_twin`` hands a twin out once it has matched its Python
-function on a fixed input; without a working C compiler, for a twin that
-fails its check, or for the network twin where numpy's own exp loop cannot
-be read (see ``_clib._exp_loop``), the Python function runs.
+``rng.normal_block`` (``_normal_block.c``), of ``rk4_affine``
+(``_rk4_affine.c``) and of ``csv_body`` (``_csv_body.c``, the same text),
+which are fetched with ``c_twin`` rather than ``active``. ``c_twin`` hands
+a twin out once it has matched its Python function on a fixed input;
+without a working C compiler, for a twin that fails its check, or for the
+network twin where numpy's own exp loop cannot be read (see
+``_clib._exp_loop``), the Python function runs.
 """
 
 from __future__ import annotations
@@ -217,6 +219,62 @@ def rk4_affine(a: float, b: float, x: float, dt: float, col: np.ndarray, last: i
 
 
 # ---------------------------------------------------------------------------
+# CSV text
+# ---------------------------------------------------------------------------
+
+
+def format_value(v) -> str:
+    """A CSV value's text: a string as it is, an integer as str gives it,
+    anything else as repr gives its float."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return str(int(v))
+    return repr(float(v))
+
+
+def _format_column(col) -> list[str]:
+    """format_value of each entry of a column, in one pass per column: a
+    float array's entries are Python floats once listed, an integer
+    array's Python ints."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return list(map(repr, col.astype(np.float64, copy=False).tolist()))
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    return list(map(format_value, col))
+
+
+CSV_FLOAT64, CSV_INT64 = 0, 1  # the column kinds of _csv_body.c
+
+
+def csv_column_kind(col) -> int | None:
+    """How csv_body's C twin takes a column: CSV_FLOAT64 for a 1-D float
+    array (as its float64 values), CSV_INT64 for a 1-D integer array whose
+    type int64 holds (any but uint64), else None."""
+    if not isinstance(col, np.ndarray) or col.ndim != 1:
+        return None
+    kind = col.dtype.kind
+    if kind == "f":
+        return CSV_FLOAT64
+    if kind == "i" or (kind == "u" and col.dtype.itemsize < 8):
+        return CSV_INT64
+    return None
+
+
+def csv_body(columns) -> str:
+    """The rows of a CSV of ``columns`` (arrays or sequences of values, cut
+    to the shortest), each value formatted as format_value does, joined by
+    commas, each row ending in LF.
+
+    It is not in IMPLEMENTATIONS: ``harness.write_csv`` fetches its C twin
+    with ``c_twin("csv_body")``, which takes only the columns that
+    csv_column_kind gives a kind.
+    """
+    rows = list(map(",".join, zip(*map(_format_column, columns))))
+    return "\n".join(rows) + "\n" if rows else ""
+
+
+# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -260,8 +318,9 @@ def _passes_self_check(twin) -> bool:
 
 def c_twin(name: str):
     """The C twin of the function named ``name`` ("network_chunk",
-    "fp_chunk", "normal_block" or "rk4_affine"), built or loaded on the
-    first request; None when there is none or it fails its self-check."""
+    "fp_chunk", "normal_block", "rk4_affine" or "csv_body"), built or
+    loaded on the first request; None when there is none or it fails its
+    self-check."""
     twin = _c_kernels().get(name)
     return twin if twin is not None and _passes_self_check(twin) else None
 
@@ -281,5 +340,6 @@ def numpy_exp_target() -> str | None:
 
 def backend(kernel: str) -> str:
     """What runs for the function named ``kernel`` (see c_twin): "c" for
-    its C twin, else "numpy" (for rk4_affine, Python floats)."""
+    its C twin, else "numpy" (for rk4_affine, Python floats; for
+    csv_body, repr and str)."""
     return "c" if c_twin(kernel) is not None else "numpy"

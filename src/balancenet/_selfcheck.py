@@ -1,8 +1,8 @@
 """The self-checks of the C twins that ``_clib`` builds: each runs a twin
 and the Python function it follows on a fixed input and compares the
-results bit for bit. ``_clib._verdict`` imports this module only when a
-verdict is not cached yet, so a warm process neither runs nor compiles
-these checks.
+results bit for bit, or the CSV text byte for byte. ``_clib._verdict``
+imports this module only when a verdict is not cached yet, so a warm
+process neither runs nor compiles these checks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._kernels import fp_chunk, network_chunk, rk4_affine
+from ._kernels import csv_body, fp_chunk, network_chunk, rk4_affine
 from .models import conductance_source_maps
 
 # the self-check's stream: its 65,536 draws take both slow paths of the
@@ -144,5 +144,51 @@ def _check_rk4_affine(twin) -> bool:
     return True
 
 
+def _splitmix64(n: int, seed: int) -> np.ndarray:
+    """n words of SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) from
+    seed: fixed bit patterns that need no random stream."""
+    # array arithmetic on uint64 wraps modulo 2^64, as SplitMix64 needs
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _csv_cases():
+    """Fixed csv_body arguments: every power of two from 2^-1074 to
+    2^1023; the 4,095 smallest and the 4,095 largest subnormals; every
+    power of ten with its two neighbours, among them both switches between
+    positional and exponent form (1e-4 and 1e16); all these negated; zeros,
+    infinities and NaNs (payloads too) of both signs; 65,536 fixed bit
+    patterns; and int64's extremes, 10^k - 1, 10^k and fixed patterns.
+    The last case takes strided, reversed and shorter columns, its rows cut
+    to the shortest."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    low = np.arange(1, 1 << 12, dtype=np.uint64)
+    subnormals = np.concatenate([low, np.uint64(1 << 52) - low]).view(np.float64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf)])
+    special = np.array([0x0, 0x7FF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
+                        0x7FFFFFFFFFFFFFFF, 0x7FF4000000000000], dtype=np.uint64).view(np.float64)
+    floats = np.concatenate([powers, subnormals, near, special])
+    floats = np.concatenate([floats, -floats, _splitmix64(1 << 16, 0x3C6EF372FE94F82B)
+                             .view(np.float64)])
+    extremes = [-(1 << 63), -(1 << 63) + 1, -1, 0, 1, (1 << 63) - 2, (1 << 63) - 1]
+    decades = [s * v for k in range(19) for v in (10 ** k - 1, 10 ** k) for s in (1, -1)]
+    ints = np.concatenate([np.array(extremes + decades, dtype=np.int64),
+                           _splitmix64(4096, 0xA54FF53A5F1D36F1).view(np.int64)])
+    yield [floats]
+    yield [ints]
+    table = floats[:3 * 4096].reshape(-1, 3)
+    yield [ints[:3000], table[:, 1], floats[::-7], table[:, 2][::-1], ints[::5]]
+
+
+def _check_csv_body(twin) -> bool:
+    """Whether the C csv_body writes the fixed cases as repr and str do,
+    byte for byte."""
+    return all(twin(columns) == csv_body(columns) for columns in _csv_cases())
+
+
 CHECKS = {"fp_chunk": _check_fp_chunk, "network_chunk": _check_network_chunk,
-          "normal_block": _check_normal_block, "rk4_affine": _check_rk4_affine}
+          "normal_block": _check_normal_block, "rk4_affine": _check_rk4_affine,
+          "csv_body": _check_csv_body}

@@ -3,8 +3,12 @@
 Every experiment writes CSV files plus a manifest.json carrying the echoed
 configuration, seed, termination status, the kernel backends and thread
 count it ran on, a sha256 inventory of the emitted files and headline
-metrics. CSV bodies are byte-reproducible: shortest round-trip float
-formatting, comma delimiter, LF endings, no timestamps.
+metrics. CSV bodies are byte-reproducible: a float's text is repr's (the
+shortest that round-trips), an integer's str's, with a comma delimiter, LF
+endings and no timestamps. A file whose columns are all 1-D numeric arrays
+is formatted by the C twin of ``_kernels.csv_body`` in one call without the
+GIL, with the same text; any other file, or any run without that twin, is
+formatted in Python.
 Sweep cells run concurrently (one output subdirectory per cell); the summary
 is assembled in cell order, so thread counts cannot change any byte.
 """
@@ -22,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import backend as kernel_backend, numpy_exp_target
+from ._kernels import (backend as kernel_backend, c_twin, csv_body, csv_column_kind,
+                       numpy_exp_target)
 from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
@@ -42,32 +47,19 @@ from .pde import gaussian_initial, solve_fp_1d
 # ---------------------------------------------------------------------------
 
 
-def format_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _format_column(col) -> list[str]:
-    """format_value of each entry of a column, in one pass per column: a
-    float array's entries are Python floats once listed, an integer
-    array's Python ints."""
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        return list(map(repr, col.astype(np.float64, copy=False).tolist()))
-    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-        return list(map(str, col.tolist()))
-    return list(map(format_value, col))
+def _csv_body(columns: list) -> str:
+    """csv_body of the columns, by its C twin when it has one that passed
+    its check and every column is a 1-D numeric array it takes."""
+    numeric = all(csv_column_kind(col) is not None for col in columns)
+    twin = c_twin("csv_body") if numeric else None
+    return twin(columns) if twin is not None else csv_body(columns)
 
 
 def write_csv(path: Path, header: list[str], columns) -> str:
     """Write a CSV of the given columns (arrays or sequences of values,
-    cut to the shortest), each value formatted as format_value does, and
-    return its text."""
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*map(_format_column, columns)))
-    text = "\n".join(lines) + "\n"
+    cut to the shortest), each value formatted as _kernels.format_value
+    does, and return its text."""
+    text = ",".join(header) + "\n" + _csv_body(list(columns))
     path.write_text(text, newline="\n")
     return text
 
@@ -98,7 +90,9 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
     files = {}
     for p in sorted(out.rglob("*.csv")) + sorted(out.rglob("*_report.json")):
         files[str(p.relative_to(out))] = file_digest(p)
-    backend = {"numpy": np.__version__, "threads": threads}
+    # every kind writes CSVs
+    backend = {"numpy": np.__version__, "threads": threads,
+               "csv_body": kernel_backend("csv_body")}
     payload = spec.payload
     if isinstance(payload, (PdeRunSpec, EpsilonSweepSpec)) or (
             isinstance(payload, DoubleLimitSpec) and payload.pde is not None):

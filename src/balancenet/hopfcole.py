@@ -298,8 +298,12 @@ def check_w_gradient_bound(run: FpRun, t0: float) -> WGradientReport:
     |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory."""
     f = snapshot_fields(run)
     F2 = 2.0 * (1.0 + max(0.0, float(np.max(f.sup_phi))))
-    # the snapshots at t >= t0 are a suffix of the run
+    # the snapshots at t >= t0 are a suffix of the run; the last one is at
+    # step n_steps, time T, though its stamp n_steps * (T / n_steps) can
+    # round below T, so a t0 up to T always takes it
     later = int(np.searchsorted(run.times, t0))
+    if t0 <= run.meta["T"]:
+        later = min(later, len(run.times) - 1)
     w = f.phi[later:]                     # turned into w = sqrt(2F^2 - phi) in place
     np.subtract(F2, w, out=w)
     np.sqrt(w, out=w)

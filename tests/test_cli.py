@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,19 @@ class TestExitCodes:
         assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"BAD_VALUE({path})" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_epsilon_sweep_with_t0_at_the_horizon_completes(self, tmp_path):
+        # the 0.2 member's last snapshot is stamped 0.24999999999999997,
+        # below T = t0; its w-gradient check still takes that snapshot
+        cfg = write_cfg(tmp_path, {"kind": "epsilon-sweep", "seed": 1, "model": {},
+                                   "epsilons": [0.4, 0.2], "grid": {"L": 8, "cells": 128},
+                                   "T": 0.25, "t0": 0.25})
+        out = tmp_path / "o"
+        assert main(["pde", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "COMPLETED"
+        assert len(manifest["metrics"]["theta"]) == 2
+        assert all(theta is not None for theta in manifest["metrics"]["theta"])
 
     def test_partial_sweep_failure_is_two(self, tmp_path):
         # second epsilon exceeds the step budget -> cell fails, sweep continues
@@ -185,6 +199,51 @@ class TestDevModeSmoke:
                 cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
             assert (done.returncode, done.stderr) == (0, ""), cfg["kind"]
             assert done.stdout.startswith(f"{cfg['kind']}: "), done.stdout
+
+
+class TestNoCompilerParity:
+    """Each kind through the CLI, once with cc on PATH and a fresh kernel
+    cache (shared by the kinds, so the first one builds the library) and
+    once with no cc: the same files, bytes and metrics, with every C twin
+    in the manifest "c" on the first side and "numpy" on the second."""
+
+    TWINS = {"fp_chunk", "network_chunk", "normal_block", "rk4_affine", "csv_body"}
+    BUILD = {"c_target", "cpu"}  # recorded when a twin runs in C
+
+    @pytest.fixture(scope="class")
+    def cache(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("kernel-cache")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    @pytest.mark.parametrize("command, threads, cfg", TestDevModeSmoke.CASES,
+                             ids=[cfg["kind"] for _, _, cfg in TestDevModeSmoke.CASES])
+    def test_same_inventory_without_a_compiler(self, tmp_path, cache, command, threads, cfg):
+        src = str(Path(balancenet.__file__).resolve().parents[1])
+        no_cc = tmp_path / "bin"
+        no_cc.mkdir()
+        path = write_cfg(tmp_path, cfg)
+        sides = {"c": {"XDG_CACHE_HOME": str(cache)},
+                 "numpy": {"XDG_CACHE_HOME": str(tmp_path / "unused"), "PATH": str(no_cc)}}
+        manifests = {}
+        for side, env in sides.items():
+            done = subprocess.run(
+                [sys.executable, "-m", "balancenet", command, "--config", path,
+                 "--out", side, "--threads", str(threads)],
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": src, **env},
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            manifests[side] = json.loads((tmp_path / side / "manifest.json").read_text())
+        c, py = manifests["c"], manifests["numpy"]
+        assert c["files"] and c["files"] == py["files"]
+        assert c["metrics"] == py["metrics"]
+        twins = self.TWINS & set(c["backend"])
+        assert "csv_body" in twins and twins == self.TWINS & set(py["backend"])
+        assert {c["backend"][k] for k in twins} == {"c"}
+        assert {py["backend"][k] for k in twins} == {"numpy"}
+        assert self.BUILD <= set(c["backend"])
+        rest = set(c["backend"]) - twins - self.BUILD
+        assert {k: c["backend"][k] for k in rest} == {k: v for k, v in py["backend"].items()
+                                                      if k not in twins}
 
 
 class TestBenchmarkTraceTargets:

@@ -9,7 +9,9 @@ from scipy.integrate import solve_ivp
 
 from balancenet.balance import chemical_balance_voltages
 from balancenet.config import parse_config_dict
-from balancenet.harness import file_digest, format_value, run_experiment, write_csv
+from balancenet import harness
+from balancenet._kernels import csv_body, csv_column_kind, format_value
+from balancenet.harness import file_digest, run_experiment, write_csv
 from balancenet.models import NetworkModel
 from balancenet.network import simulate
 
@@ -33,6 +35,37 @@ class TestCsvFormat:
         write_csv(p, ["a", "b"], [np.array([1, 3]), np.array([2.5, 0.1])])
         raw = p.read_bytes()
         assert raw == b"a,b\n1,2.5\n3,0.1\n"
+
+    def test_narrow_numeric_columns_take_the_text_of_their_values(self, tmp_path):
+        # float32 as repr of its float64 value, int32 and uint32 as str;
+        # rows cut to the shortest column
+        g = np.random.default_rng(8)
+        f32 = g.normal(size=40).astype(np.float32)
+        i32 = g.integers(-2 ** 31, 2 ** 31, size=30, dtype=np.int32)
+        u32 = g.integers(0, 2 ** 32, size=35, dtype=np.uint32)
+        i8 = np.arange(-128, 127, 7, dtype=np.int8)
+        columns = [f32, i32, u32, i8]
+        assert None not in map(csv_column_kind, columns)  # the C path, when built
+        text = write_csv(tmp_path / "x.csv", ["f", "i", "u", "b"], columns)
+        rows = [f"{float(a)!r},{int(b)},{int(c)},{int(d)}" for a, b, c, d in zip(*columns)]
+        assert len(rows) == 30
+        assert text == "f,i,u,b\n" + "".join(row + "\n" for row in rows)
+        assert text == "f,i,u,b\n" + csv_body(columns)
+
+    @pytest.mark.parametrize("odd", [["0", "1", "2"], np.array([1, 2, 3], dtype=np.uint64),
+                                     np.array([True, False, True]), (0.5, 1.5, 2.5)])
+    def test_a_file_with_other_columns_is_formatted_in_python(self, tmp_path, monkeypatch,
+                                                              odd):
+        # strings, uint64 (not all of it fits int64), bools and sequences
+        # are not for the C twin
+        def no_twin(name):
+            raise AssertionError("the C twin was asked for")
+
+        monkeypatch.setattr(harness, "c_twin", no_twin)
+        columns = [np.array([0.25, -1e-7, 3.0]), odd]
+        text = write_csv(tmp_path / "x.csv", ["a", "b"], columns)
+        assert text == "a,b\n" + "".join(f"{a!r},{format_value(b)}\n"
+                                         for a, b in zip([0.25, -1e-7, 3.0], odd))
 
 
 class TestNetworkRun:
@@ -152,14 +185,14 @@ class TestRescaledEarly:
         # for the others
         from balancenet import harness
         formatted = []
-        format_column = harness._format_column
+        format_body = harness._csv_body
 
-        def counted(col):
-            if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-                formatted.append(col.size)  # a snapshot's agent column
-            return format_column(col)
+        def counted(columns):
+            formatted.extend(col.size for col in columns  # a snapshot's agent column
+                             if isinstance(col, np.ndarray) and col.dtype.kind in "iu")
+            return format_body(columns)
 
-        monkeypatch.setattr(harness, "_format_column", counted)
+        monkeypatch.setattr(harness, "_csv_body", counted)
         spec = parse_config_dict({
             "kind": "rescaled-early", "seed": 3,
             "model": {"family": "fhn-chemical", "n": 20},

@@ -276,7 +276,8 @@ def _fake_run(model, grid, densities, times, i_values=1.0):
                  times=times, densities=dens,
                  mass=np.array([d.sum() * grid.dx for d in dens]),
                  i_times=np.linspace(0, max(times[-1], 1.0), n_steps, endpoint=False),
-                 i_values=np.broadcast_to(np.asarray(i_values, dtype=float), (n_steps,)).copy())
+                 i_values=np.broadcast_to(np.asarray(i_values, dtype=float), (n_steps,)).copy(),
+                 meta={"n_steps": n_steps, "T": float(times[-1])})
 
 
 def _loop_w_gradient_theta(run, t0):
@@ -456,6 +457,17 @@ class TestSweepConsistency:
         assert d.residual_sup_final == resid
         assert d.theta == check_w_gradient_bound(run, 0.25).theta
         assert d.theta == _loop_w_gradient_theta(run, 0.25)
+
+    def test_t0_at_the_horizon_takes_the_last_snapshot(self):
+        # 1458 steps of T / 1458 stamp the last snapshot 0.24999999999999997,
+        # below T; a t0 of T still takes it, as the snapshot at step n_steps
+        grid = Grid1D(8.0, 128)
+        run = solve_fp_1d(build_separable_1d(0.2), gaussian_initial(grid, 0.2), 0.25)
+        assert run.meta["n_steps"] == 1458 and run.times[-1] < 0.25
+        theta = check_w_gradient_bound(run, 0.25).theta
+        assert theta == _loop_w_gradient_theta(run, float(run.times[-1]))
+        with pytest.raises(ValueError, match="no snapshots"):
+            check_w_gradient_bound(run, math.nextafter(0.25, 1.0))
 
     def test_strictly_decreasing_epsilons_required(self):
         from balancenet.hopfcole import epsilon_sweep

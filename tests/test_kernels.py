@@ -2,6 +2,7 @@ import fnmatch
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from balancenet import _clib, _kernels, _selfcheck, rng
 from balancenet._clib import _C_FLAGS, _C_LIBS, _C_SOURCES
-from balancenet._kernels import (IMPLEMENTATIONS, active, backend, fp_chunk,
+from balancenet._kernels import (IMPLEMENTATIONS, active, backend, csv_body, fp_chunk,
                                  network_chunk, rk4_affine)
 from balancenet.config import parse_config_dict
 from balancenet.harness import numpy_exp_target, run_experiment
@@ -189,7 +190,7 @@ def test_c_source_compiles_without_warnings(tmp_path):
     # the library as _compile builds it, with every warning an error; a
     # static helper left unused fails under -Wunused-function
     assert {s.name for s in _C_SOURCES} == {"_fp_chunk.c", "_network_chunk.c", "_normal_block.c",
-                                            "_rk4_affine.c"}
+                                            "_rk4_affine.c", "_csv_body.c"}
     assert f"-march={_clib.C_TARGET}" in _C_FLAGS
 
     def build(*sources):
@@ -373,7 +374,8 @@ def test_missing_compiler_falls_back_to_numpy_with_same_bytes(tmp_path, monkeypa
     assert fallback["backend"]["fp_chunk"] == "numpy"
     assert fallback["files"] == compiled["files"]
     on_disk = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
-    assert on_disk["backend"] == {"fp_chunk": "numpy", "numpy": np.__version__, "threads": 1}
+    assert on_disk["backend"] == {"fp_chunk": "numpy", "csv_body": "numpy",
+                                  "numpy": np.__version__, "threads": 1}
 
 
 NETWORK_RUN = {"kind": "network-run", "seed": 3,
@@ -386,6 +388,7 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
     run_experiment(parse_config_dict(PDE_RUN), out_dir=tmp_path / "pde")
     manifest = run_experiment(parse_config_dict(NETWORK_RUN), out_dir=tmp_path / "net")
     assert manifest["backend"] == {"numpy": np.__version__, "threads": 1,
+                                   "csv_body": backend("csv_body"),
                                    "network_chunk": backend("network_chunk"),
                                    "normal_block": backend("normal_block"),
                                    "numpy_exp": numpy_exp_target(), "cpus": usable_cpus(),
@@ -415,10 +418,11 @@ NOISE = ("network_chunk", "normal_block")
     (PDE_RUN, ("fp_chunk",)), (BALANCE_RUN, ())])
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
+    kernels = (*kernels, "csv_body")  # every kind writes CSVs
     # a run that draws noise records the CPU set its prefetch is gated on
     exp = ({"numpy_exp": numpy_exp_target(), "cpus": usable_cpus()}
            if "network_chunk" in kernels else {})
-    build = _c_build() if kernels else {}
+    build = _c_build()
     assert manifest["backend"] == {"numpy": np.__version__, "threads": 1, **exp, **build,
                                    **{k: backend(k) for k in kernels}}
     expected = "numpy" if shutil.which("cc") is None else "c"
@@ -483,7 +487,7 @@ def test_fokker_planck_process_starts_no_process_and_no_noise(tmp_path):
     # on a warm cache a pde run loads the library without running the
     # compiler, and never asks for the noise fill, whose self-check would
     # import numpy.random
-    assert backend("fp_chunk") == "c"
+    assert backend("fp_chunk") == backend("csv_body") == "c"
     code = ("import sys\n"
             "from balancenet.config import parse_config_dict\n"
             "from balancenet.harness import run_experiment\n"
@@ -531,6 +535,102 @@ def test_c_rk4_affine_rejects_bad_columns(c_rk4_affine):
     col.flags.writeable = False
     with pytest.raises(ValueError):
         c_rk4_affine(1.0, 0.0, 1.0, 0.1, col, 4)
+
+
+# ---------------------------------------------------------------------------
+# the C twin of csv_body
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def c_csv_body():
+    twin = _kernels.c_twin("csv_body")
+    if twin is None:
+        pytest.skip("no C compiler: CSV bodies are formatted in Python")
+    return twin
+
+
+def test_c_csv_body_matches_repr_on_random_bit_patterns(c_csv_body):
+    bits = np.random.default_rng(20181).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+    col = bits.view(np.float64)
+    assert c_csv_body([col]) == "".join(f"{v!r}\n" for v in col.tolist())
+
+
+@pytest.mark.parametrize("bits, text", [
+    (0x0000000000000000, "0.0"), (0x8000000000000000, "-0.0"),
+    (0x7FF0000000000000, "inf"), (0xFFF0000000000000, "-inf"),
+    (0x7FF8000000000000, "nan"), (0xFFF8000000000000, "nan"),
+    (0x7FF0000000000001, "nan"), (0xFFFFFFFFFFFFFFFF, "nan"),
+    (0x0000000000000001, "5e-324"), (0x000FFFFFFFFFFFFF, "2.225073858507201e-308"),
+    (0x0010000000000000, "2.2250738585072014e-308"),
+    (0x7FEFFFFFFFFFFFFF, "1.7976931348623157e+308")])
+def test_c_csv_body_writes_special_bit_patterns_as_repr(c_csv_body, bits, text):
+    col = np.array([bits], dtype=np.uint64).view(np.float64)
+    assert repr(float(col[0])) == text
+    assert c_csv_body([col]) == text + "\n"
+
+
+@pytest.mark.parametrize("value, text", [
+    (1e-4, "0.0001"), (math.nextafter(1e-4, 0.0), "9.999999999999999e-05"),
+    (1e-5, "1e-05"), (0.00012, "0.00012"), (1e15, "1000000000000000.0"),
+    (math.nextafter(1e16, 0.0), "9999999999999998.0"), (1e16, "1e+16"),
+    (1.2345678901234568e16, "1.2345678901234568e+16"), (1.5e-7, "1.5e-07"),
+    (1e100, "1e+100"), (123.0, "123.0"), (0.5, "0.5"), (2.0 ** 53, "9007199254740992.0")])
+def test_c_csv_body_lays_out_as_float_repr(c_csv_body, value, text):
+    # positional for 1e-4 <= |x| < 1e16, with ".0" on a whole number; else
+    # an exponent with a sign and at least two digits
+    assert repr(value) == text
+    col = np.array([value, -value])
+    assert c_csv_body([col]) == f"{text}\n-{text}\n"
+
+
+def test_c_csv_body_writes_int64_as_str(c_csv_body):
+    ints = [-(1 << 63), -(1 << 63) + 1, -(10 ** 18), -1, 0, 7, 10 ** 18, (1 << 63) - 1]
+    assert c_csv_body([np.array(ints)]) == "".join(f"{v}\n" for v in ints)
+
+
+def test_c_csv_body_reads_strided_columns_to_the_shortest(c_csv_body):
+    table = np.random.default_rng(3).normal(size=(50, 3))
+    columns = [np.arange(40), table[:, 1], table[::-1, 2], table[::2, 0]]
+    assert c_csv_body(columns) == _kernels.csv_body(columns)
+    assert c_csv_body(columns).count("\n") == 25
+    assert c_csv_body([]) == c_csv_body([np.arange(3), np.zeros(0)]) == ""
+
+
+def test_c_csv_body_takes_1d_float_and_integer_arrays(c_csv_body):
+    # narrower types, unaligned data and odd strides are copied as their
+    # float64 or int64 values; uint64, bools, strings, 2-D arrays and
+    # sequences are left to Python
+    raw = np.arange(1.0, 21.0).view(np.uint8)
+    good = [np.linspace(-1, 1, 9, dtype=np.float32), np.arange(-4, 5, dtype=np.int32),
+            np.arange(9, dtype=np.uint32), np.arange(9, dtype=np.float16),
+            raw[3:75].view(np.float64),  # unaligned
+            np.lib.stride_tricks.as_strided(raw.view(np.float64), (9,), (12,))]
+    assert c_csv_body(good) == _kernels.csv_body(good)
+    for bad in (np.zeros(3, dtype=np.uint64), np.zeros(3, dtype=bool), np.array(["a", "b", "c"]),
+                np.zeros((3, 1)), [0.5, 1.0, 2.0]):
+        assert _kernels.csv_column_kind(bad) is None
+        with pytest.raises(ValueError):
+            c_csv_body([np.arange(3.0), bad])
+
+
+def test_pow5_tables_are_the_python_integer_ones():
+    # Ryu's tables: 5^i scaled to 125 bits, and 2^(b - 1 + 125) // 5^i + 1
+    # for the bit length b of 5^i, each as {low 64 bits, high 64 bits}
+    source = Path(_clib.__file__).with_name("_csv_body.c").read_text()
+
+    def committed(name, size):
+        body = source.split(f"{name}[{size}][2] = {{", 1)[1].split("};", 1)[0]
+        words = [int(w, 16) for w in re.findall(r"0x([0-9A-F]{16})ULL", body)]
+        return [words[k] + (words[k + 1] << 64) for k in range(0, len(words), 2)]
+
+    def scaled(p):
+        shift = p.bit_length() - 125
+        return p >> shift if shift >= 0 else p << -shift
+
+    assert committed("pow5_split", 326) == [scaled(5 ** i) for i in range(326)]
+    assert committed("pow5_inv_split", 292) == [
+        (1 << (5 ** i).bit_length() - 1 + 125) // 5 ** i + 1 for i in range(292)]
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +813,7 @@ def test_missing_compiler_runs_network_on_numpy_with_same_bytes(tmp_path, monkey
     assert active("electrical_chunk") is active("chemical_chunk") is network_chunk
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy", threads=2)
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
+                                   "csv_body": "numpy",
                                    "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
                                    "threads": 2, "cpus": usable_cpus()}
     assert len(fallback["files"]) > 4
@@ -974,7 +1075,8 @@ CHEMICAL_EVENT_RUN = {**CHEMICAL_RUN, "events": [{"t": 0.02, "multipliers": {"g_
     ("network_chunk", "chemical_chunk", CHEMICAL_EVENT_RUN),
     ("network_chunk", "electrical_chunk", NETWORK_RUN),
     ("fp_chunk", "fp_chunk", PDE_RUN),
-    ("rk4_affine", None, {**EARLY_RUN, "gammas": [10, 100], "T_tilde": 0.05})])
+    ("rk4_affine", None, {**EARLY_RUN, "gammas": [10, 100], "T_tilde": 0.05}),
+    ("csv_body", None, CHEMICAL_RUN)])
 def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch, twin,
                                                           kernel, config):
     spec = parse_config_dict(config)
@@ -984,7 +1086,7 @@ def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
     monkeypatch.setattr(_kernels, "_c_twins", None)
     monkeypatch.setitem(_selfcheck.CHECKS, twin, lambda fn: False)
     assert _kernels.c_twin(twin) is None
-    if kernel is not None:  # rk4_affine is fetched by c_twin alone
+    if kernel is not None:  # rk4_affine and csv_body are fetched by c_twin alone
         assert active(kernel) is IMPLEMENTATIONS[kernel]
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"][twin] == "numpy"
@@ -1000,14 +1102,16 @@ def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
 
 
 @needs_cc
-@pytest.mark.parametrize("name", ["fp_chunk", "network_chunk", "rk4_affine"])
+@pytest.mark.parametrize("name", ["fp_chunk", "network_chunk", "rk4_affine", "csv_body"])
 def test_self_check_catches_a_one_bit_difference(name):
     # a twin that is the Python function with one bit of its output moved
     numpy_kernel = {"fp_chunk": fp_chunk, "network_chunk": network_chunk,
-                    "rk4_affine": rk4_affine}[name]
+                    "rk4_affine": rk4_affine, "csv_body": csv_body}[name]
 
     def off_by_one_bit(*args):
         done = numpy_kernel(*args)
+        if name == "csv_body":  # the last digit of the last value
+            return done[:-2] + chr(ord(done[-2]) ^ 1) + done[-1]
         if name == "rk4_affine":  # the first step of the column, finite in some case
             args[4][1] = np.nextafter(args[4][1], np.inf)
             return done
@@ -1027,11 +1131,13 @@ def test_warm_network_process_runs_no_self_check(tmp_path):
     # with the verdicts cached, a network run checks no twin and never
     # imports numpy.random, which only the noise fill's check would need
     assert backend("fp_chunk") == backend("network_chunk") == backend("normal_block") == "c"
+    assert backend("csv_body") == "c"
     code = ("import sys\n"
             "from balancenet.config import parse_config_dict\n"
             "from balancenet.harness import run_experiment\n"
             f"net = run_experiment(parse_config_dict({NETWORK_RUN!r}), out_dir={str(tmp_path)!r})\n"
             "assert net['backend']['network_chunk'] == net['backend']['normal_block'] == 'c'\n"
+            "assert net['backend']['csv_body'] == 'c'\n"
             "assert 'balancenet._selfcheck' not in sys.modules\n"
             "assert 'numpy.random' not in sys.modules\n")
     src = str(Path(_kernels.__file__).resolve().parents[1])
@@ -1081,6 +1187,7 @@ def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernels, "_c_twins", None)
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
+                                   "csv_body": "numpy",
                                    "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
                                    "threads": 1, "cpus": usable_cpus()}
     assert fallback["status"] == "COMPLETED"
