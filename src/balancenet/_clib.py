@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import CSV_FLOAT64, CSV_INT64, csv_column_kind, numpy_exp_target
+from ._kernels import CSV_FLOAT64, CSV_INT64, csv_column_kind, numpy_target
 
 _C_SOURCES = tuple(Path(__file__).with_name(name)
                    for name in ("_fp_chunk.c", "_network_chunk.c", "_normal_block.c",
@@ -363,7 +363,7 @@ def _verdict(name: str, twin, library: Path | None) -> bool:
     path = None
     if library is not None:
         key = hashlib.sha256("\0".join([
-            library.name, name, sys.version, np.__version__, str(numpy_exp_target()),
+            library.name, name, sys.version, np.__version__, str(numpy_target("exp")),
             *(ref.read_text() for ref in _CHECK_REFERENCES)]).encode()).hexdigest()[:16]
         path = library.with_name(f"{library.stem}.{name}.{key}.verdict")
         try:

@@ -325,17 +325,18 @@ def c_twin(name: str):
     return twin if twin is not None and _passes_self_check(twin) else None
 
 
-def numpy_exp_target() -> str | None:
-    """The SIMD target numpy dispatches its float64 exp to ("X86_V4",
-    "X86_V3", ...): the chemical gate's exp, and so the chemical bytes, can
-    differ between targets. None for numpy before 2.0, which has no
-    numpy.lib.introspect to ask."""
+def numpy_target(ufunc: str) -> str | None:
+    """The SIMD target numpy dispatches the float64 loop of ``ufunc``
+    ("exp", "log") to ("X86_V4", "X86_V3", ...): its results, and so the
+    bytes of a run that calls it (the chemical gate's exp, the
+    Fokker-Planck kinds' exp and log), can differ between targets. None for
+    numpy before 2.0, which has no numpy.lib.introspect to ask."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:
         return None
-    info = opt_func_info(func_name="^exp$", signature="float64")
-    return info.get("exp", {}).get("dd", {}).get("current")
+    info = opt_func_info(func_name=f"^{ufunc}$", signature="float64")
+    return info.get(ufunc, {}).get("dd", {}).get("current")
 
 
 def backend(kernel: str) -> str:

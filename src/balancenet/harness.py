@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import (backend as kernel_backend, c_twin, csv_body, csv_column_kind,
-                       numpy_exp_target)
+                       numpy_target)
 from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
                       chemical_balance_report, chemical_balance_voltages,
                       distance_to_balance, integrate_early_ode)
@@ -94,16 +94,21 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
     backend = {"numpy": np.__version__, "threads": threads,
                "csv_body": kernel_backend("csv_body")}
     payload = spec.payload
+    ufuncs = set()  # the transcendental numpy ufuncs the kind calls
     if isinstance(payload, (PdeRunSpec, EpsilonSweepSpec)) or (
             isinstance(payload, DoubleLimitSpec) and payload.pde is not None):
         backend["fp_chunk"] = kernel_backend("fp_chunk")
+        # exp: the initial density and the beta sigmoid; log: Hopf-Cole
+        ufuncs |= {"exp", "log"}
     if isinstance(payload, (NetworkRunSpec, RescaledEarlySpec, FiguresSpec)) or (
             isinstance(payload, DoubleLimitSpec) and payload.network is not None):
         backend["network_chunk"] = kernel_backend("network_chunk")
         backend["normal_block"] = kernel_backend("normal_block")
-        backend["numpy_exp"] = numpy_exp_target()
+        ufuncs.add("exp")  # the chemical gate
         # the CPU set the noise prefetch is gated on (see network._NoiseFeed)
         backend["cpus"] = usable_cpus()
+    if ufuncs:
+        backend["numpy_dispatch"] = {name: numpy_target(name) for name in sorted(ufuncs)}
     if isinstance(payload, RescaledEarlySpec):  # the one kind that steps the early ODE
         backend["rk4_affine"] = kernel_backend("rk4_affine")
     if "c" in backend.values():

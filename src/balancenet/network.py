@@ -13,6 +13,7 @@ models.SourceMaps), reducing a step to O(N).
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -23,8 +24,11 @@ from ._kernels import active, mean_std
 from .models import ModelDefinitionError, NetworkModel
 
 NOISE_CHUNK = 256
-# the fewest draws a prefetched half-block holds; smaller halves are drawn
-# faster than a hand-off to the worker thread costs
+# a prefetched block is drawn in this many pieces, into a ring of as many
+# slots: one block of memory
+PIECES = 4
+# the fewest draws half a block holds in a prefetched run; smaller runs are
+# drawn inline faster than the hand-offs to a worker thread cost
 PREFETCH_MIN_DRAWS = 1 << 16
 
 COMPLETED = "COMPLETED"
@@ -206,43 +210,120 @@ class _NoiseFeed:
 
     Block k of the stream (see rng) holds the noise of steps k * NOISE_CHUNK
     on and is drawn only as far as the run reaches: its first rows are the
-    shorter draw of the same stream. When another CPU is free and a
-    half-block holds at least PREFETCH_MIN_DRAWS draws, each block is drawn
-    in two halves into two half-block slots, the second half resuming the
-    first's stream through a cursor, and a worker thread fills the next half
-    while the kernel steps the current one (the C fill and kernels release
-    the GIL). Otherwise one whole-block slot is filled inline. Either way
-    the buffer holds one block, and a piece split by snapshots or events is
-    drawn once. Leaving the feed's with block stops the worker: it returns
-    only once no fill can write to a slot.
+    shorter draw of the same stream. On one CPU, for a run of at most half a
+    block, or when half a block holds fewer than PREFETCH_MIN_DRAWS draws,
+    one whole-block slot is filled inline. Otherwise each block is drawn in
+    PIECES pieces, each resuming its block's stream through the block's
+    cursor, into a ring of PIECES slots, by two producers (the C fill and
+    kernels release the GIL):
+
+    - a worker thread fills the pieces in stream order, each once its slot
+      is free: the slot of piece p frees once piece p - PIECES is stepped;
+    - the stepping thread, when the piece it needs is not drawn yet, first
+      draws the next block's first piece itself, if that piece is in the
+      ring and nobody has started it. It needs no cursor; the worker's later
+      pieces of that block follow it.
+
+    Either way the buffer holds at most one block, and a piece split by
+    snapshots or events is drawn once. Leaving the feed's with block stops
+    the worker: it returns only once no fill can write to a slot.
     """
 
     def __init__(self, seed: int, n_steps: int, N: int):
         self.seed, self.n_steps, self.N = seed, n_steps, N
         half = NOISE_CHUNK // 2
         prefetch = n_steps > half and half * N >= PREFETCH_MIN_DRAWS and usable_cpus() > 1
-        self.rows = half if prefetch else NOISE_CHUNK
-        self.slots = np.empty((2 if prefetch else 1, min(self.rows, n_steps), N))
-        self.pool = None
-        if prefetch:
-            # imported on first use: imported with this module, ahead of the
-            # rest of the package, it raised a process's peak RSS by ~0.6 MB
-            from concurrent.futures import ThreadPoolExecutor
-            self.pool = ThreadPoolExecutor(1, "balancenet-noise")
+        self.rows = NOISE_CHUNK // PIECES if prefetch else NOISE_CHUNK
+        self.n_pieces = -(-n_steps // self.rows)
+        self.slots = np.empty((min(PIECES, self.n_pieces) if prefetch else 1,
+                               min(self.rows, n_steps), N))
+        # a block's place in its stream, by the block's parity: the pieces
+        # in the ring span at most two blocks
+        self.cursors = [None, None]
         self.current = -1
         self.block = None
-        self.pending = None  # the worker's fill of piece current + 1
-        self.cursor = None
+        self.worker = None
+        if prefetch:
+            self.ring = threading.Condition()
+            self.filled = [-1] * len(self.slots)  # the piece a slot holds, once drawn
+            self.released = 0  # every piece before it is stepped
+            self.next = 0      # the worker's next piece
+            self.taken = -1    # the piece the stepping thread drew last
+            self.stop = False
+            self.error = None
+            self.worker = threading.Thread(target=self._work, name="balancenet-noise",
+                                           daemon=True)
 
     def _fill(self, piece: int) -> np.ndarray:
         lo = piece * self.rows
-        chunk, row = divmod(lo, NOISE_CHUNK)
+        block, row = divmod(lo, NOISE_CHUNK)
         if row == 0:
-            self.cursor = rng.StreamCursor()
+            self.cursors[block % 2] = rng.StreamCursor()
         rows = min(self.rows, self.n_steps - lo)
-        return rng.normal_block(self.seed, rng.NOISE_STREAM, chunk, (rows, self.N),
+        return rng.normal_block(self.seed, rng.NOISE_STREAM, block, (rows, self.N),
                                 out=self.slots[piece % len(self.slots)][:rows],
-                                cursor=self.cursor)
+                                cursor=self.cursors[block % 2])
+
+    def _drawn(self, piece: int) -> bool:
+        return self.filled[piece % len(self.filled)] == piece
+
+    def _work(self):
+        """The worker: the ring's pieces in stream order, skipping the ones
+        the stepping thread drew; the first error ends it."""
+        ring = self.ring
+        try:
+            while True:
+                with ring:
+                    while True:
+                        if self.next == self.taken:
+                            self.next += 1
+                        piece = self.next
+                        if self.stop or piece >= self.n_pieces:
+                            return
+                        # a piece resumes the cursor where the piece before
+                        # it stopped: this thread drew that one, or the
+                        # stepping thread, whose latest (taken) may still be
+                        # in progress; the ones before its latest are drawn
+                        if piece < self.released + PIECES and (
+                                piece % PIECES == 0 or piece - 1 != self.taken
+                                or self._drawn(piece - 1)):
+                            break
+                        ring.wait()
+                    self.next = piece + 1
+                self._fill(piece)
+                with ring:
+                    self.filled[piece % len(self.filled)] = piece
+                    ring.notify_all()
+        except BaseException as exc:  # raised on the stepping thread
+            with ring:
+                self.error = exc
+                ring.notify_all()
+
+    def _take(self, piece: int) -> np.ndarray:
+        """Piece ``piece`` once drawn; the stepping thread is done with the
+        pieces before it."""
+        ring = self.ring
+        with ring:
+            self.released = piece
+            ring.notify_all()
+            while not self._drawn(piece):
+                if self.error is not None:
+                    raise self.error
+                first = (piece // PIECES + 1) * PIECES
+                if (first < min(piece + PIECES, self.n_pieces) and first >= self.next
+                        and first != self.taken):
+                    self.taken = first
+                    ring.release()
+                    try:
+                        self._fill(first)
+                    finally:
+                        ring.acquire()
+                    self.filled[first % len(self.filled)] = first
+                    ring.notify_all()
+                else:
+                    ring.wait()
+        rows = min(self.rows, self.n_steps - piece * self.rows)
+        return self.slots[piece % len(self.slots)][:rows]
 
     def piece(self, step: int) -> tuple[int, np.ndarray]:
         """(first step, noise rows) of the piece that holds ``step``; pieces
@@ -250,24 +331,25 @@ class _NoiseFeed:
         piece = step // self.rows
         if piece != self.current:
             self.current = piece
-            self.block = self._fill(piece) if self.pending is None else self.pending.result()
-            self.pending = None
-            if self.pool is not None and (piece + 1) * self.rows < self.n_steps:
-                # the slot of piece - 1, which the kernel is done with
-                self.pending = self.pool.submit(self._fill, piece + 1)
+            self.block = self._fill(piece) if self.worker is None else self._take(piece)
         return piece * self.rows, self.block
 
     def __enter__(self):
+        if self.worker is not None:
+            self.worker.start()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.pool is not None:
+        if self.worker is not None:
+            with self.ring:
+                self.stop = True
+                self.ring.notify_all()
             # returns once the fill in progress is done
-            self.pool.shutdown(wait=True, cancel_futures=True)
+            self.worker.join()
             # a fill the run did not wait for (after a blowup) may have
             # failed; an error already in flight is the one reported
-            if exc_type is None and self.pending is not None and not self.pending.cancelled():
-                self.pending.result()
+            if exc_type is None and self.error is not None:
+                raise self.error
 
 
 def _kernel_args(model: NetworkModel) -> tuple:
@@ -290,7 +372,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
 
     The kernel records every stride-th step itself, so a kernel call ends
     only at a snapshot, an event, the edge of a noise piece (a block, or
-    half a block when the next half is prefetched; see _NoiseFeed) or the
+    a quarter of one when the noise is prefetched; see _NoiseFeed) or the
     last step; that step, when it is no multiple of the stride, is
     recorded here.
     """

@@ -162,7 +162,9 @@ class TestDevModeSmoke:
     CASES = [
         ("simulate", 1, {
             "kind": "network-run", "seed": 2,
-            # N = 1024 fills its noise half-blocks on the worker thread
+            # N = 1024 draws its noise in quarter-blocks on the worker thread,
+            # and its 300 steps reach block 1's first piece, which the
+            # stepping thread draws when it gets there first
             "model": {"family": "fhn-chemical", "n": 512, "g_EE": 0.3, "g_EI": 2.0,
                       "g_IE": 1.0, "g_II": 10.0,
                       "scaling": {"kind": "scaled_linear", "coefficient": 0.2}},

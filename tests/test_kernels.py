@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from balancenet import _clib, _kernels, _selfcheck, rng
 from balancenet._clib import _C_FLAGS, _C_LIBS, _C_SOURCES
 from balancenet._kernels import (IMPLEMENTATIONS, active, backend, csv_body, fp_chunk,
-                                 network_chunk, rk4_affine)
+                                 network_chunk, numpy_target, rk4_affine)
 from balancenet.config import parse_config_dict
-from balancenet.harness import numpy_exp_target, run_experiment
+from balancenet.harness import run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule, conductance_source_maps)
 from balancenet.network import (NOISE_CHUNK, CoordinateIC, InitialConditionSpec,
@@ -375,11 +375,16 @@ def test_missing_compiler_falls_back_to_numpy_with_same_bytes(tmp_path, monkeypa
     assert fallback["files"] == compiled["files"]
     on_disk = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
     assert on_disk["backend"] == {"fp_chunk": "numpy", "csv_body": "numpy",
-                                  "numpy": np.__version__, "threads": 1}
+                                  "numpy": np.__version__, "threads": 1,
+                                  "numpy_dispatch": FP_DISPATCH}
 
 
 NETWORK_RUN = {"kind": "network-run", "seed": 3,
                "model": {"family": "fhn-electrical", "n": 12}, "T": 0.01, "dt": 1e-4}
+# the targets of numpy's float64 exp and log loops that a network run and a
+# Fokker-Planck run record
+NETWORK_DISPATCH = {"exp": numpy_target("exp")}
+FP_DISPATCH = {"exp": numpy_target("exp"), "log": numpy_target("log")}
 
 
 def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
@@ -391,8 +396,8 @@ def test_manifest_names_fp_backend_only_for_fokker_planck_runs(tmp_path):
                                    "csv_body": backend("csv_body"),
                                    "network_chunk": backend("network_chunk"),
                                    "normal_block": backend("normal_block"),
-                                   "numpy_exp": numpy_exp_target(), "cpus": usable_cpus(),
-                                   **_c_build()}
+                                   "numpy_dispatch": NETWORK_DISPATCH,
+                                   "cpus": usable_cpus(), **_c_build()}
 
 
 EARLY_RUN = {"kind": "rescaled-early", "seed": 2, "model": {"family": "fhn-chemical", "n": 6},
@@ -419,11 +424,15 @@ NOISE = ("network_chunk", "normal_block")
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
     kernels = (*kernels, "csv_body")  # every kind writes CSVs
-    # a run that draws noise records the CPU set its prefetch is gated on
-    exp = ({"numpy_exp": numpy_exp_target(), "cpus": usable_cpus()}
-           if "network_chunk" in kernels else {})
+    # a run that draws noise records the CPU set its prefetch is gated on,
+    # and every run the targets of the exp and log loops it calls
+    noise = {"cpus": usable_cpus()} if "network_chunk" in kernels else {}
+    dispatch = {**(NETWORK_DISPATCH if "network_chunk" in kernels else {}),
+                **(FP_DISPATCH if "fp_chunk" in kernels else {})}
+    if dispatch:
+        noise["numpy_dispatch"] = dispatch
     build = _c_build()
-    assert manifest["backend"] == {"numpy": np.__version__, "threads": 1, **exp, **build,
+    assert manifest["backend"] == {"numpy": np.__version__, "threads": 1, **noise, **build,
                                    **{k: backend(k) for k in kernels}}
     expected = "numpy" if shutil.which("cc") is None else "c"
     assert all(manifest["backend"][k] == expected for k in kernels)
@@ -448,7 +457,7 @@ def test_process_loads_one_library_for_both_kernels(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
-@pytest.mark.skipif(numpy_exp_target() != "X86_V4",
+@pytest.mark.skipif(numpy_target("exp") != "X86_V4",
                     reason="numpy's float64 exp does not dispatch to X86_V4 here")
 def test_manifest_records_the_exp_dispatch_target(tmp_path):
     # the chemical gate's exp, and with it the chemical bytes, depends on
@@ -463,7 +472,43 @@ def test_manifest_records_the_exp_dispatch_target(tmp_path):
     subprocess.run([sys.executable, "-m", "balancenet", "simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "o")], check=True, env=env, timeout=120)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["backend"]["numpy_exp"] == "X86_V3"
+    assert manifest["backend"]["numpy_dispatch"] == {"exp": "X86_V3"}
+
+
+EPSILON_SWEEP = {"kind": "epsilon-sweep", "seed": 2, "model": {}, "epsilons": [0.4, 0.2],
+                 "grid": {"L": 8.0, "cells": 64}, "T": 0.01}
+
+
+@pytest.mark.skipif(numpy_target("exp") != "X86_V4" or numpy_target("log") != "X86_V4",
+                    reason="numpy's float64 exp and log do not dispatch to X86_V4 here")
+def test_a_lower_dispatch_level_moves_no_byte_silently(tmp_path):
+    # every kind, at numpy's default level and with X86_V4 disabled: the
+    # inventories match or the manifests' backends differ, and the
+    # Fokker-Planck kinds name the exp and log targets they ran on
+    configs = [NETWORK_RUN, CHEMICAL_EVENT_RUN, EARLY_RUN, FIG1_RUN, MIXED_SWEEP,
+               PDE_SWEEP, PDE_RUN, EPSILON_SWEEP, BALANCE_RUN]
+    code = ("import json, sys\n"
+            "from balancenet.config import parse_config_dict\n"
+            "from balancenet.harness import run_experiment\n"
+            "out = sys.argv[1]\n"
+            f"runs = [run_experiment(parse_config_dict(c), out_dir=f'{{out}}/{{i}}')\n"
+            f"        for i, c in enumerate({configs!r})]\n"
+            "with open(f'{out}/runs.json', 'w') as fh:\n"
+            "    json.dump([[m['backend'], m['files']] for m in runs], fh)\n")
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    runs = []
+    for name, level in (("default", {}),
+                        ("lowered", {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"})):
+        env = {**os.environ, "PYTHONPATH": src, **level}
+        (tmp_path / name).mkdir()
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / name)], check=True,
+                       env=env, timeout=120)
+        runs.append(json.loads((tmp_path / name / "runs.json").read_text()))
+    for config, (backend0, files0), (backend1, files1) in zip(configs, *runs):
+        assert files0 == files1 or backend0 != backend1, config["kind"]
+        if config in (PDE_RUN, EPSILON_SWEEP, PDE_SWEEP, MIXED_SWEEP):
+            assert backend0["numpy_dispatch"] == {"exp": "X86_V4", "log": "X86_V4"}
+            assert backend1["numpy_dispatch"] == {"exp": "X86_V3", "log": "X86_V3"}
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
@@ -814,7 +859,7 @@ def test_missing_compiler_runs_network_on_numpy_with_same_bytes(tmp_path, monkey
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy", threads=2)
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
                                    "csv_body": "numpy",
-                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
+                                   "numpy": np.__version__, "numpy_dispatch": NETWORK_DISPATCH,
                                    "threads": 2, "cpus": usable_cpus()}
     assert len(fallback["files"]) > 4
     assert fallback["files"] == compiled["files"]
@@ -1188,7 +1233,7 @@ def test_chemical_run_without_compiler_has_same_bytes(tmp_path, monkeypatch):
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"] == {"network_chunk": "numpy", "normal_block": "numpy",
                                    "csv_body": "numpy",
-                                   "numpy": np.__version__, "numpy_exp": numpy_exp_target(),
+                                   "numpy": np.__version__, "numpy_dispatch": NETWORK_DISPATCH,
                                    "threads": 1, "cpus": usable_cpus()}
     assert fallback["status"] == "COMPLETED"
     assert len(fallback["files"]) >= 2
@@ -1228,7 +1273,7 @@ def test_failed_exp_lookup_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
 
 
 @needs_cc
-@pytest.mark.skipif(numpy_exp_target() != "X86_V4",
+@pytest.mark.skipif(numpy_target("exp") != "X86_V4",
                     reason="numpy's float64 exp does not dispatch to X86_V4 here")
 def test_chemical_twin_follows_numpys_exp_target(tmp_path):
     # with numpy's exp dispatched to X86_V3, the loop the C step calls is
@@ -1239,7 +1284,7 @@ def test_chemical_twin_follows_numpys_exp_target(tmp_path):
             f"spec = parse_config_dict({CHEMICAL_EVENT_RUN!r})\n"
             f"c = run_experiment(spec, out_dir={str(tmp_path / 'c')!r})\n"
             "assert c['backend']['network_chunk'] == 'c', c['backend']\n"
-            "assert c['backend']['numpy_exp'] == 'X86_V3', c['backend']\n"
+            "assert c['backend']['numpy_dispatch'] == {'exp': 'X86_V3'}, c['backend']\n"
             "_kernels._c_twins = {k: v for k, v in _kernels._c_kernels().items()\n"
             "                     if k != 'network_chunk'}\n"
             f"n = run_experiment(spec, out_dir={str(tmp_path / 'n')!r})\n"

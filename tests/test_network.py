@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 import time
@@ -395,42 +396,88 @@ class TestReproducibilityContract:
 
 
 def _force_prefetch(monkeypatch, on: bool):
-    """Draw the noise of the following runs in prefetched half-blocks (on)
-    or in whole blocks inline (off), whatever the host's CPUs and the run's
-    size."""
+    """Draw the noise of the following runs in prefetched quarter-blocks
+    (on) or in whole blocks inline (off), whatever the host's CPUs and the
+    run's size."""
     monkeypatch.setattr(network, "usable_cpus", lambda: 2 if on else 1)
     monkeypatch.setattr(network, "PREFETCH_MIN_DRAWS", 0)
 
 
+PIECE = NOISE_CHUNK // network.PIECES
+# a worker fill's added time: stepping a piece of the contract runs takes
+# far less, so the stepping thread waits for every piece the worker draws
+SLOW_WORKER = 0.03
+
+
+def _noise_threads():
+    return [t for t in threading.enumerate() if t.name == "balancenet-noise"]
+
+
 class _NoiseSpy:
-    """Wraps rng.normal_block: records each noise piece as (block, rows),
-    the threads that drew them, and fills started and finished."""
+    """Wraps rng.normal_block: records each noise piece as (block, rows) and
+    as (block, first word of its stream, rows, drawing thread), and the
+    fills started and finished. ``delay`` slows every fill off the thread
+    that made the spy, which steps the runs: the noise worker's."""
 
     def __init__(self, monkeypatch, delay=0.0):
-        self.pieces, self.threads = [], set()
-        self.started = self.done = 0
+        self.fills, self.finished = [], []
         self.delay = delay
+        self.stepping = threading.current_thread()
         self.normal_block = rng.normal_block
         monkeypatch.setattr(rng, "normal_block", self)
+
+    @property
+    def pieces(self):
+        return [(block, rows) for block, _, rows, _ in self.fills]
+
+    @property
+    def threads(self):
+        return {thread for *_, thread in self.fills}
+
+    @property
+    def started(self):
+        return len(self.fills)
+
+    @property
+    def done(self):
+        return len(self.finished)
 
     def __call__(self, seed, purpose, block, shape, **kwargs):
         if purpose != rng.NOISE_STREAM:
             return self.normal_block(seed, purpose, block, shape, **kwargs)
-        self.started += 1
-        self.pieces.append((block, shape[0]))
-        self.threads.add(threading.current_thread())
-        time.sleep(self.delay)
+        thread = threading.current_thread()
+        self.fills.append((block, kwargs["cursor"].word, shape[0], thread))
+        if thread is not self.stepping:
+            time.sleep(self.delay)
         out = self.normal_block(seed, purpose, block, shape, **kwargs)
-        self.done += 1
+        self.finished.append(block)
         return out
+
+    def check_streams(self, steps=None):
+        """Each block's pieces start at word 0 of its stream and go on from
+        where the last stopped; with ``steps``, they hold the rows of a run
+        of that many steps."""
+        words, rows = {}, {}
+        for block, word, k, _ in self.fills:
+            words.setdefault(block, []).append(word)
+            rows[block] = rows.get(block, 0) + k
+        for block, starts in words.items():
+            assert starts[0] == 0 and starts == sorted(set(starts)), (block, starts)
+        if steps is not None:
+            assert rows == {b: min(NOISE_CHUNK, steps - b * NOISE_CHUNK)
+                            for b in range(-(-steps // NOISE_CHUNK))}
+
+    def stepping_fills(self):
+        """(block, first word) of the pieces the stepping thread drew."""
+        return [(block, word) for block, word, _, t in self.fills if t is self.stepping]
 
 
 class TestNoiseBlocks:
     @pytest.mark.parametrize("family", ["electrical", "chemical"])
     def test_partial_last_block_keeps_bytes(self, family, monkeypatch):
         # the last block is drawn short, in whole blocks inline and in
-        # prefetched half-blocks alike; the run equals one stepped on full
-        # blocks
+        # prefetched quarter-blocks alike; the run equals one stepped on
+        # full blocks
         model, init, _ = _contract_case(family)
         steps = 2 * NOISE_CHUNK + 37
         T = steps * CONTRACT_DT
@@ -443,20 +490,17 @@ class TestNoiseBlocks:
             assert network_chunk(state, block[:k], CONTRACT_DT, model.offsets,
                                  *kernel_args) == k
 
-        half = NOISE_CHUNK // 2
         for on, pieces in ((False, [(0, NOISE_CHUNK), (1, NOISE_CHUNK), (2, 37)]),
-                           (True, [(0, half), (0, half), (1, half), (1, half), (2, 37)])):
+                           (True, [(0, PIECE)] * 4 + [(1, PIECE)] * 4 + [(2, 37)])):
             _force_prefetch(monkeypatch, on)
             spy = _NoiseSpy(monkeypatch)
             run = simulate(model, init, T, CONTRACT_DT, 8,
                            RecordSpec(stride=1, snapshot_times=(T,)))
             monkeypatch.setattr(rng, "normal_block", spy.normal_block)
-            assert spy.pieces == pieces
+            # the two threads' pieces may interleave; each block's are in order
+            assert sorted(spy.pieces) == pieces
             # blocks 0 and 1 are drawn whole, block 2 only to row 37
-            rows = {}
-            for block, k in spy.pieces:
-                rows[block] = rows.get(block, 0) + k
-            assert rows == {0: NOISE_CHUNK, 1: NOISE_CHUNK, 2: 37}
+            spy.check_streams(steps)
             np.testing.assert_array_equal(run.snapshots[-1][1], state)
             assert len(run.times) == steps + 1
 
@@ -472,27 +516,39 @@ def _same_run(a, b):
 
 
 class TestNoisePrefetch:
-    """Prefetched half-blocks are the noise of whole blocks drawn inline:
-    final states and records are bit-identical with the prefetch on and
-    off, and a run returns only once its noise worker has stopped."""
+    """Prefetched quarter-blocks are the noise of whole blocks drawn inline:
+    final states and records are bit-identical with the prefetch off, on,
+    and on with a slowed worker, for whom the stepping thread draws each
+    later block's first piece; a run returns only once its noise worker has
+    stopped."""
 
-    HALF = NOISE_CHUNK // 2
-
-    def _both_ways(self, monkeypatch, *args, **kwargs):
-        """The run with the prefetch off, then on: the first draws whole
-        blocks on the stepping thread, the second halves, the later ones on
-        its worker."""
+    def _each_way(self, monkeypatch, *args, **kwargs):
+        """The run with the prefetch off, on, and on with its worker slowed.
+        The first draws whole blocks on the stepping thread, the others
+        quarter-blocks: the second mostly on its worker, the third on its
+        worker but for the first piece of every block from block 1 on,
+        which the stepping thread draws while it waits."""
         runs, spies = [], []
-        for on in (False, True):
+        for on, delay in ((False, 0.0), (True, 0.0), (True, SLOW_WORKER)):
             _force_prefetch(monkeypatch, on)
-            spies.append(_NoiseSpy(monkeypatch))
+            spies.append(_NoiseSpy(monkeypatch, delay))
             runs.append(simulate(*args, **kwargs))
             monkeypatch.setattr(rng, "normal_block", spies[-1].normal_block)
-        off, on = spies
-        assert off.pieces[0] == (0, NOISE_CHUNK) and on.pieces[0] == (0, self.HALF)
-        assert off.threads == {threading.current_thread()} < on.threads
-        assert off.started == off.done and on.started == on.done
-        return runs
+            assert not _noise_threads()
+        off, on, slow = spies
+        stepping = threading.current_thread()
+        assert off.pieces[0] == (0, NOISE_CHUNK) and on.pieces[0] == slow.pieces[0] == (0, PIECE)
+        assert off.threads == {stepping} and len(on.threads - {stepping}) == 1
+        assert len(slow.threads) == 2
+        for spy in spies:
+            assert spy.started == spy.done
+        on.check_streams()
+        slow.check_streams()
+        # the stepping thread draws whole first pieces of later blocks only
+        blocks = [block for block, word in slow.stepping_fills() if word == 0]
+        assert blocks == [block for block, _ in slow.stepping_fills()]
+        assert blocks == list(range(1, len(blocks) + 1))
+        return runs, slow
 
     @pytest.mark.parametrize("family", ["electrical", "chemical"])
     @pytest.mark.parametrize("case", ["chunk-edge", "event-and-snapshot", "short-last-block"])
@@ -500,45 +556,61 @@ class TestNoisePrefetch:
         model, init, identity = _contract_case(family)
         steps, stride, snaps, events = CONTRACT_STEPS, 1, (), ()
         if case == "event-and-snapshot":
-            # both inside the halves of block 1, away from their edges
+            # both inside pieces of block 1, away from their edges: the event
+            # in its first piece, which the stepping thread draws when the
+            # worker is slowed
             stride = 7
             events = [PerturbationEvent((NOISE_CHUNK + 45) * CONTRACT_DT, identity)]
-            snaps = ((NOISE_CHUNK + self.HALF + 17) * CONTRACT_DT,)
+            snaps = ((NOISE_CHUNK + 2 * PIECE + 17) * CONTRACT_DT,)
         elif case == "short-last-block":
             steps = 2 * NOISE_CHUNK + 37
         T = steps * CONTRACT_DT
-        off, on = self._both_ways(monkeypatch, model, init, T, CONTRACT_DT, 12,
-                                  RecordSpec(stride=stride, traces=2,
-                                             snapshot_times=snaps + (T,)), events)
+        (off, on, slow), spy = self._each_way(
+            monkeypatch, model, init, T, CONTRACT_DT, 12,
+            RecordSpec(stride=stride, traces=2, snapshot_times=snaps + (T,)), events)
         assert on.status == "COMPLETED" and len(on.snapshots) == len(snaps) + 1
         _same_run(off, on)
+        _same_run(off, slow)
+        # every block after the first starts on the stepping thread
+        spy.check_streams(steps)
+        assert spy.stepping_fills() == [(1, 0), (2, 0)]
 
     @pytest.mark.parametrize("family", ["electrical", "chemical"])
     def test_numpy_fill_bit_identical_on_and_off(self, family, monkeypatch):
-        # without the C twins, numpy's fill resumes the stream at the half
+        # without the C twins, numpy's fill resumes the stream at each piece
         monkeypatch.setattr(_kernels, "_c_twins", {})
         model, init, _ = _contract_case(family)
-        T = (2 * NOISE_CHUNK + 37) * CONTRACT_DT
-        off, on = self._both_ways(monkeypatch, model, init, T, CONTRACT_DT, 13,
-                                  RecordSpec(stride=5, traces=1, snapshot_times=(T,)))
+        steps = 2 * NOISE_CHUNK + 37
+        T = steps * CONTRACT_DT
+        (off, on, slow), spy = self._each_way(
+            monkeypatch, model, init, T, CONTRACT_DT, 13,
+            RecordSpec(stride=5, traces=1, snapshot_times=(T,)))
         _same_run(off, on)
+        _same_run(off, slow)
+        spy.check_streams(steps)
+        assert spy.stepping_fills() == [(1, 0), (2, 0)]
 
     @pytest.mark.parametrize("family", ["electrical", "chemical"])
     def test_blowup_inside_a_prefetched_half(self, family, monkeypatch):
         # a conductance raised a millionfold at step 150 overflows within
-        # the second half of block 0, which the worker drew
+        # block 0's third piece, which the worker drew; with the worker
+        # slowed, the stepping thread has drawn block 1's first piece by then
         model, init, _ = _contract_case(family)
         name = "g" if family == "electrical" else "g_EE"
         event = PerturbationEvent(150 * CONTRACT_DT, {name: 1e6})
-        off, on = self._both_ways(monkeypatch, model, init, CONTRACT_STEPS * CONTRACT_DT,
-                                  CONTRACT_DT, 12, RecordSpec(stride=1), [event])
+        (off, on, slow), spy = self._each_way(
+            monkeypatch, model, init, CONTRACT_STEPS * CONTRACT_DT, CONTRACT_DT, 12,
+            RecordSpec(stride=1), [event])
         assert on.status == "BLOWUP"
-        assert self.HALF < on.blowup_time / CONTRACT_DT <= NOISE_CHUNK
+        assert 2 * PIECE < on.blowup_time / CONTRACT_DT <= 3 * PIECE
         _same_run(off, on)
+        _same_run(off, slow)
+        assert spy.stepping_fills() == [(1, 0)]
 
     def test_fill_failing_after_a_blowup_is_raised(self, monkeypatch):
-        # the run stops in block 0's second half after the worker's draw
-        # of block 1 failed; that error is not dropped
+        # the run stops in block 0's third piece after the worker's draw of
+        # block 1's second piece, which the run never reaches, failed; that
+        # error is not dropped
         _force_prefetch(monkeypatch, True)
         model, init, _ = _contract_case("electrical")
         normal_block = rng.normal_block
@@ -546,14 +618,14 @@ class TestNoisePrefetch:
         failed = threading.Event()
 
         def failing(seed, purpose, block, shape, **kwargs):
-            if purpose == rng.NOISE_STREAM and block == 1:
+            if purpose == rng.NOISE_STREAM and block == 1 and kwargs["cursor"].word > 0:
                 failed.set()
                 raise MemoryError("fill failed")
             return normal_block(seed, purpose, block, shape, **kwargs)
 
         def stepping(*args):
             step0 = args[-5]
-            if step0 >= NOISE_CHUNK // 2:  # the half the blowup is in
+            if step0 >= 2 * PIECE:  # the piece the blowup is in
                 assert failed.wait(timeout=10)
             return kernel(*args)
 
@@ -563,6 +635,7 @@ class TestNoisePrefetch:
         with pytest.raises(MemoryError, match="fill failed"):
             simulate(model, init, CONTRACT_STEPS * CONTRACT_DT, CONTRACT_DT, 12,
                      RecordSpec(), [event])
+        assert not _noise_threads()
 
     def test_concurrent_runs_under_fast_switching(self, monkeypatch):
         # six runs on six threads, each with its own noise worker, on
@@ -592,12 +665,64 @@ class TestNoisePrefetch:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        assert not _noise_threads()
         for ref, got in zip(serial, results):
             _same_run(ref, got)
 
+    def test_random_interleavings(self, monkeypatch):
+        # fills on both threads and kernel calls sleep at random, and threads
+        # switch every microsecond, so that either thread may run ahead at
+        # any hand-off: each run equals its run inline, and none waits
+        # forever
+        normal_block, active = rng.normal_block, network.active
+        draw = random.Random(5)
+
+        def pause():
+            if draw.random() < 0.5:
+                time.sleep(draw.random() * 0.002)
+
+        def slowed_fill(*args, **kwargs):
+            pause()
+            return normal_block(*args, **kwargs)
+
+        def slowed_kernel(name):
+            kernel = active(name)
+            return lambda *args: pause() or kernel(*args)
+
+        for _ in range(40):
+            model, init, identity = _contract_case(draw.choice(("electrical", "chemical")))
+            steps = draw.randint(NOISE_CHUNK // 2 + 1, 4 * NOISE_CHUNK + 50)
+            snaps = tuple(draw.randint(1, steps - 1) * CONTRACT_DT
+                          for _ in range(draw.randint(0, 3)))
+            events = ([PerturbationEvent(draw.randint(0, steps) * CONTRACT_DT, identity)]
+                      if draw.random() < 0.5 else [])
+            args = (model, init, steps * CONTRACT_DT, CONTRACT_DT, draw.randint(0, 999),
+                    RecordSpec(stride=draw.choice((1, 3, 7)), traces=1,
+                               snapshot_times=snaps), events)
+            _force_prefetch(monkeypatch, False)
+            ref = simulate(*args)
+            _force_prefetch(monkeypatch, True)
+            monkeypatch.setattr(rng, "normal_block", slowed_fill)
+            monkeypatch.setattr(network, "active", slowed_kernel)
+            got = []
+            stepping = threading.Thread(target=lambda: got.append(simulate(*args)),
+                                        daemon=True)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                stepping.start()
+                stepping.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            monkeypatch.setattr(rng, "normal_block", normal_block)
+            monkeypatch.setattr(network, "active", active)
+            assert not stepping.is_alive() and not _noise_threads()
+            _same_run(ref, got[0])
+
     def test_kernel_error_returns_after_the_worker_stops(self, monkeypatch):
-        # the third kernel call raises while the worker fills the fourth
-        # half-block; simulate raises only once that fill is done
+        # the third kernel call raises while the slowed worker fills block
+        # 0's fourth piece (the stepping thread drew block 1's first);
+        # simulate raises only once that fill is done
         _force_prefetch(monkeypatch, True)
         model, init, _ = _contract_case("electrical")
         kernel = network.active(model.params.kernel)
@@ -607,17 +732,57 @@ class TestNoisePrefetch:
             calls.append(args[1].shape[0])
             if len(calls) == 3:
                 deadline = time.monotonic() + 10.0
-                while spy.started < 4 and time.monotonic() < deadline:
+                while spy.started < 5 and time.monotonic() < deadline:
                     time.sleep(0.001)
                 raise RuntimeError("kernel failed")
             return kernel(*args)
 
         monkeypatch.setattr(network, "active", lambda name: failing)
-        spy = _NoiseSpy(monkeypatch, delay=0.2)
+        spy = _NoiseSpy(monkeypatch, delay=0.1)
         with pytest.raises(RuntimeError, match="kernel failed"):
             simulate(model, init, CONTRACT_STEPS * CONTRACT_DT, CONTRACT_DT, 3, RecordSpec())
-        assert calls == [self.HALF] * 3
-        assert spy.started == spy.done == 4
+        assert calls == [PIECE] * 3
+        assert spy.started == spy.done == 5
+        assert spy.stepping_fills() == [(1, 0)]
+        assert not _noise_threads()
+
+    def test_stepping_thread_fill_error_returns_after_the_worker_stops(self, monkeypatch):
+        # the stepping thread's draw of block 1's first piece fails while
+        # the slowed worker fills block 0's second piece; simulate raises
+        # that error only once the worker's fill is done
+        _force_prefetch(monkeypatch, True)
+        model, init, _ = _contract_case("electrical")
+        spy = _NoiseSpy(monkeypatch, delay=0.1)
+
+        def failing(seed, purpose, block, shape, **kwargs):
+            if purpose == rng.NOISE_STREAM and block == 1:
+                raise MemoryError("fill failed")
+            return spy(seed, purpose, block, shape, **kwargs)
+
+        monkeypatch.setattr(rng, "normal_block", failing)
+        with pytest.raises(MemoryError, match="fill failed"):
+            simulate(model, init, CONTRACT_STEPS * CONTRACT_DT, CONTRACT_DT, 3, RecordSpec())
+        assert spy.pieces == [(0, PIECE)] * 2 and spy.started == spy.done
+        assert not _noise_threads()
+
+    def test_ring_holds_at_most_one_block(self, monkeypatch):
+        _force_prefetch(monkeypatch, True)
+        for n_steps in (NOISE_CHUNK // 2 + 1, 200, NOISE_CHUNK, CONTRACT_STEPS, 4000):
+            for N in (5, 3200):
+                feed = network._NoiseFeed(1, n_steps, N)
+                assert feed.worker is not None and feed.rows == PIECE
+                assert feed.slots.nbytes <= NOISE_CHUNK * N * 8
+
+    def test_runs_of_at_most_half_a_block_keep_one_inline_slot(self, monkeypatch):
+        # dense-sweep's sqrt cell at n = 3200 steps 100 times: a ring of
+        # quarter-blocks would hold 256 rows where the run needs 100
+        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        for n_steps in (100, NOISE_CHUNK // 2):
+            feed = network._NoiseFeed(1, n_steps, 3200)
+            assert feed.worker is None and feed.slots.shape == (1, n_steps, 3200)
+        # its linear cell steps 4000 times, through the ring
+        feed = network._NoiseFeed(1, 4000, 3200)
+        assert feed.worker is not None and feed.slots.shape == (network.PIECES, PIECE, 3200)
 
 
 class TestBlowupStep:
