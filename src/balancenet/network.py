@@ -245,10 +245,11 @@ class _NoiseFeed:
         self.worker = None
         if prefetch:
             self.ring = threading.Condition()
-            self.filled = [-1] * len(self.slots)  # the piece a slot holds, once drawn
+            # per slot, the piece last started there and the piece it holds
+            # once drawn; a thread claims a piece under the lock
+            self.claimed = [-1] * len(self.slots)
+            self.filled = [-1] * len(self.slots)
             self.released = 0  # every piece before it is stepped
-            self.next = 0      # the worker's next piece
-            self.taken = -1    # the piece the stepping thread drew last
             self.stop = False
             self.error = None
             self.worker = threading.Thread(target=self._work, name="balancenet-noise",
@@ -264,36 +265,45 @@ class _NoiseFeed:
                                 out=self.slots[piece % len(self.slots)][:rows],
                                 cursor=self.cursors[block % 2])
 
-    def _drawn(self, piece: int) -> bool:
-        return self.filled[piece % len(self.filled)] == piece
+    def _ready(self, piece: int) -> bool:
+        """Whether ``piece`` may be started now: it is in the run, its slot
+        is free, nobody has claimed it, and it starts its block or resumes
+        the cursor of the piece before it, which is drawn."""
+        s = len(self.slots)
+        return (piece < min(self.released + PIECES, self.n_pieces)
+                and self.claimed[piece % s] < piece
+                and (piece % PIECES == 0 or self.filled[(piece - 1) % s] >= piece - 1))
+
+    def _draw(self, piece: int):
+        """Claim ``piece``, draw it outside the lock, and mark it drawn; the
+        caller holds the lock."""
+        s = len(self.slots)
+        self.claimed[piece % s] = piece
+        self.ring.release()
+        try:
+            self._fill(piece)
+        finally:
+            self.ring.acquire()
+        self.filled[piece % s] = piece
+        self.ring.notify_all()
 
     def _work(self):
-        """The worker: the ring's pieces in stream order, skipping the ones
-        the stepping thread drew; the first error ends it."""
+        """The worker: the ring's unclaimed pieces in stream order; the
+        first error ends it."""
         ring = self.ring
+        s = len(self.slots)
         try:
-            while True:
-                with ring:
-                    while True:
-                        if self.next == self.taken:
-                            self.next += 1
-                        piece = self.next
-                        if self.stop or piece >= self.n_pieces:
-                            return
-                        # a piece resumes the cursor where the piece before
-                        # it stopped: this thread drew that one, or the
-                        # stepping thread, whose latest (taken) may still be
-                        # in progress; the ones before its latest are drawn
-                        if piece < self.released + PIECES and (
-                                piece % PIECES == 0 or piece - 1 != self.taken
-                                or self._drawn(piece - 1)):
-                            break
+            with ring:
+                while not self.stop:
+                    piece = self.released
+                    while piece < self.n_pieces and self.claimed[piece % s] >= piece:
+                        piece += 1
+                    if piece >= self.n_pieces:
+                        return
+                    if self._ready(piece):
+                        self._draw(piece)
+                    else:
                         ring.wait()
-                    self.next = piece + 1
-                self._fill(piece)
-                with ring:
-                    self.filled[piece % len(self.filled)] = piece
-                    ring.notify_all()
         except BaseException as exc:  # raised on the stepping thread
             with ring:
                 self.error = exc
@@ -301,29 +311,23 @@ class _NoiseFeed:
 
     def _take(self, piece: int) -> np.ndarray:
         """Piece ``piece`` once drawn; the stepping thread is done with the
-        pieces before it."""
+        pieces before it. While it waits, it draws the next block's first
+        piece if that one is ready."""
         ring = self.ring
+        s = len(self.slots)
         with ring:
             self.released = piece
             ring.notify_all()
-            while not self._drawn(piece):
+            first = (piece // PIECES + 1) * PIECES
+            while self.filled[piece % s] != piece:
                 if self.error is not None:
                     raise self.error
-                first = (piece // PIECES + 1) * PIECES
-                if (first < min(piece + PIECES, self.n_pieces) and first >= self.next
-                        and first != self.taken):
-                    self.taken = first
-                    ring.release()
-                    try:
-                        self._fill(first)
-                    finally:
-                        ring.acquire()
-                    self.filled[first % len(self.filled)] = first
-                    ring.notify_all()
+                if self._ready(first):
+                    self._draw(first)
                 else:
                     ring.wait()
         rows = min(self.rows, self.n_steps - piece * self.rows)
-        return self.slots[piece % len(self.slots)][:rows]
+        return self.slots[piece % s][:rows]
 
     def piece(self, step: int) -> tuple[int, np.ndarray]:
         """(first step, noise rows) of the piece that holds ``step``; pieces

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -719,6 +720,62 @@ class TestNoisePrefetch:
             assert not stepping.is_alive() and not _noise_threads()
             _same_run(ref, got[0])
 
+    def test_worker_stalled_between_pieces(self, monkeypatch):
+        # the worker sleeps at random before each time it takes the ring's
+        # lock, as a thread descheduled between a piece's notify and its
+        # next claim, while the stepping thread steps on and draws later
+        # blocks' first pieces: each run equals its run inline, no piece is
+        # drawn twice, and none waits forever
+        draw = random.Random(11)
+
+        class StalledLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def acquire(self, blocking=True, timeout=-1):
+                if (blocking and threading.current_thread().name == "balancenet-noise"
+                        and draw.random() < 0.7):
+                    time.sleep(draw.random() * 0.004)
+                return self.lock.acquire(blocking, timeout)
+
+            def release(self):
+                self.lock.release()
+
+            __enter__ = acquire
+
+            def __exit__(self, *exc):
+                self.release()
+
+        def stalled_condition():
+            return threading.Condition(StalledLock())
+
+        stolen = 0
+        for _ in range(30):
+            model, init, _ = _contract_case(draw.choice(("electrical", "chemical")))
+            steps = draw.randint(2 * NOISE_CHUNK, 5 * NOISE_CHUNK + 50)
+            args = (model, init, steps * CONTRACT_DT, CONTRACT_DT, draw.randint(0, 999),
+                    RecordSpec(stride=draw.choice((1, 5)), traces=1,
+                               snapshot_times=(steps * CONTRACT_DT,)))
+            _force_prefetch(monkeypatch, False)
+            ref = simulate(*args)
+            _force_prefetch(monkeypatch, True)
+            spy = _NoiseSpy(monkeypatch)
+            monkeypatch.setattr(network, "threading", types.SimpleNamespace(
+                Condition=stalled_condition, Thread=threading.Thread))
+            got = []
+            stepping = threading.Thread(target=lambda: got.append(simulate(*args)),
+                                        daemon=True)
+            spy.stepping = stepping
+            stepping.start()
+            stepping.join(timeout=30)
+            monkeypatch.setattr(network, "threading", threading)
+            monkeypatch.setattr(rng, "normal_block", spy.normal_block)
+            assert not stepping.is_alive() and not _noise_threads()
+            _same_run(ref, got[0])
+            spy.check_streams(steps)
+            stolen += len(spy.stepping_fills())
+        assert stolen > 0
+
     def test_kernel_error_returns_after_the_worker_stops(self, monkeypatch):
         # the third kernel call raises while the slowed worker fills block
         # 0's fourth piece (the stepping thread drew block 1's first);
@@ -738,7 +795,7 @@ class TestNoisePrefetch:
             return kernel(*args)
 
         monkeypatch.setattr(network, "active", lambda name: failing)
-        spy = _NoiseSpy(monkeypatch, delay=0.1)
+        spy = _NoiseSpy(monkeypatch, delay=0.2)
         with pytest.raises(RuntimeError, match="kernel failed"):
             simulate(model, init, CONTRACT_STEPS * CONTRACT_DT, CONTRACT_DT, 3, RecordSpec())
         assert calls == [PIECE] * 3
