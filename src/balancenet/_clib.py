@@ -318,7 +318,7 @@ def _c_csv_body(lib):
     words, so the C loop reads each row from one place."""
     c_fn = lib.csv_body
     ptr, long_ = ctypes.c_void_p, ctypes.c_long
-    c_fn.argtypes = [long_, long_, ptr, ptr, ptr, ptr, long_]
+    c_fn.argtypes = [long_, long_, ptr, ptr, ptr, long_]
     c_fn.restype = long_
     width = {CSV_FLOAT64: 24, CSV_INT64: 20}  # the most bytes a value takes
 
@@ -333,15 +333,10 @@ def _c_csv_body(lib):
         words = {CSV_FLOAT64: block, CSV_INT64: block.view(np.int64)}
         for c, (kind, col) in enumerate(zip(kinds, columns)):
             words[kind][:, c] = col[:rows]
-        # each column's kind, address and stride (in elements), in one array
-        meta = np.empty((3, ncols), dtype=np.int64)
-        meta[0] = kinds
-        meta[1] = block.ctypes.data + 8 * np.arange(ncols)
-        meta[2] = ncols
         out = np.empty(rows * sum(width[kind] + 1 for kind in kinds), dtype=np.uint8)
-        addr = meta.ctypes.data
-        written = c_fn(rows, ncols, addr, addr + 8 * ncols, addr + 16 * ncols,
-                       out.ctypes.data, out.size)
+        codes = np.array(kinds, dtype=np.int64)
+        written = c_fn(rows, ncols, codes.ctypes.data, block.ctypes.data, out.ctypes.data,
+                       out.size)
         if written < 0:
             raise ValueError("csv_body: the rows did not fit their worst-case size")
         return str(out[:written].data, "ascii")

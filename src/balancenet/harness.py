@@ -136,11 +136,8 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
 _COORDS = ("x", "y", "s")
 
 
-def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str],
-                         written: dict | None = None) -> dict:
-    """Write a run's series, traces and snapshots. ``written`` maps each
-    snapshot state already written (shape and bytes) to its CSV text; a
-    bit-equal state is written from it without being formatted again."""
+def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
+    """Write a run's series, traces and snapshots."""
     d = run.means[0].shape[1]
     header = ["t"]
     cols = [run.times]
@@ -160,17 +157,8 @@ def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str],
         write_csv(out / "traces.csv", header, cols)
 
     for idx, (t, states) in enumerate(run.snapshots):
-        path = out / f"snapshot_{idx:02d}.csv"
-        header = ["agent", *_COORDS[:d]]
-        columns = [np.arange(states.shape[0]), *(states[:, k] for k in range(d))]
-        if written is None:
-            write_csv(path, header, columns)
-            continue
-        key = (states.shape, states.tobytes())
-        if key in written:
-            path.write_text(written[key], newline="\n")
-        else:
-            written[key] = write_csv(path, header, columns)
+        write_csv(out / f"snapshot_{idx:02d}.csv", ["agent", *_COORDS[:d]],
+                  [np.arange(states.shape[0]), *(states[:, k] for k in range(d))])
 
     metrics = {"status": run.status, "gamma": run.gamma,
                "final_std": [float(run.stds[p][-1, 0]) for p in range(len(labels))]}
@@ -188,9 +176,6 @@ def _run_network(p: NetworkRunSpec, seed: int, out: Path) -> tuple[str, dict]:
 def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str, dict]:
     gaps, moves_y, moves_s = [], [], []
     status = "COMPLETED"
-    # every gamma draws the same initial state, so its t = 0 snapshot is
-    # formatted once
-    written = {}
     for gi, gamma in enumerate(p.gammas):
         model = p.model.build(scaling=ScalingRule("constant", gamma))
         rec = replace(p.record, snapshot_times=(0.0,) + p.record.snapshot_times)
@@ -203,7 +188,7 @@ def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str
             gap, move_y, move_s = _early_gap(model, run)
             sub = out / f"gamma_{gi}"
             sub.mkdir(exist_ok=True)
-            _write_run_artifacts(sub, run, model.labels, written)
+            _write_run_artifacts(sub, run, model.labels)
         gaps.append(gap)
         moves_y.append(move_y)
         moves_s.append(move_s)
@@ -462,16 +447,12 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
                     "error": f"{type(err).__name__}: {err}",
                     "n": n, "scaling": getattr(rule, "kind", None)}
 
-    if threads > 1 and len(jobs) > 1:
-        # longest first, so the longest cell does not start last and leave
-        # the other threads idle; the results keep their cell order
-        order = sorted(range(len(jobs)), key=cost, reverse=True)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, res in zip(order, pool.map(run_cell, order)):
-                results[idx] = res
-    else:
-        for idx in range(len(jobs)):
-            results[idx] = run_cell(idx)
+    # longest first, so the longest cell does not start last and leave the
+    # other threads idle; the results keep their cell order
+    order = sorted(range(len(jobs)), key=cost, reverse=True)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for idx, res in zip(order, pool.map(run_cell, order)):
+            results[idx] = res
 
     rows = []
     for idx, res in enumerate(results):

@@ -23,7 +23,7 @@ from .pde import DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 FLOOR_RATIO = 1e-15
 CORE_RATIO = 1e-2
 WIDTH_RATIO = 1e-3
-N_CANDIDATES = 16     # envelope slopes A' scanned by fit_supersolution_envelope
+N_CANDIDATES = 16     # envelope slopes A' scanned (envelope_slopes)
 FIT_SLACK = 1.05
 # TV(I_eps) converges upward as eps shrinks (the equilibrium interaction
 # moves further from its initial value), so the line certificate needs
@@ -221,8 +221,8 @@ def bv_line_covers(report: BvReport, c_prime: float, c_dblprime: float) -> bool:
 
 @dataclass(frozen=True)
 class EnvelopeFit:
+    candidate: int        # index of the chosen slope in envelope_slopes
     a: float
-    b: float
     d: float
     e: float
 
@@ -236,55 +236,54 @@ def _alpha_antiderivative(model: SeparableModel1D, grid: Grid1D) -> np.ndarray:
     return prim - np.interp(0.0, x, prim)
 
 
-def fit_supersolution_envelope(runs: FpRun | list[FpRun]) -> EnvelopeFit:
-    """Fit phi <= -A' I(t) Lambda(x) - (eps/2) B' x^2 + D' t + E' with the
-    minimal B' = 0, scanning A' on a grid inside (0, 2/sigma^2) and keeping
-    the candidate with the smallest late-time intercept.
+def envelope_slopes(model: SeparableModel1D) -> list[float]:
+    """The N_CANDIDATES envelope slopes A' scanned, evenly inside (0, 2/sigma^2)."""
+    amax = 2.0 / model.sigma ** 2
+    return [amax * j / (N_CANDIDATES + 1) for j in range(1, N_CANDIDATES + 1)]
+
+
+def envelope_excess(run: FpRun, f: HopfColeField) -> np.ndarray:
+    """(N_CANDIDATES, S): per slope A' of envelope_slopes and snapshot, the
+    max over the mask of phi + A' I(t) Lambda(x), from the run's transform
+    f. The envelope phi <= -A' I(t) Lambda(x) + D' t + E' holds at a
+    snapshot iff this excess is at most D' t + E' there."""
+    big_i = run.i_at(run.times)[:, None]
+    lam = _alpha_antiderivative(run.model, run.grid)
+    return np.array([np.max(f.phi + a_const * big_i * lam, axis=-1, where=f.mask,
+                            initial=-np.inf) for a_const in envelope_slopes(run.model)])
+
+
+def fit_supersolution_envelope(slopes: list[float], excesses: list[np.ndarray],
+                               times: list[np.ndarray]) -> EnvelopeFit:
+    """Fit phi <= -A' I(t) Lambda(x) + D' t + E' (the supersolution with the
+    minimal B' = 0) from each run's envelope_excess and snapshot times,
+    keeping the slope with the smallest late-time intercept.
 
     Several runs may be supplied (typically all but the finest epsilon of a
     sweep): the intercept E' then covers the family's initial profiles, the
     counterpart of the family-level initial-condition constants the bound
     depends on.
     """
-    if isinstance(runs, FpRun):
-        runs = [runs]
-    amax = 2.0 / runs[0].model.sigma ** 2
-    slopes = [amax * j / (N_CANDIDATES + 1) for j in range(1, N_CANDIDATES + 1)]
-    # per run, slope and snapshot, the max over the mask of phi + A' I(t) Lambda(x);
-    # the envelope holds iff it is dominated by D' t + E'
-    excesses = []
-    for r in runs:
-        f = snapshot_fields(r)
-        big_i = r.i_at(r.times)[:, None]
-        lam = _alpha_antiderivative(r.model, r.grid)
-        excesses.append([np.max(f.phi + a_const * big_i * lam, axis=-1, where=f.mask,
-                                initial=-np.inf) for a_const in slopes])
-    horizon = max(float(r.times[-1]) for r in runs)
+    horizon = max(float(t[-1]) for t in times)
     best = None
-    for j, a_const in enumerate(slopes):
+    for j in range(len(slopes)):
         e = max(0.0, max(float(m[j][0]) for m in excesses))
         d = 0.0
-        for r, m in zip(runs, excesses):
-            if len(r.times) > 1:
-                d = max(d, float(np.max((m[j][1:] - e) / r.times[1:])))
+        for t, m in zip(times, excesses):
+            if len(t) > 1:
+                d = max(d, float(np.max((m[j][1:] - e) / t[1:])))
         score = e + d * horizon
         if best is None or score < best[0]:
-            best = (score, EnvelopeFit(a=a_const, b=0.0, d=d, e=e))
-    fit = best[1]
+            best = (score, j, d, e)
+    _, j, d, e = best
     # stated slack so the fitted runs certify with margin
-    return EnvelopeFit(a=fit.a, b=fit.b, d=fit.d * FIT_SLACK, e=fit.e * FIT_SLACK + 1e-9)
+    return EnvelopeFit(candidate=j, a=slopes[j], d=d * FIT_SLACK, e=e * FIT_SLACK + 1e-9)
 
 
-def envelope_covers(run: FpRun, fit: EnvelopeFit) -> bool:
-    f = snapshot_fields(run)
-    lam = _alpha_antiderivative(run.model, run.grid)
-    x2 = run.grid.centers ** 2
-    bound = -fit.a * run.i_at(run.times)[:, None] * lam  # (S, M), built in place
-    bound -= 0.5 * run.epsilon * fit.b * x2
-    bound += fit.d * run.times[:, None]
-    bound += fit.e
-    bound += 1e-12
-    return not np.any(f.phi > bound, where=f.mask)
+def envelope_covers(excess: np.ndarray, times: np.ndarray, fit: EnvelopeFit) -> bool:
+    """Whether the fitted envelope holds at every snapshot of a run, given
+    its envelope_excess and snapshot times."""
+    return bool(np.all(excess[fit.candidate] <= fit.d * times + fit.e + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -293,10 +292,10 @@ class WGradientReport:
     t0: float
 
 
-def check_w_gradient_bound(run: FpRun, t0: float) -> WGradientReport:
+def check_w_gradient_bound(run: FpRun, f: HopfColeField, t0: float) -> WGradientReport:
     """theta = sup over t >= t0 and mask-interior x of
-    |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory."""
-    f = snapshot_fields(run)
+    |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory,
+    from the run's transform f (which it leaves as it is)."""
     F2 = 2.0 * (1.0 + max(0.0, float(np.max(f.sup_phi))))
     # the snapshots at t >= t0 are a suffix of the run; the last one is at
     # step n_steps, time T, though its stamp n_steps * (T / n_steps) can
@@ -304,8 +303,7 @@ def check_w_gradient_bound(run: FpRun, t0: float) -> WGradientReport:
     later = int(np.searchsorted(run.times, t0))
     if t0 <= run.meta["T"]:
         later = min(later, len(run.times) - 1)
-    w = f.phi[later:]                     # turned into w = sqrt(2F^2 - phi) in place
-    np.subtract(F2, w, out=w)
+    w = np.subtract(F2, f.phi[later:])    # then w = sqrt(2F^2 - phi) in place
     np.sqrt(w, out=w)
     grad, interior = _masked_gradient(w, f.mask[later:], run.grid.dx)
     checked = interior.any(axis=-1)
@@ -335,7 +333,8 @@ class EpsilonDiagnostics:
     bv: BvReport | None = None
     theta: float = math.nan
     moment: MomentBoundReport | None = None
-    run: FpRun | None = None
+    times: np.ndarray | None = None       # the snapshot times, (S,)
+    excess: np.ndarray | None = None      # the run's envelope_excess
 
 
 @dataclass
@@ -380,8 +379,9 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
 
     epsilons must be strictly decreasing inside (0, 1]. Failures of a single
     epsilon are recorded and the sweep continues. The moment bound is
-    checked for the fourth moment (k = 2); each member's run is dropped from
-    the report once the certificates are fitted.
+    checked for the fourth moment (k = 2). Each member's run is transformed
+    once and dropped with its transform as soon as its numbers are taken,
+    so the sweep holds one run at a time.
     """
     eps = [float(e) for e in epsilons]
     check_epsilons(eps)
@@ -390,25 +390,27 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
     if t0 is None:
         t0 = T / 10
 
-    diags: list[EpsilonDiagnostics] = []
-    for e in eps:
+    def certify(e: float) -> EpsilonDiagnostics:
+        """One member's numbers; its run and transform die on return."""
         d = EpsilonDiagnostics(epsilon=e)
         try:
             model = base_model.with_epsilon(e)
             mu0 = gaussian_initial(grid, e, init_concentration, init_center)
             run = solve_fp_1d(model, mu0, T, snapshot_every=snapshot_every)
-            _, series = snapshot_series(run)
+            f, series = snapshot_series(run)
             d.sup_phi_final, d.support_width_final, d.i_final, d.residual_sup_final = (
                 float(series[name][-1])
                 for name in ("sup_phi", "support_width", "interaction", "residual_sup"))
             d.bv = check_bv_interaction(run.i_times, run.i_values)
-            d.theta = check_w_gradient_bound(run, t0).theta
+            d.theta = check_w_gradient_bound(run, f, t0).theta
             d.moment = check_moment_bound(run, 2)
-            d.run = run
+            d.times, d.excess = run.times, envelope_excess(run, f)
         except (ValueError, ArithmeticError) as err:  # a member's numerical failure
             d.status = "FAILED"
             d.error = f"{type(err).__name__}: {err}"
-        diags.append(d)
+        return d
+
+    diags = [certify(e) for e in eps]
 
     ok = [d for d in diags if d.status == "COMPLETED"]
     report = ConvergenceReport(diagnostics=diags)
@@ -430,9 +432,12 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
         # epsilon must still cover it (the family-level content of the
         # bounds; initial-profile constants are family data)
         fit_members = ok[:-1] if len(ok) > 2 else ok[:1]
-        fit = fit_supersolution_envelope([d.run for d in fit_members])
+        fit = fit_supersolution_envelope(envelope_slopes(base_model),
+                                         [d.excess for d in fit_members],
+                                         [d.times for d in fit_members])
         report.envelope_fit = fit
-        report.verdicts["envelope_uniform"] = all(envelope_covers(d.run, fit) for d in ok)
+        report.verdicts["envelope_uniform"] = all(
+            envelope_covers(d.excess, d.times, fit) for d in ok)
         c2 = max(d.bv.c_dblprime for d in fit_members) * BV_SLACK
         c1 = max(float(np.max(np.asarray(d.bv.prefix_tv) - c2 * np.asarray(d.bv.times)))
                  for d in fit_members)
@@ -446,6 +451,4 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
         report.verdicts["moment_uniform"] = all(
             d.moment.sup_moment <= max(d.moment.k0, ok[0].moment.c_star) * (1 + 1e-9)
             for d in ok)
-    for d in diags:
-        d.run = None
     return report

@@ -1,13 +1,16 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from balancenet import hopfcole
 from balancenet.hopfcole import (FIT_SLACK, N_CANDIDATES, EnvelopeFit,
                                  _alpha_antiderivative, _masked_gradient,
                                  check_bv_interaction, check_moment_bound,
                                  check_w_gradient_bound,
                                  constructive_moment_constant, envelope_covers,
+                                 envelope_excess, envelope_slopes, epsilon_sweep,
                                  fit_supersolution_envelope,
                                  hamiltonian_residual, hopf_cole, snapshot_fields,
                                  snapshot_series, support_width)
@@ -230,16 +233,19 @@ class TestEnvelope:
         c = math.exp(-1.0 / eps)
         vals = np.full(128, c)
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0], i_values=1.0)
-        assert envelope_covers(run, fit_supersolution_envelope(run))
+        excess = envelope_excess(run, snapshot_fields(run))
+        fit = fit_supersolution_envelope(envelope_slopes(model), [excess], [run.times])
+        assert envelope_covers(excess, run.times, fit)
 
     def test_default_model_certified(self):
         model = build_separable_1d(0.2)
         grid = Grid1D(8.0, 512)
         mu0 = gaussian_initial(grid, 0.2, 1.0, 1.0)
         run = solve_fp_1d(model, mu0, 1.0, snapshot_every=0.25)
-        fit = fit_supersolution_envelope(run)
+        excess = envelope_excess(run, snapshot_fields(run))
+        fit = fit_supersolution_envelope(envelope_slopes(model), [excess], [run.times])
         assert 0 < fit.a < 2.0 / model.sigma ** 2
-        assert envelope_covers(run, fit)
+        assert envelope_covers(excess, run.times, fit)
 
 
 class TestWGradient:
@@ -248,7 +254,7 @@ class TestWGradient:
         model = build_separable_1d(0.5)
         vals = np.full(128, 1.0 / (2 * grid.L))
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        rep = check_w_gradient_bound(run, t0=0.5)
+        rep = check_w_gradient_bound(run, snapshot_fields(run), t0=0.5)
         assert rep.theta <= 0.0
 
     def test_quadratic_phi_matches_analytic_gradient(self):
@@ -258,7 +264,7 @@ class TestWGradient:
         phi = -grid.centers ** 2
         vals = np.exp(phi / eps)
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        rep = check_w_gradient_bound(run, t0=1.0)
+        rep = check_w_gradient_bound(run, snapshot_fields(run), t0=1.0)
         # w = sqrt(2F^2 + x^2) with sup phi = -x_min^2 ~ 0 -> F^2 ~ 1
         x = grid.centers
         analytic = np.max(np.abs(x) / np.sqrt(2.0 + x ** 2))
@@ -319,18 +325,16 @@ def _loop_envelope_fit(runs):
         d = max([0.0] + [float(np.max((m[1:] - e) / r.times[1:]))
                          for r, m in zip(runs, excesses) if len(r.times) > 1])
         if best is None or e + d * horizon < best[0]:
-            best = (e + d * horizon, a_const, d, e)
-    _, a_const, d, e = best
-    return EnvelopeFit(a=a_const, b=0.0, d=d * FIT_SLACK, e=e * FIT_SLACK + 1e-9)
+            best = (e + d * horizon, j - 1, a_const, d, e)
+    _, candidate, a_const, d, e = best
+    return EnvelopeFit(candidate=candidate, a=a_const, d=d * FIT_SLACK, e=e * FIT_SLACK + 1e-9)
 
 
 def _loop_envelope_covers(run, fit):
     lam = _alpha_antiderivative(run.model, run.grid)
-    x2 = run.grid.centers ** 2
     for i, t in enumerate(run.times.tolist()):
         f = hopf_cole(run.density_at(i))
-        bound = (-fit.a * run.i_at(t) * lam - 0.5 * run.epsilon * fit.b * x2
-                 + fit.d * t + fit.e)
+        bound = -fit.a * run.i_at(t) * lam + fit.d * t + fit.e
         if np.any(f.phi[f.mask] > bound[f.mask] + 1e-12):
             return False
     return True
@@ -402,23 +406,35 @@ class TestRunArrays:
             assert sup[i] == ref_sup
 
     def test_certificates_equal_snapshot_loops(self, run):
+        f = snapshot_fields(run)
         for t0 in (0.05, 0.3, float(run.times[-1])):
-            assert check_w_gradient_bound(run, t0).theta == _loop_w_gradient_theta(run, t0)
+            assert check_w_gradient_bound(run, f, t0).theta == _loop_w_gradient_theta(run, t0)
         with pytest.raises(ArithmeticError):  # the bound at t = 0 is infinite
-            check_w_gradient_bound(run, 0.0)
-        fit = fit_supersolution_envelope(run)
+            check_w_gradient_bound(run, f, 0.0)
+        excess = envelope_excess(run, f)
+        fit = fit_supersolution_envelope(envelope_slopes(run.model), [excess], [run.times])
         assert fit == _loop_envelope_fit([run])
         assert _loop_envelope_covers(run, fit)
-        tight = EnvelopeFit(a=fit.a, b=fit.b, d=0.0, e=fit.e / FIT_SLACK - 0.5)
-        assert envelope_covers(run, fit) and not envelope_covers(run, tight)
+        tight = EnvelopeFit(candidate=fit.candidate, a=fit.a, d=0.0, e=fit.e / FIT_SLACK - 0.5)
+        assert envelope_covers(excess, run.times, fit)
+        assert not envelope_covers(excess, run.times, tight)
         assert not _loop_envelope_covers(run, tight)
         y2 = run.grid.centers ** 2
         moments = [float((d * y2).sum() * run.grid.dx) for d in run.densities]
         assert list(check_moment_bound(run, 1).moment_series) == moments
 
+    def test_w_gradient_leaves_the_transform_as_it_is(self, run):
+        f = snapshot_fields(run)
+        phi = f.phi.copy()
+        check_w_gradient_bound(run, f, 0.05)
+        assert_same_bits(f.phi, phi)
+
     def test_fit_over_runs_equals_snapshot_loops(self):
         runs = [_solver_run(), _ragged_run()]
-        assert fit_supersolution_envelope(runs) == _loop_envelope_fit(runs)
+        fit = fit_supersolution_envelope(envelope_slopes(runs[0].model),
+                                         [envelope_excess(r, snapshot_fields(r)) for r in runs],
+                                         [r.times for r in runs])
+        assert fit == _loop_envelope_fit(runs)
 
     def test_row_without_interior_is_skipped(self):
         # isolated cells: the w-gradient check skips the row, and the
@@ -428,10 +444,12 @@ class TestRunArrays:
         comb = np.where(np.arange(128) % 2 == 0, 1.0, 0.0)
         smooth = np.exp(-grid.centers ** 2)
         run = _fake_run(model, grid, [smooth, comb, smooth], [0.0, 0.5, 1.0])
-        assert not snapshot_fields(run).mask[1].reshape(-1, 2)[:, 1].any()
-        assert check_w_gradient_bound(run, 0.2).theta == _loop_w_gradient_theta(run, 0.2)
+        f = snapshot_fields(run)
+        assert not f.mask[1].reshape(-1, 2)[:, 1].any()
+        assert check_w_gradient_bound(run, f, 0.2).theta == _loop_w_gradient_theta(run, 0.2)
+        late = _fake_run(model, grid, [smooth, comb], [0.0, 1.0])
         with pytest.raises(ValueError, match="no snapshots"):
-            check_w_gradient_bound(_fake_run(model, grid, [smooth, comb], [0.0, 1.0]), 0.5)
+            check_w_gradient_bound(late, snapshot_fields(late), 0.5)
         with pytest.raises(ValueError, match="support core is empty"):
             snapshot_series(run)
 
@@ -455,7 +473,7 @@ class TestSweepConsistency:
         assert d.i_final == run.i_values[-1]
         _, resid = hamiltonian_residual(f, run.i_at(1.0), base)
         assert d.residual_sup_final == resid
-        assert d.theta == check_w_gradient_bound(run, 0.25).theta
+        assert d.theta == check_w_gradient_bound(run, snapshot_fields(run), 0.25).theta
         assert d.theta == _loop_w_gradient_theta(run, 0.25)
 
     def test_t0_at_the_horizon_takes_the_last_snapshot(self):
@@ -464,10 +482,11 @@ class TestSweepConsistency:
         grid = Grid1D(8.0, 128)
         run = solve_fp_1d(build_separable_1d(0.2), gaussian_initial(grid, 0.2), 0.25)
         assert run.meta["n_steps"] == 1458 and run.times[-1] < 0.25
-        theta = check_w_gradient_bound(run, 0.25).theta
+        f = snapshot_fields(run)
+        theta = check_w_gradient_bound(run, f, 0.25).theta
         assert theta == _loop_w_gradient_theta(run, float(run.times[-1]))
         with pytest.raises(ValueError, match="no snapshots"):
-            check_w_gradient_bound(run, math.nextafter(0.25, 1.0))
+            check_w_gradient_bound(run, f, math.nextafter(0.25, 1.0))
 
     def test_strictly_decreasing_epsilons_required(self):
         from balancenet.hopfcole import epsilon_sweep
@@ -485,3 +504,28 @@ class TestSweepConsistency:
         assert diag[0.4].status == "COMPLETED"
         assert diag[1e-7].status == "FAILED"
         assert diag[1e-7].error
+
+    def test_each_member_is_transformed_once_and_dropped(self, monkeypatch):
+        # the member's one transform serves every certificate, and its run
+        # is gone before the next member is solved
+        transforms, runs, alive = [], [], []
+
+        def counted_hopf_cole(density, *args, **kwargs):
+            transforms.append(density.values.shape)
+            return hopf_cole(density, *args, **kwargs)
+
+        def tracked_solve(*args, **kwargs):
+            alive.append(sum(r() is not None for r in runs))
+            run = solve_fp_1d(*args, **kwargs)
+            runs.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(hopfcole, "hopf_cole", counted_hopf_cole)
+        monkeypatch.setattr(hopfcole, "solve_fp_1d", tracked_solve)
+        rep = epsilon_sweep(build_separable_1d(0.4), (0.4, 0.2, 0.1, 0.05), Grid1D(8.0, 256),
+                            0.1, t0=0.02)
+        assert [d.status for d in rep.diagnostics] == ["COMPLETED"] * 4
+        assert rep.verdicts["envelope_uniform"]
+        assert len(transforms) == 4
+        assert alive == [0, 0, 0, 0]
+        assert all(r() is None for r in runs)
