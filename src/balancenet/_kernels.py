@@ -38,16 +38,6 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def mean_std(col: np.ndarray) -> tuple[float, float]:
-    """col.mean() and col.std() of a 1-D column, by the same operations
-    without ndarray's Python-level overhead."""
-    n = col.shape[0]
-    m = float(col.sum()) / n
-    dev = col - m
-    dev *= dev
-    return m, math.sqrt(float(dev.sum()) / n)
-
-
 def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
                   fhn, sig, step0=0, stride=0, means=None, stds=None, traces=None):
     """Advance ``noise.shape[0]`` Euler-Maruyama steps in place.
@@ -139,7 +129,8 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
             slot = (step0 + step + 1) // stride
             for p, seg in enumerate(segs):
                 for k in range(d):
-                    means[p, slot, k], stds[p, slot, k] = mean_std(cols[k][seg])
+                    col = cols[k][seg]
+                    means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
                 k_tr = min(traces.shape[2], seg.stop - seg.start)
                 traces[p, slot, :k_tr] = cols[0][seg][:k_tr]
     for k, col in enumerate(cols):

@@ -20,15 +20,16 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from ._kernels import active, mean_std
+from ._kernels import active
 from .models import ModelDefinitionError, NetworkModel
 
 NOISE_CHUNK = 256
-# a prefetched block is drawn in this many pieces, into a ring of as many
-# slots: one block of memory
+# a block is drawn in this many pieces of PIECE steps
 PIECES = 4
-# the fewest draws half a block holds in a prefetched run; smaller runs are
-# drawn inline faster than the hand-offs to a worker thread cost
+PIECE = NOISE_CHUNK // PIECES
+# the fewest draws half a block holds in a run with a noise worker; smaller
+# runs are drawn on the stepping thread alone faster than the hand-offs to
+# a worker thread cost
 PREFETCH_MIN_DRAWS = 1 << 16
 
 COMPLETED = "COMPLETED"
@@ -209,68 +210,65 @@ class _NoiseFeed:
     """The noise of one run, handed out piece by piece in step order.
 
     Block k of the stream (see rng) holds the noise of steps k * NOISE_CHUNK
-    on and is drawn only as far as the run reaches: its first rows are the
-    shorter draw of the same stream. On one CPU, for a run of at most half a
-    block, or when half a block holds fewer than PREFETCH_MIN_DRAWS draws,
-    one whole-block slot is filled inline. Otherwise each block is drawn in
-    PIECES pieces, each resuming its block's stream through the block's
-    cursor, into a ring of PIECES slots, by two producers (the C fill and
-    kernels release the GIL):
+    on and is drawn only as far as the run reaches, in PIECES pieces of
+    PIECE steps (the last one shorter), each resuming its block's stream
+    through the block's cursor. A thread claims a piece under the ring's
+    lock before it draws it (_ready, _draw), so no piece is drawn twice and
+    each follows the piece before it in its block:
 
-    - a worker thread fills the pieces in stream order, each once its slot
-      is free: the slot of piece p frees once piece p - PIECES is stepped;
-    - the stepping thread, when the piece it needs is not drawn yet, first
-      draws the next block's first piece itself, if that piece is in the
-      ring and nobody has started it. It needs no cursor; the worker's later
-      pieces of that block follow it.
+    - the stepping thread, when the piece it needs is not drawn yet, draws
+      it if it may start; if not, the next block's first piece, which needs
+      no cursor, if that one may; if neither, it waits;
+    - with more than one CPU, a run longer than half a block and at least
+      PREFETCH_MIN_DRAWS draws in half a block, a worker thread draws the
+      pieces too, in stream order (the C fill and kernels release the GIL).
 
-    Either way the buffer holds at most one block, and a piece split by
-    snapshots or events is drawn once. Leaving the feed's with block stops
-    the worker: it returns only once no fill can write to a slot.
+    The ring has PIECES slots with a worker and one without: the slot of
+    piece p frees once piece p - len(slots) is stepped, so the buffer holds
+    at most one block, and a piece split by snapshots or events is drawn
+    once. Leaving the feed's with block stops the worker: it returns only
+    once no fill can write to a slot.
     """
 
     def __init__(self, seed: int, n_steps: int, N: int):
         self.seed, self.n_steps, self.N = seed, n_steps, N
+        self.n_pieces = -(-n_steps // PIECE)
         half = NOISE_CHUNK // 2
-        prefetch = n_steps > half and half * N >= PREFETCH_MIN_DRAWS and usable_cpus() > 1
-        self.rows = NOISE_CHUNK // PIECES if prefetch else NOISE_CHUNK
-        self.n_pieces = -(-n_steps // self.rows)
-        self.slots = np.empty((min(PIECES, self.n_pieces) if prefetch else 1,
-                               min(self.rows, n_steps), N))
+        worker = n_steps > half and half * N >= PREFETCH_MIN_DRAWS and usable_cpus() > 1
+        self.slots = np.empty((min(PIECES, self.n_pieces) if worker else 1,
+                               min(PIECE, n_steps), N))
         # a block's place in its stream, by the block's parity: the pieces
         # in the ring span at most two blocks
         self.cursors = [None, None]
         self.current = -1
         self.block = None
-        self.worker = None
-        if prefetch:
-            self.ring = threading.Condition()
-            # per slot, the piece last started there and the piece it holds
-            # once drawn; a thread claims a piece under the lock
-            self.claimed = [-1] * len(self.slots)
-            self.filled = [-1] * len(self.slots)
-            self.released = 0  # every piece before it is stepped
-            self.stop = False
-            self.error = None
-            self.worker = threading.Thread(target=self._work, name="balancenet-noise",
-                                           daemon=True)
+        self.ring = threading.Condition()
+        # per slot, the piece last started there and the piece it holds
+        # once drawn; a thread claims a piece under the lock
+        self.claimed = [-1] * len(self.slots)
+        self.filled = [-1] * len(self.slots)
+        self.released = 0  # every piece before it is stepped
+        self.stop = False
+        self.error = None
+        self.worker = (threading.Thread(target=self._work, name="balancenet-noise", daemon=True)
+                       if worker else None)
 
-    def _fill(self, piece: int) -> np.ndarray:
-        lo = piece * self.rows
+    def _fill(self, piece: int):
+        lo = piece * PIECE
         block, row = divmod(lo, NOISE_CHUNK)
         if row == 0:
             self.cursors[block % 2] = rng.StreamCursor()
-        rows = min(self.rows, self.n_steps - lo)
-        return rng.normal_block(self.seed, rng.NOISE_STREAM, block, (rows, self.N),
-                                out=self.slots[piece % len(self.slots)][:rows],
-                                cursor=self.cursors[block % 2])
+        rows = min(PIECE, self.n_steps - lo)
+        rng.normal_block(self.seed, rng.NOISE_STREAM, block, (rows, self.N),
+                         out=self.slots[piece % len(self.slots)][:rows],
+                         cursor=self.cursors[block % 2])
 
     def _ready(self, piece: int) -> bool:
         """Whether ``piece`` may be started now: it is in the run, its slot
         is free, nobody has claimed it, and it starts its block or resumes
         the cursor of the piece before it, which is drawn."""
         s = len(self.slots)
-        return (piece < min(self.released + PIECES, self.n_pieces)
+        return (piece < min(self.released + s, self.n_pieces)
                 and self.claimed[piece % s] < piece
                 and (piece % PIECES == 0 or self.filled[(piece - 1) % s] >= piece - 1))
 
@@ -309,34 +307,30 @@ class _NoiseFeed:
                 self.error = exc
                 ring.notify_all()
 
-    def _take(self, piece: int) -> np.ndarray:
-        """Piece ``piece`` once drawn; the stepping thread is done with the
-        pieces before it. While it waits, it draws the next block's first
-        piece if that one is ready."""
-        ring = self.ring
-        s = len(self.slots)
-        with ring:
-            self.released = piece
-            ring.notify_all()
-            first = (piece // PIECES + 1) * PIECES
-            while self.filled[piece % s] != piece:
-                if self.error is not None:
-                    raise self.error
-                if self._ready(first):
-                    self._draw(first)
-                else:
-                    ring.wait()
-        rows = min(self.rows, self.n_steps - piece * self.rows)
-        return self.slots[piece % s][:rows]
-
     def piece(self, step: int) -> tuple[int, np.ndarray]:
         """(first step, noise rows) of the piece that holds ``step``; pieces
-        are asked for in order."""
-        piece = step // self.rows
+        are asked for in order, and the stepping thread is done with the
+        pieces before it."""
+        piece = step // PIECE
         if piece != self.current:
             self.current = piece
-            self.block = self._fill(piece) if self.worker is None else self._take(piece)
-        return piece * self.rows, self.block
+            ring = self.ring
+            s = len(self.slots)
+            with ring:
+                self.released = piece
+                ring.notify_all()
+                first = (piece // PIECES + 1) * PIECES
+                while self.filled[piece % s] != piece:
+                    if self.error is not None:
+                        raise self.error
+                    if self._ready(piece):
+                        self._draw(piece)
+                    elif self._ready(first):
+                        self._draw(first)
+                    else:
+                        ring.wait()
+            self.block = self.slots[piece % s][:min(PIECE, self.n_steps - piece * PIECE)]
+        return piece * PIECE, self.block
 
     def __enter__(self):
         if self.worker is not None:
@@ -375,10 +369,9 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     checked (check_run) before the first step.
 
     The kernel records every stride-th step itself, so a kernel call ends
-    only at a snapshot, an event, the edge of a noise piece (a block, or
-    a quarter of one when the noise is prefetched; see _NoiseFeed) or the
-    last step; that step, when it is no multiple of the stride, is
-    recorded here.
+    only at a snapshot, an event, the edge of a PIECE-step noise piece (see
+    _NoiseFeed) or the last step; that step, when it is no multiple of the
+    stride, is recorded here.
     """
     check_run(model, T, dt, events)
     n_steps = int(round(T / dt))
@@ -416,7 +409,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         for p in range(P):
             blk = state.states[offsets[p]:offsets[p + 1]]
             for k in range(d):
-                means[p, slot, k], stds[p, slot, k] = mean_std(blk[:, k])
+                col = blk[:, k]
+                means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
             traces[p, slot] = blk[:traces.shape[2], 0]
 
     kernel = active(model.params.kernel)

@@ -457,32 +457,41 @@ def test_process_loads_one_library_for_both_kernels(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
-@pytest.mark.skipif(numpy_target("exp") != "X86_V4",
-                    reason="numpy's float64 exp does not dispatch to X86_V4 here")
+# per dispatch level of numpy's float64 exp and log, the features to
+# disable to run them one level lower, and that level
+LOWER_LEVEL = {"X86_V4": ("AVX512_ICL AVX512_SPR X86_V4", "X86_V3"),
+               "X86_V3": ("AVX512_ICL AVX512_SPR X86_V4 X86_V3", "baseline(X86_V2)")}
+EXP_LEVEL = numpy_target("exp")
+lowers_exp = pytest.mark.skipif(EXP_LEVEL not in LOWER_LEVEL,
+                                reason="numpy's float64 exp runs at no level lowered here")
+
+
+@lowers_exp
 def test_manifest_records_the_exp_dispatch_target(tmp_path):
     # the chemical gate's exp, and with it the chemical bytes, depends on
-    # the loop numpy dispatches to; a run without AVX-512 says which
+    # the loop numpy dispatches to; a run one level lower says which
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "network-run", "seed": 3,
                                "model": {"family": "fhn-chemical", "n": 8},
                                "T": 0.002, "dt": 1e-4}))
     src = str(Path(_kernels.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src,
-           "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
+    disabled, lowered = LOWER_LEVEL[EXP_LEVEL]
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled}
     subprocess.run([sys.executable, "-m", "balancenet", "simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "o")], check=True, env=env, timeout=120)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["backend"]["numpy_dispatch"] == {"exp": "X86_V3"}
+    assert manifest["backend"]["numpy_dispatch"] == {"exp": lowered}
 
 
 EPSILON_SWEEP = {"kind": "epsilon-sweep", "seed": 2, "model": {}, "epsilons": [0.4, 0.2],
                  "grid": {"L": 8.0, "cells": 64}, "T": 0.01}
 
 
-@pytest.mark.skipif(numpy_target("exp") != "X86_V4" or numpy_target("log") != "X86_V4",
-                    reason="numpy's float64 exp and log do not dispatch to X86_V4 here")
+@lowers_exp
+@pytest.mark.skipif(numpy_target("log") != EXP_LEVEL,
+                    reason="numpy's float64 exp and log dispatch to different levels here")
 def test_a_lower_dispatch_level_moves_no_byte_silently(tmp_path):
-    # every kind, at numpy's default level and with X86_V4 disabled: the
+    # every kind, at numpy's default level and one level lower: the
     # inventories match or the manifests' backends differ, and the
     # Fokker-Planck kinds name the exp and log targets they ran on
     configs = [NETWORK_RUN, CHEMICAL_EVENT_RUN, EARLY_RUN, FIG1_RUN, MIXED_SWEEP,
@@ -496,9 +505,9 @@ def test_a_lower_dispatch_level_moves_no_byte_silently(tmp_path):
             "with open(f'{out}/runs.json', 'w') as fh:\n"
             "    json.dump([[m['backend'], m['files']] for m in runs], fh)\n")
     src = str(Path(_kernels.__file__).resolve().parents[1])
+    disabled, lowered = LOWER_LEVEL[EXP_LEVEL]
     runs = []
-    for name, level in (("default", {}),
-                        ("lowered", {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"})):
+    for name, level in (("default", {}), ("lowered", {"NPY_DISABLE_CPU_FEATURES": disabled})):
         env = {**os.environ, "PYTHONPATH": src, **level}
         (tmp_path / name).mkdir()
         subprocess.run([sys.executable, "-c", code, str(tmp_path / name)], check=True,
@@ -507,8 +516,8 @@ def test_a_lower_dispatch_level_moves_no_byte_silently(tmp_path):
     for config, (backend0, files0), (backend1, files1) in zip(configs, *runs):
         assert files0 == files1 or backend0 != backend1, config["kind"]
         if config in (PDE_RUN, EPSILON_SWEEP, PDE_SWEEP, MIXED_SWEEP):
-            assert backend0["numpy_dispatch"] == {"exp": "X86_V4", "log": "X86_V4"}
-            assert backend1["numpy_dispatch"] == {"exp": "X86_V3", "log": "X86_V3"}
+            assert backend0["numpy_dispatch"] == {"exp": EXP_LEVEL, "log": EXP_LEVEL}
+            assert backend1["numpy_dispatch"] == {"exp": lowered, "log": lowered}
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
@@ -826,11 +835,22 @@ def test_network_kernel_records_its_own_steps(family, n):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 300, 1000, 4500, 9000])
 def test_mean_std_is_ndarray_mean_and_std(n):
-    gen = np.random.default_rng(n)
-    for offset in (0.0, 1e8):
-        block = gen.normal(size=(n, 3)) + offset
-        for col in (block[:, 1], block[:, 1].copy()):  # strided and contiguous
-            assert _kernels.mean_std(col) == (col.mean(), col.std())
+    # a recorded mean and std is the column's col.mean() and col.std() in
+    # both twins, on either side of the edges of numpy's pairwise sum (8
+    # and 128 values); a step with dt = 0 leaves every state as it was
+    twin = _kernels.c_twin("network_chunk")
+    for kernel in [network_chunk] + ([twin] if twin is not None else []):
+        for offset in (0.0, 1e8):
+            a = _random_network_args("chemical", n, 1, n, stride=1)
+            a[0][:, :2] += offset
+            a[2] = 0.0
+            states = a[0].copy()
+            assert kernel(*a) == 1
+            np.testing.assert_array_equal(a[0], states)
+            for p in range(2):
+                cols = states[a[3][p]:a[3][p + 1]].T
+                assert a[-3][p, 1].tolist() == [c.mean() for c in cols]
+                assert a[-2][p, 1].tolist() == [c.std() for c in cols]
 
 
 def test_c_network_kernel_rejects_bad_arguments(c_network_chunk):
@@ -1273,18 +1293,18 @@ def test_failed_exp_lookup_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
 
 
 @needs_cc
-@pytest.mark.skipif(numpy_target("exp") != "X86_V4",
-                    reason="numpy's float64 exp does not dispatch to X86_V4 here")
+@lowers_exp
 def test_chemical_twin_follows_numpys_exp_target(tmp_path):
-    # with numpy's exp dispatched to X86_V3, the loop the C step calls is
-    # that one, so the C twin still gives the numpy kernel's bytes
+    # with numpy's exp dispatched one level lower, the loop the C step calls
+    # is that one, so the C twin still gives the numpy kernel's bytes
+    disabled, lowered = LOWER_LEVEL[EXP_LEVEL]
     code = ("from balancenet import _kernels\n"
             "from balancenet.config import parse_config_dict\n"
             "from balancenet.harness import run_experiment\n"
             f"spec = parse_config_dict({CHEMICAL_EVENT_RUN!r})\n"
             f"c = run_experiment(spec, out_dir={str(tmp_path / 'c')!r})\n"
             "assert c['backend']['network_chunk'] == 'c', c['backend']\n"
-            "assert c['backend']['numpy_dispatch'] == {'exp': 'X86_V3'}, c['backend']\n"
+            f"assert c['backend']['numpy_dispatch'] == {{'exp': {lowered!r}}}, c['backend']\n"
             "_kernels._c_twins = {k: v for k, v in _kernels._c_kernels().items()\n"
             "                     if k != 'network_chunk'}\n"
             f"n = run_experiment(spec, out_dir={str(tmp_path / 'n')!r})\n"
@@ -1292,7 +1312,7 @@ def test_chemical_twin_follows_numpys_exp_target(tmp_path):
             "assert len(c['files']) >= 2 and c['files'] == n['files']\n")
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
+           "NPY_DISABLE_CPU_FEATURES": disabled}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 

@@ -326,6 +326,7 @@ class TestInitialState:
 
 CONTRACT_DT = 1e-4
 CONTRACT_STEPS = 2 * NOISE_CHUNK + 88
+CONTRACT_CASES = ("chunk-edge", "event-and-snapshot", "short-last-block")
 
 
 def _contract_case(family):
@@ -397,9 +398,8 @@ class TestReproducibilityContract:
 
 
 def _force_prefetch(monkeypatch, on: bool):
-    """Draw the noise of the following runs in prefetched quarter-blocks
-    (on) or in whole blocks inline (off), whatever the host's CPUs and the
-    run's size."""
+    """Give the following runs a noise worker (on) or none (off), whatever
+    the host's CPUs and the run's size."""
     monkeypatch.setattr(network, "usable_cpus", lambda: 2 if on else 1)
     monkeypatch.setattr(network, "PREFETCH_MIN_DRAWS", 0)
 
@@ -476,9 +476,8 @@ class _NoiseSpy:
 class TestNoiseBlocks:
     @pytest.mark.parametrize("family", ["electrical", "chemical"])
     def test_partial_last_block_keeps_bytes(self, family, monkeypatch):
-        # the last block is drawn short, in whole blocks inline and in
-        # prefetched quarter-blocks alike; the run equals one stepped on
-        # full blocks
+        # the last block is drawn short, with a noise worker and without;
+        # the run equals one stepped on full blocks
         model, init, _ = _contract_case(family)
         steps = 2 * NOISE_CHUNK + 37
         T = steps * CONTRACT_DT
@@ -491,15 +490,14 @@ class TestNoiseBlocks:
             assert network_chunk(state, block[:k], CONTRACT_DT, model.offsets,
                                  *kernel_args) == k
 
-        for on, pieces in ((False, [(0, NOISE_CHUNK), (1, NOISE_CHUNK), (2, 37)]),
-                           (True, [(0, PIECE)] * 4 + [(1, PIECE)] * 4 + [(2, 37)])):
+        for on in (False, True):
             _force_prefetch(monkeypatch, on)
             spy = _NoiseSpy(monkeypatch)
             run = simulate(model, init, T, CONTRACT_DT, 8,
                            RecordSpec(stride=1, snapshot_times=(T,)))
             monkeypatch.setattr(rng, "normal_block", spy.normal_block)
             # the two threads' pieces may interleave; each block's are in order
-            assert sorted(spy.pieces) == pieces
+            assert sorted(spy.pieces) == [(0, PIECE)] * 4 + [(1, PIECE)] * 4 + [(2, 37)]
             # blocks 0 and 1 are drawn whole, block 2 only to row 37
             spy.check_streams(steps)
             np.testing.assert_array_equal(run.snapshots[-1][1], state)
@@ -517,18 +515,17 @@ def _same_run(a, b):
 
 
 class TestNoisePrefetch:
-    """Prefetched quarter-blocks are the noise of whole blocks drawn inline:
-    final states and records are bit-identical with the prefetch off, on,
-    and on with a slowed worker, for whom the stepping thread draws each
-    later block's first piece; a run returns only once its noise worker has
-    stopped."""
+    """A noise worker moves no bit: final states and records are
+    bit-identical with no worker, a worker, and a slowed worker, for whom
+    the stepping thread draws each later block's first piece; a run returns
+    only once its noise worker has stopped."""
 
     def _each_way(self, monkeypatch, *args, **kwargs):
-        """The run with the prefetch off, on, and on with its worker slowed.
-        The first draws whole blocks on the stepping thread, the others
-        quarter-blocks: the second mostly on its worker, the third on its
-        worker but for the first piece of every block from block 1 on,
-        which the stepping thread draws while it waits."""
+        """The run with no noise worker, a worker, and a slowed worker. The
+        first draws every piece on the stepping thread, the second mostly on
+        its worker, the third on its worker but for the first piece of every
+        block from block 1 on, which the stepping thread draws while it
+        waits."""
         runs, spies = [], []
         for on, delay in ((False, 0.0), (True, 0.0), (True, SLOW_WORKER)):
             _force_prefetch(monkeypatch, on)
@@ -538,11 +535,12 @@ class TestNoisePrefetch:
             assert not _noise_threads()
         off, on, slow = spies
         stepping = threading.current_thread()
-        assert off.pieces[0] == (0, NOISE_CHUNK) and on.pieces[0] == slow.pieces[0] == (0, PIECE)
+        assert off.pieces[0] == on.pieces[0] == slow.pieces[0] == (0, PIECE)
         assert off.threads == {stepping} and len(on.threads - {stepping}) == 1
         assert len(slow.threads) == 2
         for spy in spies:
             assert spy.started == spy.done
+        off.check_streams()
         on.check_streams()
         slow.check_streams()
         # the stepping thread draws whole first pieces of later blocks only
@@ -551,9 +549,9 @@ class TestNoisePrefetch:
         assert blocks == list(range(1, len(blocks) + 1))
         return runs, slow
 
-    @pytest.mark.parametrize("family", ["electrical", "chemical"])
-    @pytest.mark.parametrize("case", ["chunk-edge", "event-and-snapshot", "short-last-block"])
-    def test_bit_identical_on_and_off(self, family, case, monkeypatch):
+    @staticmethod
+    def _contract_run(family, case):
+        """(steps, simulate's arguments) of a contract case."""
         model, init, identity = _contract_case(family)
         steps, stride, snaps, events = CONTRACT_STEPS, 1, (), ()
         if case == "event-and-snapshot":
@@ -566,15 +564,38 @@ class TestNoisePrefetch:
         elif case == "short-last-block":
             steps = 2 * NOISE_CHUNK + 37
         T = steps * CONTRACT_DT
-        (off, on, slow), spy = self._each_way(
-            monkeypatch, model, init, T, CONTRACT_DT, 12,
-            RecordSpec(stride=stride, traces=2, snapshot_times=snaps + (T,)), events)
-        assert on.status == "COMPLETED" and len(on.snapshots) == len(snaps) + 1
+        return steps, (model, init, T, CONTRACT_DT, 12,
+                       RecordSpec(stride=stride, traces=2, snapshot_times=snaps + (T,)), events)
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_bit_identical_on_and_off(self, family, case, monkeypatch):
+        steps, args = self._contract_run(family, case)
+        (off, on, slow), spy = self._each_way(monkeypatch, *args)
+        assert on.status == "COMPLETED" and len(on.snapshots) == len(args[5].snapshot_times)
         _same_run(off, on)
         _same_run(off, slow)
         # every block after the first starts on the stepping thread
         spy.check_streams(steps)
         assert spy.stepping_fills() == [(1, 0), (2, 0)]
+
+    @pytest.mark.parametrize("family", ["electrical", "chemical"])
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_same_fills_with_and_without_a_worker(self, family, case, monkeypatch):
+        # one piece size and one claim protocol: a run without a worker
+        # draws the pieces a run with one draws, each from the same word
+        steps, args = self._contract_run(family, case)
+        fills = []
+        for on in (False, True):
+            _force_prefetch(monkeypatch, on)
+            spy = _NoiseSpy(monkeypatch)
+            simulate(*args)
+            monkeypatch.setattr(rng, "normal_block", spy.normal_block)
+            spy.check_streams(steps)
+            fills.append(sorted((block, word, rows) for block, word, rows, _ in spy.fills))
+        assert fills[0] == fills[1]
+        last = [steps % PIECE] if steps % PIECE else []
+        assert [rows for *_, rows in fills[0]] == [PIECE] * (steps // PIECE) + last
 
     @pytest.mark.parametrize("family", ["electrical", "chemical"])
     def test_numpy_fill_bit_identical_on_and_off(self, family, monkeypatch):
@@ -827,19 +848,24 @@ class TestNoisePrefetch:
         for n_steps in (NOISE_CHUNK // 2 + 1, 200, NOISE_CHUNK, CONTRACT_STEPS, 4000):
             for N in (5, 3200):
                 feed = network._NoiseFeed(1, n_steps, N)
-                assert feed.worker is not None and feed.rows == PIECE
+                assert feed.worker is not None and feed.slots.shape[1:] == (PIECE, N)
                 assert feed.slots.nbytes <= NOISE_CHUNK * N * 8
 
     def test_runs_of_at_most_half_a_block_keep_one_inline_slot(self, monkeypatch):
-        # dense-sweep's sqrt cell at n = 3200 steps 100 times: a ring of
-        # quarter-blocks would hold 256 rows where the run needs 100
+        # dense-sweep's sqrt cell at n = 3200 steps 100 times: it starts no
+        # worker and holds one piece
         monkeypatch.setattr(network, "usable_cpus", lambda: 2)
         for n_steps in (100, NOISE_CHUNK // 2):
             feed = network._NoiseFeed(1, n_steps, 3200)
-            assert feed.worker is None and feed.slots.shape == (1, n_steps, 3200)
-        # its linear cell steps 4000 times, through the ring
+            assert feed.worker is None and feed.slots.shape == (1, PIECE, 3200)
+        # its linear cell steps 4000 times, through a ring of PIECES slots
         feed = network._NoiseFeed(1, 4000, 3200)
         assert feed.worker is not None and feed.slots.shape == (network.PIECES, PIECE, 3200)
+        # without a worker, a run of any length holds one piece
+        monkeypatch.setattr(network, "usable_cpus", lambda: 1)
+        for n_steps in (10, NOISE_CHUNK // 2 + 1, NOISE_CHUNK, 4000):
+            feed = network._NoiseFeed(1, n_steps, 3200)
+            assert feed.worker is None and feed.slots.shape == (1, min(PIECE, n_steps), 3200)
 
 
 class TestBlowupStep:
