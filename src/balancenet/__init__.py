@@ -8,12 +8,11 @@ __version__ = "0.1.0"
 from .models import (FhnChemicalParams, FhnElectricalParams, NetworkModel,
                      ScalingRule, SeparableModel1D, SeparableParams,
                      build_separable_1d, scaling_gamma)
-from .network import (CoordinateIC, InitialConditionSpec, NetworkState,
-                      PerturbationEvent, RecordSpec, RunRecord,
-                      apply_perturbation, simulate, simulate_rescaled_early)
-from .balance import (BalanceReport, EmpiricalMeasure, chemical_balance_voltages,
-                      chemical_stability, distance_to_balance,
-                      integrate_early_ode)
+from .network import (CoordinateIC, InitialConditionSpec, PerturbationEvent,
+                      RecordSpec, RunRecord, apply_perturbation, simulate,
+                      simulate_rescaled_early)
+from .balance import (BalanceReport, chemical_balance_voltages, chemical_stability,
+                      distance_to_balance, integrate_early_ode)
 from .pde import DensityField, Grid1D, gaussian_initial, solve_fp_1d
 from .hopfcole import (HopfColeField, check_bv_interaction, check_moment_bound,
                        check_w_gradient_bound, epsilon_sweep, hamiltonian_residual,

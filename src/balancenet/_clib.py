@@ -153,34 +153,37 @@ def _load_c_library():
         return None
 
 
+def _address(twin: str, a: np.ndarray, shape: tuple | None, writeable: bool = False) -> int:
+    """The data address of a C-contiguous float64 array of ``shape`` (any
+    shape when None), checked for the C twin ``twin`` before it reads."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and (shape is None or a.shape == shape)
+            and a.flags.c_contiguous and (a.flags.writeable or not writeable)):
+        raise ValueError(f"{twin}: expected a {'writeable ' * writeable}C-contiguous float64 "
+                         f"array{f' of shape {shape}' if shape else ''}")
+    return a.ctypes.data
+
+
 def _c_fp_chunk(lib):
     """Wrap the C ``fp_chunk`` of ``lib`` in the numpy kernel's signature."""
-    vec = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     c_fn = lib.fp_chunk
-    c_fn.argtypes = [out, out, vec, vec, vec, ctypes.c_long, ctypes.c_double,
-                     ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_long, out]
-    c_fn.restype = ctypes.c_long
+    ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    c_fn.argtypes = [ptr, ptr, ptr, ptr, ptr, long_, double, double, double, double, long_, ptr]
+    c_fn.restype = long_
+    address = functools.partial(_address, "fp_chunk")
 
     def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
                  dx, dt, nsteps, i_out):
         """The numpy ``fp_chunk`` in C: same arguments, same result bits."""
         m = mu.shape[0]
-        if not (flux.shape == f_face.shape == alpha_face.shape == (m + 1,)
-                and beta_w.shape == (m,) and 0 <= nsteps <= i_out.shape[0]):
-            raise ValueError("fp_chunk: array sizes do not match the grid")
-        return c_fn(mu, flux, f_face, alpha_face, beta_w, m, inv_eps, half_sig2,
-                    dx, dt, nsteps, i_out)
+        if not 0 <= nsteps <= i_out.size:
+            raise ValueError("fp_chunk: more steps than interaction slots")
+        return c_fn(address(mu, (m,), True), address(flux, (m + 1,), True),
+                    address(f_face, (m + 1,)), address(alpha_face, (m + 1,)),
+                    address(beta_w, (m,)), m, inv_eps, half_sig2, dx, dt, nsteps,
+                    address(i_out, (i_out.size,), True))
 
     return fp_chunk
-
-
-def _address(a: np.ndarray, shape: tuple, writeable: bool = False) -> int:
-    """The data address of a C-contiguous float64 array of ``shape``."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
-            and a.flags.c_contiguous and (a.flags.writeable or not writeable)):
-        raise ValueError(f"network_chunk: expected a C-contiguous float64 array of shape {shape}")
-    return a.ctypes.data
 
 
 NPY_DOUBLE = 12  # numpy's type number of float64 (NPY_TYPES in ndarraytypes.h)
@@ -232,6 +235,7 @@ def _c_network_chunk(lib, exp_loop: int, exp_data: int | None):
     c_fn.argtypes = [ptr, long_, long_, ptr, long_, double, ptr, long_, ptr, ptr, ptr, ptr, ptr,
                      ptr, double, ptr, ptr, ptr, long_, long_, long_, long_, ptr, ptr, ptr, ptr]
     c_fn.restype = long_
+    address = functools.partial(_address, "network_chunk")
 
     def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
                       fhn, sig, step0=0, stride=0, means=None, stds=None, traces=None):
@@ -248,20 +252,20 @@ def _c_network_chunk(lib, exp_loop: int, exp_data: int | None):
         const = [np.ascontiguousarray(v, dtype=np.float64) for v in (coef, alpha0, alpha1, beta0, beta1)]
         shapes = [(npop, npop), (npop,), (npop, d), (npop,), (npop, d)]
         gate = np.empty(n) if d == 3 else None  # the C step's scratch for the gate
-        args = [_address(states, (n, d), writeable=True), n, d,
-                _address(noise, (steps, n)) if steps else None, steps, dt,
+        args = [address(states, (n, d), writeable=True), n, d,
+                address(noise, (steps, n)) if steps else None, steps, dt,
                 offsets.ctypes.data, npop,
-                *(_address(v, s) for v, s in zip(const, shapes)),
-                _address(fhn, (11,)), sig, None if gate is None else gate.ctypes.data,
+                *(address(v, s) for v, s in zip(const, shapes)),
+                address(fhn, (11,)), sig, None if gate is None else gate.ctypes.data,
                 exp_loop, exp_data, step0, stride, 0, 0, None, None, None, None]
         if stride > 0:
             slots, k = means.shape[1], traces.shape[2]
             if (step0 + steps) // stride >= slots:
                 raise ValueError("network_chunk: too few record slots")
             scratch = np.empty(n)  # the C record's squared deviations of a column
-            args[20:] = [slots, k, _address(means, (npop, slots, d), True),
-                         _address(stds, (npop, slots, d), True),
-                         _address(traces, (npop, slots, k), True) if k else None,
+            args[20:] = [slots, k, address(means, (npop, slots, d), True),
+                         address(stds, (npop, slots, d), True),
+                         address(traces, (npop, slots, k), True) if k else None,
                          scratch.ctypes.data]
         return c_fn(*args)
 
@@ -280,12 +284,10 @@ def _c_normal_block(lib):
 
     def normal_block(key0, key1, out, start=0):
         """numpy's Philox standard normals for the key, in C: same bits."""
-        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                and out.flags.c_contiguous and out.flags.writeable):
-            raise ValueError("normal_block: expected a writeable C-contiguous float64 array")
+        address = _address("normal_block", out, None, True)
         if not 0 <= start < 2 ** 63:
             raise ValueError(f"normal_block: start word {start} outside [0, 2^63)")
-        return c_fn(key0, key1, start, out.ctypes.data, out.size)
+        return c_fn(key0, key1, start, address, out.size)
 
     return normal_block
 

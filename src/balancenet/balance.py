@@ -1,6 +1,8 @@
-"""Balance-manifold computations: net interaction input of an empirical
-measure, the two-population balance voltages and their stability rates, the
-frozen-measure early-time ODE, and distance-to-balance diagnostics.
+"""Balance-manifold computations: the two-population balance voltages and
+their stability rates, the frozen-measure early-time ODE, and
+distance-to-balance diagnostics. A measure enters only through its
+population means, which fix the affine network input (see
+models.SourceMaps).
 
 All functions are pure over immutable inputs. The signed conductance matrix
 ghat is source-major: ghat[q, beta] couples source population q onto target
@@ -16,35 +18,12 @@ import numpy as np
 
 from ._kernels import c_twin, rk4_affine
 from .models import NetworkModel, affine_coefficients, conductance_source_maps
-from .network import NetworkState
 
 DEGENERACY_RTOL = 1e-10
 
 
 class DegenerateDenominatorError(ArithmeticError):
     """The balance-voltage denominator vanishes for a population."""
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniformly weighted per-population samples in R^d."""
-
-    samples: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for p, arr in enumerate(self.samples):
-            if arr.ndim != 2 or arr.shape[0] == 0:
-                raise ValueError(f"population {p}: samples must be a nonempty (n, d) array")
-
-    @classmethod
-    def from_state(cls, state: NetworkState) -> "EmpiricalMeasure":
-        blocks = tuple(state.block(p).copy()
-                       for p in range(len(state.offsets) - 1))
-        return cls(blocks)
-
-    def means(self) -> np.ndarray:
-        """Per-population mean states, (P, d)."""
-        return np.stack([arr.mean(axis=0) for arr in self.samples])
 
 
 @dataclass(frozen=True)
@@ -125,26 +104,31 @@ class EarlyOdeResult:
     blowup_time: float | None = None
 
 
-def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
+def integrate_early_ode(model: NetworkModel, frozen_means: np.ndarray,
                         x0: np.ndarray, T: float, dt: float | None = None) -> EarlyOdeResult:
     """Classical fixed-step RK4 for dx_p/dt = sum_q g_pq int b_pq(x_p, y) dmu_q
-    with the measure frozen. x0 has shape (P, d); divergence is reported via
-    a BLOWUP status, not raised.
+    with the measure frozen. The frozen measure enters only through its
+    population means frozen_means, (P, d) (model.population_means of its
+    states); x0 has shape (P, d). Divergence is reported via a BLOWUP
+    status, not raised.
 
     The right-hand side moves only the voltage, as x_p' = A_p x_p + B_p
-    with constants (A, B) read off the frozen measure, so each population
-    is stepped as one scalar ODE (``_kernels.rk4_affine``, in C when its
-    twin is built, else on Python floats); the default step is
+    with constants (A, B) read off frozen_means, so each population is
+    stepped as one scalar ODE (``_kernels.rk4_affine``, in C when its twin
+    is built, else on Python floats); the default step is
     1e-3 / max(1, max_p |A_p|).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    P = model.n_populations
+    P, d = model.n_populations, model.dim
     if x0.shape[0] != P:
         raise ValueError(f"x0 must supply one point per population, got {x0.shape}")
+    if np.shape(frozen_means) != (P, d):
+        raise ValueError(f"frozen_means must be one mean state per population, shape "
+                         f"{(P, d)}, got {np.shape(frozen_means)}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be positive and finite, got {T}")
     # the measure is frozen, and with it the affine coefficients
-    A, B = model.affine_coefficients(frozen_measure.means())
+    A, B = model.affine_coefficients(frozen_means)
     if dt is None:
         r = float(np.max(np.abs(A)))
         dt = 1e-3 * min(1.0, 1.0 / r) if r else 1e-3
@@ -170,9 +154,10 @@ def integrate_early_ode(model: NetworkModel, frozen_measure: EmpiricalMeasure,
     return EarlyOdeResult(times=times, traj=traj, status="BLOWUP", blowup_time=float(times[last]))
 
 
-def distance_to_balance(state: NetworkState, model: NetworkModel) -> float:
+def distance_to_balance(states: np.ndarray, model: NetworkModel) -> float:
     """Max over agents of the Euclidean norm of the un-gamma-scaled net
-    input; exactly zero on the balance manifold."""
-    A, B = model.affine_coefficients(EmpiricalMeasure.from_state(state).means())
-    return max(float(np.abs(A[p] * state.block(p)[:, 0] + B[p]).max())
+    input at the (N, d) states; exactly zero on the balance manifold."""
+    A, B = model.affine_coefficients(model.population_means(states))
+    o = model.offsets
+    return max(float(np.abs(A[p] * states[o[p]:o[p + 1], 0] + B[p]).max())
                for p in range(model.n_populations))

@@ -28,17 +28,16 @@ import numpy as np
 from . import __version__
 from ._kernels import (backend as kernel_backend, c_twin, csv_body, csv_column_kind,
                        numpy_target)
-from .balance import (DegenerateDenominatorError, EmpiricalMeasure,
-                      chemical_balance_report, chemical_balance_voltages,
-                      distance_to_balance, integrate_early_ode)
+from .balance import (DegenerateDenominatorError, chemical_balance_report,
+                      chemical_balance_voltages, distance_to_balance,
+                      integrate_early_ode)
 from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
                      DoubleLimitSpec, EpsilonSweepSpec, ExperimentSpec,
                      FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec)
 from .hopfcole import epsilon_sweep, snapshot_series
 from .models import ScalingRule
-from .network import (NetworkState, RecordSpec, RunRecord,
-                      apply_perturbation, simulate, simulate_rescaled_early,
-                      usable_cpus)
+from .network import (RecordSpec, RunRecord, apply_perturbation, simulate,
+                      simulate_rescaled_early, usable_cpus)
 from .pde import gaussian_initial, solve_fp_1d
 
 
@@ -205,9 +204,8 @@ def _early_gap(model, run: RunRecord) -> tuple[float, float, float]:
     t = 0 snapshot, which _run_rescaled_early always records."""
     P = len(run.means)
     x0 = np.stack([run.means[q][0] for q in range(P)])
-    measure = EmpiricalMeasure.from_state(NetworkState(0.0, run.snapshots[0][1], model.offsets))
     horizon = float(run.times[-1])
-    ode = integrate_early_ode(model, measure, x0, horizon)
+    ode = integrate_early_ode(model, model.population_means(run.snapshots[0][1]), x0, horizon)
     gap = 0.0
     for q in range(P):
         ref = np.interp(run.times, ode.times, ode.traj[:, q, 0])
@@ -395,8 +393,8 @@ def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
     metrics = _write_run_artifacts(out, run, model.labels)
     d0 = dT = math.nan
     if len(run.snapshots) >= 2:
-        d0 = distance_to_balance(NetworkState(0.0, run.snapshots[0][1], model.offsets), model)
-        dT = distance_to_balance(NetworkState(0.0, run.snapshots[1][1], model.offsets), model)
+        d0 = distance_to_balance(run.snapshots[0][1], model)
+        dT = distance_to_balance(run.snapshots[1][1], model)
     return {"kind": "network", "n": n, "scaling": rule.kind, "gamma": gamma,
             "mode": mode,
             "status": run.status, "collapse_time": _collapse_time(run, threshold),

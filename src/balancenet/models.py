@@ -278,6 +278,13 @@ class NetworkModel:
         """Row offsets of the populations in the stacked state, (P + 1,)."""
         return np.arange(self.n_populations + 1, dtype=np.int64) * self.n
 
+    def population_means(self, states: np.ndarray) -> np.ndarray:
+        """Mean state of each population's rows of the stacked (N, d)
+        states, (P, d); each block is averaged in place, as a view."""
+        n = self.n
+        return np.stack([states[p * n:(p + 1) * n].mean(axis=0)
+                         for p in range(self.n_populations)])
+
     @cached_property
     def coupling(self) -> np.ndarray:
         coupling = self.params.coupling()

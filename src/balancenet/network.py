@@ -41,21 +41,8 @@ class ConfigurationError(ModelDefinitionError):
 
 
 # ---------------------------------------------------------------------------
-# state, initial conditions, recording
+# initial conditions, recording
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class NetworkState:
-    """States of all agents at one time; agents of each population occupy a
-    contiguous block given by offsets."""
-
-    t: float
-    states: np.ndarray  # (N, d)
-    offsets: np.ndarray  # (P + 1,)
-
-    def block(self, p: int) -> np.ndarray:
-        return self.states[self.offsets[p]:self.offsets[p + 1]]
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,9 @@ def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> Network
 # ---------------------------------------------------------------------------
 
 
-def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: int) -> NetworkState:
+def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: int) -> np.ndarray:
+    """The (N, d) states of all agents at t = 0, population p in rows
+    model.offsets[p]:model.offsets[p + 1]."""
     if len(init.coords) != model.n_populations:
         raise ConfigurationError("initial condition spec does not match population count")
     offsets = model.offsets
@@ -169,7 +158,7 @@ def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: in
                 draws = np.full(n, ic.p1)
             states[offsets[p]:offsets[p + 1], k] = draws
             block += 1
-    return NetworkState(t=0.0, states=states, offsets=offsets)
+    return states
 
 
 def check_run(model: NetworkModel, T: float, dt: float,
@@ -375,8 +364,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     """
     check_run(model, T, dt, events)
     n_steps = int(round(T / dt))
-    state = draw_initial_state(model, init, seed)
-    offsets = state.offsets
+    states = draw_initial_state(model, init, seed)
+    offsets = model.offsets
     N = int(offsets[-1])
     n, d = model.n, model.dim
     P = model.n_populations
@@ -407,7 +396,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     def record(step: int):
         slot = step // stride if step % stride == 0 else S - 1
         for p in range(P):
-            blk = state.states[offsets[p]:offsets[p + 1]]
+            blk = states[offsets[p]:offsets[p + 1]]
             for k in range(d):
                 col = blk[:, k]
                 means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
@@ -422,7 +411,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         record(0)
         for s0, s1 in zip(special, special[1:]):
             if s0 in snapshot_steps:
-                snapshots.append((s0 * dt, state.states.copy()))
+                snapshots.append((s0 * dt, states.copy()))
             for ev in event_steps.get(s0, []):
                 cur_model = apply_perturbation(cur_model, ev)
                 args = _kernel_args(cur_model)
@@ -430,7 +419,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
             while step < s1:
                 lo, block = noise.piece(step)
                 hi = min(s1, lo + block.shape[0])
-                step += kernel(state.states, block[step - lo:hi - lo], dt, offsets,
+                step += kernel(states, block[step - lo:hi - lo], dt, offsets,
                                *args, step, stride, means, stds, traces)
                 if step < hi:
                     status = BLOWUP
@@ -442,7 +431,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
             if n_steps % stride:
                 record(n_steps)
             if n_steps in snapshot_steps:
-                snapshots.append((n_steps * dt, state.states.copy()))
+                snapshots.append((n_steps * dt, states.copy()))
 
     valid = step // stride + 1 if status == BLOWUP else S
     return RunRecord(

@@ -62,12 +62,11 @@ class Grid1D:
 @dataclass(eq=False)
 class DensityField:
     """Probability density on a grid with its inverse-coupling epsilon:
-    values (M,) at time t, or a stack (S, M) of densities, one a row."""
+    values (M,), or a stack (S, M) of densities, one a row."""
 
     grid: Grid1D
     values: np.ndarray
     epsilon: float
-    t: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -116,10 +115,6 @@ class FpRun:
     i_values: np.ndarray        # (n_steps,)
     status: str = "COMPLETED"
     meta: dict = field(default_factory=dict)
-
-    def density_at(self, idx: int) -> DensityField:
-        return DensityField(grid=self.grid, values=self.densities[idx].copy(),
-                            epsilon=self.epsilon, t=float(self.times[idx]))
 
     def snapshots(self) -> DensityField:
         """Every snapshot, as one stack."""

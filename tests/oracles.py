@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from balancenet.balance import EmpiricalMeasure
-from balancenet.network import NetworkState
 from balancenet.pde import DensityField, Grid1D
 
 # ---------------------------------------------------------------------------
@@ -25,9 +23,7 @@ from balancenet.pde import DensityField, Grid1D
 
 
 class BlowupError(ArithmeticError):
-    def __init__(self, t: float):
-        super().__init__(f"non-finite state at t={t}")
-        self.t = t
+    """A step left a coordinate non-finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +89,16 @@ def pairwise_input(model: PairwiseModel, p: int, x, blocks) -> np.ndarray:
     return out
 
 
-def pairwise_step(state: NetworkState, model: PairwiseModel, dt: float,
-                  noise: np.ndarray) -> NetworkState:
-    """One explicit step of every agent; noise holds (N, channels) standard
-    normals. Raises BlowupError when an updated coordinate is non-finite."""
-    offsets = state.offsets
-    blocks = [state.block(q) for q in range(len(offsets) - 1)]
-    new = np.empty_like(state.states)
+def pairwise_step(states: np.ndarray, model: PairwiseModel, dt: float,
+                  noise: np.ndarray) -> np.ndarray:
+    """One explicit step of every agent of the (N, d) states, population p
+    in rows model.offsets[p]:model.offsets[p + 1]; noise holds (N, channels)
+    standard normals. Returns the new states and raises BlowupError when an
+    updated coordinate is non-finite."""
+    offsets = model.offsets
+    blocks = [states[offsets[q]:offsets[q + 1]] for q in range(len(offsets) - 1)]
+    new = np.empty_like(states)
     sq = math.sqrt(dt)
-    t = state.t + dt
     with np.errstate(over="ignore", invalid="ignore"):
         for p, X in enumerate(blocks):
             lo, hi = offsets[p], offsets[p + 1]
@@ -110,8 +107,8 @@ def pairwise_step(state: NetworkState, model: PairwiseModel, dt: float,
             xi = np.atleast_2d(noise[lo:hi])
             new[lo:hi] = X + drift * dt + sq * (xi @ model.sigmas[p].T)
     if not np.isfinite(new).all():
-        raise BlowupError(t)
-    return NetworkState(t=t, states=new, offsets=offsets)
+        raise BlowupError("non-finite state after the step")
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +185,18 @@ def fp_chunk_loop(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
 # ---------------------------------------------------------------------------
 
 
-def net_input(model, p: int, x, measure: EmpiricalMeasure) -> np.ndarray:
-    """sum_q g_pq * mean_y b_pq(x, y) against the empirical measure
-    (the un-gamma-scaled drift contribution of the network)."""
+def net_input(model, p: int, x, means) -> np.ndarray:
+    """sum_q g_pq * mean_y b_pq(x, y) against an empirical measure with
+    population means means, (P, d) (the un-gamma-scaled drift contribution
+    of the network)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[0])
-    A, B = model.affine_coefficients(measure.means())
+    A, B = model.affine_coefficients(means)
     out[0] = A[p] * x[0] + B[p]
     return out
 
 
-def density_from_values(grid: Grid1D, values, epsilon: float, t: float = 0.0,
+def density_from_values(grid: Grid1D, values, epsilon: float,
                         normalize: bool = True) -> DensityField:
     """A density on grid from nonnegative values, normalized to unit mass."""
     v = np.asarray(values, dtype=float).copy()
@@ -206,7 +204,7 @@ def density_from_values(grid: Grid1D, values, epsilon: float, t: float = 0.0,
         raise ValueError("density values must be nonnegative")
     if normalize:
         v /= v.sum() * grid.dx
-    d = DensityField(grid=grid, values=v, epsilon=epsilon, t=t)
+    d = DensityField(grid=grid, values=v, epsilon=epsilon)
     if abs(d.mass - 1.0) > 1e-8:
         raise ValueError(f"density mass {d.mass} is not 1 within 1e-8")
     return d

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from balancenet.balance import (NetworkState, chemical_balance_voltages,
-                                chemical_stability, distance_to_balance)
+from balancenet.balance import (chemical_balance_voltages, chemical_stability,
+                                distance_to_balance)
 from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
 from balancenet.hopfcole import epsilon_sweep
@@ -128,9 +128,8 @@ def test_criterion_01_electrical_collapse(electrical_runs):
     late = run.stds[0][(run.times >= 0.2), 0]
     assert np.all(np.abs(late - OU_SD) <= 0.5 * OU_SD)
     # distance to the balance manifold contracts by >= 10x by t = 10/gamma
-    offs = np.array([0, 300], dtype=np.int64)
-    d0 = distance_to_balance(NetworkState(0.0, run.snapshots[0][1], offs), model)
-    d1 = distance_to_balance(NetworkState(0.0, run.snapshots[1][1], offs), model)
+    d0 = distance_to_balance(run.snapshots[0][1], model)
+    d1 = distance_to_balance(run.snapshots[1][1], model)
     assert d0 / d1 >= 10.0
     announce(1, f"electrical collapse (std {late.mean():.4f} ~ {OU_SD:.4f}, "
                 f"distance ratio {d0 / d1:.0f})")

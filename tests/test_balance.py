@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancenet.balance import (DegenerateDenominatorError, EmpiricalMeasure,
+from balancenet.balance import (DegenerateDenominatorError,
                                 chemical_balance_report,
                                 chemical_balance_voltages, chemical_stability,
                                 distance_to_balance, integrate_early_ode)
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule)
-from balancenet.network import NetworkState
-
 from .oracles import net_input, pairwise_input, pairwise_model
 
 GHAT_2A = np.array([[0.3, 2.0], [-1.0, -10.0]])
@@ -31,39 +29,37 @@ def elec_model(n=10, g=1.0):
     return NetworkModel(params, n=n, scaling=ScalingRule("linear"))
 
 
-def chem_measure(sbar_E, sbar_I, m=6):
+def chem_means(sbar_E, sbar_I, m=6):
+    """Population means (2, 3) of m random agents in each of E and I, with
+    mean synaptic values sbar_E and sbar_I up to rounding."""
     rng = np.random.default_rng(0)
-    e = rng.normal(size=(m, 3))
-    i = rng.normal(size=(m, 3))
-    e[:, 2] += sbar_E - e[:, 2].mean()
-    i[:, 2] += sbar_I - i[:, 2].mean()
-    return EmpiricalMeasure((e, i))
+    states = rng.normal(size=(2 * m, 3))
+    states[:m, 2] += sbar_E - states[:m, 2].mean()
+    states[m:, 2] += sbar_I - states[m:, 2].mean()
+    return chem_model(n=m).population_means(states)
 
 
 class TestNetInput:
     def test_electrical_zero_at_point_mass(self):
         model = elec_model()
-        measure = EmpiricalMeasure((np.array([[2.5, 0.7]]),))
-        out = net_input(model, 0, [2.5, 0.0], measure)
+        out = net_input(model, 0, [2.5, 0.0], np.array([[2.5, 0.7]]))
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_electrical_linearity_in_displacement(self):
         model = elec_model(g=1.0)
         xstar = 1.3
-        measure = EmpiricalMeasure((np.array([[xstar, 0.0]]),))
         delta = 0.25
-        out = net_input(model, 0, [xstar - delta, 0.0], measure)
+        out = net_input(model, 0, [xstar - delta, 0.0], np.array([[xstar, 0.0]]))
         assert out[0] == pytest.approx(1.0 * delta, rel=1e-12)
 
     def test_chemical_balance_identity(self):
         # at the computed balance voltage the voltage component vanishes
         model = chem_model()
-        measure = chem_measure(0.73, 1.21)
-        sbar_E = float(measure.samples[0][:, 2].mean())
-        sbar_I = float(measure.samples[1][:, 2].mean())
+        means = chem_means(0.73, 1.21)
+        sbar_E, sbar_I = means[:, 2].tolist()
         xE, xI = chemical_balance_voltages(model.ghat, 3.0, -1.0, sbar_E, sbar_I)
         for p, xs in enumerate((xE, xI)):
-            out = net_input(model, p, [xs, 0.0, 0.0], measure)
+            out = net_input(model, p, [xs, 0.0, 0.0], means)
             assert abs(out[0]) <= 1e-12
 
     @given(family=st.sampled_from(("electrical", "chemical")),
@@ -91,7 +87,8 @@ class TestNetInput:
         scale = sum(abs(c) * max(abs(maps(y)[0][q] * x[0]) + abs(maps(y)[1][q])
                                  for y in samples[q])
                     for q, c in enumerate(model.coupling[p]))
-        np.testing.assert_allclose(net_input(model, p, x, EmpiricalMeasure(samples)),
+        means = np.stack([y.mean(axis=0) for y in samples])
+        np.testing.assert_allclose(net_input(model, p, x, means),
                                    expect, rtol=0, atol=1e-13 * scale)
 
 
@@ -181,22 +178,22 @@ class TestElectricalProjection:
     # the mean voltage of the measure and its dispersion (divisor n), the
     # distance from the Dirac voltage structure
     def test_point_mass(self):
-        m = EmpiricalMeasure((np.array([[2.0, 0.1], [2.0, -0.4]]),))
-        assert m.means()[0, 0] == 2.0
-        assert m.samples[0][:, 0].std() == 0.0
+        states = np.array([[2.0, 0.1], [2.0, -0.4]])
+        assert elec_model(n=2).population_means(states)[0, 0] == 2.0
+        assert states[:, 0].std() == 0.0
 
     def test_two_values(self):
-        m = EmpiricalMeasure((np.array([[0.0, 0.0], [2.0, 0.0]]),))
-        assert m.means()[0, 0] == 1.0
-        assert m.samples[0][:, 0].std() == 1.0
+        states = np.array([[0.0, 0.0], [2.0, 0.0]])
+        assert elec_model(n=2).population_means(states)[0, 0] == 1.0
+        assert states[:, 0].std() == 1.0
 
 
-def early_ode_reference(model, measure, x0, T, dt=None):
+def early_ode_reference(model, means, x0, T, dt=None):
     """The numpy RK4 loop integrate_early_ode ran for the affine families
     before it stepped each population on Python floats, kept as the
     reference: (times, traj, status, blowup_time)."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    A, B = model.affine_coefficients(measure.means())
+    A, B = model.affine_coefficients(means)
     if dt is None:
         r = float(np.max(np.abs(A)))
         dt = 1e-3 * min(1.0, 1.0 / r) if r else 1e-3
@@ -236,16 +233,17 @@ def assert_matches_reference(res, ref):
 
 
 def _ode_case(family, couplings, centre):
-    """An affine model, a frozen measure and x0 for one family; couplings
-    are nonnegative conductances, centre shifts the measure, so a chemical
-    A_p = sum_q ghat[q, p] sbar_q takes either sign."""
+    """An affine model, the population means of a frozen measure and the
+    state dimension for one family; couplings are nonnegative conductances,
+    centre shifts the measure, so a chemical A_p = sum_q ghat[q, p] sbar_q
+    takes either sign."""
     if family == "electrical":
-        model = elec_model(g=couplings[0])
-        samples = np.random.default_rng(1).normal(size=(5, 2)) + centre
-        return model, EmpiricalMeasure((samples,)), 2
+        model = elec_model(n=5, g=couplings[0])
+        states = np.random.default_rng(1).normal(size=(5, 2)) + centre
+        return model, model.population_means(states), 2
     g_EE, g_EI, g_IE, g_II = couplings
     model = chem_model(g_EE=g_EE, g_EI=g_EI, g_IE=g_IE, g_II=g_II)
-    return model, chem_measure(centre, 1.0 - centre), 3
+    return model, chem_means(centre, 1.0 - centre), 3
 
 
 finite_or_signed_zero = st.one_of(st.floats(-50.0, 50.0), st.just(-0.0))
@@ -254,25 +252,23 @@ finite_or_signed_zero = st.one_of(st.floats(-50.0, 50.0), st.just(-0.0))
 class TestEarlyOde:
     def test_electrical_fixed_point(self):
         model = elec_model()
-        measure = EmpiricalMeasure((np.array([[1.5, 0.0]]),))
-        res = integrate_early_ode(model, measure, np.array([[1.5, 0.0]]), 1.0)
+        res = integrate_early_ode(model, np.array([[1.5, 0.0]]), np.array([[1.5, 0.0]]), 1.0)
         np.testing.assert_allclose(res.traj[:, 0, 0], 1.5, atol=1e-12)
 
     def test_electrical_analytic_relaxation(self):
         model = elec_model(g=1.0)
-        measure = EmpiricalMeasure((np.array([[1.0, 0.0]]),))
-        res = integrate_early_ode(model, measure, np.array([[2.0, 0.0]]), 1.0)
+        res = integrate_early_ode(model, np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]]), 1.0)
         assert res.traj[-1, 0, 0] == pytest.approx(1.0 + np.exp(-1.0), abs=1e-6)
 
     def test_chemical_converges_to_balance_voltage(self):
         model = chem_model()
-        measure = chem_measure(0.5, 0.5)
-        sE, sI = (float(measure.samples[q][:, 2].mean()) for q in range(2))
+        means = chem_means(0.5, 0.5)
+        sE, sI = means[:, 2].tolist()
         xE, xI = chemical_balance_voltages(model.ghat, 3.0, -1.0, sE, sI)
         rate = chemical_stability(model.ghat, sE, sI)[0].rate
         T = 20.0 / abs(rate)
         x0 = np.array([[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
-        res = integrate_early_ode(model, measure, x0, T, dt=1e-2)
+        res = integrate_early_ode(model, means, x0, T, dt=1e-2)
         assert res.status == "COMPLETED"
         assert res.traj[-1, 0, 0] == pytest.approx(xE, abs=1e-6)
         assert res.traj[-1, 1, 0] == pytest.approx(xI, abs=1e-6)
@@ -282,8 +278,8 @@ class TestEarlyOde:
 
     def test_unstable_blowup_flagged(self):
         model = chem_model(g_EE=5.0, g_EI=2.0, g_IE=0.1, g_II=0.1)
-        measure = chem_measure(1.0, 1.0)
-        res = integrate_early_ode(model, measure,
+        means = chem_means(1.0, 1.0)
+        res = integrate_early_ode(model, means,
                                   np.array([[10.0, 0, 0], [10.0, 0, 0]]),
                                   400.0, dt=1e-2)
         assert res.status == "BLOWUP"
@@ -297,50 +293,50 @@ class TestEarlyOde:
            dt=st.one_of(st.none(), st.floats(1e-4, 0.5)))
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_bit_identical_to_numpy_loop(self, family, couplings, centre, x0, n, frac, dt):
-        model, measure, d = _ode_case(family, couplings, centre)
+        model, means, d = _ode_case(family, couplings, centre)
         x0 = np.reshape(x0[:model.n_populations * d], (model.n_populations, d))
         if dt is None:
-            A, _ = model.affine_coefficients(measure.means())
+            A, _ = model.affine_coefficients(means)
             r = float(np.max(np.abs(A)))
             T = n * frac * 1e-3 * (min(1.0, 1.0 / r) if r else 1.0)
         else:
             T = n * frac * dt
-        res = integrate_early_ode(model, measure, x0, T, dt)
-        assert_matches_reference(res, early_ode_reference(model, measure, x0, T, dt))
+        res = integrate_early_ode(model, means, x0, T, dt)
+        assert_matches_reference(res, early_ode_reference(model, means, x0, T, dt))
 
     def test_one_population_overflows_first(self):
         # A_E = 5 sbar_E - 0.1 sbar_I > 0 runs away; A_I = 2 sbar_E - 10 sbar_I < 0
         model = chem_model(g_EE=5.0, g_EI=2.0, g_IE=0.1, g_II=10.0)
-        measure = chem_measure(1.0, 1.0)
-        A, _ = model.affine_coefficients(measure.means())
+        means = chem_means(1.0, 1.0)
+        A, _ = model.affine_coefficients(means)
         assert A[0] > 0 > A[1]
         x0 = np.array([[10.0, 0.2, 0.3], [-4.0, 0.1, 0.6]])
-        res = integrate_early_ode(model, measure, x0, 400.0, dt=1e-2)
+        res = integrate_early_ode(model, means, x0, 400.0, dt=1e-2)
         assert res.status == "BLOWUP"
         assert not np.isfinite(res.traj[-1, 0, 0])
         assert np.isfinite(res.traj[-1, 1]).all()
         assert res.blowup_time == res.times[-1] < 400.0
-        assert_matches_reference(res, early_ode_reference(model, measure, x0, 400.0, 1e-2))
+        assert_matches_reference(res, early_ode_reference(model, means, x0, 400.0, 1e-2))
 
     @pytest.mark.parametrize("p, k, value", [(0, 0, np.nan), (1, 0, np.inf),
                                              (0, 1, np.inf), (1, 2, -np.inf),
                                              (1, 1, np.nan)])
     def test_non_finite_x0_blows_up_at_first_step(self, p, k, value):
         model = chem_model()
-        measure = chem_measure(0.5, 0.5)
+        means = chem_means(0.5, 0.5)
         x0 = np.array([[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
         x0[p, k] = value
-        res = integrate_early_ode(model, measure, x0, 1.0, dt=1e-2)
+        res = integrate_early_ode(model, means, x0, 1.0, dt=1e-2)
         assert res.status == "BLOWUP"
         assert res.blowup_time == 1e-2 and len(res.times) == 2
-        assert_matches_reference(res, early_ode_reference(model, measure, x0, 1.0, 1e-2))
+        assert_matches_reference(res, early_ode_reference(model, means, x0, 1.0, 1e-2))
 
     def test_electrical_relaxes_to_measure_mean(self):
         # the electrical net input g (mean y_0 - x_0) e_0 relaxes x_0
         # exponentially to the measure's mean; x_1 has zero slope
         model = elec_model(g=0.8)
-        measure = EmpiricalMeasure((np.array([[1.0, 0.0], [2.0, 5.0]]),))
-        res = integrate_early_ode(model, measure, np.array([[3.0, -0.5]]), 2.0, dt=1e-2)
+        means = elec_model(n=2).population_means(np.array([[1.0, 0.0], [2.0, 5.0]]))
+        res = integrate_early_ode(model, means, np.array([[3.0, -0.5]]), 2.0, dt=1e-2)
         assert res.status == "COMPLETED" and res.blowup_time is None
         assert len(res.times) == 201 and res.times[-1] == 200 * 1e-2
         np.testing.assert_allclose(res.traj[:, 0, 0], 1.5 + 1.5 * np.exp(-0.8 * res.times),
@@ -352,32 +348,39 @@ class TestEarlyOde:
                                        (1.0, np.nan), (1.0, np.inf)])
     def test_rejects_bad_horizon(self, T, dt):
         model = elec_model()
-        measure = EmpiricalMeasure((np.array([[1.0, 0.0]]),))
         with pytest.raises(ValueError, match="T must|dt must"):
-            integrate_early_ode(model, measure, np.array([[2.0, 0.0]]), T, dt)
+            integrate_early_ode(model, np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]]), T, dt)
+
+    @pytest.mark.parametrize("family, shape", [("electrical", (2,)), ("electrical", (1, 3)),
+                                               ("electrical", (2, 2)), ("chemical", (1, 3)),
+                                               ("chemical", (2, 2)), ("chemical", (6, 3))])
+    def test_rejects_frozen_means_of_wrong_shape(self, family, shape):
+        # one mean state per population, or the frozen measure is not this
+        # model's; a (2,) row would broadcast silently
+        model = elec_model() if family == "electrical" else chem_model()
+        x0 = np.zeros((model.n_populations, model.dim))
+        with pytest.raises(ValueError, match="frozen_means"):
+            integrate_early_ode(model, np.ones(shape), x0, 1.0, dt=1e-2)
 
 
 class TestDistanceToBalance:
     def test_zero_on_manifold(self):
         model = elec_model(n=5)
         states = np.column_stack([np.full(5, 1.7), np.linspace(-1, 1, 5)])
-        st_ = NetworkState(0.0, states, np.array([0, 5]))
-        assert distance_to_balance(st_, model) == 0.0
+        assert distance_to_balance(states, model) == 0.0
 
     def test_displaced_agent_formula(self):
         n, g, delta = 8, 1.0, 0.6
         model = elec_model(n=n, g=g)
         states = np.column_stack([np.full(n, 2.0), np.zeros(n)])
         states[3, 0] += delta
-        st_ = NetworkState(0.0, states, np.array([0, n]))
         expect = g * delta * (n - 1) / n
-        assert distance_to_balance(st_, model) == pytest.approx(expect, rel=1e-12)
+        assert distance_to_balance(states, model) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_direct_summation_oracle_chemical(self):
         model = chem_model(n=6)
         rng = np.random.default_rng(17)
         states = rng.normal(size=(12, 3))
-        st_ = NetworkState(0.0, states, np.array([0, 6, 12]))
         # O(N^2) oracle
         worst = 0.0
         for i in range(12):
@@ -389,7 +392,7 @@ class TestDistanceToBalance:
                     acc += np.array([(states[i, 0] - model.erev[q]) * states[j, 2], 0, 0])
                 tot += model.coupling[p, q] * acc / 6.0
             worst = max(worst, np.linalg.norm(tot))
-        assert distance_to_balance(st_, model) == pytest.approx(worst, rel=1e-10)
+        assert distance_to_balance(states, model) == pytest.approx(worst, rel=1e-10)
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=25, derandomize=True)
@@ -398,8 +401,8 @@ class TestDistanceToBalance:
         rng = np.random.default_rng(seed)
         states = rng.normal(size=(7, 2))
         perm = rng.permutation(7)
-        a = distance_to_balance(NetworkState(0.0, states, np.array([0, 7])), model)
-        b = distance_to_balance(NetworkState(0.0, states[perm], np.array([0, 7])), model)
+        a = distance_to_balance(states, model)
+        b = distance_to_balance(states[perm], model)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -415,6 +418,5 @@ class TestLateSnapshotDispersion:
         run = simulate(model, init, 0.15, 1e-4, 41,
                        RecordSpec(stride=100, snapshot_times=(0.15,)))
         _, states = run.snapshots[-1]
-        measure = EmpiricalMeasure((states,))
-        dispersion = measure.samples[0][:, 0].std()
+        dispersion = states[:, 0].std()
         assert dispersion <= 2.0 / np.sqrt(2.0 * 300.0 * 1.0)

@@ -248,15 +248,58 @@ class TestNoCompilerParity:
                                                       if k not in twins}
 
 
+def _run_with_perfbench(tmp_path, code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with src/ and perfbench/ importable."""
+    root = Path(balancenet.__file__).resolve().parents[2]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+# traces two tiny runs through the CLI and prints each one's layer metrics
+TRACE_RUNS = """
+import json, sys
+import spans
+from balancenet import cli
+
+tracer = spans.Tracer()
+spans.install(tracer)
+layers = {}
+for name, command in (("network", "simulate"), ("pde", "pde")):
+    tracer.reset()
+    if cli.main([command, "--config", name + ".json", "--out", name]) != 0:
+        sys.exit(name + " run failed")
+    layers[name] = spans.layer_metrics(tracer.spans, 1)
+print(json.dumps(layers))
+"""
+
+
 class TestBenchmarkTraceTargets:
     def test_every_trace_target_exists(self, tmp_path):
         # perfbench/spans.py raises on a trace target it cannot find, so a
         # function renamed or deleted in src/ shows here rather than as a
         # failed traced benchmark run
-        root = Path(balancenet.__file__).resolve().parents[2]
-        path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
-        done = subprocess.run([sys.executable, "-c",
-                               "import spans; spans.install(spans.Tracer())"],
-                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
+        done = _run_with_perfbench(tmp_path, "import spans; spans.install(spans.Tracer())")
         assert done.returncode == 0, done.stderr
+
+    def test_traced_kernels_count_every_step(self, tmp_path):
+        # perfbench's kernel counters read the kernels' arguments by name
+        # (states, noise; mu, flux, f_face, alpha_face, beta_w, nsteps), so
+        # a kernel signature change that breaks them shows here: every
+        # step a run takes must be counted in its kernel's calls
+        write_cfg(tmp_path, {"kind": "network-run", "seed": 3,
+                             "model": {"family": "fhn-chemical", "n": 20},
+                             "T": 0.01, "dt": 1e-4}, "network.json")
+        write_cfg(tmp_path, {"kind": "pde-run", "seed": 3, "model": {"epsilon": 0.2},
+                             "grid": {"L": 8, "cells": 128}, "T": 0.05}, "pde.json")
+        done = _run_with_perfbench(tmp_path, TRACE_RUNS)
+        assert done.returncode == 0, done.stderr
+        layers = json.loads(done.stdout.splitlines()[-1])
+        net, pde = layers["network"], layers["pde"]
+        assert net["network.steps"] == 100
+        assert net["kernels.chemical_chunk.calls"] > 0
+        assert net["kernels.chemical_chunk.steps"] == net["network.steps"]
+        assert pde["pde.steps"] > 0
+        assert pde["kernels.fp_chunk.calls"] > 0
+        assert pde["kernels.fp_chunk.steps"] == pde["pde.steps"]

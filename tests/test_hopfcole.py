@@ -25,6 +25,11 @@ def make_density(grid, values, eps):
     return DensityField(grid, np.asarray(values, dtype=float), eps)
 
 
+def snapshot_density(run, i):
+    """Snapshot i of an FpRun as one density."""
+    return make_density(run.grid, run.densities[i], run.epsilon)
+
+
 class TestHopfCole:
     def test_constant_density(self):
         grid = Grid1D(4.0, 128)
@@ -288,7 +293,7 @@ def _fake_run(model, grid, densities, times, i_values=1.0):
 
 def _loop_w_gradient_theta(run, t0):
     """check_w_gradient_bound's theta, one snapshot at a time."""
-    fields = [hopf_cole(run.density_at(i)) for i in range(len(run.times))]
+    fields = [hopf_cole(snapshot_density(run, i)) for i in range(len(run.times))]
     F2 = 2.0 * (1.0 + max(0.0, max(f.sup_phi for f in fields)))
     theta = -math.inf
     for f, t in zip(fields, run.times.tolist()):
@@ -308,7 +313,7 @@ def _loop_envelope(run, a_const):
     lam = _alpha_antiderivative(run.model, run.grid)
     out = []
     for i, t in enumerate(run.times.tolist()):
-        f = hopf_cole(run.density_at(i))
+        f = hopf_cole(snapshot_density(run, i))
         out.append(float(np.max(f.phi[f.mask] + a_const * run.i_at(t) * lam[f.mask])))
     return np.array(out)
 
@@ -333,7 +338,7 @@ def _loop_envelope_fit(runs):
 def _loop_envelope_covers(run, fit):
     lam = _alpha_antiderivative(run.model, run.grid)
     for i, t in enumerate(run.times.tolist()):
-        f = hopf_cole(run.density_at(i))
+        f = hopf_cole(snapshot_density(run, i))
         bound = -fit.a * run.i_at(t) * lam + fit.d * t + fit.e
         if np.any(f.phi[f.mask] > bound[f.mask] + 1e-12):
             return False
@@ -380,10 +385,10 @@ class TestRunArrays:
         transform, series = snapshot_series(run)
         assert f.phi.shape == f.mask.shape == run.densities.shape
         assert_same_bits(run.snapshots().mass,
-                         [run.density_at(i).mass for i in range(len(run.times))])
+                         [snapshot_density(run, i).mass for i in range(len(run.times))])
         masks = set()
         for i, t in enumerate(run.times.tolist()):
-            ref = hopf_cole(run.density_at(i))
+            ref = hopf_cole(snapshot_density(run, i))
             assert_same_bits(f.phi[i], ref.phi)
             np.testing.assert_array_equal(f.mask[i], ref.mask)
             assert f.sup_phi[i] == ref.sup_phi and f.F[i] == ref.F
@@ -391,7 +396,7 @@ class TestRunArrays:
             assert series["residual_sup"][i] == ref_resid
             assert series["sup_phi"][i] == ref.sup_phi
             assert_same_bits(transform.phi[i], ref.phi)
-            assert series["support_width"][i] == support_width(run.density_at(i))
+            assert series["support_width"][i] == support_width(snapshot_density(run, i))
             assert series["interaction"][i] == run.i_at(t)
             masks.add((int(np.argmax(ref.mask)), int(ref.mask.sum())))
         assert len(masks) > 1
@@ -400,7 +405,7 @@ class TestRunArrays:
         f = snapshot_fields(run)
         res, sup = hamiltonian_residual(f, run.i_at(run.times), run.model)
         for i, t in enumerate(run.times.tolist()):
-            ref_res, ref_sup = hamiltonian_residual(hopf_cole(run.density_at(i)),
+            ref_res, ref_sup = hamiltonian_residual(hopf_cole(snapshot_density(run, i)),
                                                     run.i_at(t), run.model)
             assert_same_bits(res[i], ref_res)
             assert sup[i] == ref_sup
@@ -466,7 +471,7 @@ class TestSweepConsistency:
         assert d.status == "COMPLETED"
         run = solve_fp_1d(base, gaussian_initial(grid, 0.3, 1.0, 1.0), 1.0,
                           snapshot_every=0.25)
-        final = run.density_at(-1)
+        final = snapshot_density(run, -1)
         f = hopf_cole(final)
         assert d.sup_phi_final == f.sup_phi
         assert d.support_width_final == support_width(final)

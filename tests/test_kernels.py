@@ -185,6 +185,37 @@ def test_c_fp_kernel_rejects_mismatched_sizes(c_fp_chunk):
         c_fp_chunk(*args)
 
 
+def _strided(a):
+    out = np.empty(2 * a.size)[::2]
+    out[:] = a
+    return out
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+FP_ARRAYS = {"mu": 0, "flux": 1, "f_face": 2, "alpha_face": 3, "beta_w": 4, "i_out": 10}
+FP_BAD = {"float32": lambda a: a.astype(np.float32), "strided": _strided,
+          "read-only": _read_only}
+
+
+@pytest.mark.parametrize("name, defect", [
+    *((name, defect) for name in FP_ARRAYS for defect in ("float32", "strided")),
+    ("mu", "read-only"), ("flux", "read-only"), ("i_out", "read-only")])
+def test_c_fp_kernel_rejects_bad_arrays_before_stepping(c_fp_chunk, name, defect):
+    # each of the six arrays is checked before the C step reads or writes
+    # any: the error is a ValueError naming the twin, and no array moves
+    args = _random_fp_args(64, 5, 1, 0.5)
+    args[FP_ARRAYS[name]] = FP_BAD[defect](args[FP_ARRAYS[name]])
+    before = [np.array(args[i]) for i in FP_ARRAYS.values()]
+    with pytest.raises(ValueError, match="^fp_chunk: "):
+        c_fp_chunk(*args)
+    for i, old in zip(FP_ARRAYS.values(), before):
+        assert np.array(args[i]).tobytes() == old.tobytes()
+
+
 @needs_cc
 def test_c_source_compiles_without_warnings(tmp_path):
     # the library as _compile builds it, with every warning an error; a
@@ -922,13 +953,13 @@ def test_simulate_matches_generic_step(family):
     seed, dt, steps = 31, 1e-4, 2 * NOISE_CHUNK - 100
     T = steps * dt
     run = simulate(model, init, T, dt, seed, RecordSpec(stride=steps, snapshot_times=(T,)))
-    state = draw_initial_state(model, init, seed)
-    N = state.states.shape[0]
+    states = draw_initial_state(model, init, seed)
+    N = states.shape[0]
     oracle = pairwise_model(model)
     for step in range(steps):
         block = rng.normal_block(seed, rng.NOISE_STREAM, step // NOISE_CHUNK, (NOISE_CHUNK, N))
-        state = pairwise_step(state, oracle, dt, block[step % NOISE_CHUNK][:, None])
-    np.testing.assert_allclose(run.snapshots[-1][1], state.states, rtol=1e-10)
+        states = pairwise_step(states, oracle, dt, block[step % NOISE_CHUNK][:, None])
+    np.testing.assert_allclose(run.snapshots[-1][1], states, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,29 @@ class TestChemicalModel:
                               3.0, -1.0, -0.1, 1, 1, 1, 1.0)
 
 
+class TestPopulationMeans:
+    @pytest.mark.parametrize("params", [FIG1, FIG2A], ids=["d2", "d3"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 4500])
+    def test_view_mean_equals_copy_mean(self, params, n):
+        # the states start 0 to 7 rows into their buffer, so the population
+        # views start at every 16-byte (d = 2) or 8-byte (d = 3) offset from
+        # a 64-byte line; averaging a view in place gives the bits of
+        # averaging a contiguous copy of it
+        model = NetworkModel(params, n=n)
+        P, d = model.n_populations, model.dim
+        o = model.offsets
+        buf = np.random.default_rng(n).normal(size=(7 + P * n, d))
+        lines = set()
+        for row0 in range(8):
+            states = buf[row0:row0 + P * n]
+            lines.update(states[o[p]:].ctypes.data % 64 for p in range(P))
+            copies = np.stack([states[o[p]:o[p + 1]].copy().mean(axis=0) for p in range(P)])
+            means = model.population_means(states)
+            assert means.shape == (P, d)
+            assert means.tobytes() == copies.tobytes()
+        assert len(lines) >= 4
+
+
 class TestSeparableModel:
     def test_alpha_zero_at_reference(self):
         m = build_separable_1d(0.1, SeparableParams(E=0.0))

@@ -17,8 +17,7 @@ from balancenet._kernels import network_chunk
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule)
 from balancenet.network import (NOISE_CHUNK, ConfigurationError, CoordinateIC,
-                                InitialConditionSpec, NetworkState,
-                                PerturbationEvent, RecordSpec,
+                                InitialConditionSpec, PerturbationEvent, RecordSpec,
                                 _kernel_args, apply_perturbation,
                                 draw_initial_state, simulate,
                                 simulate_rescaled_early)
@@ -41,17 +40,15 @@ def scalar_model(drift, n=1, g=0.0, sigma=0.0, gamma=1.0, interaction=None):
 class TestStep:
     def test_identity_when_everything_off(self):
         model = scalar_model(lambda x: np.zeros(1), n=4)
-        st = NetworkState(0.0, np.array([[1.0], [2.0], [-3.0], [0.5]]),
-                          np.array([0, 4]))
-        out = pairwise_step(st, model, 0.1, np.zeros((4, 1)))
-        np.testing.assert_array_equal(out.states, st.states)
-        assert out.t == pytest.approx(0.1)
+        states = np.array([[1.0], [2.0], [-3.0], [0.5]])
+        out = pairwise_step(states, model, 0.1, np.zeros((4, 1)))
+        np.testing.assert_array_equal(out, states)
+        assert out is not states
 
     def test_explicit_euler_arithmetic(self):
         model = scalar_model(lambda x: -x)
-        st = NetworkState(0.0, np.array([[1.0]]), np.array([0, 1]))
-        out = pairwise_step(st, model, 0.1, np.zeros((1, 1)))
-        assert out.states[0, 0] == pytest.approx(0.9)
+        out = pairwise_step(np.array([[1.0]]), model, 0.1, np.zeros((1, 1)))
+        assert out[0, 0] == pytest.approx(0.9)
 
     def test_two_agent_coupling_matches_matrix_exponential(self):
         # pure diffusive coupling of two scalar agents is linear; the
@@ -65,22 +62,21 @@ class TestStep:
         T = 1.0
         errs = []
         for dt in (0.01, 0.005):
-            st = NetworkState(0.0, x0[:, None].copy(), np.array([0, 2]))
+            states = x0[:, None].copy()
             steps = int(round(T / dt))
             worst = 0.0
             for k in range(1, steps + 1):
-                st = pairwise_step(st, model, dt, np.zeros((2, 1)))
+                states = pairwise_step(states, model, dt, np.zeros((2, 1)))
                 exact = expm(A * (k * dt)) @ x0
-                worst = max(worst, np.max(np.abs(st.states[:, 0] - exact)))
+                worst = max(worst, np.max(np.abs(states[:, 0] - exact)))
             errs.append(worst)
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
 
     def test_blowup_raised(self):
         model = scalar_model(lambda x: x ** 3)
-        st = NetworkState(0.0, np.array([[1e160]]), np.array([0, 1]))
         with pytest.raises(BlowupError):
-            pairwise_step(st, model, 1.0, np.zeros((1, 1)))
+            pairwise_step(np.array([[1e160]]), model, 1.0, np.zeros((1, 1)))
 
     def test_permutation_equivariance_exact(self):
         model = pairwise_model(
@@ -89,11 +85,9 @@ class TestStep:
         states = rng.normal(size=(6, 2))
         noise = rng.normal(size=(6, 1))
         perm = np.array([4, 2, 0, 5, 1, 3])
-        st = NetworkState(0.0, states.copy(), np.array([0, 6]))
-        st_p = NetworkState(0.0, states[perm].copy(), np.array([0, 6]))
-        out = pairwise_step(st, model, 0.01, noise)
-        out_p = pairwise_step(st_p, model, 0.01, noise[perm])
-        np.testing.assert_array_equal(out_p.states, out.states[perm])
+        out = pairwise_step(states, model, 0.01, noise)
+        out_p = pairwise_step(states[perm], model, 0.01, noise[perm])
+        np.testing.assert_array_equal(out_p, out[perm])
 
     def test_permutation_equivariance_multistep_chemical(self):
         params = FhnChemicalParams((-1.0, 1.3, -0.3, 0.0), 0.4, 1.5, 1.0, 1.0,
@@ -104,13 +98,12 @@ class TestStep:
         states = rng.normal(size=(8, 3))
         # permute within each population independently
         perm = np.concatenate([rng.permutation(4), 4 + rng.permutation(4)])
-        st = NetworkState(0.0, states.copy(), np.array([0, 4, 8]))
-        st_p = NetworkState(0.0, states[perm].copy(), np.array([0, 4, 8]))
+        states_p = states[perm]
         for _ in range(5):
             noise = rng.normal(size=(8, 1))
-            st = pairwise_step(st, model, 0.01, noise)
-            st_p = pairwise_step(st_p, model, 0.01, noise[perm])
-        np.testing.assert_array_equal(st_p.states, st.states[perm])
+            states = pairwise_step(states, model, 0.01, noise)
+            states_p = pairwise_step(states_p, model, 0.01, noise[perm])
+        np.testing.assert_array_equal(states_p, states[perm])
 
 
 class TestSimulate:
@@ -309,13 +302,13 @@ def _chem_init():
 class TestInitialState:
     def test_population_layout(self):
         model = NetworkModel(_fig2a_params(), n=5)
-        st = draw_initial_state(model, _chem_init(), 13)
-        assert st.states.shape == (10, 3)
-        assert np.searchsorted(st.offsets, 0, side="right") - 1 == 0
-        assert np.searchsorted(st.offsets, 7, side="right") - 1 == 1
+        states = draw_initial_state(model, _chem_init(), 13)
+        assert states.shape == (10, 3)
+        assert np.searchsorted(model.offsets, 0, side="right") - 1 == 0
+        assert np.searchsorted(model.offsets, 7, side="right") - 1 == 1
         # uniform synaptic ranges differ per population
-        assert st.block(0)[:, 2].max() <= 2.0
-        assert st.block(1)[:, 2].max() <= 3.0
+        assert states[:5, 2].max() <= 2.0
+        assert states[5:, 2].max() <= 3.0
 
     def test_mismatched_spec_rejected(self):
         model = NetworkModel(_fig2a_params(), n=5)
@@ -482,7 +475,7 @@ class TestNoiseBlocks:
         steps = 2 * NOISE_CHUNK + 37
         T = steps * CONTRACT_DT
         N = int(model.offsets[-1])
-        state = draw_initial_state(model, init, 8).states
+        state = draw_initial_state(model, init, 8)
         kernel_args = _kernel_args(model)
         for chunk in range(3):
             block = rng.normal_block(8, rng.NOISE_STREAM, chunk, (NOISE_CHUNK, N))
@@ -876,7 +869,7 @@ class TestBlowupStep:
         model, init = _runaway_case(family)
         dt = 1e-3
         run = simulate(model, init, 1.0, dt, 3, RecordSpec(stride=1))
-        state = draw_initial_state(model, init, 3).states
+        state = draw_initial_state(model, init, 3)
         noise = rng.normal_block(3, rng.NOISE_STREAM, 0, (NOISE_CHUNK, state.shape[0]))
         kernel_args = _kernel_args(model)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -6,8 +6,8 @@ import pytest
 
 from balancenet._kernels import fp_chunk
 from balancenet.models import SeparableModel1D, build_separable_1d
-from balancenet.pde import (CflError, Grid1D, NegativityError, cfl_timestep,
-                            gaussian_initial, solve_fp_1d)
+from balancenet.pde import (CflError, DensityField, Grid1D, NegativityError,
+                            cfl_timestep, gaussian_initial, solve_fp_1d)
 
 from .oracles import density_from_values
 
@@ -99,7 +99,6 @@ class TestSolverContracts:
 
     def test_unit_mass_required(self):
         grid = Grid1D(8.0, 256)
-        from balancenet.pde import DensityField
         bad = DensityField(grid, np.ones(256), 0.5)
         with pytest.raises(ValueError):
             solve_fp_1d(ou_model(), bad, 1.0)
@@ -144,12 +143,12 @@ class TestDefaultModelAgainstParticles:
     interacting diffusion, compared against the deterministic solver."""
 
     def test_mode_at_alpha_zero(self, pde_run):
-        dens = pde_run.density_at(-1)
+        dens = DensityField(pde_run.grid, pde_run.densities[-1], pde_run.epsilon)
         x_mode = dens.grid.centers[int(np.argmax(dens.values))]
         assert abs(x_mode - 0.0) <= dens.grid.dx
 
     def test_mean_and_spread_match(self, pde_run, ensemble):
-        dens = pde_run.density_at(-1)
+        dens = DensityField(pde_run.grid, pde_run.densities[-1], pde_run.epsilon)
         x = dens.grid.centers
         m1 = float((x * dens.values).sum() * dens.grid.dx)
         m2 = float((x ** 2 * dens.values).sum() * dens.grid.dx)
@@ -159,7 +158,7 @@ class TestDefaultModelAgainstParticles:
         assert sd == pytest.approx(ensemble.std(), rel=0.03)
 
     def test_l1_distance_to_ensemble_histogram(self, pde_run, ensemble):
-        dens = pde_run.density_at(-1)
+        dens = DensityField(pde_run.grid, pde_run.densities[-1], pde_run.epsilon)
         edges = dens.grid.faces
         counts, _ = np.histogram(ensemble, bins=edges)
         hist_density = counts / (len(ensemble) * dens.grid.dx)
