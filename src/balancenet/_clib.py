@@ -232,38 +232,34 @@ def _c_network_chunk(lib, exp_loop: int, exp_data: int | None):
     so it gets np.exp's bits."""
     c_fn = lib.network_chunk
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    c_fn.argtypes = [ptr, long_, long_, ptr, long_, double, ptr, long_, ptr, ptr, ptr, ptr, ptr,
+    c_fn.argtypes = [ptr, long_, long_, ptr, long_, double, long_, ptr, ptr, ptr, ptr, ptr,
                      ptr, double, ptr, ptr, ptr, long_, long_, long_, long_, ptr, ptr, ptr, ptr]
     c_fn.restype = long_
     address = functools.partial(_address, "network_chunk")
 
-    def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
+    def network_chunk(states, noise, dt, coef, alpha0, alpha1, beta0, beta1,
                       fhn, sig, step0=0, stride=0, means=None, stds=None, traces=None):
         """The numpy ``network_chunk`` in C: same arguments, same result bits."""
         n, d = states.shape
         steps = noise.shape[0]
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        npop = offsets.shape[0] - 1
-        if d not in (2, 3) or npop < 1 or offsets[0] != 0 or offsets[-1] != n \
-                or (np.diff(offsets) < 1).any():
-            raise ValueError("network_chunk: offsets do not split the states into populations")
-        fhn = np.asarray(fhn, dtype=np.float64)
-        # the constant arguments: copies of the caller's arrays when needed
-        const = [np.ascontiguousarray(v, dtype=np.float64) for v in (coef, alpha0, alpha1, beta0, beta1)]
-        shapes = [(npop, npop), (npop,), (npop, d), (npop,), (npop, d)]
+        npop = len(coef)
+        if d not in (2, 3) or npop < 1 or n < npop or n % npop:
+            raise ValueError(f"network_chunk: expected (N, 2) or (N, 3) states in {npop} "
+                             f"equal blocks, got {states.shape}")
         gate = np.empty(n) if d == 3 else None  # the C step's scratch for the gate
         args = [address(states, (n, d), writeable=True), n, d,
-                address(noise, (steps, n)) if steps else None, steps, dt,
-                offsets.ctypes.data, npop,
-                *(address(v, s) for v, s in zip(const, shapes)),
-                address(fhn, (11,)), sig, None if gate is None else gate.ctypes.data,
+                address(noise, (steps, n)) if steps else None, steps, dt, npop,
+                address(coef, (npop, npop)), address(alpha0, (npop,)),
+                address(alpha1, (npop, d)), address(beta0, (npop,)),
+                address(beta1, (npop, d)), address(fhn, (11,)), sig,
+                None if gate is None else gate.ctypes.data,
                 exp_loop, exp_data, step0, stride, 0, 0, None, None, None, None]
         if stride > 0:
             slots, k = means.shape[1], traces.shape[2]
             if (step0 + steps) // stride >= slots:
                 raise ValueError("network_chunk: too few record slots")
             scratch = np.empty(n)  # the C record's squared deviations of a column
-            args[20:] = [slots, k, address(means, (npop, slots, d), True),
+            args[19:] = [slots, k, address(means, (npop, slots, d), True),
                          address(stds, (npop, slots, d), True),
                          address(traces, (npop, slots, k), True) if k else None,
                          scratch.ctypes.data]

@@ -38,12 +38,13 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
+def network_chunk(states, noise, dt, coef, alpha0, alpha1, beta0, beta1,
                   fhn, sig, step0=0, stride=0, means=None, stds=None, traces=None):
     """Advance ``noise.shape[0]`` Euler-Maruyama steps in place.
 
     states: (N, 2) voltage x and recovery y per agent, or (N, 3) with a
-    synaptic gate s; population p holds rows offsets[p]:offsets[p + 1].
+    synaptic gate s, stacked as P = coef.shape[0] equal blocks of n = N / P
+    agents: population p holds rows p n to (p + 1) n - 1.
     noise: (steps, N) standard normals for the voltage.
 
     The network input on an agent of population p at voltage x is
@@ -51,28 +52,25 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
     alpha_q = alpha0[q] + alpha1[q] . ybar_q is read off the current mean
     state ybar_q of population q (B and beta likewise).
 
-    fhn = (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope) gives
-    the intrinsic drift x' = f(x) - y with the cubic
+    fhn = (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope), an
+    (11,) array, gives the intrinsic drift x' = f(x) - y with the cubic
     f(x) = ((f3 x + f2) x + f1) x + f0, y' = a (b x - y + c) and
     s' = gain (1 - s) / (1 + exp((theta - x) inv_slope)) - s inv_tau.
 
     With stride > 0 the kernel records: after each step whose absolute
     number step0 + j + 1 is a multiple of stride, slot (step0 + j + 1) //
-    stride of means and stds (P, slots, d) receives each population's
-    column means and stds, col.mean() and col.std() of each coordinate's
-    contiguous column (numpy's 1-D pairwise sums, like the population means
-    above), and the same slot of traces (P, slots, k) its first k voltages
-    (fewer in a smaller population).
+    stride of means, stds and traces (see record_slot).
 
     Stops at the first step that leaves a non-finite entry, with the states
     of that step; returns the number of steps before it (noise.shape[0]
     when all stayed finite).
     """
-    f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = fhn
+    f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = fhn.tolist()
     n_steps = noise.shape[0]
-    d = states.shape[1]
-    offsets = offsets.tolist()
-    segs = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    N, d = states.shape
+    P = coef.shape[0]
+    n = N // P
+    segs = [slice(p * n, (p + 1) * n) for p in range(P)]
     coef = coef.tolist()
     alpha0 = alpha0.tolist()
     beta0 = beta0.tolist()
@@ -80,13 +78,13 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
     beta1 = beta1.tolist()
     # the population means the source maps read, with their weights
     reads = [[(k, alpha1[q][k], beta1[q][k]) for k in range(d)
-              if alpha1[q][k] or beta1[q][k]] for q in range(len(segs))]
+              if alpha1[q][k] or beta1[q][k]] for q in range(P)]
     # struct of arrays: each step writes fresh contiguous coordinates, and
     # the last step's go back into the columns of states
     cols = [states[:, k] for k in range(d)]
     sq = sig * math.sqrt(dt)
     ady = a * dt
-    vx = np.empty(states.shape[0])
+    vx = np.empty(N)
     done = n_steps
     for step in range(n_steps):
         x, y = cols[0], cols[1]
@@ -95,7 +93,7 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
         for q, seg in enumerate(segs):
             for k, wa, wb in reads[q]:
                 # the value of ndarray.mean, without its Python-level overhead
-                m = float(cols[k][seg].sum()) / (seg.stop - seg.start)
+                m = float(cols[k][seg].sum()) / n
                 al[q] += wa * m
                 be[q] += wb * m
         for p, seg in enumerate(segs):
@@ -126,16 +124,26 @@ def network_chunk(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1
             done = step
             break
         if stride > 0 and (step0 + step + 1) % stride == 0:
-            slot = (step0 + step + 1) // stride
-            for p, seg in enumerate(segs):
-                for k in range(d):
-                    col = cols[k][seg]
-                    means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
-                k_tr = min(traces.shape[2], seg.stop - seg.start)
-                traces[p, slot, :k_tr] = cols[0][seg][:k_tr]
+            record_slot(cols, n, (step0 + step + 1) // stride, means, stds, traces)
     for k, col in enumerate(cols):
         states[:, k] = col
     return done
+
+
+def record_slot(cols, n, slot, means, stds, traces):
+    """Record slot ``slot`` of a run whose d coordinates are the columns
+    ``cols``, each (N,) (the rows of states.T, say), in P blocks of n
+    agents: that slot of means and stds (P, slots, d) receives each
+    population's col.mean() and col.std() of each coordinate (numpy's 1-D
+    pairwise sums), and the same slot of traces (P, slots, k) its first k
+    voltages (fewer in a smaller population)."""
+    for p in range(means.shape[0]):
+        seg = slice(p * n, (p + 1) * n)
+        for k, coord in enumerate(cols):
+            col = coord[seg]
+            means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
+        k_tr = min(traces.shape[2], n)
+        traces[p, slot, :k_tr] = cols[0][seg][:k_tr]
 
 
 # ---------------------------------------------------------------------------

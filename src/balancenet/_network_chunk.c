@@ -168,11 +168,11 @@ static int step_xys(double *restrict st, long n, const double *restrict xi,
 
 /*
  * Advance up to `steps` Euler-Maruyama steps of the n_agents x d states
- * (d = 2: voltage x, recovery y; d = 3: and the synaptic gate s) in place;
- * population p holds rows offsets[p] to offsets[p + 1]. noise holds steps
- * rows of n_agents standard normals. coef is P x P, alpha1 and beta1 are
- * P x d, fhn holds (f3, f2, f1, f0, a, b, c, inv_tau, gain, theta,
- * inv_slope) as in the numpy kernel.
+ * (d = 2: voltage x, recovery y; d = 3: and the synaptic gate s) in place,
+ * P = npop equal blocks of n = n_agents / P agents, population p in rows
+ * p n to (p + 1) n - 1. noise holds steps rows of n_agents standard
+ * normals. coef is P x P, alpha1 and beta1 are P x d, fhn holds (f3, f2,
+ * f1, f0, a, b, c, inv_tau, gain, theta, inv_slope) as in the numpy kernel.
  *
  * With d = 3, gate is scratch space for n_agents doubles, and exp_loop
  * with exp_data is numpy's float64 exp inner loop and its data pointer:
@@ -193,16 +193,16 @@ static int step_xys(double *restrict st, long n, const double *restrict xi,
  * stayed finite).
  */
 long network_chunk(double *states, long n_agents, long d, const double *noise, long steps,
-                   double dt, const long *offsets, long npop, const double *coef,
-                   const double *alpha0, const double *alpha1, const double *beta0,
-                   const double *beta1, const double *fhn, double sig, double *gate,
-                   ufunc_loop exp_loop, void *exp_data, long step0, long stride,
-                   long n_slots, long n_traces, double *means, double *stds, double *traces,
-                   double *scratch)
+                   double dt, long npop, const double *coef, const double *alpha0,
+                   const double *alpha1, const double *beta0, const double *beta1,
+                   const double *fhn, double sig, double *gate, ufunc_loop exp_loop,
+                   void *exp_data, long step0, long stride, long n_slots, long n_traces,
+                   double *means, double *stds, double *traces, double *scratch)
 {
     struct step_constants k = {
         fhn[0], fhn[1], fhn[2], fhn[3], fhn[4], fhn[5], fhn[6], fhn[7], fhn[8], fhn[9],
         fhn[10], dt, sig * sqrt(dt), fhn[4] * dt};
+    const long n = n_agents / npop;
     double al[npop], be[npop];
     char *exp_args[2] = {(char *)gate, (char *)gate};
     const intptr_t exp_len[1] = {n_agents}, exp_steps[2] = {sizeof(double), sizeof(double)};
@@ -217,7 +217,7 @@ long network_chunk(double *states, long n_agents, long d, const double *noise, l
             exp_loop(exp_args, exp_len, exp_steps, exp_data);
         }
         for (long q = 0; q < npop; q++) {
-            long lo = offsets[q], n = offsets[q + 1] - lo;
+            long lo = q * n;
             al[q] = alpha0[q];
             be[q] = beta0[q];
             for (long c = 0; c < d; c++) {
@@ -237,7 +237,7 @@ long network_chunk(double *states, long n_agents, long d, const double *noise, l
                 A += coef[p * npop + q] * al[q];
                 B += coef[p * npop + q] * be[q];
             }
-            long lo = offsets[p], n = offsets[p + 1] - lo;
+            long lo = p * n;
             ok &= d > 2 ? step_xys(states + lo * 3, n, xi + lo, gate + lo, &k, A, B)
                         : step_xy(states + lo * 2, n, xi + lo, &k, A, B);
         }
@@ -248,7 +248,7 @@ long network_chunk(double *states, long n_agents, long d, const double *noise, l
         if (stride > 0 && done % stride == 0) {
             long slot = done / stride;
             for (long p = 0; p < npop; p++) {
-                long lo = offsets[p], n = offsets[p + 1] - lo;
+                long lo = p * n;
                 for (long c = 0; c < d; c++) {
                     const double *col = states + lo * d + c;
                     long at = (p * n_slots + slot) * d + c;

@@ -58,27 +58,29 @@ def _check_normal_block(fill) -> bool:
 
 def _network_cases():
     """Fixed network_chunk arguments for both families: 130 electrical
-    agents recorded every step, and chemical populations of 7 and 129
-    agents recorded every third step, once in mid-call. The sizes lie on
-    both sides of the 8- and 128-term edges of numpy's pairwise sum. Two
-    chemical agents start with gate arguments past exp's range, above 710
-    (exp overflows to inf) and below -746 (it underflows to 0)."""
+    agents recorded every step, and two chemical populations of 7 agents,
+    then of 129, recorded every third step, once in mid-call. The
+    population sizes lie on both sides of the 8- and 128-term edges of
+    numpy's pairwise sum. Two chemical agents start with gate arguments
+    past exp's range, above 710 (exp overflows to inf) and below -746 (it
+    underflows to 0)."""
     n = 130
-    yield [2.0 * _wave((n, 2), 0.1), _wave((4, n), 0.2), 1e-3, np.array([0, n]),
-           np.array([[30.0]]), np.array([-1.0]), np.zeros((1, 2)), np.zeros(1),
-           np.array([[1.0, 0.0]]), (-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    yield [2.0 * _wave((n, 2), 0.1), _wave((4, n), 0.2), 1e-3, np.array([[30.0]]),
+           np.array([-1.0]), np.zeros((1, 2)), np.zeros(1), np.array([[1.0, 0.0]]),
+           np.array([-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
            1.0, 0, 1, np.full((1, 5, 2), np.nan), np.full((1, 5, 2), np.nan),
            np.full((1, 5, 3), np.nan)]
-    n = 136
-    states = 1.0 + _wave((n, 3), 0.3)
-    states[:, 2] = 0.5 + 0.4 * _wave((n,), 0.4)
-    states[[3, 100], 0] = -720.0, 750.0  # theta - x = 718 and -752
     maps = conductance_source_maps([1.0, -1.0])
-    yield [states, _wave((4, n), 0.5), 1e-4, np.array([0, 7, n]),
-           20.0 * np.array([[0.3, -1.0], [2.0, -10.0]]),
-           maps.alpha0, maps.alpha1, maps.beta0, maps.beta1,
-           (-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 0.5, 1.0, -2.0, 1.0), 1.0, 1, 3,
-           np.full((2, 2, 3), np.nan), np.full((2, 2, 3), np.nan), np.full((2, 2, 2), np.nan)]
+    for n in (7, 129):
+        states = 1.0 + _wave((2 * n, 3), 0.3)
+        states[:, 2] = 0.5 + 0.4 * _wave((2 * n,), 0.4)
+        states[[3, n + 2], 0] = -720.0, 750.0  # theta - x = 718 and -752
+        yield [states, _wave((4, 2 * n), 0.5), 1e-4,
+               20.0 * np.array([[0.3, -1.0], [2.0, -10.0]]),
+               maps.alpha0, maps.alpha1, maps.beta0, maps.beta1,
+               np.array([-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 0.5, 1.0, -2.0, 1.0]), 1.0, 1, 3,
+               np.full((2, 2, 3), np.nan), np.full((2, 2, 3), np.nan),
+               np.full((2, 2, 2), np.nan)]
 
 
 def _check_network_chunk(twin) -> bool:

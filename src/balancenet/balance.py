@@ -158,6 +158,5 @@ def distance_to_balance(states: np.ndarray, model: NetworkModel) -> float:
     """Max over agents of the Euclidean norm of the un-gamma-scaled net
     input at the (N, d) states; exactly zero on the balance manifold."""
     A, B = model.affine_coefficients(model.population_means(states))
-    o = model.offsets
-    return max(float(np.abs(A[p] * states[o[p]:o[p + 1], 0] + B[p]).max())
-               for p in range(model.n_populations))
+    return max(float(np.abs(A[p] * rows[:, 0] + B[p]).max())
+               for p, rows in enumerate(model.population_rows(states)))

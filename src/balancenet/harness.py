@@ -38,7 +38,7 @@ from .hopfcole import epsilon_sweep, snapshot_series
 from .models import ScalingRule
 from .network import (RecordSpec, RunRecord, apply_perturbation, simulate,
                       simulate_rescaled_early, usable_cpus)
-from .pde import gaussian_initial, solve_fp_1d
+from .pde import SNAPSHOTS_PER_RUN, gaussian_initial, solve_fp_1d
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
     model = p.model.build(p.model.epsilon)
     grid = p.grid.build()
     mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
-    snap = p.snapshot_every if p.snapshot_every is not None else p.T / 60
+    snap = p.snapshot_every if p.snapshot_every is not None else p.T / SNAPSHOTS_PER_RUN
     run = solve_fp_1d(model, mu0, p.T, snapshot_every=snap)
     transform, series = snapshot_series(run)
     write_csv(out / "pde_series.csv", ["t", "mass", *series],
@@ -425,7 +425,7 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
         if kind == "pde":
             return math.inf
         model = p.network.model.build(n, rule)
-        return int(model.offsets[-1]) * p.network.T / _cell_dt(model, p.network.mode)
+        return model.n * model.n_populations * p.network.T / _cell_dt(model, p.network.mode)
 
     def run_cell(idx: int):
         kind, rule, n = jobs[idx]

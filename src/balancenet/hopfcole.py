@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelDefinitionError, SeparableModel1D
-from .pde import DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
+from .pde import SNAPSHOTS_PER_RUN, DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
 FLOOR_RATIO = 1e-15
 CORE_RATIO = 1e-2
@@ -144,7 +144,6 @@ def snapshot_series(run: FpRun) -> tuple[HopfColeField, dict[str, np.ndarray]]:
 
 @dataclass(frozen=True)
 class MomentBoundReport:
-    order: int
     sup_moment: float
     k0: float
     c_star: float
@@ -183,7 +182,7 @@ def check_moment_bound(run: FpRun, k: int) -> MomentBoundReport:
     c_star = constructive_moment_constant(run.model, run.grid, k)
     bound = max(k0, c_star)
     sup_m = max(series)
-    return MomentBoundReport(order=2 * k, sup_moment=sup_m, k0=k0, c_star=c_star,
+    return MomentBoundReport(sup_moment=sup_m, k0=k0, c_star=c_star,
                              satisfied=sup_m <= bound * (1 + 1e-9), moment_series=series)
 
 
@@ -386,7 +385,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
     eps = [float(e) for e in epsilons]
     check_epsilons(eps)
     if snapshot_every is None:
-        snapshot_every = T / 60
+        snapshot_every = T / SNAPSHOTS_PER_RUN
     if t0 is None:
         t0 = T / 10
 

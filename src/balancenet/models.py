@@ -247,8 +247,9 @@ class NetworkModel:
     coupling[p, q] multiplies the population-q average of b_pq(x_i, .) in
     the drift of agents in population p (target-major orientation); ghat
     holds the same couplings source-major, the orientation used by the
-    balance formulas. Population p holds rows offsets[p]:offsets[p + 1] of
-    the stacked state, and every agent carries noise on its voltage only.
+    balance formulas. The stacked (N, d) state holds the populations as P
+    equal blocks, population p in rows p n to (p + 1) n - 1 (see
+    population_rows), and every agent carries noise on its voltage only.
     """
 
     params: _FhnFamily
@@ -273,17 +274,16 @@ class NetworkModel:
     def n_populations(self) -> int:
         return len(self.params.labels)
 
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Row offsets of the populations in the stacked state, (P + 1,)."""
-        return np.arange(self.n_populations + 1, dtype=np.int64) * self.n
+    def population_rows(self, states: np.ndarray) -> list[np.ndarray]:
+        """The P row blocks of the stacked (N, d) states, population p's n
+        rows p n to (p + 1) n - 1, as views."""
+        n = self.n
+        return [states[p * n:(p + 1) * n] for p in range(self.n_populations)]
 
     def population_means(self, states: np.ndarray) -> np.ndarray:
         """Mean state of each population's rows of the stacked (N, d)
         states, (P, d); each block is averaged in place, as a view."""
-        n = self.n
-        return np.stack([states[p * n:(p + 1) * n].mean(axis=0)
-                         for p in range(self.n_populations)])
+        return np.stack([rows.mean(axis=0) for rows in self.population_rows(states)])
 
     @cached_property
     def coupling(self) -> np.ndarray:

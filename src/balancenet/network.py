@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import rng
-from ._kernels import active
+from ._kernels import active, record_slot
 from .models import ModelDefinitionError, NetworkModel
 
 NOISE_CHUNK = 256
@@ -104,8 +104,6 @@ class PerturbationEvent:
 class RunRecord:
     """Sampled statistics of one run; snapshots hold full states."""
 
-    seed: int
-    dt: float
     gamma: float
     times: np.ndarray
     means: list[np.ndarray]            # per population, (S, d)
@@ -114,7 +112,6 @@ class RunRecord:
     snapshots: list[tuple[float, np.ndarray]]
     status: str = COMPLETED
     blowup_time: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _check_event(model: NetworkModel, event: PerturbationEvent, at: str = "") -> None:
@@ -138,15 +135,14 @@ def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> Network
 
 
 def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: int) -> np.ndarray:
-    """The (N, d) states of all agents at t = 0, population p in rows
-    model.offsets[p]:model.offsets[p + 1]."""
+    """The (N, d) states of all agents at t = 0, population p in
+    model.population_rows(states)[p]."""
     if len(init.coords) != model.n_populations:
         raise ConfigurationError("initial condition spec does not match population count")
-    offsets = model.offsets
     n, d = model.n, model.dim
-    states = np.empty((offsets[-1], d))
+    states = np.empty((n * model.n_populations, d))
     block = 0
-    for p in range(model.n_populations):
+    for p, rows in enumerate(model.population_rows(states)):
         if len(init.coords[p]) != d:
             raise ConfigurationError(f"population {p}: expected {d} coordinate laws")
         for k, ic in enumerate(init.coords[p]):
@@ -156,7 +152,7 @@ def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: in
                 draws = ic.p1 + (ic.p2 - ic.p1) * rng.uniform_block(seed, rng.INIT_STREAM, block, (n,))
             else:
                 draws = np.full(n, ic.p1)
-            states[offsets[p]:offsets[p + 1], k] = draws
+            rows[:, k] = draws
             block += 1
     return states
 
@@ -341,11 +337,12 @@ class _NoiseFeed:
 
 def _kernel_args(model: NetworkModel) -> tuple:
     """The network kernel's arguments that a model fixes: its gamma-scaled
-    couplings, source maps, drift constants and noise level."""
+    couplings, source maps, drift constants (a float64 array) and noise
+    level."""
     pr = model.params
     maps = model.source_maps
     return (model.gamma() * model.coupling, maps.alpha0, maps.alpha1, maps.beta0,
-            maps.beta1, pr.fhn_constants(), pr.sigma)
+            maps.beta1, np.array(pr.fhn_constants(), dtype=float), pr.sigma)
 
 
 def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: float,
@@ -365,9 +362,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     check_run(model, T, dt, events)
     n_steps = int(round(T / dt))
     states = draw_initial_state(model, init, seed)
-    offsets = model.offsets
-    N = int(offsets[-1])
-    n, d = model.n, model.dim
+    N, d = states.shape
+    n = model.n
     P = model.n_populations
     gamma = model.gamma()
     stride = recorder.stride
@@ -395,12 +391,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
 
     def record(step: int):
         slot = step // stride if step % stride == 0 else S - 1
-        for p in range(P):
-            blk = states[offsets[p]:offsets[p + 1]]
-            for k in range(d):
-                col = blk[:, k]
-                means[p, slot, k], stds[p, slot, k] = col.mean(), col.std()
-            traces[p, slot] = blk[:traces.shape[2], 0]
+        record_slot(states.T, n, slot, means, stds, traces)
 
     kernel = active(model.params.kernel)
     args = _kernel_args(model)
@@ -419,8 +410,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
             while step < s1:
                 lo, block = noise.piece(step)
                 hi = min(s1, lo + block.shape[0])
-                step += kernel(states, block[step - lo:hi - lo], dt, offsets,
-                               *args, step, stride, means, stds, traces)
+                step += kernel(states, block[step - lo:hi - lo], dt, *args, step, stride,
+                               means, stds, traces)
                 if step < hi:
                     status = BLOWUP
                     blowup_time = (step + 1) * dt
@@ -435,13 +426,10 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
 
     valid = step // stride + 1 if status == BLOWUP else S
     return RunRecord(
-        seed=seed, dt=dt, gamma=gamma, times=times[:valid],
+        gamma=gamma, times=times[:valid],
         means=[m[:valid] for m in means], stds=[s[:valid] for s in stds],
         traces=[tr[:valid] for tr in traces],
         snapshots=snapshots, status=status, blowup_time=blowup_time,
-        meta={"family": model.params.family, "n": model.n,
-              "scaling": (model.scaling.kind, model.scaling.coefficient),
-              "T": T, "stride": recorder.stride},
     )
 
 
@@ -462,6 +450,4 @@ def simulate_rescaled_early(model: NetworkModel, init: InitialConditionSpec,
     run.snapshots = [(t * gamma, s) for t, s in run.snapshots]
     if run.blowup_time is not None:
         run.blowup_time *= gamma
-    run.meta["rescaled"] = True
-    run.meta["T"] = T_tilde
     return run

@@ -22,6 +22,9 @@ from .models import ModelDefinitionError, SeparableModel1D
 
 CFL_NUMBER = 0.9
 MAX_STEPS = 20_000_000
+# the default snapshot cadence of a pde-run and an epsilon sweep: every
+# T / SNAPSHOTS_PER_RUN
+SNAPSHOTS_PER_RUN = 60
 
 
 class CflError(ModelDefinitionError):

@@ -71,7 +71,8 @@ def pairwise_model(model) -> PairwiseModel:
     drift, interaction = family_callables(model.params)
     sigma = np.zeros((model.dim, 1))
     sigma[0, 0] = model.params.sigma
-    return PairwiseModel(model.offsets, model.coupling, model.gamma(),
+    offsets = np.arange(model.n_populations + 1) * model.n
+    return PairwiseModel(offsets, model.coupling, model.gamma(),
                          (sigma,) * model.n_populations, drift, interaction)
 
 
@@ -116,12 +117,12 @@ def pairwise_step(states: np.ndarray, model: PairwiseModel, dt: float,
 # ---------------------------------------------------------------------------
 
 
-def network_chunk_loop(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, beta1,
-                       fhn, sig):
+def network_chunk_loop(states, noise, dt, coef, alpha0, alpha1, beta0, beta1, fhn, sig):
     """network_chunk agent by agent, without recording; True when the
     states stayed finite."""
     f3, f2, f1, f0, a, b, c, inv_tau, gain, theta, inv_slope = fhn
-    npop = offsets.shape[0] - 1
+    npop = coef.shape[0]
+    n = states.shape[0] // npop
     d = states.shape[1]
     sq = math.sqrt(dt)
     A = np.empty(npop)
@@ -134,16 +135,16 @@ def network_chunk_loop(states, noise, dt, offsets, coef, alpha0, alpha1, beta0, 
             be = beta0[q]
             for k in range(d):
                 m = 0.0
-                for i in range(offsets[q], offsets[q + 1]):
+                for i in range(q * n, (q + 1) * n):
                     m += states[i, k]
-                m /= offsets[q + 1] - offsets[q]
+                m /= n
                 al += alpha1[q, k] * m
                 be += beta1[q, k] * m
             for p in range(npop):
                 A[p] += coef[p, q] * al
                 B[p] += coef[p, q] * be
         for p in range(npop):
-            for i in range(offsets[p], offsets[p + 1]):
+            for i in range(p * n, (p + 1) * n):
                 x = states[i, 0]
                 y = states[i, 1]
                 fx = ((f3 * x + f2) * x + f1) * x + f0

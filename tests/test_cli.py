@@ -248,30 +248,31 @@ class TestNoCompilerParity:
                                                       if k not in twins}
 
 
-def _run_with_perfbench(tmp_path, code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter with src/ and perfbench/ importable."""
+def _run_with_perfbench(tmp_path, code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code with args in a fresh interpreter with src/ and perfbench/
+    importable."""
     root = Path(balancenet.__file__).resolve().parents[2]
     path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
-    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
 
 
-# traces two tiny runs through the CLI and prints each one's layer metrics
-TRACE_RUNS = """
+# traces one tiny run through the CLI, the config <name>.json under the
+# subcommand <command>, and prints its layer metrics; like a benchmark
+# worker, each run has a process of its own, since perfbench's tracer
+# labels a kernel by the first key it was handed out under
+TRACE_RUN = """
 import json, sys
 import spans
 from balancenet import cli
 
 tracer = spans.Tracer()
 spans.install(tracer)
-layers = {}
-for name, command in (("network", "simulate"), ("pde", "pde")):
-    tracer.reset()
-    if cli.main([command, "--config", name + ".json", "--out", name]) != 0:
-        sys.exit(name + " run failed")
-    layers[name] = spans.layer_metrics(tracer.spans, 1)
-print(json.dumps(layers))
+name, command = sys.argv[1:]
+if cli.main([command, "--config", name + ".json", "--out", name]) != 0:
+    sys.exit(name + " run failed")
+print(json.dumps(spans.layer_metrics(tracer.spans, 1)))
 """
 
 
@@ -287,19 +288,28 @@ class TestBenchmarkTraceTargets:
         # perfbench's kernel counters read the kernels' arguments by name
         # (states, noise; mu, flux, f_face, alpha_face, beta_w, nsteps), so
         # a kernel signature change that breaks them shows here: every
-        # step a run takes must be counted in its kernel's calls
-        write_cfg(tmp_path, {"kind": "network-run", "seed": 3,
-                             "model": {"family": "fhn-chemical", "n": 20},
-                             "T": 0.01, "dt": 1e-4}, "network.json")
+        # step a run takes must be counted in its kernel's calls, under
+        # both network keys, and the chemical run's event rebuilds the
+        # kernel's arguments mid-run
+        for family, events in (("chemical", [{"t": 0.005, "multipliers": {"g_EE": 1.5}}]),
+                               ("electrical", [])):
+            write_cfg(tmp_path, {"kind": "network-run", "seed": 3,
+                                 "model": {"family": f"fhn-{family}", "n": 20},
+                                 "T": 0.01, "dt": 1e-4, "events": events}, f"{family}.json")
         write_cfg(tmp_path, {"kind": "pde-run", "seed": 3, "model": {"epsilon": 0.2},
                              "grid": {"L": 8, "cells": 128}, "T": 0.05}, "pde.json")
-        done = _run_with_perfbench(tmp_path, TRACE_RUNS)
-        assert done.returncode == 0, done.stderr
-        layers = json.loads(done.stdout.splitlines()[-1])
-        net, pde = layers["network"], layers["pde"]
-        assert net["network.steps"] == 100
-        assert net["kernels.chemical_chunk.calls"] > 0
-        assert net["kernels.chemical_chunk.steps"] == net["network.steps"]
+        layers = {}
+        for name, command in (("chemical", "simulate"), ("electrical", "simulate"),
+                              ("pde", "pde")):
+            done = _run_with_perfbench(tmp_path, TRACE_RUN, name, command)
+            assert done.returncode == 0, done.stderr
+            layers[name] = json.loads(done.stdout.splitlines()[-1])
+        pde = layers["pde"]
+        for family in ("chemical", "electrical"):
+            net = layers[family]
+            assert net["network.steps"] == 100
+            assert net[f"kernels.{family}_chunk.calls"] > 0
+            assert net[f"kernels.{family}_chunk.steps"] == net["network.steps"]
         assert pde["pde.steps"] > 0
         assert pde["kernels.fp_chunk.calls"] > 0
         assert pde["kernels.fp_chunk.steps"] == pde["pde.steps"]

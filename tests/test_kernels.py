@@ -35,9 +35,8 @@ def _electrical_args(n=64, steps=17, seed=5):
     g = np.random.default_rng(seed)
     states = g.normal(size=(n, 2))
     noise = g.normal(size=(steps, n))
-    fhn = (-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return (states, noise, 1e-4, np.array([0, n]), np.array([[30.0]]),
-            *ELECTRICAL_MAPS, fhn, 1.0)
+    fhn = np.array([-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    return (states, noise, 1e-4, np.array([[30.0]]), *ELECTRICAL_MAPS, fhn, 1.0)
 
 
 def _chemical_args(n=32, steps=13, seed=6):
@@ -47,9 +46,8 @@ def _chemical_args(n=32, steps=13, seed=6):
     noise = g.normal(size=(steps, 2 * n))
     coef = 60.0 * np.array([[0.3, -1.0], [2.0, -10.0]])
     maps = conductance_source_maps([3.0, -1.0])
-    offsets = np.array([0, n, 2 * n], dtype=np.int64)
-    fhn = (-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 1.0, 1.0, -2.0, 1.0)
-    return (states, noise, 1e-5, offsets, coef,
+    fhn = np.array([-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 1.0, 1.0, -2.0, 1.0])
+    return (states, noise, 1e-5, coef,
             maps.alpha0, maps.alpha1, maps.beta0, maps.beta1, fhn, 1.0)
 
 
@@ -731,32 +729,33 @@ def c_network_chunk():
     return impl
 
 
-def _random_network_args(family, n, steps, seed, stride=0, step0=0, k_traces=0):
-    """Kernel arguments for n agents per population, with record buffers
-    (filled with NaN) for steps step0 + 1 ... step0 + steps."""
+def _random_network_args(family, n, steps, seed, stride=0, step0=0, k_traces=0, P=None):
+    """Kernel arguments for P populations of n agents (by default the
+    family's: one electrical, two chemical), with record buffers (filled
+    with NaN) for steps step0 + 1 ... step0 + steps."""
     g = np.random.default_rng(seed)
     if family == "electrical":
-        states = g.normal(scale=2.0, size=(n, 2))
-        offsets = np.array([0, n], dtype=np.int64)
-        coef = np.array([[g.uniform(0.0, 50.0)]])
-        maps = ELECTRICAL_MAPS
-        fhn = (-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        P = P or 1
+        states = g.normal(scale=2.0, size=(P * n, 2))
+        coef = g.uniform(0.0, 50.0, size=(P, P))
+        maps = (np.full(P, -1.0), np.zeros((P, 2)), np.zeros(P), np.tile([1.0, 0.0], (P, 1)))
+        fhn = np.array([-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         dt = 1e-4
     else:
-        states = g.normal(loc=1.0, size=(2 * n, 3))
-        states[:, 2] = g.uniform(0, 1, size=2 * n)
-        offsets = np.array([0, n, 2 * n], dtype=np.int64)
-        coef = g.uniform(10.0, 60.0) * np.array([[0.3, -1.0], [2.0, -10.0]])
-        m = conductance_source_maps([3.0, -1.0])
+        P = P or 2
+        states = g.normal(loc=1.0, size=(P * n, 3))
+        states[:, 2] = g.uniform(0, 1, size=P * n)
+        coef = g.uniform(10.0, 60.0) * np.array([[0.3, -1.0], [2.0, -10.0]])[:P, :P]
+        m = conductance_source_maps([3.0, -1.0][:P])
         maps = (m.alpha0, m.alpha1, m.beta0, m.beta1)
-        fhn = (-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 0.5, 1.0, -2.0, 1.0)
+        fhn = np.array([-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 0.5, 1.0, -2.0, 1.0])
         dt = 1e-5
-    P, d = offsets.shape[0] - 1, states.shape[1]
+    d = states.shape[1]
     noise = g.normal(size=(steps, states.shape[0]))
     slots = (step0 + steps) // stride + 1 if stride else 1
     rec = [np.full((P, slots, d), np.nan), np.full((P, slots, d), np.nan),
            np.full((P, slots, k_traces), np.nan)]
-    return [states, noise, dt, offsets, coef, *maps, fhn, 1.0, step0, stride, *rec]
+    return [states, noise, dt, coef, *maps, fhn, 1.0, step0, stride, *rec]
 
 
 def _assert_same_run(a, b):
@@ -764,16 +763,16 @@ def _assert_same_run(a, b):
         np.testing.assert_array_equal(a[i], b[i])
 
 
-@given(family=st.sampled_from(("electrical", "chemical")),
+@given(family=st.sampled_from(("electrical", "chemical")), P=st.sampled_from((1, 2)),
        n=st.sampled_from((1, 7, 8, 9, 127, 128, 129, 4500)),
        steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
        stride=st.sampled_from((1, 7, 300)), step0=st.integers(0, 700),
        k_traces=st.sampled_from((0, 1, 5, 200)))
 @settings(max_examples=80, derandomize=True, deadline=None)
-def test_c_network_kernel_bit_identical_to_numpy(c_network_chunk, family, n, steps, seed,
+def test_c_network_kernel_bit_identical_to_numpy(c_network_chunk, family, P, n, steps, seed,
                                                  stride, step0, k_traces):
-    a_np = _random_network_args(family, n, steps, seed, stride, step0, k_traces)
-    a_c = _random_network_args(family, n, steps, seed, stride, step0, k_traces)
+    a_np = _random_network_args(family, n, steps, seed, stride, step0, k_traces, P)
+    a_c = _random_network_args(family, n, steps, seed, stride, step0, k_traces, P)
     assert network_chunk(*a_np) == c_network_chunk(*a_c) == steps
     _assert_same_run(a_c, a_np)
 
@@ -784,7 +783,7 @@ def test_c_network_kernel_records_signed_zero_sums_as_numpy(c_network_chunk):
     a_np = _random_network_args("electrical", 9, 5, 3, stride=1, k_traces=2)
     a_np[0][:, 0] = -np.abs(a_np[0][:, 0]) - 1.0
     a_np[0][:, 1] = -0.0
-    a_np[9] = (-1.0, 5.0, -4.0, 4.0, 0.0, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    a_np[8] = np.array([-1.0, 5.0, -4.0, 4.0, 0.0, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     a_c = [v.copy() if isinstance(v, np.ndarray) else v for v in a_np]
     assert network_chunk(*a_np) == c_network_chunk(*a_c) == 5
     assert np.signbit(a_np[0][:, 1]).all()
@@ -800,8 +799,8 @@ def test_c_network_kernel_gate_uses_numpy_exp(c_network_chunk):
     a_np = _random_network_args("chemical", 4500, 1, 4)
     a_np[0][:, 0] = np.random.default_rng(4).normal(scale=3.0, size=9000)
     a_np[0][:, 1:] = 0.0
-    a_np[2], a_np[4] = 1.0, np.zeros((2, 2))
-    a_np[9], a_np[10] = (0.0,) * 8 + (1.0, 0.0, 1.0), 0.0
+    a_np[2], a_np[3] = 1.0, np.zeros((2, 2))
+    a_np[8], a_np[9] = np.array([0.0] * 8 + [1.0, 0.0, 1.0]), 0.0
     a_c = [v.copy() if isinstance(v, np.ndarray) else v for v in a_np]
     assert network_chunk(*a_np) == c_network_chunk(*a_c) == 1
     x = a_np[0][:, 0]
@@ -831,7 +830,7 @@ def test_network_kernel_stops_at_a_non_finite_gate(c_network_chunk):
     # voltage stays finite; the voltages follow one step later
     a_np = _random_network_args("chemical", 9, 10, 2, 1, 0, 3)
     a_np[0][4, 2] = -1.5e308
-    a_np[4] = np.zeros((2, 2))
+    a_np[3] = np.zeros((2, 2))
     a_c = [v.copy() if isinstance(v, np.ndarray) else v for v in a_np]
     with np.errstate(over="ignore", invalid="ignore"):
         assert network_chunk(*a_np) == c_network_chunk(*a_c) == 0
@@ -854,9 +853,9 @@ def test_network_kernel_records_its_own_steps(family, n):
         ref = _random_network_args(family, n, 12, 9)
         kernel(*a)
         for j in range(12):
-            network_chunk(*ref[:1], ref[1][j:j + 1], *ref[2:11])
-            for p in range(a[3].shape[0] - 1):
-                blk = ref[0][a[3][p]:a[3][p + 1]]
+            network_chunk(*ref[:1], ref[1][j:j + 1], *ref[2:10])
+            for p in range(a[3].shape[0]):
+                blk = ref[0][p * n:(p + 1) * n]
                 np.testing.assert_array_equal(a[-3][p, 4 + j], [c.mean() for c in blk.T])
                 np.testing.assert_array_equal(a[-2][p, 4 + j], [c.std() for c in blk.T])
                 np.testing.assert_array_equal(a[-1][p, 4 + j], blk[:4, 0])
@@ -879,20 +878,27 @@ def test_mean_std_is_ndarray_mean_and_std(n):
             assert kernel(*a) == 1
             np.testing.assert_array_equal(a[0], states)
             for p in range(2):
-                cols = states[a[3][p]:a[3][p + 1]].T
+                cols = states[p * n:(p + 1) * n].T
                 assert a[-3][p, 1].tolist() == [c.mean() for c in cols]
                 assert a[-2][p, 1].tolist() == [c.std() for c in cols]
 
 
 def test_c_network_kernel_rejects_bad_arguments(c_network_chunk):
-    a = _random_network_args("electrical", 8, 5, 1, stride=1)
-    a[-3] = a[-3][:, :-1]  # one record slot too few
-    with pytest.raises(ValueError):
-        c_network_chunk(*a)
-    a = _random_network_args("electrical", 8, 5, 1)
-    a[1] = np.asfortranarray(np.zeros((5, 8)))[:, :7]
-    with pytest.raises(ValueError):
-        c_network_chunk(*a)
+    # each is rejected before C reads anything, and no argument is converted
+    cases = [("electrical", 1, -3, lambda a: a[:, :-1]),  # one record slot too few
+             ("electrical", 0, 1, lambda a: np.asfortranarray(np.zeros((5, 8)))[:, :7]),
+             ("chemical", 0, 0, lambda a: a[:7].copy()),  # N = 7 in two populations
+             ("electrical", 0, 0, lambda a: np.zeros((8, 4))),  # d = 4
+             ("chemical", 0, 3, lambda a: a.astype(np.float32)),  # coef
+             ("chemical", 0, 5, lambda a: np.repeat(a, 2, axis=1)[:, ::2]),  # strided alpha1
+             ("chemical", 0, 8, lambda a: tuple(a.tolist()))]  # fhn
+    for family, stride, at, bad in cases:
+        a = _random_network_args(family, 8, 5, 1, stride=stride)
+        a[at] = bad(a[at])
+        states = a[0].copy()
+        with pytest.raises(ValueError, match="network_chunk"):
+            c_network_chunk(*a)
+        np.testing.assert_array_equal(a[0], states)
 
 
 SWEEP = {"kind": "double-limit-sweep", "seed": 4,
@@ -1350,12 +1356,13 @@ def test_chemical_twin_follows_numpys_exp_target(tmp_path):
 def test_self_check_takes_gates_past_exps_range():
     # exp's overflow (inf, so g = 0) and underflow (0) paths are compared
     # bit for bit too
-    _, (states, *_, fhn, _sig, _step0, _stride, _means, _stds, _traces) = \
-        _selfcheck._network_cases()
-    arg = (fhn[9] - states[:, 0]) * fhn[10]
-    assert arg.max() > 710 and arg.min() < -746
-    with np.errstate(over="ignore"):
-        assert np.isinf(np.exp(arg)).any() and (np.exp(arg) == 0.0).any()
+    _, *chemical = _selfcheck._network_cases()
+    assert len(chemical) == 2
+    for states, *_, fhn, _sig, _step0, _stride, _means, _stds, _traces in chemical:
+        arg = (fhn[9] - states[:, 0]) * fhn[10]
+        assert arg.max() > 710 and arg.min() < -746
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(arg)).any() and (np.exp(arg) == 0.0).any()
 
 
 class TestNoiseStream:

@@ -82,7 +82,9 @@ class TestElectricalModel:
         assert model.dim == 2
         assert model.coupling[0, 0] == 1.0
         assert model.params.sigma == 1.0
-        assert model.offsets.tolist() == [0, 300]
+        states = np.zeros((300, 2))
+        (rows,) = model.population_rows(states)
+        assert rows.shape == (300, 2) and rows.base is states
 
     def test_interaction_voltage_difference(self):
         np.testing.assert_allclose(
@@ -172,7 +174,7 @@ class TestPopulationMeans:
         # averaging a contiguous copy of it
         model = NetworkModel(params, n=n)
         P, d = model.n_populations, model.dim
-        o = model.offsets
+        o = np.arange(P + 1) * n
         buf = np.random.default_rng(n).normal(size=(7 + P * n, d))
         lines = set()
         for row0 in range(8):

@@ -304,8 +304,10 @@ class TestInitialState:
         model = NetworkModel(_fig2a_params(), n=5)
         states = draw_initial_state(model, _chem_init(), 13)
         assert states.shape == (10, 3)
-        assert np.searchsorted(model.offsets, 0, side="right") - 1 == 0
-        assert np.searchsorted(model.offsets, 7, side="right") - 1 == 1
+        rows = model.population_rows(states)
+        assert [r.shape for r in rows] == [(5, 3), (5, 3)]
+        assert rows[0].base is states and rows[1].base is states
+        assert rows[1].ctypes.data == states[5:].ctypes.data
         # uniform synaptic ranges differ per population
         assert states[:5, 2].max() <= 2.0
         assert states[5:, 2].max() <= 3.0
@@ -474,14 +476,13 @@ class TestNoiseBlocks:
         model, init, _ = _contract_case(family)
         steps = 2 * NOISE_CHUNK + 37
         T = steps * CONTRACT_DT
-        N = int(model.offsets[-1])
+        N = model.n * model.n_populations
         state = draw_initial_state(model, init, 8)
         kernel_args = _kernel_args(model)
         for chunk in range(3):
             block = rng.normal_block(8, rng.NOISE_STREAM, chunk, (NOISE_CHUNK, N))
             k = min(NOISE_CHUNK, steps - chunk * NOISE_CHUNK)
-            assert network_chunk(state, block[:k], CONTRACT_DT, model.offsets,
-                                 *kernel_args) == k
+            assert network_chunk(state, block[:k], CONTRACT_DT, *kernel_args) == k
 
         for on in (False, True):
             _force_prefetch(monkeypatch, on)
@@ -874,8 +875,7 @@ class TestBlowupStep:
         kernel_args = _kernel_args(model)
         with np.errstate(over="ignore", invalid="ignore"):
             step = next(j for j in range(NOISE_CHUNK)
-                        if network_chunk(state, noise[j:j + 1], dt, model.offsets,
-                                         *kernel_args) == 0)
+                        if network_chunk(state, noise[j:j + 1], dt, *kernel_args) == 0)
         assert run.status == "BLOWUP" and run.blowup_time == (step + 1) * dt
         np.testing.assert_array_equal(run.times, np.arange(step + 1) * dt)
 
@@ -900,9 +900,9 @@ def _record_still(kernel, blk):
     n, d = blk.shape
     states = blk.copy()
     means, stds = np.full((1, 2, d), np.nan), np.full((1, 2, d), np.nan)
-    fhn = (0.0,) * 6 + (-1.0,) + (0.0,) * 4
-    done = kernel(states, np.zeros((1, n)), 0.0, np.array([0, n]), np.zeros((1, 1)),
-                  np.zeros(1), np.zeros((1, d)), np.zeros(1), np.zeros((1, d)), fhn, 1.0,
+    fhn = np.array([0.0] * 6 + [-1.0] + [0.0] * 4)
+    done = kernel(states, np.zeros((1, n)), 0.0, np.zeros((1, 1)), np.zeros(1),
+                  np.zeros((1, d)), np.zeros(1), np.zeros((1, d)), fhn, 1.0,
                   0, 1, means, stds, np.empty((1, 2, 0)))
     return done, states, means[0, 1], stds[0, 1]
 
@@ -960,7 +960,6 @@ class TestCaptureMoments:
                 monkeypatch.setattr(_kernels, "_c_twins", {})
             run = simulate(model, init, 40 * CONTRACT_DT, CONTRACT_DT, 5, record)
             for k, (_, states) in zip(steps, run.snapshots):
-                for p in range(model.n_populations):
-                    blk = states[model.offsets[p]:model.offsets[p + 1]]
+                for p, blk in enumerate(model.population_rows(states)):
                     _assert_same_floats(run.means[p][k], [c.mean() for c in blk.T])
                     _assert_same_floats(run.stds[p][k], [c.std() for c in blk.T])
