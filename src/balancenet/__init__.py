@@ -13,7 +13,7 @@ from .network import (CoordinateIC, InitialConditionSpec, PerturbationEvent,
                       simulate_rescaled_early)
 from .balance import (BalanceReport, chemical_balance_voltages, chemical_stability,
                       distance_to_balance, integrate_early_ode)
-from .pde import DensityField, Grid1D, gaussian_initial, solve_fp_1d
+from .pde import Grid1D, gaussian_initial, solve_fp_1d
 from .hopfcole import (HopfColeField, check_bv_interaction, check_moment_bound,
                        check_w_gradient_bound, epsilon_sweep, hamiltonian_residual,
                        hopf_cole, support_width)

@@ -12,7 +12,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -40,13 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = parse_config(Path(args.config).read_text())
+        spec = parse_config(Path(args.config).read_text(), args.seed)
         if KINDS[spec.kind].command != args.command:
             raise ConfigError("BAD_VALUE", "kind",
                               f"{args.command!r} expects kind in "
                               f"{_kinds(args.command)}, got {spec.kind!r}")
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
         if args.threads < 1:
             raise ConfigError("BAD_VALUE", "threads", "must be >= 1")
     except (ConfigError, OSError) as err:

@@ -31,7 +31,7 @@ from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionErro
                      build_separable_1d)
 from .network import (CoordinateIC, InitialConditionSpec, PerturbationEvent, RecordSpec,
                       check_run)
-from .pde import Grid1D, check_concentration, check_horizon, fp_steps
+from .pde import Grid1D, check_concentration, check_horizon, fp_steps, gaussian_initial
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -414,8 +414,13 @@ class PdeRunSpec(_Section):
     command = "pde"
 
     def __post_init__(self):
-        fp_steps(self.model.build(self.model.epsilon), self.grid.build(), self.T,
-                 snapshot_every=self.snapshot_every)
+        model, grid = self.model.build(self.model.epsilon), self.grid.build()
+        fp_steps(model, grid, self.T, snapshot_every=self.snapshot_every)
+        # the run's initial density, as harness._run_pde builds it
+        try:
+            gaussian_initial(grid, model.epsilon, self.init.concentration, self.init.center)
+        except ModelDefinitionError as err:
+            raise ModelDefinitionError(str(err), f"init.{err.key}") from err
 
 
 @dataclass(frozen=True)
@@ -570,10 +575,13 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
     return ExperimentSpec(kind=kind, seed=seed, payload=KINDS[kind].parse(root), out=out)
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse a JSON experiment configuration in strict mode."""
+def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
+    """Parse a JSON experiment configuration in strict mode; a seed given
+    here replaces the config's before the parse checks it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(TYPE_MISMATCH, "<root>", f"invalid JSON: {err}") from err
+    if seed is not None and isinstance(data, dict):
+        data = {**data, "seed": seed}
     return parse_config_dict(data)

@@ -225,7 +225,7 @@ def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
     grid = p.grid.build()
     mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
     snap = p.snapshot_every if p.snapshot_every is not None else p.T / SNAPSHOTS_PER_RUN
-    run = solve_fp_1d(model, mu0, p.T, snapshot_every=snap)
+    run = solve_fp_1d(model, grid, mu0, p.T, snapshot_every=snap)
     transform, series = snapshot_series(run)
     write_csv(out / "pde_series.csv", ["t", "mass", *series],
               [run.times, run.mass, *series.values()])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelDefinitionError, SeparableModel1D
-from .pde import SNAPSHOTS_PER_RUN, DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
+from .pde import SNAPSHOTS_PER_RUN, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
 FLOOR_RATIO = 1e-15
 CORE_RATIO = 1e-2
@@ -43,45 +43,37 @@ class HopfColeField:
     w = sqrt(2F^2 - phi) stays positive on the mask. sup_phi and F are
     floats for one density and (S,) for a stack of S snapshots."""
 
-    grid: Grid1D
-    epsilon: float
     phi: np.ndarray       # (M,) or (S, M), NaN off-mask
     mask: np.ndarray      # like phi, bool
     sup_phi: float | np.ndarray
     F: float | np.ndarray
 
 
-def hopf_cole(density: DensityField, floor_ratio: float = FLOOR_RATIO) -> HopfColeField:
-    """Log-transform a density, or each row of a stack, masking cells below
-    floor_ratio * max."""
-    values = density.values
+def hopf_cole(values: np.ndarray, epsilon: float,
+              floor_ratio: float = FLOOR_RATIO) -> HopfColeField:
+    """Log-transform a density (M,), or each row of a stack (S, M), at
+    epsilon, masking cells below floor_ratio * max."""
     mx = values.max(axis=-1, keepdims=True)
     if not np.all(mx > 0):
         raise ValueError("cannot transform an all-zero density")
     mask = values > floor_ratio * mx
     phi = np.full(values.shape, np.nan)
     np.log(values, out=phi, where=mask)
-    np.multiply(phi, density.epsilon, out=phi, where=mask)
+    np.multiply(phi, epsilon, out=phi, where=mask)
     sup = np.fmax.reduce(phi, axis=-1)
-    return HopfColeField(grid=density.grid, epsilon=density.epsilon, phi=phi, mask=mask,
-                         sup_phi=sup, F=np.sqrt(1.0 + np.maximum(0.0, sup)))
+    return HopfColeField(phi=phi, mask=mask, sup_phi=sup, F=np.sqrt(1.0 + np.maximum(0.0, sup)))
 
 
-def snapshot_fields(run: FpRun) -> HopfColeField:
-    """The transform of every snapshot of a run, one row each."""
-    return hopf_cole(run.snapshots())
-
-
-def support_width(density: DensityField) -> float | np.ndarray:
-    """Length of the smallest interval of cells carrying at least
-    WIDTH_RATIO of the peak density (of each row of a stack)."""
-    mx = density.values.max(axis=-1, keepdims=True)
+def support_width(values: np.ndarray, dx: float) -> float | np.ndarray:
+    """Length of the smallest interval of cells of width dx carrying at
+    least WIDTH_RATIO of the peak density (of each row of a stack)."""
+    mx = values.max(axis=-1, keepdims=True)
     if not np.all(mx > 0):
         raise ValueError("density is identically zero")
-    above = density.values >= WIDTH_RATIO * mx
+    above = values >= WIDTH_RATIO * mx
     first = np.argmax(above, axis=-1)
     stop = above.shape[-1] - np.argmax(above[..., ::-1], axis=-1)
-    return (stop - first) * density.grid.dx
+    return (stop - first) * dx
 
 
 def _masked_gradient(phi: np.ndarray, mask: np.ndarray, dx: float):
@@ -108,19 +100,21 @@ def _masked_gradient(phi: np.ndarray, mask: np.ndarray, dx: float):
 
 
 def hamiltonian_residual(phi_field: HopfColeField, big_i: float | np.ndarray,
-                         model: SeparableModel1D) -> tuple[np.ndarray, float | np.ndarray]:
+                         model: SeparableModel1D, grid: Grid1D
+                         ) -> tuple[np.ndarray, float | np.ndarray]:
     """Residual of the limiting Hamilton-Jacobi relation,
     R(x) = -alpha(x) I dphi - sigma^2/2 (dphi)^2, and its sup-norm over the
-    support core (cells within a factor 100 of the peak). For a run's field,
-    big_i holds I at each snapshot and the sup-norm is one per snapshot."""
-    grad, interior = _masked_gradient(phi_field.phi, phi_field.mask, phi_field.grid.dx)
-    res = -np.asarray(model.alpha(phi_field.grid.centers)) * np.expand_dims(big_i, -1)
+    support core (cells within a factor 100 of the peak), for a transform
+    taken on grid at the model's epsilon. For a run's field, big_i holds I
+    at each snapshot and the sup-norm is one per snapshot."""
+    grad, interior = _masked_gradient(phi_field.phi, phi_field.mask, grid.dx)
+    res = -np.asarray(model.alpha(grid.centers)) * np.expand_dims(big_i, -1)
     res *= grad
     grad *= grad                          # then grad's buffer holds the quadratic term
     grad *= 0.5 * model.sigma ** 2
     res -= grad
     res[~interior] = np.nan
-    floor = phi_field.sup_phi - phi_field.epsilon * math.log(1.0 / CORE_RATIO)
+    floor = phi_field.sup_phi - model.epsilon * math.log(1.0 / CORE_RATIO)
     core = interior & (phi_field.phi >= np.expand_dims(floor, -1))
     if not core.any(axis=-1).all():
         raise ValueError("support core is empty")
@@ -130,11 +124,11 @@ def hamiltonian_residual(phi_field: HopfColeField, big_i: float | np.ndarray,
 def snapshot_series(run: FpRun) -> tuple[HopfColeField, dict[str, np.ndarray]]:
     """The transform of a run's snapshots and its series at them, each (S,):
     I, sup phi, the support width and the residual's sup-norm on the core."""
-    f = snapshot_fields(run)
+    f = hopf_cole(run.densities, run.model.epsilon)
     big_i = run.i_at(run.times)
     return f, {"interaction": big_i, "sup_phi": f.sup_phi,
-               "support_width": support_width(run.snapshots()),
-               "residual_sup": hamiltonian_residual(f, big_i, run.model)[1]}
+               "support_width": support_width(run.densities, run.grid.dx),
+               "residual_sup": hamiltonian_residual(f, big_i, run.model, run.grid)[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +189,13 @@ class BvReport:
     prefix_tv: tuple[float, ...]
 
 
-def check_bv_interaction(i_times: np.ndarray, i_values: np.ndarray,
+def check_bv_interaction(step_times: np.ndarray, i_values: np.ndarray,
                          points: int = 2001) -> BvReport:
     """Prefix total variation of the interaction series on a uniform
     comparison cadence, with an affine-in-time majorant fitted above it."""
     n = len(i_values)
     sel = np.unique(np.round(np.linspace(0, n - 1, min(points, n))).astype(int))
-    t = i_times[sel]
+    t = step_times[sel]
     v = i_values[sel]
     prefix = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(v)))])
     half = len(t) // 2
@@ -395,12 +389,12 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
         try:
             model = base_model.with_epsilon(e)
             mu0 = gaussian_initial(grid, e, init_concentration, init_center)
-            run = solve_fp_1d(model, mu0, T, snapshot_every=snapshot_every)
+            run = solve_fp_1d(model, grid, mu0, T, snapshot_every=snapshot_every)
             f, series = snapshot_series(run)
             d.sup_phi_final, d.support_width_final, d.i_final, d.residual_sup_final = (
                 float(series[name][-1])
                 for name in ("sup_phi", "support_width", "interaction", "residual_sup"))
-            d.bv = check_bv_interaction(run.i_times, run.i_values)
+            d.bv = check_bv_interaction(np.arange(run.meta["n_steps"]) * run.dt, run.i_values)
             d.theta = check_w_gradient_bound(run, f, t0).theta
             d.moment = check_moment_bound(run, 2)
             d.times, d.excess = run.times, envelope_excess(run, f)

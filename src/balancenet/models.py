@@ -352,7 +352,6 @@ class SeparableModel1D:
     sigma: float
     epsilon: float
     beta_floor: float
-    beta_ceil: float
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -364,7 +363,7 @@ class SeparableModel1D:
 
     def with_epsilon(self, epsilon: float) -> "SeparableModel1D":
         return SeparableModel1D(self.f, self.alpha, self.beta, self.sigma, epsilon,
-                                self.beta_floor, self.beta_ceil)
+                                self.beta_floor)
 
 
 def build_separable_1d(epsilon: float, params: SeparableParams = SeparableParams()
@@ -386,4 +385,4 @@ def build_separable_1d(epsilon: float, params: SeparableParams = SeparableParams
 
     return SeparableModel1D(
         f=f, alpha=alpha, beta=beta, sigma=params.sigma, epsilon=epsilon,
-        beta_floor=beta0, beta_ceil=beta0 + beta1)
+        beta_floor=beta0)

@@ -62,25 +62,6 @@ class Grid1D:
         return -self.L + np.arange(self.M + 1) * self.dx
 
 
-@dataclass(eq=False)
-class DensityField:
-    """Probability density on a grid with its inverse-coupling epsilon:
-    values (M,), or a stack (S, M) of densities, one a row."""
-
-    grid: Grid1D
-    values: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[-1:] != (self.grid.M,) or self.values.ndim > 2:
-            raise ValueError("values must match the grid")
-
-    @property
-    def mass(self) -> float | np.ndarray:
-        return self.values.sum(axis=-1) * self.grid.dx
-
-
 def check_concentration(concentration: float) -> None:
     """The condition gaussian_initial puts on its concentration A."""
     if not concentration > 0:
@@ -88,8 +69,10 @@ def check_concentration(concentration: float) -> None:
 
 
 def gaussian_initial(grid: Grid1D, epsilon: float, concentration: float = 1.0,
-                     center: float = 0.0) -> DensityField:
-    """mu0 proportional to exp(-A (x - x0)^2 / eps), normalized on the grid.
+                     center: float = 0.0) -> np.ndarray:
+    """mu0 proportional to exp(-A (x - x0)^2 / eps), normalized on the grid,
+    as an (M,) array; a profile that vanishes on every cell is rejected
+    with ModelDefinitionError.
 
     This family satisfies the concentration hypothesis on initial data
     (eps log mu0 <= -A x^2 + B uniformly in eps) by construction.
@@ -99,29 +82,23 @@ def gaussian_initial(grid: Grid1D, epsilon: float, concentration: float = 1.0,
     v = np.exp(-concentration * (x - center) ** 2 / epsilon)
     total = v.sum() * grid.dx
     if total <= 0:
-        raise ValueError("initial profile vanishes on the grid")
-    return DensityField(grid=grid, values=v / total, epsilon=epsilon)
+        raise ModelDefinitionError("initial profile vanishes on the grid", "center")
+    return v / total
 
 
 @dataclass(eq=False)
 class FpRun:
-    """Snapshots and the dense interaction series of one solver run."""
+    """Snapshots and the dense interaction series of one solver run; step k
+    starts at k * dt, and epsilon is the model's."""
 
     model: SeparableModel1D
     grid: Grid1D
-    epsilon: float
     dt: float
     times: np.ndarray           # (S,)
     densities: np.ndarray       # (S, M)
     mass: np.ndarray            # (S,)
-    i_times: np.ndarray         # (n_steps,), start-of-step
-    i_values: np.ndarray        # (n_steps,)
-    status: str = "COMPLETED"
+    i_values: np.ndarray        # (n_steps,), at each step's start
     meta: dict = field(default_factory=dict)
-
-    def snapshots(self) -> DensityField:
-        """Every snapshot, as one stack."""
-        return DensityField(grid=self.grid, values=self.densities, epsilon=self.epsilon)
 
     def i_at(self, t):
         """I at time t, or at each time of an array: the value of the step
@@ -170,21 +147,25 @@ def fp_steps(model: SeparableModel1D, grid: Grid1D, T: float, dt: float | None =
     return T / n_steps, n_steps
 
 
-def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
+def solve_fp_1d(model: SeparableModel1D, grid: Grid1D, mu0: np.ndarray, T: float,
                 dt: float | None = None, snapshot_every: float | None = None,
                 cfl: float = CFL_NUMBER) -> FpRun:
-    """March the density to time T recording snapshots and the I(t) series.
+    """March the density mu0, an (M,) array of unit mass on grid, to time T
+    recording snapshots and the I(t) series.
 
-    dt defaults to the CFL-limited step; an explicit dt violating the CFL
-    policy, or a configuration needing more than MAX_STEPS steps, is
-    rejected with CflError, and a snapshot_every that is not positive with
+    A mu0 of another shape or mass is rejected with ValueError. dt defaults
+    to the CFL-limited step; an explicit dt violating the CFL policy, or a
+    configuration needing more than MAX_STEPS steps, is rejected with
+    CflError, and a snapshot_every that is not positive with
     ModelDefinitionError. A density value below -1e-12, or a non-finite
     one, aborts with NegativityError at the step that produced it (it cannot
     happen under the CFL bound; it indicates a broken model definition).
     """
-    grid = mu0.grid
     dt, n_steps = fp_steps(model, grid, T, dt, cfl, snapshot_every)
-    if abs(mu0.mass - 1.0) > 1e-8:
+    mu = np.array(mu0, dtype=float)
+    if mu.shape != (grid.M,):
+        raise ValueError(f"initial density must have shape ({grid.M},), not {mu.shape}")
+    if abs(mu.sum() * grid.dx - 1.0) > 1e-8:
         raise ValueError("initial density must have unit mass")
 
     if snapshot_every is None:
@@ -197,7 +178,6 @@ def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
     f_face = np.asarray(model.f(faces), dtype=float)
     a_face = np.asarray(model.alpha(faces), dtype=float)
     beta_w = np.asarray(model.beta(grid.centers), dtype=float) * grid.dx
-    mu = mu0.values.copy()
     flux = np.zeros(grid.M + 1)
     i_values = np.empty(n_steps)
     kernel = active("fp_chunk")
@@ -232,8 +212,7 @@ def solve_fp_1d(model: SeparableModel1D, mu0: DensityField, T: float,
         check_and_record(si, s0 + done)
 
     return FpRun(
-        model=model, grid=grid, epsilon=model.epsilon, dt=dt,
-        times=times, densities=densities, mass=mass,
-        i_times=np.arange(n_steps) * dt, i_values=i_values,
+        model=model, grid=grid, dt=dt, times=times, densities=densities, mass=mass,
+        i_values=i_values,
         meta={"n_steps": n_steps, "T": T},
     )

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from balancenet.pde import DensityField, Grid1D
+from balancenet.pde import Grid1D
 
 # ---------------------------------------------------------------------------
 # pairwise Euler-Maruyama step
@@ -197,18 +197,20 @@ def net_input(model, p: int, x, means) -> np.ndarray:
     return out
 
 
-def density_from_values(grid: Grid1D, values, epsilon: float,
-                        normalize: bool = True) -> DensityField:
-    """A density on grid from nonnegative values, normalized to unit mass."""
-    v = np.asarray(values, dtype=float).copy()
+def density_from_values(grid: Grid1D, values, normalize: bool = True) -> np.ndarray:
+    """A density on grid, an (M,) array, from nonnegative values,
+    normalized to unit mass."""
+    v = np.array(values, dtype=float)
+    if v.shape != (grid.M,):
+        raise ValueError(f"density values must have shape ({grid.M},)")
     if (v < 0).any():
         raise ValueError("density values must be nonnegative")
     if normalize:
         v /= v.sum() * grid.dx
-    d = DensityField(grid=grid, values=v, epsilon=epsilon)
-    if abs(d.mass - 1.0) > 1e-8:
-        raise ValueError(f"density mass {d.mass} is not 1 within 1e-8")
-    return d
+    mass = v.sum() * grid.dx
+    if abs(mass - 1.0) > 1e-8:
+        raise ValueError(f"density mass {mass} is not 1 within 1e-8")
+    return v
 
 
 def cluster_split(samples, pivot: float) -> tuple[float, float, float]:

@@ -229,10 +229,10 @@ def ou_solver_error(cells: int):
     model = SeparableModel1D(
         f=lambda x: -x, alpha=lambda x: 0.0 * np.asarray(x, dtype=float),
         beta=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        sigma=1.0, epsilon=0.5, beta_floor=1.0, beta_ceil=1.0)
+        sigma=1.0, epsilon=0.5, beta_floor=1.0)
     grid = Grid1D(8.0, cells)
     mu0 = gaussian_initial(grid, 2.0, 1.0, 1.0)
-    run = solve_fp_1d(model, mu0, 10.0, snapshot_every=2.0)
+    run = solve_fp_1d(model, grid, mu0, 10.0, snapshot_every=2.0)
     exact = np.exp(-grid.centers ** 2) / math.sqrt(math.pi)
     err = float(np.abs(run.densities[-1] - exact).sum() * grid.dx)
     return err, run

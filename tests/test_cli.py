@@ -20,6 +20,11 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 NETWORK_CFG = {"kind": "network-run", "seed": 3,
                "model": {"family": "fhn-electrical", "n": 12},
                "T": 0.01, "dt": 1e-4}
+PDE_CFG = {"kind": "pde-run", "seed": 3, "model": {"epsilon": 0.2},
+           "grid": {"L": 8, "cells": 128}, "T": 0.05}
+SWEEP_CFG = {"kind": "double-limit-sweep", "seed": 3,
+             "network": {"model": {"family": "fhn-electrical"}, "n_values": [10],
+                         "scalings": [{"kind": "linear"}], "T": 0.01}}
 
 
 class TestExitCodes:
@@ -77,14 +82,23 @@ class TestExitCodes:
         ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [0.4, 0.2],
                  "T": 0.1, "t0": 0.0}, "t0"),
         ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [0.4, 0.2],
-                 "T": 0.1, "t0": 0.5}, "t0")])
+                 "T": 0.1, "t0": 0.5}, "t0"),
+        ("pde", {"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.05},
+                 "grid": {"L": 8, "cells": 128}, "init": {"center": 100.0}, "T": 0.1},
+         "init.center"),
+        *(([command, "--seed", str(seed)], cfg, "seed") for seed in (-1, 2 ** 64)
+          for command, cfg in (("simulate", NETWORK_CFG), ("pde", PDE_CFG),
+                               ("sweep", SWEEP_CFG)))])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
         # the step guard, the epsilon order, a figure run's step, the
-        # Fokker-Planck horizon and step budget, the snapshot schedule and
-        # an epsilon sweep's t0 are checked at parse time
+        # Fokker-Planck horizon and step budget, the snapshot schedule, an
+        # epsilon sweep's t0, a pde-run's initial density and a --seed are
+        # checked at parse time; command is the subcommand, or a list of it
+        # and extra arguments
         out = tmp_path / "o"
-        assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        argv = [command] if isinstance(command, str) else command
+        assert main([*argv, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"BAD_VALUE({path})" in capsys.readouterr().err
         assert not out.exists()
 
@@ -313,3 +327,36 @@ class TestBenchmarkTraceTargets:
         assert pde["pde.steps"] > 0
         assert pde["kernels.fp_chunk.calls"] > 0
         assert pde["kernels.fp_chunk.steps"] == pde["pde.steps"]
+
+
+class TestBenchmarkWorker:
+    def test_every_workload_passes_its_output_checks(self, tmp_path, monkeypatch):
+        # the benchmark's correctness check on each workload, with the
+        # warm-up config as the measured one: perfbench's worker runs it
+        # through the CLI with its solver probe, and the workload's checks
+        # read the outputs and the probe
+        root = Path(balancenet.__file__).resolve().parents[2]
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        from workloads import WORKLOADS, check_common, write_config
+
+        for name, workload in WORKLOADS.items():
+            d = tmp_path / name
+            d.mkdir()
+            write_config(d / "config.json", workload.warmup)
+            job = {"root": str(root), "command": workload.command,
+                   "threads": workload.threads, "cpus": sorted(os.sched_getaffinity(0)),
+                   "config": str(d / "config.json"), "out": str(d / "out"),
+                   "warmup_config": str(d / "config.json"),
+                   "warmup_out": str(d / "warmup_out"), "trace": False}
+            (d / "job.json").write_text(json.dumps(job))
+            done = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py"),
+                                   str(d / "job.json"), str(d / "result.json")],
+                                  cwd=d, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (name, done.stderr)
+            result = json.loads((d / "result.json").read_text())
+            assert result["exit_code"] == 0, name
+            manifest = json.loads((d / "out" / "manifest.json").read_text())
+            problems = (check_common(manifest, d / "out")
+                        + workload.check(workload.warmup, manifest, d / "out",
+                                         result["probe"]))
+            assert problems == [], name

@@ -12,29 +12,20 @@ from balancenet.hopfcole import (FIT_SLACK, N_CANDIDATES, EnvelopeFit,
                                  constructive_moment_constant, envelope_covers,
                                  envelope_excess, envelope_slopes, epsilon_sweep,
                                  fit_supersolution_envelope,
-                                 hamiltonian_residual, hopf_cole, snapshot_fields,
-                                 snapshot_series, support_width)
+                                 hamiltonian_residual, hopf_cole, snapshot_series,
+                                 support_width)
 from balancenet.models import build_separable_1d
-from balancenet.pde import DensityField, FpRun, Grid1D, gaussian_initial, solve_fp_1d
+from balancenet.pde import FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
 from .oracles import density_from_values
 from .test_pde import ou_model
-
-
-def make_density(grid, values, eps):
-    return DensityField(grid, np.asarray(values, dtype=float), eps)
-
-
-def snapshot_density(run, i):
-    """Snapshot i of an FpRun as one density."""
-    return make_density(run.grid, run.densities[i], run.epsilon)
 
 
 class TestHopfCole:
     def test_constant_density(self):
         grid = Grid1D(4.0, 128)
         c = 1.0 / (2 * grid.L)
-        f = hopf_cole(make_density(grid, np.full(128, c), 0.2))
+        f = hopf_cole(np.full(128, c), 0.2)
         assert f.mask.all()
         np.testing.assert_allclose(f.phi, 0.2 * math.log(c), rtol=1e-12)
 
@@ -42,8 +33,7 @@ class TestHopfCole:
         # mu ~ exp(-x^2/eps): phi = -x^2 + eps*log(normalizer)
         grid = Grid1D(4.0, 512)
         eps = 0.3
-        dens = gaussian_initial(grid, eps, concentration=1.0, center=0.0)
-        f = hopf_cole(dens)
+        f = hopf_cole(gaussian_initial(grid, eps, concentration=1.0, center=0.0), eps)
         shift = f.phi[f.mask] + grid.centers[f.mask] ** 2
         np.testing.assert_allclose(shift, shift[0], atol=1e-9)
 
@@ -51,29 +41,27 @@ class TestHopfCole:
         grid = Grid1D(4.0, 128)
         vals = np.full(128, 1e-20)
         vals[60:68] = 1.0
-        dens = make_density(grid, vals, 0.1)
-        f = hopf_cole(dens, floor_ratio=1e-10)
+        f = hopf_cole(vals, 0.1, floor_ratio=1e-10)
         assert f.mask.sum() == 8
-        full = hopf_cole(dens, floor_ratio=0.0)
+        full = hopf_cole(vals, 0.1, floor_ratio=0.0)
         assert f.sup_phi == full.sup_phi
 
     def test_exp_inverse_identity(self):
         grid = Grid1D(6.0, 512)
-        dens = gaussian_initial(grid, 0.15, 1.0, 0.5)
-        f = hopf_cole(dens)
-        back = np.exp(f.phi[f.mask] / f.epsilon)
-        np.testing.assert_allclose(back, dens.values[f.mask], rtol=1e-12)
+        mu = gaussian_initial(grid, 0.15, 1.0, 0.5)
+        f = hopf_cole(mu, 0.15)
+        back = np.exp(f.phi[f.mask] / 0.15)
+        np.testing.assert_allclose(back, mu[f.mask], rtol=1e-12)
 
     def test_w_argument_positive(self):
         grid = Grid1D(4.0, 128)
-        dens = gaussian_initial(grid, 0.5, 1.0, 0.0)
-        f = hopf_cole(dens)
+        f = hopf_cole(gaussian_initial(grid, 0.5, 1.0, 0.0), 0.5)
         assert np.all(2 * f.F ** 2 - f.phi[f.mask] > 0)
 
     def test_all_zero_rejected(self):
         grid = Grid1D(4.0, 128)
         with pytest.raises(ValueError):
-            hopf_cole(make_density(grid, np.zeros(128), 0.1))
+            hopf_cole(np.zeros(128), 0.1)
 
 
 def masked_gradient_loop(phi, mask, dx):
@@ -137,16 +125,16 @@ class TestSupportWidth:
         grid = Grid1D(4.0, 128)
         vals = np.zeros(128)
         vals[64] = 1.0
-        assert support_width(make_density(grid, vals, 0.1)) == grid.dx
+        assert support_width(vals, grid.dx) == grid.dx
 
     def test_gaussian_level_set_oracle(self):
         # analytic width at ratio r is 2*sqrt(2 ln(1/r)) * sd
         grid = Grid1D(8.0, 1024)
         sd = 0.5
         vals = np.exp(-grid.centers ** 2 / (2 * sd ** 2))
-        dens = density_from_values(grid, vals, 0.1)
+        mu = density_from_values(grid, vals)
         expect = 2.0 * math.sqrt(2.0 * math.log(1000.0)) * sd
-        assert support_width(dens) == pytest.approx(expect, abs=2 * grid.dx)
+        assert support_width(mu, grid.dx) == pytest.approx(expect, abs=2 * grid.dx)
 
 
 class TestResidual:
@@ -154,8 +142,8 @@ class TestResidual:
         grid = Grid1D(4.0, 256)
         model = build_separable_1d(0.2)
         c = 1.0 / (2 * grid.L)
-        f = hopf_cole(make_density(grid, np.full(256, c), 0.2))
-        res, sup = hamiltonian_residual(f, 1.0, model)
+        f = hopf_cole(np.full(256, c), 0.2)
+        res, sup = hamiltonian_residual(f, 1.0, model, grid)
         assert sup <= 1e-12
 
     def test_algebraic_root_zero_residual(self):
@@ -168,9 +156,8 @@ class TestResidual:
         x = grid.centers
         phi = -(2 * big_i / model.sigma ** 2) * (x ** 2 / 2.0)
         mu = np.exp(phi / 0.2)
-        dens = density_from_values(grid, mu, 0.2)
-        f = hopf_cole(dens)
-        res, sup = hamiltonian_residual(f, big_i, model)
+        f = hopf_cole(density_from_values(grid, mu), 0.2)
+        res, sup = hamiltonian_residual(f, big_i, model, grid)
         assert sup <= 1e-9
 
 
@@ -224,7 +211,7 @@ class TestMomentBound:
         model = ou_model()
         grid = Grid1D(8.0, 512)
         mu0 = gaussian_initial(grid, 2.0, 1.0, 1.0)
-        run = solve_fp_1d(model, mu0, 5.0, snapshot_every=0.5)
+        run = solve_fp_1d(model, grid, mu0, 5.0, snapshot_every=0.5)
         rep = check_moment_bound(run, k=1)
         assert rep.satisfied
         assert rep.moment_series[-1] == pytest.approx(0.5, abs=0.02)
@@ -238,7 +225,7 @@ class TestEnvelope:
         c = math.exp(-1.0 / eps)
         vals = np.full(128, c)
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0], i_values=1.0)
-        excess = envelope_excess(run, snapshot_fields(run))
+        excess = envelope_excess(run, hopf_cole(run.densities, run.model.epsilon))
         fit = fit_supersolution_envelope(envelope_slopes(model), [excess], [run.times])
         assert envelope_covers(excess, run.times, fit)
 
@@ -246,8 +233,8 @@ class TestEnvelope:
         model = build_separable_1d(0.2)
         grid = Grid1D(8.0, 512)
         mu0 = gaussian_initial(grid, 0.2, 1.0, 1.0)
-        run = solve_fp_1d(model, mu0, 1.0, snapshot_every=0.25)
-        excess = envelope_excess(run, snapshot_fields(run))
+        run = solve_fp_1d(model, grid, mu0, 1.0, snapshot_every=0.25)
+        excess = envelope_excess(run, hopf_cole(run.densities, run.model.epsilon))
         fit = fit_supersolution_envelope(envelope_slopes(model), [excess], [run.times])
         assert 0 < fit.a < 2.0 / model.sigma ** 2
         assert envelope_covers(excess, run.times, fit)
@@ -259,7 +246,7 @@ class TestWGradient:
         model = build_separable_1d(0.5)
         vals = np.full(128, 1.0 / (2 * grid.L))
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        rep = check_w_gradient_bound(run, snapshot_fields(run), t0=0.5)
+        rep = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=0.5)
         assert rep.theta <= 0.0
 
     def test_quadratic_phi_matches_analytic_gradient(self):
@@ -269,7 +256,7 @@ class TestWGradient:
         phi = -grid.centers ** 2
         vals = np.exp(phi / eps)
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        rep = check_w_gradient_bound(run, snapshot_fields(run), t0=1.0)
+        rep = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=1.0)
         # w = sqrt(2F^2 + x^2) with sup phi = -x_min^2 ~ 0 -> F^2 ~ 1
         x = grid.centers
         analytic = np.max(np.abs(x) / np.sqrt(2.0 + x ** 2))
@@ -283,17 +270,16 @@ def _fake_run(model, grid, densities, times, i_values=1.0):
     dens = np.stack([np.asarray(d, dtype=float) for d in densities])
     times = np.asarray(times, dtype=float)
     n_steps = max(1, len(times) - 1)
-    return FpRun(model=model, grid=grid, epsilon=model.epsilon, dt=max(times[-1], 1.0) / n_steps,
+    return FpRun(model=model, grid=grid, dt=max(times[-1], 1.0) / n_steps,
                  times=times, densities=dens,
                  mass=np.array([d.sum() * grid.dx for d in dens]),
-                 i_times=np.linspace(0, max(times[-1], 1.0), n_steps, endpoint=False),
                  i_values=np.broadcast_to(np.asarray(i_values, dtype=float), (n_steps,)).copy(),
                  meta={"n_steps": n_steps, "T": float(times[-1])})
 
 
 def _loop_w_gradient_theta(run, t0):
     """check_w_gradient_bound's theta, one snapshot at a time."""
-    fields = [hopf_cole(snapshot_density(run, i)) for i in range(len(run.times))]
+    fields = [hopf_cole(mu, run.model.epsilon) for mu in run.densities]
     F2 = 2.0 * (1.0 + max(0.0, max(f.sup_phi for f in fields)))
     theta = -math.inf
     for f, t in zip(fields, run.times.tolist()):
@@ -312,8 +298,8 @@ def _loop_envelope(run, a_const):
     """Per snapshot, the max over the mask of phi + A' I(t) Lambda(x)."""
     lam = _alpha_antiderivative(run.model, run.grid)
     out = []
-    for i, t in enumerate(run.times.tolist()):
-        f = hopf_cole(snapshot_density(run, i))
+    for mu, t in zip(run.densities, run.times.tolist()):
+        f = hopf_cole(mu, run.model.epsilon)
         out.append(float(np.max(f.phi[f.mask] + a_const * run.i_at(t) * lam[f.mask])))
     return np.array(out)
 
@@ -337,8 +323,8 @@ def _loop_envelope_fit(runs):
 
 def _loop_envelope_covers(run, fit):
     lam = _alpha_antiderivative(run.model, run.grid)
-    for i, t in enumerate(run.times.tolist()):
-        f = hopf_cole(snapshot_density(run, i))
+    for mu, t in zip(run.densities, run.times.tolist()):
+        f = hopf_cole(mu, run.model.epsilon)
         bound = -fit.a * run.i_at(t) * lam + fit.d * t + fit.e
         if np.any(f.phi[f.mask] > bound[f.mask] + 1e-12):
             return False
@@ -362,7 +348,7 @@ def _ragged_run():
 def _solver_run():
     model = build_separable_1d(0.2)
     grid = Grid1D(8.0, 256)
-    return solve_fp_1d(model, gaussian_initial(grid, 0.2, 1.0, 1.0), 0.5,
+    return solve_fp_1d(model, grid, gaussian_initial(grid, 0.2, 1.0, 1.0), 0.5,
                        snapshot_every=0.05)
 
 
@@ -381,37 +367,37 @@ class TestRunArrays:
             assert big_i == run.i_at(t)
 
     def test_rows_equal_single_density_path(self, run):
-        f = snapshot_fields(run)
+        eps, dx = run.model.epsilon, run.grid.dx
+        f = hopf_cole(run.densities, run.model.epsilon)
         transform, series = snapshot_series(run)
         assert f.phi.shape == f.mask.shape == run.densities.shape
-        assert_same_bits(run.snapshots().mass,
-                         [snapshot_density(run, i).mass for i in range(len(run.times))])
+        assert_same_bits(run.mass, [mu.sum() * dx for mu in run.densities])
         masks = set()
         for i, t in enumerate(run.times.tolist()):
-            ref = hopf_cole(snapshot_density(run, i))
+            ref = hopf_cole(run.densities[i], eps)
             assert_same_bits(f.phi[i], ref.phi)
             np.testing.assert_array_equal(f.mask[i], ref.mask)
             assert f.sup_phi[i] == ref.sup_phi and f.F[i] == ref.F
-            _, ref_resid = hamiltonian_residual(ref, run.i_at(t), run.model)
+            _, ref_resid = hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
             assert series["residual_sup"][i] == ref_resid
             assert series["sup_phi"][i] == ref.sup_phi
             assert_same_bits(transform.phi[i], ref.phi)
-            assert series["support_width"][i] == support_width(snapshot_density(run, i))
+            assert series["support_width"][i] == support_width(run.densities[i], dx)
             assert series["interaction"][i] == run.i_at(t)
             masks.add((int(np.argmax(ref.mask)), int(ref.mask.sum())))
         assert len(masks) > 1
 
     def test_residual_rows_equal_single_density_path(self, run):
-        f = snapshot_fields(run)
-        res, sup = hamiltonian_residual(f, run.i_at(run.times), run.model)
+        f = hopf_cole(run.densities, run.model.epsilon)
+        res, sup = hamiltonian_residual(f, run.i_at(run.times), run.model, run.grid)
         for i, t in enumerate(run.times.tolist()):
-            ref_res, ref_sup = hamiltonian_residual(hopf_cole(snapshot_density(run, i)),
-                                                    run.i_at(t), run.model)
+            ref = hopf_cole(run.densities[i], run.model.epsilon)
+            ref_res, ref_sup = hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
             assert_same_bits(res[i], ref_res)
             assert sup[i] == ref_sup
 
     def test_certificates_equal_snapshot_loops(self, run):
-        f = snapshot_fields(run)
+        f = hopf_cole(run.densities, run.model.epsilon)
         for t0 in (0.05, 0.3, float(run.times[-1])):
             assert check_w_gradient_bound(run, f, t0).theta == _loop_w_gradient_theta(run, t0)
         with pytest.raises(ArithmeticError):  # the bound at t = 0 is infinite
@@ -429,15 +415,15 @@ class TestRunArrays:
         assert list(check_moment_bound(run, 1).moment_series) == moments
 
     def test_w_gradient_leaves_the_transform_as_it_is(self, run):
-        f = snapshot_fields(run)
+        f = hopf_cole(run.densities, run.model.epsilon)
         phi = f.phi.copy()
         check_w_gradient_bound(run, f, 0.05)
         assert_same_bits(f.phi, phi)
 
     def test_fit_over_runs_equals_snapshot_loops(self):
         runs = [_solver_run(), _ragged_run()]
-        fit = fit_supersolution_envelope(envelope_slopes(runs[0].model),
-                                         [envelope_excess(r, snapshot_fields(r)) for r in runs],
+        excesses = [envelope_excess(r, hopf_cole(r.densities, r.model.epsilon)) for r in runs]
+        fit = fit_supersolution_envelope(envelope_slopes(runs[0].model), excesses,
                                          [r.times for r in runs])
         assert fit == _loop_envelope_fit(runs)
 
@@ -449,12 +435,12 @@ class TestRunArrays:
         comb = np.where(np.arange(128) % 2 == 0, 1.0, 0.0)
         smooth = np.exp(-grid.centers ** 2)
         run = _fake_run(model, grid, [smooth, comb, smooth], [0.0, 0.5, 1.0])
-        f = snapshot_fields(run)
+        f = hopf_cole(run.densities, run.model.epsilon)
         assert not f.mask[1].reshape(-1, 2)[:, 1].any()
         assert check_w_gradient_bound(run, f, 0.2).theta == _loop_w_gradient_theta(run, 0.2)
         late = _fake_run(model, grid, [smooth, comb], [0.0, 1.0])
         with pytest.raises(ValueError, match="no snapshots"):
-            check_w_gradient_bound(late, snapshot_fields(late), 0.5)
+            check_w_gradient_bound(late, hopf_cole(late.densities, late.model.epsilon), 0.5)
         with pytest.raises(ValueError, match="support core is empty"):
             snapshot_series(run)
 
@@ -469,25 +455,26 @@ class TestSweepConsistency:
                             snapshot_every=0.25, t0=0.25)
         d = next(d for d in rep.diagnostics if d.epsilon == 0.3)
         assert d.status == "COMPLETED"
-        run = solve_fp_1d(base, gaussian_initial(grid, 0.3, 1.0, 1.0), 1.0,
+        run = solve_fp_1d(base, grid, gaussian_initial(grid, 0.3, 1.0, 1.0), 1.0,
                           snapshot_every=0.25)
-        final = snapshot_density(run, -1)
-        f = hopf_cole(final)
+        final = run.densities[-1]
+        f = hopf_cole(final, 0.3)
         assert d.sup_phi_final == f.sup_phi
-        assert d.support_width_final == support_width(final)
+        assert d.support_width_final == support_width(final, grid.dx)
         assert d.i_final == run.i_values[-1]
-        _, resid = hamiltonian_residual(f, run.i_at(1.0), base)
+        _, resid = hamiltonian_residual(f, run.i_at(1.0), base, grid)
         assert d.residual_sup_final == resid
-        assert d.theta == check_w_gradient_bound(run, snapshot_fields(run), 0.25).theta
+        f = hopf_cole(run.densities, 0.3)
+        assert d.theta == check_w_gradient_bound(run, f, 0.25).theta
         assert d.theta == _loop_w_gradient_theta(run, 0.25)
 
     def test_t0_at_the_horizon_takes_the_last_snapshot(self):
         # 1458 steps of T / 1458 stamp the last snapshot 0.24999999999999997,
         # below T; a t0 of T still takes it, as the snapshot at step n_steps
         grid = Grid1D(8.0, 128)
-        run = solve_fp_1d(build_separable_1d(0.2), gaussian_initial(grid, 0.2), 0.25)
+        run = solve_fp_1d(build_separable_1d(0.2), grid, gaussian_initial(grid, 0.2), 0.25)
         assert run.meta["n_steps"] == 1458 and run.times[-1] < 0.25
-        f = snapshot_fields(run)
+        f = hopf_cole(run.densities, run.model.epsilon)
         theta = check_w_gradient_bound(run, f, 0.25).theta
         assert theta == _loop_w_gradient_theta(run, float(run.times[-1]))
         with pytest.raises(ValueError, match="no snapshots"):
@@ -515,9 +502,9 @@ class TestSweepConsistency:
         # is gone before the next member is solved
         transforms, runs, alive = [], [], []
 
-        def counted_hopf_cole(density, *args, **kwargs):
-            transforms.append(density.values.shape)
-            return hopf_cole(density, *args, **kwargs)
+        def counted_hopf_cole(values, *args, **kwargs):
+            transforms.append(values.shape)
+            return hopf_cole(values, *args, **kwargs)
 
         def tracked_solve(*args, **kwargs):
             alive.append(sum(r() is not None for r in runs))

@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from balancenet import pde
 from balancenet._kernels import fp_chunk
 from balancenet.models import SeparableModel1D, build_separable_1d
-from balancenet.pde import (CflError, DensityField, Grid1D, NegativityError,
-                            cfl_timestep, gaussian_initial, solve_fp_1d)
+from balancenet.pde import (CflError, Grid1D, NegativityError, cfl_timestep,
+                            gaussian_initial, solve_fp_1d)
 
 from .oracles import density_from_values
 
@@ -18,13 +19,13 @@ def ou_model(sigma=1.0, epsilon=0.5):
     return SeparableModel1D(
         f=lambda x: -x, alpha=lambda x: 0.0 * np.asarray(x, dtype=float),
         beta=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        sigma=sigma, epsilon=epsilon, beta_floor=1.0, beta_ceil=1.0)
+        sigma=sigma, epsilon=epsilon, beta_floor=1.0)
 
 
 def ou_l1_error(M, T=10.0):
     grid = Grid1D(8.0, M)
     mu0 = gaussian_initial(grid, epsilon=2.0, concentration=1.0, center=1.0)
-    run = solve_fp_1d(ou_model(), mu0, T, snapshot_every=T)
+    run = solve_fp_1d(ou_model(), grid, mu0, T, snapshot_every=T)
     x = grid.centers
     exact = np.exp(-x ** 2) / math.sqrt(math.pi)
     return float(np.abs(run.densities[-1] - exact).sum() * grid.dx), run
@@ -56,21 +57,21 @@ class TestSolverContracts:
         mu0 = gaussian_initial(grid, 2.0)
         dt_max = cfl_timestep(model, grid)
         with pytest.raises(CflError):
-            solve_fp_1d(model, mu0, 1.0, dt=dt_max * 3)
+            solve_fp_1d(model, grid, mu0, 1.0, dt=dt_max * 3)
 
     def test_step_budget_rejected(self):
         grid = Grid1D(8.0, 256)
         model = ou_model()
         mu0 = gaussian_initial(grid, 2.0)
         with pytest.raises(CflError):
-            solve_fp_1d(model, mu0, 10.0, dt=1e-9)
+            solve_fp_1d(model, grid, mu0, 10.0, dt=1e-9)
 
     def test_unstable_cfl_aborts_with_negativity(self):
         grid = Grid1D(8.0, 256)
         model = ou_model()
         mu0 = gaussian_initial(grid, 2.0)
         with pytest.raises(NegativityError):
-            solve_fp_1d(model, mu0, 1.0, cfl=40.0)
+            solve_fp_1d(model, grid, mu0, 1.0, cfl=40.0)
 
     def test_negativity_reported_at_its_step(self):
         # an unstable step (cfl=40) first leaves a negative density a few
@@ -81,7 +82,7 @@ class TestSolverContracts:
         mu0 = gaussian_initial(grid, 2.0, 5.0)
         dt = 1.0 / math.ceil(1.0 / cfl_timestep(model, grid, 40.0) - 1e-12)
         # replay one step per call
-        mu = mu0.values.copy()
+        mu = mu0.copy()
         flux = np.zeros(grid.M + 1)
         args = (model.f(grid.faces), model.alpha(grid.faces),
                 model.beta(grid.centers) * grid.dx, 1.0 / model.epsilon,
@@ -94,20 +95,25 @@ class TestSolverContracts:
         for T, every in ((1.0, None), (1.0, 4 * dt), (step * dt, None),
                          (3 * step * dt, step * dt)):
             with pytest.raises(NegativityError) as err:
-                solve_fp_1d(model, mu0, T, dt=dt, snapshot_every=every, cfl=40.0)
+                solve_fp_1d(model, grid, mu0, T, dt=dt, snapshot_every=every, cfl=40.0)
             assert re.search(r"t=(\S+)$", str(err.value)).group(1) == f"{step * dt:.6g}"
 
-    def test_unit_mass_required(self):
+    def test_unit_mass_required(self, monkeypatch):
+        # a density of the wrong mass, or of unit mass but the wrong shape,
+        # is rejected before the solver takes its kernel
         grid = Grid1D(8.0, 256)
-        bad = DensityField(grid, np.ones(256), 0.5)
-        with pytest.raises(ValueError):
-            solve_fp_1d(ou_model(), bad, 1.0)
+        mu0 = gaussian_initial(grid, 2.0)
+        monkeypatch.setattr(pde, "active", lambda name: pytest.fail("the solver stepped"))
+        for bad, match in ((np.ones(256), "unit mass"), (np.append(mu0, 0.0), "shape"),
+                           (mu0[None, :], "shape")):
+            with pytest.raises(ValueError, match=match):
+                solve_fp_1d(ou_model(), grid, bad, 1.0)
 
     def test_interaction_series_recorded_each_step(self):
         grid = Grid1D(8.0, 128)
         model = ou_model()
         mu0 = gaussian_initial(grid, 2.0)
-        run = solve_fp_1d(model, mu0, 0.1)
+        run = solve_fp_1d(model, grid, mu0, 0.1)
         assert len(run.i_values) == run.meta["n_steps"]
         # beta = 1: the interaction equals the mass
         np.testing.assert_allclose(run.i_values, 1.0, atol=1e-10)
@@ -121,7 +127,7 @@ def pde_run():
     model = build_separable_1d(_EPS)
     grid = Grid1D(8.0, 1024)
     mu0 = gaussian_initial(grid, _EPS, 1.0, 1.0)
-    return solve_fp_1d(model, mu0, 1.0, snapshot_every=0.5)
+    return solve_fp_1d(model, grid, mu0, 1.0, snapshot_every=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -143,26 +149,25 @@ class TestDefaultModelAgainstParticles:
     interacting diffusion, compared against the deterministic solver."""
 
     def test_mode_at_alpha_zero(self, pde_run):
-        dens = DensityField(pde_run.grid, pde_run.densities[-1], pde_run.epsilon)
-        x_mode = dens.grid.centers[int(np.argmax(dens.values))]
-        assert abs(x_mode - 0.0) <= dens.grid.dx
+        grid = pde_run.grid
+        x_mode = grid.centers[int(np.argmax(pde_run.densities[-1]))]
+        assert abs(x_mode - 0.0) <= grid.dx
 
     def test_mean_and_spread_match(self, pde_run, ensemble):
-        dens = DensityField(pde_run.grid, pde_run.densities[-1], pde_run.epsilon)
-        x = dens.grid.centers
-        m1 = float((x * dens.values).sum() * dens.grid.dx)
-        m2 = float((x ** 2 * dens.values).sum() * dens.grid.dx)
+        mu, grid = pde_run.densities[-1], pde_run.grid
+        x = grid.centers
+        m1 = float((x * mu).sum() * grid.dx)
+        m2 = float((x ** 2 * mu).sum() * grid.dx)
         sd = math.sqrt(m2 - m1 ** 2)
         se = ensemble.std() / math.sqrt(len(ensemble))
         assert m1 == pytest.approx(ensemble.mean(), abs=5 * se + 2e-3)
         assert sd == pytest.approx(ensemble.std(), rel=0.03)
 
     def test_l1_distance_to_ensemble_histogram(self, pde_run, ensemble):
-        dens = DensityField(pde_run.grid, pde_run.densities[-1], pde_run.epsilon)
-        edges = dens.grid.faces
-        counts, _ = np.histogram(ensemble, bins=edges)
-        hist_density = counts / (len(ensemble) * dens.grid.dx)
-        l1 = float(np.abs(hist_density - dens.values).sum() * dens.grid.dx)
+        mu, grid = pde_run.densities[-1], pde_run.grid
+        counts, _ = np.histogram(ensemble, bins=grid.faces)
+        hist_density = counts / (len(ensemble) * grid.dx)
+        l1 = float(np.abs(hist_density - mu).sum() * grid.dx)
         assert l1 <= 0.08
 
 
@@ -182,9 +187,10 @@ class TestGridAndDensity:
     def test_initial_mass_exact(self):
         grid = Grid1D(8.0, 256)
         mu0 = gaussian_initial(grid, 0.05, 1.0, 1.0)
-        assert mu0.mass == pytest.approx(1.0, abs=1e-12)
+        assert mu0.shape == (256,)
+        assert mu0.sum() * grid.dx == pytest.approx(1.0, abs=1e-12)
 
     def test_density_from_values_validates(self):
         grid = Grid1D(8.0, 128)
         with pytest.raises(ValueError):
-            density_from_values(grid, -np.ones(128), 0.1)
+            density_from_values(grid, -np.ones(128))
