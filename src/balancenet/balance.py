@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import c_twin, rk4_affine
-from .models import NetworkModel, affine_coefficients, conductance_source_maps
+from .models import (ModelDefinitionError, NetworkModel, affine_coefficients,
+                     conductance_source_maps)
 
 DEGENERACY_RTOL = 1e-10
 
@@ -74,13 +75,20 @@ def chemical_balance_voltages(ghat: np.ndarray, E_E: float, E_I: float,
     return out[0], out[1]
 
 
+def check_mean_gates(sbar_E: float, sbar_I: float) -> None:
+    """The condition chemical_stability puts on the mean synaptic values:
+    both nonnegative. The error's key is the population, "E" or "I"."""
+    for key, sbar in (("E", sbar_E), ("I", sbar_I)):
+        if sbar < 0:
+            raise ModelDefinitionError("mean synaptic values must be nonnegative", key)
+
+
 def chemical_stability(ghat: np.ndarray, sbar_E: float, sbar_I: float
                        ) -> tuple[PopulationStability, PopulationStability]:
     """Linear rates A_beta of the early-time voltage ODE and their sign
     verdicts; a population is stable when its rate is negative, marginal at
     zero."""
-    if sbar_E < 0 or sbar_I < 0:
-        raise ValueError("mean synaptic values must be nonnegative")
+    check_mean_gates(sbar_E, sbar_I)
     # A does not depend on the reversal potentials
     A, _ = _chemical_coefficients(ghat, 0.0, 0.0, sbar_E, sbar_I)
     out = [PopulationStability(stable=rate < 0.0, rate=rate, marginal=rate == 0.0)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .balance import check_mean_gates
 from .hopfcole import check_epsilons
 from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionError,
                      NetworkModel, ScalingRule, SeparableModel1D, SeparableParams,
@@ -55,6 +57,10 @@ def _coerce(value, typ, path):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(TYPE_MISMATCH, path, "expected a number")
+        # json reads NaN, Infinity and 1e999 as floats, and an integer
+        # past the float range would not convert
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(BAD_VALUE, path, "expected a finite number")
         return float(value)
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -361,6 +367,9 @@ class SbarConfig(_Section):
     E: float
     I: float
 
+    def __post_init__(self):
+        check_mean_gates(self.E, self.I)
+
 
 # ---------------------------------------------------------------------------
 # experiment specs; each names the CLI subcommand that runs it
@@ -392,8 +401,9 @@ class RescaledEarlySpec(_Section):
     command = "early"
 
     def __post_init__(self):
-        if not all(g > 0 for g in self.gammas):
-            raise ModelDefinitionError("gammas must be positive", "gammas")
+        if not self.gammas or not all(g > 0 for g in self.gammas):
+            raise ModelDefinitionError("gammas must be a non-empty list of positive values",
+                                       "gammas")
         # each gamma's run, as simulate_rescaled_early makes it
         for gamma in self.gammas:
             try:
@@ -472,8 +482,11 @@ class DoubleLimitNetworkSpec(_Section):
     def check(self, node):
         if self.mode not in ("direct", "rescaled-early"):
             raise ConfigError(BAD_VALUE, node._at("mode"), f"unknown mode {self.mode!r}")
-        if min(self.n_values, default=1) < 1:
-            raise ConfigError(BAD_VALUE, node._at("n_values"), "population sizes must be >= 1")
+        if not self.n_values or min(self.n_values) < 1:
+            raise ConfigError(BAD_VALUE, node._at("n_values"),
+                              "need one population size or more, each >= 1")
+        if not self.scalings:
+            raise ConfigError(BAD_VALUE, node._at("scalings"), "need one scaling or more")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .models import ScalingRule
 from .network import (RecordSpec, RunRecord, apply_perturbation, simulate,
                       simulate_rescaled_early, usable_cpus)
 from .pde import SNAPSHOTS_PER_RUN, gaussian_initial, solve_fp_1d
+from .stats import histogram
 
 
 # ---------------------------------------------------------------------------
@@ -137,30 +138,27 @@ _COORDS = ("x", "y", "s")
 
 def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
     """Write a run's series, traces and snapshots."""
-    d = run.means[0].shape[1]
+    _, _, d = run.means.shape
     header = ["t"]
     cols = [run.times]
-    for p, lab in enumerate(labels):
+    for lab, means, stds in zip(labels, run.means, run.stds):
         for k in range(d):
             header += [f"mean_{lab}_{_COORDS[k]}", f"std_{lab}_{_COORDS[k]}"]
-            cols += [run.means[p][:, k], run.stds[p][:, k]]
+            cols += [means[:, k], stds[:, k]]
     write_csv(out / "series.csv", header, cols)
 
-    if any(tr.shape[1] for tr in run.traces):
-        header = ["t"]
-        cols = [run.times]
-        for p, lab in enumerate(labels):
-            for j in range(run.traces[p].shape[1]):
-                header.append(f"{lab}_{j:02d}")
-                cols.append(run.traces[p][:, j])
-        write_csv(out / "traces.csv", header, cols)
+    n_traces = run.traces.shape[2]
+    if n_traces:
+        write_csv(out / "traces.csv",
+                  ["t", *(f"{lab}_{j:02d}" for lab in labels for j in range(n_traces))],
+                  [run.times, *(col for traces in run.traces for col in traces.T)])
 
-    for idx, (t, states) in enumerate(run.snapshots):
+    for idx, states in enumerate(run.snapshots):
         write_csv(out / f"snapshot_{idx:02d}.csv", ["agent", *_COORDS[:d]],
-                  [np.arange(states.shape[0]), *(states[:, k] for k in range(d))])
+                  [np.arange(len(states)), *states.T])
 
     metrics = {"status": run.status, "gamma": run.gamma,
-               "final_std": [float(run.stds[p][-1, 0]) for p in range(len(labels))]}
+               "final_std": run.stds[:, -1, 0].tolist()}
     if run.blowup_time is not None:
         metrics["blowup_time"] = run.blowup_time
     return metrics
@@ -202,22 +200,14 @@ def _early_gap(model, run: RunRecord) -> tuple[float, float, float]:
     started at the initial means, plus max movement of the frozen (y, s)
     coordinate means over the rescaled window. The frozen measure is the
     t = 0 snapshot, which _run_rescaled_early always records."""
-    P = len(run.means)
-    x0 = np.stack([run.means[q][0] for q in range(P)])
-    horizon = float(run.times[-1])
-    ode = integrate_early_ode(model, model.population_means(run.snapshots[0][1]), x0, horizon)
-    gap = 0.0
-    for q in range(P):
-        ref = np.interp(run.times, ode.times, ode.traj[:, q, 0])
-        gap = max(gap, float(np.max(np.abs(run.means[q][:, 0] - ref))))
-    move_y = max(float(np.max(np.abs(run.means[q][:, 1] - run.means[q][0, 1])))
-                 for q in range(P))
-    if run.means[0].shape[1] > 2:
-        move_s = max(float(np.max(np.abs(run.means[q][:, 2] - run.means[q][0, 2])))
-                     for q in range(P))
-    else:
-        move_s = 0.0
-    return gap, move_y, move_s
+    x0 = run.means[:, 0]
+    ode = integrate_early_ode(model, model.population_means(run.snapshots[0]), x0,
+                              float(run.times[-1]))
+    ref = np.stack([np.interp(run.times, ode.times, x) for x in ode.traj[:, :, 0].T])
+    gap = max(0.0, float(np.max(np.abs(run.means[:, :, 0] - ref))))
+    # per coordinate, the largest move of any population's mean
+    moves = np.max(np.abs(run.means - x0[:, None]), axis=(0, 1))
+    return gap, float(moves[1]), float(moves[2]) if len(moves) > 2 else 0.0
 
 
 def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
@@ -287,56 +277,40 @@ def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dic
 # ---------------------------------------------------------------------------
 
 
-def emit_figure_data(runs: list[RunRecord], figure: str, out: Path,
-                     predicted: np.ndarray | None = None) -> list[str]:
-    """Write per-panel CSV files for a reproduced figure; returns the file
-    list. fig2 takes the predicted balance voltages of each record row,
-    (rows, 2)."""
-    out.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
-    if figure == "fig1":
-        for run, suffix in zip(runs, ("", "_sqrt")):
-            name = f"fig1_traces{suffix}.csv"
-            header = ["t"] + [f"v_{j:02d}" for j in range(run.traces[0].shape[1])]
-            write_csv(out / name, header,
-                      [run.times] + [run.traces[0][:, j]
-                                     for j in range(run.traces[0].shape[1])])
-            files.append(name)
-            name = f"fig1_dispersion{suffix}.csv"
-            write_csv(out / name, ["t", "std_x", "std_y"],
-                      [run.times, run.stds[0][:, 0], run.stds[0][:, 1]])
-            files.append(name)
-            from .stats import histogram
-            for k, (t, states) in enumerate(run.snapshots):
-                h = histogram(states[:, 0], -20.0, 20.0, 81)
-                name = f"fig1_hist{suffix}_t{k}.csv"
-                write_csv(out / name, ["bin_center", "count"], [h.centers, h.counts])
-                files.append(name)
-        return files
-    if figure == "fig2":
-        run = runs[0]
-        k = run.traces[0].shape[1]
-        header = (["t"] + [f"e_{j:02d}" for j in range(k)]
-                  + [f"i_{j:02d}" for j in range(k)]
-                  + ["xstar_E_pred", "xstar_I_pred"])
-        cols = ([run.times] + [run.traces[0][:, j] for j in range(k)]
-                + [run.traces[1][:, j] for j in range(k)]
-                + [predicted[:, 0], predicted[:, 1]])
-        write_csv(out / "fig2_traces.csv", header, cols)
-        return ["fig2_traces.csv"]
-    raise ValueError(f"unknown figure {figure!r}")
-
-
 def _run_figures(p: FiguresSpec, seed: int, out: Path) -> tuple[str, dict]:
+    """Write the per-panel CSV files of a reproduced figure: for fig1, each
+    scaling's voltage traces, dispersion and voltage histograms at the
+    snapshots; for fig2, the traces of both populations beside the balance
+    voltages each row predicts."""
     runs = p.runs()
     records = [simulate(seed=seed, **run) for run in runs]
+    files: list[str] = []
+
+    def write(name: str, header: list[str], cols: list):
+        write_csv(out / name, header, cols)
+        files.append(name)
+
     if p.figure == "fig1":
-        files = emit_figure_data(records, "fig1", out)
+        for run, suffix in zip(records, ("", "_sqrt")):
+            traces = run.traces[0]
+            write(f"fig1_traces{suffix}.csv",
+                  ["t", *(f"v_{j:02d}" for j in range(traces.shape[1]))], [run.times, *traces.T])
+            write(f"fig1_dispersion{suffix}.csv", ["t", "std_x", "std_y"],
+                  [run.times, run.stds[0, :, 0], run.stds[0, :, 1]])
+            for k, states in enumerate(run.snapshots):
+                h = histogram(states[:, 0], -20.0, 20.0, 81)
+                write(f"fig1_hist{suffix}_t{k}.csv", ["bin_center", "count"],
+                      [h.centers, h.counts])
         return "COMPLETED", {"files": files,
-                             "final_std_x": [float(r.stds[0][-1, 0]) for r in records]}
+                             "final_std_x": [float(r.stds[0, -1, 0]) for r in records]}
     (run,), (record,) = runs, records
     model, (event,) = run["model"], run["events"]
-    files = emit_figure_data([record], "fig2", out, _fig2_predictions(record, model, event))
+    k = record.traces.shape[2]
+    write("fig2_traces.csv",
+          ["t", *(f"e_{j:02d}" for j in range(k)), *(f"i_{j:02d}" for j in range(k)),
+           "xstar_E_pred", "xstar_I_pred"],
+          [record.times, *record.traces[0].T, *record.traces[1].T,
+           *_fig2_predictions(record, model, event).T])
     return record.status, {"files": files}
 
 
@@ -346,11 +320,10 @@ def _fig2_predictions(record: RunRecord, model, event) -> np.ndarray:
     perturbed ones from it on; NaN where the denominator degenerates."""
     pert = apply_perturbation(model, event)
     preds = np.full((len(record.times), 2), np.nan)
-    for i, t in enumerate(record.times):
+    for i, (t, gates) in enumerate(zip(record.times, record.means[:, :, 2].T)):
         ghat = model.ghat if t < event.t else pert.ghat
         try:
-            preds[i] = chemical_balance_voltages(ghat, model.erev[0], model.erev[1],
-                                                 record.means[0][i, 2], record.means[1][i, 2])
+            preds[i] = chemical_balance_voltages(ghat, model.erev[0], model.erev[1], *gates)
         except DegenerateDenominatorError:
             pass
     return preds
@@ -362,7 +335,7 @@ def _fig2_predictions(record: RunRecord, model, event) -> np.ndarray:
 
 
 def _collapse_time(run: RunRecord, threshold: float) -> float:
-    below = np.nonzero(run.stds[0][:, 0] <= threshold)[0]
+    below = np.nonzero(run.stds[0, :, 0] <= threshold)[0]
     return float(run.times[below[0]]) if below.size else math.nan
 
 
@@ -393,12 +366,11 @@ def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
     metrics = _write_run_artifacts(out, run, model.labels)
     d0 = dT = math.nan
     if len(run.snapshots) >= 2:
-        d0 = distance_to_balance(run.snapshots[0][1], model)
-        dT = distance_to_balance(run.snapshots[1][1], model)
+        d0, dT = (distance_to_balance(states, model) for states in run.snapshots[:2])
     return {"kind": "network", "n": n, "scaling": rule.kind, "gamma": gamma,
             "mode": mode,
             "status": run.status, "collapse_time": _collapse_time(run, threshold),
-            "steady_std": float(np.mean(run.stds[0][-max(1, len(run.times) // 10):, 0])),
+            "steady_std": float(np.mean(run.stds[0, -max(1, len(run.times) // 10):, 0])),
             "distance_initial": d0, "distance_contracted": dT,
             **{k: v for k, v in metrics.items() if k == "blowup_time"}}
 

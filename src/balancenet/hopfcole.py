@@ -136,13 +136,13 @@ def snapshot_series(run: FpRun) -> tuple[HopfColeField, dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentBoundReport:
     sup_moment: float
     k0: float
     c_star: float
     satisfied: bool
-    moment_series: tuple[float, ...]
+    moment_series: np.ndarray     # (S,), the 2k-th moment at each snapshot
 
 
 def constructive_moment_constant(model: SeparableModel1D, grid: Grid1D, k: int) -> float:
@@ -171,22 +171,22 @@ def constructive_moment_constant(model: SeparableModel1D, grid: Grid1D, k: int) 
 def check_moment_bound(run: FpRun, k: int) -> MomentBoundReport:
     """Every snapshot's 2k-th moment against max(initial moment, C*)."""
     y2k = run.grid.centers ** (2 * k)
-    series = tuple(((run.densities * y2k).sum(axis=-1) * run.grid.dx).tolist())
-    k0 = series[0]
+    series = (run.densities * y2k).sum(axis=-1) * run.grid.dx
+    k0 = float(series[0])
     c_star = constructive_moment_constant(run.model, run.grid, k)
     bound = max(k0, c_star)
-    sup_m = max(series)
+    sup_m = float(np.max(series))
     return MomentBoundReport(sup_moment=sup_m, k0=k0, c_star=c_star,
                              satisfied=sup_m <= bound * (1 + 1e-9), moment_series=series)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BvReport:
     tv: float
     c_prime: float
     c_dblprime: float
-    times: tuple[float, ...]
-    prefix_tv: tuple[float, ...]
+    times: np.ndarray             # the comparison cadence
+    prefix_tv: np.ndarray         # the total variation up to each of its times
 
 
 def check_bv_interaction(step_times: np.ndarray, i_values: np.ndarray,
@@ -203,13 +203,11 @@ def check_bv_interaction(step_times: np.ndarray, i_values: np.ndarray,
     c2 = max(0.0, (prefix[-1] - prefix[half]) / denom) if denom > 0 else 0.0
     c1 = float(np.max(prefix - c2 * t))
     return BvReport(tv=float(prefix[-1]), c_prime=max(0.0, c1), c_dblprime=c2,
-                    times=tuple(t), prefix_tv=tuple(prefix))
+                    times=t, prefix_tv=prefix)
 
 
 def bv_line_covers(report: BvReport, c_prime: float, c_dblprime: float) -> bool:
-    t = np.asarray(report.times)
-    v = np.asarray(report.prefix_tv)
-    return bool(np.all(v <= c_prime + c_dblprime * t + 1e-12))
+    return bool(np.all(report.prefix_tv <= c_prime + c_dblprime * report.times + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -279,13 +277,7 @@ def envelope_covers(excess: np.ndarray, times: np.ndarray, fit: EnvelopeFit) -> 
     return bool(np.all(excess[fit.candidate] <= fit.d * times + fit.e + 1e-12))
 
 
-@dataclass(frozen=True)
-class WGradientReport:
-    theta: float
-    t0: float
-
-
-def check_w_gradient_bound(run: FpRun, f: HopfColeField, t0: float) -> WGradientReport:
+def check_w_gradient_bound(run: FpRun, f: HopfColeField, t0: float) -> float:
     """theta = sup over t >= t0 and mask-interior x of
     |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory,
     from the run's transform f (which it leaves as it is)."""
@@ -306,7 +298,7 @@ def check_w_gradient_bound(run: FpRun, f: HopfColeField, t0: float) -> WGradient
     t = run.times[later:][checked]
     with np.errstate(divide="raise"):  # a checked snapshot at t = 0 has no bound
         theta = np.max(sup_grad[checked] - np.sqrt(1.0 / (t * run.model.sigma ** 2)))
-    return WGradientReport(theta=float(theta), t0=t0)
+    return float(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +387,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
                 float(series[name][-1])
                 for name in ("sup_phi", "support_width", "interaction", "residual_sup"))
             d.bv = check_bv_interaction(np.arange(run.meta["n_steps"]) * run.dt, run.i_values)
-            d.theta = check_w_gradient_bound(run, f, t0).theta
+            d.theta = check_w_gradient_bound(run, f, t0)
             d.moment = check_moment_bound(run, 2)
             d.times, d.excess = run.times, envelope_excess(run, f)
         except (ValueError, ArithmeticError) as err:  # a member's numerical failure
@@ -432,8 +424,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
         report.verdicts["envelope_uniform"] = all(
             envelope_covers(d.excess, d.times, fit) for d in ok)
         c2 = max(d.bv.c_dblprime for d in fit_members) * BV_SLACK
-        c1 = max(float(np.max(np.asarray(d.bv.prefix_tv) - c2 * np.asarray(d.bv.times)))
-                 for d in fit_members)
+        c1 = max(float(np.max(d.bv.prefix_tv - c2 * d.bv.times)) for d in fit_members)
         c1 = max(0.0, c1) * BV_SLACK + 1e-9
         report.bv_constants = (c1, c2)
         report.verdicts["bv_uniform"] = all(bv_line_covers(d.bv, c1, c2) for d in ok)

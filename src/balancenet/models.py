@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -130,12 +130,18 @@ class _FhnFamily:
     - s inv_tau."""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
+                raise ModelDefinitionError(f"parameter {f.name} must be finite", f.name)
         if not self.a > 0:
             raise ModelDefinitionError("recovery timescale ratio a must be positive", "a")
+        if not self.sigma >= 0:
+            raise ModelDefinitionError("noise level sigma must be nonnegative", "sigma")
         for name in self.conductances:
-            if not 0 <= getattr(self, name) < math.inf:
+            if not getattr(self, name) >= 0:
                 raise ModelDefinitionError(
-                    f"conductance magnitude {name} must be finite and nonnegative", name)
+                    f"conductance magnitude {name} must be nonnegative", name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +168,6 @@ class FhnElectricalParams(_FhnFamily):
         if not self.f_coeffs[0] < 0:
             raise ModelDefinitionError("leading cubic coefficient must be negative", "f_coeffs")
         super().__post_init__()
-        if not np.isfinite(self.f_coeffs).all() or not np.isfinite([self.a, self.b, self.sigma]).all():
-            raise ModelDefinitionError("parameters must be finite")
 
     def coupling(self) -> np.ndarray:
         return np.array([[self.g]])

@@ -102,14 +102,17 @@ class PerturbationEvent:
 
 @dataclass
 class RunRecord:
-    """Sampled statistics of one run; snapshots hold full states."""
+    """Sampled statistics of one run, as the kernel recorded them, and the
+    full states at the snapshot times; after a blowup, only what was
+    recorded before it."""
 
     gamma: float
-    times: np.ndarray
-    means: list[np.ndarray]            # per population, (S, d)
-    stds: list[np.ndarray]             # per population, (S, d), divisor n
-    traces: list[np.ndarray]           # per population, (S, k) voltage traces
-    snapshots: list[tuple[float, np.ndarray]]
+    times: np.ndarray                  # (S,)
+    means: np.ndarray                  # (P, S, d)
+    stds: np.ndarray                   # (P, S, d), divisor n
+    traces: np.ndarray                 # (P, S, k) voltages of each population's first k agents
+    snapshot_times: np.ndarray         # (K,)
+    snapshots: np.ndarray              # (K, N, d), the states at snapshot_times
     status: str = COMPLETED
     blowup_time: float | None = None
 
@@ -371,11 +374,11 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     record_steps = list(range(0, n_steps + 1, stride))
     if record_steps[-1] != n_steps:
         record_steps.append(n_steps)
-    snapshot_steps = {min(n_steps, int(round(t / dt))) for t in recorder.snapshot_times}
+    snapshot_steps = sorted({min(n_steps, int(round(t / dt))) for t in recorder.snapshot_times})
     event_steps = {}
     for ev in events:
         event_steps.setdefault(min(n_steps, int(round(ev.t / dt))), []).append(ev)
-    special = sorted(snapshot_steps | set(event_steps) | {0, n_steps})
+    special = sorted({*snapshot_steps, *event_steps, 0, n_steps})
 
     # slot i holds record step record_steps[i]: a multiple of the stride,
     # or the last step
@@ -384,7 +387,8 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     means = np.empty((P, S, d))
     stds = np.empty((P, S, d))
     traces = np.empty((P, S, min(recorder.traces, n)))
-    snapshots: list[tuple[float, np.ndarray]] = []
+    snapshots = np.empty((len(snapshot_steps), N, d))
+    taken = 0  # snapshots filled
     status = COMPLETED
     blowup_time = None
     cur_model = model
@@ -401,8 +405,9 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     with _NoiseFeed(seed, n_steps, N) as noise, np.errstate(over="ignore", invalid="ignore"):
         record(0)
         for s0, s1 in zip(special, special[1:]):
-            if s0 in snapshot_steps:
-                snapshots.append((s0 * dt, states.copy()))
+            if taken < len(snapshot_steps) and snapshot_steps[taken] == s0:
+                snapshots[taken] = states
+                taken += 1
             for ev in event_steps.get(s0, []):
                 cur_model = apply_perturbation(cur_model, ev)
                 args = _kernel_args(cur_model)
@@ -421,15 +426,16 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
         else:
             if n_steps % stride:
                 record(n_steps)
-            if n_steps in snapshot_steps:
-                snapshots.append((n_steps * dt, states.copy()))
+            if taken < len(snapshot_steps):  # a snapshot at the last step
+                snapshots[taken] = states
+                taken += 1
 
     valid = step // stride + 1 if status == BLOWUP else S
     return RunRecord(
-        gamma=gamma, times=times[:valid],
-        means=[m[:valid] for m in means], stds=[s[:valid] for s in stds],
-        traces=[tr[:valid] for tr in traces],
-        snapshots=snapshots, status=status, blowup_time=blowup_time,
+        gamma=gamma, times=times[:valid], means=means[:, :valid], stds=stds[:, :valid],
+        traces=traces[:, :valid],
+        snapshot_times=np.array(snapshot_steps[:taken], dtype=float) * dt,
+        snapshots=snapshots[:taken], status=status, blowup_time=blowup_time,
     )
 
 
@@ -447,7 +453,7 @@ def simulate_rescaled_early(model: NetworkModel, init: InitialConditionSpec,
     rec = replace(recorder, snapshot_times=tuple(t / gamma for t in recorder.snapshot_times))
     run = simulate(model, init, T_tilde / gamma, dt_tilde / gamma, seed, rec)
     run.times = run.times * gamma
-    run.snapshots = [(t * gamma, s) for t, s in run.snapshots]
+    run.snapshot_times = run.snapshot_times * gamma
     if run.blowup_time is not None:
         run.blowup_time *= gamma
     return run

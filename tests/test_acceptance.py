@@ -128,8 +128,8 @@ def test_criterion_01_electrical_collapse(electrical_runs):
     late = run.stds[0][(run.times >= 0.2), 0]
     assert np.all(np.abs(late - OU_SD) <= 0.5 * OU_SD)
     # distance to the balance manifold contracts by >= 10x by t = 10/gamma
-    d0 = distance_to_balance(run.snapshots[0][1], model)
-    d1 = distance_to_balance(run.snapshots[1][1], model)
+    d0 = distance_to_balance(run.snapshots[0], model)
+    d1 = distance_to_balance(run.snapshots[1], model)
     assert d0 / d1 >= 10.0
     announce(1, f"electrical collapse (std {late.mean():.4f} ~ {OU_SD:.4f}, "
                 f"distance ratio {d0 / d1:.0f})")
@@ -190,7 +190,7 @@ def test_criterion_04_chemical_unstable_regime():
     xE, _ = chemical_balance_voltages(model.ghat, model.erev[0], model.erev[1],
                                       sE0, sI0)
     gaps = []
-    for t, states in run.snapshots:
+    for states in run.snapshots:
         above, below, gap = cluster_split(states[:300, 0], xE)
         assert above > 0 and below > 0
         gaps.append(gap)

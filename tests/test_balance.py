@@ -417,6 +417,6 @@ class TestLateSnapshotDispersion:
                                       CoordinateIC("normal", 1.5, 5.0)),))
         run = simulate(model, init, 0.15, 1e-4, 41,
                        RecordSpec(stride=100, snapshot_times=(0.15,)))
-        _, states = run.snapshots[-1]
+        states = run.snapshots[-1]
         dispersion = states[:, 0].std()
         assert dispersion <= 2.0 / np.sqrt(2.0 * 300.0 * 1.0)

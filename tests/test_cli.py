@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,8 +13,9 @@ from balancenet.cli import main
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
+    """Write a config, given as a dict or as the JSON text itself."""
     p = tmp_path / name
-    p.write_text(json.dumps(cfg))
+    p.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(p)
 
 
@@ -88,19 +90,46 @@ class TestExitCodes:
          "init.center"),
         *(([command, "--seed", str(seed)], cfg, "seed") for seed in (-1, 2 ** 64)
           for command, cfg in (("simulate", NETWORK_CFG), ("pde", PDE_CFG),
-                               ("sweep", SWEEP_CFG)))])
+                               ("sweep", SWEEP_CFG))),
+        # numbers json reads but no run can use, given as the config's text
+        pytest.param("simulate", json.dumps({**NETWORK_CFG, "model": {
+            "family": "fhn-chemical", "n": 12, "b": math.nan}}), "model.b", id="b-NaN"),
+        pytest.param("simulate", json.dumps(NETWORK_CFG).replace('"T": 0.01', '"T": 1e999'),
+                     "T", id="T-1e999"),
+        pytest.param("simulate", json.dumps(NETWORK_CFG).replace('"T": 0.01', f'"T": {10 ** 400}'),
+                     "T", id="T-10**400"),
+        *(("simulate", {**NETWORK_CFG, "model": {"family": family, "sigma": -1.0}},
+           "model.sigma") for family in ("fhn-electrical", "fhn-chemical")),
+        ("balance", {"kind": "balance-analysis", "seed": 1, "model": {"family": "fhn-chemical"},
+                     "sbar": {"E": -0.5, "I": 0.3}}, "sbar.E"),
+        ("early", {"kind": "rescaled-early", "seed": 1, "model": {"family": "fhn-chemical"},
+                   "gammas": [], "T_tilde": 0.1, "dt_tilde": 1e-3}, "gammas"),
+        ("sweep", {**SWEEP_CFG, "network": {**SWEEP_CFG["network"], "n_values": []}},
+         "network.n_values"),
+        ("sweep", {**SWEEP_CFG, "network": {**SWEEP_CFG["network"], "scalings": []}},
+         "network.scalings")])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
         # the step guard, the epsilon order, a figure run's step, the
         # Fokker-Planck horizon and step budget, the snapshot schedule, an
-        # epsilon sweep's t0, a pde-run's initial density and a --seed are
-        # checked at parse time; command is the subcommand, or a list of it
-        # and extra arguments
+        # epsilon sweep's t0, a pde-run's initial density, a --seed, a
+        # number that is not finite, a family's noise level, the mean gates
+        # of a balance analysis and an empty sweep list are checked at parse
+        # time; command is the subcommand, or a list of it and extra
+        # arguments
         out = tmp_path / "o"
         argv = [command] if isinstance(command, str) else command
         assert main([*argv, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"BAD_VALUE({path})" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_network_run_example_completes(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Example network run:", 1)[1]
+        example = example.split("```json", 1)[1].split("```", 1)[0]
+        assert json.loads(example)["kind"] == "network-run"
+        cfg = write_cfg(tmp_path, example)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_epsilon_sweep_with_t0_at_the_horizon_completes(self, tmp_path):
         # the 0.2 member's last snapshot is stamped 0.24999999999999997,

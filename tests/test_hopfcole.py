@@ -246,8 +246,8 @@ class TestWGradient:
         model = build_separable_1d(0.5)
         vals = np.full(128, 1.0 / (2 * grid.L))
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        rep = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=0.5)
-        assert rep.theta <= 0.0
+        theta = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=0.5)
+        assert theta <= 0.0
 
     def test_quadratic_phi_matches_analytic_gradient(self):
         grid = Grid1D(4.0, 2048)
@@ -256,12 +256,12 @@ class TestWGradient:
         phi = -grid.centers ** 2
         vals = np.exp(phi / eps)
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        rep = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=1.0)
+        theta = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=1.0)
         # w = sqrt(2F^2 + x^2) with sup phi = -x_min^2 ~ 0 -> F^2 ~ 1
         x = grid.centers
         analytic = np.max(np.abs(x) / np.sqrt(2.0 + x ** 2))
         expect = analytic - math.sqrt(1.0 / (1.0 * model.sigma ** 2))
-        assert rep.theta == pytest.approx(expect, abs=5e-3)
+        assert theta == pytest.approx(expect, abs=5e-3)
 
 
 def _fake_run(model, grid, densities, times, i_values=1.0):
@@ -399,7 +399,7 @@ class TestRunArrays:
     def test_certificates_equal_snapshot_loops(self, run):
         f = hopf_cole(run.densities, run.model.epsilon)
         for t0 in (0.05, 0.3, float(run.times[-1])):
-            assert check_w_gradient_bound(run, f, t0).theta == _loop_w_gradient_theta(run, t0)
+            assert check_w_gradient_bound(run, f, t0) == _loop_w_gradient_theta(run, t0)
         with pytest.raises(ArithmeticError):  # the bound at t = 0 is infinite
             check_w_gradient_bound(run, f, 0.0)
         excess = envelope_excess(run, f)
@@ -437,7 +437,7 @@ class TestRunArrays:
         run = _fake_run(model, grid, [smooth, comb, smooth], [0.0, 0.5, 1.0])
         f = hopf_cole(run.densities, run.model.epsilon)
         assert not f.mask[1].reshape(-1, 2)[:, 1].any()
-        assert check_w_gradient_bound(run, f, 0.2).theta == _loop_w_gradient_theta(run, 0.2)
+        assert check_w_gradient_bound(run, f, 0.2) == _loop_w_gradient_theta(run, 0.2)
         late = _fake_run(model, grid, [smooth, comb], [0.0, 1.0])
         with pytest.raises(ValueError, match="no snapshots"):
             check_w_gradient_bound(late, hopf_cole(late.densities, late.model.epsilon), 0.5)
@@ -465,7 +465,7 @@ class TestSweepConsistency:
         _, resid = hamiltonian_residual(f, run.i_at(1.0), base, grid)
         assert d.residual_sup_final == resid
         f = hopf_cole(run.densities, 0.3)
-        assert d.theta == check_w_gradient_bound(run, f, 0.25).theta
+        assert d.theta == check_w_gradient_bound(run, f, 0.25)
         assert d.theta == _loop_w_gradient_theta(run, 0.25)
 
     def test_t0_at_the_horizon_takes_the_last_snapshot(self):
@@ -475,7 +475,7 @@ class TestSweepConsistency:
         run = solve_fp_1d(build_separable_1d(0.2), grid, gaussian_initial(grid, 0.2), 0.25)
         assert run.meta["n_steps"] == 1458 and run.times[-1] < 0.25
         f = hopf_cole(run.densities, run.model.epsilon)
-        theta = check_w_gradient_bound(run, f, 0.25).theta
+        theta = check_w_gradient_bound(run, f, 0.25)
         assert theta == _loop_w_gradient_theta(run, float(run.times[-1]))
         with pytest.raises(ValueError, match="no snapshots"):
             check_w_gradient_bound(run, f, math.nextafter(0.25, 1.0))

@@ -965,7 +965,7 @@ def test_simulate_matches_generic_step(family):
     for step in range(steps):
         block = rng.normal_block(seed, rng.NOISE_STREAM, step // NOISE_CHUNK, (NOISE_CHUNK, N))
         states = pairwise_step(states, oracle, dt, block[step % NOISE_CHUNK][:, None])
-    np.testing.assert_allclose(run.snapshots[-1][1], states, rtol=1e-10)
+    np.testing.assert_allclose(run.snapshots[-1], states, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ class TestSimulate:
             np.testing.assert_array_equal(r1.means[p], r2.means[p])
             np.testing.assert_array_equal(r1.stds[p], r2.stds[p])
             np.testing.assert_array_equal(r1.traces[p], r2.traces[p])
-        np.testing.assert_array_equal(r1.snapshots[0][1], r2.snapshots[0][1])
+        np.testing.assert_array_equal(r1.snapshots, r2.snapshots)
 
     def test_different_seed_differs(self):
         model = NetworkModel(FIG1, n=40)
@@ -132,8 +132,7 @@ class TestSimulate:
         model = NetworkModel(params, n=3)
         rec = RecordSpec(stride=1000, snapshot_times=(0.0, 1.0))
         run = simulate(model, FIG1_INIT, 1.0, 1e-4, 7, rec)
-        init = run.snapshots[0][1]
-        final = run.snapshots[1][1]
+        init, final = run.snapshots
 
         def rhs(t, z):
             x, y = z
@@ -185,8 +184,8 @@ class TestSimulate:
         run = simulate(model, FIG1_INIT, 0.05, 1e-4, 9, rec)
         assert run.times[0] == 0.0
         assert run.times[-1] == pytest.approx(0.05)
-        assert len(run.snapshots) == 3
-        assert run.snapshots[1][0] == pytest.approx(0.013, abs=1e-4)
+        assert run.snapshots.shape == (3, 10, 2)
+        assert run.snapshot_times[1] == pytest.approx(0.013, abs=1e-4)
 
 
 class TestPerturbation:
@@ -368,7 +367,7 @@ class TestReproducibilityContract:
         run = simulate(model, init, T, CONTRACT_DT, seed,
                        RecordSpec(stride=stride, snapshot_times=snaps), events)
         assert ref.status == run.status == "COMPLETED"
-        np.testing.assert_array_equal(run.snapshots[-1][1], ref.snapshots[-1][1])
+        np.testing.assert_array_equal(run.snapshots[-1], ref.snapshots[-1])
         steps = sorted(set(range(0, CONTRACT_STEPS + 1, stride)) | {CONTRACT_STEPS})
         for p in range(model.n_populations):
             np.testing.assert_array_equal(run.means[p], ref.means[p][steps])
@@ -494,18 +493,17 @@ class TestNoiseBlocks:
             assert sorted(spy.pieces) == [(0, PIECE)] * 4 + [(1, PIECE)] * 4 + [(2, 37)]
             # blocks 0 and 1 are drawn whole, block 2 only to row 37
             spy.check_streams(steps)
-            np.testing.assert_array_equal(run.snapshots[-1][1], state)
+            np.testing.assert_array_equal(run.snapshots[-1], state)
             assert len(run.times) == steps + 1
 
 
 def _same_run(a, b):
     """Two run records equal in every recorded bit."""
     assert (a.status, a.blowup_time) == (b.status, b.blowup_time)
-    for x, y in [(a.times, b.times), *zip(a.means, b.means), *zip(a.stds, b.stds),
-                 *zip(a.traces, b.traces)]:
+    for x, y in [(a.times, b.times), (a.means, b.means), (a.stds, b.stds),
+                 (a.traces, b.traces), (a.snapshot_times, b.snapshot_times),
+                 (a.snapshots, b.snapshots)]:
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
-    assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(a.snapshots, b.snapshots))
 
 
 class TestNoisePrefetch:
@@ -959,7 +957,7 @@ class TestCaptureMoments:
             if backend == "numpy":
                 monkeypatch.setattr(_kernels, "_c_twins", {})
             run = simulate(model, init, 40 * CONTRACT_DT, CONTRACT_DT, 5, record)
-            for k, (_, states) in zip(steps, run.snapshots):
+            for k, states in zip(steps, run.snapshots):
                 for p, blk in enumerate(model.population_rows(states)):
                     _assert_same_floats(run.means[p][k], [c.mean() for c in blk.T])
                     _assert_same_floats(run.stds[p][k], [c.std() for c in blk.T])
