@@ -320,7 +320,10 @@ class GridConfig(_Section):
     cells: int = 1024
 
     def __post_init__(self):
-        self.build()
+        try:
+            self.build()
+        except ModelDefinitionError as err:  # Grid1D calls the cell count M
+            raise ModelDefinitionError(str(err), "cells" if err.key == "M" else err.key) from err
 
     def build(self) -> Grid1D:
         return Grid1D(self.L, self.cells)
@@ -464,6 +467,15 @@ class EpsilonSweepSpec(DoubleLimitPdeSpec):
             raise ModelDefinitionError("t0 must lie in (0, T]", "t0")
 
 
+def network_cell_dt(model: NetworkModel, mode: str) -> float:
+    """The step of a double-limit network cell: 0.8 of the step guard's
+    bound, at most 1e-3. In rescaled-early mode the step is on the rescaled
+    clock, where the interaction acts at order one."""
+    gamma = 1.0 if mode == "rescaled-early" else model.gamma()
+    gmax = float(np.max(np.abs(model.coupling)))
+    return min(0.08 / (gamma * gmax), 1e-3) if gmax > 0 else 1e-3
+
+
 @dataclass(frozen=True)
 class DoubleLimitNetworkSpec(_Section):
     """Network rows of the double-limit grid. mode "direct" integrates the
@@ -487,6 +499,18 @@ class DoubleLimitNetworkSpec(_Section):
                               "need one population size or more, each >= 1")
         if not self.scalings:
             raise ConfigError(BAD_VALUE, node._at("scalings"), "need one scaling or more")
+        # each cell's run, as harness._network_cell makes it; a rescaled-early
+        # run is the original one over T / gamma with step dt / gamma
+        for rule in self.scalings:
+            for n in self.n_values:
+                model = self.model.build(n, rule)
+                dt = network_cell_dt(model, self.mode)
+                scale = model.gamma() if self.mode == "rescaled-early" else 1.0
+                try:
+                    check_run(model, self.T / scale, dt / scale)
+                except ModelDefinitionError as err:
+                    # the step follows from the model, so the horizon is at fault
+                    raise ConfigError(BAD_VALUE, node._at("T"), str(err)) from err
 
 
 @dataclass(frozen=True)

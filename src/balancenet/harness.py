@@ -33,7 +33,8 @@ from .balance import (DegenerateDenominatorError, chemical_balance_report,
                       integrate_early_ode)
 from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
                      DoubleLimitSpec, EpsilonSweepSpec, ExperimentSpec,
-                     FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec)
+                     FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec,
+                     network_cell_dt)
 from .hopfcole import epsilon_sweep, snapshot_series
 from .models import ScalingRule
 from .network import (RecordSpec, RunRecord, apply_perturbation, simulate,
@@ -339,15 +340,6 @@ def _collapse_time(run: RunRecord, threshold: float) -> float:
     return float(run.times[below[0]]) if below.size else math.nan
 
 
-def _cell_dt(model, mode: str) -> float:
-    """The step of a network cell: 0.8 of the step guard's bound, at most
-    1e-3. In rescaled-early mode the step is on the rescaled clock, where
-    the interaction acts at order one."""
-    gamma = 1.0 if mode == "rescaled-early" else model.gamma()
-    gmax = float(np.max(np.abs(model.coupling)))
-    return min(0.08 / (gamma * gmax), 1e-3) if gmax > 0 else 1e-3
-
-
 def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
                   mode: str = "direct") -> dict:
     """One grid cell: a direct run over [0, T] (collapse at times ~1/gamma,
@@ -355,7 +347,7 @@ def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
     early-time system over a fixed rescaled horizon T."""
     model = cfg.build(n, rule)
     gamma = model.gamma()
-    dt = _cell_dt(model, mode)
+    dt = network_cell_dt(model, mode)
     if mode == "rescaled-early":
         rec = RecordSpec(stride=1, traces=0, snapshot_times=(0.0, T))
         run = simulate_rescaled_early(model, cfg.initial_conditions(), T, dt, seed, rec)
@@ -397,7 +389,8 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
         if kind == "pde":
             return math.inf
         model = p.network.model.build(n, rule)
-        return model.n * model.n_populations * p.network.T / _cell_dt(model, p.network.mode)
+        dt = network_cell_dt(model, p.network.mode)
+        return model.n * model.n_populations * p.network.T / dt
 
     def run_cell(idx: int):
         kind, rule, n = jobs[idx]

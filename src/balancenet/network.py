@@ -60,6 +60,10 @@ class CoordinateIC:
     def __post_init__(self):
         if self.dist not in self.LAWS:
             raise ConfigurationError(f"unknown initial distribution {self.dist!r}", "dist")
+        if self.dist == "normal" and not self.p2 >= 0:
+            raise ConfigurationError("sd must be >= 0", "sd")
+        if self.dist == "uniform" and not self.p2 >= self.p1:
+            raise ConfigurationError("high must be >= low", "high")
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.L > 0:
-            raise ModelDefinitionError("L must be positive")
+            raise ModelDefinitionError("L must be positive", "L")
         if self.M < 64:
-            raise ModelDefinitionError("at least 64 cells required")
+            raise ModelDefinitionError("at least 64 cells required", "M")
 
     @property
     def dx(self) -> float:

@@ -107,15 +107,27 @@ class TestExitCodes:
         ("sweep", {**SWEEP_CFG, "network": {**SWEEP_CFG["network"], "n_values": []}},
          "network.n_values"),
         ("sweep", {**SWEEP_CFG, "network": {**SWEEP_CFG["network"], "scalings": []}},
-         "network.scalings")])
+         "network.scalings"),
+        *(("sweep", {**SWEEP_CFG, "network": {**SWEEP_CFG["network"], **network}}, "network.T")
+          for network in ({"T": -1.0}, {"T": 1e-9}, {"T": 1e-9, "mode": "rescaled-early"})),
+        ("simulate", {**NETWORK_CFG, "model": {"family": "fhn-electrical", "n": 12, "init": {
+            "x": {"dist": "normal", "mean": 1.0, "sd": -1.0}}}}, "model.init.x.sd"),
+        ("simulate", {**NETWORK_CFG, "model": {"family": "fhn-chemical", "n": 12, "init": {
+            "s_E": {"dist": "uniform", "low": 2.0, "high": 1.0}}}}, "model.init.s_E.high"),
+        ("pde", {**PDE_CFG, "grid": {"L": 8, "cells": 10}}, "grid.cells"),
+        ("pde", {**PDE_CFG, "grid": {"L": -1.0, "cells": 128}}, "grid.L"),
+        ("sweep", {"kind": "double-limit-sweep", "seed": 1,
+                   "pde": {"model": {}, "epsilons": [0.4, 0.2], "T": 0.1, "grid": {"cells": 10}}},
+         "pde.grid.cells")])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
         # the step guard, the epsilon order, a figure run's step, the
         # Fokker-Planck horizon and step budget, the snapshot schedule, an
         # epsilon sweep's t0, a pde-run's initial density, a --seed, a
         # number that is not finite, a family's noise level, the mean gates
-        # of a balance analysis and an empty sweep list are checked at parse
-        # time; command is the subcommand, or a list of it and extra
+        # of a balance analysis, an empty sweep list, a double-limit cell's
+        # horizon, an initial law's parameters and a grid are checked at
+        # parse time; command is the subcommand, or a list of it and extra
         # arguments
         out = tmp_path / "o"
         argv = [command] if isinstance(command, str) else command

@@ -87,7 +87,7 @@ class TestParseErrors:
         ({"kind": "double-limit-sweep", "seed": 1,
           "pde": {"model": {"beta0": -1.0}, "epsilons": [0.4], "T": 0.5}}, "pde.model.beta0"),
         ({"kind": "pde-run", "seed": 1, "model": {"epsilon": 0.2}, "T": 0.5,
-          "grid": {"cells": 10}}, "grid"),
+          "grid": {"cells": 10}}, "grid.cells"),
         (minimal_network(model={"family": "fhn-electrical", "n": 0}), "model.n"),
         (minimal_network(model={"family": "fhn-chemical"},
                          events=[{"t": 0.05, "multipliers": {"g_EE": -2.0}}]),
