@@ -1,6 +1,6 @@
-"""The C twins of ``_kernels.fp_chunk``, ``_kernels.network_chunk``,
-``_kernels.rk4_affine``, ``_kernels.csv_body`` and ``rng.normal_block``:
-build, cache, load, wrap and check.
+"""The C twins of ``_kernels.fp_chunk``, ``_kernels.snapshot_certificates``,
+``_kernels.network_chunk``, ``_kernels.rk4_affine``, ``_kernels.csv_body``
+and ``rng.normal_block``: build, cache, load, wrap and check.
 
 ``_fp_chunk.c``, ``_network_chunk.c``, ``_normal_block.c``,
 ``_rk4_affine.c`` and ``_csv_body.c`` are compiled together with ``cc -O3
@@ -153,14 +153,15 @@ def _load_c_library():
         return None
 
 
-def _address(twin: str, a: np.ndarray, shape: tuple | None, writeable: bool = False) -> int:
-    """The data address of a C-contiguous float64 array of ``shape`` (any
-    shape when None), checked for the C twin ``twin`` before it reads."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+def _address(twin: str, a: np.ndarray, shape: tuple | None, writeable: bool = False,
+             dtype=np.float64) -> int:
+    """The data address of a C-contiguous array of ``dtype`` and ``shape``
+    (any shape when None), checked for the C twin ``twin`` before it reads."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
             and (shape is None or a.shape == shape)
             and a.flags.c_contiguous and (a.flags.writeable or not writeable)):
-        raise ValueError(f"{twin}: expected a {'writeable ' * writeable}C-contiguous float64 "
-                         f"array{f' of shape {shape}' if shape else ''}")
+        raise ValueError(f"{twin}: expected a {'writeable ' * writeable}C-contiguous "
+                         f"{np.dtype(dtype)} array{f' of shape {shape}' if shape else ''}")
     return a.ctypes.data
 
 
@@ -184,6 +185,36 @@ def _c_fp_chunk(lib):
                     address(i_out, (i_out.size,), True))
 
     return fp_chunk
+
+
+def _c_snapshot_certificates(lib):
+    """Wrap the C ``snapshot_certificates`` of ``lib`` in the numpy
+    kernel's signature."""
+    c_fn = lib.snapshot_certificates
+    ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    c_fn.argtypes = [ptr, ptr, long_, long_, ptr, ptr, ptr, ptr, long_, ptr, double, double,
+                     double, long_, ptr, ptr, ptr]
+    c_fn.restype = None
+    address = functools.partial(_address, "snapshot_certificates")
+
+    def snapshot_certificates(phi, mask, lam, neg_alpha, big_i, slopes, floor, half_sig2, dx,
+                              f2, later, excess, residual_sup, w_grad_sup):
+        """The numpy ``snapshot_certificates`` in C: same arguments, same
+        result bits."""
+        if np.ndim(phi) != 2:
+            raise ValueError("snapshot_certificates: expected (S, M) snapshots")
+        s, m = np.shape(phi)
+        k = np.size(slopes)
+        if not 0 <= later <= s:
+            raise ValueError(f"snapshot_certificates: first w-gradient row {later} outside "
+                             f"[0, {s}]")
+        c_fn(address(phi, (s, m)), address(mask, (s, m), dtype=np.bool_), s, m,
+             address(lam, (m,)), address(neg_alpha, (m,)), address(big_i, (s,)),
+             address(slopes, (k,)), k, address(floor, (s,)), half_sig2, dx, f2, later,
+             address(excess, (k, s), True), address(residual_sup, (s,), True),
+             address(w_grad_sup, (s,), True))
+
+    return snapshot_certificates
 
 
 NPY_DOUBLE = 12  # numpy's type number of float64 (NPY_TYPES in ndarraytypes.h)
@@ -388,7 +419,9 @@ def load_c_kernels() -> dict:
     if loaded is None:
         return {}
     lib, path = loaded
-    twins = {"fp_chunk": _c_fp_chunk(lib), "normal_block": _c_normal_block(lib),
+    twins = {"fp_chunk": _c_fp_chunk(lib),
+             "snapshot_certificates": _c_snapshot_certificates(lib),
+             "normal_block": _c_normal_block(lib),
              "rk4_affine": _c_rk4_affine(lib), "csv_body": _c_csv_body(lib)}
     exp = _exp_loop(np.exp)
     if exp is not None:

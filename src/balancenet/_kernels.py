@@ -1,6 +1,7 @@
 """Hot inner loops: Euler-Maruyama chunks of the FitzHugh-Nagumo network,
-the finite-volume Fokker-Planck update, the scalar RK4 of the
-frozen-measure early-time ODE, and the text of a CSV body.
+the finite-volume Fokker-Planck update, the Hopf-Cole certificates of its
+snapshots, the scalar RK4 of the frozen-measure early-time ODE, and the
+text of a CSV body.
 
 Each network or Fokker-Planck kernel is one vectorized numpy function that
 updates its arrays in place and is bit-reproducible for identical inputs,
@@ -15,9 +16,10 @@ runs attribute its time to the family that called it. Both kernels have C
 twins (``_network_chunk.c``, ``_fp_chunk.c``, bit-identical to the numpy
 kernels) that ``_clib`` compiles for the host CPU into one library on the
 first request, cached per user, together with the C twins of
-``rng.normal_block`` (``_normal_block.c``), of ``rk4_affine``
-(``_rk4_affine.c``) and of ``csv_body`` (``_csv_body.c``, the same text),
-which are fetched with ``c_twin`` rather than ``active``. ``c_twin`` hands
+``rng.normal_block`` (``_normal_block.c``), of ``snapshot_certificates``
+(in ``_fp_chunk.c``), of ``rk4_affine`` (``_rk4_affine.c``) and of
+``csv_body`` (``_csv_body.c``, the same text), which are fetched with
+``c_twin`` rather than ``active``. ``c_twin`` hands
 a twin out once it has matched its Python function on a fixed input;
 without a working C compiler, for a twin that fails its check, or for the
 network twin where numpy's own exp loop cannot be read (see
@@ -187,6 +189,64 @@ def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
 
 
 # ---------------------------------------------------------------------------
+# Hopf-Cole certificates of a Fokker-Planck run's snapshots
+# ---------------------------------------------------------------------------
+
+
+def _interior_gradient(v, interior, dx):
+    """The centered differences of v over 2 dx on the interior cells of
+    each row, NaN elsewhere, in a new array."""
+    grad = np.full_like(v, np.nan)
+    sel = interior[:, 1:-1]
+    np.subtract(v[:, 2:], v[:, :-2], out=grad[:, 1:-1], where=sel)
+    np.divide(grad[:, 1:-1], 2 * dx, out=grad[:, 1:-1], where=sel)
+    return grad
+
+
+def snapshot_certificates(phi, mask, lam, neg_alpha, big_i, slopes, floor, half_sig2, dx,
+                          f2, later, excess, residual_sup, w_grad_sup):
+    """Write the sup-norms that certify S snapshots of a transform phi
+    (S, M), NaN off its mask (S, M, bool), snapshot s at I = big_i[s]:
+
+    - excess[k, s], for each of the K slopes a = slopes[k], the max over the
+      mask of phi + (a I) lam, with lam (M,) the antiderivative of alpha;
+    - residual_sup[s], the max over the support core (interior cells where
+      phi >= floor[s]) of |((-alpha) I) g - (g g) half_sig2|, with
+      neg_alpha (M,) = -alpha and g the centered difference of phi;
+    - w_grad_sup[s] for s >= later, the max over the interior of
+      |centered difference of w = sqrt(f2 - phi)|.
+
+    A cell is interior when it and both its neighbours lie in the mask;
+    each centered difference is over 2 dx. A max over no cell is -inf, and
+    so are the rows of w_grad_sup before later.
+
+    It is not in IMPLEMENTATIONS, whose kernels perfbench's tracer counts
+    as steps: ``hopfcole`` fetches its C twin with
+    ``c_twin("snapshot_certificates")``.
+    """
+    interior = np.zeros_like(mask)
+    interior[:, 1:-1] = mask[:, :-2] & mask[:, 1:-1] & mask[:, 2:]
+    big_i = big_i[:, None]
+    for k, a_const in enumerate(slopes.tolist()):
+        np.max(phi + a_const * big_i * lam, axis=-1, where=mask, initial=-np.inf,
+               out=excess[k])
+    grad = _interior_gradient(phi, interior, dx)
+    res = neg_alpha * big_i
+    res *= grad
+    grad *= grad                          # then grad's buffer holds the quadratic term
+    grad *= half_sig2
+    res -= grad
+    core = interior & (phi >= floor[:, None])
+    np.max(np.abs(res, out=res), axis=-1, where=core, initial=-np.inf, out=residual_sup)
+    w = np.subtract(f2, phi[later:])      # then w = sqrt(f2 - phi) in place
+    np.sqrt(w, out=w)
+    grad = _interior_gradient(w, interior[later:], dx)
+    w_grad_sup[:later] = -np.inf
+    np.max(np.abs(grad, out=grad), axis=-1, where=interior[later:], initial=-np.inf,
+           out=w_grad_sup[later:])
+
+
+# ---------------------------------------------------------------------------
 # frozen-measure early-time ODE, one population's voltage
 # ---------------------------------------------------------------------------
 
@@ -317,7 +377,8 @@ def _passes_self_check(twin) -> bool:
 
 def c_twin(name: str):
     """The C twin of the function named ``name`` ("network_chunk",
-    "fp_chunk", "normal_block", "rk4_affine" or "csv_body"), built or
+    "fp_chunk", "snapshot_certificates", "normal_block", "rk4_affine" or
+    "csv_body"), built or
     loaded on the first request; None when there is none or it fails its
     self-check."""
     twin = _c_kernels().get(name)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._kernels import csv_body, fp_chunk, network_chunk, rk4_affine
+from ._kernels import csv_body, fp_chunk, network_chunk, rk4_affine, snapshot_certificates
 from .models import conductance_source_maps
 
 # the self-check's stream: its 65,536 draws take both slow paths of the
@@ -125,6 +125,41 @@ def _check_fp_chunk(twin) -> bool:
     return True
 
 
+def _certificate_cases():
+    """Fixed snapshot_certificates arguments on 40 cells. First 16 slopes
+    over 6 snapshots, the w-gradient from row 2 on: row 0 all mask; row 1
+    runs at both array ends, a long run, pairs and isolated cells; row 2
+    every other cell, so no interior; row 3 ragged runs with its floor above
+    its phi, so an empty core; row 4 one run; row 5 no cell. Then 19 slopes,
+    past a group of 16, over rows 3 and 0 with their floors below phi, the
+    w-gradient from row 0 on."""
+    m = 40
+    i = np.arange(m)
+    rows = np.stack([i >= 0, (_wave((m,), 0.9) > 0.85) | (i < 4) | (i >= 36) | (i // 12 == 1),
+                     i % 2 == 0, _wave((m,), 1.0) > -0.4, (i > 5) & (i < 30), i < 0])
+    for mask, k, later, floor in ((rows, 16, 2, [-1.5, -1.5, -1.5, 2.5, -0.5, -1.5]),
+                                  (rows[[3, 0]], 19, 0, [-1.5, 0.0])):
+        s = len(mask)
+        phi = np.where(mask, 3.0 * _wave((s, m), 1.1) - 1.0, np.nan)
+        f2 = 2.0 * (1.0 + max(0.0, float(np.nanmax(phi))))
+        yield [phi, mask, _wave((m,), 1.2), _wave((m,), 1.3), 0.5 + _wave((s,), 1.4),
+               np.arange(1, k + 1) * 0.31, np.array(floor), 0.405, 0.0625, f2, later,
+               np.full((k, s), np.nan), np.full(s, np.nan), np.full(s, np.nan)]
+
+
+def _check_snapshot_certificates(twin) -> bool:
+    """Whether the C snapshot_certificates writes the fixed cases' envelope
+    maxima, residual sup-norms and w-gradient sup-norms as the numpy kernel
+    does, in every bit."""
+    for args in _certificate_cases():
+        copy = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        twin(*args)
+        snapshot_certificates(*copy)
+        if not all(_same_bits(args[i], copy[i]) for i in (11, 12, 13)):
+            return False
+    return True
+
+
 # (a, b, x, dt, last, width): a decaying and a growing solution, one that
 # overflows to inf at step 169 of 400, and one from a NaN; each is written
 # to column width // 2 of a NaN-filled (last + 1, width) array
@@ -191,6 +226,7 @@ def _check_csv_body(twin) -> bool:
     return all(twin(columns) == csv_body(columns) for columns in _csv_cases())
 
 
-CHECKS = {"fp_chunk": _check_fp_chunk, "network_chunk": _check_network_chunk,
+CHECKS = {"fp_chunk": _check_fp_chunk, "snapshot_certificates": _check_snapshot_certificates,
+          "network_chunk": _check_network_chunk,
           "normal_block": _check_normal_block, "rk4_affine": _check_rk4_affine,
           "csv_body": _check_csv_body}

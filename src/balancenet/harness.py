@@ -99,6 +99,7 @@ def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
     if isinstance(payload, (PdeRunSpec, EpsilonSweepSpec)) or (
             isinstance(payload, DoubleLimitSpec) and payload.pde is not None):
         backend["fp_chunk"] = kernel_backend("fp_chunk")
+        backend["snapshot_certificates"] = kernel_backend("snapshot_certificates")
         # exp: the initial density and the beta sigmoid; log: Hopf-Cole
         ufuncs |= {"exp", "log"}
     if isinstance(payload, (NetworkRunSpec, RescaledEarlySpec, FiguresSpec)) or (
@@ -217,7 +218,7 @@ def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
     mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
     snap = p.snapshot_every if p.snapshot_every is not None else p.T / SNAPSHOTS_PER_RUN
     run = solve_fp_1d(model, grid, mu0, p.T, snapshot_every=snap)
-    transform, series = snapshot_series(run)
+    transform, series, _ = snapshot_series(run)
     write_csv(out / "pde_series.csv", ["t", "mass", *series],
               [run.times, run.mass, *series.values()])
     idxs = np.unique(np.round(np.linspace(0, len(run.times) - 1, 8)).astype(int))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import c_twin, snapshot_certificates
 from .models import ModelDefinitionError, SeparableModel1D
 from .pde import SNAPSHOTS_PER_RUN, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
@@ -76,59 +77,84 @@ def support_width(values: np.ndarray, dx: float) -> float | np.ndarray:
     return (stop - first) * dx
 
 
-def _masked_gradient(phi: np.ndarray, mask: np.ndarray, dx: float):
-    """Centered differences inside the mask, one-sided at mask edges.
+@dataclass(frozen=True, eq=False)
+class SnapshotCertificates:
+    """What one pass of _kernels.snapshot_certificates finds in a
+    transform: the envelope excess table of envelope_excess, and at each
+    snapshot the residual's sup-norm over the support core (-inf where the
+    core is empty) and, from row ``later`` on, the sup of |dw/dx| over the
+    mask interior (-inf before it, or where there is no interior)."""
 
-    Returns (gradient, interior) where interior marks cells whose stencil
-    stayed inside the mask; sup-norms should restrict to interior.
-    """
-    left = np.zeros_like(mask)
-    left[..., 1:] = mask[..., :-1]
-    right = np.zeros_like(mask)
-    right[..., :-1] = mask[..., 1:]
-    interior = mask & left & right
-    grad = np.full_like(phi, np.nan)
-    # each stencil is written straight into grad where it applies, so a
-    # run's snapshots need no (S, M) float temporary
-    for out, ahead, behind, h, sel in (
-            (grad[..., :-1], phi[..., 1:], phi[..., :-1], dx, (mask & right & ~left)[..., :-1]),
-            (grad[..., 1:], phi[..., 1:], phi[..., :-1], dx, (mask & left & ~right)[..., 1:]),
-            (grad[..., 1:-1], phi[..., 2:], phi[..., :-2], 2 * dx, interior[..., 1:-1])):
-        np.subtract(ahead, behind, out=out, where=sel)
-        np.divide(out, h, out=out, where=sel)
-    return grad, interior
+    excess: np.ndarray            # (N_CANDIDATES, S)
+    residual_sup: np.ndarray      # (S,)
+    w_grad_sup: np.ndarray        # (S,)
+    later: int
+
+
+def _certify(phi_field: HopfColeField, big_i: float | np.ndarray, model: SeparableModel1D,
+             grid: Grid1D, later: int | None = None) -> SnapshotCertificates:
+    """One kernel pass over a transform (one density or a stack of S
+    snapshots) taken on grid at the model's epsilon, at I = big_i (a float,
+    or one per snapshot), with the w-gradient rows from later (default S,
+    none) on. F^2 of w = sqrt(2F^2 - phi) is one for the whole stack."""
+    phi = phi_field.phi.reshape(-1, grid.M)
+    s = phi.shape[0]
+    neg_alpha = np.empty(grid.M)
+    neg_alpha[:] = -np.asarray(model.alpha(grid.centers))
+    floor = phi_field.sup_phi - model.epsilon * math.log(1.0 / CORE_RATIO)
+    f2 = 2.0 * (1.0 + max(0.0, float(np.max(phi_field.sup_phi))))
+    certs = SnapshotCertificates(excess=np.empty((N_CANDIDATES, s)), residual_sup=np.empty(s),
+                                 w_grad_sup=np.empty(s), later=s if later is None else later)
+    kernel = c_twin("snapshot_certificates") or snapshot_certificates
+    kernel(phi, phi_field.mask.reshape(phi.shape), _alpha_antiderivative(model, grid),
+           neg_alpha, np.array(np.broadcast_to(big_i, s), dtype=float),
+           np.array(envelope_slopes(model)), np.reshape(floor, s), 0.5 * model.sigma ** 2,
+           grid.dx, f2, certs.later, certs.excess, certs.residual_sup, certs.w_grad_sup)
+    return certs
+
+
+def _core_residual_sup(certs: SnapshotCertificates) -> np.ndarray:
+    """The residual's sup-norms, which need a support core at every snapshot."""
+    if np.any(certs.residual_sup == -np.inf):
+        raise ValueError("support core is empty")
+    return certs.residual_sup
 
 
 def hamiltonian_residual(phi_field: HopfColeField, big_i: float | np.ndarray,
-                         model: SeparableModel1D, grid: Grid1D
-                         ) -> tuple[np.ndarray, float | np.ndarray]:
-    """Residual of the limiting Hamilton-Jacobi relation,
-    R(x) = -alpha(x) I dphi - sigma^2/2 (dphi)^2, and its sup-norm over the
-    support core (cells within a factor 100 of the peak), for a transform
-    taken on grid at the model's epsilon. For a run's field, big_i holds I
-    at each snapshot and the sup-norm is one per snapshot."""
-    grad, interior = _masked_gradient(phi_field.phi, phi_field.mask, grid.dx)
-    res = -np.asarray(model.alpha(grid.centers)) * np.expand_dims(big_i, -1)
-    res *= grad
-    grad *= grad                          # then grad's buffer holds the quadratic term
-    grad *= 0.5 * model.sigma ** 2
-    res -= grad
-    res[~interior] = np.nan
-    floor = phi_field.sup_phi - model.epsilon * math.log(1.0 / CORE_RATIO)
-    core = interior & (phi_field.phi >= np.expand_dims(floor, -1))
-    if not core.any(axis=-1).all():
-        raise ValueError("support core is empty")
-    return res, np.max(np.abs(res, out=grad), axis=-1, where=core, initial=0.0)
+                         model: SeparableModel1D, grid: Grid1D) -> float | np.ndarray:
+    """Sup-norm of the residual of the limiting Hamilton-Jacobi relation,
+    R(x) = -alpha(x) I dphi - sigma^2/2 (dphi)^2 with dphi the centered
+    difference, over the support core (mask interior cells within a factor
+    100 of the peak), for a transform taken on grid at the model's epsilon.
+    For a run's field, big_i holds I at each snapshot and the sup-norm is
+    one per snapshot."""
+    sup = _core_residual_sup(_certify(phi_field, big_i, model, grid))
+    return sup if phi_field.phi.ndim > 1 else float(sup[0])
 
 
-def snapshot_series(run: FpRun) -> tuple[HopfColeField, dict[str, np.ndarray]]:
-    """The transform of a run's snapshots and its series at them, each (S,):
-    I, sup phi, the support width and the residual's sup-norm on the core."""
+def _first_row_at(run: FpRun, t0: float) -> int:
+    """The first snapshot at t >= t0: the snapshots at t >= t0 are a suffix
+    of the run; the last one is at step n_steps, time T, though its stamp
+    n_steps * (T / n_steps) can round below T, so a t0 up to T always takes
+    it."""
+    later = int(np.searchsorted(run.times, t0))
+    if t0 <= run.meta["T"]:
+        later = min(later, len(run.times) - 1)
+    return later
+
+
+def snapshot_series(run: FpRun, t0: float | None = None
+                    ) -> tuple[HopfColeField, dict[str, np.ndarray], SnapshotCertificates]:
+    """The transform of a run's snapshots, its series at them, each (S,):
+    I, sup phi, the support width and the residual's sup-norm on the core,
+    and the certificates of the one kernel pass that gave that sup-norm,
+    with the w-gradient rows from t0 on (none without t0)."""
     f = hopf_cole(run.densities, run.model.epsilon)
     big_i = run.i_at(run.times)
+    certs = _certify(f, big_i, run.model, run.grid, None if t0 is None else _first_row_at(run, t0))
     return f, {"interaction": big_i, "sup_phi": f.sup_phi,
                "support_width": support_width(run.densities, run.grid.dx),
-               "residual_sup": hamiltonian_residual(f, big_i, run.model, run.grid)[1]}
+               "residual_sup": _core_residual_sup(certs)}, certs
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +194,13 @@ def constructive_moment_constant(model: SeparableModel1D, grid: Grid1D, k: int) 
     return max(c_prime, -c2 / c1)
 
 
-def check_moment_bound(run: FpRun, k: int) -> MomentBoundReport:
-    """Every snapshot's 2k-th moment against max(initial moment, C*)."""
+def check_moment_bound(run: FpRun, k: int, c_star: float) -> MomentBoundReport:
+    """Every snapshot's 2k-th moment against max(initial moment, C*), with
+    c_star the run's constructive_moment_constant for k (which does not
+    depend on epsilon)."""
     y2k = run.grid.centers ** (2 * k)
     series = (run.densities * y2k).sum(axis=-1) * run.grid.dx
     k0 = float(series[0])
-    c_star = constructive_moment_constant(run.model, run.grid, k)
     bound = max(k0, c_star)
     sup_m = float(np.max(series))
     return MomentBoundReport(sup_moment=sup_m, k0=k0, c_star=c_star,
@@ -189,12 +216,22 @@ class BvReport:
     prefix_tv: np.ndarray         # the total variation up to each of its times
 
 
+def comparison_indices(n: int, points: int) -> np.ndarray:
+    """The steps of a series of n values on a uniform comparison cadence of
+    at most points: min(points, n) evenly spaced positions rounded to steps,
+    each kept once. The rounded positions never decrease, so a step
+    repeated is the one before it."""
+    idx = np.round(np.linspace(0, n - 1, min(points, n))).astype(int)
+    keep = np.ones(len(idx), dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+    return idx[keep]
+
+
 def check_bv_interaction(step_times: np.ndarray, i_values: np.ndarray,
                          points: int = 2001) -> BvReport:
     """Prefix total variation of the interaction series on a uniform
     comparison cadence, with an affine-in-time majorant fitted above it."""
-    n = len(i_values)
-    sel = np.unique(np.round(np.linspace(0, n - 1, min(points, n))).astype(int))
+    sel = comparison_indices(len(i_values), points)
     t = step_times[sel]
     v = i_values[sel]
     prefix = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(v)))])
@@ -238,10 +275,7 @@ def envelope_excess(run: FpRun, f: HopfColeField) -> np.ndarray:
     max over the mask of phi + A' I(t) Lambda(x), from the run's transform
     f. The envelope phi <= -A' I(t) Lambda(x) + D' t + E' holds at a
     snapshot iff this excess is at most D' t + E' there."""
-    big_i = run.i_at(run.times)[:, None]
-    lam = _alpha_antiderivative(run.model, run.grid)
-    return np.array([np.max(f.phi + a_const * big_i * lam, axis=-1, where=f.mask,
-                            initial=-np.inf) for a_const in envelope_slopes(run.model)])
+    return _certify(f, run.i_at(run.times), run.model, run.grid).excess
 
 
 def fit_supersolution_envelope(slopes: list[float], excesses: list[np.ndarray],
@@ -281,21 +315,18 @@ def check_w_gradient_bound(run: FpRun, f: HopfColeField, t0: float) -> float:
     """theta = sup over t >= t0 and mask-interior x of
     |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory,
     from the run's transform f (which it leaves as it is)."""
-    F2 = 2.0 * (1.0 + max(0.0, float(np.max(f.sup_phi))))
-    # the snapshots at t >= t0 are a suffix of the run; the last one is at
-    # step n_steps, time T, though its stamp n_steps * (T / n_steps) can
-    # round below T, so a t0 up to T always takes it
-    later = int(np.searchsorted(run.times, t0))
-    if t0 <= run.meta["T"]:
-        later = min(later, len(run.times) - 1)
-    w = np.subtract(F2, f.phi[later:])    # then w = sqrt(2F^2 - phi) in place
-    np.sqrt(w, out=w)
-    grad, interior = _masked_gradient(w, f.mask[later:], run.grid.dx)
-    checked = interior.any(axis=-1)
+    return _w_gradient_theta(run, _certify(f, run.i_at(run.times), run.model, run.grid,
+                                           _first_row_at(run, t0)), t0)
+
+
+def _w_gradient_theta(run: FpRun, certs: SnapshotCertificates, t0: float) -> float:
+    """check_w_gradient_bound's theta from the run's certificates, taken
+    with their w-gradient rows from t0 on."""
+    sup_grad = certs.w_grad_sup[certs.later:]
+    checked = sup_grad != -np.inf
     if not checked.any():
         raise ValueError(f"no snapshots at or after t0={t0}")
-    sup_grad = np.max(np.abs(grad, out=grad), axis=-1, where=interior, initial=0.0)
-    t = run.times[later:][checked]
+    t = run.times[certs.later:][checked]
     with np.errstate(divide="raise"):  # a checked snapshot at t = 0 has no bound
         theta = np.max(sup_grad[checked] - np.sqrt(1.0 / (t * run.model.sigma ** 2)))
     return float(theta)
@@ -365,8 +396,9 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
     epsilons must be strictly decreasing inside (0, 1]. Failures of a single
     epsilon are recorded and the sweep continues. The moment bound is
     checked for the fourth moment (k = 2). Each member's run is transformed
-    once and dropped with its transform as soon as its numbers are taken,
-    so the sweep holds one run at a time.
+    once, its certificates are taken in one kernel pass over the transform,
+    and both are dropped with the run as soon as its numbers are taken, so
+    the sweep holds one run at a time.
     """
     eps = [float(e) for e in epsilons]
     check_epsilons(eps)
@@ -375,6 +407,9 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
     if t0 is None:
         t0 = T / 10
 
+    # the fourth moment's constant reads f, alpha, sigma and the grid, not epsilon
+    c_star = constructive_moment_constant(base_model, grid, 2)
+
     def certify(e: float) -> EpsilonDiagnostics:
         """One member's numbers; its run and transform die on return."""
         d = EpsilonDiagnostics(epsilon=e)
@@ -382,14 +417,14 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
             model = base_model.with_epsilon(e)
             mu0 = gaussian_initial(grid, e, init_concentration, init_center)
             run = solve_fp_1d(model, grid, mu0, T, snapshot_every=snapshot_every)
-            f, series = snapshot_series(run)
+            _, series, certs = snapshot_series(run, t0)
             d.sup_phi_final, d.support_width_final, d.i_final, d.residual_sup_final = (
                 float(series[name][-1])
                 for name in ("sup_phi", "support_width", "interaction", "residual_sup"))
             d.bv = check_bv_interaction(np.arange(run.meta["n_steps"]) * run.dt, run.i_values)
-            d.theta = check_w_gradient_bound(run, f, t0)
-            d.moment = check_moment_bound(run, 2)
-            d.times, d.excess = run.times, envelope_excess(run, f)
+            d.theta = _w_gradient_theta(run, certs, t0)
+            d.moment = check_moment_bound(run, 2, c_star)
+            d.times, d.excess = run.times, certs.excess
         except (ValueError, ArithmeticError) as err:  # a member's numerical failure
             d.status = "FAILED"
             d.error = f"{type(err).__name__}: {err}"

@@ -264,7 +264,8 @@ class TestNoCompilerParity:
     once with no cc: the same files, bytes and metrics, with every C twin
     in the manifest "c" on the first side and "numpy" on the second."""
 
-    TWINS = {"fp_chunk", "network_chunk", "normal_block", "rk4_affine", "csv_body"}
+    TWINS = {"fp_chunk", "snapshot_certificates", "network_chunk", "normal_block", "rk4_affine",
+             "csv_body"}
     BUILD = {"c_target", "cpu"}  # recorded when a twin runs in C
 
     @pytest.fixture(scope="class")

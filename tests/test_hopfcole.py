@@ -4,14 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from balancenet import hopfcole
-from balancenet.hopfcole import (FIT_SLACK, N_CANDIDATES, EnvelopeFit,
-                                 _alpha_antiderivative, _masked_gradient,
-                                 check_bv_interaction, check_moment_bound,
-                                 check_w_gradient_bound,
-                                 constructive_moment_constant, envelope_covers,
-                                 envelope_excess, envelope_slopes, epsilon_sweep,
-                                 fit_supersolution_envelope,
+from balancenet import _kernels, hopfcole
+from balancenet._kernels import snapshot_certificates
+from balancenet.hopfcole import (CORE_RATIO, FIT_SLACK, N_CANDIDATES, EnvelopeFit,
+                                 _alpha_antiderivative, check_bv_interaction,
+                                 check_moment_bound, check_w_gradient_bound,
+                                 comparison_indices, constructive_moment_constant,
+                                 envelope_covers, envelope_excess, envelope_slopes,
+                                 epsilon_sweep, fit_supersolution_envelope,
                                  hamiltonian_residual, hopf_cole, snapshot_series,
                                  support_width)
 from balancenet.models import build_separable_1d
@@ -65,7 +65,8 @@ class TestHopfCole:
 
 
 def masked_gradient_loop(phi, mask, dx):
-    """Cell-by-cell reference for _masked_gradient."""
+    """Cell-by-cell masked gradient: centered inside the mask, one-sided at
+    its edges, with the interior cells whose stencil stayed inside it."""
     grad = np.full_like(phi, np.nan)
     interior = np.zeros_like(mask)
     for j in np.nonzero(mask)[0]:
@@ -87,7 +88,52 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def kernel_twins():
+    """The numpy snapshot_certificates and, when it is built, its C twin."""
+    twin = _kernels.c_twin("snapshot_certificates")
+    return [snapshot_certificates] + ([twin] if twin is not None else [])
+
+
+def run_kernel(kernel, phi, mask, lam, neg_alpha, big_i, slopes, floor, half_sig2, dx, f2,
+               later):
+    """The kernel's (excess, residual_sup, w_grad_sup), into NaN-filled arrays."""
+    s = len(phi)
+    out = (np.full((len(slopes), s), np.nan), np.full(s, np.nan), np.full(s, np.nan))
+    kernel(phi, mask, lam, neg_alpha, big_i, slopes, floor, half_sig2, dx, f2, later, *out)
+    return out
+
+
+def loop_certificates(phi, mask, lam, neg_alpha, big_i, slopes, floor, half_sig2, dx, f2,
+                      later):
+    """snapshot_certificates one row and one cell at a time, its gradients
+    from masked_gradient_loop."""
+    s = len(phi)
+    excess = np.full((len(slopes), s), -np.inf)
+    residual_sup = np.full(s, -np.inf)
+    w_grad_sup = np.full(s, -np.inf)
+    for i in range(s):
+        cells = np.nonzero(mask[i])[0]
+        for k, a_const in enumerate(slopes):
+            for j in cells:
+                excess[k, i] = max(excess[k, i], phi[i, j] + a_const * big_i[i] * lam[j])
+        grad, interior = masked_gradient_loop(phi[i], mask[i], dx)
+        for j in np.nonzero(interior & (phi[i] >= floor[i]))[0]:
+            g = grad[j]
+            residual_sup[i] = max(residual_sup[i],
+                                  abs((neg_alpha[j] * big_i[i]) * g - (g * g) * half_sig2))
+        if i >= later:
+            w = np.full_like(phi[i], np.nan)
+            w[cells] = [math.sqrt(f2 - phi[i, j]) for j in cells]
+            grad, interior = masked_gradient_loop(w, mask[i], dx)
+            for j in np.nonzero(interior)[0]:
+                w_grad_sup[i] = max(w_grad_sup[i], abs(grad[j]))
+    return excess, residual_sup, w_grad_sup
+
+
 class TestMaskedGradient:
+    """The masked centered differences inside snapshot_certificates, in
+    both twins, against the cell-by-cell loops."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_loop(self, seed):
         # rows of differing mask density, the last one without interior
@@ -95,29 +141,37 @@ class TestMaskedGradient:
         mask = gen.random((6, 200)) < gen.uniform(0.3, 0.95, size=(6, 1))
         mask[-1] = np.arange(200) % 2 == 0
         phi = np.where(mask, gen.normal(size=mask.shape), np.nan)
-        grad, interior = _masked_gradient(phi, mask, 0.03)
-        for row in range(len(phi)):
-            ref_grad, ref_interior = masked_gradient_loop(phi[row], mask[row], 0.03)
-            assert_same_bits(grad[row], ref_grad)
-            np.testing.assert_array_equal(interior[row], ref_interior)
-            one_grad, one_interior = _masked_gradient(phi[row], mask[row], 0.03)
-            assert_same_bits(one_grad, ref_grad)
-            np.testing.assert_array_equal(one_interior, ref_interior)
-        assert not interior[-1].any()
+        args = [phi, mask, gen.normal(size=200), gen.normal(size=200),
+                gen.uniform(0.2, 1.0, size=6), np.arange(1, 17) / 17.0,
+                np.full(6, -1.0), 0.45, 0.03, 2.0 * (1.0 + np.nanmax(phi)), seed % 3]
+        ref = loop_certificates(*args)
+        assert ref[1][-1] == ref[2][-1] == -np.inf
+        for kernel in kernel_twins():
+            for got, want in zip(run_kernel(kernel, *args), ref):
+                assert_same_bits(got, want)
 
     def test_gaps_isolated_cells_and_run_edges(self):
-        # runs [0, 2] and [6, 9] touch the array ends; cell 4 is isolated
+        # runs [0, 2] and [6, 9] touch the array ends; cell 4 is isolated.
+        # With no quadratic term and -alpha the indicator of cell j, the
+        # residual's sup-norm is |dphi| at j when j is interior, else 0.
         phi = np.array([0.0, 1.0, 4.0, np.nan, 2.0, np.nan, 5.0, 3.0, 1.0, 7.0])
         mask = ~np.isnan(phi)
-        grad, interior = _masked_gradient(phi, mask, 0.5)
-        np.testing.assert_array_equal(
-            interior, [False, True, False, False, False, False, False, True, True, False])
-        np.testing.assert_array_equal(
-            grad, [2.0, 4.0, 6.0, np.nan, np.nan, np.nan, -4.0, -4.0, 4.0, 12.0])
+        for kernel in kernel_twins():
+            sups = [run_kernel(kernel, phi[None], mask[None], np.zeros(10), np.eye(10)[j],
+                               np.ones(1), np.ones(0), np.full(1, -np.inf), 0.0, 0.5, 8.0,
+                               0)[1][0] for j in range(10)]
+            assert sups == [0.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 4.0, 0.0]
+            _, _, w_sup = run_kernel(kernel, phi[None], mask[None], np.zeros(10), np.zeros(10),
+                                     np.ones(1), np.ones(0), np.zeros(1), 0.0, 0.5, 8.0, 0)
+            w = np.sqrt(8.0 - np.nan_to_num(phi))
+            assert w_sup[0] == max(abs(w[2] - w[0]), abs(w[8] - w[6]), abs(w[9] - w[7]))
 
     def test_no_cell_in_mask(self):
-        grad, interior = _masked_gradient(np.full(4, np.nan), np.zeros(4, bool), 0.1)
-        assert np.isnan(grad).all() and not interior.any()
+        for kernel in kernel_twins():
+            excess, residual_sup, w_sup = run_kernel(
+                kernel, np.full((1, 4), np.nan), np.zeros((1, 4), bool), np.zeros(4),
+                np.zeros(4), np.ones(1), np.ones(3), np.zeros(1), 0.5, 0.1, 2.0, 0)
+            assert (excess == -np.inf).all() and residual_sup == w_sup == -np.inf
 
 
 class TestSupportWidth:
@@ -143,8 +197,7 @@ class TestResidual:
         model = build_separable_1d(0.2)
         c = 1.0 / (2 * grid.L)
         f = hopf_cole(np.full(256, c), 0.2)
-        res, sup = hamiltonian_residual(f, 1.0, model, grid)
-        assert sup <= 1e-12
+        assert hamiltonian_residual(f, 1.0, model, grid) <= 1e-12
 
     def test_algebraic_root_zero_residual(self):
         # dphi = -2 alpha I / sigma^2 solves the quadratic exactly; for
@@ -157,8 +210,7 @@ class TestResidual:
         phi = -(2 * big_i / model.sigma ** 2) * (x ** 2 / 2.0)
         mu = np.exp(phi / 0.2)
         f = hopf_cole(density_from_values(grid, mu), 0.2)
-        res, sup = hamiltonian_residual(f, big_i, model, grid)
-        assert sup <= 1e-9
+        assert hamiltonian_residual(f, big_i, model, grid) <= 1e-9
 
 
 class TestBv:
@@ -181,6 +233,11 @@ class TestBv:
         assert np.abs(np.diff(np.sin(np.linspace(0, 2 * math.pi, 100001)))).sum() == \
             pytest.approx(4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 2000, 2001, 2002, 19896])
+    def test_comparison_indices_are_the_unique_rounded_positions(self, n):
+        expect = np.unique(np.round(np.linspace(0, n - 1, min(2001, n))).astype(int))
+        np.testing.assert_array_equal(comparison_indices(n, 2001), expect)
+
     def test_fitted_line_covers_itself(self):
         t = np.linspace(0, 2, 300)
         v = 0.5 + 0.1 * np.sin(3 * t) + 0.05 * t
@@ -195,7 +252,7 @@ class TestMomentBound:
         vals = np.zeros(128)
         vals[64] = 1.0 / grid.dx
         run = _fake_run(ou_model(), grid, [vals], [0.0])
-        rep = check_moment_bound(run, k=1)
+        rep = check_moment_bound(run, 1, constructive_moment_constant(run.model, grid, 1))
         assert rep.satisfied
         assert rep.sup_moment <= 0.01
 
@@ -212,7 +269,7 @@ class TestMomentBound:
         grid = Grid1D(8.0, 512)
         mu0 = gaussian_initial(grid, 2.0, 1.0, 1.0)
         run = solve_fp_1d(model, grid, mu0, 5.0, snapshot_every=0.5)
-        rep = check_moment_bound(run, k=1)
+        rep = check_moment_bound(run, 1, constructive_moment_constant(model, grid, 1))
         assert rep.satisfied
         assert rep.moment_series[-1] == pytest.approx(0.5, abs=0.02)
 
@@ -304,6 +361,22 @@ def _loop_envelope(run, a_const):
     return np.array(out)
 
 
+def _loop_residual_sup(run):
+    """Per snapshot, the residual's sup-norm over the support core, one cell
+    at a time."""
+    neg_alpha = -np.asarray(run.model.alpha(run.grid.centers))
+    half_sig2 = 0.5 * run.model.sigma ** 2
+    out = []
+    for mu, t in zip(run.densities, run.times.tolist()):
+        f = hopf_cole(mu, run.model.epsilon)
+        grad, interior = masked_gradient_loop(f.phi, f.mask, run.grid.dx)
+        floor = f.sup_phi - run.model.epsilon * math.log(1.0 / CORE_RATIO)
+        big_i = run.i_at(t)
+        out.append(max(abs((neg_alpha[j] * big_i) * grad[j] - (grad[j] * grad[j]) * half_sig2)
+                       for j in np.nonzero(interior & (f.phi >= floor))[0]))
+    return np.array(out)
+
+
 def _loop_envelope_fit(runs):
     """fit_supersolution_envelope, one snapshot at a time."""
     amax = 2.0 / runs[0].model.sigma ** 2
@@ -369,7 +442,7 @@ class TestRunArrays:
     def test_rows_equal_single_density_path(self, run):
         eps, dx = run.model.epsilon, run.grid.dx
         f = hopf_cole(run.densities, run.model.epsilon)
-        transform, series = snapshot_series(run)
+        transform, series, _ = snapshot_series(run)
         assert f.phi.shape == f.mask.shape == run.densities.shape
         assert_same_bits(run.mass, [mu.sum() * dx for mu in run.densities])
         masks = set()
@@ -378,7 +451,7 @@ class TestRunArrays:
             assert_same_bits(f.phi[i], ref.phi)
             np.testing.assert_array_equal(f.mask[i], ref.mask)
             assert f.sup_phi[i] == ref.sup_phi and f.F[i] == ref.F
-            _, ref_resid = hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
+            ref_resid = hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
             assert series["residual_sup"][i] == ref_resid
             assert series["sup_phi"][i] == ref.sup_phi
             assert_same_bits(transform.phi[i], ref.phi)
@@ -389,12 +462,28 @@ class TestRunArrays:
 
     def test_residual_rows_equal_single_density_path(self, run):
         f = hopf_cole(run.densities, run.model.epsilon)
-        res, sup = hamiltonian_residual(f, run.i_at(run.times), run.model, run.grid)
+        sup = hamiltonian_residual(f, run.i_at(run.times), run.model, run.grid)
         for i, t in enumerate(run.times.tolist()):
             ref = hopf_cole(run.densities[i], run.model.epsilon)
-            ref_res, ref_sup = hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
-            assert_same_bits(res[i], ref_res)
-            assert sup[i] == ref_sup
+            assert sup[i] == hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
+        assert_same_bits(sup, _loop_residual_sup(run))
+
+    @pytest.mark.parametrize("twin", ["numpy", "c"])
+    def test_twins_equal_snapshot_loops(self, run, twin, monkeypatch):
+        # every certificate of one kernel pass, from either twin, bit for
+        # bit against the loops over snapshots and cells
+        if twin == "numpy":
+            monkeypatch.setattr(hopfcole, "c_twin", lambda name: None)
+        elif _kernels.c_twin("snapshot_certificates") is None:
+            pytest.skip("no C compiler: the certificates run on numpy")
+        f, series, certs = snapshot_series(run, 0.05)
+        assert_same_bits(series["residual_sup"], _loop_residual_sup(run))
+        for k, a_const in enumerate(envelope_slopes(run.model)):
+            assert_same_bits(certs.excess[k], _loop_envelope(run, a_const))
+        assert_same_bits(envelope_excess(run, f), certs.excess)
+        assert hopfcole._w_gradient_theta(run, certs, 0.05) == _loop_w_gradient_theta(run, 0.05)
+        for t0 in (0.05, 0.3, float(run.times[-1])):
+            assert check_w_gradient_bound(run, f, t0) == _loop_w_gradient_theta(run, t0)
 
     def test_certificates_equal_snapshot_loops(self, run):
         f = hopf_cole(run.densities, run.model.epsilon)
@@ -412,7 +501,8 @@ class TestRunArrays:
         assert not _loop_envelope_covers(run, tight)
         y2 = run.grid.centers ** 2
         moments = [float((d * y2).sum() * run.grid.dx) for d in run.densities]
-        assert list(check_moment_bound(run, 1).moment_series) == moments
+        c_star = constructive_moment_constant(run.model, run.grid, 1)
+        assert list(check_moment_bound(run, 1, c_star).moment_series) == moments
 
     def test_w_gradient_leaves_the_transform_as_it_is(self, run):
         f = hopf_cole(run.densities, run.model.epsilon)
@@ -462,8 +552,7 @@ class TestSweepConsistency:
         assert d.sup_phi_final == f.sup_phi
         assert d.support_width_final == support_width(final, grid.dx)
         assert d.i_final == run.i_values[-1]
-        _, resid = hamiltonian_residual(f, run.i_at(1.0), base, grid)
-        assert d.residual_sup_final == resid
+        assert d.residual_sup_final == hamiltonian_residual(f, run.i_at(1.0), base, grid)
         f = hopf_cole(run.densities, 0.3)
         assert d.theta == check_w_gradient_bound(run, f, 0.25)
         assert d.theta == _loop_w_gradient_theta(run, 0.25)
@@ -498,9 +587,19 @@ class TestSweepConsistency:
         assert diag[1e-7].error
 
     def test_each_member_is_transformed_once_and_dropped(self, monkeypatch):
-        # the member's one transform serves every certificate, and its run
-        # is gone before the next member is solved
-        transforms, runs, alive = [], [], []
+        # the member's one transform and one kernel pass serve every
+        # certificate, its run is gone before the next member is solved,
+        # and the moment constant, which does not depend on epsilon, is
+        # computed once for the sweep
+        transforms, passes, constants, runs, alive = [], [], [], [], []
+
+        def counted_kernel(phi, *args):
+            passes.append(phi.shape)
+            return snapshot_certificates(phi, *args)
+
+        def counted_constant(*args):
+            constants.append(args)
+            return constructive_moment_constant(*args)
 
         def counted_hopf_cole(values, *args, **kwargs):
             transforms.append(values.shape)
@@ -514,10 +613,14 @@ class TestSweepConsistency:
 
         monkeypatch.setattr(hopfcole, "hopf_cole", counted_hopf_cole)
         monkeypatch.setattr(hopfcole, "solve_fp_1d", tracked_solve)
+        monkeypatch.setattr(hopfcole, "c_twin", lambda name: counted_kernel)
+        monkeypatch.setattr(hopfcole, "constructive_moment_constant", counted_constant)
         rep = epsilon_sweep(build_separable_1d(0.4), (0.4, 0.2, 0.1, 0.05), Grid1D(8.0, 256),
                             0.1, t0=0.02)
         assert [d.status for d in rep.diagnostics] == ["COMPLETED"] * 4
         assert rep.verdicts["envelope_uniform"]
         assert len(transforms) == 4
+        assert passes == transforms
+        assert len(constants) == 1
         assert alive == [0, 0, 0, 0]
         assert all(r() is None for r in runs)

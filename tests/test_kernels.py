@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from balancenet import _clib, _kernels, _selfcheck, rng
 from balancenet._clib import _C_FLAGS, _C_LIBS, _C_SOURCES
 from balancenet._kernels import (IMPLEMENTATIONS, active, backend, csv_body, fp_chunk,
-                                 network_chunk, numpy_target, rk4_affine)
+                                 network_chunk, numpy_target, rk4_affine,
+                                 snapshot_certificates)
 from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
@@ -97,8 +98,9 @@ def test_registry_keys():
         assert active("fp_chunk") is not fp_chunk
         assert active("electrical_chunk") is not network_chunk
         assert backend("fp_chunk") == backend("network_chunk") == backend("normal_block") == "c"
-        # fetched by c_twin only: the ODE has no kernel key to trace it by
-        assert backend("rk4_affine") == "c"
+        # fetched by c_twin only: neither the ODE nor the certificates
+        # have a kernel key to trace them by
+        assert backend("rk4_affine") == backend("snapshot_certificates") == "c"
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,84 @@ def test_c_fp_kernel_rejects_bad_arrays_before_stepping(c_fp_chunk, name, defect
         c_fp_chunk(*args)
     for i, old in zip(FP_ARRAYS.values(), before):
         assert np.array(args[i]).tobytes() == old.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the C twin of snapshot_certificates
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def c_snapshot_certificates():
+    twin = _kernels.c_twin("snapshot_certificates")
+    if twin is None:
+        pytest.skip("no C compiler: the certificates run on numpy")
+    return twin
+
+
+def _certificate_args(s, m, k, later, seed):
+    """Random snapshot_certificates arguments: ragged masks (some rows with
+    an empty core or no interior), phi NaN off them, NaN-filled outputs."""
+    g = np.random.default_rng(seed)
+    mask = g.random((s, m)) < g.uniform(0.2, 0.95, size=(s, 1))
+    phi = np.where(mask, g.normal(size=(s, m)), np.nan)
+    f2 = 2.0 * (1.0 + max(0.0, float(np.nanmax(phi, initial=0.0))))
+    return [phi, mask, g.normal(size=m), g.normal(size=m), g.uniform(0.2, 1.0, size=s),
+            g.uniform(0.0, 2.0, size=k), g.normal(0.5, 1.0, size=s), 0.5, 0.1, f2, later,
+            np.full((k, s), np.nan), np.full(s, np.nan), np.full(s, np.nan)]
+
+
+@given(s=st.integers(1, 8), m=st.integers(1, 70), k=st.sampled_from((0, 1, 16, 17, 33)),
+       later=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_c_snapshot_certificates_bit_identical_to_numpy(c_snapshot_certificates, s, m, k,
+                                                        later, seed):
+    args = _certificate_args(s, m, k, min(later, s), seed)
+    copy = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    c_snapshot_certificates(*args)
+    snapshot_certificates(*copy)
+    for i in (11, 12, 13):
+        assert args[i].tobytes() == copy[i].tobytes()
+
+
+def _strided_nd(a):
+    out = np.empty((*a.shape, 2), dtype=a.dtype)[..., 0]
+    out[...] = a
+    return out
+
+
+CERT_ARRAYS = {"phi": 0, "mask": 1, "lam": 2, "neg_alpha": 3, "big_i": 4, "slopes": 5,
+               "floor": 6, "excess": 11, "residual_sup": 12, "w_grad_sup": 13}
+CERT_BAD = {"float32": lambda a: a.astype(np.float32), "strided": _strided_nd,
+            "shape": lambda a: a[..., :-1].copy(), "read-only": _read_only,
+            "uint8": lambda a: a.astype(np.uint8), "float64": lambda a: a.astype(np.float64)}
+
+
+@pytest.mark.parametrize("name, defect", [
+    *((name, defect) for name in CERT_ARRAYS if name != "mask"
+      for defect in ("float32", "strided", "shape")),
+    *(("mask", defect) for defect in ("uint8", "float64", "strided", "shape")),
+    ("excess", "read-only"), ("residual_sup", "read-only"), ("w_grad_sup", "read-only")])
+def test_c_snapshot_certificates_rejects_bad_arrays_before_reading(c_snapshot_certificates,
+                                                                    name, defect):
+    # each array is checked before C reads or writes any: the error is a
+    # ValueError naming the twin, and the outputs keep their NaNs
+    args = _certificate_args(4, 30, 16, 1, 3)
+    args[CERT_ARRAYS[name]] = CERT_BAD[defect](args[CERT_ARRAYS[name]])
+    with pytest.raises(ValueError, match="^snapshot_certificates: "):
+        c_snapshot_certificates(*args)
+    assert all(np.isnan(args[i]).all() for i in (11, 12, 13))
+
+
+def test_c_snapshot_certificates_rejects_bad_rows(c_snapshot_certificates):
+    for later in (-1, 5):
+        args = _certificate_args(4, 30, 16, later, 3)
+        with pytest.raises(ValueError, match="^snapshot_certificates: "):
+            c_snapshot_certificates(*args)
+    args = _certificate_args(4, 30, 16, 1, 3)
+    args[0] = args[0][0]
+    with pytest.raises(ValueError, match="^snapshot_certificates: "):
+        c_snapshot_certificates(*args)
 
 
 @needs_cc
@@ -403,7 +483,8 @@ def test_missing_compiler_falls_back_to_numpy_with_same_bytes(tmp_path, monkeypa
     assert fallback["backend"]["fp_chunk"] == "numpy"
     assert fallback["files"] == compiled["files"]
     on_disk = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
-    assert on_disk["backend"] == {"fp_chunk": "numpy", "csv_body": "numpy",
+    assert on_disk["backend"] == {"fp_chunk": "numpy", "snapshot_certificates": "numpy",
+                                  "csv_body": "numpy",
                                   "numpy": np.__version__, "threads": 1,
                                   "numpy_dispatch": FP_DISPATCH}
 
@@ -444,12 +525,12 @@ MIXED_SWEEP = {"kind": "double-limit-sweep", "seed": 2,
 
 PDE_SWEEP = {"kind": "double-limit-sweep", "seed": 2, "pde": MIXED_SWEEP["pde"]}
 NOISE = ("network_chunk", "normal_block")
+FP = ("fp_chunk", "snapshot_certificates")
 
 
 @pytest.mark.parametrize("config, kernels", [
     (NETWORK_RUN, NOISE), (EARLY_RUN, (*NOISE, "rk4_affine")), (FIG1_RUN, NOISE),
-    (MIXED_SWEEP, (*NOISE, "fp_chunk")), (PDE_SWEEP, ("fp_chunk",)),
-    (PDE_RUN, ("fp_chunk",)), (BALANCE_RUN, ())])
+    (MIXED_SWEEP, (*NOISE, *FP)), (PDE_SWEEP, FP), (PDE_RUN, FP), (BALANCE_RUN, ())])
 def test_manifest_names_the_kernels_a_kind_steps(tmp_path, config, kernels):
     manifest = run_experiment(parse_config_dict(config), out_dir=tmp_path)
     kernels = (*kernels, "csv_body")  # every kind writes CSVs
@@ -1179,7 +1260,8 @@ CHEMICAL_EVENT_RUN = {**CHEMICAL_RUN, "events": [{"t": 0.02, "multipliers": {"g_
     ("network_chunk", "electrical_chunk", NETWORK_RUN),
     ("fp_chunk", "fp_chunk", PDE_RUN),
     ("rk4_affine", None, {**EARLY_RUN, "gammas": [10, 100], "T_tilde": 0.05}),
-    ("csv_body", None, CHEMICAL_RUN)])
+    ("csv_body", None, CHEMICAL_RUN),
+    ("snapshot_certificates", None, PDE_RUN)])
 def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch, twin,
                                                           kernel, config):
     spec = parse_config_dict(config)
@@ -1189,7 +1271,7 @@ def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
     monkeypatch.setattr(_kernels, "_c_twins", None)
     monkeypatch.setitem(_selfcheck.CHECKS, twin, lambda fn: False)
     assert _kernels.c_twin(twin) is None
-    if kernel is not None:  # rk4_affine and csv_body are fetched by c_twin alone
+    if kernel is not None:  # the others are fetched by c_twin alone
         assert active(kernel) is IMPLEMENTATIONS[kernel]
     fallback = run_experiment(spec, out_dir=tmp_path / "numpy")
     assert fallback["backend"][twin] == "numpy"
@@ -1205,11 +1287,13 @@ def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
 
 
 @needs_cc
-@pytest.mark.parametrize("name", ["fp_chunk", "network_chunk", "rk4_affine", "csv_body"])
+@pytest.mark.parametrize("name", ["fp_chunk", "network_chunk", "rk4_affine", "csv_body",
+                                  "snapshot_certificates"])
 def test_self_check_catches_a_one_bit_difference(name):
     # a twin that is the Python function with one bit of its output moved
     numpy_kernel = {"fp_chunk": fp_chunk, "network_chunk": network_chunk,
-                    "rk4_affine": rk4_affine, "csv_body": csv_body}[name]
+                    "rk4_affine": rk4_affine, "csv_body": csv_body,
+                    "snapshot_certificates": snapshot_certificates}[name]
 
     def off_by_one_bit(*args):
         done = numpy_kernel(*args)
@@ -1218,7 +1302,8 @@ def test_self_check_catches_a_one_bit_difference(name):
         if name == "rk4_affine":  # the first step of the column, finite in some case
             args[4][1] = np.nextafter(args[4][1], np.inf)
             return done
-        target = args[-1] if name == "fp_chunk" else args[-2]  # i_out, or the recorded stds
+        # i_out, the w-gradient sup-norms, or the recorded stds
+        target = args[-2] if name == "network_chunk" else args[-1]
         flat = target.reshape(-1)
         flat[-1] = np.nextafter(flat[-1], np.inf)
         return done
