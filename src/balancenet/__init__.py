@@ -15,6 +15,5 @@ from .balance import (BalanceReport, chemical_balance_voltages, chemical_stabili
                       distance_to_balance, integrate_early_ode)
 from .pde import Grid1D, gaussian_initial, solve_fp_1d
 from .hopfcole import (HopfColeField, check_bv_interaction, check_moment_bound,
-                       check_w_gradient_bound, epsilon_sweep, hamiltonian_residual,
-                       hopf_cole, support_width)
+                       epsilon_sweep, hopf_cole, snapshot_series, support_width)
 from .stats import Histogram1D, histogram

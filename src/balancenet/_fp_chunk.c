@@ -61,9 +61,9 @@ static double pairwise_dot(const double *a, const double *b, long n)
 /*
  * Advance the density mu (m cells; flux, f_face and alpha_face have m + 1
  * entries) up to nsteps explicit steps in place, writing each step's
- * start-of-step interaction to i_out. Stops after the first step that
- * leaves a value below NEGATIVITY_FLOOR or a non-finite value; returns the
- * number of steps done.
+ * start-of-step interaction to i_out. Stops at the first step that leaves
+ * a value below NEGATIVITY_FLOOR or a non-finite value; returns the number
+ * of steps before it, or nsteps.
  */
 long fp_chunk(double *mu, double *flux, const double *f_face, const double *alpha_face,
               const double *beta_w, long m, double inv_eps, double half_sig2,
@@ -89,7 +89,7 @@ long fp_chunk(double *mu, double *flux, const double *f_face, const double *alph
             ok &= (mu[j] >= NEGATIVITY_FLOOR) & (mu[j] <= DBL_MAX);
         }
         if (!ok) {
-            return s + 1;
+            return s;
         }
     }
     return nsteps;

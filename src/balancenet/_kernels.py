@@ -163,9 +163,9 @@ def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
     Velocity on interior faces is f(x) - I(t)/eps * alpha(x) with I(t)
     recomputed from the start-of-step density (beta_w = beta(centers)*dx);
     first-order upwind advection, centered diffusion, no-flux boundaries.
-    i_out receives the start-of-step interaction values. Stops after the
-    first step that leaves a value below NEGATIVITY_FLOOR or a non-finite
-    value; returns the number of steps done.
+    i_out receives the start-of-step interaction values. Stops at the first
+    step that leaves a value below NEGATIVITY_FLOOR or a non-finite value;
+    returns the number of steps before it (nsteps if none faults).
 
     I(t) is summed by ``ndarray.sum`` (pairwise, in an order fixed by the
     length alone), not by ``@``, whose BLAS order depends on the CPU; the C
@@ -184,7 +184,7 @@ def fp_chunk(mu, flux, f_face, alpha_face, beta_w, inv_eps, half_sig2,
         flux[m] = 0.0
         mu += (dt * inv_dx) * (flux[:m] - flux[1:])
         if not (mu.min() >= NEGATIVITY_FLOOR and mu.max() <= sys.float_info.max):
-            return s + 1
+            return s
     return nsteps
 
 

@@ -96,9 +96,9 @@ def _check_network_chunk(twin) -> bool:
     return True
 
 
-def _fp_case(m: int) -> list:
-    """Fixed fp_chunk arguments on m cells, three steps at half the CFL
-    step, with velocities of both signs."""
+def _fp_case(m: int, cfl: float = 0.5, nsteps: int = 3) -> list:
+    """Fixed fp_chunk arguments on m cells, nsteps steps at cfl times the
+    CFL step, with velocities of both signs."""
     dx = 8.0 / m
     mu = 1.2 + _wave((m,), 0.6)
     mu /= mu.sum() * dx
@@ -107,17 +107,30 @@ def _fp_case(m: int) -> list:
     beta_w = (1.0 + 0.5 * _wave((m,), 0.8)) * dx
     inv_eps, half_sig2 = 2.5, 0.5
     vmax = 3.0 + inv_eps * 1.5
-    dt = 0.5 / (vmax / dx + 2.0 * half_sig2 / dx ** 2)
-    return [mu, np.zeros(m + 1), f_face, alpha_face, beta_w, inv_eps, half_sig2, dx, dt, 3,
-            np.zeros(3)]
+    dt = cfl / (vmax / dx + 2.0 * half_sig2 / dx ** 2)
+    return [mu, np.zeros(m + 1), f_face, alpha_face, beta_w, inv_eps, half_sig2, dx, dt,
+            nsteps, np.zeros(nsteps)]
+
+
+def _fp_cases():
+    """Fixed fp_chunk arguments: stable steps on 7, 100 and 1000 cells (both
+    sides of numpy's 8- and 128-term pairwise-sum edges), then faults on 100
+    cells: at twice the CFL step a cell dips below the floor on step 4, in
+    mid-chunk of 7 steps and on the last of 5; a NaN cell faults step 0."""
+    for m in (7, 100, 1000):
+        yield _fp_case(m)
+    yield _fp_case(100, 2.0, 7)
+    yield _fp_case(100, 2.0, 5)
+    args = _fp_case(100)
+    args[0][50] = math.nan
+    yield args
 
 
 def _check_fp_chunk(twin) -> bool:
-    """Whether the C fp_chunk updates the fixed grids of 7, 100 and 1000
-    cells (both sides of numpy's 8- and 128-term pairwise-sum edges) as the
-    numpy kernel does, in every bit."""
-    for m in (7, 100, 1000):
-        args, copy = _fp_case(m), _fp_case(m)
+    """Whether the C fp_chunk steps the fixed cases as the numpy kernel
+    does, stopping at the same fault, in every bit."""
+    for args in _fp_cases():
+        copy = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
         if twin(*args) != fp_chunk(*copy):
             return False
         if not all(_same_bits(args[i], copy[i]) for i in (0, 1, 10)):

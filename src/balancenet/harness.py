@@ -35,7 +35,7 @@ from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
                      DoubleLimitSpec, EpsilonSweepSpec, ExperimentSpec,
                      FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec,
                      network_cell_dt)
-from .hopfcole import epsilon_sweep, snapshot_series
+from .hopfcole import comparison_indices, epsilon_sweep, snapshot_series
 from .models import ScalingRule
 from .network import (RecordSpec, RunRecord, apply_perturbation, simulate,
                       simulate_rescaled_early, usable_cpus)
@@ -218,11 +218,10 @@ def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
     mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
     snap = p.snapshot_every if p.snapshot_every is not None else p.T / SNAPSHOTS_PER_RUN
     run = solve_fp_1d(model, grid, mu0, p.T, snapshot_every=snap)
-    transform, series, _ = snapshot_series(run)
+    transform, series, _, _ = snapshot_series(run)
     write_csv(out / "pde_series.csv", ["t", "mass", *series],
               [run.times, run.mass, *series.values()])
-    idxs = np.unique(np.round(np.linspace(0, len(run.times) - 1, 8)).astype(int))
-    for j, idx in enumerate(idxs):
+    for j, idx in enumerate(comparison_indices(len(run.times), 8)):
         write_csv(out / f"pde_snapshot_{j:02d}.csv", ["x", "mu", "phi"],
                   [grid.centers, run.densities[idx], transform.phi[idx]])
     metrics = {"mass_drift": float(np.max(np.abs(run.mass - 1.0))),

@@ -39,30 +39,25 @@ BV_SLACK = 1.10
 
 @dataclass(eq=False)
 class HopfColeField:
-    """phi = eps*log(mu) where mu exceeds the support floor, and F with
-    F^2 = 1 + max(0, sup phi), so that the argument 2F^2 - phi of
-    w = sqrt(2F^2 - phi) stays positive on the mask. sup_phi and F are
-    floats for one density and (S,) for a stack of S snapshots."""
+    """phi = eps*log(mu) where mu exceeds the support floor; sup_phi is a
+    float for one density and (S,) for a stack of S snapshots."""
 
     phi: np.ndarray       # (M,) or (S, M), NaN off-mask
     mask: np.ndarray      # like phi, bool
     sup_phi: float | np.ndarray
-    F: float | np.ndarray
 
 
-def hopf_cole(values: np.ndarray, epsilon: float,
-              floor_ratio: float = FLOOR_RATIO) -> HopfColeField:
+def hopf_cole(values: np.ndarray, epsilon: float) -> HopfColeField:
     """Log-transform a density (M,), or each row of a stack (S, M), at
-    epsilon, masking cells below floor_ratio * max."""
+    epsilon, masking cells below FLOOR_RATIO * max."""
     mx = values.max(axis=-1, keepdims=True)
     if not np.all(mx > 0):
         raise ValueError("cannot transform an all-zero density")
-    mask = values > floor_ratio * mx
+    mask = values > FLOOR_RATIO * mx
     phi = np.full(values.shape, np.nan)
     np.log(values, out=phi, where=mask)
     np.multiply(phi, epsilon, out=phi, where=mask)
-    sup = np.fmax.reduce(phi, axis=-1)
-    return HopfColeField(phi=phi, mask=mask, sup_phi=sup, F=np.sqrt(1.0 + np.maximum(0.0, sup)))
+    return HopfColeField(phi=phi, mask=mask, sup_phi=np.fmax.reduce(phi, axis=-1))
 
 
 def support_width(values: np.ndarray, dx: float) -> float | np.ndarray:
@@ -77,84 +72,59 @@ def support_width(values: np.ndarray, dx: float) -> float | np.ndarray:
     return (stop - first) * dx
 
 
-@dataclass(frozen=True, eq=False)
-class SnapshotCertificates:
-    """What one pass of _kernels.snapshot_certificates finds in a
-    transform: the envelope excess table of envelope_excess, and at each
-    snapshot the residual's sup-norm over the support core (-inf where the
-    core is empty) and, from row ``later`` on, the sup of |dw/dx| over the
-    mask interior (-inf before it, or where there is no interior)."""
+def snapshot_series(run: FpRun, t0: float | None = None
+                    ) -> tuple[HopfColeField, dict[str, np.ndarray], np.ndarray, float | None]:
+    """Certify a run's snapshots in one pass of _kernels.snapshot_certificates
+    over their transform. Returns the transform; its (S,) series of I,
+    sup phi, the support width and the sup-norm over the support core
+    (mask interior cells within a factor 100 of the peak) of the residual
+    R = -alpha I dphi - sigma^2/2 (dphi)^2 of the limiting Hamilton-Jacobi
+    relation, dphi the centered difference; the (N_CANDIDATES, S) envelope
+    excess, per slope A' of envelope_slopes the max over the mask of
+    phi + A' I(t) Lambda(x), at most D' t + E' where the envelope
+    phi <= -A' I(t) Lambda(x) + D' t + E' holds; and theta, the sup over
+    t >= t0 and mask-interior x of |dw/dx| - sqrt(1/(t sigma^2)), with
+    w = sqrt(2F^2 - phi) and the one F^2 = 1 + max(0, sup phi) of the run
+    (None without t0).
 
-    excess: np.ndarray            # (N_CANDIDATES, S)
-    residual_sup: np.ndarray      # (S,)
-    w_grad_sup: np.ndarray        # (S,)
-    later: int
-
-
-def _certify(phi_field: HopfColeField, big_i: float | np.ndarray, model: SeparableModel1D,
-             grid: Grid1D, later: int | None = None) -> SnapshotCertificates:
-    """One kernel pass over a transform (one density or a stack of S
-    snapshots) taken on grid at the model's epsilon, at I = big_i (a float,
-    or one per snapshot), with the w-gradient rows from later (default S,
-    none) on. F^2 of w = sqrt(2F^2 - phi) is one for the whole stack."""
-    phi = phi_field.phi.reshape(-1, grid.M)
-    s = phi.shape[0]
+    A snapshot without a support core, or a t0 after every snapshot, raises
+    ValueError; a checked snapshot at t = 0, whose bound is infinite,
+    FloatingPointError.
+    """
+    model, grid, s = run.model, run.grid, len(run.times)
+    f = hopf_cole(run.densities, model.epsilon)
+    big_i = run.i_at(run.times)
+    # the snapshots at t >= t0 are a suffix of the run; the last one is at
+    # step n_steps, time T, though its stamp n_steps * (T / n_steps) can
+    # round below T, so a t0 up to T always takes it
+    later = s
+    if t0 is not None:
+        later = int(np.searchsorted(run.times, t0))
+        if t0 <= run.meta["T"]:
+            later = min(later, s - 1)
     neg_alpha = np.empty(grid.M)
     neg_alpha[:] = -np.asarray(model.alpha(grid.centers))
-    floor = phi_field.sup_phi - model.epsilon * math.log(1.0 / CORE_RATIO)
-    f2 = 2.0 * (1.0 + max(0.0, float(np.max(phi_field.sup_phi))))
-    certs = SnapshotCertificates(excess=np.empty((N_CANDIDATES, s)), residual_sup=np.empty(s),
-                                 w_grad_sup=np.empty(s), later=s if later is None else later)
+    excess, residual_sup, w_grad_sup = np.empty((N_CANDIDATES, s)), np.empty(s), np.empty(s)
     kernel = c_twin("snapshot_certificates") or snapshot_certificates
-    kernel(phi, phi_field.mask.reshape(phi.shape), _alpha_antiderivative(model, grid),
-           neg_alpha, np.array(np.broadcast_to(big_i, s), dtype=float),
-           np.array(envelope_slopes(model)), np.reshape(floor, s), 0.5 * model.sigma ** 2,
-           grid.dx, f2, certs.later, certs.excess, certs.residual_sup, certs.w_grad_sup)
-    return certs
-
-
-def _core_residual_sup(certs: SnapshotCertificates) -> np.ndarray:
-    """The residual's sup-norms, which need a support core at every snapshot."""
-    if np.any(certs.residual_sup == -np.inf):
+    kernel(f.phi, f.mask, _alpha_antiderivative(model, grid), neg_alpha, big_i,
+           np.array(envelope_slopes(model)),
+           f.sup_phi - model.epsilon * math.log(1.0 / CORE_RATIO), 0.5 * model.sigma ** 2,
+           grid.dx, 2.0 * (1.0 + max(0.0, float(np.max(f.sup_phi)))), later,
+           excess, residual_sup, w_grad_sup)
+    if np.any(residual_sup == -np.inf):
         raise ValueError("support core is empty")
-    return certs.residual_sup
-
-
-def hamiltonian_residual(phi_field: HopfColeField, big_i: float | np.ndarray,
-                         model: SeparableModel1D, grid: Grid1D) -> float | np.ndarray:
-    """Sup-norm of the residual of the limiting Hamilton-Jacobi relation,
-    R(x) = -alpha(x) I dphi - sigma^2/2 (dphi)^2 with dphi the centered
-    difference, over the support core (mask interior cells within a factor
-    100 of the peak), for a transform taken on grid at the model's epsilon.
-    For a run's field, big_i holds I at each snapshot and the sup-norm is
-    one per snapshot."""
-    sup = _core_residual_sup(_certify(phi_field, big_i, model, grid))
-    return sup if phi_field.phi.ndim > 1 else float(sup[0])
-
-
-def _first_row_at(run: FpRun, t0: float) -> int:
-    """The first snapshot at t >= t0: the snapshots at t >= t0 are a suffix
-    of the run; the last one is at step n_steps, time T, though its stamp
-    n_steps * (T / n_steps) can round below T, so a t0 up to T always takes
-    it."""
-    later = int(np.searchsorted(run.times, t0))
-    if t0 <= run.meta["T"]:
-        later = min(later, len(run.times) - 1)
-    return later
-
-
-def snapshot_series(run: FpRun, t0: float | None = None
-                    ) -> tuple[HopfColeField, dict[str, np.ndarray], SnapshotCertificates]:
-    """The transform of a run's snapshots, its series at them, each (S,):
-    I, sup phi, the support width and the residual's sup-norm on the core,
-    and the certificates of the one kernel pass that gave that sup-norm,
-    with the w-gradient rows from t0 on (none without t0)."""
-    f = hopf_cole(run.densities, run.model.epsilon)
-    big_i = run.i_at(run.times)
-    certs = _certify(f, big_i, run.model, run.grid, None if t0 is None else _first_row_at(run, t0))
+    theta = None
+    if t0 is not None:
+        # a snapshot with a core has an interior, so each row from later
+        # on is a max over cells
+        if later == s:
+            raise ValueError(f"no snapshots at or after t0={t0}")
+        with np.errstate(divide="raise"):
+            theta = float(np.max(w_grad_sup[later:]
+                                 - np.sqrt(1.0 / (run.times[later:] * model.sigma ** 2))))
     return f, {"interaction": big_i, "sup_phi": f.sup_phi,
-               "support_width": support_width(run.densities, run.grid.dx),
-               "residual_sup": _core_residual_sup(certs)}, certs
+               "support_width": support_width(run.densities, grid.dx),
+               "residual_sup": residual_sup}, excess, theta
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +197,11 @@ def comparison_indices(n: int, points: int) -> np.ndarray:
     return idx[keep]
 
 
-def check_bv_interaction(step_times: np.ndarray, i_values: np.ndarray,
-                         points: int = 2001) -> BvReport:
+def check_bv_interaction(step_times: np.ndarray, i_values: np.ndarray) -> BvReport:
     """Prefix total variation of the interaction series on a uniform
-    comparison cadence, with an affine-in-time majorant fitted above it."""
-    sel = comparison_indices(len(i_values), points)
+    comparison cadence of at most 2001 steps, with an affine-in-time
+    majorant fitted above it."""
+    sel = comparison_indices(len(i_values), 2001)
     t = step_times[sel]
     v = i_values[sel]
     prefix = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(v)))])
@@ -270,18 +240,10 @@ def envelope_slopes(model: SeparableModel1D) -> list[float]:
     return [amax * j / (N_CANDIDATES + 1) for j in range(1, N_CANDIDATES + 1)]
 
 
-def envelope_excess(run: FpRun, f: HopfColeField) -> np.ndarray:
-    """(N_CANDIDATES, S): per slope A' of envelope_slopes and snapshot, the
-    max over the mask of phi + A' I(t) Lambda(x), from the run's transform
-    f. The envelope phi <= -A' I(t) Lambda(x) + D' t + E' holds at a
-    snapshot iff this excess is at most D' t + E' there."""
-    return _certify(f, run.i_at(run.times), run.model, run.grid).excess
-
-
 def fit_supersolution_envelope(slopes: list[float], excesses: list[np.ndarray],
                                times: list[np.ndarray]) -> EnvelopeFit:
     """Fit phi <= -A' I(t) Lambda(x) + D' t + E' (the supersolution with the
-    minimal B' = 0) from each run's envelope_excess and snapshot times,
+    minimal B' = 0) from each run's envelope excess and snapshot times,
     keeping the slope with the smallest late-time intercept.
 
     Several runs may be supplied (typically all but the finest epsilon of a
@@ -307,29 +269,8 @@ def fit_supersolution_envelope(slopes: list[float], excesses: list[np.ndarray],
 
 def envelope_covers(excess: np.ndarray, times: np.ndarray, fit: EnvelopeFit) -> bool:
     """Whether the fitted envelope holds at every snapshot of a run, given
-    its envelope_excess and snapshot times."""
+    its envelope excess and snapshot times."""
     return bool(np.all(excess[fit.candidate] <= fit.d * times + fit.e + 1e-12))
-
-
-def check_w_gradient_bound(run: FpRun, f: HopfColeField, t0: float) -> float:
-    """theta = sup over t >= t0 and mask-interior x of
-    |dw/dx| - sqrt(1/(t sigma^2)), with a single F for the trajectory,
-    from the run's transform f (which it leaves as it is)."""
-    return _w_gradient_theta(run, _certify(f, run.i_at(run.times), run.model, run.grid,
-                                           _first_row_at(run, t0)), t0)
-
-
-def _w_gradient_theta(run: FpRun, certs: SnapshotCertificates, t0: float) -> float:
-    """check_w_gradient_bound's theta from the run's certificates, taken
-    with their w-gradient rows from t0 on."""
-    sup_grad = certs.w_grad_sup[certs.later:]
-    checked = sup_grad != -np.inf
-    if not checked.any():
-        raise ValueError(f"no snapshots at or after t0={t0}")
-    t = run.times[certs.later:][checked]
-    with np.errstate(divide="raise"):  # a checked snapshot at t = 0 has no bound
-        theta = np.max(sup_grad[checked] - np.sqrt(1.0 / (t * run.model.sigma ** 2)))
-    return float(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +291,7 @@ class EpsilonDiagnostics:
     theta: float = math.nan
     moment: MomentBoundReport | None = None
     times: np.ndarray | None = None       # the snapshot times, (S,)
-    excess: np.ndarray | None = None      # the run's envelope_excess
+    excess: np.ndarray | None = None      # the run's envelope excess, (N_CANDIDATES, S)
 
 
 @dataclass
@@ -417,14 +358,13 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
             model = base_model.with_epsilon(e)
             mu0 = gaussian_initial(grid, e, init_concentration, init_center)
             run = solve_fp_1d(model, grid, mu0, T, snapshot_every=snapshot_every)
-            _, series, certs = snapshot_series(run, t0)
+            _, series, d.excess, d.theta = snapshot_series(run, t0)
             d.sup_phi_final, d.support_width_final, d.i_final, d.residual_sup_final = (
                 float(series[name][-1])
                 for name in ("sup_phi", "support_width", "interaction", "residual_sup"))
             d.bv = check_bv_interaction(np.arange(run.meta["n_steps"]) * run.dt, run.i_values)
-            d.theta = _w_gradient_theta(run, certs, t0)
             d.moment = check_moment_bound(run, 2, c_star)
-            d.times, d.excess = run.times, certs.excess
+            d.times = run.times
         except (ValueError, ArithmeticError) as err:  # a member's numerical failure
             d.status = "FAILED"
             d.error = f"{type(err).__name__}: {err}"

@@ -153,8 +153,9 @@ def solve_fp_1d(model: SeparableModel1D, grid: Grid1D, mu0: np.ndarray, T: float
     """March the density mu0, an (M,) array of unit mass on grid, to time T
     recording snapshots and the I(t) series.
 
-    A mu0 of another shape or mass is rejected with ValueError. dt defaults
-    to the CFL-limited step; an explicit dt violating the CFL policy, or a
+    A mu0 of another shape or mass, or with a value below -1e-12 or a
+    non-finite one, is rejected with ValueError. dt defaults to the
+    CFL-limited step; an explicit dt violating the CFL policy, or a
     configuration needing more than MAX_STEPS steps, is rejected with
     CflError, and a snapshot_every that is not positive with
     ModelDefinitionError. A density value below -1e-12, or a non-finite
@@ -165,7 +166,9 @@ def solve_fp_1d(model: SeparableModel1D, grid: Grid1D, mu0: np.ndarray, T: float
     mu = np.array(mu0, dtype=float)
     if mu.shape != (grid.M,):
         raise ValueError(f"initial density must have shape ({grid.M},), not {mu.shape}")
-    if abs(mu.sum() * grid.dx - 1.0) > 1e-8:
+    if not np.all((mu >= NEGATIVITY_FLOOR) & (mu < math.inf)):
+        raise ValueError("initial density must be finite and at least -1e-12")
+    if not abs(mu.sum() * grid.dx - 1.0) <= 1e-8:
         raise ValueError("initial density must have unit mass")
 
     if snapshot_every is None:
@@ -184,35 +187,22 @@ def solve_fp_1d(model: SeparableModel1D, grid: Grid1D, mu0: np.ndarray, T: float
     half_sig2 = 0.5 * model.sigma ** 2
     inv_eps = 1.0 / model.epsilon
 
-    S = len(snap_steps)
-    times = np.empty(S)
-    densities = np.empty((S, grid.M))
-    mass = np.empty(S)
-
-    def check_and_record(si: int, step: int):
-        t = step * dt
-        mn = float(mu.min())
-        if mn < NEGATIVITY_FLOOR:
-            j = int(np.argmin(mu))
-            raise NegativityError(
-                f"density reached {mn:.3e} at x={grid.centers[j]:.4g}, t={t:.6g}")
-        if not np.isfinite(mu).all():
-            raise NegativityError(f"density became non-finite at t={t:.6g}")
-        times[si] = t
-        densities[si] = mu
-        mass[si] = mu.sum() * grid.dx
-
-    check_and_record(0, 0)
-    for si in range(1, S):
+    densities = np.empty((len(snap_steps), grid.M))
+    densities[0] = mu
+    for si in range(1, len(snap_steps)):
         s0, s1 = snap_steps[si - 1], snap_steps[si]
-        # the kernel stops after the first step that leaves a fault, so the
-        # check raises at that step, also when it is the chunk's last
+        # the kernel stops at the first step that leaves a fault, with its
+        # density, and returns the steps before it
         done = kernel(mu, flux, f_face, a_face, beta_w, inv_eps, half_sig2,
                       grid.dx, dt, s1 - s0, i_values[s0:s1])
-        check_and_record(si, s0 + done)
+        if done < s1 - s0:
+            t, j = (s0 + done + 1) * dt, int(np.argmin(mu))
+            if mu[j] < NEGATIVITY_FLOOR:
+                raise NegativityError(
+                    f"density reached {mu[j]:.3e} at x={grid.centers[j]:.4g}, t={t:.6g}")
+            raise NegativityError(f"density became non-finite at t={t:.6g}")
+        densities[si] = mu
 
-    return FpRun(
-        model=model, grid=grid, dt=dt, times=times, densities=densities, mass=mass,
-        i_values=i_values,
-        meta={"n_steps": n_steps, "T": T},
-    )
+    return FpRun(model=model, grid=grid, dt=dt, times=np.array(snap_steps) * dt,
+                 densities=densities, mass=densities.sum(axis=-1) * grid.dx,
+                 i_values=i_values, meta={"n_steps": n_steps, "T": T})

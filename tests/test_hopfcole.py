@@ -8,12 +8,10 @@ from balancenet import _kernels, hopfcole
 from balancenet._kernels import snapshot_certificates
 from balancenet.hopfcole import (CORE_RATIO, FIT_SLACK, N_CANDIDATES, EnvelopeFit,
                                  _alpha_antiderivative, check_bv_interaction,
-                                 check_moment_bound, check_w_gradient_bound,
-                                 comparison_indices, constructive_moment_constant,
-                                 envelope_covers, envelope_excess, envelope_slopes,
-                                 epsilon_sweep, fit_supersolution_envelope,
-                                 hamiltonian_residual, hopf_cole, snapshot_series,
-                                 support_width)
+                                 check_moment_bound, comparison_indices,
+                                 constructive_moment_constant, envelope_covers,
+                                 envelope_slopes, epsilon_sweep, fit_supersolution_envelope,
+                                 hopf_cole, snapshot_series, support_width)
 from balancenet.models import build_separable_1d
 from balancenet.pde import FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
@@ -37,14 +35,14 @@ class TestHopfCole:
         shift = f.phi[f.mask] + grid.centers[f.mask] ** 2
         np.testing.assert_allclose(shift, shift[0], atol=1e-9)
 
-    def test_floor_masks_but_keeps_sup(self):
-        grid = Grid1D(4.0, 128)
+    def test_floor_masks_but_keeps_sup(self, monkeypatch):
         vals = np.full(128, 1e-20)
         vals[60:68] = 1.0
-        f = hopf_cole(vals, 0.1, floor_ratio=1e-10)
+        f = hopf_cole(vals, 0.1)
         assert f.mask.sum() == 8
-        full = hopf_cole(vals, 0.1, floor_ratio=0.0)
-        assert f.sup_phi == full.sup_phi
+        monkeypatch.setattr(hopfcole, "FLOOR_RATIO", 0.0)
+        full = hopf_cole(vals, 0.1)
+        assert full.mask.all() and f.sup_phi == full.sup_phi
 
     def test_exp_inverse_identity(self):
         grid = Grid1D(6.0, 512)
@@ -56,7 +54,8 @@ class TestHopfCole:
     def test_w_argument_positive(self):
         grid = Grid1D(4.0, 128)
         f = hopf_cole(gaussian_initial(grid, 0.5, 1.0, 0.0), 0.5)
-        assert np.all(2 * f.F ** 2 - f.phi[f.mask] > 0)
+        F2 = 1.0 + max(0.0, f.sup_phi)  # F^2 from sup phi, as snapshot_series takes it
+        assert np.all(2 * F2 - f.phi[f.mask] > 0)
 
     def test_all_zero_rejected(self):
         grid = Grid1D(4.0, 128)
@@ -196,8 +195,8 @@ class TestResidual:
         grid = Grid1D(4.0, 256)
         model = build_separable_1d(0.2)
         c = 1.0 / (2 * grid.L)
-        f = hopf_cole(np.full(256, c), 0.2)
-        assert hamiltonian_residual(f, 1.0, model, grid) <= 1e-12
+        _, series, _, _ = snapshot_series(_fake_run(model, grid, [np.full(256, c)], [0.0]))
+        assert series["residual_sup"][0] <= 1e-12
 
     def test_algebraic_root_zero_residual(self):
         # dphi = -2 alpha I / sigma^2 solves the quadratic exactly; for
@@ -209,8 +208,8 @@ class TestResidual:
         x = grid.centers
         phi = -(2 * big_i / model.sigma ** 2) * (x ** 2 / 2.0)
         mu = np.exp(phi / 0.2)
-        f = hopf_cole(density_from_values(grid, mu), 0.2)
-        assert hamiltonian_residual(f, big_i, model, grid) <= 1e-9
+        run = _fake_run(model, grid, [density_from_values(grid, mu)], [0.0], i_values=big_i)
+        assert snapshot_series(run)[1]["residual_sup"][0] <= 1e-9
 
 
 class TestBv:
@@ -228,15 +227,18 @@ class TestBv:
         # arc-variation oracle: TV of sin over [0, 2pi] converges to 4
         for n, tol in ((101, 0.02), (1001, 1e-3)):
             t = np.linspace(0, 2 * math.pi, n)
-            rep = check_bv_interaction(t, np.sin(t), points=n)
+            rep = check_bv_interaction(t, np.sin(t))
             assert rep.tv == pytest.approx(4.0, abs=tol + 4 * (1 - math.cos(math.pi / (n - 1))))
         assert np.abs(np.diff(np.sin(np.linspace(0, 2 * math.pi, 100001)))).sum() == \
             pytest.approx(4.0, abs=1e-6)
 
-    @pytest.mark.parametrize("n", [1, 2, 2000, 2001, 2002, 19896])
+    @pytest.mark.parametrize("n", [1, 2, 2000, 2001, 2002, 19896, 3, 7, 8, 9, 61, 4999])
     def test_comparison_indices_are_the_unique_rounded_positions(self, n):
         expect = np.unique(np.round(np.linspace(0, n - 1, min(2001, n))).astype(int))
         np.testing.assert_array_equal(comparison_indices(n, 2001), expect)
+        # the rows of a pde-run's snapshot files
+        expect = np.unique(np.round(np.linspace(0, n - 1, 8)).astype(int))
+        np.testing.assert_array_equal(comparison_indices(n, 8), expect)
 
     def test_fitted_line_covers_itself(self):
         t = np.linspace(0, 2, 300)
@@ -282,7 +284,7 @@ class TestEnvelope:
         c = math.exp(-1.0 / eps)
         vals = np.full(128, c)
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0], i_values=1.0)
-        excess = envelope_excess(run, hopf_cole(run.densities, run.model.epsilon))
+        excess = snapshot_series(run)[2]
         fit = fit_supersolution_envelope(envelope_slopes(model), [excess], [run.times])
         assert envelope_covers(excess, run.times, fit)
 
@@ -291,7 +293,7 @@ class TestEnvelope:
         grid = Grid1D(8.0, 512)
         mu0 = gaussian_initial(grid, 0.2, 1.0, 1.0)
         run = solve_fp_1d(model, grid, mu0, 1.0, snapshot_every=0.25)
-        excess = envelope_excess(run, hopf_cole(run.densities, run.model.epsilon))
+        excess = snapshot_series(run)[2]
         fit = fit_supersolution_envelope(envelope_slopes(model), [excess], [run.times])
         assert 0 < fit.a < 2.0 / model.sigma ** 2
         assert envelope_covers(excess, run.times, fit)
@@ -303,8 +305,7 @@ class TestWGradient:
         model = build_separable_1d(0.5)
         vals = np.full(128, 1.0 / (2 * grid.L))
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        theta = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=0.5)
-        assert theta <= 0.0
+        assert snapshot_series(run, t0=0.5)[3] <= 0.0
 
     def test_quadratic_phi_matches_analytic_gradient(self):
         grid = Grid1D(4.0, 2048)
@@ -313,7 +314,7 @@ class TestWGradient:
         phi = -grid.centers ** 2
         vals = np.exp(phi / eps)
         run = _fake_run(model, grid, [vals, vals], [0.0, 1.0])
-        theta = check_w_gradient_bound(run, hopf_cole(run.densities, run.model.epsilon), t0=1.0)
+        theta = snapshot_series(run, t0=1.0)[3]
         # w = sqrt(2F^2 + x^2) with sup phi = -x_min^2 ~ 0 -> F^2 ~ 1
         x = grid.centers
         analytic = np.max(np.abs(x) / np.sqrt(2.0 + x ** 2))
@@ -335,7 +336,7 @@ def _fake_run(model, grid, densities, times, i_values=1.0):
 
 
 def _loop_w_gradient_theta(run, t0):
-    """check_w_gradient_bound's theta, one snapshot at a time."""
+    """snapshot_series's theta, one snapshot at a time."""
     fields = [hopf_cole(mu, run.model.epsilon) for mu in run.densities]
     F2 = 2.0 * (1.0 + max(0.0, max(f.sup_phi for f in fields)))
     theta = -math.inf
@@ -404,6 +405,12 @@ def _loop_envelope_covers(run, fit):
     return True
 
 
+def _single_snapshot_series(run, i):
+    """snapshot_series's series of a run of snapshot i alone, at its I."""
+    return snapshot_series(_fake_run(run.model, run.grid, [run.densities[i]],
+                                     [run.times[i]], i_values=run.i_at(run.times[i])))[1]
+
+
 def _ragged_run():
     """Snapshots whose masks end at different cells (a Gaussian, one cut
     to compact support, a one-sided ramp), at times before and after
@@ -442,7 +449,7 @@ class TestRunArrays:
     def test_rows_equal_single_density_path(self, run):
         eps, dx = run.model.epsilon, run.grid.dx
         f = hopf_cole(run.densities, run.model.epsilon)
-        transform, series, _ = snapshot_series(run)
+        transform, series, _, _ = snapshot_series(run)
         assert f.phi.shape == f.mask.shape == run.densities.shape
         assert_same_bits(run.mass, [mu.sum() * dx for mu in run.densities])
         masks = set()
@@ -450,9 +457,8 @@ class TestRunArrays:
             ref = hopf_cole(run.densities[i], eps)
             assert_same_bits(f.phi[i], ref.phi)
             np.testing.assert_array_equal(f.mask[i], ref.mask)
-            assert f.sup_phi[i] == ref.sup_phi and f.F[i] == ref.F
-            ref_resid = hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
-            assert series["residual_sup"][i] == ref_resid
+            assert f.sup_phi[i] == ref.sup_phi
+            assert series["residual_sup"][i] == _single_snapshot_series(run, i)["residual_sup"][0]
             assert series["sup_phi"][i] == ref.sup_phi
             assert_same_bits(transform.phi[i], ref.phi)
             assert series["support_width"][i] == support_width(run.densities[i], dx)
@@ -461,11 +467,11 @@ class TestRunArrays:
         assert len(masks) > 1
 
     def test_residual_rows_equal_single_density_path(self, run):
-        f = hopf_cole(run.densities, run.model.epsilon)
-        sup = hamiltonian_residual(f, run.i_at(run.times), run.model, run.grid)
-        for i, t in enumerate(run.times.tolist()):
-            ref = hopf_cole(run.densities[i], run.model.epsilon)
-            assert sup[i] == hamiltonian_residual(ref, run.i_at(t), run.model, run.grid)
+        sup = snapshot_series(run)[1]["residual_sup"]
+        for i in range(len(run.times)):
+            single = _single_snapshot_series(run, i)
+            assert sup[i] == single["residual_sup"][0]
+            assert single["interaction"][0] == run.i_at(run.times[i])
         assert_same_bits(sup, _loop_residual_sup(run))
 
     @pytest.mark.parametrize("twin", ["numpy", "c"])
@@ -476,22 +482,20 @@ class TestRunArrays:
             monkeypatch.setattr(hopfcole, "c_twin", lambda name: None)
         elif _kernels.c_twin("snapshot_certificates") is None:
             pytest.skip("no C compiler: the certificates run on numpy")
-        f, series, certs = snapshot_series(run, 0.05)
+        _, series, excess, theta = snapshot_series(run, 0.05)
         assert_same_bits(series["residual_sup"], _loop_residual_sup(run))
         for k, a_const in enumerate(envelope_slopes(run.model)):
-            assert_same_bits(certs.excess[k], _loop_envelope(run, a_const))
-        assert_same_bits(envelope_excess(run, f), certs.excess)
-        assert hopfcole._w_gradient_theta(run, certs, 0.05) == _loop_w_gradient_theta(run, 0.05)
-        for t0 in (0.05, 0.3, float(run.times[-1])):
-            assert check_w_gradient_bound(run, f, t0) == _loop_w_gradient_theta(run, t0)
+            assert_same_bits(excess[k], _loop_envelope(run, a_const))
+        assert theta == _loop_w_gradient_theta(run, 0.05)
+        for t0 in (0.3, float(run.times[-1])):
+            assert snapshot_series(run, t0)[3] == _loop_w_gradient_theta(run, t0)
 
     def test_certificates_equal_snapshot_loops(self, run):
-        f = hopf_cole(run.densities, run.model.epsilon)
         for t0 in (0.05, 0.3, float(run.times[-1])):
-            assert check_w_gradient_bound(run, f, t0) == _loop_w_gradient_theta(run, t0)
-        with pytest.raises(ArithmeticError):  # the bound at t = 0 is infinite
-            check_w_gradient_bound(run, f, 0.0)
-        excess = envelope_excess(run, f)
+            assert snapshot_series(run, t0)[3] == _loop_w_gradient_theta(run, t0)
+        with pytest.raises(FloatingPointError):  # the bound at t = 0 is infinite
+            snapshot_series(run, 0.0)
+        excess = snapshot_series(run)[2]
         fit = fit_supersolution_envelope(envelope_slopes(run.model), [excess], [run.times])
         assert fit == _loop_envelope_fit([run])
         assert _loop_envelope_covers(run, fit)
@@ -505,21 +509,20 @@ class TestRunArrays:
         assert list(check_moment_bound(run, 1, c_star).moment_series) == moments
 
     def test_w_gradient_leaves_the_transform_as_it_is(self, run):
-        f = hopf_cole(run.densities, run.model.epsilon)
-        phi = f.phi.copy()
-        check_w_gradient_bound(run, f, 0.05)
-        assert_same_bits(f.phi, phi)
+        transform = snapshot_series(run, 0.05)[0]
+        assert_same_bits(transform.phi, hopf_cole(run.densities, run.model.epsilon).phi)
 
     def test_fit_over_runs_equals_snapshot_loops(self):
         runs = [_solver_run(), _ragged_run()]
-        excesses = [envelope_excess(r, hopf_cole(r.densities, r.model.epsilon)) for r in runs]
+        excesses = [snapshot_series(r)[2] for r in runs]
         fit = fit_supersolution_envelope(envelope_slopes(runs[0].model), excesses,
                                          [r.times for r in runs])
         assert fit == _loop_envelope_fit(runs)
 
-    def test_row_without_interior_is_skipped(self):
-        # isolated cells: the w-gradient check skips the row, and the
-        # residual has no core on it
+    def test_row_without_interior_is_skipped(self, monkeypatch):
+        # isolated cells: each twin's pass finds neither a w-gradient nor a
+        # core on the row, and snapshot_series refuses the run for its
+        # empty core
         model = build_separable_1d(0.3)
         grid = Grid1D(4.0, 128)
         comb = np.where(np.arange(128) % 2 == 0, 1.0, 0.0)
@@ -527,12 +530,26 @@ class TestRunArrays:
         run = _fake_run(model, grid, [smooth, comb, smooth], [0.0, 0.5, 1.0])
         f = hopf_cole(run.densities, run.model.epsilon)
         assert not f.mask[1].reshape(-1, 2)[:, 1].any()
-        assert check_w_gradient_bound(run, f, 0.2) == _loop_w_gradient_theta(run, 0.2)
-        late = _fake_run(model, grid, [smooth, comb], [0.0, 1.0])
+        for kernel in kernel_twins():
+            outputs = []
+
+            def kept_kernel(*args, kernel=kernel):
+                kernel(*args)
+                outputs.append(args[-3:])
+
+            monkeypatch.setattr(hopfcole, "c_twin", lambda name: kept_kernel)
+            for t0 in (None, 0.2):
+                with pytest.raises(ValueError, match="support core is empty"):
+                    snapshot_series(run, t0)
+            _, residual_sup, w_grad_sup = outputs[-1]
+            assert residual_sup[1] == w_grad_sup[1] == -np.inf
+            assert np.isfinite(residual_sup[[0, 2]]).all() and w_grad_sup[0] == -np.inf
+            # theta over the rows at t >= 0.2 that have an interior: row 2
+            theta = w_grad_sup[2] - math.sqrt(1.0 / model.sigma ** 2)
+            assert theta == _loop_w_gradient_theta(run, 0.2)
+        late = _fake_run(model, grid, [smooth, smooth], [0.0, 1.0])
         with pytest.raises(ValueError, match="no snapshots"):
-            check_w_gradient_bound(late, hopf_cole(late.densities, late.model.epsilon), 0.5)
-        with pytest.raises(ValueError, match="support core is empty"):
-            snapshot_series(run)
+            snapshot_series(late, 1.5)
 
 
 class TestSweepConsistency:
@@ -552,9 +569,9 @@ class TestSweepConsistency:
         assert d.sup_phi_final == f.sup_phi
         assert d.support_width_final == support_width(final, grid.dx)
         assert d.i_final == run.i_values[-1]
-        assert d.residual_sup_final == hamiltonian_residual(f, run.i_at(1.0), base, grid)
-        f = hopf_cole(run.densities, 0.3)
-        assert d.theta == check_w_gradient_bound(run, f, 0.25)
+        assert d.residual_sup_final == _single_snapshot_series(run, -1)["residual_sup"][0]
+        assert d.residual_sup_final == _loop_residual_sup(run)[-1]
+        assert d.theta == snapshot_series(run, 0.25)[3]
         assert d.theta == _loop_w_gradient_theta(run, 0.25)
 
     def test_t0_at_the_horizon_takes_the_last_snapshot(self):
@@ -563,11 +580,10 @@ class TestSweepConsistency:
         grid = Grid1D(8.0, 128)
         run = solve_fp_1d(build_separable_1d(0.2), grid, gaussian_initial(grid, 0.2), 0.25)
         assert run.meta["n_steps"] == 1458 and run.times[-1] < 0.25
-        f = hopf_cole(run.densities, run.model.epsilon)
-        theta = check_w_gradient_bound(run, f, 0.25)
+        theta = snapshot_series(run, 0.25)[3]
         assert theta == _loop_w_gradient_theta(run, float(run.times[-1]))
         with pytest.raises(ValueError, match="no snapshots"):
-            check_w_gradient_bound(run, f, math.nextafter(0.25, 1.0))
+            snapshot_series(run, math.nextafter(0.25, 1.0))
 
     def test_strictly_decreasing_epsilons_required(self):
         from balancenet.hopfcole import epsilon_sweep

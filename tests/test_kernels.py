@@ -148,7 +148,7 @@ def test_c_fp_kernel_bit_identical_to_numpy(c_fp_chunk, m, steps, seed, cfl):
     done = fp_chunk(*a_np)
     assert c_fp_chunk(*a_c) == done
     np.testing.assert_array_equal(a_c[0], a_np[0])
-    np.testing.assert_array_equal(a_c[-1][:done], a_np[-1][:done])
+    np.testing.assert_array_equal(a_c[-1], a_np[-1])
 
 
 @pytest.mark.parametrize("backend", ["numpy", "c"])
@@ -166,12 +166,26 @@ def test_fp_kernel_chunking_bit_identical(backend, request):
 @pytest.mark.parametrize("backend", ["numpy", "c"])
 def test_fp_kernel_stops_at_first_faulty_step(backend, request):
     kernel = fp_chunk if backend == "numpy" else request.getfixturevalue("c_fp_chunk")
+    # the count is of the steps before the faulty one, so a fault in the
+    # first step gives 0
     args = _random_fp_args(128, 20, 3, 0.9)
     args[0][70] = np.nan
-    assert kernel(*args) == 1
+    assert kernel(*args) == 0
     args = _random_fp_args(128, 20, 3, 0.9)
     args[0][5] = -1.0
-    assert kernel(*args) == 1
+    assert kernel(*args) == 0
+    # past the CFL step a cell first dips below the floor on step k: a
+    # chunk returns k whether step k is in mid-chunk or its last, and
+    # leaves the density of step k, as one step per call does
+    replay = _random_fp_args(128, 1, 4, 1.5)
+    k = 0
+    while kernel(*replay) == 1:
+        k += 1
+    assert k == 8 and replay[0].min() < -1e-12
+    for steps in (k + 1, k + 5):
+        args = _random_fp_args(128, steps, 4, 1.5)
+        assert kernel(*args) == k
+        assert args[0].tobytes() == replay[0].tobytes()
 
 
 def test_c_fp_kernel_rejects_mismatched_sizes(c_fp_chunk):

@@ -99,13 +99,18 @@ class TestSolverContracts:
             assert re.search(r"t=(\S+)$", str(err.value)).group(1) == f"{step * dt:.6g}"
 
     def test_unit_mass_required(self, monkeypatch):
-        # a density of the wrong mass, or of unit mass but the wrong shape,
-        # is rejected before the solver takes its kernel
+        # a density of the wrong mass, of unit mass but the wrong shape, or
+        # with a NaN or a value below the floor, is rejected before the
+        # solver takes its kernel
         grid = Grid1D(8.0, 256)
         mu0 = gaussian_initial(grid, 2.0)
         monkeypatch.setattr(pde, "active", lambda name: pytest.fail("the solver stepped"))
+        with_nan, negative = mu0.copy(), mu0.copy()
+        with_nan[100] = np.nan
+        negative[0] = -1e-9  # the mass stays within 1e-8 of one
         for bad, match in ((np.ones(256), "unit mass"), (np.append(mu0, 0.0), "shape"),
-                           (mu0[None, :], "shape")):
+                           (mu0[None, :], "shape"), (with_nan, "finite"),
+                           (negative, "-1e-12")):
             with pytest.raises(ValueError, match=match):
                 solve_fp_1d(ou_model(), grid, bad, 1.0)
 
