@@ -27,23 +27,6 @@ class DegenerateDenominatorError(ArithmeticError):
     """The balance-voltage denominator vanishes for a population."""
 
 
-@dataclass(frozen=True)
-class PopulationStability:
-    stable: bool
-    rate: float
-    marginal: bool = False
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    """Balance voltages, per-population stability and the denominators the
-    voltages were computed from."""
-
-    voltages: tuple[float, ...]
-    stability: tuple[PopulationStability, ...]
-    denominators: tuple[float, ...]
-
-
 def _chemical_coefficients(ghat, E_E, E_I, sbar_E, sbar_I):
     """(A, B) of the two-population conductance model at mean synaptic
     values (sbar_E, sbar_I)."""
@@ -83,25 +66,14 @@ def check_mean_gates(sbar_E: float, sbar_I: float) -> None:
             raise ModelDefinitionError("mean synaptic values must be nonnegative", key)
 
 
-def chemical_stability(ghat: np.ndarray, sbar_E: float, sbar_I: float
-                       ) -> tuple[PopulationStability, PopulationStability]:
-    """Linear rates A_beta of the early-time voltage ODE and their sign
-    verdicts; a population is stable when its rate is negative, marginal at
-    zero."""
+def chemical_stability(ghat: np.ndarray, sbar_E: float, sbar_I: float) -> np.ndarray:
+    """Linear rates A_beta of the early-time voltage ODE, (2,), which are
+    also the denominators of the balance voltages; a population is stable
+    when its rate is negative, marginal at zero."""
     check_mean_gates(sbar_E, sbar_I)
     # A does not depend on the reversal potentials
     A, _ = _chemical_coefficients(ghat, 0.0, 0.0, sbar_E, sbar_I)
-    out = [PopulationStability(stable=rate < 0.0, rate=rate, marginal=rate == 0.0)
-           for rate in map(float, A)]
-    return out[0], out[1]
-
-
-def chemical_balance_report(ghat: np.ndarray, E_E: float, E_I: float,
-                            sbar_E: float, sbar_I: float) -> BalanceReport:
-    voltages = chemical_balance_voltages(ghat, E_E, E_I, sbar_E, sbar_I)
-    stability = chemical_stability(ghat, sbar_E, sbar_I)
-    return BalanceReport(voltages=voltages, stability=stability,
-                         denominators=tuple(s.rate for s in stability))
+    return A
 
 
 @dataclass

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from types import UnionType
@@ -31,8 +32,7 @@ from .hopfcole import check_epsilons
 from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionError,
                      NetworkModel, ScalingRule, SeparableModel1D, SeparableParams,
                      build_separable_1d)
-from .network import (CoordinateIC, InitialConditionSpec, PerturbationEvent, RecordSpec,
-                      check_run)
+from .network import CoordinateIC, PerturbationEvent, RecordSpec, check_run
 from .pde import Grid1D, check_concentration, check_horizon, fp_steps, gaussian_initial
 
 MISSING_KEY = "MISSING_KEY"
@@ -144,7 +144,7 @@ def _construct(node: _Node, cls, *args, **kwargs):
     a ConfigError is itself a ValueError."""
     try:
         return cls(*args, **kwargs)
-    except ModelDefinitionError as err:  # network.ConfigurationError included
+    except ModelDefinitionError as err:
         path = node._at(err.key) if err.key else node.path or "<root>"
         raise ConfigError(BAD_VALUE, path, str(err)) from err
 
@@ -199,13 +199,7 @@ class _Section:
         if init is not None:
             init.close()
         node.close()
-        section = _construct(node, cls, **kwargs)
-        section.check(node)
-        return section
-
-    def check(self, node: _Node) -> None:
-        """Validation beyond the key types and the runtime type's own
-        checks; raises ConfigError."""
+        return _construct(node, cls, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +248,20 @@ class FhnConfig(_Section):
 
     def build(self, n: int | None = None, scaling: ScalingRule | None = None) -> NetworkModel:
         """The network model of this section, at another population size or
-        scaling when one is given; the section serves as its params."""
-        return NetworkModel(self, self.n if n is None else n, scaling or self.scaling)
-
-    def initial_conditions(self) -> InitialConditionSpec:
-        return InitialConditionSpec(self.coordinate_laws())
+        scaling when one is given; the section serves as its params. A model
+        whose (N, d) states alone would not fit in physical memory is
+        refused, where the platform tells its size."""
+        model = NetworkModel(self, self.n if n is None else n, scaling or self.scaling)
+        try:  # sysconf gives -1 where it cannot tell
+            memory = max(os.sysconf("SC_PAGE_SIZE"), 0) * max(os.sysconf("SC_PHYS_PAGES"), 0)
+        except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+            memory = 0
+        states = 8 * model.n * model.n_populations * model.dim
+        if 0 < memory < states:
+            raise ModelDefinitionError(f"the states of {model.n} agents per population take "
+                                       f"{states} bytes, more than the {memory} bytes of "
+                                       "physical memory", "n")
+        return model
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ class ElectricalConfig(FhnConfig, FhnElectricalParams):
     x: CoordinateIC = CoordinateIC("normal", 1.0, 5.0)
     y: CoordinateIC = CoordinateIC("normal", 1.5, 5.0)
 
-    def coordinate_laws(self):
+    def initial_conditions(self):
         """Initial law of each coordinate, per population."""
         return ((self.x, self.y),)
 
@@ -286,7 +289,7 @@ class ChemicalConfig(FhnConfig, FhnChemicalParams):
     s_E: CoordinateIC = CoordinateIC("uniform", 0.0, 2.0)
     s_I: CoordinateIC = CoordinateIC("uniform", 0.0, 3.0)
 
-    def coordinate_laws(self):
+    def initial_conditions(self):
         """Initial law of each coordinate, per population."""
         return ((self.x, self.y, self.s_E), (self.x, self.y, self.s_I))
 
@@ -491,26 +494,29 @@ class DoubleLimitNetworkSpec(_Section):
     collapse_threshold: float = 0.3
     mode: str = "direct"
 
-    def check(self, node):
+    def __post_init__(self):
         if self.mode not in ("direct", "rescaled-early"):
-            raise ConfigError(BAD_VALUE, node._at("mode"), f"unknown mode {self.mode!r}")
+            raise ModelDefinitionError(f"unknown mode {self.mode!r}", "mode")
         if not self.n_values or min(self.n_values) < 1:
-            raise ConfigError(BAD_VALUE, node._at("n_values"),
-                              "need one population size or more, each >= 1")
+            raise ModelDefinitionError("need one population size or more, each >= 1",
+                                       "n_values")
         if not self.scalings:
-            raise ConfigError(BAD_VALUE, node._at("scalings"), "need one scaling or more")
+            raise ModelDefinitionError("need one scaling or more", "scalings")
         # each cell's run, as harness._network_cell makes it; a rescaled-early
         # run is the original one over T / gamma with step dt / gamma
         for rule in self.scalings:
             for n in self.n_values:
-                model = self.model.build(n, rule)
+                try:
+                    model = self.model.build(n, rule)
+                except ModelDefinitionError as err:
+                    raise ModelDefinitionError(str(err), "n_values") from err
                 dt = network_cell_dt(model, self.mode)
                 scale = model.gamma() if self.mode == "rescaled-early" else 1.0
                 try:
                     check_run(model, self.T / scale, dt / scale)
                 except ModelDefinitionError as err:
                     # the step follows from the model, so the horizon is at fault
-                    raise ConfigError(BAD_VALUE, node._at("T"), str(err)) from err
+                    raise ModelDefinitionError(str(err), "T") from err
 
 
 @dataclass(frozen=True)
@@ -520,10 +526,10 @@ class DoubleLimitSpec(_Section):
 
     command = "sweep"
 
-    def check(self, node):
+    def __post_init__(self):
+        # the section is the config's root
         if self.network is None and self.pde is None:
-            raise ConfigError(MISSING_KEY, node._at("network"),
-                              "need a network and/or pde section")
+            raise ConfigError(MISSING_KEY, "network", "need a network and/or pde section")
 
 
 @dataclass(frozen=True)

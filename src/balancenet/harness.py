@@ -28,9 +28,8 @@ import numpy as np
 from . import __version__
 from ._kernels import (backend as kernel_backend, c_twin, csv_body, csv_column_kind,
                        numpy_target)
-from .balance import (DegenerateDenominatorError, chemical_balance_report,
-                      chemical_balance_voltages, distance_to_balance,
-                      integrate_early_ode)
+from .balance import (DegenerateDenominatorError, chemical_balance_voltages,
+                      chemical_stability, distance_to_balance, integrate_early_ode)
 from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
                      DoubleLimitSpec, EpsilonSweepSpec, ExperimentSpec,
                      FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec,
@@ -56,13 +55,11 @@ def _csv_body(columns: list) -> str:
     return twin(columns) if twin is not None else csv_body(columns)
 
 
-def write_csv(path: Path, header: list[str], columns) -> str:
+def write_csv(path: Path, header: list[str], columns) -> None:
     """Write a CSV of the given columns (arrays or sequences of values,
     cut to the shortest), each value formatted as _kernels.format_value
-    does, and return its text."""
-    text = ",".join(header) + "\n" + _csv_body(list(columns))
-    path.write_text(text, newline="\n")
-    return text
+    does."""
+    path.write_text(",".join(header) + "\n" + _csv_body(list(columns)), newline="\n")
 
 
 def file_digest(path: Path) -> str:
@@ -253,24 +250,19 @@ def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str
 
 
 def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dict]:
+    header = ["population", "x_star", "rate", "stable", "marginal", "denominator"]
+    ghat = p.model.build().ghat
     try:
-        report = chemical_balance_report(p.model.build().ghat, p.model.E_E, p.model.E_I,
-                                         p.sbar.E, p.sbar.I)
+        x_star = chemical_balance_voltages(ghat, p.model.E_E, p.model.E_I, p.sbar.E, p.sbar.I)
     except DegenerateDenominatorError as err:
-        write_csv(out / "balance.csv",
-                  ["population", "x_star", "rate", "stable", "marginal", "denominator"],
-                  [])
+        write_csv(out / "balance.csv", header, [])
         return "DEGENERATE_DENOMINATOR", {"error": str(err)}
-    stability = report.stability
-    write_csv(out / "balance.csv",
-              ["population", "x_star", "rate", "stable", "marginal", "denominator"],
-              [["0", "1"], report.voltages, [st.rate for st in stability],
-               [int(st.stable) for st in stability], [int(st.marginal) for st in stability],
-               report.denominators])
-    metrics = {"x_star": list(report.voltages),
-               "rates": [s.rate for s in report.stability],
-               "stable": [s.stable for s in report.stability]}
-    return "COMPLETED", metrics
+    rates = chemical_stability(ghat, p.sbar.E, p.sbar.I)
+    stable = rates < 0
+    # the rates are also the denominators of the voltages
+    write_csv(out / "balance.csv", header,
+              [["0", "1"], x_star, rates, stable.astype(int), (rates == 0).astype(int), rates])
+    return "COMPLETED", {"x_star": list(x_star), "rates": rates, "stable": stable}
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +291,8 @@ def _run_figures(p: FiguresSpec, seed: int, out: Path) -> tuple[str, dict]:
             write(f"fig1_dispersion{suffix}.csv", ["t", "std_x", "std_y"],
                   [run.times, run.stds[0, :, 0], run.stds[0, :, 1]])
             for k, states in enumerate(run.snapshots):
-                h = histogram(states[:, 0], -20.0, 20.0, 81)
                 write(f"fig1_hist{suffix}_t{k}.csv", ["bin_center", "count"],
-                      [h.centers, h.counts])
+                      histogram(states[:, 0], -20.0, 20.0, 81))
         return "COMPLETED", {"files": files,
                              "final_std_x": [float(r.stds[0, -1, 0]) for r in records]}
     (run,), (record,) = runs, records

@@ -36,10 +36,6 @@ COMPLETED = "COMPLETED"
 BLOWUP = "BLOWUP"
 
 
-class ConfigurationError(ModelDefinitionError):
-    """Invalid run configuration, rejected before stepping."""
-
-
 # ---------------------------------------------------------------------------
 # initial conditions, recording
 # ---------------------------------------------------------------------------
@@ -59,18 +55,11 @@ class CoordinateIC:
 
     def __post_init__(self):
         if self.dist not in self.LAWS:
-            raise ConfigurationError(f"unknown initial distribution {self.dist!r}", "dist")
+            raise ModelDefinitionError(f"unknown initial distribution {self.dist!r}", "dist")
         if self.dist == "normal" and not self.p2 >= 0:
-            raise ConfigurationError("sd must be >= 0", "sd")
+            raise ModelDefinitionError("sd must be >= 0", "sd")
         if self.dist == "uniform" and not self.p2 >= self.p1:
-            raise ConfigurationError("high must be >= low", "high")
-
-
-@dataclass(frozen=True)
-class InitialConditionSpec:
-    """Per-population, per-coordinate initial laws."""
-
-    coords: tuple[tuple[CoordinateIC, ...], ...]
+            raise ModelDefinitionError("high must be >= low", "high")
 
 
 @dataclass(frozen=True)
@@ -81,13 +70,13 @@ class RecordSpec:
 
     def __post_init__(self):
         if self.stride < 1:
-            raise ConfigurationError("record stride must be >= 1", "stride")
+            raise ModelDefinitionError("record stride must be >= 1", "stride")
         if self.traces < 0:
-            raise ConfigurationError("trace count must be >= 0", "traces")
+            raise ModelDefinitionError("trace count must be >= 0", "traces")
         for i, t in enumerate(self.snapshot_times):
             if not 0 <= t < np.inf:
-                raise ConfigurationError("snapshot times must be finite and >= 0",
-                                         f"snapshot_times[{i}]")
+                raise ModelDefinitionError("snapshot times must be finite and >= 0",
+                                           f"snapshot_times[{i}]")
 
 
 @dataclass(frozen=True)
@@ -100,8 +89,8 @@ class PerturbationEvent:
     def __post_init__(self):
         for k, v in self.multipliers.items():
             if not v > 0:
-                raise ConfigurationError(f"perturbation multiplier {k} must be positive",
-                                         f"multipliers.{k}")
+                raise ModelDefinitionError(f"perturbation multiplier {k} must be positive",
+                                           f"multipliers.{k}")
 
 
 @dataclass
@@ -124,8 +113,8 @@ class RunRecord:
 def _check_event(model: NetworkModel, event: PerturbationEvent, at: str = "") -> None:
     unknown = sorted(set(event.multipliers) - set(model.params.conductances))
     if unknown:
-        raise ConfigurationError(f"unknown conductance entries {unknown}",
-                                 f"{at}multipliers.{unknown[0]}")
+        raise ModelDefinitionError(f"unknown conductance entries {unknown}",
+                                   f"{at}multipliers.{unknown[0]}")
 
 
 def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> NetworkModel:
@@ -141,18 +130,20 @@ def apply_perturbation(model: NetworkModel, event: PerturbationEvent) -> Network
 # ---------------------------------------------------------------------------
 
 
-def draw_initial_state(model: NetworkModel, init: InitialConditionSpec, seed: int) -> np.ndarray:
+def draw_initial_state(model: NetworkModel, init: Sequence[Sequence[CoordinateIC]],
+                       seed: int) -> np.ndarray:
     """The (N, d) states of all agents at t = 0, population p in
-    model.population_rows(states)[p]."""
-    if len(init.coords) != model.n_populations:
-        raise ConfigurationError("initial condition spec does not match population count")
+    model.population_rows(states)[p], coordinate k of population p drawn
+    from the law init[p][k]."""
+    if len(init) != model.n_populations:
+        raise ModelDefinitionError("need one tuple of initial laws per population")
     n, d = model.n, model.dim
     states = np.empty((n * model.n_populations, d))
     block = 0
     for p, rows in enumerate(model.population_rows(states)):
-        if len(init.coords[p]) != d:
-            raise ConfigurationError(f"population {p}: expected {d} coordinate laws")
-        for k, ic in enumerate(init.coords[p]):
+        if len(init[p]) != d:
+            raise ModelDefinitionError(f"population {p}: expected {d} coordinate laws")
+        for k, ic in enumerate(init[p]):
             if ic.dist == "normal":
                 draws = ic.p1 + ic.p2 * rng.normal_block(seed, rng.INIT_STREAM, block, (n,))
             elif ic.dist == "uniform":
@@ -169,25 +160,25 @@ def check_run(model: NetworkModel, T: float, dt: float,
     """Reject a run that simulate cannot take: T and dt must be positive,
     dt must keep the step guard gamma * max|g| * dt <= 0.1, every event
     must fall inside [0, T] and scale conductances the model has, and the
-    horizon must hold at least one step. The ConfigurationError names the
+    horizon must hold at least one step. The ModelDefinitionError names the
     key at fault ("T", "dt", "events[i].t", "events[i].multipliers.<name>"),
     so a config is rejected at parse time by the same checks."""
     if not T > 0:
-        raise ConfigurationError("T must be positive", "T")
+        raise ModelDefinitionError("T must be positive", "T")
     if not dt > 0:
-        raise ConfigurationError("dt must be positive", "dt")
+        raise ModelDefinitionError("dt must be positive", "dt")
     gamma = model.gamma()
     gmax = float(np.max(np.abs(model.coupling)))
     if gmax > 0 and gamma * gmax * dt > 0.1 * (1 + 1e-12):
-        raise ConfigurationError(
+        raise ModelDefinitionError(
             f"step guard violated: gamma*max|g|*dt = {gamma * gmax * dt:.3g} > 0.1; "
             f"use dt <= {0.1 / (gamma * gmax):.3g}", "dt")
     for i, ev in enumerate(events):
         if not 0 <= ev.t <= T:
-            raise ConfigurationError(f"event time {ev.t} outside run horizon", f"events[{i}].t")
+            raise ModelDefinitionError(f"event time {ev.t} outside run horizon", f"events[{i}].t")
         _check_event(model, ev, f"events[{i}].")
     if int(round(T / dt)) < 1:
-        raise ConfigurationError("horizon shorter than one step", "T")
+        raise ModelDefinitionError("horizon shorter than one step", "T")
 
 
 def usable_cpus() -> int:
@@ -352,7 +343,7 @@ def _kernel_args(model: NetworkModel) -> tuple:
             maps.beta1, np.array(pr.fhn_constants(), dtype=float), pr.sigma)
 
 
-def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: float,
+def simulate(model: NetworkModel, init: Sequence[Sequence[CoordinateIC]], T: float, dt: float,
              seed: int, recorder: RecordSpec = RecordSpec(),
              events: Sequence[PerturbationEvent] = ()) -> RunRecord:
     """Integrate the network SDE over [0, T] and record statistics.
@@ -443,7 +434,7 @@ def simulate(model: NetworkModel, init: InitialConditionSpec, T: float, dt: floa
     )
 
 
-def simulate_rescaled_early(model: NetworkModel, init: InitialConditionSpec,
+def simulate_rescaled_early(model: NetworkModel, init: Sequence[Sequence[CoordinateIC]],
                             T_tilde: float, dt_tilde: float, seed: int,
                             recorder: RecordSpec = RecordSpec()) -> RunRecord:
     """Integrate the time-rescaled system over rescaled horizon T_tilde.

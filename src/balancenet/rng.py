@@ -22,7 +22,6 @@ from ._kernels import c_twin
 # purpose ids; keep stable, they are part of the reproducibility contract
 NOISE_STREAM = 0
 INIT_STREAM = 1
-SWEEP_STREAM = 2
 
 PURPOSE_BITS = 16
 BLOCK_BITS = 48

@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancenet.balance import (DegenerateDenominatorError,
-                                chemical_balance_report,
                                 chemical_balance_voltages, chemical_stability,
                                 distance_to_balance, integrate_early_ode)
+from balancenet.config import parse_config_dict
+from balancenet.harness import run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule)
 from .oracles import net_input, pairwise_input, pairwise_model
@@ -131,22 +134,23 @@ class TestBalanceVoltages:
         r = chemical_stability(GHAT_2A, 0.5, 0.5)
         rs = chemical_stability(lam * GHAT_2A, 0.5, 0.5)
         for b in range(2):
-            assert rs[b].rate == pytest.approx(lam * r[b].rate, rel=1e-9)
-            assert rs[b].stable == r[b].stable
+            assert rs[b] == pytest.approx(lam * r[b], rel=1e-9)
+            assert (rs[b] < 0) == (r[b] < 0)
 
 
 class TestStability:
     def test_rate_value(self):
-        stab = chemical_stability(GHAT_2A, 0.5, 0.5)
-        assert stab[0].rate == pytest.approx(-0.35)
-        assert stab[0].stable and not stab[0].marginal
+        rates = chemical_stability(GHAT_2A, 0.5, 0.5)
+        assert rates.shape == (2,)
+        assert rates[0] == pytest.approx(-0.35)
+        assert rates[0] < 0
 
     def test_rate_is_scalar_ode_eigenvalue(self):
         # oracle: decay exponent fitted from the explicit solution of the
         # early-time linear ODE
         sE = sI = 0.5
         xE, _ = chemical_balance_voltages(GHAT_2A, 3.0, -1.0, sE, sI)
-        rate = chemical_stability(GHAT_2A, sE, sI)[0].rate
+        rate = chemical_stability(GHAT_2A, sE, sI)[0]
 
         def rhs(x):
             return (GHAT_2A[0, 0] * (x - 3.0) * sE + GHAT_2A[1, 0] * (x + 1.0) * sI)
@@ -160,18 +164,35 @@ class TestStability:
         assert fitted == pytest.approx(rate, rel=1e-3)
 
     def test_all_zero_marginal(self):
-        stab = chemical_stability(np.zeros((2, 2)), 1.0, 1.0)
-        for b in range(2):
-            assert stab[b].marginal and not stab[b].stable
+        rates = chemical_stability(np.zeros((2, 2)), 1.0, 1.0)
+        assert (rates == 0).all() and not (rates < 0).any()
 
     def test_fig2a_initial_sbar_stable(self):
-        stab = chemical_stability(GHAT_2A, 1.0, 1.5)
-        assert stab[0].stable and stab[1].stable
+        rates = chemical_stability(GHAT_2A, 1.0, 1.5)
+        assert (rates < 0).all()
 
-    def test_report_assembly(self):
-        rep = chemical_balance_report(GHAT_2A, 3.0, -1.0, 0.5, 0.5)
-        assert rep.voltages[0] == pytest.approx(-19.0 / 7.0)
-        assert rep.denominators[0] == pytest.approx(-0.35)
+    def test_report_assembly(self, tmp_path):
+        # balance.csv and the manifest metrics of a balance analysis at
+        # GHAT_2A (the chemical family's default conductances)
+        spec = parse_config_dict({"kind": "balance-analysis", "seed": 1,
+                                  "model": {"family": "fhn-chemical", "E_E": 3.0},
+                                  "sbar": {"E": 0.5, "I": 0.5}})
+        manifest = run_experiment(spec, tmp_path)
+        lines = (tmp_path / "balance.csv").read_text().splitlines()
+        assert lines[0] == "population,x_star,rate,stable,marginal,denominator"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["0", "1"]
+        x_star, rate, stable, marginal, denominator = (
+            np.array([row[k] for row in rows], dtype=float) for k in range(1, 6))
+        assert x_star[0] == pytest.approx(-19.0 / 7.0)
+        assert rate[0] == pytest.approx(-0.35)
+        np.testing.assert_array_equal(rate, denominator)
+        np.testing.assert_array_equal(stable, rate < 0)
+        np.testing.assert_array_equal(marginal, rate == 0)
+        assert all(row[3] in "01" and row[4] in "01" for row in rows)
+        metrics = json.loads(json.dumps(manifest["metrics"]))
+        assert metrics == {"x_star": x_star.tolist(), "rates": rate.tolist(),
+                           "stable": (rate < 0).tolist()}
 
 
 class TestElectricalProjection:
@@ -265,7 +286,7 @@ class TestEarlyOde:
         means = chem_means(0.5, 0.5)
         sE, sI = means[:, 2].tolist()
         xE, xI = chemical_balance_voltages(model.ghat, 3.0, -1.0, sE, sI)
-        rate = chemical_stability(model.ghat, sE, sI)[0].rate
+        rate = chemical_stability(model.ghat, sE, sI)[0]
         T = 20.0 / abs(rate)
         x0 = np.array([[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
         res = integrate_early_ode(model, means, x0, T, dt=1e-2)
@@ -410,11 +431,9 @@ class TestLateSnapshotDispersion:
     def test_fig1_late_dispersion_within_ou_bound(self):
         # late-time snapshot of the coupled run stays within twice the
         # Ornstein-Uhlenbeck linearization level sigma/sqrt(2 gamma g)
-        from balancenet.network import (CoordinateIC, InitialConditionSpec,
-                                        RecordSpec, simulate)
+        from balancenet.network import CoordinateIC, RecordSpec, simulate
         model = elec_model(n=300)
-        init = InitialConditionSpec(((CoordinateIC("normal", 1.0, 5.0),
-                                      CoordinateIC("normal", 1.5, 5.0)),))
+        init = ((CoordinateIC("normal", 1.0, 5.0), CoordinateIC("normal", 1.5, 5.0)),)
         run = simulate(model, init, 0.15, 1e-4, 41,
                        RecordSpec(stride=100, snapshot_times=(0.15,)))
         states = run.snapshots[-1]

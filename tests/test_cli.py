@@ -118,7 +118,15 @@ class TestExitCodes:
         ("pde", {**PDE_CFG, "grid": {"L": -1.0, "cells": 128}}, "grid.L"),
         ("sweep", {"kind": "double-limit-sweep", "seed": 1,
                    "pde": {"model": {}, "epsilons": [0.4, 0.2], "T": 0.1, "grid": {"cells": 10}}},
-         "pde.grid.cells")])
+         "pde.grid.cells"),
+        # populations whose states alone outgrow physical memory
+        ("simulate", {**NETWORK_CFG, "model": {"family": "fhn-electrical", "n": 10 ** 12,
+                                               "scaling": {"kind": "constant",
+                                                           "coefficient": 1.0}}}, "model.n"),
+        ("figures", {"kind": "figures", "seed": 1, "figure": "fig1",
+                     "model": {"family": "fhn-electrical", "n": 10 ** 12}}, "model.n"),
+        ("sweep", {**SWEEP_CFG, "network": {**SWEEP_CFG["network"], "n_values": [20, 10 ** 12]}},
+         "network.n_values")])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
         # the step guard, the epsilon order, a figure run's step, the
@@ -126,9 +134,9 @@ class TestExitCodes:
         # epsilon sweep's t0, a pde-run's initial density, a --seed, a
         # number that is not finite, a family's noise level, the mean gates
         # of a balance analysis, an empty sweep list, a double-limit cell's
-        # horizon, an initial law's parameters and a grid are checked at
-        # parse time; command is the subcommand, or a list of it and extra
-        # arguments
+        # horizon, an initial law's parameters, a grid and a population's
+        # memory are checked at parse time; command is the subcommand, or a
+        # list of it and extra arguments
         out = tmp_path / "o"
         argv = [command] if isinstance(command, str) else command
         assert main([*argv, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1

@@ -46,7 +46,8 @@ class TestCsvFormat:
         i8 = np.arange(-128, 127, 7, dtype=np.int8)
         columns = [f32, i32, u32, i8]
         assert None not in map(csv_column_kind, columns)  # the C path, when built
-        text = write_csv(tmp_path / "x.csv", ["f", "i", "u", "b"], columns)
+        write_csv(tmp_path / "x.csv", ["f", "i", "u", "b"], columns)
+        text = (tmp_path / "x.csv").read_bytes().decode()
         rows = [f"{float(a)!r},{int(b)},{int(c)},{int(d)}" for a, b, c, d in zip(*columns)]
         assert len(rows) == 30
         assert text == "f,i,u,b\n" + "".join(row + "\n" for row in rows)
@@ -63,7 +64,8 @@ class TestCsvFormat:
 
         monkeypatch.setattr(harness, "c_twin", no_twin)
         columns = [np.array([0.25, -1e-7, 3.0]), odd]
-        text = write_csv(tmp_path / "x.csv", ["a", "b"], columns)
+        write_csv(tmp_path / "x.csv", ["a", "b"], columns)
+        text = (tmp_path / "x.csv").read_bytes().decode()
         assert text == "a,b\n" + "".join(f"{a!r},{format_value(b)}\n"
                                          for a, b in zip([0.25, -1e-7, 3.0], odd))
 
@@ -272,19 +274,19 @@ class TestDoubleLimitSweep:
     def test_only_numerical_and_config_errors_fail_a_cell(self, tmp_path, monkeypatch,
                                                           threads):
         from balancenet import harness
-        from balancenet.network import ConfigurationError
+        from balancenet.models import ModelDefinitionError
         cfg = dict(self.CFG, network=dict(self.CFG["network"], n_values=[50, 60]))
         del cfg["pde"]
         spec = parse_config_dict(cfg)
 
         def bad_config(*args, **kwargs):
-            raise ConfigurationError("step guard violated")
+            raise ModelDefinitionError("step guard violated")
 
         monkeypatch.setattr(harness, "_network_cell", bad_config)
         status, metrics = harness.sweep_double_limit(spec.payload, spec.seed, tmp_path, threads)
         assert status == "PARTIAL"
         assert [c["status"] for c in metrics["cells"]] == ["FAILED", "FAILED"]
-        assert metrics["cells"][0]["error"] == "ConfigurationError: step guard violated"
+        assert metrics["cells"][0]["error"] == "ModelDefinitionError: step guard violated"
 
         def bug(*args, **kwargs):
             raise TypeError("unsupported operand")

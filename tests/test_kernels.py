@@ -24,8 +24,8 @@ from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule, conductance_source_maps)
-from balancenet.network import (NOISE_CHUNK, CoordinateIC, InitialConditionSpec,
-                                RecordSpec, draw_initial_state, simulate, usable_cpus)
+from balancenet.network import (NOISE_CHUNK, CoordinateIC, RecordSpec, draw_initial_state,
+                                simulate, usable_cpus)
 
 from .oracles import fp_chunk_loop, network_chunk_loop, pairwise_model, pairwise_step
 
@@ -1045,13 +1045,12 @@ def test_simulate_matches_generic_step(family):
     # blocks
     if family == "electrical":
         model = NetworkModel(FIG1, n=6, scaling=ScalingRule("constant", 20.0))
-        init = InitialConditionSpec(((CoordinateIC("normal", 1.0, 2.0),
-                                      CoordinateIC("normal", 1.5, 2.0)),))
+        init = ((CoordinateIC("normal", 1.0, 2.0), CoordinateIC("normal", 1.5, 2.0)),)
     else:
         model = NetworkModel(FIG2A, n=4, scaling=ScalingRule("constant", 5.0))
         laws = (CoordinateIC("normal", 1.0, 1.0), CoordinateIC("normal", 2.0, 1.0),
                 CoordinateIC("uniform", 0.2, 1.0))
-        init = InitialConditionSpec((laws, laws))
+        init = (laws, laws)
     seed, dt, steps = 31, 1e-4, 2 * NOISE_CHUNK - 100
     T = steps * dt
     run = simulate(model, init, T, dt, seed, RecordSpec(stride=steps, snapshot_times=(T,)))

@@ -15,9 +15,8 @@ from scipy.linalg import expm
 from balancenet import _kernels, network, rng
 from balancenet._kernels import network_chunk
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               NetworkModel, ScalingRule)
-from balancenet.network import (NOISE_CHUNK, ConfigurationError, CoordinateIC,
-                                InitialConditionSpec, PerturbationEvent, RecordSpec,
+                               ModelDefinitionError, NetworkModel, ScalingRule)
+from balancenet.network import (NOISE_CHUNK, CoordinateIC, PerturbationEvent, RecordSpec,
                                 _kernel_args, apply_perturbation,
                                 draw_initial_state, simulate,
                                 simulate_rescaled_early)
@@ -25,8 +24,7 @@ from balancenet.network import (NOISE_CHUNK, ConfigurationError, CoordinateIC,
 from .oracles import BlowupError, PairwiseModel, pairwise_model, pairwise_step
 
 FIG1 = FhnElectricalParams((-1.0, 5.0, -4.0, 4.0), 0.005, 6.0, 1.0, 1.0)
-FIG1_INIT = InitialConditionSpec(((CoordinateIC("normal", 1.0, 5.0),
-                                   CoordinateIC("normal", 1.5, 5.0)),))
+FIG1_INIT = ((CoordinateIC("normal", 1.0, 5.0), CoordinateIC("normal", 1.5, 5.0)),)
 
 
 def scalar_model(drift, n=1, g=0.0, sigma=0.0, gamma=1.0, interaction=None):
@@ -168,7 +166,7 @@ class TestSimulate:
 
     def test_step_guard_rejects_large_dt(self):
         model = NetworkModel(FIG1, n=300)  # gamma = 300, g = 1
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ModelDefinitionError):
             simulate(model, FIG1_INIT, 0.1, 1e-3, 1)
 
     def test_blowup_recorded_not_raised(self):
@@ -201,12 +199,12 @@ class TestPerturbation:
         np.testing.assert_allclose(out.ghat, [[0.45, 3.0], [-1.0, -10.0]])
 
     def test_zero_multiplier_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ModelDefinitionError):
             PerturbationEvent(1.0, {"g_EE": 0.0})
 
     def test_unknown_entry_rejected(self):
         model = NetworkModel(_fig2a_params(), n=300)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ModelDefinitionError):
             apply_perturbation(model, PerturbationEvent(1.0, {"g_XX": 2.0}))
 
     def test_midrun_event_changes_dynamics(self):
@@ -249,7 +247,7 @@ class TestEventCheck:
 
         monkeypatch.setattr(network, "active", counted)
         bad = PerturbationEvent(t, {"g_EE" if family == "electrical" else "g": 2.0})
-        with pytest.raises(ConfigurationError, match="unknown conductance"):
+        with pytest.raises(ModelDefinitionError, match="unknown conductance"):
             simulate(model, init, 1.0, 1e-3, 3, RecordSpec(stride=300), [bad])
         assert calls == []
 
@@ -290,12 +288,10 @@ def _fig2a_params(**over):
 
 
 def _chem_init():
-    return InitialConditionSpec((
-        (CoordinateIC("normal", 3.0, 1.0), CoordinateIC("normal", 2.0, 1.0),
-         CoordinateIC("uniform", 0.0, 2.0)),
-        (CoordinateIC("normal", 3.0, 1.0), CoordinateIC("normal", 2.0, 1.0),
-         CoordinateIC("uniform", 0.0, 3.0)),
-    ))
+    return ((CoordinateIC("normal", 3.0, 1.0), CoordinateIC("normal", 2.0, 1.0),
+             CoordinateIC("uniform", 0.0, 2.0)),
+            (CoordinateIC("normal", 3.0, 1.0), CoordinateIC("normal", 2.0, 1.0),
+             CoordinateIC("uniform", 0.0, 3.0)))
 
 
 class TestInitialState:
@@ -313,8 +309,8 @@ class TestInitialState:
 
     def test_mismatched_spec_rejected(self):
         model = NetworkModel(_fig2a_params(), n=5)
-        bad = InitialConditionSpec(((CoordinateIC("constant", 0.0),),))
-        with pytest.raises(ConfigurationError):
+        bad = ((CoordinateIC("constant", 0.0),),)
+        with pytest.raises(ModelDefinitionError):
             draw_initial_state(model, bad, 1)
 
 
@@ -335,11 +331,8 @@ def _runaway_case(family):
     steps at dt = 1e-3."""
     x = CoordinateIC("constant", 60.0)
     if family == "electrical":
-        return NetworkModel(FIG1, n=50), InitialConditionSpec(
-            ((x, CoordinateIC("normal", 1.5, 5.0)),))
-    laws = _chem_init().coords
-    return NetworkModel(_fig2a_params(), n=50), InitialConditionSpec(
-        tuple((x,) + pop[1:] for pop in laws))
+        return NetworkModel(FIG1, n=50), ((x, CoordinateIC("normal", 1.5, 5.0)),)
+    return NetworkModel(_fig2a_params(), n=50), tuple((x,) + pop[1:] for pop in _chem_init())
 
 
 class TestReproducibilityContract:
