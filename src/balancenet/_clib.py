@@ -23,13 +23,17 @@ _exp_loop), so a whole noise block of either family is one C call. Where
 that loop cannot be read safely, the numpy kernel runs.
 
 Wider vectors change no result: without -ffast-math the compiler may not
-reassociate a sum, and -ffp-contract=off forbids fused multiply-adds. Each
-twin still proves it once: its ``self_check()`` runs it and the Python
-function it follows on a fixed input and compares the bits, or for
-``csv_body`` the text (see ``_selfcheck``), and its verdict is kept in a
-small file next to the library, keyed on the library, the Python and numpy
-versions, numpy's exp target and the source text of the Python references
-and of the check, so a warm process runs no check.
+reassociate a sum, and -ffp-contract=off forbids fused multiply-adds. The
+normal fill's AVX-512 branch, written with intrinsics and compiled where
+-march=native enables AVX-512F and AVX-512DQ, is integer arithmetic and
+the scalar branch's double operations, so it gives the same bits;
+build_target records which branch was built. Each twin still proves it
+once: its ``self_check()`` runs it and the Python function it follows on a
+fixed input and compares the bits, or for ``csv_body`` the text (see
+``_selfcheck``), and its verdict is kept in a small file next to the
+library, keyed on the library, the Python and numpy versions, numpy's exp
+target and the source text of the Python references and of the check, so
+a warm process runs no check.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import CSV_FLOAT64, CSV_INT64, csv_column_kind, numpy_target
+from ._kernels import CSV_FLOAT64, CSV_INT64, _c_kernels, csv_column_kind, numpy_target
 
 _C_SOURCES = tuple(Path(__file__).with_name(name)
                    for name in ("_fp_chunk.c", "_network_chunk.c", "_normal_block.c",
@@ -303,7 +307,9 @@ def _c_normal_block(lib):
     """Wrap the C ``normal_block`` of ``lib`` as fill(key0, key1, out,
     start=0), which writes numpy's Generator(Philox(key=[key0,
     key1])).standard_normal into out, drawn from word ``start`` of the
-    stream on, and returns the word after the last one it read."""
+    stream on, and returns the word after the last one it read. Its
+    ``lanes`` is how many ziggurat candidates the build tests at once: 8
+    where -march=native has AVX-512 (F and DQ), else 1."""
     c_fn = lib.normal_block
     c_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p,
                      ctypes.c_long]
@@ -316,6 +322,9 @@ def _c_normal_block(lib):
             raise ValueError(f"normal_block: start word {start} outside [0, 2^63)")
         return c_fn(key0, key1, start, address, out.size)
 
+    lib.normal_block_lanes.argtypes = []
+    lib.normal_block_lanes.restype = ctypes.c_long
+    normal_block.lanes = lib.normal_block_lanes()
     return normal_block
 
 
@@ -433,6 +442,9 @@ def load_c_kernels() -> dict:
 
 def build_target() -> dict:
     """What the library was built for, as the manifest records it: the
-    instruction set (C_TARGET) and the host CPU's model."""
+    instruction set (C_TARGET), the host CPU's model and the normal fill's
+    lanes (see _c_normal_block), which say whether its AVX-512 branch was
+    compiled."""
     cpu = cpu_identity()
-    return {"c_target": C_TARGET, "cpu": cpu.get("model name", cpu.get("processor"))}
+    return {"c_target": C_TARGET, "cpu": cpu.get("model name", cpu.get("processor")),
+            "normal_block_lanes": _c_kernels()["normal_block"].lanes}

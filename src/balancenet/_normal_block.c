@@ -18,13 +18,15 @@
  *    tables below, its tail and wedge slow paths, and libm's exp and log1p
  *    in numpy's operation order; -ffp-contract=off keeps a * b + c from
  *    being fused into one rounding.
- * Two departures are in the code, not the values. numpy makes each block
+ * Three departures are in the code, not the values. numpy makes each block
  * of four words when the ziggurat asks for it; here the words are made in
  * batches ahead of the ziggurat (see BATCH_REFILLS), so the Philox rounds
  * and the draws do not stall each other. And numpy negates x with a
  * conditional jump that is mispredicted on half of all draws; here the
  * sign bit is flipped, which gives the same value as -x (-0.0 included)
- * without a branch.
+ * without a branch. Where -march=native has AVX-512, both loops run
+ * eight lanes at a time (see LANES), in integer arithmetic and exact
+ * conversions, so the words and draws are the scalar code's.
  *
  * The tables are numpy's ziggurat_constants.h (numpy 2.4.6, BSD-3-Clause,
  * notice below), read out of that numpy's compiled libnpyrandom.a and
@@ -327,9 +329,24 @@ static const double fi_double[256] = {
  * counters through the ten rounds in lockstep, as separate scalar locals,
  * so the two chains of dependent 64x64 multiplies overlap; arrays of
  * counters get vectorized into emulated 64-bit multiplies, which is slower.
+ * With AVX-512 (F and DQ) a pass steps sixteen, as two chains of eight
+ * lanes, and the ziggurat tests eight candidates at a time.
  */
 #define BATCH_REFILLS 512
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#include <immintrin.h>
+#define LANES 8
+#define CHAINS 16
+#else
+#define LANES 1
 #define CHAINS 2
+#endif
+
+/* how many ziggurat candidates the fast path tests at once: 8 with AVX-512, else 1 */
+long normal_block_lanes(void)
+{
+    return LANES;
+}
 
 typedef struct {
     uint64_t key0, key1;
@@ -338,6 +355,70 @@ typedef struct {
     uint64_t buf[4 * BATCH_REFILLS];
 } stream;
 
+#if LANES == 8
+/* lo + 2^64 hi = a * m in each lane, from four 32x32 -> 64-bit products */
+static inline __m512i mulhilo8(__m512i a, uint64_t m, __m512i *hi)
+{
+    /* vpmuludq reads the low 32 bits of each lane */
+    __m512i m_lo = _mm512_set1_epi64((long long)m);
+    __m512i m_hi = _mm512_set1_epi64((long long)(m >> 32));
+    __m512i a_hi = _mm512_srli_epi64(a, 32);
+    __m512i ll = _mm512_mul_epu32(a, m_lo), lh = _mm512_mul_epu32(a, m_hi);
+    __m512i hl = _mm512_mul_epu32(a_hi, m_lo), hh = _mm512_mul_epu32(a_hi, m_hi);
+    /* the middle column's sums, neither of which carries out of 64 bits */
+    __m512i t = _mm512_add_epi64(lh, _mm512_srli_epi64(ll, 32));
+    __m512i u = _mm512_add_epi64(hl, _mm512_and_si512(t, _mm512_set1_epi64(0xFFFFFFFFLL)));
+    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(t, 32)),
+                           _mm512_srli_epi64(u, 32));
+    return _mm512_mask_blend_epi32(0xAAAA, ll, _mm512_slli_epi64(u, 32));
+}
+
+/*
+ * The Philox4x64-10 blocks of counters ctr + 1 .. ctr + 16 into w[0..63],
+ * as the scalar philox_pass below makes two: two chains of eight lanes,
+ * lane j of x[c][v] word v of block 8c + j, transposed so that block j is
+ * w[4j..4j+3].
+ */
+static void philox_pass(uint64_t k0, uint64_t k1, uint64_t ctr, uint64_t *w)
+{
+    __m512i x[2][4];
+    for (int c = 0; c < 2; c++) {
+        x[c][0] = _mm512_add_epi64(_mm512_set1_epi64((long long)(ctr + 1 + 8 * c)),
+                                   _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+        x[c][1] = x[c][2] = x[c][3] = _mm512_setzero_si512();
+    }
+    for (int round = 0; round < 10; round++) {
+        __m512i key0 = _mm512_set1_epi64((long long)k0), key1 = _mm512_set1_epi64((long long)k1);
+        for (int c = 0; c < 2; c++) {
+            __m512i hi0, hi2;
+            __m512i lo0 = mulhilo8(x[c][0], 0xD2E7470EE14C6C93ULL, &hi0);
+            __m512i lo2 = mulhilo8(x[c][2], 0xCA5A826395121157ULL, &hi2);
+            x[c][0] = _mm512_ternarylogic_epi64(hi2, x[c][1], key0, 0x96);  /* a ^ b ^ c */
+            x[c][1] = lo2;
+            x[c][2] = _mm512_ternarylogic_epi64(hi0, x[c][3], key1, 0x96);
+            x[c][3] = lo0;
+        }
+        k0 += 0x9E3779B97F4A7C15ULL;
+        k1 += 0xBB67AE8584CAA73BULL;
+    }
+    const __m512i even = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+    const __m512i odd = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+    for (int c = 0; c < 2; c++, w += 32) {
+        const __m512i *v = x[c];
+        /* 128-bit pairs (v0, v1) in a, (v2, v3) in b: blocks 0 2 4 6; a1, b1: 1 3 5 7 */
+        __m512i a = _mm512_unpacklo_epi64(v[0], v[1]), a1 = _mm512_unpackhi_epi64(v[0], v[1]);
+        __m512i b = _mm512_unpacklo_epi64(v[2], v[3]), b1 = _mm512_unpackhi_epi64(v[2], v[3]);
+        __m512i b02 = _mm512_permutex2var_epi64(a, even, b);
+        __m512i b46 = _mm512_permutex2var_epi64(a, odd, b);
+        __m512i b13 = _mm512_permutex2var_epi64(a1, even, b1);
+        __m512i b57 = _mm512_permutex2var_epi64(a1, odd, b1);
+        _mm512_storeu_si512(w, _mm512_shuffle_i64x2(b02, b13, 0x44));
+        _mm512_storeu_si512(w + 8, _mm512_shuffle_i64x2(b02, b13, 0xEE));
+        _mm512_storeu_si512(w + 16, _mm512_shuffle_i64x2(b46, b57, 0x44));
+        _mm512_storeu_si512(w + 24, _mm512_shuffle_i64x2(b46, b57, 0xEE));
+    }
+}
+#else
 static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 {
     __uint128_t p = (__uint128_t)a * b;
@@ -354,7 +435,7 @@ static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
  * draw takes about 1.02 words), so the counter never carries out of its
  * low word and the other three counter words stay 0.
  */
-static void philox_pair(uint64_t k0, uint64_t k1, uint64_t ctr, uint64_t *w)
+static void philox_pass(uint64_t k0, uint64_t k1, uint64_t ctr, uint64_t *w)
 {
     uint64_t a0 = ctr + 1, a1 = 0, a2 = 0, a3 = 0;
     uint64_t b0 = ctr + 2, b1 = 0, b2 = 0, b3 = 0;
@@ -378,6 +459,7 @@ static void philox_pair(uint64_t k0, uint64_t k1, uint64_t ctr, uint64_t *w)
     w[0] = a0, w[1] = a1, w[2] = a2, w[3] = a3;
     w[4] = b0, w[5] = b1, w[6] = b2, w[7] = b3;
 }
+#endif
 
 /*
  * A fresh batch for the next `left` draws: as many refills as they take
@@ -389,7 +471,7 @@ static void refill_batch(stream *s, long left)
     long refills = (left - 1) / 4 + 1;
     refills = refills >= BATCH_REFILLS ? BATCH_REFILLS : (refills + CHAINS - 1) / CHAINS * CHAINS;
     for (long j = 0; j < refills; j += CHAINS) {
-        philox_pair(s->key0, s->key1, s->ctr, s->buf + 4 * j);
+        philox_pass(s->key0, s->key1, s->ctr, s->buf + 4 * j);
         s->ctr += CHAINS;
     }
     s->pos = s->buf;
@@ -486,6 +568,28 @@ uint64_t normal_block(uint64_t key0, uint64_t key1, uint64_t start, double *out,
         int idx = 0;
         uint64_t rabs = 0;
         double x = 0.0;
+#if LANES == 8
+        /* candidate() on eight words; the scalar loop takes over at the first rejected one */
+        for (; stop - i >= 8; i += 8, p += 8) {
+            __m512i r = _mm512_loadu_si512(p);
+            __m512i layer = _mm512_and_si512(r, _mm512_set1_epi64(0xff));
+            __m512i mag = _mm512_srli_epi64(_mm512_slli_epi64(r, 3), 12);  /* bits 9..60 */
+            __m512d w = _mm512_i64gather_pd(layer, wi_double, 8);
+            __m512i xs = _mm512_castpd_si512(_mm512_mul_pd(_mm512_cvtepi64_pd(mag), w));
+            __m512d xv = _mm512_castsi512_pd(
+                _mm512_xor_si512(xs, _mm512_slli_epi64(_mm512_srli_epi64(r, 8), 63)));
+            __mmask8 inside = _mm512_cmplt_epu64_mask(
+                mag, _mm512_i64gather_epi64(layer, ki_double, 8));
+            if (inside != 0xff) {
+                int k = __builtin_ctz(~(unsigned)inside);
+                _mm512_mask_storeu_pd(out + i, (__mmask8)((1u << k) - 1), xv);
+                i += k;
+                p += k;
+                break;
+            }
+            _mm512_storeu_pd(out + i, xv);
+        }
+#endif
         for (; i < stop; i++) {
             x = candidate(*p++, &idx, &rabs);
             /* about 99% of candidates fall inside their layer's rectangle */

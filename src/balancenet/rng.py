@@ -7,8 +7,11 @@ chunking of the integration loop, or generation order across runs.
 
 Normal blocks are drawn by a C twin of numpy's Philox4x64 ziggurat
 (``_normal_block.c``, see ``_kernels.c_twin``) once it is built and has
-matched numpy's draws, else by numpy; both give the same bits. A block may
-be drawn in pieces that resume the stream through a StreamCursor.
+matched numpy's draws, else by numpy; both give the same bits. On a CPU
+with AVX-512 the twin makes sixteen Philox blocks and tests eight ziggurat
+candidates at a time, with the same bits again (the manifest's
+``backend.normal_block_lanes`` is 8, else 1). A block may be drawn in
+pieces that resume the stream through a StreamCursor.
 """
 
 from __future__ import annotations

@@ -274,7 +274,7 @@ class TestNoCompilerParity:
 
     TWINS = {"fp_chunk", "snapshot_certificates", "network_chunk", "normal_block", "rk4_affine",
              "csv_body"}
-    BUILD = {"c_target", "cpu"}  # recorded when a twin runs in C
+    BUILD = {"c_target", "cpu", "normal_block_lanes"}  # recorded when a twin runs in C
 
     @pytest.fixture(scope="class")
     def cache(self, tmp_path_factory):

@@ -3,6 +3,7 @@ import fnmatch
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,7 @@ def test_registry_keys():
 # ---------------------------------------------------------------------------
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+X86_64 = platform.machine() in ("x86_64", "AMD64")
 
 
 @pytest.fixture(scope="module")
@@ -316,13 +318,17 @@ def test_c_source_compiles_without_warnings(tmp_path):
                                             "_rk4_affine.c", "_csv_body.c"}
     assert f"-march={_clib.C_TARGET}" in _C_FLAGS
 
-    def build(*sources):
-        return subprocess.run([shutil.which("cc"), *_C_FLAGS, "-Wall", "-Wextra", "-Werror",
+    def build(*sources, target=_clib.C_TARGET):
+        flags = [f"-march={target}" if flag.startswith("-march=") else flag for flag in _C_FLAGS]
+        return subprocess.run([shutil.which("cc"), *flags, "-Wall", "-Wextra", "-Werror",
                                "-o", str(tmp_path / "kernels.so"), *map(str, sources), *_C_LIBS],
                               capture_output=True, timeout=120)
 
-    built = build(*_C_SOURCES)
-    assert built.returncode == 0, built.stderr.decode()
+    # on x86-64 also without AVX-512, so that both branches of the normal
+    # fill are built whatever the host CPU has
+    for target in (_clib.C_TARGET, *(("x86-64-v3",) if X86_64 else ())):
+        built = build(*_C_SOURCES, target=target)
+        assert built.returncode == 0, built.stderr.decode()
     unused = tmp_path / "unused.c"
     unused.write_text("static double unused(double x)\n{\n    return x;\n}\n")
     rejected = build(*_C_SOURCES, unused)
@@ -1162,9 +1168,11 @@ def test_edge_keys_reach_the_batch_edge():
     assert layer == 0 and first < edge and end - 1 >= BATCH_WORDS
 
 
+EDGE_DRAWS = [0, 1, BATCH_WORDS - 1, BATCH_WORDS, BATCH_WORDS + 1, 3 * BATCH_WORDS + 5]
+
+
 @pytest.mark.parametrize("key", [REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY])
-@pytest.mark.parametrize("n", [0, 1, BATCH_WORDS - 1, BATCH_WORDS, BATCH_WORDS + 1,
-                               3 * BATCH_WORDS + 5])
+@pytest.mark.parametrize("n", EDGE_DRAWS)
 def test_c_normal_block_matches_numpy_across_the_batch_edge(c_normal_block, key, n):
     _assert_same_bytes(_c_draws(c_normal_block, key, (n,)), rng._generator(key).standard_normal(n))
 
@@ -1185,13 +1193,70 @@ def _fill(path, request):
 @pytest.mark.parametrize("key", [REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY])
 @pytest.mark.parametrize("start", RESUME_WORDS)
 def test_fill_resumes_the_stream_at_any_word(request, path, key, start):
-    # numpy's normals once start words are read off the bit generator
+    _assert_resumes(_fill(path, request), key, start)
+
+
+def _assert_resumes(fill, key, start):
+    """fill's draws from word ``start`` of key's stream are numpy's normals
+    once start words are read off the bit generator, and so is the word it
+    returns."""
     bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
     bits.random_raw(start)
     expected = np.random.Generator(bits).standard_normal(BATCH_WORDS + 5)
     out = np.empty(BATCH_WORDS + 5)
-    assert _fill(path, request)(*key, out, start) == _words_read(bits)
+    assert fill(*key, out, start) == _words_read(bits)
     _assert_same_bytes(out, expected)
+
+
+# With AVX-512 the fill tests eight candidates at a time and hands the
+# first rejected one to the scalar loop, which also takes the last few
+# draws. EARLY_REJECT_KEY's candidate on word 8 is rejected (its draw reads
+# words 8 and 9), so the fills below end a group early by their length, by
+# that rejection at every place in the group and by their start word.
+EARLY_REJECT_KEY = (6, 0)
+
+
+def test_c_normal_block_groups_match_numpy_at_every_cut(c_normal_block):
+    assert _draw_reading_word(EARLY_REJECT_KEY, 8) == (8, 10)
+    for key in (REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY, EARLY_REJECT_KEY):
+        for start in range(8):
+            for n in range(25):
+                drawn, expected = np.full(n, np.nan), np.full(n, np.nan)
+                assert (c_normal_block(*key, drawn, start)
+                        == rng._numpy_fill(*key, expected, start)), (key, start, n)
+                _assert_same_bytes(drawn, expected)
+
+
+@pytest.fixture(scope="module", params=["x86-64-v3", "x86-64"])
+def scalar_normal_block(request, tmp_path_factory):
+    """The C fill built alone without AVX-512, so its scalar branch runs on
+    any x86-64 host."""
+    cc = shutil.which("cc")
+    if cc is None or not X86_64:
+        pytest.skip("needs a C compiler on x86-64")
+    lib = tmp_path_factory.mktemp("scalar") / f"normal_block-{request.param}.so"
+    source = Path(_clib.__file__).with_name("_normal_block.c")
+    subprocess.run([cc, "-O3", f"-march={request.param}", "-ffp-contract=off", "-shared", "-fPIC",
+                    "-o", str(lib), str(source), *_C_LIBS], check=True, timeout=120)
+    return _clib._c_normal_block(ctypes.CDLL(str(lib)))
+
+
+def test_scalar_branch_matches_numpy(scalar_normal_block):
+    assert scalar_normal_block.lanes == 1
+    assert _selfcheck._check_normal_block(scalar_normal_block)
+    for key in (REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY):
+        for n in EDGE_DRAWS:
+            _assert_same_bytes(_c_draws(scalar_normal_block, key, (n,)),
+                               rng._generator(key).standard_normal(n))
+        for start in RESUME_WORDS:
+            _assert_resumes(scalar_normal_block, key, start)
+
+
+@needs_cc
+def test_build_records_the_fill_lanes_the_cpu_offers():
+    flags = set(_clib.cpu_identity().get("flags", "").split())
+    avx512 = {"avx512f", "avx512dq"} <= flags
+    assert _clib.build_target()["normal_block_lanes"] == (8 if avx512 else 1)
 
 
 @pytest.mark.parametrize("path", ["c", "numpy"])
