@@ -63,6 +63,8 @@ _C_LIBS = ("-lm",)
 # check's cases, read as text (not imported) to key its cached verdict
 _CHECK_REFERENCES = tuple(Path(__file__).with_name(name)
                           for name in ("_kernels.py", "_selfcheck.py"))
+# the libraries a build leaves in the cache, itself included
+KEEP_LIBRARIES = 4
 
 
 class _CompileError(Exception):
@@ -129,10 +131,38 @@ def _compile(cc: str, target: Path) -> None:
             os.unlink(tmp)
 
 
+def _prune(cache: Path, built: Path) -> None:
+    """Delete all but the KEEP_LIBRARIES newest libraries (by mtime) in the
+    cache, never the one just built, then every verdict whose library is
+    gone. Half-written files (*.tmp) are left to their writers, and a file
+    that cannot be removed is skipped. Only on POSIX, where a process that
+    has loaded a library keeps it mapped after its file is unlinked."""
+    if os.name != "posix":
+        return
+
+    def mtime(path: Path) -> int:
+        try:
+            return path.stat().st_mtime_ns
+        except OSError:  # removed meanwhile
+            return -1
+
+    others = sorted((lib for lib in cache.glob("kernels-*.so") if lib != built),
+                    key=mtime, reverse=True)
+    for path in others[KEEP_LIBRARIES - 1:]:
+        with contextlib.suppress(OSError):
+            path.unlink()
+    for verdict in cache.glob("*.verdict"):
+        if not verdict.with_name(verdict.name.split(".", 1)[0] + ".so").exists():
+            with contextlib.suppress(OSError):
+                verdict.unlink()
+
+
 def _load_c_library():
     """Load the compiled C twins, building them first if the cache lacks
     them. Returns (library, its path in the cache, or None for a private
-    build), or None when there is no compiler or the build or load fails."""
+    build), or None when there is no compiler or the build or load fails. A
+    build into the cache prunes it (_prune); the caller holds
+    _kernels._load_lock."""
     cc = shutil.which("cc")
     if cc is None:
         return None
@@ -144,6 +174,8 @@ def _load_c_library():
             target = cache / name
             if not target.exists():
                 _compile(cc, target)
+                with contextlib.suppress(OSError):  # an unreadable cache stays as it is
+                    _prune(cache, target)
             return ctypes.CDLL(str(target)), target
         except OSError:
             import tempfile

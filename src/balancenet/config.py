@@ -13,6 +13,11 @@ initial law, a record spec, a perturbation event) the section is or extends
 that type, so its defaults and checks are declared once and a value a run
 would reject is a BAD_VALUE at parse time. KINDS maps each experiment kind
 to its spec class; it is the one place kinds are named.
+
+A spec's runs() is where its kind's runs are described: the keyword
+arguments, all but the seed, of each network.simulate (or pde.solve_fp_1d)
+call, in order; the parse checks them and the runner steps them. Its twins
+and ufuncs name the C twins and numpy ufuncs those runs call.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -32,8 +37,9 @@ from .hopfcole import check_epsilons
 from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionError,
                      NetworkModel, ScalingRule, SeparableModel1D, SeparableParams,
                      build_separable_1d)
-from .network import CoordinateIC, PerturbationEvent, RecordSpec, check_run
-from .pde import Grid1D, check_concentration, check_horizon, fp_steps, gaussian_initial
+from .network import CoordinateIC, PerturbationEvent, RecordSpec, check_run, rescaled_early_args
+from .pde import (SNAPSHOTS_PER_RUN, Grid1D, check_concentration, check_horizon, fp_steps,
+                  gaussian_initial)
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -382,8 +388,25 @@ class SbarConfig(_Section):
 # ---------------------------------------------------------------------------
 
 
+class _NetworkRuns(_Section):
+    """A spec, or sweep section, whose runs() are network.simulate calls,
+    each checked at parse time by simulate's own check_run; a run it
+    rejects is a BAD_VALUE at run_key of the key its error names."""
+
+    # the C twins and numpy ufuncs the runs call (exp: the chemical gate)
+    twins, ufuncs = ("network_chunk", "normal_block"), ("exp",)
+    run_key = staticmethod(lambda key: key)
+
+    def __post_init__(self):
+        try:
+            for run in self.runs():
+                check_run(run["model"], run["T"], run["dt"], run["events"])
+        except ModelDefinitionError as err:
+            raise ModelDefinitionError(str(err), self.run_key(err.key)) from err
+
+
 @dataclass(frozen=True)
-class NetworkRunSpec(_Section):
+class NetworkRunSpec(_NetworkRuns):
     model: FhnConfig
     T: float
     dt: float
@@ -392,12 +415,13 @@ class NetworkRunSpec(_Section):
 
     command = "simulate"
 
-    def __post_init__(self):
-        check_run(self.model.build(), self.T, self.dt, self.events)
+    def runs(self) -> list[dict]:
+        return [dict(model=self.model.build(), init=self.model.initial_conditions(), T=self.T,
+                     dt=self.dt, recorder=self.record, events=self.events)]
 
 
 @dataclass(frozen=True)
-class RescaledEarlySpec(_Section):
+class RescaledEarlySpec(_NetworkRuns):
     model: FhnConfig
     gammas: tuple[float, ...]
     T_tilde: float
@@ -405,18 +429,23 @@ class RescaledEarlySpec(_Section):
     record: RecordConfig = RecordConfig()
 
     command = "early"
+    twins = (*_NetworkRuns.twins, "rk4_affine")  # the one kind that steps the early ODE
+    run_key = staticmethod(lambda key: f"{key}_tilde")
 
     def __post_init__(self):
         if not self.gammas or not all(g > 0 for g in self.gammas):
             raise ModelDefinitionError("gammas must be a non-empty list of positive values",
                                        "gammas")
-        # each gamma's run, as simulate_rescaled_early makes it
-        for gamma in self.gammas:
-            try:
-                check_run(self.model.build(scaling=ScalingRule("constant", gamma)),
-                          self.T_tilde / gamma, self.dt_tilde / gamma)
-            except ModelDefinitionError as err:
-                raise ModelDefinitionError(str(err), f"{err.key}_tilde") from err
+        super().__post_init__()
+
+    def runs(self) -> list[dict]:
+        """Each gamma's run on the rescaled clock under a constant scaling at
+        gamma, with a snapshot at t = 0, the early ODE's frozen measure."""
+        rec = replace(self.record, snapshot_times=(0.0,) + self.record.snapshot_times)
+        models = [self.model.build(scaling=ScalingRule("constant", gamma)) for gamma in self.gammas]
+        return [dict(model=model, init=self.model.initial_conditions(), events=(),
+                     **rescaled_early_args(model, self.T_tilde, self.dt_tilde, rec))
+                for model in models]
 
 
 @dataclass(frozen=True)
@@ -428,15 +457,26 @@ class PdeRunSpec(_Section):
     snapshot_every: float | None = None
 
     command = "pde"
+    # exp: the initial density and the beta sigmoid; log: Hopf-Cole
+    twins, ufuncs = ("fp_chunk", "snapshot_certificates"), ("exp", "log")
 
     def __post_init__(self):
-        model, grid = self.model.build(self.model.epsilon), self.grid.build()
-        fp_steps(model, grid, self.T, snapshot_every=self.snapshot_every)
-        # the run's initial density, as harness._run_pde builds it
+        # solve_fp_1d's step checks, then the run's initial density
+        fp_steps(self.model.build(self.model.epsilon), self.grid.build(), self.T,
+                 snapshot_every=self.snapshot_every)
         try:
-            gaussian_initial(grid, model.epsilon, self.init.concentration, self.init.center)
+            self.runs()
         except ModelDefinitionError as err:
             raise ModelDefinitionError(str(err), f"init.{err.key}") from err
+
+    def runs(self) -> list[dict]:
+        """pde.solve_fp_1d's arguments, by keyword, for the one run, with a
+        snapshot every T / SNAPSHOTS_PER_RUN unless snapshot_every is set."""
+        model, grid = self.model.build(self.model.epsilon), self.grid.build()
+        snap = self.T / SNAPSHOTS_PER_RUN if self.snapshot_every is None else self.snapshot_every
+        return [dict(model=model, grid=grid, T=self.T, snapshot_every=snap,
+                     mu0=gaussian_initial(grid, model.epsilon, self.init.concentration,
+                                          self.init.center))]
 
 
 @dataclass(frozen=True)
@@ -451,6 +491,7 @@ class DoubleLimitPdeSpec(_Section):
     init: PdeInitConfig = PdeInitConfig()
 
     t0 = None  # not a key here; EpsilonSweepSpec makes it one
+    twins, ufuncs = PdeRunSpec.twins, PdeRunSpec.ufuncs  # one run per member
 
     def __post_init__(self):
         check_epsilons(self.epsilons)
@@ -470,17 +511,8 @@ class EpsilonSweepSpec(DoubleLimitPdeSpec):
             raise ModelDefinitionError("t0 must lie in (0, T]", "t0")
 
 
-def network_cell_dt(model: NetworkModel, mode: str) -> float:
-    """The step of a double-limit network cell: 0.8 of the step guard's
-    bound, at most 1e-3. In rescaled-early mode the step is on the rescaled
-    clock, where the interaction acts at order one."""
-    gamma = 1.0 if mode == "rescaled-early" else model.gamma()
-    gmax = float(np.max(np.abs(model.coupling)))
-    return min(0.08 / (gamma * gmax), 1e-3) if gmax > 0 else 1e-3
-
-
 @dataclass(frozen=True)
-class DoubleLimitNetworkSpec(_Section):
+class DoubleLimitNetworkSpec(_NetworkRuns):
     """Network rows of the double-limit grid. mode "direct" integrates the
     original clock over [0, T] (collapse shows up at times ~1/gamma);
     "rescaled-early" integrates the early-time rescaled system over a fixed
@@ -494,6 +526,10 @@ class DoubleLimitNetworkSpec(_Section):
     collapse_threshold: float = 0.3
     mode: str = "direct"
 
+    # a model that cannot be built is its population size's fault; the step
+    # follows from the model, so a run check that fails is the horizon's
+    run_key = staticmethod(lambda key: "n_values" if key == "n" else "T")
+
     def __post_init__(self):
         if self.mode not in ("direct", "rescaled-early"):
             raise ModelDefinitionError(f"unknown mode {self.mode!r}", "mode")
@@ -502,21 +538,27 @@ class DoubleLimitNetworkSpec(_Section):
                                        "n_values")
         if not self.scalings:
             raise ModelDefinitionError("need one scaling or more", "scalings")
-        # each cell's run, as harness._network_cell makes it; a rescaled-early
-        # run is the original one over T / gamma with step dt / gamma
-        for rule in self.scalings:
-            for n in self.n_values:
-                try:
-                    model = self.model.build(n, rule)
-                except ModelDefinitionError as err:
-                    raise ModelDefinitionError(str(err), "n_values") from err
-                dt = network_cell_dt(model, self.mode)
-                scale = model.gamma() if self.mode == "rescaled-early" else 1.0
-                try:
-                    check_run(model, self.T / scale, dt / scale)
-                except ModelDefinitionError as err:
-                    # the step follows from the model, so the horizon is at fault
-                    raise ModelDefinitionError(str(err), "T") from err
+        super().__post_init__()
+
+    def runs(self) -> list[dict]:
+        """Each cell's run in cell order, n_values for each scaling in turn,
+        with a step 0.8 of the step guard's bound, at most 1e-3, on the
+        cell's clock. A direct cell snapshots at 10/gamma for the contraction
+        ratio; a rescaled-early cell runs on the rescaled clock, where the
+        interaction acts at order one, and snapshots at T."""
+        rescaled = self.mode == "rescaled-early"
+        runs = []
+        for model in (self.model.build(n, rule) for rule in self.scalings for n in self.n_values):
+            gamma = 1.0 if rescaled else model.gamma()
+            gmax = float(np.max(np.abs(model.coupling)))
+            dt = min(0.08 / (gamma * gmax), 1e-3) if gmax > 0 else 1e-3
+            rec = RecordSpec(stride=1, traces=0,
+                             snapshot_times=(0.0, self.T if rescaled else 10.0 / gamma))
+            clock = (rescaled_early_args(model, self.T, dt, rec) if rescaled
+                     else dict(T=self.T, dt=dt, recorder=rec))
+            runs.append(dict(model=model, init=self.model.initial_conditions(), events=(),
+                             **clock))
+        return runs
 
 
 @dataclass(frozen=True)
@@ -531,6 +573,14 @@ class DoubleLimitSpec(_Section):
         if self.network is None and self.pde is None:
             raise ConfigError(MISSING_KEY, "network", "need a network and/or pde section")
 
+    def runs(self) -> list[dict]:
+        """The network cells' runs; the mean-field column makes none."""
+        return self.network.runs() if self.network is not None else []
+
+    # those of its sections
+    twins = property(lambda self: sum((s.twins for s in (self.network, self.pde) if s), ()))
+    ufuncs = property(lambda self: sum((s.ufuncs for s in (self.network, self.pde) if s), ()))
+
 
 @dataclass(frozen=True)
 class BalanceAnalysisSpec(_Section):
@@ -538,10 +588,11 @@ class BalanceAnalysisSpec(_Section):
     sbar: SbarConfig
 
     command = "balance"
+    twins = ufuncs = ()  # closed forms
 
 
 @dataclass(frozen=True)
-class FiguresSpec(_Section):
+class FiguresSpec(_NetworkRuns):
     figure: str
     model: FhnConfig | None = None
     T: float | None = None
@@ -554,14 +605,12 @@ class FiguresSpec(_Section):
             raise ModelDefinitionError(f"unknown figure {self.figure!r}", "figure")
         if self.figure == "fig2" and not isinstance(self.model, (ChemicalConfig, type(None))):
             raise ModelDefinitionError("fig2 needs the fhn-chemical family", "model.family")
-        for run in self.runs():
-            check_run(run["model"], run["T"], run["dt"], run["events"])
+        super().__post_init__()
 
     def runs(self) -> list[dict]:
-        """network.simulate's arguments but the seed, by keyword, for each
-        run of the figure: fig1 steps one electrical network under a linear
-        and a sqrt scaling, fig2 one chemical network whose excitatory
-        conductances are scaled by 1.5 at T / 2."""
+        """fig1 steps one electrical network under a linear and a sqrt
+        scaling, fig2 one chemical network whose excitatory conductances are
+        scaled by 1.5 at T / 2."""
         if self.figure == "fig1":
             cfg = self.model if self.model is not None else ElectricalConfig()
             T = self.T if self.T is not None else 0.5

@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -30,15 +29,12 @@ from ._kernels import (backend as kernel_backend, c_twin, csv_body, csv_column_k
                        numpy_target)
 from .balance import (DegenerateDenominatorError, chemical_balance_voltages,
                       chemical_stability, distance_to_balance, integrate_early_ode)
-from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec,
-                     DoubleLimitSpec, EpsilonSweepSpec, ExperimentSpec,
-                     FiguresSpec, NetworkRunSpec, PdeRunSpec, RescaledEarlySpec,
-                     network_cell_dt)
+from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec, DoubleLimitSpec,
+                     EpsilonSweepSpec, ExperimentSpec, FiguresSpec, NetworkRunSpec,
+                     PdeRunSpec, RescaledEarlySpec)
 from .hopfcole import comparison_indices, epsilon_sweep, snapshot_series
-from .models import ScalingRule
-from .network import (RecordSpec, RunRecord, apply_perturbation, simulate,
-                      simulate_rescaled_early, usable_cpus)
-from .pde import SNAPSHOTS_PER_RUN, gaussian_initial, solve_fp_1d
+from .network import RunRecord, apply_perturbation, on_rescaled_clock, simulate, usable_cpus
+from .pde import solve_fp_1d
 from .stats import histogram
 
 
@@ -67,61 +63,36 @@ def file_digest(path: Path) -> str:
 
 
 def _jsonable(obj):
+    """obj with numpy arrays and scalars as Python lists and numbers, and
+    NaN as None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if math.isnan(f) else f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    return obj
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
 
 
 def write_manifest(out: Path, spec: ExperimentSpec, status: str, metrics: dict,
                    threads: int) -> dict:
-    files = {}
-    for p in sorted(out.rglob("*.csv")) + sorted(out.rglob("*_report.json")):
-        files[str(p.relative_to(out))] = file_digest(p)
-    # every kind writes CSVs
-    backend = {"numpy": np.__version__, "threads": threads,
-               "csv_body": kernel_backend("csv_body")}
+    files = {str(p.relative_to(out)): file_digest(p)
+             for p in sorted(out.rglob("*.csv")) + sorted(out.rglob("*_report.json"))}
+    # every kind writes CSVs; the spec names the twins and ufuncs its runs call
     payload = spec.payload
-    ufuncs = set()  # the transcendental numpy ufuncs the kind calls
-    if isinstance(payload, (PdeRunSpec, EpsilonSweepSpec)) or (
-            isinstance(payload, DoubleLimitSpec) and payload.pde is not None):
-        backend["fp_chunk"] = kernel_backend("fp_chunk")
-        backend["snapshot_certificates"] = kernel_backend("snapshot_certificates")
-        # exp: the initial density and the beta sigmoid; log: Hopf-Cole
-        ufuncs |= {"exp", "log"}
-    if isinstance(payload, (NetworkRunSpec, RescaledEarlySpec, FiguresSpec)) or (
-            isinstance(payload, DoubleLimitSpec) and payload.network is not None):
-        backend["network_chunk"] = kernel_backend("network_chunk")
-        backend["normal_block"] = kernel_backend("normal_block")
-        ufuncs.add("exp")  # the chemical gate
+    backend = {"numpy": np.__version__, "threads": threads,
+               **{twin: kernel_backend(twin) for twin in ("csv_body", *payload.twins)}}
+    if "normal_block" in payload.twins:
         # the CPU set the noise prefetch is gated on (see network._NoiseFeed)
         backend["cpus"] = usable_cpus()
-    if ufuncs:
-        backend["numpy_dispatch"] = {name: numpy_target(name) for name in sorted(ufuncs)}
-    if isinstance(payload, RescaledEarlySpec):  # the one kind that steps the early ODE
-        backend["rk4_affine"] = kernel_backend("rk4_affine")
+    if payload.ufuncs:
+        backend["numpy_dispatch"] = {name: numpy_target(name)
+                                     for name in sorted(set(payload.ufuncs))}
     if "c" in backend.values():
         from ._clib import build_target
         backend.update(build_target())
-    manifest = {
-        "version": __version__,
-        "backend": backend,
-        "seed": spec.seed,
-        "status": status,
-        "spec": spec.to_config(),
-        "files": files,
-        "metrics": _jsonable(metrics),
-    }
+    manifest = {"version": __version__, "backend": backend, "seed": spec.seed, "status": status,
+                "spec": spec.to_config(), "files": files, "metrics": _jsonable(metrics)}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
     return manifest
@@ -164,34 +135,29 @@ def _write_run_artifacts(out: Path, run: RunRecord, labels: list[str]) -> dict:
 
 
 def _run_network(p: NetworkRunSpec, seed: int, out: Path) -> tuple[str, dict]:
-    run = simulate(p.model.build(), p.model.initial_conditions(), p.T, p.dt, seed,
-                   p.record, p.events)
+    (args,) = p.runs()
+    run = simulate(seed=seed, **args)
     return run.status, _write_run_artifacts(out, run, p.model.labels)
 
 
 def _run_rescaled_early(p: RescaledEarlySpec, seed: int, out: Path) -> tuple[str, dict]:
-    gaps, moves_y, moves_s = [], [], []
+    rows = []
     status = "COMPLETED"
-    for gi, gamma in enumerate(p.gammas):
-        model = p.model.build(scaling=ScalingRule("constant", gamma))
-        rec = replace(p.record, snapshot_times=(0.0,) + p.record.snapshot_times)
-        run = simulate_rescaled_early(model, p.model.initial_conditions(), p.T_tilde,
-                                      p.dt_tilde, seed, rec)
+    for gi, args in enumerate(p.runs()):
+        run = on_rescaled_clock(simulate(seed=seed, **args))
         if run.status != "COMPLETED":
             status = run.status
-            gap = move_y = move_s = math.nan
-        else:
-            gap, move_y, move_s = _early_gap(model, run)
-            sub = out / f"gamma_{gi}"
-            sub.mkdir(exist_ok=True)
-            _write_run_artifacts(sub, run, model.labels)
-        gaps.append(gap)
-        moves_y.append(move_y)
-        moves_s.append(move_s)
+            rows.append((math.nan,) * 3)
+            continue
+        rows.append(_early_gap(args["model"], run))
+        sub = out / f"gamma_{gi}"
+        sub.mkdir(exist_ok=True)
+        _write_run_artifacts(sub, run, args["model"].labels)
+    gaps, moves_y, moves_s = (list(col) for col in zip(*rows))
     write_csv(out / "early_gaps.csv", ["gamma", "sup_gap", "move_y", "move_s"],
               [p.gammas, gaps, moves_y, moves_s])
-    metrics = {"gammas": list(p.gammas), "gaps": gaps, "moves_y": moves_y, "moves_s": moves_s}
-    return status, metrics
+    return status, {"gammas": list(p.gammas), "gaps": gaps, "moves_y": moves_y,
+                    "moves_s": moves_s}
 
 
 def _early_gap(model, run: RunRecord) -> tuple[float, float, float]:
@@ -210,11 +176,9 @@ def _early_gap(model, run: RunRecord) -> tuple[float, float, float]:
 
 
 def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
-    model = p.model.build(p.model.epsilon)
-    grid = p.grid.build()
-    mu0 = gaussian_initial(grid, model.epsilon, p.init.concentration, p.init.center)
-    snap = p.snapshot_every if p.snapshot_every is not None else p.T / SNAPSHOTS_PER_RUN
-    run = solve_fp_1d(model, grid, mu0, p.T, snapshot_every=snap)
+    (args,) = p.runs()
+    grid = args["grid"]
+    run = solve_fp_1d(**args)
     transform, series, _, _ = snapshot_series(run)
     write_csv(out / "pde_series.csv", ["t", "mass", *series],
               [run.times, run.mass, *series.values()])
@@ -244,9 +208,8 @@ def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str
     (out / "convergence_report.json").write_text(
         json.dumps(_jsonable(report.headline()), indent=2, sort_keys=True) + "\n",
         newline="\n")
-    failed = [d.epsilon for d in report.diagnostics if d.status != "COMPLETED"]
-    status = "COMPLETED" if not failed else "PARTIAL"
-    return status, report.headline()
+    failed = any(d.status != "COMPLETED" for d in diags)
+    return "PARTIAL" if failed else "COMPLETED", report.headline()
 
 
 def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dict]:
@@ -331,27 +294,20 @@ def _collapse_time(run: RunRecord, threshold: float) -> float:
     return float(run.times[below[0]]) if below.size else math.nan
 
 
-def _network_cell(cfg, n, rule: ScalingRule, T, threshold, seed, out: Path,
-                  mode: str = "direct") -> dict:
-    """One grid cell: a direct run over [0, T] (collapse at times ~1/gamma,
-    snapshot at 10/gamma for the contraction ratio) or the rescaled
-    early-time system over a fixed rescaled horizon T."""
-    model = cfg.build(n, rule)
-    gamma = model.gamma()
-    dt = network_cell_dt(model, mode)
+def _network_cell(args: dict, mode: str, threshold: float, seed: int, out: Path) -> dict:
+    """One grid cell: the run of args (see DoubleLimitNetworkSpec.runs), on
+    the rescaled clock in rescaled-early mode, and its collapse metrics."""
+    model = args["model"]
+    run = simulate(seed=seed, **args)
     if mode == "rescaled-early":
-        rec = RecordSpec(stride=1, traces=0, snapshot_times=(0.0, T))
-        run = simulate_rescaled_early(model, cfg.initial_conditions(), T, dt, seed, rec)
-    else:
-        rec = RecordSpec(stride=1, traces=0, snapshot_times=(0.0, 10.0 / gamma))
-        run = simulate(model, cfg.initial_conditions(), T, dt, seed, rec)
+        run = on_rescaled_clock(run)
     out.mkdir(parents=True, exist_ok=True)
     metrics = _write_run_artifacts(out, run, model.labels)
     d0 = dT = math.nan
     if len(run.snapshots) >= 2:
         d0, dT = (distance_to_balance(states, model) for states in run.snapshots[:2])
-    return {"kind": "network", "n": n, "scaling": rule.kind, "gamma": gamma,
-            "mode": mode,
+    return {"kind": "network", "n": model.n, "scaling": model.scaling.kind,
+            "gamma": model.gamma(), "mode": mode,
             "status": run.status, "collapse_time": _collapse_time(run, threshold),
             "steady_std": float(np.mean(run.stds[0, -max(1, len(run.times) // 10):, 0])),
             "distance_initial": d0, "distance_contracted": dT,
@@ -363,73 +319,57 @@ def sweep_double_limit(p: DoubleLimitSpec, seed: int, out: Path,
     """Run the two approaches to the double limit on a grid: network cells
     (rows in n, per scaling rule) and a mean-field column swept in epsilon.
     Per-cell failures are recorded and the sweep continues."""
-    jobs = []
-    if p.network is not None:
-        for rule in p.network.scalings:
-            for n in p.network.n_values:
-                jobs.append(("network", rule, n))
-    if p.pde is not None:
-        jobs.append(("pde", None, None))
-
-    results: list[dict | None] = [None] * len(jobs)
+    runs = p.runs()  # the network cells; the pde column, if any, comes last
+    n_cells = len(runs) + (p.pde is not None)
 
     def cost(idx: int) -> float:
-        """A cell's agent-steps, N times its step count; the pde column
-        counts as the longest."""
-        kind, rule, n = jobs[idx]
-        if kind == "pde":
+        """A network cell's agent-steps, N T / dt; the pde column is the longest."""
+        if idx == len(runs):
             return math.inf
-        model = p.network.model.build(n, rule)
-        dt = network_cell_dt(model, p.network.mode)
-        return model.n * model.n_populations * p.network.T / dt
+        model, T, dt = runs[idx]["model"], runs[idx]["T"], runs[idx]["dt"]
+        return model.n * model.n_populations * T / dt
 
     def run_cell(idx: int):
-        kind, rule, n = jobs[idx]
         cell_seed = (seed + 1000003 * idx) % (2 ** 64)
         cell_out = out / f"cell_{idx:02d}"
         try:
-            if kind == "network":
-                return _network_cell(p.network.model, n, rule, p.network.T,
-                                     p.network.collapse_threshold, cell_seed,
-                                     cell_out, p.network.mode)
+            if idx < len(runs):
+                return _network_cell(runs[idx], p.network.mode, p.network.collapse_threshold,
+                                     cell_seed, cell_out)
             cell_out.mkdir(parents=True, exist_ok=True)
             status, metrics = _run_epsilon_sweep(p.pde, cell_seed, cell_out)
             return {"kind": "pde", "status": status, **metrics}
         except (ValueError, ArithmeticError) as err:
             # numerical and configuration failures; anything else is a bug
-            return {"kind": kind, "status": "FAILED",
-                    "error": f"{type(err).__name__}: {err}",
-                    "n": n, "scaling": getattr(rule, "kind", None)}
+            cell = ({"kind": "pde", "n": None, "scaling": None} if idx == len(runs) else
+                    {"kind": "network", "n": runs[idx]["model"].n,
+                     "scaling": runs[idx]["model"].scaling.kind})
+            return {**cell, "status": "FAILED", "error": f"{type(err).__name__}: {err}"}
 
     # longest first, so the longest cell does not start last and leave the
     # other threads idle; the results keep their cell order
-    order = sorted(range(len(jobs)), key=cost, reverse=True)
+    order = sorted(range(n_cells), key=cost, reverse=True)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for idx, res in zip(order, pool.map(run_cell, order)):
-            results[idx] = res
+        done = dict(zip(order, pool.map(run_cell, order)))
+    results = [done[idx] for idx in range(n_cells)]
 
     rows = []
     for idx, res in enumerate(results):
         if res["kind"] == "network":
             rows.append([idx, "network", res.get("n"), res.get("scaling"),
-                         res.get("gamma", math.nan), res.get("collapse_time", math.nan),
-                         res.get("steady_std", math.nan),
-                         res.get("distance_initial", math.nan),
-                         res.get("distance_contracted", math.nan),
-                         res["status"]])
+                         *(res.get(key, math.nan) for key in (
+                             "gamma", "collapse_time", "steady_std", "distance_initial",
+                             "distance_contracted")), res["status"]])
         else:
-            eps = res.get("epsilons", [])
-            sup = res.get("sup_phi", [])
-            wid = res.get("support_width", [])
-            for e, s, w in zip(eps, sup, wid):
+            for e, s, w in zip(*(res.get(key, []) for key in ("epsilons", "sup_phi",
+                                                               "support_width"))):
                 rows.append([idx, "pde", e, "epsilon", math.nan, math.nan,
                              math.nan, s, w, res["status"]])
     write_csv(out / "summary.csv",
               ["cell", "kind", "n_or_eps", "scaling", "gamma", "collapse_time",
                "steady_std", "metric_a", "metric_b", "status"], zip(*rows))
     failures = sum(1 for r in results if r["status"] not in ("COMPLETED", "BLOWUP"))
-    status = "COMPLETED" if failures == 0 else "PARTIAL"
-    return status, {"cells": results, "failures": failures}
+    return "COMPLETED" if failures == 0 else "PARTIAL", {"cells": results, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

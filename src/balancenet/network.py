@@ -434,21 +434,31 @@ def simulate(model: NetworkModel, init: Sequence[Sequence[CoordinateIC]], T: flo
     )
 
 
+def rescaled_early_args(model: NetworkModel, T_tilde: float, dt_tilde: float,
+                        recorder: RecordSpec = RecordSpec()) -> dict:
+    """simulate's T, dt and recorder for the time-rescaled system over
+    rescaled horizon T_tilde. Under t -> t/gamma the interaction acts at
+    order one while the intrinsic drift scales by 1/gamma and the noise by
+    1/sqrt(gamma); this is exactly the original dynamics run over
+    T_tilde/gamma with step dt_tilde/gamma and snapshot times divided by
+    gamma, whose record on_rescaled_clock relabels."""
+    gamma = model.gamma()
+    return dict(T=T_tilde / gamma, dt=dt_tilde / gamma,
+                recorder=replace(recorder, snapshot_times=tuple(
+                    t / gamma for t in recorder.snapshot_times)))
+
+
+def on_rescaled_clock(run: RunRecord) -> RunRecord:
+    """A run made with rescaled_early_args, its times relabeled t * gamma."""
+    run.times, run.snapshot_times = run.times * run.gamma, run.snapshot_times * run.gamma
+    if run.blowup_time is not None:
+        run.blowup_time *= run.gamma
+    return run
+
+
 def simulate_rescaled_early(model: NetworkModel, init: Sequence[Sequence[CoordinateIC]],
                             T_tilde: float, dt_tilde: float, seed: int,
                             recorder: RecordSpec = RecordSpec()) -> RunRecord:
-    """Integrate the time-rescaled system over rescaled horizon T_tilde.
-
-    Under t -> t/gamma the interaction acts at order one while the intrinsic
-    drift scales by 1/gamma and the noise by 1/sqrt(gamma); this is exactly
-    the original dynamics run over T_tilde/gamma with relabeled times, which
-    is how it is computed (at gamma = 1 the two modes coincide).
-    """
-    gamma = model.gamma()
-    rec = replace(recorder, snapshot_times=tuple(t / gamma for t in recorder.snapshot_times))
-    run = simulate(model, init, T_tilde / gamma, dt_tilde / gamma, seed, rec)
-    run.times = run.times * gamma
-    run.snapshot_times = run.snapshot_times * gamma
-    if run.blowup_time is not None:
-        run.blowup_time *= gamma
-    return run
+    """The time-rescaled run over T_tilde (see rescaled_early_args)."""
+    return on_rescaled_clock(simulate(model, init, seed=seed,
+                                      **rescaled_early_args(model, T_tilde, dt_tilde, recorder)))

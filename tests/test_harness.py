@@ -1,3 +1,4 @@
+import inspect
 import json
 import threading
 import math
@@ -14,6 +15,7 @@ from balancenet._kernels import csv_body, csv_column_kind, format_value
 from balancenet.harness import file_digest, run_experiment, write_csv
 from balancenet.models import NetworkModel
 from balancenet.network import simulate
+from balancenet.pde import solve_fp_1d
 
 
 def read_csv(path):
@@ -243,6 +245,76 @@ class TestFigures:
             np.testing.assert_array_equal(rows[i, -2:], expected)
 
 
+CHEMICAL = {"family": "fhn-chemical", "n": 8}
+SWEEP_NETWORK = {"model": {"family": "fhn-electrical"}, "n_values": [6, 12],
+                 "scalings": [{"kind": "linear"}, {"kind": "sqrt"}], "T": 0.02}
+NETWORK_KINDS = {
+    "network-run": {"kind": "network-run", "seed": 3, "model": CHEMICAL, "T": 0.02, "dt": 1e-3,
+                    "record": {"snapshot_times": [0.01]},
+                    "events": [{"t": 0.01, "multipliers": {"g_EE": 1.5}}]},
+    "rescaled-early": {"kind": "rescaled-early", "seed": 3, "model": CHEMICAL,
+                       "gammas": [10.0, 100.0], "T_tilde": 0.02, "dt_tilde": 1e-3,
+                       "record": {"snapshot_times": [0.01]}},
+    "fig1": {"kind": "figures", "seed": 3, "figure": "fig1",
+             "model": {"family": "fhn-electrical", "n": 6}, "T": 0.01, "dt": 1e-3},
+    "fig2": {"kind": "figures", "seed": 3, "figure": "fig2", "model": CHEMICAL, "T": 0.01,
+             "dt": 1e-3},
+    "direct-sweep": {"kind": "double-limit-sweep", "seed": 3, "network": SWEEP_NETWORK},
+    "rescaled-early-sweep": {"kind": "double-limit-sweep", "seed": 3,
+                             "network": {**SWEEP_NETWORK, "mode": "rescaled-early"}},
+}
+
+
+def _spied_calls(monkeypatch, name: str, target) -> list[dict]:
+    """The arguments of each call the harness makes to its binding name of
+    target, bound by name; the calls still run."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(dict(inspect.signature(target).bind(*args, **kwargs).arguments))
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, spy)
+    return calls
+
+
+def _comparable(args: dict) -> dict:
+    # a model compares by identity, and each runs() call builds its own
+    return {**args, "model": repr(args["model"])}
+
+
+@pytest.mark.parametrize("name", NETWORK_KINDS)
+def test_runner_steps_exactly_the_runs_of_its_spec(tmp_path, monkeypatch, name):
+    # the parse checks the entries of spec.payload.runs(), and the runner
+    # makes one simulate call per entry with those arguments and the seed
+    spec = parse_config_dict(NETWORK_KINDS[name])
+    calls = _spied_calls(monkeypatch, "simulate", simulate)
+    run_experiment(spec, out_dir=tmp_path, threads=2)
+    seeds = [call.pop("seed") for call in calls]
+    made = [_comparable(call) for call in calls]
+    described = [_comparable(run) for run in spec.payload.runs()]
+    if spec.kind == "double-limit-sweep":
+        # the cells run longest first, each under its own seed
+        made, described = sorted(made, key=repr), sorted(described, key=repr)
+        assert len(set(seeds)) == len(seeds)
+    else:
+        assert set(seeds) == {spec.seed}
+    assert made == described
+
+
+def test_pde_run_solves_exactly_the_run_of_its_spec(tmp_path, monkeypatch):
+    spec = parse_config_dict({"kind": "pde-run", "seed": 3, "model": {"epsilon": 0.2},
+                              "T": 0.02, "grid": {"L": 8, "cells": 128}})
+    calls = _spied_calls(monkeypatch, "solve_fp_1d", solve_fp_1d)
+    run_experiment(spec, out_dir=tmp_path)
+    (run,) = spec.payload.runs()
+    (call,) = calls
+    assert call.keys() == run.keys()
+    np.testing.assert_array_equal(call["mu0"], run["mu0"])
+    assert [(c["T"], c["snapshot_every"], c["model"].epsilon, c["grid"].L, c["grid"].M)
+            for c in (call, run)] == [(0.02, 0.02 / 60, 0.2, 8.0, 128)] * 2
+
+
 class TestDoubleLimitSweep:
     CFG = {
         "kind": "double-limit-sweep", "seed": 4,
@@ -307,10 +379,10 @@ class TestDoubleLimitSweep:
         lock = threading.Lock()
         network_cell = harness._network_cell
 
-        def spy(model, n, rule, *args, **kwargs):
+        def spy(run, *args, **kwargs):
             with lock:
-                entered.append((n, rule.kind))
-            return network_cell(model, n, rule, *args, **kwargs)
+                entered.append((run["model"].n, run["model"].scaling.kind))
+            return network_cell(run, *args, **kwargs)
 
         class Pool(harness.ThreadPoolExecutor):
             def submit(self, fn, *args, **kwargs):

@@ -48,6 +48,12 @@ CONFIGS = {
                     "scalings": [{"kind": "linear"}, {"kind": "sqrt"}], "T": 0.02,
                     "mode": "rescaled-early"},
         "pde": {"model": {}, "epsilons": [0.4, 0.2], "T": 0.02, **SEPARABLE_GRID}},
+    # direct cells: the step follows from the model, and the contraction
+    # snapshot at 10/gamma falls inside T for the linear cells only
+    "double-limit-sweep-direct": {
+        "kind": "double-limit-sweep", "seed": 5,
+        "network": {"model": NETWORK, "n_values": [6, 12],
+                    "scalings": [{"kind": "linear"}, {"kind": "sqrt"}], "T": 2.0}},
     "balance-analysis": {
         "kind": "balance-analysis", "seed": 5, "model": {"family": "fhn-chemical"},
         "sbar": {"E": 0.5, "I": 0.3}},

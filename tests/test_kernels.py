@@ -422,6 +422,45 @@ def test_cache_hit_starts_no_process(tmp_path, monkeypatch):
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".so"] + 3 * [".verdict"]
 
 
+@needs_cc
+def test_a_build_prunes_the_cache_and_a_loaded_twin_outlives_its_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path)
+    # six stale libraries older than the build, stale5 the newest, each
+    # with a verdict; a verdict whose library is gone; a half-written file
+    for i in range(6):
+        stale = tmp_path / f"kernels-stale{i}.so"
+        stale.write_bytes(b"")
+        os.utime(stale, ns=(i * 10 ** 9, i * 10 ** 9))
+        (tmp_path / f"kernels-stale{i}.fp_chunk.0123.verdict").write_text("pass\n")
+    (tmp_path / "kernels-gone.fp_chunk.0123.verdict").write_text("pass\n")
+    halves = [tmp_path / "kernels-0123abcd_x1y2.tmp",
+              tmp_path / "kernels-gone.fp_chunk.0123.verdict.99-1.tmp"]
+    for half in halves:
+        half.write_bytes(b"")
+    monkeypatch.setattr(_kernels, "_c_twins", None)
+    assert backend("fp_chunk") == backend("rk4_affine") == "c"
+    (built,) = set(tmp_path.glob("kernels-*.so")) - {tmp_path / f"kernels-stale{i}.so"
+                                                     for i in range(6)}
+    assert {p.name for p in tmp_path.glob("kernels-*.so")} == {
+        built.name, "kernels-stale5.so", "kernels-stale4.so", "kernels-stale3.so"}
+    assert len(list(tmp_path.glob("kernels-*.so"))) == _clib.KEEP_LIBRARIES
+    verdicts = {p.name.split(".", 1)[0] for p in tmp_path.glob("*.verdict")}
+    assert verdicts == {built.stem, "kernels-stale5", "kernels-stale4", "kernels-stale3"}
+    assert all(half.exists() for half in halves)
+    # newer builds push the loaded library out; its twins still run
+    twin = _kernels.c_twin("rk4_affine")
+    os.utime(built, ns=(0, 0))
+    newer = [tmp_path / f"kernels-newer{i}.so" for i in range(_clib.KEEP_LIBRARIES)]
+    for path in newer:
+        path.write_bytes(b"")
+    _clib._prune(tmp_path, newer[0])
+    assert not built.exists() and all(path.exists() for path in newer)
+    assert not any(tmp_path.glob(f"{built.stem}.*.verdict"))
+    col, ref = np.zeros(5), np.zeros(5)
+    assert twin(-0.5, 1.0, 2.0, 0.1, col, 4) == rk4_affine(-0.5, 1.0, 2.0, 0.1, ref, 4) == 4
+    np.testing.assert_array_equal(col, ref)
+
+
 def test_library_name_keys_on_the_cpu(monkeypatch):
     cc = shutil.which("cc") or sys.executable  # any binary serves as the compiler key
     if os.path.exists("/proc/cpuinfo"):
