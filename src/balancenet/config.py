@@ -16,8 +16,10 @@ to its spec class; it is the one place kinds are named.
 
 A spec's runs() is where its kind's runs are described: the keyword
 arguments, all but the seed, of each network.simulate (or pde.solve_fp_1d)
-call, in order; the parse checks them and the runner steps them. Its twins
-and ufuncs name the C twins and numpy ufuncs those runs call.
+call, in order; the parse checks them and the runner steps them. A
+Fokker-Planck run at any epsilon, a pde-run's or a sweep member's, is its
+spec's run_at(epsilon). Its twins and ufuncs name the C twins and numpy
+ufuncs those runs call.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionErro
                      NetworkModel, ScalingRule, SeparableModel1D, SeparableParams,
                      build_separable_1d)
 from .network import CoordinateIC, PerturbationEvent, RecordSpec, check_run, rescaled_early_args
-from .pde import (SNAPSHOTS_PER_RUN, Grid1D, check_concentration, check_horizon, fp_steps,
-                  gaussian_initial)
+from .pde import SNAPSHOTS_PER_RUN, Grid1D, fp_steps, gaussian_initial
 
 MISSING_KEY = "MISSING_KEY"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -340,13 +341,11 @@ class GridConfig(_Section):
 
 @dataclass(frozen=True)
 class PdeInitConfig(_Section):
-    """Initial Gaussian of a Fokker-Planck run."""
+    """Initial Gaussian of a Fokker-Planck run, checked with the run (see
+    _FpRuns)."""
 
     center: float = 1.0
     concentration: float = 1.0
-
-    def __post_init__(self):
-        check_concentration(self.concentration)
 
 
 @dataclass(frozen=True)
@@ -448,8 +447,44 @@ class RescaledEarlySpec(_NetworkRuns):
                 for model in models]
 
 
+class _FpRuns(_Section):
+    """A spec, or sweep section, whose runs are pde.solve_fp_1d calls, one
+    per epsilon, each given by run_at. The parse checks the run at the
+    largest epsilon with solve_fp_1d's own checks: a finer epsilon takes
+    more steps and starts from a narrower profile, so if the largest cannot
+    run, none can."""
+
+    # exp: the initial density and the beta sigmoid; log: Hopf-Cole
+    twins, ufuncs = ("fp_chunk", "snapshot_certificates"), ("exp", "log")
+    snapshot_every = t0 = None  # keys of a pde-run and of an epsilon sweep
+
+    def __post_init__(self):
+        check_epsilons(self.epsilons)
+        # the step checks, then the initial density
+        epsilon = max(self.epsilons)
+        fp_steps(self.model.build(epsilon), self.grid.build(), self.T,
+                 snapshot_every=self.snapshot_every)
+        try:
+            self.run_at(epsilon)
+        except ModelDefinitionError as err:
+            raise ModelDefinitionError(str(err), f"init.{err.key}") from err
+        # the bound checks read the snapshots at t >= t0, and t = 0 has no bound
+        if self.t0 is not None and not 0 < self.t0 <= self.T:
+            raise ModelDefinitionError("t0 must lie in (0, T]", "t0")
+
+    def run_at(self, epsilon: float) -> dict:
+        """pde.solve_fp_1d's arguments, by keyword, for the run at epsilon,
+        with a snapshot every T / SNAPSHOTS_PER_RUN unless snapshot_every is
+        set."""
+        model, grid = self.model.build(epsilon), self.grid.build()
+        snap = self.T / SNAPSHOTS_PER_RUN if self.snapshot_every is None else self.snapshot_every
+        return dict(model=model, grid=grid, T=self.T, snapshot_every=snap,
+                    mu0=gaussian_initial(grid, epsilon, self.init.concentration,
+                                         self.init.center))
+
+
 @dataclass(frozen=True)
-class PdeRunSpec(_Section):
+class PdeRunSpec(_FpRuns):
     model: SeparableRunConfig
     T: float
     grid: GridConfig = GridConfig()
@@ -457,30 +492,15 @@ class PdeRunSpec(_Section):
     snapshot_every: float | None = None
 
     command = "pde"
-    # exp: the initial density and the beta sigmoid; log: Hopf-Cole
-    twins, ufuncs = ("fp_chunk", "snapshot_certificates"), ("exp", "log")
-
-    def __post_init__(self):
-        # solve_fp_1d's step checks, then the run's initial density
-        fp_steps(self.model.build(self.model.epsilon), self.grid.build(), self.T,
-                 snapshot_every=self.snapshot_every)
-        try:
-            self.runs()
-        except ModelDefinitionError as err:
-            raise ModelDefinitionError(str(err), f"init.{err.key}") from err
+    epsilons = property(lambda self: (self.model.epsilon,))  # read as a one-member sweep
 
     def runs(self) -> list[dict]:
-        """pde.solve_fp_1d's arguments, by keyword, for the one run, with a
-        snapshot every T / SNAPSHOTS_PER_RUN unless snapshot_every is set."""
-        model, grid = self.model.build(self.model.epsilon), self.grid.build()
-        snap = self.T / SNAPSHOTS_PER_RUN if self.snapshot_every is None else self.snapshot_every
-        return [dict(model=model, grid=grid, T=self.T, snapshot_every=snap,
-                     mu0=gaussian_initial(grid, model.epsilon, self.init.concentration,
-                                          self.init.center))]
+        """The one run, at the model's epsilon."""
+        return [self.run_at(self.model.epsilon)]
 
 
 @dataclass(frozen=True)
-class DoubleLimitPdeSpec(_Section):
+class DoubleLimitPdeSpec(_FpRuns):
     """Mean-field column of the double-limit grid: an epsilon sweep whose
     bound checks start at the default t0."""
 
@@ -490,25 +510,12 @@ class DoubleLimitPdeSpec(_Section):
     grid: GridConfig = GridConfig()
     init: PdeInitConfig = PdeInitConfig()
 
-    t0 = None  # not a key here; EpsilonSweepSpec makes it one
-    twins, ufuncs = PdeRunSpec.twins, PdeRunSpec.ufuncs  # one run per member
-
-    def __post_init__(self):
-        check_epsilons(self.epsilons)
-        check_horizon(self.T)
-
 
 @dataclass(frozen=True)
 class EpsilonSweepSpec(DoubleLimitPdeSpec):
     t0: float | None = None
 
     command = "pde"
-
-    def __post_init__(self):
-        super().__post_init__()
-        # the bound checks read the snapshots at t >= t0, and t = 0 has no bound
-        if self.t0 is not None and not 0 < self.t0 <= self.T:
-            raise ModelDefinitionError("t0 must lie in (0, T]", "t0")
 
 
 @dataclass(frozen=True)

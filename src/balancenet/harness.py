@@ -194,9 +194,7 @@ def _run_pde(p: PdeRunSpec, seed: int, out: Path) -> tuple[str, dict]:
 def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str, dict]:
     """An epsilon-sweep experiment, or the mean-field column of a
     double-limit sweep (whose section has no t0 key)."""
-    report = epsilon_sweep(p.model.build(max(p.epsilons)), p.epsilons, p.grid.build(), p.T,
-                           init_concentration=p.init.concentration,
-                           init_center=p.init.center, t0=p.t0)
+    report = epsilon_sweep(p.epsilons, p.run_at, p.t0)
     diags = report.diagnostics
     write_csv(out / "sweep_summary.csv",
               ["epsilon", "sup_phi", "support_width", "interaction_final",

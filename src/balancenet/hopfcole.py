@@ -2,7 +2,8 @@
 support geometry, the limiting Hamiltonian residual, and the numerical
 counterparts of the a-priori bounds (quadratic envelope, gradient bound of
 w = sqrt(2F^2 - phi), moment bound, BV bound on the interaction series),
-assembled into a cross-epsilon convergence report.
+assembled into a cross-epsilon convergence report. The sweep solves each
+member from its spec's run_at, as a pde-run at that epsilon is solved.
 
 Fitted constants are diagnostics, not the existential constants of the
 theory: each check fits them on the coarsest-epsilon run (plus a small
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._kernels import c_twin, snapshot_certificates
 from .models import ModelDefinitionError, SeparableModel1D
-from .pde import SNAPSHOTS_PER_RUN, FpRun, Grid1D, gaussian_initial, solve_fp_1d
+from .pde import FpRun, Grid1D, solve_fp_1d
 
 FLOOR_RATIO = 1e-15
 CORE_RATIO = 1e-2
@@ -327,14 +328,15 @@ def check_epsilons(epsilons) -> None:
                                    "epsilons")
 
 
-def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float,
-                  init_concentration: float = 1.0, init_center: float = 1.0,
-                  snapshot_every: float | None = None, t0: float | None = None
-                  ) -> ConvergenceReport:
-    """Run the solver per epsilon and assemble the concentration trend suite
-    and the uniform-in-epsilon bound certificates.
+def epsilon_sweep(epsilons, run_at, t0: float | None = None) -> ConvergenceReport:
+    """Solve and certify the run at each epsilon, solve_fp_1d(**run_at(e)),
+    and assemble the concentration trend suite and the uniform-in-epsilon
+    bound certificates.
 
-    epsilons must be strictly decreasing inside (0, 1]. Failures of a single
+    epsilons must be strictly decreasing inside (0, 1]. run_at(e) gives
+    solve_fp_1d's keyword arguments at e (see config's Fokker-Planck specs):
+    one model family, grid and horizon T for every e, and an initial density
+    that builds at the largest. t0 defaults to T / 10. Failures of a single
     epsilon are recorded and the sweep continues. The moment bound is
     checked for the fourth moment (k = 2). Each member's run is transformed
     once, its certificates are taken in one kernel pass over the transform,
@@ -343,21 +345,17 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
     """
     eps = [float(e) for e in epsilons]
     check_epsilons(eps)
-    if snapshot_every is None:
-        snapshot_every = T / SNAPSHOTS_PER_RUN
-    if t0 is None:
-        t0 = T / 10
-
     # the fourth moment's constant reads f, alpha, sigma and the grid, not epsilon
-    c_star = constructive_moment_constant(base_model, grid, 2)
+    first = run_at(eps[0])
+    c_star = constructive_moment_constant(first["model"], first["grid"], 2)
+    if t0 is None:
+        t0 = first["T"] / 10
 
     def certify(e: float) -> EpsilonDiagnostics:
         """One member's numbers; its run and transform die on return."""
         d = EpsilonDiagnostics(epsilon=e)
         try:
-            model = base_model.with_epsilon(e)
-            mu0 = gaussian_initial(grid, e, init_concentration, init_center)
-            run = solve_fp_1d(model, grid, mu0, T, snapshot_every=snapshot_every)
+            run = solve_fp_1d(**run_at(e))
             _, series, d.excess, d.theta = snapshot_series(run, t0)
             d.sup_phi_final, d.support_width_final, d.i_final, d.residual_sup_final = (
                 float(series[name][-1])
@@ -392,7 +390,7 @@ def epsilon_sweep(base_model: SeparableModel1D, epsilons, grid: Grid1D, T: float
         # epsilon must still cover it (the family-level content of the
         # bounds; initial-profile constants are family data)
         fit_members = ok[:-1] if len(ok) > 2 else ok[:1]
-        fit = fit_supersolution_envelope(envelope_slopes(base_model),
+        fit = fit_supersolution_envelope(envelope_slopes(first["model"]),
                                          [d.excess for d in fit_members],
                                          [d.times for d in fit_members])
         report.envelope_fit = fit

@@ -365,10 +365,6 @@ class SeparableModel1D:
         if not self.beta_floor > 0:
             raise ModelDefinitionError("beta must be bounded below by a positive constant")
 
-    def with_epsilon(self, epsilon: float) -> "SeparableModel1D":
-        return SeparableModel1D(self.f, self.alpha, self.beta, self.sigma, epsilon,
-                                self.beta_floor)
-
 
 def build_separable_1d(epsilon: float, params: SeparableParams = SeparableParams()
                        ) -> SeparableModel1D:

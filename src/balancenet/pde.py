@@ -62,22 +62,17 @@ class Grid1D:
         return -self.L + np.arange(self.M + 1) * self.dx
 
 
-def check_concentration(concentration: float) -> None:
-    """The condition gaussian_initial puts on its concentration A."""
-    if not concentration > 0:
-        raise ModelDefinitionError("concentration must be positive", "concentration")
-
-
 def gaussian_initial(grid: Grid1D, epsilon: float, concentration: float = 1.0,
                      center: float = 0.0) -> np.ndarray:
     """mu0 proportional to exp(-A (x - x0)^2 / eps), normalized on the grid,
-    as an (M,) array; a profile that vanishes on every cell is rejected
-    with ModelDefinitionError.
+    as an (M,) array; a concentration A that is not positive, or a profile
+    that vanishes on every cell, is rejected with ModelDefinitionError.
 
     This family satisfies the concentration hypothesis on initial data
     (eps log mu0 <= -A x^2 + B uniformly in eps) by construction.
     """
-    check_concentration(concentration)
+    if not concentration > 0:
+        raise ModelDefinitionError("concentration must be positive", "concentration")
     x = grid.centers
     v = np.exp(-concentration * (x - center) ** 2 / epsilon)
     total = v.sum() * grid.dx
@@ -119,12 +114,6 @@ def cfl_timestep(model: SeparableModel1D, grid: Grid1D, cfl: float = CFL_NUMBER)
     return cfl / denom
 
 
-def check_horizon(T: float) -> None:
-    """The condition solve_fp_1d puts on its horizon T."""
-    if not T > 0:
-        raise ModelDefinitionError("T must be positive", "T")
-
-
 def fp_steps(model: SeparableModel1D, grid: Grid1D, T: float, dt: float | None = None,
              cfl: float = CFL_NUMBER, snapshot_every: float | None = None) -> tuple[float, int]:
     """(step, number of steps) of solve_fp_1d's march to T on grid: dt
@@ -133,7 +122,8 @@ def fp_steps(model: SeparableModel1D, grid: Grid1D, T: float, dt: float | None =
     (and finite) and CflError for a dt beyond the CFL step or more than
     MAX_STEPS steps, so a config is rejected at parse time by the same
     checks."""
-    check_horizon(T)
+    if not T > 0:
+        raise ModelDefinitionError("T must be positive", "T")
     if snapshot_every is not None and not 0 < snapshot_every < math.inf:
         raise ModelDefinitionError("snapshot_every must be positive and finite", "snapshot_every")
     dt_max = cfl_timestep(model, grid, cfl)

@@ -17,8 +17,7 @@ from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
 from balancenet.hopfcole import epsilon_sweep
 from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
-                               NetworkModel, ScalingRule, SeparableModel1D,
-                               build_separable_1d)
+                               NetworkModel, ScalingRule, SeparableModel1D)
 from balancenet.network import (CoordinateIC, PerturbationEvent, RecordSpec,
                                 apply_perturbation, simulate, simulate_rescaled_early)
 from balancenet.pde import Grid1D, gaussian_initial, solve_fp_1d
@@ -90,10 +89,12 @@ def chemical_stable_run():
 @pytest.fixture(scope="module")
 def concentration_sweep():
     """Default separable model, eps in {0.4, 0.2, 0.1, 0.05}, with timing."""
-    base = build_separable_1d(0.4)
+    p = parse_config_dict({"kind": "epsilon-sweep", "seed": 1, "model": {},
+                           "epsilons": [0.4, 0.2, 0.1, 0.05], "grid": {"L": 8.0, "cells": 1024},
+                           "T": 5.0, "t0": 0.5, "init": {"center": 1.0, "concentration": 1.0}}
+                          ).payload
     t0 = time.perf_counter()
-    report = epsilon_sweep(base, (0.4, 0.2, 0.1, 0.05), Grid1D(8.0, 1024), 5.0,
-                           init_concentration=1.0, init_center=1.0, t0=0.5)
+    report = epsilon_sweep(p.epsilons, p.run_at, p.t0)
     return report, time.perf_counter() - t0
 
 

@@ -126,12 +126,22 @@ class TestExitCodes:
         ("figures", {"kind": "figures", "seed": 1, "figure": "fig1",
                      "model": {"family": "fhn-electrical", "n": 10 ** 12}}, "model.n"),
         ("sweep", {**SWEEP_CFG, "network": {**SWEEP_CFG["network"], "n_values": [20, 10 ** 12]}},
-         "network.n_values")])
+         "network.n_values"),
+        # an epsilon sweep's run at its largest epsilon: no member could run
+        ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [0.4, 0.2],
+                 "grid": {"L": 8, "cells": 128}, "init": {"center": 100.0}, "T": 0.1},
+         "init.center"),
+        ("sweep", {"kind": "double-limit-sweep", "seed": 1,
+                   "pde": {"model": {}, "epsilons": [0.4, 0.2], "grid": {"L": 8, "cells": 128},
+                           "init": {"center": 100.0}, "T": 0.1}}, "pde.init.center"),
+        ("pde", {"kind": "epsilon-sweep", "seed": 1, "model": {}, "epsilons": [1.0, 0.5],
+                 "grid": {"L": 8, "cells": 4096}, "T": 2000.0}, "T")])
     def test_value_a_whole_run_rejects_is_one_before_output(self, tmp_path, capsys, command,
                                                             cfg, path):
         # the step guard, the epsilon order, a figure run's step, the
         # Fokker-Planck horizon and step budget, the snapshot schedule, an
-        # epsilon sweep's t0, a pde-run's initial density, a --seed, a
+        # epsilon sweep's t0, the initial density of a pde-run or of a
+        # sweep's largest epsilon, a --seed, a
         # number that is not finite, a family's noise level, the mean gates
         # of a balance analysis, an empty sweep list, a double-limit cell's
         # horizon, an initial law's parameters, a grid and a population's

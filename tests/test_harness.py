@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from balancenet.balance import chemical_balance_voltages
 from balancenet.config import parse_config_dict
-from balancenet import harness
+from balancenet import harness, hopfcole
 from balancenet._kernels import csv_body, csv_column_kind, format_value
 from balancenet.harness import file_digest, run_experiment, write_csv
 from balancenet.models import NetworkModel
@@ -265,16 +265,16 @@ NETWORK_KINDS = {
 }
 
 
-def _spied_calls(monkeypatch, name: str, target) -> list[dict]:
-    """The arguments of each call the harness makes to its binding name of
-    target, bound by name; the calls still run."""
+def _spied_calls(monkeypatch, name: str, target, module=harness) -> list[dict]:
+    """The arguments of each call module (the harness unless given) makes
+    to its binding name of target, bound by name; the calls still run."""
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(dict(inspect.signature(target).bind(*args, **kwargs).arguments))
         return target(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -303,16 +303,36 @@ def test_runner_steps_exactly_the_runs_of_its_spec(tmp_path, monkeypatch, name):
 
 
 def test_pde_run_solves_exactly_the_run_of_its_spec(tmp_path, monkeypatch):
-    spec = parse_config_dict({"kind": "pde-run", "seed": 3, "model": {"epsilon": 0.2},
-                              "T": 0.02, "grid": {"L": 8, "cells": 128}})
-    calls = _spied_calls(monkeypatch, "solve_fp_1d", solve_fp_1d)
-    run_experiment(spec, out_dir=tmp_path)
-    (run,) = spec.payload.runs()
-    (call,) = calls
-    assert call.keys() == run.keys()
-    np.testing.assert_array_equal(call["mu0"], run["mu0"])
-    assert [(c["T"], c["snapshot_every"], c["model"].epsilon, c["grid"].L, c["grid"].M)
-            for c in (call, run)] == [(0.02, 0.02 / 60, 0.2, 8.0, 128)] * 2
+    # a pde-run solves its runs() entry, and each member of an epsilon
+    # sweep, or of a double-limit sweep's pde column, its section's
+    # run_at(epsilon), in epsilon order
+    grid = {"L": 8, "cells": 128}
+    for name, config, epsilons in [
+            ("pde-run", {"kind": "pde-run", "seed": 3, "model": {"epsilon": 0.2}, "T": 0.02,
+                         "grid": grid}, [0.2]),
+            ("epsilon-sweep", {"kind": "epsilon-sweep", "seed": 3, "model": {},
+                               "epsilons": [0.4, 0.2, 0.1], "T": 0.02, "t0": 0.01,
+                               "grid": grid, "init": {"center": 0.5}}, [0.4, 0.2, 0.1]),
+            ("double-limit-sweep", {"kind": "double-limit-sweep", "seed": 3,
+                                    "pde": {"model": {}, "epsilons": [0.4, 0.2], "T": 0.02,
+                                            "grid": grid}}, [0.4, 0.2])]:
+        spec = parse_config_dict(config)
+        with monkeypatch.context() as patch:
+            by_harness = _spied_calls(patch, "solve_fp_1d", solve_fp_1d)
+            by_sweep = _spied_calls(patch, "solve_fp_1d", solve_fp_1d, hopfcole)
+            run_experiment(spec, out_dir=tmp_path / name)
+        calls = by_harness + by_sweep
+        section = spec.payload.pde if name == "double-limit-sweep" else spec.payload
+        described = (section.runs() if name == "pde-run"
+                     else [section.run_at(e) for e in epsilons])
+        assert [call["model"].epsilon for call in calls] == epsilons
+        assert len(calls) == len(described)
+        for call, run in zip(calls, described):
+            assert call.keys() == run.keys()
+            np.testing.assert_array_equal(call["mu0"], run["mu0"])
+            assert [(c["T"], c["snapshot_every"], c["model"].epsilon, c["grid"].L, c["grid"].M)
+                    for c in (call, run)] == [(0.02, 0.02 / 60, run["model"].epsilon, 8.0,
+                                               128)] * 2
 
 
 class TestDoubleLimitSweep:

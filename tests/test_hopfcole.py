@@ -13,7 +13,7 @@ from balancenet.hopfcole import (CORE_RATIO, FIT_SLACK, N_CANDIDATES, EnvelopeFi
                                  envelope_slopes, epsilon_sweep, fit_supersolution_envelope,
                                  hopf_cole, snapshot_series, support_width)
 from balancenet.models import build_separable_1d
-from balancenet.pde import FpRun, Grid1D, gaussian_initial, solve_fp_1d
+from balancenet.pde import SNAPSHOTS_PER_RUN, FpRun, Grid1D, gaussian_initial, solve_fp_1d
 
 from .oracles import density_from_values
 from .test_pde import ou_model
@@ -552,14 +552,24 @@ class TestRunArrays:
             snapshot_series(late, 1.5)
 
 
+def _run_at(grid: Grid1D, T: float, snapshot_every: float | None = None):
+    """A sweep's run_at: solve_fp_1d's arguments for the default separable
+    model at epsilon on grid to T, from the Gaussian at 1 of concentration
+    1, with a snapshot every snapshot_every, or every T / SNAPSHOTS_PER_RUN
+    as config's specs default it."""
+    def run_at(epsilon):
+        return dict(model=build_separable_1d(epsilon), grid=grid, T=T,
+                    mu0=gaussian_initial(grid, epsilon, 1.0, 1.0),
+                    snapshot_every=T / SNAPSHOTS_PER_RUN if snapshot_every is None
+                    else snapshot_every)
+    return run_at
+
+
 class TestSweepConsistency:
     def test_single_epsilon_sweep_equals_individual_diagnostics(self):
-        from balancenet.hopfcole import epsilon_sweep
-        from balancenet.pde import solve_fp_1d, gaussian_initial
         base = build_separable_1d(0.3)
         grid = Grid1D(8.0, 256)
-        rep = epsilon_sweep(base, (0.3,), grid, 1.0, init_center=1.0,
-                            snapshot_every=0.25, t0=0.25)
+        rep = epsilon_sweep((0.3,), _run_at(grid, 1.0, snapshot_every=0.25), t0=0.25)
         d = next(d for d in rep.diagnostics if d.epsilon == 0.3)
         assert d.status == "COMPLETED"
         run = solve_fp_1d(base, grid, gaussian_initial(grid, 0.3, 1.0, 1.0), 1.0,
@@ -586,21 +596,19 @@ class TestSweepConsistency:
             snapshot_series(run, math.nextafter(0.25, 1.0))
 
     def test_strictly_decreasing_epsilons_required(self):
-        from balancenet.hopfcole import epsilon_sweep
-        base = build_separable_1d(0.3)
+        run_at = _run_at(Grid1D(8.0, 128), 1.0)
         with pytest.raises(ValueError):
-            epsilon_sweep(base, (0.2, 0.4), Grid1D(8.0, 128), 1.0)
+            epsilon_sweep((0.2, 0.4), run_at)
         with pytest.raises(ValueError):
-            epsilon_sweep(base, (1.5, 0.4), Grid1D(8.0, 128), 1.0)
+            epsilon_sweep((1.5, 0.4), run_at)
 
     def test_member_failure_recorded_sweep_continues(self):
-        from balancenet.hopfcole import epsilon_sweep
-        base = build_separable_1d(0.4)
-        rep = epsilon_sweep(base, (0.4, 1e-7), Grid1D(8.0, 128), 1.0)
+        # the finer member's initial profile vanishes on the grid
+        rep = epsilon_sweep((0.4, 1e-7), _run_at(Grid1D(8.0, 128), 1.0))
         diag = {d.epsilon: d for d in rep.diagnostics}
         assert diag[0.4].status == "COMPLETED"
         assert diag[1e-7].status == "FAILED"
-        assert diag[1e-7].error
+        assert "profile vanishes" in diag[1e-7].error
 
     def test_each_member_is_transformed_once_and_dropped(self, monkeypatch):
         # the member's one transform and one kernel pass serve every
@@ -631,8 +639,7 @@ class TestSweepConsistency:
         monkeypatch.setattr(hopfcole, "solve_fp_1d", tracked_solve)
         monkeypatch.setattr(hopfcole, "c_twin", lambda name: counted_kernel)
         monkeypatch.setattr(hopfcole, "constructive_moment_constant", counted_constant)
-        rep = epsilon_sweep(build_separable_1d(0.4), (0.4, 0.2, 0.1, 0.05), Grid1D(8.0, 256),
-                            0.1, t0=0.02)
+        rep = epsilon_sweep((0.4, 0.2, 0.1, 0.05), _run_at(Grid1D(8.0, 256), 0.1), t0=0.02)
         assert [d.status for d in rep.diagnostics] == ["COMPLETED"] * 4
         assert rep.verdicts["envelope_uniform"]
         assert len(transforms) == 4

@@ -346,6 +346,26 @@ def test_package_data_ships_every_c_source():
         assert any(fnmatch.fnmatch(src.name, pat) for pat in patterns["balancenet"]), src.name
 
 
+@pytest.fixture(scope="module")
+def session_library():
+    """The library in the session's cache, built there by the first kernel
+    request."""
+    assert backend("fp_chunk") == "c"
+    library = _clib._cache_dir() / _clib._library_name(shutil.which("cc"))
+    assert library.exists()
+    return library
+
+
+def _cache_with(cache: Path, library: Path) -> Path:
+    """cache holding a copy of library, which is what a build there would
+    write, since the library's name keys its sources, flags, compiler and
+    CPU. A test whose subject is a verdict, a fallback or a cache hit starts
+    from it rather than compiling."""
+    cache.mkdir(parents=True, exist_ok=True)
+    shutil.copy2(library, cache / library.name)
+    return cache
+
+
 @needs_cc
 def test_concurrent_first_requests_build_once(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
@@ -399,9 +419,10 @@ def test_unwritable_cache_builds_in_temp_dir(tmp_path, monkeypatch):
 
 
 @needs_cc
-def test_cache_hit_starts_no_process(tmp_path, monkeypatch):
+def test_cache_hit_starts_no_process(tmp_path, monkeypatch, session_library):
     # a warm cache is found from the compiler binary's stat alone, and the
     # twins' verdicts are read from their files
+    _cache_with(tmp_path, session_library)
     monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path)
     monkeypatch.setattr(_kernels, "_c_twins", None)
     assert backend("fp_chunk") == backend("network_chunk") == backend("normal_block") == "c"
@@ -472,7 +493,9 @@ def test_library_name_keys_on_the_cpu(monkeypatch):
 
 
 @needs_cc
-def test_missing_or_unreadable_verdict_runs_the_check_again(tmp_path, monkeypatch):
+def test_missing_or_unreadable_verdict_runs_the_check_again(tmp_path, monkeypatch,
+                                                            session_library):
+    _cache_with(tmp_path, session_library)
     monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path)
     checks = []
     check = _selfcheck.CHECKS["fp_chunk"]
@@ -496,9 +519,11 @@ def test_missing_or_unreadable_verdict_runs_the_check_again(tmp_path, monkeypatc
 
 
 @needs_cc
-def test_verdict_is_not_read_under_another_reference_text(tmp_path, monkeypatch):
+def test_verdict_is_not_read_under_another_reference_text(tmp_path, monkeypatch,
+                                                          session_library):
     # a change to the numpy kernels or to the check's cases checks again
-    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path / "cache")
+    cache = _cache_with(tmp_path / "cache", session_library)
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: cache)
     refs = [tmp_path / ref.name for ref in _clib._CHECK_REFERENCES]
     for ref, copy in zip(_clib._CHECK_REFERENCES, refs):
         copy.write_text(ref.read_text())
@@ -1380,11 +1405,12 @@ CHEMICAL_EVENT_RUN = {**CHEMICAL_RUN, "events": [{"t": 0.02, "multipliers": {"g_
     ("csv_body", None, CHEMICAL_RUN),
     ("snapshot_certificates", None, PDE_RUN)])
 def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch, twin,
-                                                          kernel, config):
+                                                          kernel, config, session_library):
     spec = parse_config_dict(config)
     compiled = run_experiment(spec, out_dir=tmp_path / "compiled")
     assert compiled["backend"][twin] == "c"
-    monkeypatch.setattr(_clib, "_cache_dir", lambda: tmp_path / "cache")
+    cache = _cache_with(tmp_path / "cache", session_library)
+    monkeypatch.setattr(_clib, "_cache_dir", lambda: cache)
     monkeypatch.setattr(_kernels, "_c_twins", None)
     monkeypatch.setitem(_selfcheck.CHECKS, twin, lambda fn: False)
     assert _kernels.c_twin(twin) is None
