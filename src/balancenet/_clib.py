@@ -1,6 +1,6 @@
 """The C twins of ``_kernels.fp_chunk``, ``_kernels.snapshot_certificates``,
 ``_kernels.network_chunk``, ``_kernels.rk4_affine``, ``_kernels.csv_body``
-and ``rng.normal_block``: build, cache, load, wrap and check.
+and ``_kernels.normal_fill``: build, cache, load, wrap and check.
 
 ``_fp_chunk.c``, ``_network_chunk.c``, ``_normal_block.c``,
 ``_rk4_affine.c`` and ``_csv_body.c`` are compiled together with ``cc -O3
@@ -28,12 +28,12 @@ normal fill's AVX-512 branch, written with intrinsics and compiled where
 -march=native enables AVX-512F and AVX-512DQ, is integer arithmetic and
 the scalar branch's double operations, so it gives the same bits;
 build_target records which branch was built. Each twin still proves it
-once: its ``self_check()`` runs it and the Python function it follows on a
-fixed input and compares the bits, or for ``csv_body`` the text (see
-``_selfcheck``), and its verdict is kept in a small file next to the
-library, keyed on the library, the Python and numpy versions, numpy's exp
-target and the source text of the Python references and of the check, so
-a warm process runs no check.
+once: its ``self_check()`` runs it and its Python function on two copies
+of fixed inputs and compares the return values and every array
+argument's bits (see ``_selfcheck``), and its verdict is kept in a small
+file next to the library, keyed on the library, the Python and numpy
+versions, numpy's exp target and the source text of ``_kernels`` and
+``_selfcheck``, so a warm process runs no check.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ _C_SOURCES = tuple(Path(__file__).with_name(name)
 C_TARGET = "native"  # the instruction set the library is built for: the host CPU's
 _C_FLAGS = ("-O3", f"-march={C_TARGET}", "-ffp-contract=off", "-shared", "-fPIC")
 _C_LIBS = ("-lm",)
-# what a self-check compares a twin against: the Python kernels and the
-# check's cases, read as text (not imported) to key its cached verdict
+# what a self-check compares a twin against: the Python references and the
+# check's cases, read as text (not imported) to key its cached verdict;
+# _selfcheck imports nothing else from this package
 _CHECK_REFERENCES = tuple(Path(__file__).with_name(name)
                           for name in ("_kernels.py", "_selfcheck.py"))
 # the libraries a build leaves in the cache, itself included
@@ -339,9 +340,10 @@ def _c_normal_block(lib):
     """Wrap the C ``normal_block`` of ``lib`` as fill(key0, key1, out,
     start=0), which writes numpy's Generator(Philox(key=[key0,
     key1])).standard_normal into out, drawn from word ``start`` of the
-    stream on, and returns the word after the last one it read. Its
-    ``lanes`` is how many ziggurat candidates the build tests at once: 8
-    where -march=native has AVX-512 (F and DQ), else 1."""
+    stream on, and returns the word after the last one it read, as
+    ``_kernels.normal_fill`` does. Its ``lanes`` is how many ziggurat
+    candidates the build tests at once: 8 where -march=native has AVX-512
+    (F and DQ), else 1."""
     c_fn = lib.normal_block
     c_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p,
                      ctypes.c_long]

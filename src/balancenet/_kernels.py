@@ -1,7 +1,7 @@
 """Hot inner loops: Euler-Maruyama chunks of the FitzHugh-Nagumo network,
 the finite-volume Fokker-Planck update, the Hopf-Cole certificates of its
-snapshots, the scalar RK4 of the frozen-measure early-time ODE, and the
-text of a CSV body.
+snapshots, the scalar RK4 of the frozen-measure early-time ODE, the text of
+a CSV body and numpy's normals from any word of a Philox stream.
 
 Each network or Fokker-Planck kernel is one vectorized numpy function that
 updates its arrays in place and is bit-reproducible for identical inputs,
@@ -16,14 +16,14 @@ runs attribute its time to the family that called it. Both kernels have C
 twins (``_network_chunk.c``, ``_fp_chunk.c``, bit-identical to the numpy
 kernels) that ``_clib`` compiles for the host CPU into one library on the
 first request, cached per user, together with the C twins of
-``rng.normal_block`` (``_normal_block.c``), of ``snapshot_certificates``
-(in ``_fp_chunk.c``), of ``rk4_affine`` (``_rk4_affine.c``) and of
+``normal_fill`` (``_normal_block.c``), of ``snapshot_certificates`` (in
+``_fp_chunk.c``), of ``rk4_affine`` (``_rk4_affine.c``) and of
 ``csv_body`` (``_csv_body.c``, the same text), which are fetched with
-``c_twin`` rather than ``active``. ``c_twin`` hands
-a twin out once it has matched its Python function on a fixed input;
-without a working C compiler, for a twin that fails its check, or for the
-network twin where numpy's own exp loop cannot be read (see
-``_clib._exp_loop``), the Python function runs.
+``c_twin`` rather than ``active``. ``c_twin`` hands a twin out once it
+has matched its Python function here on fixed inputs; without a working C
+compiler, for a twin that fails its check, or for the network twin where
+numpy's own exp loop cannot be read (see ``_clib._exp_loop``), the Python
+function runs.
 """
 
 from __future__ import annotations
@@ -331,6 +331,26 @@ def csv_body(columns) -> str:
     """
     rows = list(map(",".join, zip(*map(_format_column, columns))))
     return "\n".join(rows) + "\n" if rows else ""
+
+
+# ---------------------------------------------------------------------------
+# standard normals of a Philox stream
+# ---------------------------------------------------------------------------
+
+
+def normal_fill(key0: int, key1: int, out: np.ndarray, start: int = 0) -> int:
+    """numpy's Generator(Philox(key=[key0, key1])).standard_normal into
+    ``out`` from word ``start`` of the stream on; returns the word after
+    the last one read."""
+    bits = np.random.Philox(key=np.array((key0, key1), dtype=np.uint64))
+    if start >= 4:
+        bits.advance(start // 4)
+    if start % 4:
+        bits.random_raw(start % 4)
+    np.random.Generator(bits).standard_normal(out=out)
+    state = bits.state
+    # the last counter used made words 4 (counter - 1) .. 4 counter - 1
+    return 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
 
 
 # ---------------------------------------------------------------------------

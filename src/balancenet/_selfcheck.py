@@ -1,8 +1,12 @@
-"""The self-checks of the C twins that ``_clib`` builds: each runs a twin
-and the Python function it follows on a fixed input and compares the
-results bit for bit, or the CSV text byte for byte. ``_clib._verdict``
-imports this module only when a verdict is not cached yet, so a warm
-process neither runs nor compiles these checks.
+"""The self-checks of the C twins that ``_clib`` builds, all made one way:
+each fixed case of a twin's arguments is built twice, the twin runs on one
+copy and the Python function it follows (its reference in ``_kernels``) on
+the other, and the two must return the same value (for ``csv_body`` the
+same text) and leave every array argument with the same bits, a view
+compared as the whole array it views. So a twin that writes outside its
+outputs, or into one of its inputs, fails too. ``_clib._verdict`` imports
+this module only when a verdict is not cached yet, so a warm process
+neither runs nor compiles these checks.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ import math
 
 import numpy as np
 
-from ._kernels import csv_body, fp_chunk, network_chunk, rk4_affine, snapshot_certificates
-from .models import conductance_source_maps
+from ._kernels import (csv_body, fp_chunk, network_chunk, normal_fill, rk4_affine,
+                       snapshot_certificates)
 
 # the self-check's stream: its 65,536 draws take both slow paths of the
 # ziggurat, 18 tails and 952 wedge tests
@@ -26,34 +30,53 @@ _EDGE_DRAWS = 4096
 # batch edge, so a piece of that many draws stops at word 2049, inside a
 # block of four words, and the next piece resumes there
 _SPLIT_DRAWS = 2019
+_SPLIT_WORD = 2049
+
+
+def _arrays(args) -> list:
+    """The arrays among args, those in a list of columns too, each as the
+    whole array it views."""
+    flat = [a for arg in args for a in (arg if isinstance(arg, list) else [arg])]
+    return [a if a.base is None else a.base for a in flat if isinstance(a, np.ndarray)]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    # compared as bits: -0.0 and 0.0, or two NaNs, would pass as floats
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    # compared as bytes: -0.0 and 0.0, or two NaNs, would pass as floats
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check(reference, cases):
+    """The check of a twin of ``reference``: whether on every case of
+    ``cases()`` the twin returns what the reference returns and leaves every
+    array argument with the bits the reference leaves."""
+
+    def check(twin) -> bool:
+        for ours, theirs in zip(cases(), cases()):
+            with np.errstate(over="ignore"):  # the chemical gates past exp's range
+                if twin(*ours) != reference(*theirs):
+                    return False
+            if not all(map(_same_bits, _arrays(ours), _arrays(theirs))):
+                return False
+        return True
+
+    return check
+
+
+def _fill_cases():
+    """Fixed fill arguments (key0, key1, out, start): both keys' streams
+    whole, then the edge key's in two pieces, the second from the word
+    where the first stops. A fill whose tables, libm, batch edge or resumed
+    stream differ from the running numpy's fails, and the noise stays on
+    numpy."""
+    yield [*_CHECK_KEY, np.zeros(_CHECK_DRAWS), 0]
+    yield [*_EDGE_KEY, np.zeros(_EDGE_DRAWS), 0]
+    yield [*_EDGE_KEY, np.zeros(_SPLIT_DRAWS), 0]
+    yield [*_EDGE_KEY, np.zeros(_EDGE_DRAWS - _SPLIT_DRAWS), _SPLIT_WORD]
 
 
 def _wave(shape, phase: float) -> np.ndarray:
     """A fixed input that needs no random stream: sin(0.7 i + phase)."""
     return np.sin(np.arange(math.prod(shape)) * 0.7 + phase).reshape(shape)
-
-
-def _check_normal_block(fill) -> bool:
-    """Whether the C fill draws numpy's normals for two fixed keys, and for
-    the second one also in two pieces, the second resuming the stream where
-    the first stopped, so that tables, a libm, a batch edge or a resumed
-    stream that do not match the running numpy leave the noise to numpy."""
-    from .rng import _generator
-
-    for key, n in ((_CHECK_KEY, _CHECK_DRAWS), (_EDGE_KEY, _EDGE_DRAWS)):
-        out = np.empty(n)
-        fill(*key, out)
-        if not _same_bits(out, _generator(key).standard_normal(n)):
-            return False
-    pieces = np.empty(_EDGE_DRAWS)
-    word = fill(*_EDGE_KEY, pieces[:_SPLIT_DRAWS])
-    fill(*_EDGE_KEY, pieces[_SPLIT_DRAWS:], word)
-    return _same_bits(pieces, out)
 
 
 def _network_cases():
@@ -70,30 +93,19 @@ def _network_cases():
            np.array([-1.0, 5.0, -4.0, 4.0, 0.005, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
            1.0, 0, 1, np.full((1, 5, 2), np.nan), np.full((1, 5, 2), np.nan),
            np.full((1, 5, 3), np.nan)]
-    maps = conductance_source_maps([1.0, -1.0])
+    # conductance source maps, alpha_q = y_2 and beta_q = -E_q y_2, for
+    # reversal potentials E = (1, -1)
+    gate = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     for n in (7, 129):
         states = 1.0 + _wave((2 * n, 3), 0.3)
         states[:, 2] = 0.5 + 0.4 * _wave((2 * n,), 0.4)
         states[[3, n + 2], 0] = -720.0, 750.0  # theta - x = 718 and -752
         yield [states, _wave((4, 2 * n), 0.5), 1e-4,
                20.0 * np.array([[0.3, -1.0], [2.0, -10.0]]),
-               maps.alpha0, maps.alpha1, maps.beta0, maps.beta1,
+               np.zeros(2), gate, np.zeros(2), np.array([[-1.0], [1.0]]) * gate,
                np.array([-1.0, 1.3, -0.3, 0.0, 0.4, 1.5, 1.0, 0.5, 1.0, -2.0, 1.0]), 1.0, 1, 3,
                np.full((2, 2, 3), np.nan), np.full((2, 2, 3), np.nan),
                np.full((2, 2, 2), np.nan)]
-
-
-def _check_network_chunk(twin) -> bool:
-    """Whether the C network_chunk steps and records the fixed cases as the
-    numpy kernel does, in every bit."""
-    for args in _network_cases():
-        copy = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        with np.errstate(over="ignore"):  # the gates past exp's range
-            if twin(*args) != network_chunk(*copy):
-                return False
-        if not all(_same_bits(a, b) for a, b in zip(args, copy) if isinstance(a, np.ndarray)):
-            return False
-    return True
 
 
 def _fp_case(m: int, cfl: float = 0.5, nsteps: int = 3) -> list:
@@ -126,18 +138,6 @@ def _fp_cases():
     yield args
 
 
-def _check_fp_chunk(twin) -> bool:
-    """Whether the C fp_chunk steps the fixed cases as the numpy kernel
-    does, stopping at the same fault, in every bit."""
-    for args in _fp_cases():
-        copy = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        if twin(*args) != fp_chunk(*copy):
-            return False
-        if not all(_same_bits(args[i], copy[i]) for i in (0, 1, 10)):
-            return False
-    return True
-
-
 def _certificate_cases():
     """Fixed snapshot_certificates arguments on 40 cells. First 16 slopes
     over 6 snapshots, the w-gradient from row 2 on: row 0 all mask; row 1
@@ -160,38 +160,16 @@ def _certificate_cases():
                np.full((k, s), np.nan), np.full(s, np.nan), np.full(s, np.nan)]
 
 
-def _check_snapshot_certificates(twin) -> bool:
-    """Whether the C snapshot_certificates writes the fixed cases' envelope
-    maxima, residual sup-norms and w-gradient sup-norms as the numpy kernel
-    does, in every bit."""
-    for args in _certificate_cases():
-        copy = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        twin(*args)
-        snapshot_certificates(*copy)
-        if not all(_same_bits(args[i], copy[i]) for i in (11, 12, 13)):
-            return False
-    return True
-
-
-# (a, b, x, dt, last, width): a decaying and a growing solution, one that
-# overflows to inf at step 169 of 400, and one from a NaN; each is written
-# to column width // 2 of a NaN-filled (last + 1, width) array
-_RK4_CASES = ((-3.7, 1.2, 0.4, 1e-2, 500, 1), (250.0, -1.0, 0.3, 1e-3, 400, 3),
-              (50.0, 1.0, 1.0, 0.1, 400, 3), (-2.0, 0.5, math.nan, 1e-2, 5, 2))
-
-
-def _check_rk4_affine(twin) -> bool:
-    """Whether the C rk4_affine writes the fixed cases' columns and stops
-    at the same step as the Python loop, in every bit, leaving the rest of
-    each array (row 0 and the other columns) as it was."""
-    for a, b, x, dt, last, width in _RK4_CASES:
-        out, ref = np.full((last + 1, width), np.nan), np.full((last + 1, width), np.nan)
-        col = width // 2
-        if twin(a, b, x, dt, out[:, col], last) != rk4_affine(a, b, x, dt, ref[:, col], last):
-            return False
-        if not _same_bits(out, ref):
-            return False
-    return True
+def _rk4_cases():
+    """Fixed rk4_affine arguments: a decaying and a growing solution, one
+    that overflows to inf at step 169 of 400, and one from a NaN, each
+    written to column width // 2 of a NaN-filled (last + 1, width) array,
+    whose row 0 and other columns must stay as they were."""
+    for a, b, x, dt, last, width in ((-3.7, 1.2, 0.4, 1e-2, 500, 1),
+                                     (250.0, -1.0, 0.3, 1e-3, 400, 3),
+                                     (50.0, 1.0, 1.0, 0.1, 400, 3),
+                                     (-2.0, 0.5, math.nan, 1e-2, 5, 2)):
+        yield [a, b, x, dt, np.full((last + 1, width), np.nan)[:, width // 2], last]
 
 
 def _splitmix64(n: int, seed: int) -> np.ndarray:
@@ -227,19 +205,14 @@ def _csv_cases():
     decades = [s * v for k in range(19) for v in (10 ** k - 1, 10 ** k) for s in (1, -1)]
     ints = np.concatenate([np.array(extremes + decades, dtype=np.int64),
                            _splitmix64(4096, 0xA54FF53A5F1D36F1).view(np.int64)])
-    yield [floats]
-    yield [ints]
+    yield [[floats]]
+    yield [[ints]]
     table = floats[:3 * 4096].reshape(-1, 3)
-    yield [ints[:3000], table[:, 1], floats[::-7], table[:, 2][::-1], ints[::5]]
+    yield [[ints[:3000], table[:, 1], floats[::-7], table[:, 2][::-1], ints[::5]]]
 
 
-def _check_csv_body(twin) -> bool:
-    """Whether the C csv_body writes the fixed cases as repr and str do,
-    byte for byte."""
-    return all(twin(columns) == csv_body(columns) for columns in _csv_cases())
-
-
-CHECKS = {"fp_chunk": _check_fp_chunk, "snapshot_certificates": _check_snapshot_certificates,
-          "network_chunk": _check_network_chunk,
-          "normal_block": _check_normal_block, "rk4_affine": _check_rk4_affine,
-          "csv_body": _check_csv_body}
+CHECKS = {"fp_chunk": _check(fp_chunk, _fp_cases),
+          "snapshot_certificates": _check(snapshot_certificates, _certificate_cases),
+          "network_chunk": _check(network_chunk, _network_cases),
+          "normal_block": _check(normal_fill, _fill_cases),
+          "rk4_affine": _check(rk4_affine, _rk4_cases), "csv_body": _check(csv_body, _csv_cases)}

@@ -7,11 +7,11 @@ chunking of the integration loop, or generation order across runs.
 
 Normal blocks are drawn by a C twin of numpy's Philox4x64 ziggurat
 (``_normal_block.c``, see ``_kernels.c_twin``) once it is built and has
-matched numpy's draws, else by numpy; both give the same bits. On a CPU
-with AVX-512 the twin makes sixteen Philox blocks and tests eight ziggurat
-candidates at a time, with the same bits again (the manifest's
-``backend.normal_block_lanes`` is 8, else 1). A block may be drawn in
-pieces that resume the stream through a StreamCursor.
+matched numpy's draws, else by numpy (``_kernels.normal_fill``); both give
+the same bits. On a CPU with AVX-512 the twin makes sixteen Philox blocks
+and tests eight ziggurat candidates at a time, with the same bits again
+(the manifest's ``backend.normal_block_lanes`` is 8, else 1). A block may
+be drawn in pieces that resume the stream through a StreamCursor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import c_twin
+from ._kernels import c_twin, normal_fill
 
 # purpose ids; keep stable, they are part of the reproducibility contract
 NOISE_STREAM = 0
@@ -56,21 +56,6 @@ class StreamCursor:
     word: int = 0
 
 
-def _numpy_fill(key0: int, key1: int, out: np.ndarray, start: int = 0) -> int:
-    """numpy's normals for ``out`` from word ``start`` of the key's stream
-    on, as the C fill draws them; returns the word after the last one
-    read."""
-    bits = np.random.Philox(key=np.array((key0, key1), dtype=np.uint64))
-    if start >= 4:
-        bits.advance(start // 4)
-    if start % 4:
-        bits.random_raw(start % 4)
-    np.random.Generator(bits).standard_normal(out=out)
-    state = bits.state
-    # the last counter used made words 4 (counter - 1) .. 4 counter - 1
-    return 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
-
-
 def normal_block(seed: int, purpose: int, block: int, shape: tuple[int, ...],
                  out: np.ndarray | None = None,
                  cursor: StreamCursor | None = None) -> np.ndarray:
@@ -83,7 +68,7 @@ def normal_block(seed: int, purpose: int, block: int, shape: tuple[int, ...],
         out = np.empty(shape)
     elif out.shape != tuple(shape):
         raise ValueError(f"out has shape {out.shape}, not {tuple(shape)}")
-    fill = c_twin("normal_block") or _numpy_fill
+    fill = c_twin("normal_block") or normal_fill
     stop = fill(*key, out, 0 if cursor is None else cursor.word)
     if cursor is not None:
         cursor.word = stop

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import fnmatch
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from balancenet import _clib, _kernels, _selfcheck, rng
 from balancenet._clib import _C_FLAGS, _C_LIBS, _C_SOURCES
 from balancenet._kernels import (IMPLEMENTATIONS, active, backend, csv_body, fp_chunk,
-                                 network_chunk, numpy_target, rk4_affine,
+                                 network_chunk, normal_fill, numpy_target, rk4_affine,
                                  snapshot_certificates)
 from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
@@ -318,21 +319,31 @@ def test_c_source_compiles_without_warnings(tmp_path):
                                             "_rk4_affine.c", "_csv_body.c"}
     assert f"-march={_clib.C_TARGET}" in _C_FLAGS
 
-    def build(*sources, target=_clib.C_TARGET):
+    def start(out, *sources, target=_clib.C_TARGET):
         flags = [f"-march={target}" if flag.startswith("-march=") else flag for flag in _C_FLAGS]
-        return subprocess.run([shutil.which("cc"), *flags, "-Wall", "-Wextra", "-Werror",
-                               "-o", str(tmp_path / "kernels.so"), *map(str, sources), *_C_LIBS],
-                              capture_output=True, timeout=120)
+        return subprocess.Popen([shutil.which("cc"), *flags, "-Wall", "-Wextra", "-Werror",
+                                 "-o", str(tmp_path / out), *map(str, sources), *_C_LIBS],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
 
-    # on x86-64 also without AVX-512, so that both branches of the normal
-    # fill are built whatever the host CPU has
-    for target in (_clib.C_TARGET, *(("x86-64-v3",) if X86_64 else ())):
-        built = build(*_C_SOURCES, target=target)
-        assert built.returncode == 0, built.stderr.decode()
+    # the builds run at once, each writing its own library: on x86-64 also
+    # without AVX-512, so that both branches of the normal fill are built
+    # whatever the host CPU has, and one with an unused helper
     unused = tmp_path / "unused.c"
     unused.write_text("static double unused(double x)\n{\n    return x;\n}\n")
-    rejected = build(*_C_SOURCES, unused)
-    assert rejected.returncode != 0 and b"unused-function" in rejected.stderr
+    targets = (_clib.C_TARGET, *(("x86-64-v3",) if X86_64 else ()))
+    runs = [start(f"kernels-{target}.so", *_C_SOURCES, target=target) for target in targets]
+    runs.append(start("unused.so", *_C_SOURCES, unused))
+    try:
+        *built, rejected = [(run.communicate(timeout=120)[1], run.returncode) for run in runs]
+    finally:  # a run past its timeout leaves no compiler behind
+        for run in runs:
+            if run.poll() is None:
+                run.kill()
+                run.wait()
+    for stderr, returncode in built:
+        assert returncode == 0, stderr.decode()
+    stderr, returncode = rejected
+    assert returncode != 0 and b"unused-function" in stderr
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
@@ -1232,6 +1243,13 @@ def test_edge_keys_reach_the_batch_edge():
     assert layer == 0 and first < edge and end - 1 >= BATCH_WORDS
 
 
+def test_self_check_pieces_meet_inside_a_block_past_the_edge():
+    # the fill's self-check draws the edge key in two pieces; the first
+    # stops past the batch edge, inside a block of four words
+    word = normal_fill(*REJECT_AT_EDGE_KEY, np.empty(_selfcheck._SPLIT_DRAWS))
+    assert word == _selfcheck._SPLIT_WORD and word > BATCH_WORDS and word % 4
+
+
 EDGE_DRAWS = [0, 1, BATCH_WORDS - 1, BATCH_WORDS, BATCH_WORDS + 1, 3 * BATCH_WORDS + 5]
 
 
@@ -1250,7 +1268,7 @@ RESUME_WORDS = [1, 2, 3, BATCH_WORDS - 1, BATCH_WORDS, BATCH_WORDS + 1]
 
 def _fill(path, request):
     """The C fill or numpy's, as rng.normal_block calls them."""
-    return request.getfixturevalue("c_normal_block") if path == "c" else rng._numpy_fill
+    return request.getfixturevalue("c_normal_block") if path == "c" else normal_fill
 
 
 @pytest.mark.parametrize("path", ["c", "numpy"])
@@ -1287,7 +1305,7 @@ def test_c_normal_block_groups_match_numpy_at_every_cut(c_normal_block):
             for n in range(25):
                 drawn, expected = np.full(n, np.nan), np.full(n, np.nan)
                 assert (c_normal_block(*key, drawn, start)
-                        == rng._numpy_fill(*key, expected, start)), (key, start, n)
+                        == normal_fill(*key, expected, start)), (key, start, n)
                 _assert_same_bytes(drawn, expected)
 
 
@@ -1307,7 +1325,7 @@ def scalar_normal_block(request, tmp_path_factory):
 
 def test_scalar_branch_matches_numpy(scalar_normal_block):
     assert scalar_normal_block.lanes == 1
-    assert _selfcheck._check_normal_block(scalar_normal_block)
+    assert _selfcheck.CHECKS["normal_block"](scalar_normal_block)
     for key in (REJECT_AT_EDGE_KEY, TAIL_ACROSS_EDGE_KEY):
         for n in EDGE_DRAWS:
             _assert_same_bytes(_c_draws(scalar_normal_block, key, (n,)),
@@ -1431,12 +1449,13 @@ def test_failed_self_check_hands_out_numpy_with_same_bytes(tmp_path, monkeypatch
 
 @needs_cc
 @pytest.mark.parametrize("name", ["fp_chunk", "network_chunk", "rk4_affine", "csv_body",
-                                  "snapshot_certificates"])
+                                  "snapshot_certificates", "normal_block"])
 def test_self_check_catches_a_one_bit_difference(name):
     # a twin that is the Python function with one bit of its output moved
     numpy_kernel = {"fp_chunk": fp_chunk, "network_chunk": network_chunk,
                     "rk4_affine": rk4_affine, "csv_body": csv_body,
-                    "snapshot_certificates": snapshot_certificates}[name]
+                    "snapshot_certificates": snapshot_certificates,
+                    "normal_block": normal_fill}[name]
 
     def off_by_one_bit(*args):
         done = numpy_kernel(*args)
@@ -1445,8 +1464,8 @@ def test_self_check_catches_a_one_bit_difference(name):
         if name == "rk4_affine":  # the first step of the column, finite in some case
             args[4][1] = np.nextafter(args[4][1], np.inf)
             return done
-        # i_out, the w-gradient sup-norms, or the recorded stds
-        target = args[-2] if name == "network_chunk" else args[-1]
+        # i_out, the w-gradient sup-norms, the recorded stds or the last draw
+        target = args[{"network_chunk": -2, "normal_block": 2}.get(name, -1)]
         flat = target.reshape(-1)
         flat[-1] = np.nextafter(flat[-1], np.inf)
         return done
@@ -1455,6 +1474,65 @@ def test_self_check_catches_a_one_bit_difference(name):
     assert check(_kernels.c_twin(name))
     assert check(numpy_kernel)
     assert not check(off_by_one_bit)
+    if name == "normal_block":  # a fill that returns the word after the right one,
+        assert not check(lambda *args: numpy_kernel(*args) + 1)
+        # and one that draws every piece from the start of the stream
+        assert not check(lambda key0, key1, out, start: numpy_kernel(key0, key1, out))
+
+
+@pytest.mark.parametrize("name, kernel, target", [
+    ("fp_chunk", fp_chunk, lambda args: args[2]),  # f_face
+    ("snapshot_certificates", snapshot_certificates, lambda args: args[4])])  # big_i
+def test_self_check_catches_a_write_into_an_input(name, kernel, target):
+    # a twin that is the Python function, then moves the first value of one
+    # of its inputs one ulp up: its outputs are right, that input is not
+    def writes_an_input(*args):
+        done = kernel(*args)
+        values = target(args)
+        values[0] = np.nextafter(values[0], np.inf)
+        return done
+
+    assert _selfcheck.CHECKS[name](kernel)
+    assert not _selfcheck.CHECKS[name](writes_an_input)
+
+
+def test_self_check_compares_the_columns_of_csv_body():
+    # a twin that formats the columns, then writes into the last column of
+    # the last case, whose arrays no later case reads
+    def writes_a_column(columns):
+        text = csv_body(columns)
+        if len(columns) > 1:
+            columns[-1][0] += 1
+        return text
+
+    assert not _selfcheck.CHECKS["csv_body"](writes_a_column)
+
+
+def test_self_check_compares_the_whole_array_a_column_views():
+    # a twin that is the Python loop, then writes into column 0 of the
+    # array whose column width // 2 it was handed (width 2 or 3)
+    def writes_beside_the_column(a, b, x, dt, col, last):
+        done = rk4_affine(a, b, x, dt, col, last)
+        if col.base.shape[1] > 1:
+            col.base[:, 0] = 0.0
+        return done
+
+    assert not _selfcheck.CHECKS["rk4_affine"](writes_beside_the_column)
+
+
+def test_every_module_the_self_check_imports_keys_its_verdict():
+    # a cached verdict stands for the text of every balancenet module its
+    # check reads: _selfcheck itself and each module it imports from here
+    imported = set()
+    for node in ast.walk(ast.parse(Path(_selfcheck.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            imported |= {name.split(".")[1] for name in names if name.startswith("balancenet.")}
+    assert imported
+    assert ({f"{module}.py" for module in imported} | {"_selfcheck.py"}
+            == {ref.name for ref in _clib._CHECK_REFERENCES})
 
 
 @needs_cc
