@@ -1,12 +1,11 @@
-"""Balance-manifold computations: the two-population balance voltages and
-their stability rates, the frozen-measure early-time ODE, and
-distance-to-balance diagnostics. A measure enters only through its
-population means, which fix the affine network input (see
-models.SourceMaps).
+"""Balance-manifold computations: the balance voltages, the frozen-measure
+early-time ODE, and distance-to-balance diagnostics. A measure enters only
+through its population means, which fix the affine network input
+A_p x_0 + B_p (see models.SourceMaps): its zero -B_p / A_p is the balance
+voltage of population p, and A_p the rate of approach to it, stable when
+negative and marginal at zero.
 
-All functions are pure over immutable inputs. The signed conductance matrix
-ghat is source-major: ghat[q, beta] couples source population q onto target
-beta, with excitatory rows positive and inhibitory rows negative.
+All functions are pure over immutable inputs.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import c_twin, rk4_affine
-from .models import (ModelDefinitionError, NetworkModel, affine_coefficients,
-                     conductance_source_maps)
+from .models import NetworkModel
 
 DEGENERACY_RTOL = 1e-10
 
@@ -27,53 +25,19 @@ class DegenerateDenominatorError(ArithmeticError):
     """The balance-voltage denominator vanishes for a population."""
 
 
-def _chemical_coefficients(ghat, E_E, E_I, sbar_E, sbar_I):
-    """(A, B) of the two-population conductance model at mean synaptic
-    values (sbar_E, sbar_I)."""
-    ybar = np.zeros((2, 3))
-    ybar[:, 2] = sbar_E, sbar_I
-    return affine_coefficients(np.asarray(ghat, dtype=float).T,
-                               conductance_source_maps((E_E, E_I)), ybar)
-
-
-def chemical_balance_voltages(ghat: np.ndarray, E_E: float, E_I: float,
-                              sbar_E: float, sbar_I: float) -> tuple[float, float]:
-    """Unique balance voltages x*_beta = -B_beta / A_beta of the
-    two-population conductance model,
-
-        x*_beta = (ghat[E,b] E_E sbar_E + ghat[I,b] E_I sbar_I)
-                  / (ghat[E,b] sbar_E + ghat[I,b] sbar_I),
-
-    raising DegenerateDenominatorError when a denominator vanishes
-    (relative to the |ghat|*sbar scale).
-    """
-    A, B = _chemical_coefficients(ghat, E_E, E_I, sbar_E, sbar_I)
-    scale = np.abs(np.asarray(ghat, dtype=float)).T @ np.abs([sbar_E, sbar_I])
-    out = []
-    for b in range(2):
-        if abs(A[b]) <= DEGENERACY_RTOL * scale[b] or scale[b] == 0.0:
+def balance_voltages(model: NetworkModel, means: np.ndarray) -> np.ndarray:
+    """Balance voltages -B_p / A_p of the network input at the (P, d)
+    population means, (P,), raising DegenerateDenominatorError for the first
+    population whose rate A_p = sum_q c_pq alpha_q vanishes relative to its
+    scale sum_q |c_pq alpha_q| (a zero scale makes a zero rate)."""
+    A, B = model.affine_coefficients(means)
+    alpha, _ = model.source_maps(means)
+    scale = np.abs(model.coupling) @ np.abs(alpha)
+    for p, label in enumerate(model.labels):
+        if abs(A[p]) <= DEGENERACY_RTOL * scale[p]:
             raise DegenerateDenominatorError(
-                f"population {'EI'[b]}: denominator {A[b]:.3e} below tolerance")
-        out.append(float(-B[b] / A[b]))
-    return out[0], out[1]
-
-
-def check_mean_gates(sbar_E: float, sbar_I: float) -> None:
-    """The condition chemical_stability puts on the mean synaptic values:
-    both nonnegative. The error's key is the population, "E" or "I"."""
-    for key, sbar in (("E", sbar_E), ("I", sbar_I)):
-        if sbar < 0:
-            raise ModelDefinitionError("mean synaptic values must be nonnegative", key)
-
-
-def chemical_stability(ghat: np.ndarray, sbar_E: float, sbar_I: float) -> np.ndarray:
-    """Linear rates A_beta of the early-time voltage ODE, (2,), which are
-    also the denominators of the balance voltages; a population is stable
-    when its rate is negative, marginal at zero."""
-    check_mean_gates(sbar_E, sbar_I)
-    # A does not depend on the reversal potentials
-    A, _ = _chemical_coefficients(ghat, 0.0, 0.0, sbar_E, sbar_I)
-    return A
+                f"population {label}: denominator {A[p]:.3e} below tolerance")
+    return -B / A
 
 
 @dataclass

@@ -34,7 +34,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .balance import check_mean_gates
 from .hopfcole import check_epsilons
 from .models import (FhnChemicalParams, FhnElectricalParams, ModelDefinitionError,
                      NetworkModel, ScalingRule, SeparableModel1D, SeparableParams,
@@ -379,7 +378,9 @@ class SbarConfig(_Section):
     I: float
 
     def __post_init__(self):
-        check_mean_gates(self.E, self.I)
+        for key in ("E", "I"):
+            if getattr(self, key) < 0:
+                raise ModelDefinitionError("mean synaptic values must be nonnegative", key)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +596,7 @@ class BalanceAnalysisSpec(_Section):
     sbar: SbarConfig
 
     command = "balance"
-    twins = ufuncs = ()  # closed forms
+    twins = ufuncs = ()  # no run: the network input at the mean gates
 
 
 @dataclass(frozen=True)
@@ -630,8 +631,11 @@ class FiguresSpec(_NetworkRuns):
         cfg = self.model if self.model is not None else ChemicalConfig()
         model = cfg.build()
         T = self.T if self.T is not None else 3.0
-        gmax = max(float(np.max(np.abs(model.coupling))), 1e-12)
-        dt = self.dt if self.dt is not None else 0.08 / (model.gamma() * gmax)
+        gmax = float(np.max(np.abs(model.coupling)))
+        if self.dt is not None:
+            dt = self.dt
+        else:  # with no coupling, a double-limit cell's step
+            dt = 0.08 / (model.gamma() * max(gmax, 1e-12)) if gmax > 0 else 1e-3
         return [dict(model=model, init=cfg.initial_conditions(), T=T, dt=dt,
                      recorder=RecordSpec(stride=max(1, int(round(T / dt / 2000))), traces=20),
                      events=(PerturbationEvent(T / 2, {"g_EE": 1.5, "g_EI": 1.5}),))]

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from ._kernels import (backend as kernel_backend, c_twin, csv_body, csv_column_kind,
                        numpy_target)
-from .balance import (DegenerateDenominatorError, chemical_balance_voltages,
-                      chemical_stability, distance_to_balance, integrate_early_ode)
+from .balance import (DegenerateDenominatorError, balance_voltages, distance_to_balance,
+                      integrate_early_ode)
 from .config import (BalanceAnalysisSpec, DoubleLimitPdeSpec, DoubleLimitSpec,
                      EpsilonSweepSpec, ExperimentSpec, FiguresSpec, NetworkRunSpec,
                      PdeRunSpec, RescaledEarlySpec)
@@ -212,18 +212,21 @@ def _run_epsilon_sweep(p: DoubleLimitPdeSpec, seed: int, out: Path) -> tuple[str
 
 def _run_balance(p: BalanceAnalysisSpec, seed: int, out: Path) -> tuple[str, dict]:
     header = ["population", "x_star", "rate", "stable", "marginal", "denominator"]
-    ghat = p.model.build().ghat
+    model = p.model.build()
+    # the network input reads only the mean gates, coordinate 2
+    means = np.zeros((2, 3))
+    means[:, 2] = p.sbar.E, p.sbar.I
     try:
-        x_star = chemical_balance_voltages(ghat, p.model.E_E, p.model.E_I, p.sbar.E, p.sbar.I)
+        x_star = balance_voltages(model, means)
     except DegenerateDenominatorError as err:
         write_csv(out / "balance.csv", header, [])
         return "DEGENERATE_DENOMINATOR", {"error": str(err)}
-    rates = chemical_stability(ghat, p.sbar.E, p.sbar.I)
+    rates, _ = model.affine_coefficients(means)
     stable = rates < 0
     # the rates are also the denominators of the voltages
     write_csv(out / "balance.csv", header,
               [["0", "1"], x_star, rates, stable.astype(int), (rates == 0).astype(int), rates])
-    return "COMPLETED", {"x_star": list(x_star), "rates": rates, "stable": stable}
+    return "COMPLETED", {"x_star": x_star, "rates": rates, "stable": stable}
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +271,14 @@ def _run_figures(p: FiguresSpec, seed: int, out: Path) -> tuple[str, dict]:
 
 
 def _fig2_predictions(record: RunRecord, model, event) -> np.ndarray:
-    """The balance voltages each row of a fig2 record predicts from its mean
-    gates: under the model's couplings before the event, under the
-    perturbed ones from it on; NaN where the denominator degenerates."""
+    """The balance voltages each row of a fig2 record predicts from its
+    population means: under the model's couplings before the event, under
+    the perturbed ones from it on; NaN where the denominator degenerates."""
     pert = apply_perturbation(model, event)
     preds = np.full((len(record.times), 2), np.nan)
-    for i, (t, gates) in enumerate(zip(record.times, record.means[:, :, 2].T)):
-        ghat = model.ghat if t < event.t else pert.ghat
+    for i, t in enumerate(record.times):
         try:
-            preds[i] = chemical_balance_voltages(ghat, model.erev[0], model.erev[1], *gates)
+            preds[i] = balance_voltages(model if t < event.t else pert, record.means[:, i])
         except DegenerateDenominatorError:
             pass
     return preds

@@ -405,7 +405,5 @@ def epsilon_sweep(epsilons, run_at, t0: float | None = None) -> ConvergenceRepor
         report.verdicts["w_gradient_uniform"] = all(
             d.theta <= 1.1 * theta0 + 1e-12 for d in ok) if theta0 > 0 else all(
             d.theta <= 1e-9 for d in ok)
-        report.verdicts["moment_uniform"] = all(
-            d.moment.sup_moment <= max(d.moment.k0, ok[0].moment.c_star) * (1 + 1e-9)
-            for d in ok)
+        report.verdicts["moment_uniform"] = all(d.moment.satisfied for d in ok)
     return report

@@ -1,6 +1,10 @@
 """Model definitions: coupling scalings, the two concrete FitzHugh-Nagumo
 network families, the network model they define with a population size and
-a scaling, and the one-dimensional separable interaction model.
+a scaling, and the one-dimensional separable interaction model. A family is
+described once, by its parameters: its drift constants, its target-major
+coupling matrix and the source maps that make its network input affine
+(SourceMaps), from which NetworkModel.affine_coefficients reads the input at
+any population means.
 
 Model objects are immutable after construction and safe to share across
 threads.
@@ -99,13 +103,6 @@ class SourceMaps:
                 self.beta0 + (self.beta1 * ybar).sum(axis=-1))
 
 
-def affine_coefficients(coupling: np.ndarray, maps: SourceMaps, ybar) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of the un-gamma-scaled network input for target-major
-    couplings and population mean states ybar (P, d)."""
-    alpha, beta = maps(ybar)
-    return coupling @ alpha, coupling @ beta
-
-
 def conductance_source_maps(erev) -> SourceMaps:
     """Conductance coupling through the synaptic gate y_2 of the source:
     b(x, y) = (x_0 - E_q) y_2 e_0, so alpha_q(y) = y_2, beta_q(y) = -E_q y_2."""
@@ -185,8 +182,9 @@ class FhnChemicalParams(_FhnFamily):
     """Conductance family: populations E and I of FitzHugh-Nagumo agents with
     a synaptic gate s (see conductance_source_maps).
 
-    g_* are nonnegative conductance magnitudes; signs are applied by
-    coupling() (excitatory source columns positive, inhibitory negative).
+    g_XY is the nonnegative conductance magnitude from source population X
+    onto target Y; coupling() applies the signs (excitatory source columns
+    positive, inhibitory negative).
     The gate opens at rate alpha(x) = alpha_gain / (1 + exp(-(x -
     alpha_threshold) / alpha_slope)) and closes at rate 1/tau. The default
     reversal potentials, tau and activation sigmoid make the balanced state
@@ -226,16 +224,11 @@ class FhnChemicalParams(_FhnFamily):
             raise ModelDefinitionError("reversal potentials must differ")
         super().__post_init__()
 
-    @property
-    def erev(self) -> np.ndarray:
-        return np.array([self.E_E, self.E_I])
-
     def coupling(self) -> np.ndarray:
-        # source-major signed conductances, transposed to target-major
         return np.array([[self.g_EE, -self.g_IE], [self.g_EI, -self.g_II]])
 
     def source_maps(self) -> SourceMaps:
-        return conductance_source_maps(self.erev)
+        return conductance_source_maps((self.E_E, self.E_I))
 
     def fhn_constants(self) -> tuple:
         return (*self.f_coeffs, self.a, self.b, self.c, 1.0 / self.tau,
@@ -249,11 +242,9 @@ class NetworkModel:
     rule (the family's default scaling when none is given).
 
     coupling[p, q] multiplies the population-q average of b_pq(x_i, .) in
-    the drift of agents in population p (target-major orientation); ghat
-    holds the same couplings source-major, the orientation used by the
-    balance formulas. The stacked (N, d) state holds the populations as P
-    equal blocks, population p in rows p n to (p + 1) n - 1 (see
-    population_rows), and every agent carries noise on its voltage only.
+    the drift of agents in population p. The stacked (N, d) state holds the
+    populations as P equal blocks, population p in rows p n to (p + 1) n - 1
+    (see population_rows), and every agent carries noise on its voltage only.
     """
 
     params: _FhnFamily
@@ -295,21 +286,15 @@ class NetworkModel:
         coupling.setflags(write=False)
         return coupling
 
-    @property
-    def ghat(self) -> np.ndarray:
-        return self.coupling.T
-
-    @property
-    def erev(self) -> np.ndarray:
-        return self.params.erev
-
     @cached_property
     def source_maps(self) -> SourceMaps:
         return self.params.source_maps()
 
     def affine_coefficients(self, ybar) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) of the network input at population mean states ybar (P, d)."""
-        return affine_coefficients(self.coupling, self.source_maps, ybar)
+        """(A, B) of the un-gamma-scaled network input at population mean
+        states ybar (P, d)."""
+        alpha, beta = self.source_maps(ybar)
+        return self.coupling @ alpha, self.coupling @ beta
 
     def gamma(self) -> float:
         """gamma(n) evaluated at the per-population size."""

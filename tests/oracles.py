@@ -4,7 +4,8 @@ for plain drift and interaction callables, and scalar loop transcriptions
 of the network and Fokker-Planck kernels. They are slow (O(N^2) per step,
 or one Python operation per agent and cell) and meant for tiny sizes.
 Below them, small helpers that only tests need: a network's input at a
-point, a density from grid values, and a two-group split of samples.
+point, the chemical family's balance voltages in closed form, a density
+from grid values, and a two-group split of samples.
 """
 
 from __future__ import annotations
@@ -195,6 +196,20 @@ def net_input(model, p: int, x, means) -> np.ndarray:
     A, B = model.affine_coefficients(means)
     out[0] = A[p] * x[0] + B[p]
     return out
+
+
+def closed_form_balance(ghat, E_E: float, E_I: float, sbar_E: float,
+                        sbar_I: float) -> tuple[float, float]:
+    """The balance voltages of the two-population conductance model from
+    its source-major signed conductances ghat[q][b] (source q onto target
+    b; the transpose of NetworkModel.coupling), reversal potentials and
+    mean gates:
+
+        x*_b = (ghat[E,b] E_E sbar_E + ghat[I,b] E_I sbar_I)
+               / (ghat[E,b] sbar_E + ghat[I,b] sbar_I)."""
+    (gEE, gEI), (gIE, gII) = ghat
+    return tuple(float((gE * E_E * sbar_E + gI * E_I * sbar_I) / (gE * sbar_E + gI * sbar_I))
+                 for gE, gI in ((gEE, gIE), (gEI, gII)))
 
 
 def density_from_values(grid: Grid1D, values, normalize: bool = True) -> np.ndarray:

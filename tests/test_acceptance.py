@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from balancenet.balance import (chemical_balance_voltages, chemical_stability,
-                                distance_to_balance)
+from balancenet.balance import balance_voltages, distance_to_balance
 from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
 from balancenet.hopfcole import epsilon_sweep
@@ -22,7 +21,7 @@ from balancenet.network import (CoordinateIC, PerturbationEvent, RecordSpec,
                                 apply_perturbation, simulate, simulate_rescaled_early)
 from balancenet.pde import Grid1D, gaussian_initial, solve_fp_1d
 
-from .oracles import cluster_split
+from .oracles import closed_form_balance, cluster_split
 
 OU_SD = 1.0 / math.sqrt(2.0 * 300.0 * 1.0)  # sigma / sqrt(2 gamma g) at the fig1 scale
 
@@ -153,22 +152,33 @@ def test_criterion_02_scaling_comparison(electrical_runs):
                 f"{collapse_time(run_n):.4f})")
 
 
-def _window_error(model_ghat, erev, run, lo, hi):
+def _window_error(model, run, lo, hi):
+    """Relative distance of each population's mean voltage over the window
+    [lo, hi] from the balance voltage its window means predict."""
     sel = (run.times >= lo) & (run.times <= hi)
-    mean_E = run.means[0][sel].mean(axis=0)
-    mean_I = run.means[1][sel].mean(axis=0)
-    xE, xI = chemical_balance_voltages(model_ghat, erev[0], erev[1],
-                                       mean_E[2], mean_I[2])
-    return (abs(mean_E[0] - xE) / abs(xE), abs(mean_I[0] - xI) / abs(xI)), (xE, xI)
+    means = run.means[:, sel].mean(axis=1)
+    xs = balance_voltages(model, means)
+    return np.abs(means[:, 0] - xs) / np.abs(xs)
+
+
+def _balance_checked(model, means):
+    """The balance voltages of a chemical model at the (2, 3) population
+    means, checked against the closed form."""
+    xs = balance_voltages(model, means)
+    pr = model.params
+    np.testing.assert_allclose(
+        xs, closed_form_balance(model.coupling.T, pr.E_E, pr.E_I, *means[:, 2]),
+        rtol=1e-12, atol=1e-12)
+    return xs
 
 
 def test_criterion_03_chemical_stable_regime(chemical_stable_run):
     model, event, run = chemical_stable_run
     assert run.status == "COMPLETED"
-    errs_pre, _ = _window_error(model.ghat, model.erev, run, 1.3, 1.45)
+    errs_pre = _window_error(model, run, 1.3, 1.45)
     assert errs_pre[0] <= 0.05 and errs_pre[1] <= 0.05
     pert = apply_perturbation(model, event)
-    errs_post, _ = _window_error(pert.ghat, model.erev, run, 2.8, 2.95)
+    errs_post = _window_error(pert, run, 2.8, 2.95)
     assert errs_post[0] <= 0.05 and errs_post[1] <= 0.05
     announce(3, "chemical stable regime (pre "
                 f"{100 * max(errs_pre):.2f}%, post {100 * max(errs_post):.2f}% "
@@ -181,11 +191,9 @@ def test_criterion_04_chemical_unstable_regime():
     snap_times = (0.05, 0.1, 0.2)
     run = simulate(model, CHEM_INIT, 0.2, 2e-5, 77,
                    RecordSpec(stride=250, snapshot_times=snap_times))
-    sE0, sI0 = run.means[0][0, 2], run.means[1][0, 2]
-    rates = chemical_stability(model.ghat, sE0, sI0)
+    rates, _ = model.affine_coefficients(run.means[:, 0])
     assert (rates > 0).all()
-    xE, _ = chemical_balance_voltages(model.ghat, model.erev[0], model.erev[1],
-                                      sE0, sI0)
+    xE = _balance_checked(model, run.means[:, 0])[0]
     gaps = []
     for states in run.snapshots:
         above, below, gap = cluster_split(states[:300, 0], xE)
@@ -208,13 +216,11 @@ def test_criterion_05_stability_criterion_consistency():
         model = chem_model(*gs, n=100, scaling=ScalingRule("constant", 1000.0))
         run = simulate_rescaled_early(model, CHEM_INIT, 20.0, 1e-3, 1234,
                                       RecordSpec(stride=200))
-        sE0, sI0 = run.means[0][0, 2], run.means[1][0, 2]
-        rates = chemical_stability(model.ghat, sE0, sI0)
+        rates, _ = model.affine_coefficients(run.means[:, 0])
         if np.abs(rates).min() < 0.05:
             continue
         checked += 1
-        xs = chemical_balance_voltages(model.ghat, model.erev[0], model.erev[1],
-                                       sE0, sI0)
+        xs = _balance_checked(model, run.means[:, 0])
         for b in range(2):
             d0 = abs(run.means[b][0, 0] - xs[b])
             dT = abs(run.means[b][-1, 0] - xs[b])

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancenet.balance import (DegenerateDenominatorError,
-                                chemical_balance_voltages, chemical_stability,
+from balancenet.balance import (DegenerateDenominatorError, balance_voltages,
                                 distance_to_balance, integrate_early_ode)
 from balancenet.config import parse_config_dict
 from balancenet.harness import run_experiment
@@ -14,14 +13,14 @@ from balancenet.models import (FhnChemicalParams, FhnElectricalParams,
                                NetworkModel, ScalingRule)
 from .oracles import net_input, pairwise_input, pairwise_model
 
-GHAT_2A = np.array([[0.3, 2.0], [-1.0, -10.0]])
+# the chemical family's default conductances, those of fig2a
+G_2A = dict(g_EE=0.3, g_EI=2.0, g_IE=1.0, g_II=10.0)
 
 
 def chem_model(n=10, **over):
     base = dict(f_coeffs=(-1.0, 1.3, -0.3, 0.0), a=0.4, b=1.5, c=1.0, tau=1.0,
                 alpha_gain=1.0, alpha_threshold=1.0, alpha_slope=0.2,
-                E_E=3.0, E_I=-1.0, g_EE=0.3, g_EI=2.0, g_IE=1.0, g_II=10.0,
-                sigma=1.0)
+                E_E=3.0, E_I=-1.0, **G_2A, sigma=1.0)
     base.update(over)
     return NetworkModel(FhnChemicalParams(**base), n=n,
                         scaling=ScalingRule("constant", 60.0))
@@ -42,6 +41,18 @@ def chem_means(sbar_E, sbar_I, m=6):
     return chem_model(n=m).population_means(states)
 
 
+def gate_means(sbar_E, sbar_I):
+    """Population means (2, 3), zero but for the mean synaptic values."""
+    means = np.zeros((2, 3))
+    means[:, 2] = sbar_E, sbar_I
+    return means
+
+
+def rates(model, sbar_E, sbar_I):
+    """The rates A_p of the chemical model at the mean synaptic values."""
+    return model.affine_coefficients(gate_means(sbar_E, sbar_I))[0]
+
+
 class TestNetInput:
     def test_electrical_zero_at_point_mass(self):
         model = elec_model()
@@ -55,14 +66,21 @@ class TestNetInput:
         out = net_input(model, 0, [xstar - delta, 0.0], np.array([[xstar, 0.0]]))
         assert out[0] == pytest.approx(1.0 * delta, rel=1e-12)
 
-    def test_chemical_balance_identity(self):
+    @pytest.mark.parametrize("family", ["chemical", "electrical"])
+    def test_balance_identity(self, family):
         # at the computed balance voltage the voltage component vanishes
-        model = chem_model()
-        means = chem_means(0.73, 1.21)
-        sbar_E, sbar_I = means[:, 2].tolist()
-        xE, xI = chemical_balance_voltages(model.ghat, 3.0, -1.0, sbar_E, sbar_I)
-        for p, xs in enumerate((xE, xI)):
-            out = net_input(model, p, [xs, 0.0, 0.0], means)
+        if family == "chemical":
+            model, means = chem_model(), chem_means(0.73, 1.21)
+        else:
+            model = elec_model(n=6)
+            means = model.population_means(np.random.default_rng(0).normal(size=(6, 2)))
+        xs = balance_voltages(model, means)
+        assert xs.shape == (model.n_populations,)
+        if family == "electrical":
+            # the electrical balance voltage is the population's mean voltage
+            assert xs[0] == pytest.approx(means[0, 0], rel=1e-15)
+        for p, x in enumerate(xs):
+            out = net_input(model, p, [x] + [0.0] * (model.dim - 1), means)
             assert abs(out[0]) <= 1e-12
 
     @given(family=st.sampled_from(("electrical", "chemical")),
@@ -97,42 +115,41 @@ class TestNetInput:
 
 class TestBalanceVoltages:
     def test_sbar_i_zero_collapses_to_reversal(self):
-        xE, xI = chemical_balance_voltages(GHAT_2A, 3.0, -1.0, 0.8, 0.0)
+        xE, xI = balance_voltages(chem_model(), gate_means(0.8, 0.0))
         assert xE == pytest.approx(3.0)
         assert xI == pytest.approx(3.0)
 
-    def test_equal_reversals(self):
-        xE, xI = chemical_balance_voltages(GHAT_2A, 1.7, 1.7, 0.5, 0.04)
-        assert xE == pytest.approx(1.7)
-        assert xI == pytest.approx(1.7)
-
     def test_derived_value_matches_linear_solve_oracle(self):
-        # independent route: solve ghat_EE (x - E_E) sE + ghat_IE (x - E_I) sI = 0
+        # independent route: solve cE (x - E_E) sE + cI (x - E_I) sI = 0,
+        # with cE and cI the signed couplings from E and I onto E
         sE = sI = 0.5
-        a = GHAT_2A[0, 0] * sE + GHAT_2A[1, 0] * sI
-        rhs = GHAT_2A[0, 0] * 3.0 * sE + GHAT_2A[1, 0] * (-1.0) * sI
+        cE, cI = chem_model().coupling[0]
+        a = cE * sE + cI * sI
+        rhs = cE * 3.0 * sE + cI * (-1.0) * sI
         oracle = np.linalg.solve(np.array([[a]]), np.array([rhs]))[0]
-        xE, _ = chemical_balance_voltages(GHAT_2A, 3.0, -1.0, sE, sI)
+        xE, _ = balance_voltages(chem_model(), gate_means(sE, sI))
         assert xE == pytest.approx(oracle, rel=1e-14)
         assert xE == pytest.approx(-19.0 / 7.0, rel=1e-12)
 
     def test_degenerate_denominator(self):
-        ghat = np.array([[1.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(DegenerateDenominatorError):
-            chemical_balance_voltages(ghat, 3.0, -1.0, 0.5, 0.5)
+            balance_voltages(chem_model(g_EE=1.0, g_EI=1.0, g_IE=1.0, g_II=1.0),
+                             gate_means(0.5, 0.5))
         with pytest.raises(DegenerateDenominatorError):
-            chemical_balance_voltages(np.zeros((2, 2)), 3.0, -1.0, 0.5, 0.5)
+            balance_voltages(chem_model(g_EE=0.0, g_EI=0.0, g_IE=0.0, g_II=0.0),
+                             gate_means(0.5, 0.5))
 
     @given(st.floats(0.01, 100.0))
     @settings(max_examples=40, derandomize=True)
     def test_scaling_invariance(self, lam):
         # scaling all couplings leaves voltages fixed and scales rates
-        xs = chemical_balance_voltages(GHAT_2A, 3.0, -1.0, 0.5, 0.5)
-        xs_scaled = chemical_balance_voltages(lam * GHAT_2A, 3.0, -1.0, 0.5, 0.5)
+        scaled = chem_model(**{name: lam * g for name, g in G_2A.items()})
+        xs = balance_voltages(chem_model(), gate_means(0.5, 0.5))
+        xs_scaled = balance_voltages(scaled, gate_means(0.5, 0.5))
         assert xs_scaled[0] == pytest.approx(xs[0], rel=1e-9)
         assert xs_scaled[1] == pytest.approx(xs[1], rel=1e-9)
-        r = chemical_stability(GHAT_2A, 0.5, 0.5)
-        rs = chemical_stability(lam * GHAT_2A, 0.5, 0.5)
+        r = rates(chem_model(), 0.5, 0.5)
+        rs = rates(scaled, 0.5, 0.5)
         for b in range(2):
             assert rs[b] == pytest.approx(lam * r[b], rel=1e-9)
             assert (rs[b] < 0) == (r[b] < 0)
@@ -140,20 +157,22 @@ class TestBalanceVoltages:
 
 class TestStability:
     def test_rate_value(self):
-        rates = chemical_stability(GHAT_2A, 0.5, 0.5)
-        assert rates.shape == (2,)
-        assert rates[0] == pytest.approx(-0.35)
-        assert rates[0] < 0
+        r = rates(chem_model(), 0.5, 0.5)
+        assert r.shape == (2,)
+        assert r[0] == pytest.approx(-0.35)
+        assert r[0] < 0
 
     def test_rate_is_scalar_ode_eigenvalue(self):
         # oracle: decay exponent fitted from the explicit solution of the
         # early-time linear ODE
         sE = sI = 0.5
-        xE, _ = chemical_balance_voltages(GHAT_2A, 3.0, -1.0, sE, sI)
-        rate = chemical_stability(GHAT_2A, sE, sI)[0]
+        model = chem_model()
+        xE, _ = balance_voltages(model, gate_means(sE, sI))
+        rate = rates(model, sE, sI)[0]
+        cE, cI = model.coupling[0]
 
         def rhs(x):
-            return (GHAT_2A[0, 0] * (x - 3.0) * sE + GHAT_2A[1, 0] * (x + 1.0) * sI)
+            return (cE * (x - 3.0) * sE + cI * (x + 1.0) * sI)
 
         x0 = xE + 1.0
         t, dt, x = 0.0, 1e-4, x0
@@ -164,16 +183,15 @@ class TestStability:
         assert fitted == pytest.approx(rate, rel=1e-3)
 
     def test_all_zero_marginal(self):
-        rates = chemical_stability(np.zeros((2, 2)), 1.0, 1.0)
-        assert (rates == 0).all() and not (rates < 0).any()
+        r = rates(chem_model(g_EE=0.0, g_EI=0.0, g_IE=0.0, g_II=0.0), 1.0, 1.0)
+        assert (r == 0).all() and not (r < 0).any()
 
     def test_fig2a_initial_sbar_stable(self):
-        rates = chemical_stability(GHAT_2A, 1.0, 1.5)
-        assert (rates < 0).all()
+        assert (rates(chem_model(), 1.0, 1.5) < 0).all()
 
     def test_report_assembly(self, tmp_path):
-        # balance.csv and the manifest metrics of a balance analysis at
-        # GHAT_2A (the chemical family's default conductances)
+        # balance.csv and the manifest metrics of a balance analysis at the
+        # chemical family's default conductances
         spec = parse_config_dict({"kind": "balance-analysis", "seed": 1,
                                   "model": {"family": "fhn-chemical", "E_E": 3.0},
                                   "sbar": {"E": 0.5, "I": 0.5}})
@@ -256,7 +274,7 @@ def assert_matches_reference(res, ref):
 def _ode_case(family, couplings, centre):
     """An affine model, the population means of a frozen measure and the
     state dimension for one family; couplings are nonnegative conductances,
-    centre shifts the measure, so a chemical A_p = sum_q ghat[q, p] sbar_q
+    centre shifts the measure, so a chemical A_p = sum_q c_pq sbar_q
     takes either sign."""
     if family == "electrical":
         model = elec_model(n=5, g=couplings[0])
@@ -284,9 +302,8 @@ class TestEarlyOde:
     def test_chemical_converges_to_balance_voltage(self):
         model = chem_model()
         means = chem_means(0.5, 0.5)
-        sE, sI = means[:, 2].tolist()
-        xE, xI = chemical_balance_voltages(model.ghat, 3.0, -1.0, sE, sI)
-        rate = chemical_stability(model.ghat, sE, sI)[0]
+        xE, xI = balance_voltages(model, means)
+        rate = model.affine_coefficients(means)[0][0]
         T = 20.0 / abs(rate)
         x0 = np.array([[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
         res = integrate_early_ode(model, means, x0, T, dt=1e-2)
@@ -410,7 +427,7 @@ class TestDistanceToBalance:
             for q in range(2):
                 acc = np.zeros(3)
                 for j in range(6 * q, 6 * q + 6):
-                    acc += np.array([(states[i, 0] - model.erev[q]) * states[j, 2], 0, 0])
+                    acc += np.array([(states[i, 0] - (3.0, -1.0)[q]) * states[j, 2], 0, 0])
                 tot += model.coupling[p, q] * acc / 6.0
             worst = max(worst, np.linalg.norm(tot))
         assert distance_to_balance(states, model) == pytest.approx(worst, rel=1e-10)

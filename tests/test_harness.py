@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from balancenet.balance import chemical_balance_voltages
 from balancenet.config import parse_config_dict
 from balancenet import harness, hopfcole
 from balancenet._kernels import csv_body, csv_column_kind, format_value
@@ -16,6 +15,8 @@ from balancenet.harness import file_digest, run_experiment, write_csv
 from balancenet.models import NetworkModel
 from balancenet.network import simulate
 from balancenet.pde import solve_fp_1d
+
+from .oracles import closed_form_balance
 
 
 def read_csv(path):
@@ -238,11 +239,26 @@ class TestFigures:
         before = record.times < 0.25
         assert before.any() and not before.all()
         for i, t in enumerate(record.times):
-            ghat = (model if before[i] else scaled).ghat
-            expected = chemical_balance_voltages(ghat, pr.E_E, pr.E_I, record.means[0][i, 2],
-                                                 record.means[1][i, 2])
+            ghat = (model if before[i] else scaled).coupling.T
+            expected = closed_form_balance(ghat, pr.E_E, pr.E_I, *record.means[:, i, 2])
             assert rows[i, 0] == t
-            np.testing.assert_array_equal(rows[i, -2:], expected)
+            np.testing.assert_allclose(rows[i, -2:], expected, rtol=1e-12, atol=1e-12)
+
+    def test_fig2_default_step(self, tmp_path):
+        # the default step keeps the step guard at 0.08 with coupling, and
+        # is a double-limit cell's 1e-3 without it, where no row predicts
+        conductances = {"g_EE": 0.0, "g_EI": 0.0, "g_IE": 0.0, "g_II": 0.0}
+        spec = parse_config_dict({
+            "kind": "figures", "seed": 6, "figure": "fig2",
+            "model": {"family": "fhn-chemical", "n": 4, **conductances}, "T": 0.01})
+        assert spec.payload.runs()[0]["dt"] == 1e-3
+        assert run_experiment(spec, out_dir=tmp_path)["status"] == "COMPLETED"
+        _, rows = read_csv(tmp_path / "fig2_traces.csv")
+        assert len(rows) == 11 and np.isnan(rows[:, -2:]).all()
+        spec = parse_config_dict({"kind": "figures", "seed": 6, "figure": "fig2",
+                                  "model": {"family": "fhn-chemical", "n": 4}})
+        (run,) = spec.payload.runs()
+        assert run["dt"] == 0.08 / (run["model"].gamma() * 10.0)
 
 
 CHEMICAL = {"family": "fhn-chemical", "n": 8}

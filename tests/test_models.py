@@ -113,11 +113,14 @@ class TestElectricalModel:
 class TestChemicalModel:
     def test_signed_matrix_figure_values(self):
         model = NetworkModel(FIG2A, n=300)
-        np.testing.assert_allclose(model.ghat, [[0.3, 2.0], [-1.0, -10.0]])
+        np.testing.assert_allclose(model.coupling.T, [[0.3, 2.0], [-1.0, -10.0]])
 
     def test_coupling_is_target_major_transpose(self):
+        # coupling[p, q] is the signed conductance from source q onto
+        # target p, the transpose of g_XY's source-major naming
         model = NetworkModel(FIG2A, n=300)
-        np.testing.assert_allclose(model.coupling, model.ghat.T)
+        np.testing.assert_allclose(model.coupling, [[FIG2A.g_EE, -FIG2A.g_IE],
+                                                    [FIG2A.g_EI, -FIG2A.g_II]])
 
     @given(st.tuples(*[st.floats(0, 50) for _ in range(4)]))
     @settings(max_examples=50, derandomize=True)

@@ -190,13 +190,13 @@ class TestPerturbation:
     def test_identity_multiplier(self):
         model = NetworkModel(_fig2a_params(), n=300)
         out = apply_perturbation(model, PerturbationEvent(1.0, {"g_EE": 1.0}))
-        np.testing.assert_array_equal(out.ghat, model.ghat)
+        np.testing.assert_array_equal(out.coupling, model.coupling)
 
     def test_fig2_excitatory_increase(self):
         model = NetworkModel(_fig2a_params(), n=300)
         out = apply_perturbation(
             model, PerturbationEvent(1.0, {"g_EE": 1.5, "g_EI": 1.5}))
-        np.testing.assert_allclose(out.ghat, [[0.45, 3.0], [-1.0, -10.0]])
+        np.testing.assert_allclose(out.coupling.T, [[0.45, 3.0], [-1.0, -10.0]])
 
     def test_zero_multiplier_rejected(self):
         with pytest.raises(ModelDefinitionError):

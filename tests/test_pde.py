@@ -6,7 +6,7 @@ import pytest
 
 from balancenet import pde
 from balancenet._kernels import fp_chunk
-from balancenet.models import SeparableModel1D, build_separable_1d
+from balancenet.models import SeparableModel1D, SeparableParams, build_separable_1d
 from balancenet.pde import (CflError, Grid1D, NegativityError, cfl_timestep,
                             gaussian_initial, solve_fp_1d)
 
@@ -137,15 +137,37 @@ def pde_run():
 
 @pytest.fixture(scope="module")
 def ensemble():
-    model = build_separable_1d(_EPS)
+    """Euler-Maruyama steps of the default separable model (see
+    build_separable_1d), its f, alpha and beta written out ufunc by ufunc
+    into two arrays that every step reuses; the bits are those of calling
+    them."""
+    p = SeparableParams()
     rng = np.random.default_rng(99)
     n, dt, steps = 100_000, 1e-3, 1000
     x = 1.0 + math.sqrt(_EPS / 2.0) * rng.standard_normal(n)
-    sq = math.sqrt(dt) * model.sigma
+    sq = math.sqrt(dt) * p.sigma
+    a, b = np.empty(n), np.empty(n)
     for _ in range(steps):
-        big_i = float(np.mean(model.beta(x)))
-        x += (model.f(x) - big_i / _EPS * model.alpha(x)) * dt
-        x += sq * rng.standard_normal(n)
+        # beta(x) = beta0 + beta1 / (1 + exp(-(x - theta_s) / k_s))
+        np.subtract(x, p.theta_s, out=a)
+        np.negative(a, out=a)
+        np.divide(a, p.k_s, out=a)
+        np.exp(a, out=a)
+        np.add(1.0, a, out=a)
+        np.divide(p.beta1, a, out=a)
+        np.add(p.beta0, a, out=a)
+        big_i = float(np.mean(a))
+        # x += (f(x) - big_i / eps * alpha(x)) dt, f(x) = x - x^3, alpha(x) = x - E
+        np.power(x, 3, out=b)
+        np.subtract(x, b, out=b)
+        np.subtract(x, p.E, out=a)
+        np.multiply(big_i / _EPS, a, out=a)
+        np.subtract(b, a, out=b)
+        np.multiply(b, dt, out=b)
+        x += b
+        rng.standard_normal(out=a)
+        np.multiply(sq, a, out=a)
+        x += a
     return x
 
 
